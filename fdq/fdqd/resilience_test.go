@@ -299,9 +299,7 @@ func TestFaultModeLeakTable(t *testing.T) {
 				t.Fatalf("%d admission slots still held after %s", got, mode.name)
 			}
 			settleGoroutines(t, base+3)
-			if n := srv.Metrics().OpenConns.Load(); n != 0 {
-				t.Fatalf("%d connections still open after %s", n, mode.name)
-			}
+			settleConns(t, srv, mode.name)
 		})
 	}
 }

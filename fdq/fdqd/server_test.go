@@ -82,6 +82,21 @@ func settleGoroutines(t *testing.T, base int) {
 		runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 }
 
+// settleConns waits for the server's open-connection count to reach zero.
+// settleGoroutines' allowance can be met while the last handler is still
+// between its final read and its deferred OpenConns.Add(-1), so the count
+// is waited for, not sampled once.
+func settleConns(t *testing.T, srv *fdqd.Server, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics().OpenConns.Load() != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := srv.Metrics().OpenConns.Load(); n != 0 {
+		t.Fatalf("%d connections still open after %s", n, after)
+	}
+}
+
 // TestEndToEndByteIdentity: the streamed network result must equal the
 // in-process result byte for byte, stats included.
 func TestEndToEndByteIdentity(t *testing.T) {
@@ -303,9 +318,7 @@ func TestClientDisconnectMidStream(t *testing.T) {
 	// (startServer's cleanup shuts the server down after this check, so
 	// only the serve/accept goroutines remain above base here).
 	settleGoroutines(t, base+3)
-	if n := srv.Metrics().OpenConns.Load(); n != 0 {
-		t.Fatalf("%d connections still open", n)
-	}
+	settleConns(t, srv, "client disconnect")
 }
 
 // TestCancelPropagation: cancelling the query context mid-stream reaches

@@ -156,41 +156,46 @@ func buildPlan(l *lattice.Lattice, res *bounds.CLLPResult) ([]op, error) {
 	return nil, fmt.Errorf("csma: plan construction did not converge")
 }
 
-// cllpPlan is the memoized planning artifact of Run: the CLLP solution and
-// the Theorem 5.34 plan built from it, both functions of the query shape
-// and the instance sizes only.
+// cllpPlan is the memoized planning artifact of a query at given instance
+// sizes: the CLLP solution and the Theorem 5.34 plan built from it (or the
+// reason there is none), both functions of the query shape and the sizes
+// only.
 type cllpPlan struct {
 	res  *bounds.CLLPResult
 	plan []op
+	err  error // why CSMA cannot run: CLLP unbounded, or no plan from its dual
 }
 
 // solvePlan solves the CLLP and builds the CSM plan, memoized per instance
 // sizes in the query's plan cache (the same discipline as
-// bounds.BestChainBound): repeated executions — benchmarks, engine re-Runs,
-// prepared re-binds at the same sizes — skip the exact-rational LP solve
-// that otherwise dominates the allocation profile. Restart branches solve
-// their own branch-specific CLLPs and are never memoized.
-func solvePlan(q *query.Q, l *lattice.Lattice) (*cllpPlan, error) {
+// bounds.BestChainBound): whoever asks first — the engine planner comparing
+// bounds through CLLP, or RunInto — pays for the exact-rational LP solve,
+// and every later plan or execution at the same sizes reuses it. Failures
+// are memoized too. Restart branches solve their own branch-specific CLLPs
+// and are never memoized.
+func solvePlan(q *query.Q) *cllpPlan {
 	var key strings.Builder
 	key.WriteString("csma:plan")
 	for _, r := range q.Rels {
 		fmt.Fprintf(&key, ":%d", r.Len())
 	}
 	if v, ok := q.PlanCache(key.String()); ok {
-		return v.(*cllpPlan), nil
+		return v.(*cllpPlan)
 	}
-	res := bounds.CLLPFromQuery(q)
-	if res.LogBound == nil {
-		return nil, fmt.Errorf("csma: CLLP is unbounded (query not computable from the given constraints)")
+	cp := &cllpPlan{res: bounds.CLLPFromQuery(q)}
+	if cp.res.LogBound == nil {
+		cp.err = fmt.Errorf("csma: CLLP is unbounded (query not computable from the given constraints)")
+	} else {
+		cp.plan, cp.err = buildPlan(cp.res.Lat, cp.res)
 	}
-	plan, err := buildPlan(l, res)
-	if err != nil {
-		return nil, err
-	}
-	cp := &cllpPlan{res: res, plan: plan}
 	q.SetPlanCache(key.String(), cp)
-	return cp, nil
+	return cp
 }
+
+// CLLP returns the conditional LLP solution for q at its instance sizes
+// (LogBound nil when unbounded) through the memo RunInto reads, so a
+// planner that consults the bound and then runs CSMA solves the LP once.
+func CLLP(q *query.Q) *bounds.CLLPResult { return solvePlan(q).res }
 
 // Run evaluates the query with CSMA. It is the legacy materialized entry
 // point, a zero-copy wrapper over RunInto.
@@ -210,9 +215,9 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 	e := expand.New(q)
 	st := &Stats{}
 
-	cp, err := solvePlan(q, l)
-	if err != nil {
-		return st, err
+	cp := solvePlan(q)
+	if cp.err != nil {
+		return st, cp.err
 	}
 	res, plan := cp.res, cp.plan
 	st.OPT, _ = res.LogBound.Float64()

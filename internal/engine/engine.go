@@ -98,22 +98,25 @@ type Stats struct {
 	WorkerMorsels []int // morsels each worker executed (nil off the morsel path)
 }
 
-// Prepared is an analyzed query shape. It wraps the query whose lattice has
-// been forced and whose plan cache will accumulate artifacts shared by
-// every instance bound from it.
+// Prepared is an analyzed query shape. It wraps the query whose lazily
+// built lattice and whose plan cache accumulate artifacts shared by every
+// instance bound from it.
 type Prepared struct {
 	q *query.Q
 }
 
 // Prepare analyzes the query shape: it checks that every variable is
-// computable, forces the FD lattice build (so concurrent executions share
-// one immutable lattice), and returns a handle that instances are bound
-// from. The relations attached to q become the default binding.
+// computable and returns a handle that instances are bound from. The
+// relations attached to q become the default binding. The FD lattice is
+// not built here: q.Lattice() is a mutex-guarded memo shared by every Bound
+// of the shape, so the first planner rule or executor that consults it
+// builds it once for all concurrent executions, and shapes the planner
+// routes without it (tiny inputs, FD-free queries) never pay for its 2^k
+// closed sets.
 func Prepare(q *query.Q) (*Prepared, error) {
 	if err := q.CheckComputable(); err != nil {
 		return nil, err
 	}
-	q.Lattice()
 	return &Prepared{q: q}, nil
 }
 

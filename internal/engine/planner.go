@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/bounds"
+	"repro/internal/csma"
 	"repro/internal/lattice"
 	"repro/internal/query"
 	"repro/internal/smalg"
@@ -119,7 +120,8 @@ func computePlan(q *query.Q) *Plan {
 		}
 	}
 
-	cllp := bounds.CLLPFromQuery(q)
+	// Through csma's memo, so that a CSMA run of this plan reuses the solve.
+	cllp := csma.CLLP(q)
 	if cllp.LogBound != nil {
 		logCLLP, _ := cllp.LogBound.Float64()
 		if logCLLP < best.LogBound-eps {

@@ -1,0 +1,134 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/csma"
+	"repro/internal/naive"
+	"repro/internal/paper"
+	"repro/internal/rel"
+	"repro/internal/scenario"
+)
+
+// Prepare must not build the FD lattice: planner rules 1 (tiny input) and 2
+// (no FDs, no degree bounds) never read it, and on an FD-free query it has
+// 2^k elements with |L|² order/meet/join tables. A 12-variable path took
+// 2.8 s in Prepare alone while the build was forced (ROADMAP item 5).
+func TestPrepareLeavesLatticeToItsFirstReader(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows int
+		want Algorithm
+	}{
+		{"tiny-input", 1, AlgBinary},
+		{"fd-free", 8, AlgGenericJoin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := scenario.PathQuery(12, tc.rows, 1)
+			start := time.Now()
+			p, err := Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := p.Bind(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := b.Plan().Algorithm; got != tc.want {
+				t.Fatalf("planned %s, want %s", got, tc.want)
+			}
+			if _, _, err := b.Run(context.Background(), &Options{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("prepare+plan+run of a 12-variable FD-free path took %v: something built the 4096-element lattice", d)
+			}
+		})
+	}
+}
+
+// With the build left to the first reader, concurrent first Runs of
+// different instances of one FD shape race to it; they must end up sharing
+// one lattice (and, under -race, build it without a data race).
+func TestConcurrentFirstRunsShareOneLattice(t *testing.T) {
+	p, err := Prepare(paper.Fig1QuasiProduct(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{8, 16, 27, 32, 64, 125}
+	bounds := make([]*Bound, len(sizes))
+	wants := make([]*rel.Relation, len(sizes))
+	for i, n := range sizes {
+		inst := paper.Fig1QuasiProduct(n)
+		if bounds[i], err = p.Bind(inst.Rels); err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = naive.Evaluate(inst)
+	}
+	outs := make([]*rel.Relation, len(sizes))
+	errs := make([]error, len(sizes))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range bounds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			outs[i], _, errs[i] = bounds[i].Run(context.Background(), &Options{Workers: 1})
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	shared := p.Query().Lattice()
+	for i := range bounds {
+		if errs[i] != nil {
+			t.Fatalf("size %d: %v", sizes[i], errs[i])
+		}
+		if !rel.Equal(outs[i], wants[i]) {
+			t.Errorf("size %d: wrong answer", sizes[i])
+		}
+		if bounds[i].Query().Lattice() != shared {
+			t.Errorf("size %d: instance has its own lattice", sizes[i])
+		}
+	}
+}
+
+// The planner consults the CLLP bound and CSMA executes from the CLLP's dual:
+// one solve must serve both, so after Plan() the LP result is already in
+// the entry csma.RunInto reads ("csma:plan:<sizes>", csma.solvePlan).
+func TestPlannerSolvesTheCLLPForCSMA(t *testing.T) {
+	q, _ := paper.Fig9Instance(64)
+	p, err := Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.Bind(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "csma:plan"
+	for _, r := range q.Rels {
+		key += fmt.Sprintf(":%d", r.Len())
+	}
+	if _, ok := b.Query().PlanCache(key); ok {
+		t.Fatalf("plan cache entry %q exists before planning", key)
+	}
+	pl := b.Plan()
+	if pl.Algorithm != AlgCSMA {
+		t.Fatalf("want csma, got %s (%s)", pl.Algorithm, pl.Reason)
+	}
+	if _, ok := b.Query().PlanCache(key); !ok {
+		t.Fatalf("no plan cache entry %q after Plan(): the first CSMA run will solve the CLLP again", key)
+	}
+	memo := csma.CLLP(b.Query())
+	if got, _ := memo.LogBound.Float64(); got != pl.LogBound {
+		t.Fatalf("memoized CLLP bound 2^%v, plan says 2^%v", got, pl.LogBound)
+	}
+	if again := csma.CLLP(b.Query()); again != memo {
+		t.Fatal("csma.CLLP solved again instead of returning the memoized result")
+	}
+}

@@ -1,11 +1,14 @@
 // Package linalg provides exact rational linear algebra used by the LP layer
 // and the polytope vertex enumeration in the normality test: dense matrices
-// over math/big.Rat, Gaussian elimination, and linear-system solving.
+// of math/big.Rat, and Gaussian elimination and linear-system solving that
+// take and return big.Rat but compute on exact.Num, the LP kernel's number.
 package linalg
 
 import (
 	"fmt"
 	"math/big"
+
+	"repro/internal/exact"
 )
 
 // Rat returns a new big.Rat with value a/b. It panics if b == 0.
@@ -82,46 +85,65 @@ func SolveSquare(A *Matrix, b []*big.Rat) ([]*big.Rat, error) {
 	if A.Cols != n || len(b) != n {
 		return nil, fmt.Errorf("linalg: SolveSquare shape mismatch %dx%d, b %d", A.Rows, A.Cols, len(b))
 	}
-	// Work on an augmented copy.
-	m := NewMatrix(n, n+1)
+	// Work on an augmented copy, in the number type the LP kernel uses.
+	aug := make([]exact.Num, n*(n+1))
 	for i := 0; i < n; i++ {
+		row := aug[i*(n+1) : (i+1)*(n+1)]
 		for j := 0; j < n; j++ {
-			m.a[i][j].Set(A.a[i][j])
+			row[j] = exact.FromRat(A.a[i][j])
 		}
-		m.a[i][n].Set(b[i])
+		row[n] = exact.FromRat(b[i])
 	}
+	if col := eliminate(aug, n); col >= 0 {
+		return nil, fmt.Errorf("linalg: singular matrix at column %d", col)
+	}
+	x := make([]*big.Rat, n)
+	for i := range x {
+		x[i] = aug[i*(n+1)+n].Rat()
+	}
+	return x, nil
+}
+
+// eliminate runs Gauss-Jordan elimination in place on the n×(n+1) augmented
+// row-major system aug, leaving the identity in the first n columns and the
+// solution in the last. It returns -1, or the first column with no pivot
+// when the matrix is singular.
+func eliminate(aug []exact.Num, n int) int {
+	w := n + 1
 	for col := 0; col < n; col++ {
 		pivot := -1
 		for r := col; r < n; r++ {
-			if !Zero(m.a[r][col]) {
+			if !aug[r*w+col].IsZero() {
 				pivot = r
 				break
 			}
 		}
 		if pivot < 0 {
-			return nil, fmt.Errorf("linalg: singular matrix at column %d", col)
+			return col
 		}
-		m.swapRows(col, pivot)
-		inv := new(big.Rat).Inv(m.a[col][col])
+		pr := aug[col*w : (col+1)*w]
+		if pivot != col {
+			sr := aug[pivot*w : (pivot+1)*w]
+			for j := range pr {
+				pr[j], sr[j] = sr[j], pr[j]
+			}
+		}
+		inv := pr[col].Inv()
 		for j := col; j <= n; j++ {
-			m.a[col][j].Mul(m.a[col][j], inv)
+			pr[j] = pr[j].Mul(inv)
 		}
 		for r := 0; r < n; r++ {
-			if r == col || Zero(m.a[r][col]) {
+			factor := aug[r*w+col]
+			if r == col || factor.IsZero() {
 				continue
 			}
-			factor := new(big.Rat).Set(m.a[r][col])
+			row := aug[r*w : (r+1)*w]
 			for j := col; j <= n; j++ {
-				t := new(big.Rat).Mul(factor, m.a[col][j])
-				m.a[r][j].Sub(m.a[r][j], t)
+				row[j] = row[j].SubMul(factor, pr[j])
 			}
 		}
 	}
-	x := make([]*big.Rat, n)
-	for i := 0; i < n; i++ {
-		x[i] = new(big.Rat).Set(m.a[i][n])
-	}
-	return x, nil
+	return -1
 }
 
 // Rank returns the rank of A using Gaussian elimination on a copy.

@@ -1,6 +1,10 @@
 package linalg
 
-import "math/big"
+import (
+	"math/big"
+
+	"repro/internal/exact"
+)
 
 // Polytope represents {x ∈ R^n : A·x ≥ b, x ≥ 0} — the natural shape of a
 // fractional edge cover polytope.
@@ -23,11 +27,22 @@ func (p *Polytope) Vertices() [][]*big.Rat {
 	var verts [][]*big.Rat
 	seen := map[string]bool{}
 
+	// The polytope once in the elimination's number type, constraint row i
+	// as the n+1 entries (A_i | b_i) of an augmented system.
+	s := &vertexSystems{m: m, n: n, rows: make([]exact.Num, m*(n+1)), aug: make([]exact.Num, n*(n+1))}
+	for i := 0; i < m; i++ {
+		row := s.rows[i*(n+1) : (i+1)*(n+1)]
+		for j := 0; j < n; j++ {
+			row[j] = exact.FromRat(p.A.At(i, j))
+		}
+		row[n] = exact.FromRat(p.B[i])
+	}
+
 	idx := make([]int, n)
 	var rec func(start, k int)
 	rec = func(start, k int) {
 		if k == n {
-			v := p.trySystem(idx)
+			v := s.try(idx)
 			if v == nil {
 				return
 			}
@@ -47,44 +62,49 @@ func (p *Polytope) Vertices() [][]*big.Rat {
 	return verts
 }
 
-// trySystem solves the system defined by the chosen tight rows and returns
-// the solution if it is a feasible point of the polytope, else nil.
-func (p *Polytope) trySystem(rows []int) []*big.Rat {
-	n := p.A.Cols
-	m := p.A.Rows
-	S := NewMatrix(n, n)
-	b := ZeroVec(n)
-	for k, r := range rows {
-		if r < m {
-			for j := 0; j < n; j++ {
-				S.Set(k, j, p.A.At(r, j))
-			}
-			b[k].Set(p.B[r])
+// vertexSystems solves the square systems of one Vertices call.
+type vertexSystems struct {
+	m, n int
+	rows []exact.Num // m×(n+1): the constraint rows (A | b)
+	aug  []exact.Num // n×(n+1): the system being solved, reused
+}
+
+// try solves the system defined by the chosen tight rows and returns the
+// solution if it is a feasible point of the polytope, else nil.
+func (s *vertexSystems) try(tight []int) []*big.Rat {
+	n, w := s.n, s.n+1
+	for k, r := range tight {
+		row := s.aug[k*w : (k+1)*w]
+		if r < s.m {
+			copy(row, s.rows[r*w:(r+1)*w])
 		} else {
 			// axis constraint x_{r-m} = 0
-			S.SetInt(k, r-m, 1)
+			clear(row)
+			row[r-s.m] = exact.Int(1)
 		}
 	}
-	x, err := SolveSquare(S, b)
-	if err != nil {
+	if eliminate(s.aug, n) >= 0 {
 		return nil
 	}
 	// Feasibility: x ≥ 0 and A·x ≥ b.
-	for _, xi := range x {
-		if xi.Sign() < 0 {
+	for k := 0; k < n; k++ {
+		if s.aug[k*w+n].Sign() < 0 {
 			return nil
 		}
 	}
-	t := new(big.Rat)
-	for i := 0; i < m; i++ {
-		sum := new(big.Rat)
+	for i := 0; i < s.m; i++ {
+		row := s.rows[i*w : (i+1)*w]
+		var sum exact.Num
 		for j := 0; j < n; j++ {
-			t.Mul(p.A.At(i, j), x[j])
-			sum.Add(sum, t)
+			sum = sum.Add(row[j].Mul(s.aug[j*w+n]))
 		}
-		if sum.Cmp(p.B[i]) < 0 {
+		if sum.Cmp(row[n]) < 0 {
 			return nil
 		}
+	}
+	x := make([]*big.Rat, n)
+	for k := range x {
+		x[k] = s.aug[k*w+n].Rat()
 	}
 	return x
 }

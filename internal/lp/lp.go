@@ -1,14 +1,22 @@
 // Package lp implements an exact rational linear-program solver: a two-phase
-// primal simplex over math/big.Rat with Bland's anti-cycling rule.
+// primal simplex with Bland's anti-cycling rule over exact.Num, a rational
+// held by value as an int64 fraction that becomes a big.Rat only when a
+// product or sum leaves 63 bits.
 //
 // All linear programs in this repository — the lattice linear program (LLP,
 // Eq. 5 of the paper), its dual (Eq. 8), the conditional LLP (Sec. 5.3.1),
-// and fractional edge cover / vertex packing programs — are tiny (tens of
-// variables and constraints), so a dense exact-arithmetic simplex is both
-// fast enough and, crucially, yields the exact rational vertex solutions
-// (w_j = q_j / d) that the SM and CSM proof-sequence constructions require.
+// and fractional edge cover / vertex packing programs — are small (tens of
+// variables, hundreds of constraints) with coefficients in {−1, 0, 1}; only
+// the right-hand sides and costs (53-bit dyadic log sizes) are ever wide. A
+// dense exact-arithmetic simplex is fast enough and, crucially, yields the
+// exact rational vertex solutions (w_j = q_j / d) that the SM and CSM
+// proof-sequence constructions require. Because the arithmetic is exact and
+// the pivot rule is deterministic, the pivot sequence — and with it every
+// returned value — does not depend on how a number is represented; the
+// big.Rat solver this kernel replaced lives on in reference_test.go, and the
+// tests require bit-identical solutions from both.
 //
-// Dual values are extracted from the final tableau. Conventions: for a
+// Dual values are read off the final reduced-cost row. Conventions: for a
 // maximization problem, the returned dual y satisfies objective = b·y with
 // y_i ≥ 0 on ≤ rows, y_i ≤ 0 on ≥ rows, free on = rows. For a minimization
 // problem the signs flip (y_i ≤ 0 on ≤ rows, y_i ≥ 0 on ≥ rows).
@@ -17,6 +25,8 @@ package lp
 import (
 	"fmt"
 	"math/big"
+
+	"repro/internal/exact"
 )
 
 // Rel is the relation of a constraint row.
@@ -61,12 +71,25 @@ func (s Status) String() string {
 	}
 }
 
-// Constraint is a single linear constraint Σ Coef[j]·x_j  Rel  RHS.
-// Coef entries may be nil, meaning zero.
+// Term is a (variable, coefficient) pair of a sparse constraint row.
+type Term struct {
+	Var  int
+	Coef *big.Rat
+}
+
+// T is shorthand for building a Term with an integer coefficient.
+func T(v int, c int64) Term { return Term{Var: v, Coef: new(big.Rat).SetInt64(c)} }
+
+// TR is shorthand for building a Term with a rational coefficient.
+func TR(v int, c *big.Rat) Term { return Term{Var: v, Coef: new(big.Rat).Set(c)} }
+
+// Constraint is a single linear constraint Σ Terms[k].Coef·x_{Terms[k].Var}
+// Rel RHS. Variables not named have coefficient zero; repeated variables
+// accumulate.
 type Constraint struct {
-	Coef []*big.Rat
-	Rel  Rel
-	RHS  *big.Rat
+	Terms []Term
+	Rel   Rel
+	RHS   *big.Rat
 }
 
 // Problem is a linear program over variables x_0..x_{NumVars-1} ≥ 0.
@@ -87,43 +110,16 @@ func (p *Problem) SetObj(j int, c *big.Rat) {
 	p.Obj[j] = new(big.Rat).Set(c)
 }
 
-// Term is a (variable, coefficient) pair for sparse constraint construction.
-type Term struct {
-	Var  int
-	Coef *big.Rat
-}
-
-// T is shorthand for building a Term with an integer coefficient.
-func T(v int, c int64) Term { return Term{Var: v, Coef: new(big.Rat).SetInt64(c)} }
-
-// TR is shorthand for building a Term with a rational coefficient.
-func TR(v int, c *big.Rat) Term { return Term{Var: v, Coef: new(big.Rat).Set(c)} }
-
 // Add appends a constraint built from sparse terms. Repeated variables
-// accumulate.
+// accumulate. The terms' coefficients and rhs are read by Solve, not
+// copied: do not modify them in between.
 func (p *Problem) Add(rel Rel, rhs *big.Rat, terms ...Term) {
-	coef := make([]*big.Rat, p.NumVars)
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= p.NumVars {
 			panic(fmt.Sprintf("lp: term variable %d out of range [0,%d)", t.Var, p.NumVars))
 		}
-		if coef[t.Var] == nil {
-			coef[t.Var] = new(big.Rat)
-		}
-		coef[t.Var].Add(coef[t.Var], t.Coef)
 	}
-	p.Cons = append(p.Cons, Constraint{Coef: coef, Rel: rel, RHS: new(big.Rat).Set(rhs)})
-}
-
-// AddDense appends a constraint with a dense coefficient row (copied).
-func (p *Problem) AddDense(rel Rel, rhs *big.Rat, coef []*big.Rat) {
-	c := make([]*big.Rat, p.NumVars)
-	for j := range coef {
-		if coef[j] != nil {
-			c[j] = new(big.Rat).Set(coef[j])
-		}
-	}
-	p.Cons = append(p.Cons, Constraint{Coef: c, Rel: rel, RHS: new(big.Rat).Set(rhs)})
+	p.Cons = append(p.Cons, Constraint{Terms: append([]Term(nil), terms...), Rel: rel, RHS: rhs})
 }
 
 // Solution holds the result of Solve.
@@ -134,62 +130,65 @@ type Solution struct {
 	Y         []*big.Rat // dual values per constraint (see package comment)
 }
 
-// tableau is the internal dense simplex state, always a minimization
-// min c̃·x over equality rows with RHS ≥ 0.
+// tableau is the dense simplex state, always a minimization min c̃·x over
+// equality rows with RHS ≥ 0. It is one flat row-major slice of m+1 rows by
+// n+1 columns: row i < m is constraint i with its right-hand side in column
+// n; row m is the reduced-cost row c̄_j = c̃_j − c̃_B·B⁻¹·A_j of the current
+// phase, set up once by setCost and then carried through every pivot like
+// any other row (its column n holds minus the phase objective).
 type tableau struct {
-	m, n     int          // rows, total columns (structural + slack + artificial)
-	nStruct  int          // number of structural (original) variables
-	a        [][]*big.Rat // m×n coefficient matrix, mutated by pivots
-	b        []*big.Rat   // RHS, length m, kept ≥ 0
-	basis    []int        // basic variable per row
-	artStart int          // columns ≥ artStart are artificial
-	initCol  []int        // per original row: column of the initial basis var
-	sigma    []int        // per original row: +1 if stored as-is, -1 if negated
+	m, n     int         // constraint rows, columns (structural + slack + artificial)
+	nStruct  int         // number of structural (original) variables
+	a        []exact.Num // (m+1)×(n+1), mutated by pivots
+	basis    []int       // basic variable per row
+	basic    []bool      // per column: is it in basis
+	nz       []int       // scratch: non-zero columns of the pivot row
+	artStart int         // columns ≥ artStart are artificial
+	initCol  []int       // per original row: column of the initial basis var
+	sigma    []int       // per original row: +1 if stored as-is, -1 if negated
 }
+
+func (t *tableau) row(i int) []exact.Num { return t.a[i*(t.n+1) : (i+1)*(t.n+1)] }
+
+// testHookSolve, when a test of this package sets it, sees every problem
+// Solve is given; the catalog test collects through it the LPs the bound
+// layers actually build.
+var testHookSolve func(*Problem)
 
 // Solve runs the two-phase simplex and returns an optimal solution with
 // primal and dual values, or an Infeasible/Unbounded status.
 func Solve(p *Problem) (*Solution, error) {
+	if testHookSolve != nil {
+		testHookSolve(p)
+	}
 	if p.NumVars <= 0 {
 		return nil, fmt.Errorf("lp: problem has no variables")
 	}
 	for _, c := range p.Cons {
-		if len(c.Coef) != p.NumVars {
-			return nil, fmt.Errorf("lp: constraint coefficient length %d != NumVars %d", len(c.Coef), p.NumVars)
-		}
-	}
-	// Internally minimize c̃ = -Obj for maximization, +Obj for minimization.
-	ctil := make([]*big.Rat, p.NumVars)
-	for j := 0; j < p.NumVars; j++ {
-		ctil[j] = new(big.Rat)
-		if p.Obj[j] != nil {
-			if p.Maximize {
-				ctil[j].Neg(p.Obj[j])
-			} else {
-				ctil[j].Set(p.Obj[j])
+		for _, term := range c.Terms {
+			if term.Var < 0 || term.Var >= p.NumVars {
+				return nil, fmt.Errorf("lp: constraint term variable %d out of range [0,%d)", term.Var, p.NumVars)
 			}
 		}
 	}
-
 	t := buildTableau(p)
 
 	// Phase 1: minimize the sum of artificials, if any exist.
 	if t.artStart < t.n {
-		phase1 := make([]*big.Rat, t.n)
-		for j := range phase1 {
-			phase1[j] = new(big.Rat)
+		t.setCost(func(j int) exact.Num {
 			if j >= t.artStart {
-				phase1[j].SetInt64(1)
+				return exact.Int(1)
 			}
-		}
-		if status := t.run(phase1, false); status == Unbounded {
+			return exact.Num{}
+		})
+		if status := t.run(false); status == Unbounded {
 			return nil, fmt.Errorf("lp: phase 1 unbounded (internal error)")
 		}
 		// Infeasible if any artificial is basic with positive value.
-		obj := new(big.Rat)
+		var obj exact.Num
 		for i, bi := range t.basis {
 			if bi >= t.artStart {
-				obj.Add(obj, t.b[i])
+				obj = obj.Add(t.row(i)[t.n])
 			}
 		}
 		if obj.Sign() > 0 {
@@ -198,19 +197,22 @@ func Solve(p *Problem) (*Solution, error) {
 		t.driveOutArtificials()
 	}
 
-	// Phase 2: minimize c̃ over structural variables (artificials barred).
-	cost := make([]*big.Rat, t.n)
-	for j := range cost {
-		cost[j] = new(big.Rat)
-		if j < t.nStruct {
-			cost[j].Set(ctil[j])
+	// Phase 2: minimize c̃ over structural variables (artificials barred),
+	// where c̃ = −Obj for maximization and +Obj for minimization.
+	t.setCost(func(j int) exact.Num {
+		if j >= t.nStruct || p.Obj[j] == nil {
+			return exact.Num{}
 		}
-	}
-	if status := t.run(cost, true); status == Unbounded {
+		c := exact.FromRat(p.Obj[j])
+		if p.Maximize {
+			return c.Neg()
+		}
+		return c
+	})
+	if status := t.run(true); status == Unbounded {
 		return &Solution{Status: Unbounded}, nil
 	}
-
-	return t.extract(p, cost)
+	return t.extract(p), nil
 }
 
 // buildTableau converts the problem to standard equality form with RHS ≥ 0.
@@ -221,9 +223,8 @@ func buildTableau(p *Problem) *tableau {
 	// Count slack/surplus and artificial columns.
 	nSlack, nArt := 0, 0
 	for _, c := range p.Cons {
-		neg := c.RHS.Sign() < 0
 		rel := c.Rel
-		if neg {
+		if c.RHS.Sign() < 0 {
 			rel = flip(rel)
 		}
 		switch rel {
@@ -239,9 +240,10 @@ func buildTableau(p *Problem) *tableau {
 	total := n + nSlack + nArt
 	t := &tableau{
 		m: m, n: total, nStruct: n,
-		a:        make([][]*big.Rat, m),
-		b:        make([]*big.Rat, m),
+		a:        make([]exact.Num, (m+1)*(total+1)),
 		basis:    make([]int, m),
+		basic:    make([]bool, total),
+		nz:       make([]int, 0, total+1),
 		artStart: n + nSlack,
 		initCol:  make([]int, m),
 		sigma:    make([]int, m),
@@ -249,23 +251,20 @@ func buildTableau(p *Problem) *tableau {
 	slackCol := n
 	artCol := n + nSlack
 	for i, c := range p.Cons {
-		row := make([]*big.Rat, total)
-		for j := range row {
-			row[j] = new(big.Rat)
-		}
+		row := t.row(i)
+		rhs := exact.FromRat(c.RHS)
 		sigma := 1
-		rhs := new(big.Rat).Set(c.RHS)
 		if rhs.Sign() < 0 {
 			sigma = -1
-			rhs.Neg(rhs)
+			rhs = rhs.Neg()
 		}
-		for j := 0; j < n; j++ {
-			if c.Coef[j] != nil {
-				row[j].Set(c.Coef[j])
-				if sigma < 0 {
-					row[j].Neg(row[j])
-				}
+		row[total] = rhs
+		for _, term := range c.Terms {
+			v := exact.FromRat(term.Coef)
+			if sigma < 0 {
+				v = v.Neg()
 			}
+			row[term.Var] = row[term.Var].Add(v)
 		}
 		rel := c.Rel
 		if sigma < 0 {
@@ -273,26 +272,23 @@ func buildTableau(p *Problem) *tableau {
 		}
 		switch rel {
 		case LE:
-			row[slackCol].SetInt64(1)
-			t.basis[i] = slackCol
+			row[slackCol] = exact.Int(1)
 			t.initCol[i] = slackCol
 			slackCol++
 		case GE:
-			row[slackCol].SetInt64(-1)
+			row[slackCol] = exact.Int(-1)
 			slackCol++
-			row[artCol].SetInt64(1)
-			t.basis[i] = artCol
+			row[artCol] = exact.Int(1)
 			t.initCol[i] = artCol
 			artCol++
 		case EQ:
-			row[artCol].SetInt64(1)
-			t.basis[i] = artCol
+			row[artCol] = exact.Int(1)
 			t.initCol[i] = artCol
 			artCol++
 		}
+		t.basis[i] = t.initCol[i]
+		t.basic[t.initCol[i]] = true
 		t.sigma[i] = sigma
-		t.a[i] = row
-		t.b[i] = rhs
 	}
 	return t
 }
@@ -308,11 +304,33 @@ func flip(r Rel) Rel {
 	}
 }
 
-// run performs simplex iterations minimizing the given cost vector, using
+// setCost starts a phase: it fills the reduced-cost row for the cost vector
+// cost(j) at the current basis, c̄_j = cost_j − Σ_i cost_{basis[i]}·a[i][j]
+// (column n likewise, giving minus the objective).
+func (t *tableau) setCost(cost func(j int) exact.Num) {
+	rc := t.row(t.m)
+	for j := 0; j < t.n; j++ {
+		rc[j] = cost(j)
+	}
+	rc[t.n] = exact.Num{}
+	for i := 0; i < t.m; i++ {
+		cb := cost(t.basis[i])
+		if cb.IsZero() {
+			continue
+		}
+		for j, v := range t.row(i) {
+			if !v.IsZero() {
+				rc[j] = rc[j].SubMul(cb, v)
+			}
+		}
+	}
+}
+
+// run performs simplex iterations minimizing the phase's cost, using
 // Bland's rule. If barArtificials is true, artificial columns never enter.
-func (t *tableau) run(cost []*big.Rat, barArtificials bool) Status {
+func (t *tableau) run(barArtificials bool) Status {
 	for {
-		col := t.entering(cost, barArtificials)
+		col := t.entering(barArtificials)
 		if col < 0 {
 			return Optimal
 		}
@@ -324,42 +342,19 @@ func (t *tableau) run(cost []*big.Rat, barArtificials bool) Status {
 	}
 }
 
-// entering returns the smallest-index column with negative reduced cost, or
-// -1 if none (Bland's rule).
-func (t *tableau) entering(cost []*big.Rat, barArtificials bool) int {
-	// reduced cost c̄_j = cost_j − Σ_i cost_{basis[i]}·a[i][j]
-	rc := new(big.Rat)
-	tmp := new(big.Rat)
-	for j := 0; j < t.n; j++ {
-		if barArtificials && j >= t.artStart {
-			continue
-		}
-		if t.isBasic(j) {
-			continue
-		}
-		rc.Set(cost[j])
-		for i := 0; i < t.m; i++ {
-			cb := cost[t.basis[i]]
-			if cb.Sign() == 0 || t.a[i][j].Sign() == 0 {
-				continue
-			}
-			tmp.Mul(cb, t.a[i][j])
-			rc.Sub(rc, tmp)
-		}
-		if rc.Sign() < 0 {
+// entering returns the smallest-index non-basic column with negative
+// reduced cost, or -1 if none (Bland's rule).
+func (t *tableau) entering(barArtificials bool) int {
+	end := t.n
+	if barArtificials {
+		end = t.artStart
+	}
+	for j, c := range t.row(t.m)[:end] {
+		if c.Sign() < 0 && !t.basic[j] {
 			return j
 		}
 	}
 	return -1
-}
-
-func (t *tableau) isBasic(j int) bool {
-	for _, b := range t.basis {
-		if b == j {
-			return true
-		}
-	}
-	return false
 }
 
 // leaving returns the minimum-ratio row for the entering column, breaking
@@ -367,45 +362,53 @@ func (t *tableau) isBasic(j int) bool {
 // column is unbounded below.
 func (t *tableau) leaving(col int) int {
 	best := -1
-	ratio := new(big.Rat)
-	bestRatio := new(big.Rat)
+	var bestRatio exact.Num
 	for i := 0; i < t.m; i++ {
-		if t.a[i][col].Sign() <= 0 {
+		row := t.row(i)
+		if row[col].Sign() <= 0 {
 			continue
 		}
-		ratio.Quo(t.b[i], t.a[i][col])
-		if best < 0 || ratio.Cmp(bestRatio) < 0 ||
-			(ratio.Cmp(bestRatio) == 0 && t.basis[i] < t.basis[best]) {
-			best = i
-			bestRatio.Set(ratio)
+		ratio := row[t.n].Quo(row[col])
+		if best >= 0 {
+			c := ratio.Cmp(bestRatio)
+			if c > 0 || (c == 0 && t.basis[i] >= t.basis[best]) {
+				continue
+			}
 		}
+		best, bestRatio = i, ratio
 	}
 	return best
 }
 
-// pivot performs a full-tableau pivot on (row, col).
+// pivot performs a full-tableau pivot on (row, col): the pivot row is
+// scaled to make the pivot 1, then eliminated from every other row with a
+// non-zero in col (the reduced-cost row included), visiting only the
+// columns in which the pivot row is non-zero.
 func (t *tableau) pivot(row, col int) {
-	inv := new(big.Rat).Inv(t.a[row][col])
-	for j := 0; j < t.n; j++ {
-		t.a[row][j].Mul(t.a[row][j], inv)
+	pr := t.row(row)
+	inv := pr[col].Inv()
+	nz := t.nz[:0]
+	for j, v := range pr {
+		if !v.IsZero() {
+			pr[j] = v.Mul(inv)
+			nz = append(nz, j)
+		}
 	}
-	t.b[row].Mul(t.b[row], inv)
-	tmp := new(big.Rat)
-	for i := 0; i < t.m; i++ {
-		if i == row || t.a[i][col].Sign() == 0 {
+	for i := 0; i <= t.m; i++ {
+		if i == row {
 			continue
 		}
-		f := new(big.Rat).Set(t.a[i][col])
-		for j := 0; j < t.n; j++ {
-			if t.a[row][j].Sign() == 0 {
-				continue
-			}
-			tmp.Mul(f, t.a[row][j])
-			t.a[i][j].Sub(t.a[i][j], tmp)
+		r := t.row(i)
+		f := r[col]
+		if f.IsZero() {
+			continue
 		}
-		tmp.Mul(f, t.b[row])
-		t.b[i].Sub(t.b[i], tmp)
+		for _, j := range nz {
+			r[j] = r[j].SubMul(f, pr[j])
+		}
 	}
+	t.basic[t.basis[row]] = false
+	t.basic[col] = true
 	t.basis[row] = col
 }
 
@@ -416,8 +419,8 @@ func (t *tableau) driveOutArtificials() {
 		if t.basis[i] < t.artStart {
 			continue
 		}
-		for j := 0; j < t.artStart; j++ {
-			if !t.isBasic(j) && t.a[i][j].Sign() != 0 {
+		for j, v := range t.row(i)[:t.artStart] {
+			if !t.basic[j] && !v.IsZero() {
 				t.pivot(i, j)
 				break
 			}
@@ -429,15 +432,17 @@ func (t *tableau) driveOutArtificials() {
 }
 
 // extract reads the primal solution, objective, and duals from the final
-// tableau.
-func (t *tableau) extract(p *Problem, cost []*big.Rat) (*Solution, error) {
+// phase-2 tableau.
+func (t *tableau) extract(p *Problem) *Solution {
+	// One backing array per vector: a zero big.Rat owns no further memory.
+	xs := make([]big.Rat, p.NumVars)
 	x := make([]*big.Rat, p.NumVars)
 	for j := range x {
-		x[j] = new(big.Rat)
+		x[j] = &xs[j]
 	}
 	for i, bi := range t.basis {
 		if bi < p.NumVars {
-			x[bi].Set(t.b[i])
+			t.row(i)[t.n].SetRat(x[bi])
 		}
 	}
 	obj := new(big.Rat)
@@ -449,27 +454,18 @@ func (t *tableau) extract(p *Problem, cost []*big.Rat) (*Solution, error) {
 		}
 	}
 
-	// Duals: ŷ_i = Σ_r cost[basis[r]]·a[r][initCol[i]] (= c̃_B·B⁻¹ e_i),
-	// then y_i = -σ_i·ŷ_i in the max convention; negate again for min.
+	// Duals: ŷ_i = c̃_B·B⁻¹·e_i. Row i's initial basis column is e_i with
+	// phase-2 cost 0 (it is a slack or an artificial), so its reduced cost
+	// is −ŷ_i. Then y_i = −σ_i·ŷ_i in the max convention; negated for min.
+	rc := t.row(t.m)
+	ys := make([]big.Rat, t.m)
 	y := make([]*big.Rat, t.m)
-	for i := 0; i < t.m; i++ {
-		yi := new(big.Rat)
-		col := t.initCol[i]
-		for r := 0; r < t.m; r++ {
-			cb := cost[t.basis[r]]
-			if cb.Sign() == 0 || t.a[r][col].Sign() == 0 {
-				continue
-			}
-			tmp.Mul(cb, t.a[r][col])
-			yi.Add(yi, tmp)
+	for i := range y {
+		yi := rc[t.initCol[i]]
+		if (t.sigma[i] > 0) != p.Maximize {
+			yi = yi.Neg()
 		}
-		if t.sigma[i] > 0 {
-			yi.Neg(yi)
-		}
-		if !p.Maximize {
-			yi.Neg(yi)
-		}
-		y[i] = yi
+		y[i] = yi.SetRat(&ys[i])
 	}
-	return &Solution{Status: Optimal, Objective: obj, X: x, Y: y}, nil
+	return &Solution{Status: Optimal, Objective: obj, X: x, Y: y}
 }

@@ -257,8 +257,10 @@ func TestRandomStrongDuality(t *testing.T) {
 		for j := 0; j < n; j++ {
 			col := new(big.Rat)
 			for i, c := range p.Cons {
-				if c.Coef[j] != nil {
-					col.Add(col, new(big.Rat).Mul(s.Y[i], c.Coef[j]))
+				for _, term := range c.Terms {
+					if term.Var == j {
+						col.Add(col, new(big.Rat).Mul(s.Y[i], term.Coef))
+					}
 				}
 			}
 			cj := new(big.Rat)
@@ -277,8 +279,8 @@ func TestSolveErrors(t *testing.T) {
 		t.Fatal("expected error for zero variables")
 	}
 	p := NewProblem(2, true)
-	p.Cons = append(p.Cons, Constraint{Coef: []*big.Rat{ri(1)}, Rel: LE, RHS: ri(1)})
+	p.Cons = append(p.Cons, Constraint{Terms: []Term{T(2, 1)}, Rel: LE, RHS: ri(1)})
 	if _, err := Solve(p); err == nil {
-		t.Fatal("expected error for coefficient length mismatch")
+		t.Fatal("expected error for a term variable out of range")
 	}
 }
