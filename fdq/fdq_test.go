@@ -85,6 +85,37 @@ func TestTriangleCollectRowsCount(t *testing.T) {
 	}
 }
 
+// TestCollectRowsAreIndependent: Collect hands out views of one backing
+// array, so each view's capacity must end at its own row — writing to or
+// appending to one returned row may not show up in any other.
+func TestCollectRowsAreIndependent(t *testing.T) {
+	sess := triangleCatalog(t).Session()
+	ctx := context.Background()
+	want, err := sess.Collect(ctx, triangleQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Collect(ctx, triangleQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 3 {
+		t.Fatalf("need at least 3 rows, got %d", len(got))
+	}
+	mid := len(got) / 2
+	got[mid][0] = -7
+	_ = append(got[mid], -1, -2, -3)
+	_ = append(got[mid-1], -9)
+	for i := range got {
+		if i != mid && !slices.Equal(got[i], want[i]) {
+			t.Fatalf("row %d = %v after mutating row %d, want %v", i, got[i], mid, want[i])
+		}
+	}
+	if !slices.Equal(got[mid][1:], want[mid][1:]) {
+		t.Fatalf("row %d = %v: an append to its neighbour overwrote it", mid, got[mid])
+	}
+}
+
 func TestLimitIsPrefixAndStopsEarly(t *testing.T) {
 	cat := triangleCatalog(t)
 	sess := cat.Session()

@@ -546,6 +546,11 @@ func (c *Client) Count(ctx context.Context, spec *QuerySpec) (int, error) {
 	return r.count, nil
 }
 
+// collectChunkMax caps the backing arrays Collect copies rows into (values,
+// i.e. 32 KiB): large enough that a big answer costs few allocations, small
+// enough that the unused tail of the last one does not show.
+const collectChunkMax = 4096
+
 // Collect runs the query and gathers the whole result in memory.
 func (c *Client) Collect(ctx context.Context, spec *QuerySpec) ([][]fdq.Value, *fdq.RunStats, error) {
 	r, err := c.Query(ctx, spec)
@@ -553,9 +558,21 @@ func (c *Client) Collect(ctx context.Context, spec *QuerySpec) ([][]fdq.Value, *
 		return nil, nil, err
 	}
 	defer r.Close()
+	// Rows are copied into chunks that double up to collectChunkMax values
+	// rather than one allocation each: a small answer stays small, and a
+	// large one leaves at most one chunk partly unused. Each row is a
+	// full-slice view (cap == len), so appending to a returned row
+	// reallocates rather than overwriting its neighbour.
 	var out [][]fdq.Value
+	var chunk []fdq.Value
 	for r.Next() {
-		out = append(out, append([]fdq.Value(nil), r.Row()...))
+		row := r.Row()
+		if len(chunk)+len(row) > cap(chunk) {
+			chunk = make([]fdq.Value, 0, max(min(2*cap(chunk), collectChunkMax), 16*len(row)))
+		}
+		at := len(chunk)
+		chunk = append(chunk, row...)
+		out = append(out, chunk[at:len(chunk):len(chunk)])
 	}
 	if err := r.Err(); err != nil {
 		return nil, nil, err

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -133,6 +134,40 @@ func TestEndToEndByteIdentity(t *testing.T) {
 	}
 	if stats == nil || stats.Rows != len(want) {
 		t.Fatalf("stats did not cross the wire: %+v", stats)
+	}
+}
+
+// TestClientCollectRowsAreIndependent: Client.Collect copies decoded rows
+// into shared chunks; an append or write to one returned row may not show
+// up in its neighbours, across chunk boundaries included.
+func TestClientCollectRowsAreIndependent(t *testing.T) {
+	cat := gridCatalog(t, 8) // 512 rows: chunks of 16, 32, 64, … rows
+	_, addr := startServer(t, fdqd.Config{Catalog: cat})
+	c, err := fdqc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	want, _, err := c.Collect(ctx, pathSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := c.Collect(ctx, pathSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 512 {
+		t.Fatalf("got %d rows, want 512", len(got))
+	}
+	for i := 0; i < len(got); i += 2 {
+		got[i][0] = -7
+		_ = append(got[i], -1, -2, -3)
+	}
+	for i := 1; i < len(got); i += 2 {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("row %d = %v after mutating its neighbours, want %v", i, got[i], want[i])
+		}
 	}
 }
 

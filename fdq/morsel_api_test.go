@@ -2,6 +2,7 @@ package fdq_test
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"slices"
 	"testing"
@@ -82,7 +83,7 @@ func TestMorselStatsAndSessionOptions(t *testing.T) {
 	}
 
 	staticRows, stS := collectWithStats(t, fdq.NewSession(cat, fdq.WithStaticPartition()), q())
-	if stS.Morsels != 0 || stS.Steals != 0 || stS.AdaptSwitches != 0 {
+	if stS.Morsels != 0 || stS.Steals != 0 {
 		t.Fatalf("static path reported morsel stats: %+v", stS)
 	}
 	if !slices.EqualFunc(morselRows, staticRows, slices.Equal) {
@@ -95,52 +96,6 @@ func TestMorselStatsAndSessionOptions(t *testing.T) {
 	}
 	if !slices.EqualFunc(morselRows, fineRows, slices.Equal) {
 		t.Fatal("finer morsels changed the result")
-	}
-}
-
-// TestAdaptUndershootSessionOption: on a sparse instance whose certified
-// bound wildly overestimates the output, an adaptive session switches plans
-// mid-flight exactly once, memoizes the verdict on the cached prepared
-// shape (the second run starts adapted), and a disabled session never
-// switches — all three byte-identical.
-func TestAdaptUndershootSessionOption(t *testing.T) {
-	cat := fdq.NewCatalog()
-	var r, s, tt [][]fdq.Value
-	seed := uint64(9)
-	next := func() int64 {
-		seed = seed*2862933555777941757 + 3037000493
-		return int64(seed>>33) % 256
-	}
-	for i := 0; i < 700; i++ {
-		r = append(r, []fdq.Value{next(), next()})
-		s = append(s, []fdq.Value{next(), next()})
-		tt = append(tt, []fdq.Value{next(), next()})
-	}
-	for name, rows := range map[string][][]fdq.Value{"R": r, "S": s, "T": tt} {
-		if err := cat.Define(name, []string{"a", "b"}, rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := func() *fdq.Q { return triangleQuery().Workers(4) }
-
-	adaptive := fdq.NewSession(cat, fdq.WithAdaptUndershoot(0.5))
-	rows1, st1 := collectWithStats(t, adaptive, q())
-	if st1.AdaptSwitches != 1 {
-		t.Fatalf("first adaptive run: AdaptSwitches = %d, want 1 (%+v)", st1.AdaptSwitches, st1)
-	}
-	rows2, st2 := collectWithStats(t, adaptive, q())
-	if st2.AdaptSwitches != 0 {
-		t.Fatalf("memoized verdict should preempt re-switching: %+v", st2)
-	}
-
-	off, stOff := collectWithStats(t, fdq.NewSession(cat, fdq.WithAdaptUndershoot(-1)), q())
-	if stOff.AdaptSwitches != 0 {
-		t.Fatalf("disabled adaptivity switched anyway: %+v", stOff)
-	}
-	for _, other := range [][][]fdq.Value{rows2, off} {
-		if !slices.EqualFunc(rows1, other, slices.Equal) {
-			t.Fatal("adaptivity changed the result")
-		}
 	}
 }
 
@@ -179,5 +134,52 @@ func TestRowsCloseMidMorselRun(t *testing.T) {
 	}
 	if st.Morsels <= st.Workers {
 		t.Fatalf("post-close run did not use the morsel scheduler: %+v", st)
+	}
+}
+
+// TestGovernorTripsOnMorselPath: the governor's budgets trip with the same
+// typed errors whichever goroutine happens to hold the sink when they do —
+// the row budget after exactly its rows, Count exempt from it, the memory
+// budget with its accounting — and no worker outlives the refusal.
+func TestGovernorTripsOnMorselPath(t *testing.T) {
+	ctx := context.Background()
+	cat := skewCatalog(t, 4, 10, 600, 3)
+	want, err := cat.Session().Count(ctx, triangleQuery().Workers(1))
+	if err != nil || want < 100 {
+		t.Fatalf("sequential Count = %d, %v", want, err)
+	}
+	rowGov := fdq.NewSession(cat, fdq.WithGovernor(fdq.NewGovernor(fdq.WithMaxRows(10))))
+	memGov := fdq.NewSession(cat, fdq.WithGovernor(fdq.NewGovernor(fdq.WithMaxMemory(256))))
+	for _, workers := range []int{2, 3, 8} {
+		base := runtime.NumGoroutine()
+		q := func() *fdq.Q { return triangleQuery().Workers(workers) }
+		if _, st := collectWithStats(t, cat.Session(), q()); st.Workers != workers || st.Morsels <= workers {
+			t.Fatalf("w=%d: morsel scheduler not exercised: %+v", workers, st)
+		}
+
+		var re *fdq.RowsExceededError
+		if _, err := rowGov.Collect(ctx, q()); !errors.As(err, &re) || re.Limit != 10 {
+			t.Fatalf("w=%d: Collect over the row budget: %v", workers, err)
+		}
+		rows, err := rowGov.Query(ctx, q())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Err(); !errors.Is(err, fdq.ErrRowsExceeded) || n != 10 {
+			t.Fatalf("w=%d: iterator delivered %d rows, err %v; want 10 and ErrRowsExceeded", workers, n, err)
+		}
+		if got, err := rowGov.Count(ctx, q()); err != nil || got != want {
+			t.Fatalf("w=%d: Count under a row budget = %d, %v; want %d", workers, got, err, want)
+		}
+
+		var me *fdq.MemoryExceededError
+		if _, err := memGov.Collect(ctx, q()); !errors.As(err, &me) || me.Limit != 256 || me.Used <= me.Limit {
+			t.Fatalf("w=%d: Collect over the memory budget: %v (%+v)", workers, err, me)
+		}
+		settleGoroutines(t, base)
 	}
 }

@@ -30,9 +30,8 @@ type RunStats struct {
 	Degraded  bool          `json:"degraded"`   // ran in PolicyDegrade mode (LIMIT-k or COUNT-only)
 
 	// Morsel-scheduler detail (zero on sequential and legacy-static runs).
-	Morsels       int `json:"morsels"`        // work units the morsel scheduler executed
-	Steals        int `json:"steals"`         // morsels a worker took from another worker's share
-	AdaptSwitches int `json:"adapt_switches"` // mid-flight plan re-derivations (0 once the verdict is memoized)
+	Morsels int `json:"morsels"` // work units the morsel scheduler executed
+	Steals  int `json:"steals"`  // morsels a worker took from another worker's share
 }
 
 func runStats(st *engine.Stats, adm *admission) *RunStats {
@@ -40,15 +39,14 @@ func runStats(st *engine.Stats, adm *admission) *RunStats {
 		return nil
 	}
 	rs := &RunStats{
-		Algorithm:     string(st.Plan.Algorithm),
-		Workers:       st.Workers,
-		Rows:          st.OutSize,
-		Duration:      st.Duration,
-		MemBytes:      st.MemBytes,
-		LogBound:      math.NaN(),
-		Morsels:       st.Morsels,
-		Steals:        st.Steals,
-		AdaptSwitches: st.AdaptSwitches,
+		Algorithm: string(st.Plan.Algorithm),
+		Workers:   st.Workers,
+		Rows:      st.OutSize,
+		Duration:  st.Duration,
+		MemBytes:  st.MemBytes,
+		LogBound:  math.NaN(),
+		Morsels:   st.Morsels,
+		Steals:    st.Steals,
 	}
 	if adm != nil {
 		rs.LogBound = adm.logBound

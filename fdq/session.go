@@ -31,9 +31,8 @@ type Session struct {
 	cap int
 	gov *Governor // nil = ungoverned
 
-	static     bool    // legacy static fork/join partitioning (escape hatch)
-	morselSize int     // morsel sizing override (0 = engine default)
-	undershoot float64 // adaptivity threshold override (0 = engine default, <0 disables)
+	static     bool // legacy static fork/join partitioning (escape hatch)
+	morselSize int  // morsel sizing override (0 = engine default)
 
 	mu      sync.Mutex
 	entries map[string]*list.Element // guarded by mu; signature → element holding *cacheEntry
@@ -97,15 +96,6 @@ func WithStaticPartition() SessionOption {
 // skewed instances at the cost of more per-morsel overhead.
 func WithMorselSize(n int) SessionOption {
 	return func(s *Session) { s.morselSize = n }
-}
-
-// WithAdaptUndershoot sets how far (in log2 doublings) a run's projected
-// output must undershoot the planner's certified bound before the
-// remaining morsels switch to a re-derived plan mid-flight. The engine
-// defaults to 3 (≈8× overestimate); pass a negative value to disable
-// mid-flight adaptivity entirely.
-func WithAdaptUndershoot(doublings float64) SessionOption {
-	return func(s *Session) { s.undershoot = doublings }
 }
 
 // NewSession returns a session over the catalog.
@@ -182,7 +172,6 @@ func (s *Session) resolve(q *Q) (*engine.Bound, *engine.Options, error) {
 	}
 	opts.StaticPartition = s.static
 	opts.MorselSize = s.morselSize
-	opts.AdaptUndershoot = s.undershoot
 	snap := s.cat.snap()
 	sig := q.signature()
 	e := s.entry(sig)
@@ -421,9 +410,15 @@ func (s *Session) Collect(ctx context.Context, q *Q) (out [][]Value, err error) 
 	if collect == nil {
 		return nil, nil
 	}
+	// One backing array for the whole answer. Each row is a full-slice
+	// view (cap == len), so appending to a returned row reallocates rather
+	// than overwriting its neighbour.
+	k := len(q.vars)
+	flat := make([]Value, 0, collect.R.Len()*k)
 	out = make([][]Value, collect.R.Len())
 	for i := range out {
-		out[i] = append([]Value(nil), collect.R.Row(i)...)
+		flat = append(flat, collect.R.Row(i)...)
+		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
 	}
 	return out, nil
 }

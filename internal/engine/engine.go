@@ -66,12 +66,6 @@ type Options struct {
 	// an escape hatch (also switchable process-wide with
 	// FDQ_STATIC_PARTITION=1); the default is the morsel-driven scheduler.
 	StaticPartition bool
-	// AdaptUndershoot is the log2 gap between the plan's certified bound
-	// and the projected output size at which mid-flight adaptivity
-	// re-derives the algorithm/variable order for the remaining morsels
-	// (0: default 3, i.e. adapt when the bound overestimates by ≥8×;
-	// < 0 disables adaptivity). Only planner-chosen plans ever adapt.
-	AdaptUndershoot float64
 	// MemLimitBytes, when > 0, aborts the run with a *MemLimitError once
 	// the approximate bytes of result data accounted — parallel partition
 	// buffers plus rows delivered to the sink — exceed the budget. The
@@ -94,8 +88,10 @@ type Stats struct {
 
 	Morsels       int   // morsels scheduled on the morsel-driven path (0 = static or sequential)
 	Steals        int   // morsels a worker took from another worker's share
-	AdaptSwitches int   // mid-flight algorithm/order re-derivations (0 or 1 per run)
+	AdaptSwitches int   // always 0: mid-flight re-ordering was removed; kept until the benchmark stops reading it
 	WorkerMorsels []int // morsels each worker executed (nil off the morsel path)
+
+	extensions int // Σ wcoj.Stats.Extensions over the run's generic-join morsels; the work tests read it
 }
 
 // Prepared is an analyzed query shape. It wraps the query whose lazily
@@ -172,7 +168,7 @@ func (b *Bound) Query() *query.Q { return b.q }
 
 func (o *Options) withDefaults() Options {
 	out := Options{Algorithm: AlgAuto, Workers: 0, MinParallelRows: 2048,
-		MorselSize: 128, AdaptUndershoot: 3}
+		MorselSize: 128}
 	if o != nil {
 		if o.Algorithm != "" {
 			out.Algorithm = o.Algorithm
@@ -185,9 +181,6 @@ func (o *Options) withDefaults() Options {
 			out.MorselSize = o.MorselSize
 		}
 		out.StaticPartition = o.StaticPartition
-		if o.AdaptUndershoot != 0 {
-			out.AdaptUndershoot = o.AdaptUndershoot
-		}
 		if o.MemLimitBytes > 0 {
 			out.MemLimitBytes = o.MemLimitBytes
 		}
@@ -229,10 +222,12 @@ func (b *Bound) Run(ctx context.Context, opts *Options) (*rel.Relation, *Stats, 
 // observed inside every executor's inner loops and at partition
 // boundaries, and aborts with ctx's error.
 //
-// Rows are pushed from a single goroutine at a time on every path — the
-// calling goroutine sequentially and on the morsel path's streaming
-// frontier, the merging goroutine on the legacy static path — so the sink
-// needs no locking.
+// The sink sees one pusher at a time on every path, so it needs no
+// locking: the calling goroutine sequentially, on the legacy static path and
+// for the morsel path's barrier merge; on the morsel path's streaming
+// frontier possibly different goroutines in succession — whichever worker
+// owns the least not-yet-emitted morsel — each hand-over ordered by the
+// scheduler's mutex. A sink must not depend on goroutine identity.
 //
 // Execution is panic-isolated: a panic anywhere in the executors — a
 // user-supplied UDF, a sink, an executor bug — is recovered and returned
@@ -263,24 +258,26 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	}
 	// Count emitted rows for Stats.OutSize. A CollectSink is counted by
 	// its own length rather than wrapped: wrapping would hide it from
-	// rel.Stream's adoption fast path and turn the zero-copy materialized
+	// rel.Stream's block fast path and turn the zero-copy materialized
 	// wrappers (Run, and buffering executors generally) into full
-	// row-by-row output copies. A bare CollectSink is gauged only after
-	// the fact, though, so when MemLimitBytes must be enforced mid-run the
-	// collector is wrapped like any other sink — the memory governor
-	// trades the zero-copy handover for an enforceable budget.
+	// row-by-row output copies. A CountSink is read the same way, which
+	// lets the morsel scheduler see that nobody wants the rows and count
+	// per morsel. A bare sink is gauged only after the fact, though, so
+	// when MemLimitBytes must be enforced mid-run it is wrapped like any
+	// other sink — the memory governor trades the fast paths for an
+	// enforceable budget.
 	runSink, outSize := sink, (func() int)(nil)
-	memBytes, memTripped := (func() int64)(nil), func() bool { return false }
+	memTripped := func() bool { return false }
 	if c, ok := sink.(*rel.CollectSink); ok && o.MemLimitBytes <= 0 {
 		before := c.R.Len()
-		arity := len(c.R.Attrs)
 		outSize = func() int { return c.R.Len() - before }
-		memBytes = func() int64 { return tupleBytes(c.R.Len()-before, arity) }
+	} else if c, ok := sink.(*rel.CountSink); ok && o.MemLimitBytes <= 0 {
+		before := c.N
+		outSize = func() int { return c.N - before }
 	} else {
 		t := &tallySink{s: sink, limit: o.MemLimitBytes}
 		runSink = t
 		outSize = func() int { return t.n }
-		memBytes = func() int64 { return t.bytes }
 		memTripped = func() bool { return t.tripped }
 	}
 	if workers > 1 && b.q.TotalSize() >= o.MinParallelRows {
@@ -295,7 +292,7 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	}
 	st.Duration = time.Since(start)
 	st.OutSize = outSize()
-	st.MemBytes += memBytes()
+	st.MemBytes += tupleBytes(st.OutSize, b.q.AllVars().Len())
 	if memTripped() {
 		return st, &MemLimitError{Limit: o.MemLimitBytes, Used: st.MemBytes}
 	}

@@ -3,17 +3,13 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/query"
 	"repro/internal/rel"
-	"repro/internal/wcoj"
 )
 
 // morselTargetPerWorker is the minimum morsels-per-worker the scheduler
@@ -36,12 +32,6 @@ func morselCount(distinct, workers, morselSize int) int {
 		m = 1
 	}
 	return m
-}
-
-// adaptMinCompleted is how many morsels must complete before the projected
-// output size is trusted enough to trigger adaptivity.
-func adaptMinCompleted(nmorsels int) int {
-	return max(2, nmorsels/8)
 }
 
 // morselKey identifies a memoized morsel partitioning of the bound instance.
@@ -177,40 +167,98 @@ func (q *morselQueue) next(w int) (m int, stolen, ok bool) {
 	}
 }
 
-// morselConfig is the algorithm/order the morsels currently execute with;
-// mid-flight adaptivity publishes a new config for the remaining morsels
-// through an atomic pointer.
-type morselConfig struct {
-	plan  *Plan
-	order []int // generic-join variable order; nil = wcoj.DefaultOrder
+// frontier is the ordered hand-off of morsel output to the caller's sink.
+// When the partition variable is the output's first column (ordered), the
+// runs are disjoint, ascending blocks, so the sink may receive morsel
+// `next` — the least one not yet emitted — and nothing else: whoever runs
+// or completes that morsel is the one pusher. It is either a generic-join
+// worker that found its morsel at the frontier when it started and streams
+// straight from the descent (it pushes through the frontier, which is
+// itself a Sink), or the worker whose completed run the frontier reached,
+// which hands the run over as a block and keeps going through the completed
+// runs behind it. `next` only moves under mu and only by the current
+// pusher, so the push right passes from goroutine to goroutine with a
+// happens-before edge and the sink never sees two pushers. A sink that
+// stops, panics or fails leaves `next` where it is: nobody pushes again.
+// When the partition variable is a later column (unordered) rows of
+// different morsels interleave, so runs only collect here for the barrier
+// merge.
+type frontier struct {
+	sink   rel.Sink
+	cancel context.CancelFunc // stops the remaining morsels once the sink stops
+
+	mu      sync.Mutex
+	next    int             // guarded by mu
+	done    []bool          // guarded by mu
+	runs    []*rel.Relation // guarded by mu; completed runs the frontier has not reached
+	stopped bool            // guarded by mu; the sink ended the run: a consumer decision, not an error
+	ordered bool            // fixed at construction
 }
 
-// adaptedPlan derives the post-switch plan: generic join under the
-// re-derived variable order, still feeding the shared ProgressStats.
-func adaptedPlan(base *Plan) *Plan {
-	p := *base
-	p.Algorithm = AlgGenericJoin
-	p.Reason = base.Reason + "; re-ordered mid-flight: observed fanout undershot the bound"
-	return &p
+// claim reports whether morsel m, about to start, is at the frontier and
+// may therefore push into the sink as it runs.
+func (f *frontier) claim(m int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ordered && m == f.next
 }
 
-// adaptCacheKey memoizes the adaptive verdict per instance sizes in the
-// shape's plan cache (the same keying planAuto uses), so a prepared shape
-// that adapted once starts every later run — on this Bound or any other
-// bound from the same shape at the same sizes — already switched.
-func (b *Bound) adaptCacheKey() string {
-	var key strings.Builder
-	key.WriteString("engine:adapt")
-	for _, r := range b.q.Rels {
-		fmt.Fprintf(&key, ":%d", r.Len())
+// Push forwards a directly streaming morsel's row.
+func (f *frontier) Push(t rel.Tuple) bool {
+	if f.sink.Push(t) {
+		return true
 	}
-	return key.String()
+	f.stop()
+	return false
+}
+
+func (f *frontier) stop() {
+	f.mu.Lock()
+	f.stopped = true
+	f.mu.Unlock()
+	f.cancel()
+}
+
+// outcome is read once every worker has exited: whether the sink ended the
+// run, and the runs still waiting (all of them when unordered).
+func (f *frontier) outcome() (stopped bool, runs []*rel.Relation) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.stopped, f.runs
+}
+
+// complete records that morsel m finished — run is its buffered output, nil
+// when it streamed directly — and, if that leaves the caller at the
+// frontier, emits every completed run from there on. The mutex is released
+// around each hand-over: the sink is caller code and may block.
+func (f *frontier) complete(m int, run *rel.Relation) {
+	f.mu.Lock()
+	f.done[m], f.runs[m] = true, run
+	if !f.ordered || f.stopped || m != f.next {
+		f.mu.Unlock()
+		return
+	}
+	for f.next < len(f.done) && f.done[f.next] {
+		if r := f.runs[f.next]; r != nil {
+			f.runs[f.next] = nil // emitted: release the run
+			f.mu.Unlock()
+			faultinject.Fire(faultinject.SiteStreamMerge)
+			if !rel.Stream(r, f.sink) {
+				f.stop()
+				return
+			}
+			f.mu.Lock()
+		}
+		f.next++
+	}
+	f.mu.Unlock()
 }
 
 // runMorselsInto is the morsel-driven scheduler (the default parallel
 // path): v's sorted distinct-value union is range-partitioned into nm ≫
 // workers morsels, a fixed pool pulls them from a work-stealing queue, and
-// the per-morsel sorted runs are merged into sink.
+// each morsel's rows reach sink by whichever of four hand-offs the
+// scheduler can observe to be the cheapest sound one — never by an option.
 //
 // Ordering soundness, extending runParallelInto's disjointness argument:
 // morsel ranges are contiguous and ascending in v, so for any two morsels
@@ -219,48 +267,30 @@ func (b *Bound) adaptCacheKey() string {
 // variable 0 — the output's first column — a row of morsel m therefore
 // sorts strictly before every row of morsel m′: the morsel runs are
 // disjoint, totally ordered blocks whose concatenation in morsel order is
-// exactly the sequential output. That licenses the streaming frontier: the
-// moment the least not-yet-emitted morsel completes, its run is streamed
-// (completed higher morsels wait their turn), so emission starts after the
-// globally-least pending morsel rather than after a full barrier, and a
-// stopping sink cancels the remaining morsels. When v > 0 rows from
-// different morsels interleave in output order, so the scheduler falls
-// back to a barrier and a tournament merge (rel.MergeSortedInto) over all
-// runs — still byte-identical, just without early emission.
+// exactly the sequential output.
 //
-// Mid-flight adaptivity: each completed morsel updates the projected
-// output size (outRows·nm/completed, a uniform extrapolation over
-// value-balanced ranges); once enough morsels completed, a projection
-// undershooting the plan's certified 2^LogBound by ≥ AdaptUndershoot
-// doublings re-derives the variable order for the remaining morsels from
-// the observed per-variable fanout the instrumented descents accumulated
-// (wcoj.ObservedOrder). The switch is sound because every order produces
-// the identical sorted run for a morsel; it is memoized in the shape's
-// plan cache so later runs at the same sizes start adapted
-// (prepared-state safe). Only generic-join plans adapt: the undershoot
-// signal means the certified bound is loose, not that a different
-// algorithm is cheaper, and yanking the chain/SM/CSMA machines onto
-// generic join measured as a 12× pessimization on Fig1Skew (their bound
-// looseness is priced into setup, not enumeration). Explicit algorithm
-// requests never adapt.
+//  1. Count. A bare *rel.CountSink (RunInto leaves it bare when no memory
+//     limit needs enforcing) wants no rows: splits are disjoint for every
+//     v, so each morsel of every algorithm counts into its own CountSink
+//     and the worker totals are summed. Nothing is buffered or merged.
+//  2. Direct. With v == 0, a generic-join morsel that is the least
+//     not-yet-emitted morsel when it starts streams from the trie descent
+//     into sink itself: first row after the first successful descent, no
+//     copy. The FD machines may abandon an attempt and fall back, so their
+//     rows are not final until the morsel ends and they always buffer.
+//  3. Block. With v == 0, every other morsel buffers its sorted run; the
+//     moment the frontier reaches a completed run it is handed over whole
+//     through rel.Stream (one append into a CollectSink). Completed higher
+//     morsels wait their turn, and a stopping sink cancels the rest.
+//  4. Merge. With v > 0 rows from different morsels interleave in output
+//     order, so the runs meet at a barrier and a tournament merge
+//     (rel.MergeSortedInto) — still byte-identical, without early emission.
+//
+// Every generic-join morsel descends under wcoj.DefaultOrder, so its run is
+// born sorted. (The scheduler once re-derived the order mid-flight from
+// observed fanouts; the re-derived orders moved v to the bottom of the
+// descent, so every morsel rescanned the whole instance — see DESIGN.md.)
 func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []rel.Value, workers int, o *Options, st *Stats, sink rel.Sink) error {
-	adaptEnabled := !plan.explicit && o.AdaptUndershoot >= 0 &&
-		plan.Algorithm == AlgGenericJoin &&
-		!math.IsNaN(plan.LogBound) && !math.IsInf(plan.LogBound, 0)
-	ps := wcoj.NewProgressStats(b.q.K)
-	var cfg atomic.Pointer[morselConfig]
-	adaptKey := b.adaptCacheKey()
-	adapted := false
-	if adaptEnabled {
-		if cached, ok := b.q.PlanCache(adaptKey); ok {
-			cfg.Store(&morselConfig{plan: adaptedPlan(plan), order: cached.([]int)})
-			adapted = true
-		}
-	}
-	if cfg.Load() == nil {
-		cfg.Store(&morselConfig{plan: plan})
-	}
-
 	// Grain is algorithm-aware: generic join's per-morsel marginal cost is
 	// proportional to the morsel's own work, so it affords fine morsels. The
 	// chain/SM/CSMA machines pay O(total-input) setup per run (closure
@@ -268,10 +298,10 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	// split does not shrink), so fine grain multiplies setup: their schedule
 	// is capped at one morsel per worker, the same setup bill as the static
 	// scheduler, keeping value-range splits, stealing, and the streaming
-	// frontier (adaptivity only ever re-orders generic-join plans, so this
-	// decision is stable across runs of a shape).
+	// frontier.
+	generic := plan.Algorithm == AlgGenericJoin
 	nm := morselCount(len(vals), workers, o.MorselSize)
-	if plan.Algorithm != AlgGenericJoin && nm > workers {
+	if !generic && nm > workers {
 		nm = workers
 	}
 	if nm < workers {
@@ -287,9 +317,13 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	defer gcancel()
 	gauge := &memGauge{limit: o.MemLimitBytes, onTrip: gcancel}
 
-	outs := make([]*rel.Relation, nm)
+	count, counting := sink.(*rel.CountSink)
+	// The frontier can stream only when v is the output's first column;
+	// output attributes are ascending variable ids, so that is exactly v==0.
+	f := &frontier{sink: sink, cancel: gcancel, ordered: v == 0,
+		done: make([]bool, nm), runs: make([]*rel.Relation, nm)}
 	errs := make([]error, workers)
-	completions := make(chan int, nm) // buffered: a worker never blocks reporting
+	var rows, exts atomic.Int64 // rows counted (counting only) and generic-join extensions, summed over morsels
 	queue := newMorselQueue(nm, workers)
 
 	var wg sync.WaitGroup
@@ -315,76 +349,41 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 					return
 				}
 				qm := b.q.WithFreshRels(parts[m])
-				out, err := runMorsel(gctx, qm, cfg.Load(), gauge, ps)
+				var ext int
+				var err error
+				switch {
+				case counting:
+					var c *rel.CountSink
+					ext, err = runPartition(gctx, qm, plan, func() rel.Sink { c = &rel.CountSink{}; return c })
+					if err == nil {
+						rows.Add(int64(c.N))
+					}
+				case generic && f.claim(m):
+					faultinject.Fire(faultinject.SiteStreamMerge)
+					ext, err = runPartition(gctx, qm, plan, func() rel.Sink { return f })
+					if err == nil {
+						f.complete(m, nil)
+					}
+				default:
+					var run *rel.Relation
+					run, ext, err = runBuffered(gctx, qm, plan, gauge)
+					if err == nil {
+						f.complete(m, run)
+					}
+				}
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				outs[m] = out
+				exts.Add(int64(ext))
 				st.WorkerMorsels[w]++
-				completions <- m
 			}
 		}(w)
 	}
-	workersDone := make(chan struct{})
-	go func() { wg.Wait(); close(workersDone) }()
-
-	// The frontier can stream only when v is the output's first column;
-	// output attributes are ascending variable ids, so that is exactly v==0.
-	streamFrontier := v == 0
-	done := make([]bool, nm)
-	next := 0 // least morsel not yet emitted
-	completed, outRows := 0, 0
-	stopped := false
-
-	handle := func(m int) {
-		completed++
-		outRows += outs[m].Len()
-		done[m] = true
-		if adaptEnabled && !adapted && completed >= adaptMinCompleted(nm) && completed < nm {
-			projected := float64(outRows) * float64(nm) / float64(completed)
-			if plan.LogBound-math.Log2(math.Max(projected, 1)) >= o.AdaptUndershoot {
-				order := wcoj.ObservedOrder(b.q, ps)
-				cfg.Store(&morselConfig{plan: adaptedPlan(plan), order: order})
-				b.q.SetPlanCache(adaptKey, order)
-				st.AdaptSwitches++
-				adapted = true
-			}
-		}
-		if streamFrontier && !stopped {
-			for next < nm && done[next] {
-				faultinject.Fire(faultinject.SiteStreamMerge)
-				r := outs[next]
-				for i := 0; i < r.Len(); i++ {
-					if !sink.Push(r.Row(i)) {
-						stopped = true
-						gcancel() // consumer decision: stop the remaining morsels
-						return
-					}
-				}
-				outs[next] = nil // emitted: release the run
-				next++
-			}
-		}
-	}
-
-	//lint:ignore fdqvet/ctxloop cancellation reaches this loop via gctx → workers → workersDone; the select blocks, it does not spin
-	for completed < nm {
-		select {
-		case m := <-completions:
-			handle(m)
-			continue
-		case <-workersDone:
-		}
-		break
-	}
-	<-workersDone
-	//lint:ignore fdqvet/ctxloop drains the bounded completions buffer after all workers exited; at most one handle per finished morsel
-	for len(completions) > 0 {
-		handle(<-completions)
-	}
+	wg.Wait()
 	st.MemBytes += gauge.used.Load()
 	st.Steals = int(queue.steals.Load())
+	st.extensions = int(exts.Load())
 
 	// Error selection mirrors the static path: a real failure beats the
 	// context.Canceled artifacts its group-cancel induced in the siblings;
@@ -398,6 +397,7 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	if gauge.trip.Load() {
 		return &MemLimitError{Limit: o.MemLimitBytes, Used: gauge.used.Load()}
 	}
+	stopped, runs := f.outcome()
 	if stopped {
 		return nil
 	}
@@ -409,34 +409,12 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 			return err
 		}
 	}
-	if !streamFrontier {
+	switch {
+	case counting:
+		count.N += int(rows.Load())
+	case !f.ordered:
 		faultinject.Fire(faultinject.SiteStreamMerge)
-		rel.MergeSortedInto(sink, outs)
+		rel.MergeSortedInto(sink, runs)
 	}
 	return nil
-}
-
-// runMorsel executes one morsel instance under the current config: generic
-// join (planner-chosen or adapted) runs the observed descent so the shared
-// ProgressStats keeps learning; every other algorithm reuses runPartition's
-// per-split fallback chain unchanged.
-func runMorsel(ctx context.Context, qm *query.Q, cfg *morselConfig, gauge *memGauge, ps *wcoj.ProgressStats) (*rel.Relation, error) {
-	if cfg.plan.Algorithm != AlgGenericJoin {
-		return runPartition(ctx, qm, cfg.plan, gauge)
-	}
-	order := cfg.order
-	if order == nil {
-		order = wcoj.DefaultOrder(qm)
-	}
-	vars := qm.AllVars().Members()
-	c := rel.NewCollect("Q", vars...)
-	var s rel.Sink = c
-	if gauge != nil && gauge.limit > 0 {
-		s = &partSink{c: c, g: gauge, rowBytes: tupleBytes(1, len(vars))}
-	}
-	_, err := wcoj.GenericJoinObservedInto(ctx, qm, order, s, ps)
-	if gauge != nil && gauge.limit <= 0 {
-		gauge.add(tupleBytes(c.R.Len(), len(vars)))
-	}
-	return c.R, err
 }

@@ -233,51 +233,6 @@ func TestMorselCtxCancelMidStream(t *testing.T) {
 	}
 }
 
-// TestMorselAdaptSwitches: on a sparse triangle the planner's AGM bound
-// overestimates the output by orders of magnitude, so the run adapts
-// mid-flight (once), stays byte-identical, and memoizes the verdict so the
-// next run on the same shape+sizes starts adapted without re-switching.
-func TestMorselAdaptSwitches(t *testing.T) {
-	q := paper.TriangleRandom(64, 300, 9)
-	seq, _ := mustRun(t, q, &Options{Workers: 1})
-
-	p, err := Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Bind(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := &Options{Workers: 4, MinParallelRows: 1, AdaptUndershoot: 0.5}
-	out1, st1, err := b.Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, seq, out1)
-	if st1.AdaptSwitches != 1 {
-		t.Fatalf("expected exactly one mid-flight switch, got %+v", st1)
-	}
-	out2, st2, err := b.Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, seq, out2)
-	if st2.AdaptSwitches != 0 {
-		t.Fatalf("memoized adaptive verdict should preempt re-switching: %+v", st2)
-	}
-
-	// Disabled adaptivity never switches.
-	out3, st3, err := b.Run(context.Background(), &Options{Workers: 4, MinParallelRows: 1, AdaptUndershoot: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, seq, out3)
-	if st3.AdaptSwitches != 0 {
-		t.Fatalf("AdaptUndershoot<0 must disable adaptivity: %+v", st3)
-	}
-}
-
 // TestProfileSplitsMakespan sanity-checks the modeled-makespan probe: the
 // morsel schedule has many splits, the static schedule exactly `workers`,
 // one worker's makespan is the sequential total, and more workers never

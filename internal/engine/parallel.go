@@ -113,7 +113,7 @@ func (b *Bound) runStaticInto(ctx context.Context, plan *Plan, v, workers int, m
 				return
 			}
 			qp := b.q.WithFreshRels(parts[p])
-			outs[p], errs[p] = runPartition(gctx, qp, plan, gauge)
+			outs[p], _, errs[p] = runBuffered(gctx, qp, plan, gauge)
 		}(p)
 	}
 	wg.Wait()
@@ -166,94 +166,107 @@ func (s *partSink) Push(t rel.Tuple) bool {
 	return s.c.Push(t)
 }
 
-// runPartition executes the planned algorithm on one partition instance.
-// Planner-chosen plans degrade gracefully when their full-instance
-// artifacts don't fit the partition's sizes: the chain stays good (goodness
-// is instance-independent), but an SM proof is re-searched per partition
-// and executions that fail fall back to CSMA and finally Generic-Join,
-// which are always applicable. Explicitly requested algorithms never
-// substitute — a partition failure propagates, matching the sequential
-// path's error behaviour. A cancelled ctx always propagates: cancellation
-// is never "fixed" by falling back to another algorithm.
-func runPartition(ctx context.Context, qp *query.Q, plan *Plan, gauge *memGauge) (*rel.Relation, error) {
-	vars := qp.AllVars().Members()
-	rowBytes := tupleBytes(1, len(vars))
-	// Each attempt gets a fresh collector; the gauge is shared across
-	// attempts and partitions (a fallback re-run re-accounts its rows —
-	// acceptable slack for a coarse gauge, and only on the rare fallback).
-	collect := func() (*rel.CollectSink, rel.Sink) {
-		c := rel.NewCollect("Q", vars...)
-		if gauge == nil || gauge.limit <= 0 {
-			return c, c // keep the adoption fast path when nothing can trip
-		}
-		return c, &partSink{c: c, g: gauge, rowBytes: rowBytes}
+// runPartition executes the planned algorithm on one split instance,
+// pushing into the sink newSink returns. Planner-chosen plans degrade
+// gracefully when their full-instance artifacts don't fit the split's
+// sizes: the chain stays good (goodness is instance-independent), but an SM
+// proof is re-searched per split and executions that fail fall back to CSMA
+// and finally Generic-Join, which are always applicable. Every attempt asks
+// newSink for a fresh sink, so a failed attempt's rows never mix with its
+// fallback's: on success the result is in the last sink handed out.
+// Generic-join plans make exactly one attempt. Explicitly requested
+// algorithms never substitute — a split's failure propagates, matching the
+// sequential path's error behaviour. A cancelled ctx always propagates:
+// cancellation is never "fixed" by falling back to another algorithm.
+//
+// ext is the descent's wcoj.Stats.Extensions when the split ran generic join
+// (0 for the other machines), the work measure the partitioning tests sum.
+func runPartition(ctx context.Context, qp *query.Q, plan *Plan, newSink func() rel.Sink) (ext int, err error) {
+	generic := func() (int, error) {
+		st, err := wcoj.GenericJoinInto(ctx, qp, wcoj.DefaultOrder(qp), newSink())
+		return st.Extensions, err
 	}
-	account := func(c *rel.CollectSink, err error) (*rel.Relation, error) {
-		if gauge != nil && gauge.limit <= 0 {
-			gauge.add(tupleBytes(c.R.Len(), len(vars)))
-		}
-		return c.R, err
-	}
-	var ferr error
 	switch plan.Algorithm {
 	case AlgChain:
-		if plan.Chain != nil {
-			c, s := collect()
-			_, ferr = chainalg.RunInto(ctx, qp, plan.Chain, s)
-			if ferr == nil {
-				return account(c, nil)
-			}
-		} else {
+		if plan.Chain == nil {
 			// Explicit chain request with no planner-supplied chain: each
 			// part searches its own best good chain.
-			c, s := collect()
-			_, err := chainalg.RunBestInto(ctx, qp, s)
-			return account(c, err)
+			_, err = chainalg.RunBestInto(ctx, qp, newSink())
+			return 0, err
+		}
+		if _, err = chainalg.RunInto(ctx, qp, plan.Chain, newSink()); err == nil {
+			return 0, nil
 		}
 	case AlgSM:
 		// Only planner-chosen SM plans reach a partition (Run forces
 		// explicit AlgSM sequential): the full-instance proof is tight for
 		// the full-instance LLP, so the partition re-plans at its own sizes
 		// and may fall back below.
-		c, s := collect()
-		_, ferr = smalg.RunAutoInto(ctx, qp, s)
-		if ferr == nil {
-			return account(c, nil)
+		if _, err = smalg.RunAutoInto(ctx, qp, newSink()); err == nil {
+			return 0, nil
 		}
 	case AlgGenericJoin:
-		c, s := collect()
-		_, err := wcoj.GenericJoinInto(ctx, qp, wcoj.DefaultOrder(qp), s)
-		return account(c, err)
+		return generic()
 	case AlgBinary:
-		c, s := collect()
-		_, err := wcoj.BinaryPlanInto(ctx, qp, nil, s)
-		return account(c, err)
+		_, err = wcoj.BinaryPlanInto(ctx, qp, nil, newSink())
+		return 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	// AlgCSMA, plus the fallback chain for planner-chosen chain/SM plans
 	// that failed at this partition's sizes.
-	c, s := collect()
-	_, err := csma.RunInto(ctx, qp, nil, s)
-	if err == nil || plan.explicit {
-		return account(c, err)
+	if _, err = csma.RunInto(ctx, qp, nil, newSink()); err == nil || plan.explicit {
+		return 0, err
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
-	c, s = collect()
-	_, err = wcoj.GenericJoinInto(ctx, qp, wcoj.DefaultOrder(qp), s)
-	return account(c, err)
+	return generic()
+}
+
+// runBuffered executes one split into a private collector and returns its
+// sorted run, accounting the rows on the shared gauge: row by row when a
+// limit can trip mid-run (a tripped gauge stops this split's producer, the
+// group context stops the others), once afterwards when it cannot — which
+// keeps the collector bare for rel.Stream's adoption fast path. A fallback
+// re-run re-accounts its rows: acceptable slack for a coarse gauge, and
+// only on the rare fallback.
+func runBuffered(ctx context.Context, qp *query.Q, plan *Plan, gauge *memGauge) (*rel.Relation, int, error) {
+	vars := qp.AllVars().Members()
+	var c *rel.CollectSink
+	ext, err := runPartition(ctx, qp, plan, func() rel.Sink {
+		c = rel.NewCollect("Q", vars...)
+		if gauge.limit <= 0 {
+			return c
+		}
+		return &partSink{c: c, g: gauge, rowBytes: tupleBytes(1, len(vars))}
+	})
+	if err != nil {
+		return nil, ext, err
+	}
+	if gauge.limit <= 0 {
+		gauge.add(tupleBytes(c.R.Len(), len(vars)))
+	}
+	return c.R, ext, nil
 }
 
 // choosePartitionVar picks the variable whose domain is split across the
 // pool: the first variable of the chain's first step when the plan climbs a
-// chain (that step's candidate enumeration is the hot loop), otherwise the
-// covered variable appearing in the most relations (maximizing how much of
-// the instance the filter shrinks). Returns -1 when nothing is partitionable.
+// chain (that step's candidate enumeration is the hot loop); the descent's
+// first variable when the plan is generic join (a split on any deeper
+// variable makes every morsel re-enumerate the levels above it, and it is
+// the output's first column exactly when the frontier can stream);
+// otherwise the covered variable appearing in the most relations
+// (maximizing how much of the instance the filter shrinks). Returns -1 when
+// nothing is partitionable.
 func choosePartitionVar(q *query.Q, plan *Plan) int {
 	covered := q.CoveredVars()
+	if plan.Algorithm == AlgGenericJoin && q.K > 0 {
+		if v := wcoj.DefaultOrder(q)[0]; covered.Contains(v) {
+			return v
+		}
+	}
 	if plan.Algorithm == AlgChain && len(plan.Chain) > 1 {
 		l := q.Lattice()
 		for _, v := range l.Elems[plan.Chain[1]].Members() {

@@ -18,7 +18,7 @@ func TestRunPartitionSMFallsBackToCSMA(t *testing.T) {
 	// CSMA, then Generic-Join — and still produce the exact answer.
 	q, _ := paper.Fig9Instance(16)
 	plan := &Plan{Algorithm: AlgSM} // planner-style: explicit == false
-	out, err := runPartition(context.Background(), q, plan, &memGauge{})
+	out, _, err := runBuffered(context.Background(), q, plan, &memGauge{})
 	if err != nil {
 		t.Fatalf("fallback did not rescue the partition: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestRunPartitionPlannerChainOnEmptyPartition(t *testing.T) {
 	for j, r := range q.Rels {
 		empty[j] = rel.New(r.Name, r.Attrs...)
 	}
-	out, err := runPartition(context.Background(), q.WithFreshRels(empty), plan, &memGauge{})
+	out, _, err := runBuffered(context.Background(), q.WithFreshRels(empty), plan, &memGauge{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/rel"
-	"repro/internal/wcoj"
 )
 
 // PartProfile holds the sequential execution time of every parallel split
@@ -23,8 +22,9 @@ type PartProfile struct {
 // ProfileSplits measures each split of the bound instance's parallel
 // execution sequentially: the morsel schedule's morsels (static=false) or
 // the legacy scheduler's hash parts (static=true), under opts' plan and
-// worker count (clamped like a real run). Each split runs the same code a
-// pool worker would run.
+// worker count (clamped like a real run). Each split runs the buffered
+// hand-off: the code a pool worker runs for a morsel that is neither counted
+// nor streamed directly.
 func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, static bool) (*PartProfile, error) {
 	o := opts.withDefaults()
 	plan, err := b.plan(o.Algorithm)
@@ -56,13 +56,11 @@ func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, static bool) (
 		}
 		parts = b.morselParts(v, vals, nm)
 	}
-	cfg := &morselConfig{plan: plan}
-	ps := wcoj.NewProgressStats(b.q.K)
 	prof := &PartProfile{Durations: make([]time.Duration, len(parts))}
 	for m, rels := range parts {
 		qm := b.q.WithFreshRels(rels)
 		start := time.Now()
-		if _, err := runMorsel(ctx, qm, cfg, &memGauge{}, ps); err != nil {
+		if _, _, err := runBuffered(ctx, qm, plan, &memGauge{}); err != nil {
 			return nil, err
 		}
 		prof.Durations[m] = time.Since(start)

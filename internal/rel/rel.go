@@ -83,10 +83,7 @@ func (r *Relation) Add(t ...Value) {
 	if len(t) != len(r.Attrs) {
 		panic(fmt.Sprintf("rel: arity mismatch adding to %s: got %d want %d", r.Name, len(t), len(r.Attrs)))
 	}
-	//lint:ignore fdqvet/lockguard mutators run under exclusive ownership (see mu doc): concurrent readers only exist after the relation is sealed
-	r.cache = nil
-	r.data = append(r.data, t...)
-	r.n++
+	r.appendRows(t, 1)
 }
 
 // AddTuple appends a row, copying it into flat storage; the caller may
@@ -95,10 +92,16 @@ func (r *Relation) AddTuple(t Tuple) {
 	if len(t) != len(r.Attrs) {
 		panic(fmt.Sprintf("rel: arity mismatch adding to %s", r.Name))
 	}
+	r.appendRows(t, 1)
+}
+
+// appendRows appends rows rows stored flat in vals (stride = arity) and
+// drops the index cache, the one thing every appending mutator must do.
+func (r *Relation) appendRows(vals []Value, rows int) {
 	//lint:ignore fdqvet/lockguard mutators run under exclusive ownership (see mu doc): concurrent readers only exist after the relation is sealed
 	r.cache = nil
-	r.data = append(r.data, t...)
-	r.n++
+	r.data = append(r.data, vals...)
+	r.n += rows
 }
 
 // MergeSorted merges already-sorted relations over identical attribute

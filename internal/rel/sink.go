@@ -24,8 +24,12 @@ import (
 //   - Push returns false to stop the producer. A stopped producer abandons
 //     its remaining work and returns without error: stopping is a consumer
 //     decision, not a failure.
-//   - Producers push from a single goroutine, so Sink implementations need
-//     no internal locking unless they are shared across producers.
+//   - One pusher at a time. Sequential executions push from the calling
+//     goroutine; the parallel scheduler pushes from possibly different
+//     goroutines in succession, each hand-over ordered by the scheduler's
+//     mutex (a happens-before edge), so Sink implementations need no
+//     internal locking unless they are shared across executions — but they
+//     must not rely on goroutine identity.
 type Sink interface {
 	Push(t Tuple) bool
 }
@@ -127,16 +131,22 @@ func (s *ChanSink) Push(t Tuple) bool {
 // does; it reports whether the sink accepted every row. This is the flush
 // path for producers that buffer (materialize + sort) before streaming.
 //
-// Fast path: when sink is an empty CollectSink with the same attribute
-// order, the relation is adopted wholesale instead of being copied row by
-// row — the caller hands over ownership of r, and the collector keeps its
-// own name. This makes the legacy materialized entry points zero-copy
-// wrappers over the sink-based ones.
+// Fast path: when sink is a CollectSink with the same attribute order, r
+// moves as one block instead of row by row — the caller hands over
+// ownership of r. An empty collector adopts the relation wholesale (keeping
+// its own name), which makes the legacy materialized entry points zero-copy
+// wrappers over the sink-based ones; a non-empty one appends r's flat
+// storage in a single copy, which is how the parallel scheduler hands over
+// each completed run.
 func Stream(r *Relation, sink Sink) bool {
-	if c, ok := sink.(*CollectSink); ok && c.R != nil && c.R.Len() == 0 && slices.Equal(c.R.Attrs, r.Attrs) {
-		name := c.R.Name
-		c.R = r
-		c.R.Name = name
+	if c, ok := sink.(*CollectSink); ok && c.R != nil && slices.Equal(c.R.Attrs, r.Attrs) {
+		if c.R.n == 0 {
+			name := c.R.Name
+			c.R = r
+			c.R.Name = name
+			return true
+		}
+		c.R.appendRows(r.data, r.n)
 		return true
 	}
 	for i := 0; i < r.n; i++ {

@@ -29,11 +29,25 @@ func TestCollectAndLimitSinks(t *testing.T) {
 		t.Fatalf("adoption should keep the collector's name, got %q", c.R.Name)
 	}
 
-	// A non-empty collector copies row by row instead of adopting.
+	// A non-empty collector appends the source's rows as one block: the
+	// source stays its own relation, the rows land behind the collector's,
+	// and an index built before the append is not served afterwards.
 	c2 := NewCollect("out", 0, 1)
 	c2.R.Add(0, 0)
+	stale := c2.R.IndexOn(0, 1)
 	if !Stream(src, c2) || c2.R == src || c2.R.Len() != 1+src.Len() {
 		t.Fatalf("non-empty collector must append, got %d rows", c2.R.Len())
+	}
+	if !slices.Equal(c2.R.Row(0), Tuple{0, 0}) {
+		t.Fatalf("append overwrote the collector's own row: %v", c2.R.Row(0))
+	}
+	for i := 0; i < src.Len(); i++ {
+		if !slices.Equal(c2.R.Row(1+i), src.Row(i)) {
+			t.Fatalf("appended row %d = %v, want %v", i, c2.R.Row(1+i), src.Row(i))
+		}
+	}
+	if c2.R.IndexOn(0, 1) == stale {
+		t.Fatal("block append kept serving an index built before it")
 	}
 
 	// Limit stops the producer exactly at N and delivers the first N rows.

@@ -121,20 +121,11 @@ func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink
 // genericJoin is the descent shared by both entry modes; it pushes rows
 // into sink as they are found, in depth-first enumeration order.
 func genericJoin(ctx context.Context, q *query.Q, order []int, sink rel.Sink) (*Stats, error) {
-	return genericJoinObserved(ctx, q, order, sink, nil)
-}
-
-// genericJoinObserved is genericJoin with optional progress instrumentation:
-// when ps is non-nil the descent tallies per-variable visits, candidates,
-// and surviving matches locally and flushes them into ps on return.
-func genericJoinObserved(ctx context.Context, q *query.Q, order []int, sink rel.Sink, ps *ProgressStats) (*Stats, error) {
 	if len(order) != q.K {
 		return nil, fmt.Errorf("wcoj: order must list all %d variables", q.K)
 	}
 	e := expand.New(q)
 	st := &Stats{}
-	lp := newProgressLocal(ps, q.K)
-	defer lp.flush()
 
 	// Trie per relation, levels = global order restricted to its attrs.
 	type relIx struct {
@@ -265,10 +256,6 @@ func genericJoinObserved(ctx context.Context, q *query.Q, order []int, sink rel.
 		}
 		seed := rixs[bestJ]
 		slo, shi := children(seed)
-		if lp != nil {
-			lp.visits[v]++
-			lp.cands[v] += int64(shi - slo)
-		}
 		// Galloping cursors for the other relations containing v, one per
 		// relation, advancing monotonically with the ascending seed values.
 		curs := cursStack[d*nr : (d+1)*nr]
@@ -318,9 +305,6 @@ func genericJoinObserved(ctx context.Context, q *query.Q, order []int, sink rel.
 			}
 			have2, ok := e.Extend(vals, have.Add(v))
 			if ok && sync(have2) {
-				if lp != nil {
-					lp.matches[v]++
-				}
 				if err := rec(d+1, have2); err != nil {
 					return err
 				}
