@@ -11,6 +11,8 @@ import (
 	"repro/fdq"
 	"repro/internal/naive"
 	"repro/internal/query"
+	"repro/internal/rel"
+	"repro/internal/scenario"
 )
 
 // triangleCatalog returns a catalog holding the quickstart triangle data.
@@ -517,6 +519,76 @@ func TestCatalogRedefineIsPickedUpWithoutRePrepare(t *testing.T) {
 	}
 	if _, err := sess.Collect(ctx, q); err == nil {
 		t.Fatal("arity change must surface an error")
+	}
+}
+
+// TestRedefinedGuardRowIsNotServedFromTheOldBinding: the FD executors keep
+// what they derive from an instance (R_j⁺, its projections) with the cached
+// binding, so a Define must reach them: after one row of the guard of yz→u
+// changes, every algorithm answers from the new version, on the warm shape.
+func TestRedefinedGuardRowIsNotServedFromTheOldBinding(t *testing.T) {
+	rowsOf := func(r *rel.Relation) [][]fdq.Value {
+		out := make([][]fdq.Value, r.Len())
+		for i := range out {
+			out[i] = slices.Clone(r.Row(i))
+		}
+		return out
+	}
+	for _, alg := range []string{"auto", "chain", "csma", "generic"} {
+		qq := scenario.FDDag(256, 1)
+		cat := fdq.NewCatalog()
+		cols := [][]string{{"x", "y"}, {"x", "z"}, {"y", "z", "u"}}
+		for j, r := range qq.Rels {
+			if err := cat.Define(r.Name, cols[j], rowsOf(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q := fdq.Query().Vars("x", "y", "z", "u").
+			Rel("R", "x", "y").Rel("S", "x", "z").Rel("T", "y", "z", "u").
+			FD("R", "x", "y").FD("S", "x", "z").FD("T", "y z", "u").
+			Alg(alg).Workers(1)
+		sess := cat.Session()
+		check := func(when string) [][]fdq.Value {
+			got, err := sess.Collect(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", alg, when, err)
+			}
+			want := naive.Evaluate(qq)
+			if len(got) != want.Len() {
+				t.Fatalf("%s %s: %d rows, reference %d", alg, when, len(got), want.Len())
+			}
+			for i, row := range got {
+				if !slices.Equal(row, want.Row(i)) {
+					t.Fatalf("%s %s: row %d is %v, reference %v", alg, when, i, row, want.Row(i))
+				}
+			}
+			return got
+		}
+		before := check("before the Define")
+		check("warm") // the binding's derived state is now in use
+
+		// Change u in the guard row that produced one output row.
+		hit := before[len(before)/2]
+		tRows := rowsOf(qq.Rels[2])
+		for _, row := range tRows {
+			if row[0] == hit[1] && row[1] == hit[2] {
+				row[2] += 1000003
+				break
+			}
+		}
+		if err := cat.Define("T", cols[2], tRows); err != nil {
+			t.Fatal(err)
+		}
+		t2 := rel.New("T", qq.Rels[2].Attrs...)
+		for _, row := range tRows {
+			t2.AddTuple(row)
+		}
+		t2.SortDedup()
+		qq = qq.WithFreshRels([]*rel.Relation{qq.Rels[0], qq.Rels[1], t2})
+		after := check("after the Define")
+		if slices.EqualFunc(before, after, func(a, b []fdq.Value) bool { return slices.Equal(a, b) }) {
+			t.Fatalf("%s: the changed guard row did not change the answer: the test proves nothing", alg)
+		}
 	}
 }
 

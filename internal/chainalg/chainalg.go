@@ -4,9 +4,10 @@
 // relations Q_i over the variables of C_i by per-tuple minimum-cost
 // conditional search, exactly as in the paper's proof of Theorem 5.7.
 //
-// Run and RunBest are safe to call concurrently on frozen inputs: all
-// working state is per-call, input relations are only read, and the chain
-// search memo lives in the query's mutex-guarded plan cache.
+// Run and RunBest are safe to call concurrently on frozen inputs. R_j⁺ and
+// every step's Π_{R_j∧C_i}(R_j⁺) with its two indexes come from the instance's
+// prepared record (expand.Inputs), built once and shared read-only; the Q_i
+// and probe buffers are per-run; the chain memo is in the query's plan cache.
 //
 // RunInto/RunBestInto are the sink-based entry points (see rel.Sink): the
 // chain's intermediate relations must materialize (step i+1 enumerates
@@ -72,13 +73,13 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 	st := &Stats{Chain: c}
 	e := expand.New(q)
 
-	// Line 1: expand every input to its closure.
+	// Line 1: every input expanded to its closure (built by the first run).
 	expanded := make([]*rel.Relation, len(q.Rels))
-	for j, r := range q.Rels {
-		if err := ctx.Err(); err != nil {
-			return st, err // closure expansion is O(data) per relation
+	for j := range q.Rels {
+		var err error
+		if expanded[j], err = e.Closed(ctx, j); err != nil {
+			return st, err
 		}
-		expanded[j] = e.ExpandToClosure(r)
 	}
 
 	// Q_0 = {()}.
@@ -96,8 +97,6 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 		// Relations covering step i, with their projections Π_{R_j∧C_i}(R_j)
 		// indexed so that the C_{i-1}-shared attributes form the prefix.
 		type covering struct {
-			j           int
-			proj        *rel.Relation
 			ix          *rel.Index
 			sharedVars  []int // vars(R_j ∧ C_{i-1}): the join attributes
 			projVars    varset.Set
@@ -113,11 +112,9 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 			}
 			projSet := l.Elems[l.Meet(r, c[i])]
 			sharedSet := l.Elems[l.Meet(r, c[i-1])]
-			proj := expanded[j].Project(projSet)
+			proj := e.Project(expanded[j], projSet)
 			prio := append(append([]int{}, sharedSet.Members()...), projSet.Diff(sharedSet).Members()...)
 			covs = append(covs, &covering{
-				j:           j,
-				proj:        proj,
 				ix:          proj.IndexOn(prio...),
 				sharedVars:  sharedSet.Members(),
 				projVars:    projSet,

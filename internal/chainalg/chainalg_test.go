@@ -122,3 +122,23 @@ func TestRejectsNonGoodChain(t *testing.T) {
 		t.Fatal("expected error for invalid chain")
 	}
 }
+
+// Alloc regression: on the skewed Fig.1 instance a warm run — best chain
+// memoized, the instance's prepared record (R_j⁺, every step's projection
+// and its two indexes, the FD tables) built by the first run — allocates
+// only its own Q_i relations and probe buffers (130 measured; 268 when
+// every run re-expanded, re-projected and re-indexed the inputs).
+func TestRunBestAllocRegression(t *testing.T) {
+	q := paper.Fig1Skew(1024)
+	if _, _, err := RunBest(q); err != nil { // warm plan cache + prepared record
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := RunBest(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 170 {
+		t.Fatalf("chain algorithm allocates %v times per warm run, want ≤ 170", allocs)
+	}
+}

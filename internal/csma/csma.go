@@ -22,9 +22,12 @@
 // The union of the T(1̂) tables across branches, semi-join reduced against
 // every input and FD-filtered, is exactly Q^D.
 //
-// Run is safe to call concurrently on frozen inputs: all working state
-// (plan, branch states, result accumulator) is per-call, and input
-// relations are only read.
+// Run is safe to call concurrently on frozen inputs. The initial state and
+// the projections and degree-class partitions the plan takes of
+// still-initial tables come from the instance's prepared record
+// (expand.Inputs), built once and shared read-only; branch states, joined
+// tables and the result are per-run. No state table is mutated in place:
+// every operation installs a new relation in a cloned state.
 //
 // RunInto is the sink-based entry point (see rel.Sink): the branch union
 // must materialize before the final semi-join reduction, so rows stream
@@ -37,7 +40,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"strings"
 
 	"repro/internal/bounds"
@@ -45,7 +47,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/query"
 	"repro/internal/rel"
-	"repro/internal/varset"
 )
 
 // Options tunes the execution.
@@ -228,12 +229,12 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 	bottom := rel.New("T0")
 	bottom.Add()
 	initState[l.Bottom] = bottom
-	for _, r := range q.Rels {
-		if err := ctx.Err(); err != nil {
-			return st, err // closure expansion is O(data) per relation
-		}
+	for j, r := range q.Rels {
 		elem := l.IndexOfClosure(r.VarSet())
-		t := e.ExpandToClosure(r)
+		t, err := e.Closed(ctx, j)
+		if err != nil {
+			return st, err
+		}
 		if prev := initState[elem]; prev != nil && elem != l.Bottom {
 			t = rel.Intersect(prev, t)
 		}
@@ -242,15 +243,15 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 	// Degree-bound pairs (X, Y) need a guard table for Y: the projection of
 	// the guard relation onto vars(Y⁺).
 	for _, d := range q.DegreeBounds {
-		if err := ctx.Err(); err != nil {
-			return st, err // guard expansion + projection is O(data)
-		}
 		yElem := l.IndexOfClosure(d.Y)
 		if initState[yElem] != nil {
 			continue
 		}
-		g := e.ExpandToClosure(q.Rels[d.Guard])
-		initState[yElem] = g.Project(l.Elems[yElem])
+		g, err := e.Closed(ctx, d.Guard)
+		if err != nil {
+			return st, err
+		}
+		initState[yElem] = e.Project(g, l.Elems[yElem])
 	}
 
 	results := rel.New("Q", q.AllVars().Members()...)
@@ -279,7 +280,7 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 				return fmt.Errorf("csma: projection source %d not materialized", o.y)
 			}
 			ns := cloneState(state)
-			proj := ty.Project(l.Elems[o.x])
+			proj := e.Project(ty, l.Elems[o.x])
 			if prev := state[o.x]; prev != nil && o.x != l.Bottom {
 				proj = rel.Intersect(prev, proj)
 			}
@@ -294,15 +295,14 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 			z := l.Meet(o.x, o.y)
 			zVars := l.Elems[z]
 			// Partition T(B) into degree buckets over Z (Lemma 5.35).
-			buckets := degreeBuckets(tb, zVars)
-			for _, bk := range buckets {
+			for _, bk := range e.DegreeClasses(tb, zVars) {
 				st.Branches++
-				cost := float64(ta.Len()) * float64(bk.maxDeg)
+				cost := float64(ta.Len()) * float64(bk.MaxDeg)
 				if cost > budget && restarts < opts.MaxRestarts {
 					// Lemma 5.36: re-solve with observed constraints; the
 					// optimum drops, and we restart this branch.
 					st.Restarts++
-					if err := restartBranch(q, l, e, res.P, state, o, bk.table, z,
+					if err := restartBranch(q, l, e, res.P, state, o, bk.Table, z,
 						func(p2 []op, s2 []*rel.Relation) error {
 							return exec(p2, 0, s2, restarts+1)
 						}); err == nil {
@@ -313,15 +313,18 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 				} else if cost > budget {
 					st.Overflows++
 				}
-				joined := rel.Join(ta, bk.table)
+				joined := rel.Join(ta, bk.Table)
 				st.JoinTuples += joined.Len()
-				outTable := e.ExpandRelation(joined, l.Elems[o.out])
+				outTable, err := e.ExpandRelation(ctx, joined, l.Elems[o.out])
+				if err != nil {
+					return err
+				}
 				ns := cloneState(state)
 				if prev := state[o.out]; prev != nil {
 					outTable = rel.Intersect(prev, outTable)
 				}
 				ns[o.out] = outTable
-				ns[o.y] = bk.table
+				ns[o.y] = bk.Table
 				if err := exec(plan, idx+1, ns, restarts); err != nil {
 					return err
 				}
@@ -363,66 +366,8 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 	return st, nil
 }
 
-// bucket is one degree class of a conditioned table.
-type bucket struct {
-	table  *rel.Relation
-	maxDeg int
-}
-
-// degreeBuckets partitions t by the power-of-two degree class of its
-// Z-value (Lemma 5.35): bucket j holds rows whose Z-value has degree in
-// [2^j, 2^{j+1}). With empty Z the whole table is one bucket. Classes are
-// dense small integers (at most log2 |t| + 1 of them), so the partition is
-// two flat slices indexed by class, filled in class order — no map, and a
-// deterministic bucket order.
-func degreeBuckets(t *rel.Relation, zVars varset.Set) []bucket {
-	if zVars.IsEmpty() || t.Len() == 0 {
-		return []bucket{{table: t, maxDeg: max(1, t.Len())}}
-	}
-	ix := t.IndexOn(zVars.Members()...)
-	zCols := make([]int, 0, zVars.Len())
-	for _, v := range zVars.Members() {
-		zCols = append(zCols, t.Col(v))
-	}
-	nclass := bits.Len(uint(t.Len()))
-	byClass := make([]*rel.Relation, nclass)
-	maxDeg := make([]int, nclass)
-	probe := make([]rel.Value, len(zCols))
-	for ri := 0; ri < t.Len(); ri++ {
-		row := t.Row(ri)
-		for i, c := range zCols {
-			probe[i] = row[c]
-		}
-		deg := ix.Count(probe...)
-		cls := bits.Len(uint(deg)) - 1 // ⌊log2 deg⌋; deg ≥ 1 (row ri matches)
-		b := byClass[cls]
-		if b == nil {
-			b = rel.New(t.Name, t.Attrs...)
-			byClass[cls] = b
-		}
-		b.AddTuple(row)
-		if deg > maxDeg[cls] {
-			maxDeg[cls] = deg
-		}
-	}
-	out := make([]bucket, 0, len(byClass))
-	for cls, b := range byClass {
-		if b != nil {
-			out = append(out, bucket{table: b, maxDeg: maxDeg[cls]})
-		}
-	}
-	return out
-}
-
 func cloneState(state []*rel.Relation) []*rel.Relation {
 	return append([]*rel.Relation(nil), state...)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // restartBranch re-solves the CLLP with the branch's observed cardinalities

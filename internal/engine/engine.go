@@ -10,9 +10,10 @@
 //	stats, _ = b.RunInto(ctx, nil, sink) // stream rows; sink can stop early
 //
 // Run and RunInto are safe to call from many goroutines on the same or
-// different Bound values: the lattice, the plan cache, and the relations'
-// index caches are all mutex-guarded, and each execution keeps its own
-// working state. (A Sink belongs to one execution; don't share one across
+// different Bound values: the lattice, the plan cache, the relations' index
+// caches and the instance's prepared record (expand.Inputs, kept with the
+// Bound) are all mutex-guarded, and each execution keeps its own working
+// state. (A Sink belongs to one execution; don't share one across
 // concurrent Runs.)
 //
 // The planner (see planner.go) replaces the old try-SMA-then-CSMA "auto"
@@ -126,15 +127,15 @@ type Bound struct {
 	prep *Prepared
 	q    *query.Q
 
-	mu       sync.Mutex        // guards the single-entry partition/morsel memos below
-	partsKey partKey           // guarded by mu
-	parts    [][]*rel.Relation // guarded by mu
+	mu       sync.Mutex // guards the single-entry partition/morsel memos below
+	partsKey partKey    // guarded by mu
+	parts    []*query.Q // guarded by mu; the split instances, each with its own prepared record
 
-	valsOK     bool              // guarded by mu; distinct-value memo for the partition variable
-	valsV      int               // guarded by mu
-	vals       []rel.Value       // guarded by mu
-	morselsKey morselKey         // guarded by mu; single-entry morsel-partition memo
-	morsels    [][]*rel.Relation // guarded by mu
+	valsOK     bool        // guarded by mu; distinct-value memo for the partition variable
+	valsV      int         // guarded by mu
+	vals       []rel.Value // guarded by mu
+	morselsKey morselKey   // guarded by mu; single-entry morsel-partition memo
+	morsels    []*query.Q  // guarded by mu
 }
 
 // Bind attaches an instance to the shape: rels must match the shape's

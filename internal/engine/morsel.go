@@ -38,9 +38,9 @@ func morselCount(distinct, workers, morselSize int) int {
 type morselKey struct{ v, n int }
 
 // morselParts returns (building and caching on first use, like partitions)
-// the instance range-partitioned on v into n morsels. The memo holds a
-// single entry, bounding memory at one extra instance copy.
-func (b *Bound) morselParts(v int, vals []rel.Value, n int) [][]*rel.Relation {
+// the instance range-partitioned on v into n morsel instances. The memo
+// holds a single entry, bounding memory as partitions does.
+func (b *Bound) morselParts(v int, vals []rel.Value, n int) []*query.Q {
 	key := morselKey{v, n}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -60,7 +60,7 @@ func (b *Bound) morselParts(v int, vals []rel.Value, n int) [][]*rel.Relation {
 // a relation containing v is split in one pass (each split is a
 // subsequence of a sorted duplicate-free relation, hence itself sorted
 // and duplicate-free).
-func morselRels(q *query.Q, v int, vals []rel.Value, n int) [][]*rel.Relation {
+func morselRels(q *query.Q, v int, vals []rel.Value, n int) []*query.Q {
 	d := len(vals)
 	starts := make([]rel.Value, n)
 	for m := range starts {
@@ -71,15 +71,15 @@ func morselRels(q *query.Q, v int, vals []rel.Value, n int) [][]*rel.Relation {
 	morselOf := func(x rel.Value) int {
 		return sort.Search(n, func(m int) bool { return starts[m] > x }) - 1
 	}
-	parts := make([][]*rel.Relation, n)
+	parts := make([]*query.Q, n)
 	for m := range parts {
-		parts[m] = make([]*rel.Relation, len(q.Rels))
+		parts[m] = q.WithFreshRels(make([]*rel.Relation, len(q.Rels)))
 	}
 	for j, r := range q.Rels {
 		c := r.Col(v)
 		if c < 0 {
 			for m := range parts {
-				parts[m][j] = r
+				parts[m].Rels[j] = r
 			}
 			continue
 		}
@@ -92,7 +92,7 @@ func morselRels(q *query.Q, v int, vals []rel.Value, n int) [][]*rel.Relation {
 			split[morselOf(row[c])].AddTuple(row)
 		}
 		for m := range parts {
-			parts[m][j] = split[m]
+			parts[m].Rels[j] = split[m]
 		}
 	}
 	return parts
@@ -293,12 +293,12 @@ func (f *frontier) complete(m int, run *rel.Relation) {
 func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []rel.Value, workers int, o *Options, st *Stats, sink rel.Sink) error {
 	// Grain is algorithm-aware: generic join's per-morsel marginal cost is
 	// proportional to the morsel's own work, so it affords fine morsels. The
-	// chain/SM/CSMA machines pay O(total-input) setup per run (closure
-	// expansion and projection indexes — including shared relations the
-	// split does not shrink), so fine grain multiplies setup: their schedule
-	// is capped at one morsel per worker, the same setup bill as the static
-	// scheduler, keeping value-range splits, stealing, and the streaming
-	// frontier.
+	// chain/SM/CSMA machines pay O(total-input) setup per split instance
+	// (closure expansion and projection indexes — including shared relations
+	// the split does not shrink; kept in the split's prepared record), so
+	// fine grain multiplies setup: their schedule is capped at one morsel
+	// per worker, the same setup bill as the static scheduler, keeping
+	// value-range splits, stealing, and the streaming frontier.
 	generic := plan.Algorithm == AlgGenericJoin
 	nm := morselCount(len(vals), workers, o.MorselSize)
 	if !generic && nm > workers {
@@ -348,7 +348,7 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 					errs[w] = err
 					return
 				}
-				qm := b.q.WithFreshRels(parts[m])
+				qm := parts[m]
 				var ext int
 				var err error
 				switch {

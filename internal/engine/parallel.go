@@ -112,8 +112,7 @@ func (b *Bound) runStaticInto(ctx context.Context, plan *Plan, v, workers int, m
 				errs[p] = err
 				return
 			}
-			qp := b.q.WithFreshRels(parts[p])
-			outs[p], _, errs[p] = runBuffered(gctx, qp, plan, gauge)
+			outs[p], _, errs[p] = runBuffered(gctx, parts[p], plan, gauge)
 		}(p)
 	}
 	wg.Wait()
@@ -319,13 +318,13 @@ func (b *Bound) distinctVals(v int) []rel.Value {
 type partKey struct{ v, nparts int }
 
 // partitions returns (building and caching on first use) the instance
-// hash-partitioned on variable v into nparts parts. Caching on the Bound —
-// whose instance is immutable — lets repeated parallel Runs skip the split
-// and reuse the per-part relations' warm index caches, mirroring what
-// sequential Runs get from the original relations. The memo holds a single
-// entry (the last configuration), so memory stays bounded at one extra
-// instance copy however callers vary Workers across Runs.
-func (b *Bound) partitions(v, nparts int) [][]*rel.Relation {
+// hash-partitioned on variable v into nparts part instances. Caching them
+// on the Bound — whose relations are immutable — lets repeated parallel Runs
+// skip the split and reuse each part's warm index caches and prepared
+// record, mirroring what sequential Runs get from the original instance.
+// The memo holds a single entry (the last configuration), so memory stays
+// bounded at one extra instance copy and what its FD plans derive from it.
+func (b *Bound) partitions(v, nparts int) []*query.Q {
 	key := partKey{v, nparts}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -340,16 +339,16 @@ func (b *Bound) partitions(v, nparts int) [][]*rel.Relation {
 // partitionRels builds, in one pass per relation, nparts filtered instances:
 // part p of a relation containing v holds the rows whose v-value hashes to
 // p; relations without v are shared (read-only) by every part.
-func partitionRels(q *query.Q, v, nparts int) [][]*rel.Relation {
-	parts := make([][]*rel.Relation, nparts)
+func partitionRels(q *query.Q, v, nparts int) []*query.Q {
+	parts := make([]*query.Q, nparts)
 	for p := range parts {
-		parts[p] = make([]*rel.Relation, len(q.Rels))
+		parts[p] = q.WithFreshRels(make([]*rel.Relation, len(q.Rels)))
 	}
 	for j, r := range q.Rels {
 		c := r.Col(v)
 		if c < 0 {
 			for p := range parts {
-				parts[p][j] = r
+				parts[p].Rels[j] = r
 			}
 			continue
 		}
@@ -362,7 +361,7 @@ func partitionRels(q *query.Q, v, nparts int) [][]*rel.Relation {
 			split[partOf(row[c], nparts)].AddTuple(row)
 		}
 		for p := range parts {
-			parts[p][j] = split[p]
+			parts[p].Rels[j] = split[p]
 		}
 	}
 	return parts

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/rel"
+	"repro/internal/query"
 )
 
 // PartProfile holds the sequential execution time of every parallel split
@@ -46,7 +46,7 @@ func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, static bool) (
 	if workers <= 1 {
 		return nil, errors.New("engine: instance degrades to sequential after the worker clamp")
 	}
-	var parts [][]*rel.Relation
+	var parts []*query.Q
 	if static {
 		parts = b.partitions(v, workers)
 	} else {
@@ -57,8 +57,7 @@ func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, static bool) (
 		parts = b.morselParts(v, vals, nm)
 	}
 	prof := &PartProfile{Durations: make([]time.Duration, len(parts))}
-	for m, rels := range parts {
-		qm := b.q.WithFreshRels(rels)
+	for m, qm := range parts {
 		start := time.Now()
 		if _, _, err := runBuffered(ctx, qm, plan, &memGauge{}); err != nil {
 			return nil, err

@@ -3,12 +3,17 @@
 // applying functional dependencies — joining with the guard projection for
 // guarded FDs, and evaluating the UDF for unguarded ones.
 //
-// An Expander carries reusable buffers and is therefore NOT safe for
-// concurrent use; build one per goroutine (every executor builds its own
-// per call, so concurrent executions never share one).
+// What is a function of the query instance alone — the per-FD lookup tables,
+// R_j⁺ per input, the projections Π_X(R_j⁺) and degree-class partitions the
+// executors ask for — lives in the instance's Inputs record (inputs.go):
+// built lazily, once, shared read-only by every run. Nobody mutates a record
+// relation; rel.Intersect, Semijoin and Project return new ones. An Expander
+// is the per-run half, a view of the record plus scratch buffers: NOT safe
+// for concurrent use, built per executor run by New (two allocations).
 package expand
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fd"
@@ -17,125 +22,36 @@ import (
 	"repro/internal/varset"
 )
 
+// cancelCheckInterval is how many rows an expansion does between ctx checks.
+const cancelCheckInterval = 1024
+
 // Value aliases the relational value type.
 type Value = rel.Value
 
-// guardLookup maps a From-key to the unique To-values within the guard
-// relation (uniqueness is the FD promise, validated by query.Validate).
-// Single-variable From sets — the common case — use an exact map keyed on
-// the value itself; wider keys fall back to an encoded string key.
-type guardLookup struct {
-	f       fd.FD
-	fromIdx []int // variable ids of From in ascending order
-	toIdx   []int
-	single  map[Value][]Value // non-nil iff len(fromIdx) == 1
-	m       map[string][]Value
+// fdTable is the read-only lookup form of one FD: a guarded FD reads the
+// To-values (unique by the FD promise query.Validate checks) off the guard
+// row its From-values select, an unguarded one calls its UDFs.
+type fdTable struct {
+	from    varset.Set
+	fromIdx []int          // From.Members()
+	toIdx   []int          // To.Members()
+	fns     []fd.UDF       // unguarded: UDFs aligned with toIdx (nil where absent)
+	guard   *rel.KeyLookup // guarded: the guard relation keyed on fromIdx
+	toCols  []int          // guarded: the guard's columns of toIdx
 }
 
-func (gl *guardLookup) lookup(vals []Value) ([]Value, bool) {
-	if gl.single != nil {
-		tos, ok := gl.single[vals[gl.fromIdx[0]]]
-		return tos, ok
-	}
-	tos, ok := gl.m[keyOfVals(vals, gl.fromIdx)]
-	return tos, ok
-}
-
-// Expander precomputes per-FD lookup structures for fast tuple expansion.
+// Expander applies the instance's FDs to tuples and relations.
 type Expander struct {
 	q       *query.Q
-	guards  []*guardLookup // one per guarded FD, parallel to usable FDs
-	fds     []fd.FD
-	fromIdx [][]int    // per-FD From.Members(), precomputed
-	toIdx   [][]int    // per-FD To.Members(), precomputed
-	fns     [][]fd.UDF // per-FD UDFs aligned with toIdx (nil where absent)
-	argBuf  []Value    // reusable UDF argument buffer
-	settled []bool     // per-call scratch: FD already applied and checked
+	in      *Inputs
+	argBuf  []Value // reusable UDF argument buffer, allocated by the first UDF step
+	settled []bool  // per-call scratch: FD already applied and checked
 }
 
-// New builds an Expander for the query.
+// New builds an Expander over the query instance's prepared record.
 func New(q *query.Q) *Expander {
-	e := &Expander{q: q}
-	maxFrom := 0
-	for _, f := range q.FDs.FDs {
-		e.fds = append(e.fds, f)
-		e.fromIdx = append(e.fromIdx, f.From.Members())
-		toIdx := f.To.Members()
-		e.toIdx = append(e.toIdx, toIdx)
-		fns := make([]fd.UDF, len(toIdx))
-		for i, v := range toIdx {
-			fns[i] = f.Fns[v]
-		}
-		e.fns = append(e.fns, fns)
-		if f.From.Len() > maxFrom {
-			maxFrom = f.From.Len()
-		}
-		if !f.Guarded() {
-			e.guards = append(e.guards, nil)
-			continue
-		}
-		g := q.Rels[f.Guard]
-		gl := &guardLookup{f: f, fromIdx: f.From.Members(), toIdx: f.To.Members()}
-		fromCols := make([]int, len(gl.fromIdx))
-		for i, v := range gl.fromIdx {
-			fromCols[i] = g.Col(v)
-		}
-		toCols := make([]int, len(gl.toIdx))
-		for i, v := range gl.toIdx {
-			toCols[i] = g.Col(v)
-		}
-		if len(fromCols) == 1 {
-			gl.single = make(map[Value][]Value, g.Len())
-		} else {
-			gl.m = make(map[string][]Value, g.Len())
-		}
-		for ri := 0; ri < g.Len(); ri++ {
-			t := g.Row(ri)
-			if gl.single != nil {
-				v := t[fromCols[0]]
-				if _, ok := gl.single[v]; !ok {
-					gl.single[v] = pickCols(t, toCols)
-				}
-				continue
-			}
-			k := keyOf(t, fromCols)
-			if _, ok := gl.m[k]; !ok {
-				gl.m[k] = pickCols(t, toCols)
-			}
-		}
-		e.guards = append(e.guards, gl)
-	}
-	e.argBuf = make([]Value, maxFrom)
-	e.settled = make([]bool, len(e.fds))
-	return e
-}
-
-func pickCols(t rel.Tuple, cols []int) []Value {
-	out := make([]Value, len(cols))
-	for i, c := range cols {
-		out[i] = t[c]
-	}
-	return out
-}
-
-func keyOf(t rel.Tuple, cs []int) string {
-	b := make([]byte, 0, len(cs)*8)
-	for _, c := range cs {
-		v := uint64(t[c])
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	return string(b)
-}
-
-func keyOfVals(vals []Value, vars []int) string {
-	b := make([]byte, 0, len(vars)*8)
-	for _, vv := range vars {
-		v := uint64(vals[vv])
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	return string(b)
+	in := For(q)
+	return &Expander{q: q, in: in, settled: make([]bool, len(in.fds))}
 }
 
 // Extend applies every applicable FD to the partial tuple vals (indexed by
@@ -153,42 +69,37 @@ func (e *Expander) Extend(vals []Value, have varset.Set) (varset.Set, bool) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := range e.fds {
-			if settled[i] || !have.ContainsAll(e.fds[i].From) {
+		for i := range e.in.fds {
+			f := &e.in.fds[i]
+			if settled[i] || !have.ContainsAll(f.from) {
 				continue
 			}
 			settled[i] = true
-			if gl := e.guards[i]; gl != nil {
-				tos, ok := gl.lookup(vals)
-				if !ok {
+			var row rel.Tuple // guarded: the guard row the From-values select
+			var args []Value  // unguarded: the UDF arguments
+			if f.guard != nil {
+				var ok bool
+				if row, ok = f.guard.Find(vals, f.fromIdx); !ok {
 					// The From-combination never occurs in the guard; the
 					// tuple cannot be part of the output.
 					return have, false
 				}
-				for k, v := range gl.toIdx {
-					if have.Contains(v) {
-						if vals[v] != tos[k] {
-							return have, false
-						}
-					} else {
-						vals[v] = tos[k]
-						have = have.Add(v)
-						changed = true
-					}
+			} else {
+				args = e.argBuf[:0]
+				for _, v := range f.fromIdx {
+					args = append(args, vals[v])
 				}
-				continue
+				e.argBuf = args // grown by the first UDF step, reused from then on
 			}
-			// Unguarded: use UDFs where available.
-			args := e.argBuf[:0]
-			for _, v := range e.fromIdx[i] {
-				args = append(args, vals[v])
-			}
-			for k, v := range e.toIdx[i] {
-				fn := e.fns[i][k]
-				if fn == nil {
+			for k, v := range f.toIdx {
+				var got Value
+				if f.guard != nil {
+					got = row[f.toCols[k]]
+				} else if fn := f.fns[k]; fn != nil {
+					got = fn(args)
+				} else {
 					continue
 				}
-				got := fn(args)
 				if have.Contains(v) {
 					if vals[v] != got {
 						return have, false
@@ -222,8 +133,8 @@ func (e *Expander) ExpandTuple(vals []Value, have, target varset.Set) (varset.Se
 
 // ExpandRelation expands every tuple of r to the target variable set and
 // returns the result (dropping FD-inconsistent tuples), with attributes in
-// ascending variable order.
-func (e *Expander) ExpandRelation(r *rel.Relation, target varset.Set) *rel.Relation {
+// ascending variable order; ctx is consulted every cancelCheckInterval rows.
+func (e *Expander) ExpandRelation(ctx context.Context, r *rel.Relation, target varset.Set) (*rel.Relation, error) {
 	attrs := target.Members()
 	out := rel.New(r.Name+"+", attrs...)
 	out.Grow(r.Len())
@@ -231,6 +142,11 @@ func (e *Expander) ExpandRelation(r *rel.Relation, target varset.Set) *rel.Relat
 	nt := make(rel.Tuple, len(attrs))
 	rVars := r.VarSet()
 	for ri := 0; ri < r.Len(); ri++ {
+		if ri%cancelCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		t := r.Row(ri)
 		for i, v := range r.Attrs {
 			vals[v] = t[i]
@@ -244,18 +160,17 @@ func (e *Expander) ExpandRelation(r *rel.Relation, target varset.Set) *rel.Relat
 		out.AddTuple(nt)
 	}
 	out.SortDedup()
-	return out
+	return out, nil
 }
 
 // ExpandRelationInto is ExpandRelation streaming into a sink: the expanded
 // relation is built and sorted (expansion output order is inherently
 // unordered, so it must buffer), then flushed row by row, stopping early
 // when the sink does. It reports whether the sink accepted every row.
-func (e *Expander) ExpandRelationInto(r *rel.Relation, target varset.Set, sink rel.Sink) bool {
-	return rel.Stream(e.ExpandRelation(r, target), sink)
-}
-
-// ExpandToClosure expands r to the closure of its attributes.
-func (e *Expander) ExpandToClosure(r *rel.Relation) *rel.Relation {
-	return e.ExpandRelation(r, e.q.FDs.Closure(r.VarSet()))
+func (e *Expander) ExpandRelationInto(ctx context.Context, r *rel.Relation, target varset.Set, sink rel.Sink) (bool, error) {
+	out, err := e.ExpandRelation(ctx, r, target)
+	if err != nil {
+		return false, err
+	}
+	return rel.Stream(out, sink), nil
 }

@@ -1,6 +1,7 @@
 package expand
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/paper"
@@ -13,10 +14,14 @@ func TestExpandRelationIntoMatchesExpandRelation(t *testing.T) {
 	r := q.Rels[0] // R(x, y); closure adds u via f(x,z)? only x-determined FDs apply
 	target := q.FDs.Closure(r.VarSet())
 
-	want := e.ExpandRelation(r, target)
+	ctx := context.Background()
+	want, err := e.ExpandRelation(ctx, r, target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sink := rel.NewCollect("out", target.Members()...)
-	if !e.ExpandRelationInto(r, target, sink) {
-		t.Fatal("collect sink stopped the stream")
+	if ok, err := e.ExpandRelationInto(ctx, r, target, sink); !ok || err != nil {
+		t.Fatalf("collect sink stopped the stream (err %v)", err)
 	}
 	if !rel.Identical(want, sink.R) {
 		t.Fatalf("ExpandRelationInto differs: %d vs %d rows", sink.R.Len(), want.Len())
@@ -24,8 +29,8 @@ func TestExpandRelationIntoMatchesExpandRelation(t *testing.T) {
 
 	// A limiting sink stops the flush and reports the early stop.
 	lim := rel.Limit(rel.NewCollect("out", target.Members()...), 1)
-	if e.ExpandRelationInto(r, target, lim) {
-		t.Fatal("limited stream should report an early stop")
+	if ok, err := e.ExpandRelationInto(ctx, r, target, lim); ok || err != nil {
+		t.Fatalf("limited stream should report an early stop (err %v)", err)
 	}
 	if lim.Pushed() != 1 {
 		t.Fatalf("limited stream delivered %d rows", lim.Pushed())

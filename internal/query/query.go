@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/big"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fd"
 	"repro/internal/lattice"
@@ -35,6 +36,7 @@ type Q struct {
 	DegreeBounds []DegreeBound
 
 	state *qstate
+	inst  *atomic.Value // the instance's prepared record; never shared between instances
 }
 
 // qstate boxes the lazily built lattice and the plan cache behind one
@@ -51,7 +53,7 @@ type qstate struct {
 
 // New creates a query over the given variable names with an empty FD set.
 func New(names ...string) *Q {
-	return &Q{Names: names, K: len(names), FDs: fd.NewSet(len(names)), state: &qstate{}}
+	return &Q{Names: names, K: len(names), FDs: fd.NewSet(len(names)), state: &qstate{}, inst: new(atomic.Value)}
 }
 
 // st returns the shared state, allocating it for hand-built Q values. The
@@ -74,14 +76,31 @@ func (q *Q) AddRel(r *rel.Relation) int {
 	return len(q.Rels) - 1
 }
 
-// invalidate drops the cached lattice and plan artifacts. Called whenever
-// the query shape changes (relations or FDs added).
+// invalidate drops the cached lattice and plan artifacts and the prepared
+// record. Called whenever the query shape changes (relations or FDs added).
 func (q *Q) invalidate() {
 	s := q.st()
 	s.mu.Lock()
 	s.lat = nil
 	s.plans = nil
 	s.mu.Unlock()
+	q.inst = new(atomic.Value)
+}
+
+// Prepared returns the instance's prepared record (expand.For; opaque here
+// because expand imports this package), storing what create returns when
+// there is none yet. Racing first callers may each run create: one result
+// wins, so create must be free of side effects. Like st, the fallback for
+// hand-built Q values is not synchronized.
+func (q *Q) Prepared(create func() any) any {
+	if q.inst == nil {
+		q.inst = new(atomic.Value)
+	}
+	if v := q.inst.Load(); v != nil {
+		return v
+	}
+	q.inst.CompareAndSwap(nil, create())
+	return q.inst.Load()
 }
 
 // PlanCache returns the memoized planning artifact stored under key.
@@ -304,13 +323,15 @@ func checkFDHolds(g *rel.Relation, f fd.FD) error {
 // substituted (same schema positions); used to re-run a query shape on a
 // different instance. The copy shares q's lattice and plan cache (both are
 // mutex-guarded), so preparing a shape once amortizes planning across
-// instances.
+// instances; what is derived from the relations themselves (the prepared
+// record) starts empty.
 func (q *Q) WithFreshRels(rels []*rel.Relation) *Q {
 	if len(rels) != len(q.Rels) {
 		panic("query: relation count mismatch")
 	}
 	c := *q
 	c.state = q.st()
+	c.inst = new(atomic.Value)
 	c.Rels = rels
 	return &c
 }

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -87,7 +88,7 @@ func (ht *flatTable) insert(i int) uint64 {
 		}
 		if c == fp {
 			s := &ht.slots[idx]
-			if s.hash == h && eqCols(r, int(s.rep), r, i, ht.cols, ht.cols) {
+			if s.hash == h && eqColsAt(r.data, int(s.rep)*len(r.Attrs), r.data, i*len(r.Attrs), ht.cols, ht.cols) {
 				return idx
 			}
 		}
@@ -137,11 +138,13 @@ func buildHash(r *Relation, cols []int, needRows bool) *flatTable {
 	return ht
 }
 
-// probe locates the slot matching row ip of rp on pcols, or returns false.
-func (ht *flatTable) probe(rp *Relation, ip int, pcols []int) (*flatSlot, bool) {
-	h := hashCols(rp.data, ip*len(rp.Attrs), pcols)
+// probe locates the slot whose key equals the values at positions pcols of
+// the row starting at flat offset base of data, or returns false.
+func (ht *flatTable) probe(data []Value, base int, pcols []int) (*flatSlot, bool) {
+	h := hashCols(data, base, pcols)
 	fp := fingerprint(h)
 	idx := h & ht.mask
+	rdata, rk := ht.rel.data, len(ht.rel.Attrs)
 	for {
 		c := ht.ctrl[idx]
 		if c == 0 {
@@ -149,7 +152,7 @@ func (ht *flatTable) probe(rp *Relation, ip int, pcols []int) (*flatSlot, bool) 
 		}
 		if c == fp {
 			s := &ht.slots[idx]
-			if s.hash == h && eqCols(ht.rel, int(s.rep), rp, ip, ht.cols, pcols) {
+			if s.hash == h && eqColsAt(rdata, int(s.rep)*rk, data, base, ht.cols, pcols) {
 				return s, true
 			}
 		}
@@ -161,7 +164,7 @@ func (ht *flatTable) probe(rp *Relation, ip int, pcols []int) (*flatSlot, bool) 
 // (keyed on pcols) — already verified, never a false positive. Only valid
 // on tables built with needRows.
 func (ht *flatTable) matches(rp *Relation, ip int, pcols []int) []int32 {
-	if s, ok := ht.probe(rp, ip, pcols); ok {
+	if s, ok := ht.probe(rp.data, ip*len(rp.Attrs), pcols); ok {
 		return ht.arena[s.off : s.off+s.cnt]
 	}
 	return nil
@@ -170,6 +173,42 @@ func (ht *flatTable) matches(rp *Relation, ip int, pcols []int) []int32 {
 // contains reports whether some build-side row matches row ip of rp exactly
 // on the key columns.
 func (ht *flatTable) contains(rp *Relation, ip int, pcols []int) bool {
-	_, ok := ht.probe(rp, ip, pcols)
+	_, ok := ht.probe(rp.data, ip*len(rp.Attrs), pcols)
 	return ok
+}
+
+// KeyLookup maps the values of some key variables to the first row of a
+// sealed relation carrying them: a flatTable never returned to the pool.
+type KeyLookup struct {
+	ht   *flatTable
+	vars []int // the key variables, in the order Find's positions follow
+}
+
+// LookupOn builds (or returns the cached) key lookup on the given attributes
+// of r; the cache follows IndexOn's rules.
+func (r *Relation) LookupOn(keyVars ...int) *KeyLookup {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, l := range r.lookups {
+		if slices.Equal(l.vars, keyVars) {
+			return l
+		}
+	}
+	cols := make([]int, len(keyVars))
+	for i, v := range keyVars {
+		cols[i] = r.Col(v)
+	}
+	l := &KeyLookup{ht: buildHash(r, cols, false), vars: slices.Clone(keyVars)}
+	r.lookups = append(r.lookups, l)
+	return l
+}
+
+// Find returns the first row whose key variables carry vals[at[0]],
+// vals[at[1]], … (at parallel to LookupOn's keyVars), allocating nothing.
+func (l *KeyLookup) Find(vals []Value, at []int) (Tuple, bool) {
+	s, ok := l.ht.probe(vals, 0, at)
+	if !ok {
+		return nil, false
+	}
+	return l.ht.rel.Row(int(s.rep)), true
 }

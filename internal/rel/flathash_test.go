@@ -99,3 +99,50 @@ func FuzzFlatHash(f *testing.F) {
 		hm.release()
 	})
 }
+
+// TestKeyLookup: Find returns the first row carrying the key at any key
+// width, misses cleanly, is cached on the relation like an index, and is
+// dropped by a mutation.
+func TestKeyLookup(t *testing.T) {
+	r := New("G", 3, 5, 7) // variables 3, 5, 7
+	for i := 0; i < 300; i++ {
+		r.Add(Value(i%20), Value(i/20), Value(i*i))
+	}
+	r.Add(4, 2, -1) // a second row for key (4, 2): the first one wins
+	vals := make([]Value, 8)
+	for _, keyVars := range [][]int{{5}, {3, 5}, {5, 3}, {3, 5, 7}} {
+		l := r.LookupOn(keyVars...)
+		if r.LookupOn(keyVars...) != l {
+			t.Fatalf("LookupOn(%v) was rebuilt", keyVars)
+		}
+		for i := 0; i < r.Len(); i++ {
+			row := r.Row(i)
+			vals[3], vals[5], vals[7] = row[0], row[1], row[2]
+			got, ok := l.Find(vals, keyVars)
+			if !ok {
+				t.Fatalf("key %v of row %d not found", keyVars, i)
+			}
+			for _, v := range keyVars {
+				if got[r.Col(v)] != vals[v] {
+					t.Fatalf("key %v of row %d found row %v", keyVars, i, got)
+				}
+			}
+		}
+		vals[5] = 1 << 40
+		if _, ok := l.Find(vals, keyVars); ok {
+			t.Fatalf("key %v: absent key found", keyVars)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { l.Find(vals, keyVars) }); allocs != 0 {
+			t.Fatalf("key %v: Find allocates %v times", keyVars, allocs)
+		}
+	}
+	vals[3], vals[5] = 4, 2
+	if got, _ := r.LookupOn(3, 5).Find(vals, []int{3, 5}); got[2] != 44*44 {
+		t.Fatalf("duplicate key: found row %v, want the first", got)
+	}
+	old := r.LookupOn(3, 5)
+	r.Add(99, 99, 99)
+	if r.LookupOn(3, 5) == old {
+		t.Fatal("a mutation must drop the cached lookups")
+	}
+}

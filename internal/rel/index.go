@@ -4,7 +4,14 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
+
+var indexBuilds atomic.Int64
+
+// IndexBuilds returns how many indexes IndexOn has built (cache misses) so
+// far in this process; a warm run over sealed relations adds none.
+func IndexBuilds() int64 { return indexBuilds.Load() }
 
 // Index is a sorted access path over a relation: rows ordered
 // lexicographically under a chosen variable priority. It emulates the trie
@@ -70,6 +77,7 @@ func (r *Relation) IndexOn(keyVars ...int) *Index {
 		}
 	}
 
+	indexBuilds.Add(1)
 	k := len(r.Attrs)
 	n := r.n
 	ix := &Index{rel: r, n: n, arity: k, nkey: nkey,

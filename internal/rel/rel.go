@@ -48,8 +48,9 @@ type Relation struct {
 	data []Value // flat row storage, stride = len(Attrs)
 	n    int     // row count (tracked separately to support arity 0)
 
-	mu    sync.Mutex // guards cache; mutators bypass it (exclusive owner)
-	cache []*Index   // guarded by mu; built indexes, keyed by resolved priority + nkey
+	mu      sync.Mutex   // guards the caches; mutators bypass it (exclusive owner)
+	cache   []*Index     // guarded by mu; built indexes, keyed by resolved priority + nkey
+	lookups []*KeyLookup // guarded by mu; built key lookups, keyed by key columns
 }
 
 // New creates an empty relation with the given attribute order.
@@ -96,10 +97,10 @@ func (r *Relation) AddTuple(t Tuple) {
 }
 
 // appendRows appends rows rows stored flat in vals (stride = arity) and
-// drops the index cache, the one thing every appending mutator must do.
+// drops the caches, the one thing every appending mutator must do.
 func (r *Relation) appendRows(vals []Value, rows int) {
 	//lint:ignore fdqvet/lockguard mutators run under exclusive ownership (see mu doc): concurrent readers only exist after the relation is sealed
-	r.cache = nil
+	r.cache, r.lookups = nil, nil
 	r.data = append(r.data, vals...)
 	r.n += rows
 }
@@ -230,10 +231,11 @@ func cmpRowsAt(data []Value, a, b, k int) int {
 }
 
 // SortDedup sorts rows lexicographically in attribute order and removes
-// duplicates.
+// duplicates. Rows already in order (a projection onto a sorted prefix, a
+// Define of sorted data) cost one linear pass and no allocation.
 func (r *Relation) SortDedup() {
 	//lint:ignore fdqvet/lockguard mutators run under exclusive ownership (see mu doc): concurrent readers only exist after the relation is sealed
-	r.cache = nil
+	r.cache, r.lookups = nil, nil
 	k := len(r.Attrs)
 	if k == 0 {
 		if r.n > 1 {
@@ -241,7 +243,7 @@ func (r *Relation) SortDedup() {
 		}
 		return
 	}
-	if r.n <= 1 {
+	if r.n <= 1 || r.compactSorted() {
 		return
 	}
 	perm := sortedPerm(r.data, r.n, k)
@@ -258,6 +260,35 @@ func (r *Relation) SortDedup() {
 	}
 	r.data = out
 	r.n = n
+}
+
+// compactSorted squeezes duplicates out of non-decreasing rows in place and
+// reports true. At the first row that sorts below its predecessor it closes
+// the gap the squeezed duplicates left (the sort would drop them anyway)
+// and reports false.
+func (r *Relation) compactSorted() bool {
+	k := len(r.Attrs)
+	w := 1 // rows kept; row w-1 is the last kept row
+	for i := 1; i < r.n; i++ {
+		c := cmpRowsAt(r.data, (w-1)*k, i*k, k)
+		if c > 0 {
+			if w != i {
+				copy(r.data[w*k:], r.data[i*k:r.n*k])
+				r.n -= i - w
+				r.data = r.data[:r.n*k]
+			}
+			return false
+		}
+		if c < 0 {
+			if w != i {
+				copy(r.data[w*k:w*k+k], r.data[i*k:i*k+k])
+			}
+			w++
+		}
+	}
+	r.n = w
+	r.data = r.data[:w*k]
+	return true
 }
 
 // sortedPerm returns row indices sorted by lexicographic row order.
@@ -355,12 +386,11 @@ func hashCols(data []Value, base int, cols []int) uint64 {
 	return h
 }
 
-// eqCols reports whether row i of ra (on colsA) equals row j of rb (on
-// colsB) position-wise.
-func eqCols(ra *Relation, i int, rb *Relation, j int, colsA, colsB []int) bool {
-	ba, bb := i*len(ra.Attrs), j*len(rb.Attrs)
+// eqColsAt reports whether the row at flat offset ba of da (on colsA) equals
+// the row at offset bb of db (on colsB) position-wise.
+func eqColsAt(da []Value, ba int, db []Value, bb int, colsA, colsB []int) bool {
 	for x := range colsA {
-		if ra.data[ba+colsA[x]] != rb.data[bb+colsB[x]] {
+		if da[ba+colsA[x]] != db[bb+colsB[x]] {
 			return false
 		}
 	}

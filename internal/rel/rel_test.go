@@ -2,6 +2,7 @@ package rel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/varset"
@@ -51,6 +52,79 @@ func TestSortDedup(t *testing.T) {
 	}
 	if r.Row(0)[0] != 1 || r.Row(1)[0] != 2 {
 		t.Fatal("sort order wrong")
+	}
+}
+
+// TestSortDedupMatchesSortingReference: SortDedup's in-order pass (compact in
+// place, no sort) and its fallback agree with the plain definition — sort
+// the rows, drop adjacent duplicates — on every input shape the pass treats
+// differently: random, already sorted, reversed, sorted with duplicates,
+// sorted but for one late descent after duplicates were already squeezed
+// out, single-row, empty and arity-0 relations. An index built afterwards
+// must see the new rows (the caches were dropped).
+func TestSortDedupMatchesSortingReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 3000; trial++ {
+		arity := rng.Intn(4)
+		n := rng.Intn(48)
+		rows := make([][]Value, n)
+		for i := range rows {
+			rows[i] = make([]Value, arity)
+			for c := range rows[i] {
+				rows[i][c] = Value(rng.Intn(5))
+			}
+		}
+		cmp := func(a, b []Value) int { return slices.Compare(a, b) }
+		switch trial % 5 {
+		case 1:
+			slices.SortFunc(rows, cmp)
+		case 2:
+			slices.SortFunc(rows, cmp)
+			slices.Reverse(rows)
+		case 3: // sorted and duplicate-free
+			slices.SortFunc(rows, cmp)
+			rows = slices.CompactFunc(rows, func(a, b []Value) bool { return cmp(a, b) == 0 })
+		case 4: // sorted with duplicates, then one row out of order
+			slices.SortFunc(rows, cmp)
+			if n > 2 {
+				i, j := n-1-rng.Intn(2), rng.Intn(n-2)
+				rows[i], rows[j] = rows[j], rows[i]
+			}
+		}
+		attrs := make([]int, arity)
+		for i := range attrs {
+			attrs[i] = i
+		}
+		r := New("R", attrs...)
+		for _, row := range rows {
+			r.AddTuple(row)
+		}
+		r.IndexOn(attrs...) // a cache SortDedup must drop
+		r.SortDedup()
+
+		want := slices.Clone(rows)
+		slices.SortFunc(want, cmp)
+		want = slices.CompactFunc(want, func(a, b []Value) bool { return cmp(a, b) == 0 })
+		if r.Len() != len(want) || len(r.data) != len(want)*arity {
+			t.Fatalf("trial %d (arity %d): %d rows over %d values, reference %d rows", trial, arity, r.Len(), len(r.data), len(want))
+		}
+		ix := r.IndexOn(attrs...)
+		for i, w := range want {
+			if !slices.Equal(r.Row(i), Tuple(w)) || !slices.Equal(ix.Row(i), Tuple(w)) {
+				t.Fatalf("trial %d: row %d is %v (index %v), reference %v", trial, i, r.Row(i), ix.Row(i), w)
+			}
+		}
+	}
+}
+
+// TestSortDedupInOrderAllocatesNothing pins the point of the in-order pass.
+func TestSortDedupInOrderAllocatesNothing(t *testing.T) {
+	r := New("R", 0, 1)
+	for i := 0; i < 1000; i++ {
+		r.Add(Value(i/2), Value(i%2))
+	}
+	if allocs := testing.AllocsPerRun(10, r.SortDedup); allocs != 0 {
+		t.Fatalf("SortDedup of sorted rows allocates %v times, want 0", allocs)
 	}
 }
 

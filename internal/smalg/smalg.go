@@ -1,7 +1,10 @@
 // Package smalg implements the Sub-Modularity Algorithm (Algorithm 2,
 // Sec. 5.2) and the good-proof search it needs. Run and RunAuto are safe to
-// call concurrently on frozen inputs (working state is per-call; input
-// relations are only read).
+// call concurrently on frozen inputs: the initial slot tables R_j⁺ and their
+// Z-projections come from the instance's prepared record (expand.Inputs),
+// built once and shared read-only; every table a proof step produces is
+// per-run, and none is mutated in place (rel.Semijoin, Join and Project
+// return new relations).
 //
 // RunInto/RunAutoInto are the sink-based entry points (see rel.Sink): the
 // SM-join tables must materialize step by step, so rows stream from the
@@ -58,11 +61,11 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 
 	// Tables per slot.
 	tables := make([]*rel.Relation, proof.NumSlots)
+	var err error
 	for i, j := range proof.InitRel {
-		if err := ctx.Err(); err != nil {
-			return st, err // closure expansion is O(data) per slot
+		if tables[i], err = e.Closed(ctx, j); err != nil {
+			return st, err
 		}
-		tables[i] = e.ExpandToClosure(q.Rels[j])
 	}
 
 	const eps = 1e-9
@@ -78,7 +81,7 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 		threshold := hFloat[s.Y] - hFloat[s.Meet]
 
 		// Partition Π_Z(T(Y)) into Lite and Heavy by log-degree.
-		zProj := ty.Project(zVars)
+		zProj := e.Project(ty, zVars)
 		var lite, heavy *rel.Relation
 		lite = rel.New("Lite", zProj.Attrs...)
 		heavy = rel.New("Heavy", zProj.Attrs...)
@@ -100,11 +103,13 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 		// T(X∨Y) = (T(X) ⋈ (T(Y) ⋉ Lite))⁺, expanded to vars(X∨Y).
 		joined := rel.Join(tx, rel.Semijoin(ty, lite))
 		st.JoinTuples += joined.Len()
-		tables[s.SlotJoin] = e.ExpandRelation(joined, l.Elems[s.Join])
+		if tables[s.SlotJoin], err = e.ExpandRelation(ctx, joined, l.Elems[s.Join]); err != nil {
+			return st, err
+		}
 		st.LiteSizes = append(st.LiteSizes, tables[s.SlotJoin].Len())
 
 		// T(X∧Y) = Π_Z(T(X)) ∩ Π_Z(T(Y)) ∩ Heavy.
-		meetTable := rel.Semijoin(rel.Semijoin(tx.Project(zVars), zProj), heavy)
+		meetTable := rel.Semijoin(rel.Semijoin(e.Project(tx, zVars), zProj), heavy)
 		tables[s.SlotMeet] = meetTable
 
 		tables[s.SlotX], tables[s.SlotY] = nil, nil

@@ -363,9 +363,8 @@ func BinaryPlanInto(ctx context.Context, q *query.Q, relOrder []int, sink rel.Si
 		}
 		st.Extensions += acc.Len()
 	}
-	e := expand.New(q)
-	e.ExpandRelationInto(acc, q.AllVars(), sink)
-	return st, nil
+	_, err := expand.New(q).ExpandRelationInto(ctx, acc, q.AllVars(), sink)
+	return st, err
 }
 
 // greedyOrder picks a left-deep join order: smallest relation first, then
