@@ -219,6 +219,9 @@ func runChurn(targetConns, clients int, duration time.Duration, out string) {
 
 	// Sample the server-side open-connection peak for the soak's headline
 	// number, then open the churn floodgates.
+	if n := srv.Metrics().OpenConns.Load(); n > rep.PeakConns {
+		rep.PeakConns = n
+	}
 	monitorDone := make(chan struct{})
 	go func() {
 		defer close(monitorDone)
@@ -233,9 +236,6 @@ func runChurn(targetConns, clients int, duration time.Duration, out string) {
 			}
 		}
 	}()
-	if n := srv.Metrics().OpenConns.Load(); n > rep.PeakConns {
-		rep.PeakConns = n
-	}
 	close(start)
 
 	// Let the churn reach steady state, then measure the governed cheap

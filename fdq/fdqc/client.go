@@ -61,9 +61,10 @@ type Client struct {
 	cancelGrace time.Duration
 	retry       *RetryPolicy
 
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	conn  net.Conn
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	frame []byte // storage of the last frame read, reused by the next: a payload is valid until then
 
 	writeMu sync.Mutex // serializes frame writes: Rows cancel vs. next Query
 	busy    bool       // a Rows is in flight and owns the read side
@@ -193,7 +194,7 @@ func (c *Client) readFrame() (FrameType, []byte, error) {
 	if c.ioTimeout > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(c.ioTimeout))
 	}
-	return ReadFrame(c.br)
+	return readFrame(c.br, &c.frame)
 }
 
 // ensureConn reconnects when the connection is absent or broken; a
@@ -329,7 +330,9 @@ func (c *Client) query1(ctx context.Context, spec *QuerySpec) (*Rows, error) {
 // Rows iterates a streamed query result with the fdq.Rows contract:
 // Next/Scan/Err/Close, deterministic row order, Close propagating to a
 // server-side cancellation. Stats returns the server's RunStats after
-// exhaustion. A Rows is used by one goroutine at a time.
+// exhaustion. A Rows is used by one goroutine at a time. Every batch is
+// decoded into the stream's one buffer: a row held across Next is not
+// required to survive, a row returned by Collect is.
 //
 //lint:ignore fdqvet/structalign fields are grouped by lifecycle phase (primed frame, stream state, guarded close); one instance per query, so 24B is not worth breaking the grouping
 type Rows struct {
@@ -345,7 +348,8 @@ type Rows struct {
 	primedP   []byte
 	hasPrimed bool
 
-	pending    []fdq.Value // decoded rows not yet consumed, row-major
+	vals       []fdq.Value // the decode buffer every batch of this stream reuses
+	pending    []fdq.Value // decoded rows not yet consumed, row-major: the tail of vals
 	cur        []fdq.Value
 	batches    int // row batches consumed — the mid-stream line for retry safety
 	done       bool
@@ -427,13 +431,12 @@ func (r *Rows) Next() bool {
 		}
 		switch t {
 		case FrameBatch:
-			vals, err := DecodeBatch(payload, width)
-			if err != nil {
+			if r.vals, err = decodeBatch(r.vals, payload, width); err != nil {
 				r.fail(err)
 				return false
 			}
 			r.batches++
-			r.pending = vals
+			r.pending = r.vals
 		case FrameStats:
 			var sf StatsFrame
 			if err := json.Unmarshal(payload, &sf); err != nil {

@@ -101,9 +101,10 @@ func TestDialContextBlackhole(t *testing.T) {
 func TestMidStreamDropSurfacesTransportError(t *testing.T) {
 	addr := startServer(t, 12) // 1728 rows, several batches
 	p, err := chaosproxy.New(addr, chaosproxy.Schedule{
-		Name:  "drop-mid-stream",
-		// ~775 bytes per 256-row batch of small varints: 2KiB lands after
-		// the second batch, well short of the ~5.5KiB full stream.
+		Name: "drop-mid-stream",
+		// ~775 bytes per 256-row batch of small varints, ~300 for the 85
+		// rows of the ramp before them: 2KiB lands in the third full batch,
+		// well short of the ~5.5KiB full stream.
 		Rules: []chaosproxy.Rule{{Dir: chaosproxy.Down, Kind: chaosproxy.Drop, Off: 2 << 10, Conn: -1}},
 	})
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 // double-count work against the tenant's admission budget and silently
 // replay partial results. Everything before the first batch is safe — the
 // server either never admitted the query or its effects are invisible.
+//
 //lint:ignore fdqvet/errtaxonomy client-side only: describes the wire dying, so by definition it never crosses the wire
 type TransportError struct {
 	Op        string // "dial", "hello", "send", "recv"

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"repro/fdq"
@@ -52,6 +53,7 @@ const (
 // frame type that cannot appear where it did. It is terminal for the
 // connection (frame boundaries are unknowable afterwards) and is never
 // retried automatically — a peer that desyncs once will desync again.
+//
 //lint:ignore fdqvet/errtaxonomy client-side only: raised when framing desyncs, at which point no envelope can be trusted to carry it
 type ProtocolError struct {
 	Reason string
@@ -90,7 +92,11 @@ const readStep = 64 << 10
 // an EOF cleanly between frames stays io.EOF. The payload is read (and
 // allocated) in steps, so a hostile length prefix cannot force a large
 // up-front allocation.
-func ReadFrame(r io.Reader) (FrameType, []byte, error) {
+func ReadFrame(r io.Reader) (FrameType, []byte, error) { return readFrame(r, new([]byte)) }
+
+// readFrame is ReadFrame into *buf's storage, grown in steps where it does
+// not suffice: the payload aliases *buf, valid until *buf is passed in again.
+func readFrame(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -102,17 +108,18 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	if n < 1 || n > MaxFrame {
 		return 0, nil, &ProtocolError{Reason: fmt.Sprintf("frame length %d outside [1, %d]", n, MaxFrame)}
 	}
-	buf := make([]byte, min(n, readStep))
+	b := append((*buf)[:0], make([]byte, min(n, max(cap(*buf), readStep)))...)
 	read := 0
 	for {
-		if _, err := io.ReadFull(r, buf[read:]); err != nil {
+		if _, err := io.ReadFull(r, b[read:]); err != nil {
 			return 0, nil, &ProtocolError{Reason: fmt.Sprintf("frame truncated at %d of %d bytes: %v", read, n, err), Err: err}
 		}
-		read = len(buf)
+		read = len(b)
 		if read == n {
-			return FrameType(buf[0]), buf[1:], nil
+			*buf = b
+			return FrameType(b[0]), b[1:], nil
 		}
-		buf = append(buf, make([]byte, min(n-read, readStep))...)
+		b = append(b, make([]byte, min(n-read, readStep))...)
 	}
 }
 
@@ -157,6 +164,11 @@ func AppendBatch(buf []byte, vals []fdq.Value, width int) []byte {
 // allocation sized by it — a hostile count cannot force an allocation
 // larger than the payload it arrived in.
 func DecodeBatch(payload []byte, width int) ([]fdq.Value, error) {
+	return decodeBatch(nil, payload, width)
+}
+
+// decodeBatch is DecodeBatch into vals' storage, where the batch fits it.
+func decodeBatch(vals []fdq.Value, payload []byte, width int) ([]fdq.Value, error) {
 	n, k := binary.Uvarint(payload)
 	if k <= 0 {
 		return nil, &ProtocolError{Reason: "malformed batch header"}
@@ -169,7 +181,7 @@ func DecodeBatch(payload []byte, width int) ([]fdq.Value, error) {
 	if total > uint64(len(payload)) {
 		return nil, &ProtocolError{Reason: fmt.Sprintf("batch declares %d values in %d payload bytes", total, len(payload))}
 	}
-	vals := make([]fdq.Value, 0, int(total))
+	vals = slices.Grow(vals[:0], int(total))
 	for i := uint64(0); i < total; i++ {
 		v, k := binary.Varint(payload)
 		if k <= 0 {

@@ -60,7 +60,7 @@ type Metrics struct {
 	Degraded     atomic.Int64 // admissions that ran in degraded mode
 	QueriesOK    atomic.Int64 // queries that streamed a terminal stats frame
 	QueriesErr   atomic.Int64 // queries that ended in an error frame
-	RowsStreamed atomic.Int64
+	RowsStreamed atomic.Int64 // rows whose batch frame was written
 	OpenConns    atomic.Int64
 	ConnsTotal   atomic.Int64
 
@@ -90,9 +90,8 @@ func (m *Metrics) observeAdmission(ev fdq.AdmissionEvent) {
 	}
 }
 
-func (m *Metrics) observeQuery(d time.Duration, rows int, err error) {
+func (m *Metrics) observeQuery(d time.Duration, err error) {
 	m.duration.observe(d)
-	m.RowsStreamed.Add(int64(rows))
 	if err != nil {
 		m.QueriesErr.Add(1)
 	} else {

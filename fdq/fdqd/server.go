@@ -12,6 +12,7 @@
 package fdqd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -76,7 +77,8 @@ type Config struct {
 	// their jittered backoff.
 	RetryAfter time.Duration
 
-	// BatchRows is the row count per batch frame (default 256).
+	// BatchRows caps the row count of a batch frame (default 256); a
+	// stream's frames grow to it from a single row, ×4 each.
 	BatchRows int
 
 	// Name is the identity reported in the hello ack.
@@ -263,7 +265,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		sc := &serverConn{s: s, conn: conn}
+		sc := &serverConn{s: s, conn: conn, bw: bufio.NewWriter(conn)}
 		s.conns.Lock()
 		s.conns.m[sc] = struct{}{}
 		s.conns.Unlock()
@@ -344,7 +346,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type serverConn struct {
 	s    *Server
 	conn net.Conn
-	busy atomic.Bool // a query is streaming (drain waits for it)
+	bw   *bufio.Writer // flushed per frame: header and payload leave as one write
+	busy atomic.Bool   // a query is streaming (drain waits for it)
 }
 
 type inFrame struct {
@@ -377,7 +380,10 @@ func (sc *serverConn) readFrameProgress() (fdqc.FrameType, []byte, error) {
 
 func (sc *serverConn) writeFrame(t fdqc.FrameType, payload []byte) error {
 	sc.conn.SetWriteDeadline(time.Now().Add(sc.s.cfg.IOTimeout))
-	return fdqc.WriteFrame(sc.conn, t, payload)
+	if err := fdqc.WriteFrame(sc.bw, t, payload); err != nil {
+		return err
+	}
+	return sc.bw.Flush()
 }
 
 func (sc *serverConn) writeJSON(t fdqc.FrameType, v any) error {
@@ -551,15 +557,11 @@ func (sc *serverConn) runQuery(tenant *tenantState, spec *fdqc.QuerySpec, frames
 	rows, n, err := sc.execute(qctx, tenant, spec)
 	dur := time.Since(start)
 	finishWatch()
-	streamed := n
-	if spec.Count {
-		streamed = 0 // COUNT mode crosses no row frames
-	}
 	if connBroken {
-		s.metrics.observeQuery(dur, streamed, errors.Join(err, errors.New("client went away")))
+		s.metrics.observeQuery(dur, errors.Join(err, errors.New("client went away")))
 		return false
 	}
-	s.metrics.observeQuery(dur, streamed, err)
+	s.metrics.observeQuery(dur, err)
 	if err != nil {
 		return sc.writeError(err) == nil
 	}
@@ -571,9 +573,7 @@ func (sc *serverConn) runQuery(tenant *tenantState, spec *fdqc.QuerySpec, frames
 			sf.LogBound = fdqc.FloatPtr(lb)
 		}
 	}
-	if spec.Count {
-		sf.Count = n
-	}
+	sf.Count = n
 	return sc.writeJSON(fdqc.FrameStats, sf) == nil
 }
 
@@ -590,8 +590,11 @@ func badQueryIfUntyped(err error) error {
 }
 
 // execute runs the spec on the tenant session, streaming batches as it
-// goes. It returns the finished Rows (for stats), the row count, and the
-// terminal error, with write failures folded in.
+// goes: frames of 1, 4, 16, 64, ... up to BatchRows rows, each encoded into
+// one reused buffer and counted in RowsStreamed once written. It returns the
+// finished Rows (for stats), the cardinality in COUNT mode, and the terminal
+// error, with write failures folded in. A cancelled query ends at the next
+// frame boundary, whatever the iterator still has buffered.
 func (sc *serverConn) execute(ctx context.Context, tenant *tenantState, spec *fdqc.QuerySpec) (*fdq.Rows, int, error) {
 	q, err := spec.Query()
 	if err != nil {
@@ -606,33 +609,33 @@ func (sc *serverConn) execute(ctx context.Context, tenant *tenantState, spec *fd
 		return nil, 0, badQueryIfUntyped(err)
 	}
 	defer rows.Close()
-	width := len(spec.Vars)
-	batch := make([]fdq.Value, 0, width*sc.s.cfg.BatchRows)
-	n := 0
+	var batch []fdq.Value
+	var payload []byte
+	pending, frame := 0, 1 // rows in batch, rows the next frame takes
 	flush := func() error {
-		if len(batch) == 0 {
-			return nil
+		if err := ctx.Err(); err != nil || pending == 0 {
+			return err
 		}
-		err := sc.writeFrame(fdqc.FrameBatch, fdqc.AppendBatch(nil, batch, width))
-		batch = batch[:0]
-		return err
+		payload = fdqc.AppendBatch(payload[:0], batch, len(spec.Vars))
+		// A failed write: the client is gone or stalled past the deadline.
+		if err := sc.writeFrame(fdqc.FrameBatch, payload); err != nil {
+			return err
+		}
+		sc.s.metrics.RowsStreamed.Add(int64(pending))
+		batch, pending = batch[:0], 0
+		frame = min(frame*4, sc.s.cfg.BatchRows)
+		return nil
 	}
 	for rows.Next() {
 		batch = append(batch, rows.Row()...)
-		n++
-		if n%sc.s.cfg.BatchRows == 0 {
+		if pending++; pending == frame {
 			if err := flush(); err != nil {
-				// The client is gone or stalled past the write deadline:
-				// stop the executor, report the transport error.
-				return rows, n, err
+				return rows, 0, err
 			}
 		}
 	}
 	if err := rows.Err(); err != nil {
-		return rows, n, err
+		return rows, 0, err
 	}
-	if err := flush(); err != nil {
-		return rows, n, err
-	}
-	return rows, n, nil
+	return rows, 0, flush()
 }

@@ -56,11 +56,6 @@ func runStats(st *engine.Stats, adm *admission) *RunStats {
 	return rs
 }
 
-// rowsBuffer is the Rows channel capacity: enough that producer and
-// consumer overlap, small enough that an abandoned iterator wastes little
-// work before backpressure parks the executor.
-const rowsBuffer = 64
-
 // Rows is a streaming result iterator in the database/sql style:
 //
 //	rows, err := sess.Query(ctx, q)
@@ -72,37 +67,41 @@ const rowsBuffer = 64
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
-// The executor runs concurrently and delivers rows through a bounded
-// channel: iterating slowly backpressures it, Close stops it promptly (the
-// remaining result is never computed), and rows arrive in the
-// deterministic result order (Vars-order columns, lexicographically sorted,
-// duplicate-free). A Rows is used by one goroutine at a time.
+// The executor runs concurrently and hands rows over in blocks (a
+// rel.BlockSink: the first row alone, then 4, 16, 64, 256, 256, ... rows; at
+// most 341 rows ahead of the first Next, five full blocks afterwards):
+// iterating slowly backpressures it, Close stops it promptly (the remaining
+// result is never computed), and rows arrive in the deterministic result
+// order (Vars-order columns, lexicographically sorted, duplicate-free). A
+// Rows is used by one goroutine at a time.
 //
 // The iterator owns a context derived from the Query call's: Close cancels
-// it, so the stop reaches both a producer parked in a channel send AND the
+// it, so the stop reaches both a producer parked in a block hand-off AND the
 // executors' inner-loop cancellation checks — a buffering algorithm (chain,
 // CSMA, ...) that has not pushed a single row yet still aborts promptly.
 // Cancelling the caller's own context travels the same path.
 type Rows struct {
 	cols   []string
-	ch     chan rel.Tuple
+	out    *rel.BlockSink     // the producer pushes, Next receives from out.C
 	parent context.Context    // the Query caller's ctx, to attribute errors
 	cancel context.CancelFunc // cancels the iterator-owned derived ctx
 
 	closeOnce sync.Once
-	closed    bool  // Close was called (set before cancel fires)
-	done      bool  // ch closed and observed
-	closeErr  error // the parent context's error state when Close ran
+	closed    bool      // Close was called (set before cancel fires)
+	done      bool      // out.C closed and observed
+	closeErr  error     // the parent context's error state when Close ran
+	blk       rel.Block // the block Next is iterating
+	at        int       // rows of blk already returned
 	cur       rel.Tuple
 	err       error
 	stats     *engine.Stats
 	adm       *admission // admission info, for the governed RunStats fields
 }
 
-func newRows(cols []string, parent context.Context, cancel context.CancelFunc) *Rows {
+func newRows(cols []string, parent context.Context, stop <-chan struct{}, cancel context.CancelFunc) *Rows {
 	return &Rows{
 		cols:   append([]string(nil), cols...),
-		ch:     make(chan rel.Tuple, rowsBuffer),
+		out:    rel.NewBlockSink(stop),
 		parent: parent,
 		cancel: cancel,
 	}
@@ -111,9 +110,11 @@ func newRows(cols []string, parent context.Context, cancel context.CancelFunc) *
 // run executes in the iterator's producer goroutine; err and stats are
 // published before the channel closes (Next/Close read them only after).
 // ctx is the iterator-owned derived context: its Done channel doubles as
-// the sink's stop signal, so cancellation unblocks a parked Push. The
-// admission's semaphore hold is released here, when the work is done —
-// never earlier — so queued admission actually bounds concurrent load.
+// the sink's stop signal, so cancellation unblocks a parked Push. The sink
+// buffers, so it is flushed the moment RunInto returns, however it returns:
+// the rows accepted before an error or a budget trip reach the consumer
+// ahead of it. The admission's semaphore hold is released here, when the
+// work is done — never earlier — so queued admission bounds concurrent load.
 //
 // The deferred r.cancel releases the derived context — and the governor's
 // WithQueryTimeout timer behind it — the moment the producer finishes, so
@@ -122,11 +123,11 @@ func newRows(cols []string, parent context.Context, cancel context.CancelFunc) *
 // published r.err/r.stats and before the channel closes (defers are LIFO),
 // so Err never observes the producer's own release as a cancellation.
 func (r *Rows) run(ctx context.Context, e *exec) {
-	defer close(r.ch)
+	defer close(r.out.C)
 	defer e.adm.release()
 	defer r.cancel()
 	r.adm = e.adm
-	var base rel.Sink = &rel.ChanSink{C: r.ch, Stop: ctx.Done()}
+	var base rel.Sink = r.out
 	if e.countOnly {
 		// COUNT-only degrade: deliver no rows; the count surfaces via
 		// Stats().Rows once the iterator reports exhaustion.
@@ -140,6 +141,7 @@ func (r *Rows) run(ctx context.Context, e *exec) {
 		defer recoverToError(&r.err)
 		r.stats, r.err = e.b.RunInto(ctx, e.opts, sink)
 	}()
+	r.out.Flush()
 	r.err = e.execErr(r.err, bs)
 	if r.err == nil {
 		// A cancellation can also surface as a clean sink stop (the Done
@@ -154,21 +156,25 @@ func (r *Rows) run(ctx context.Context, e *exec) {
 // exhausted, the limit was reached, the iterator was closed, or execution
 // failed (check Err to distinguish).
 func (r *Rows) Next() bool {
-	row, ok := <-r.ch
-	if !ok {
-		r.cur = nil
-		r.done = true
-		r.cancel() // release the derived context on natural exhaustion
-		return false
+	for r.at == r.blk.N {
+		if r.blk, r.at = <-r.out.C, 0; r.blk.N == 0 { // closed: a handed-over block is never empty
+			r.cur = nil
+			r.done = true
+			r.cancel() // release the derived context on natural exhaustion
+			return false
+		}
 	}
-	r.cur = row
+	w := len(r.cols)
+	r.cur = r.blk.Vals[r.at*w : (r.at+1)*w : (r.at+1)*w]
+	r.at++
 	return true
 }
 
 // Columns returns the column names, in Vars order.
 func (r *Rows) Columns() []string { return append([]string(nil), r.cols...) }
 
-// Row returns the current row (valid until the next Next call).
+// Row returns the current row. It is valid until the next Next call, after
+// which the producer may overwrite its storage; copy it to keep it.
 func (r *Rows) Row() []Value { return r.cur }
 
 // Scan copies the current row into dest, one pointer per column.
@@ -204,8 +210,8 @@ func (r *Rows) Err() error {
 }
 
 // Close stops the executor promptly — by cancelling the iterator's derived
-// context, which both unblocks a producer parked on the channel and trips
-// the executors' inner-loop cancellation checks — drains the channel, and
+// context, which both unblocks a producer parked on a hand-off and trips
+// the executors' inner-loop cancellation checks — drains the stream, and
 // returns the execution error, if any (its own cancellation is not one).
 // Close is idempotent and safe after exhaustion.
 func (r *Rows) Close() error {
@@ -214,9 +220,8 @@ func (r *Rows) Close() error {
 		r.closed = true
 		r.cancel()
 	})
-	for range r.ch {
+	for r.Next() {
 	}
-	r.done = true
 	return r.Err()
 }
 

@@ -46,7 +46,7 @@ func TestProducerReleasesDerivedContextOnFinish(t *testing.T) {
 	// The exact wiring of Session.Query, with the derived context retained.
 	rctx, rcancel := context.WithCancel(e.ctx)
 	ecancel := e.cancel
-	r := newRows(q.vars, ctx, func() { rcancel(); ecancel() })
+	r := newRows(q.vars, ctx, rctx.Done(), func() { rcancel(); ecancel() })
 	go r.run(rctx, e)
 
 	// No Next, no Close: the producer finishes on its own and must tear

@@ -357,8 +357,8 @@ func (e *exec) execErr(err error, bs *budgetSink) error {
 }
 
 // Query starts executing q and returns a streaming iterator over its
-// result rows (see Rows). The iterator's channel is bounded, so a slow
-// consumer backpressures the executor; Close (or cancelling ctx) stops the
+// result rows (see Rows). The executor runs a bounded number of rows ahead,
+// so a slow consumer backpressures it; Close (or cancelling ctx) stops the
 // executor promptly. The first resolution or admission error is returned
 // here; errors during execution surface from Rows.Err.
 //
@@ -378,7 +378,7 @@ func (s *Session) Query(ctx context.Context, q *Q) (r *Rows, err error) {
 		ecancel := e.cancel
 		cancel = func() { rcancel(); ecancel() }
 	}
-	r = newRows(q.vars, ctx, cancel)
+	r = newRows(q.vars, ctx, rctx.Done(), cancel)
 	go r.run(rctx, e)
 	return r, nil
 }

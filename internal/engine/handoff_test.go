@@ -122,22 +122,26 @@ var handoffSinks = []struct {
 	{"limit-3", true, limitCell(3)},
 	{"limit-all", true, limitCell(1 << 30)},
 	{"chan-closed-after-first-row", false, func(b *Bound, opts Options) handoffResult {
-		ch, stop := make(chan rel.Tuple), make(chan struct{})
 		got := rel.New("Q", b.q.AllVars().Members()...)
+		stop := make(chan struct{})
+		sink := rel.NewBlockSink(stop)
 		drained := make(chan struct{})
 		go func() {
 			defer close(drained)
 			first := true
-			for row := range ch {
-				got.AddTuple(row)
+			for blk := range sink.C {
+				for i, w := 0, len(got.Attrs); i < blk.N; i++ {
+					got.AddTuple(blk.Vals[i*w : (i+1)*w])
+				}
 				if first {
 					close(stop)
 					first = false
 				}
 			}
 		}()
-		st, err := b.RunInto(context.Background(), &opts, &rel.ChanSink{C: ch, Stop: stop})
-		close(ch)
+		st, err := b.RunInto(context.Background(), &opts, sink)
+		sink.Flush()
+		close(sink.C)
 		<-drained
 		return handoffResult{rows: got, outSize: st.OutSize, err: err}
 	}},

@@ -42,8 +42,8 @@ const (
 	// completed morsel run (or the final tournament merge) streams into
 	// the sink.
 	SiteStreamMerge = "engine/stream-merge"
-	// SiteSinkPush fires in rel.ChanSink.Push — the streaming delivery
-	// path behind fdq.Rows.
+	// SiteSinkPush fires in rel.BlockSink.Push, on every row — the streaming
+	// delivery path behind fdq.Rows.
 	SiteSinkPush = "rel/sink-push"
 	// SiteCacheEvict fires when a session's prepared-shape LRU evicts an
 	// entry.

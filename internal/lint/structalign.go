@@ -119,4 +119,3 @@ func optimalOrder(sizes types.Sizes, fields []*types.Var) []*types.Var {
 	})
 	return out
 }
-

@@ -57,7 +57,7 @@ const faultDelay = 2 * time.Millisecond
 type faultSite struct {
 	site    string
 	opts    *engine.Options
-	useChan bool // deliver through a ChanSink (the streaming path) to reach the site
+	useChan bool // deliver through a BlockSink (the streaming path) to reach the site
 }
 
 func engineFaultSites() []faultSite {
@@ -176,24 +176,27 @@ func runFaultCell(ctx context.Context, res *FaultResult, b *engine.Bound, fs fau
 }
 
 // runForFault executes the instance under the cell's configuration,
-// materializing the output. The ChanSink flavor mirrors the public
-// streaming path: rows cross a bounded channel to a consumer goroutine.
+// materializing the output. The BlockSink flavor mirrors the public
+// streaming path: rows cross to a consumer goroutine in blocks.
 func runForFault(ctx context.Context, b *engine.Bound, fs faultSite) (*rel.Relation, error) {
 	if !fs.useChan {
 		out, _, err := b.Run(ctx, fs.opts)
 		return out, err
 	}
-	ch := make(chan rel.Tuple, 64)
 	out := rel.New("Q", b.Query().AllVars().Members()...)
+	sink := rel.NewBlockSink(ctx.Done())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for t := range ch {
-			out.AddTuple(t)
+		for blk := range sink.C {
+			for i, w := 0, len(out.Attrs); i < blk.N; i++ {
+				out.AddTuple(blk.Vals[i*w : (i+1)*w])
+			}
 		}
 	}()
-	_, err := b.RunInto(ctx, fs.opts, &rel.ChanSink{C: ch, Stop: ctx.Done()})
-	close(ch)
+	_, err := b.RunInto(ctx, fs.opts, sink)
+	sink.Flush()
+	close(sink.C)
 	<-done
 	return out, err
 }

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"runtime"
 	"slices"
 
 	"repro/internal/faultinject"
@@ -24,6 +25,8 @@ import (
 //   - Push returns false to stop the producer. A stopped producer abandons
 //     its remaining work and returns without error: stopping is a consumer
 //     decision, not a failure.
+//   - Push is the whole interface: a sink that buffers (BlockSink) is
+//     flushed by whoever called RunInto, once the run has returned.
 //   - One pusher at a time. Sequential executions push from the calling
 //     goroutine; the parallel scheduler pushes from possibly different
 //     goroutines in succession, each hand-over ordered by the scheduler's
@@ -98,33 +101,84 @@ func (c *CountSink) Push(Tuple) bool {
 	return true
 }
 
-// ChanSink delivers each pushed row (copied, since pushed tuples are only
-// valid during the call) to a channel, giving streaming consumers
-// backpressure for free: a bounded C blocks the producer until the consumer
-// catches up. Closing Stop aborts a blocked or future Push, stopping the
-// producer — the consumer's cancellation path. The producer owns closing C
-// (after its Run returns), never ChanSink itself.
-type ChanSink struct {
-	C    chan Tuple
-	Stop <-chan struct{}
+// Block is a run of consecutive result rows: N rows, row-major in Vals (N
+// is kept beside Vals so that width-0 rows keep their count).
+type Block struct {
+	Vals []Value
+	N    int
 }
 
-// Push copies the row and sends it, blocking until the consumer receives it
-// or Stop closes. It reports false — stop the producer — once Stop closes.
-func (s *ChanSink) Push(t Tuple) bool {
+const blockQueue = 4 // handed-over blocks that may wait in BlockSink.C
+
+// BlockSink hands rows from a producer goroutine to one consumer goroutine
+// in blocks. Pushed rows are copied into a flat block that crosses C once it
+// holds the current hand-off size — 1 row first, so the first row is never
+// held back, then ×4 up to 256 — so the channel operation and the allocation
+// are paid per block, not per row. C holds four blocks: a producer nobody
+// receives from parks after 1+4+16+64+256 = 341 rows, and later runs at most
+// five full blocks ahead. Closing stop, polled on every push, aborts a parked
+// or future Push (the consumer's cancellation).
+//
+// Whoever called RunInto calls Flush when the run returns — on success,
+// error and budget trip alike, so every row accepted before the run ended
+// reaches the consumer — and then closes C. A received block is valid until
+// the next receive from C: blocks rotate through blockQueue+2 buffers, so the
+// one being filled is never the one the consumer holds.
+type BlockSink struct {
+	C    chan Block
+	stop <-chan struct{}
+	bufs [blockQueue + 2][]Value
+	cur  Block // the block being filled, in bufs[sent%len(bufs)]
+	sent int   // blocks handed over
+	size int   // rows in the next hand-off
+}
+
+// NewBlockSink returns a BlockSink that stops its producer once stop closes.
+func NewBlockSink(stop <-chan struct{}) *BlockSink {
+	return &BlockSink{C: make(chan Block, blockQueue), stop: stop, size: 1}
+}
+
+// Push copies the row into the current block and hands the block over when
+// it is full, blocking until C has room. It reports false once stop closes.
+func (s *BlockSink) Push(t Tuple) bool {
 	faultinject.Fire(faultinject.SiteSinkPush)
-	row := append(Tuple(nil), t...)
 	select {
-	case <-s.Stop:
+	case <-s.stop:
 		return false
 	default:
 	}
-	select {
-	case s.C <- row:
+	if s.cur.N == 0 {
+		buf := &s.bufs[s.sent%len(s.bufs)]
+		if need := s.size * len(t); cap(*buf) < need { // first time round, or a buffer of the ramp
+			*buf = make([]Value, 0, need)
+		}
+		s.cur.Vals = (*buf)[:0]
+	}
+	s.cur.Vals = append(s.cur.Vals, t...)
+	s.cur.N++
+	return s.cur.N < s.size || s.Flush()
+}
+
+// Flush hands over the rows pushed since the last hand-off, if any; it
+// reports false if stop closed before the consumer made room for them.
+func (s *BlockSink) Flush() bool {
+	if s.cur.N == 0 {
 		return true
-	case <-s.Stop:
+	}
+	select {
+	case s.C <- s.cur:
+	case <-s.stop:
 		return false
 	}
+	s.cur = Block{}
+	s.sent++
+	// Yield: the consumer is runnable now but would wait for an idle OS thread
+	// to wake while this goroutine keeps its processor (after the first row,
+	// for the whole ramp), and a goroutine readied by the network poller — the
+	// reader of a cancel frame — would wait behind both of them for longer.
+	runtime.Gosched()
+	s.size = min(4*s.size, 256)
+	return true
 }
 
 // Stream pushes r's rows into sink in order, stopping early if the sink

@@ -3,6 +3,7 @@ package rel
 import (
 	"slices"
 	"testing"
+	"time"
 )
 
 func sortedRel(t *testing.T, name string, attrs []int, rows [][]Value) *Relation {
@@ -78,32 +79,159 @@ func TestCountSink(t *testing.T) {
 	}
 }
 
-func TestChanSinkDeliversCopiesAndStops(t *testing.T) {
-	stop := make(chan struct{})
-	s := &ChanSink{C: make(chan Tuple, 1), Stop: stop}
-
-	scratch := Tuple{7, 8}
-	if !s.Push(scratch) {
-		t.Fatal("push into buffered channel should succeed")
+// TestBlockSink pins the hand-off contract fdq.Rows and fdqd stand on.
+func TestBlockSink(t *testing.T) {
+	// pushN pushes rows {i, i} for i in [from, to) and fails on a stop.
+	pushN := func(t *testing.T, s *BlockSink, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if !s.Push(Tuple{Value(i), Value(i)}) {
+				t.Fatalf("push %d stopped", i)
+			}
+		}
 	}
-	scratch[0] = 99 // producer reuses its buffer; the sink must have copied
-	got := <-s.C
-	if got[0] != 7 || got[1] != 8 {
-		t.Fatalf("ChanSink delivered an aliased row: %v", got)
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"delivered rows are copies", func(t *testing.T) {
+			s := NewBlockSink(nil)
+			scratch := Tuple{0, 0}
+			if !s.Push(scratch) {
+				t.Fatal("first push stopped")
+			}
+			scratch[0] = 99 // the producer reuses its buffer; the sink must have copied
+			// Buffers rotate, but never onto the block the consumer holds:
+			// hold each block in turn while the producer runs as far ahead as
+			// it can, and the held rows must still read as pushed.
+			held, first, pushed := <-s.C, 0, 1
+			for range 3 * len(s.bufs) {
+				for len(s.C) < cap(s.C) { // fill the queue...
+					pushN(t, s, pushed, pushed+1)
+					pushed++
+				}
+				pushN(t, s, pushed, pushed+s.size-1) // ...and the block behind it, one row short of parking
+				pushed += s.size - 1
+				for i := 0; i < held.N; i++ {
+					if want := Value(first + i); held.Vals[2*i] != want || held.Vals[2*i+1] != want {
+						t.Fatalf("held row %d reads %v after the producer ran ahead", first+i, held.Vals[2*i:2*i+2])
+					}
+				}
+				first += held.N
+				held = <-s.C
+			}
+		}},
+		{"stop unblocks a parked hand-off", func(t *testing.T) {
+			stop := make(chan struct{})
+			s := NewBlockSink(stop)
+			pushN(t, s, 0, 341-1) // four blocks queued, the fifth one row short
+			parked := make(chan bool)
+			go func() { parked <- s.Push(Tuple{0, 0}) }()
+			select {
+			case ok := <-parked:
+				t.Fatalf("push 341 returned %v with nobody receiving", ok)
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(stop)
+			if <-parked {
+				t.Fatal("push parked on a full queue must stop once Stop closes")
+			}
+			if s.Push(Tuple{3, 3}) {
+				t.Fatal("push after Stop closed must report stop")
+			}
+			if s.Flush() {
+				t.Fatal("flush of held rows after Stop closed must report stop")
+			}
+		}},
+		{"flush delivers a partial block and is a no-op when empty", func(t *testing.T) {
+			s := NewBlockSink(nil)
+			if !s.Flush() || len(s.C) != 0 {
+				t.Fatal("flush of a fresh sink handed something over")
+			}
+			pushN(t, s, 0, 3) // block of 1, then 2 of the next 4
+			if !s.Flush() || len(s.C) != 2 {
+				t.Fatalf("flush left %d blocks queued, want 2", len(s.C))
+			}
+			<-s.C
+			if b := <-s.C; b.N != 2 || !slices.Equal(b.Vals, []Value{1, 1, 2, 2}) {
+				t.Fatalf("partial block = %+v", b)
+			}
+			if !s.Flush() || len(s.C) != 0 {
+				t.Fatal("second flush handed over an empty block")
+			}
+		}},
+		{"width-0 rows keep their count", func(t *testing.T) {
+			s := NewBlockSink(nil)
+			for i := 0; i < 3; i++ {
+				if !s.Push(Tuple{}) {
+					t.Fatal("push stopped")
+				}
+			}
+			s.Flush()
+			close(s.C)
+			n := 0
+			for b := range s.C {
+				n += b.N
+			}
+			if n != 3 {
+				t.Fatalf("counted %d width-0 rows, want 3", n)
+			}
+		}},
+		{"hand-off sizes are 1, 4, 16, 64, 256, 256", func(t *testing.T) {
+			s := NewBlockSink(nil)
+			var got []int
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for b := range s.C {
+					got = append(got, b.N)
+				}
+			}()
+			pushN(t, s, 0, 1+4+16+64+256+256+5)
+			s.Flush()
+			close(s.C)
+			<-done
+			if want := []int{1, 4, 16, 64, 256, 256, 5}; !slices.Equal(got, want) {
+				t.Fatalf("hand-off sizes %v, want %v", got, want)
+			}
+		}},
+		// The parallel scheduler moves the push right between goroutines with
+		// a happens-before edge; under -race this checks the sink needs no
+		// more than that.
+		{"one pusher on successive goroutines", func(t *testing.T) {
+			s := NewBlockSink(nil)
+			sum, done := 0, make(chan struct{})
+			go func() {
+				defer close(done)
+				for b := range s.C {
+					for _, v := range b.Vals {
+						sum += int(v)
+					}
+				}
+			}()
+			const n, per = 2000, 37
+			for from := 0; from < n; from += per {
+				turn := make(chan struct{})
+				go func() {
+					defer close(turn)
+					for i := from; i < min(from+per, n); i++ {
+						if !s.Push(Tuple{Value(i), Value(i)}) {
+							t.Errorf("push %d stopped", i)
+						}
+					}
+				}()
+				<-turn
+			}
+			s.Flush()
+			close(s.C)
+			<-done
+			if want := n * (n - 1); sum != want {
+				t.Fatalf("consumer summed %d, want %d", sum, want)
+			}
+		}},
 	}
-
-	// Fill the buffer, then close Stop: the blocked push must return false.
-	if !s.Push(Tuple{1, 1}) {
-		t.Fatal("second push should fill the buffer")
-	}
-	done := make(chan bool)
-	go func() { done <- s.Push(Tuple{2, 2}) }()
-	close(stop)
-	if ok := <-done; ok {
-		t.Fatal("push blocked on a full channel must stop once Stop closes")
-	}
-	if s.Push(Tuple{3, 3}) {
-		t.Fatal("push after Stop closed must report stop")
+	for _, c := range cases {
+		t.Run(c.name, c.run)
 	}
 }
 
