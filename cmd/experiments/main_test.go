@@ -1,0 +1,43 @@
+package main
+
+import (
+	"math"
+	"testing"
+)
+
+// Every experiment runs to completion: must exits the test binary with
+// status 1 on any executor or planner error, which go test reports as a
+// failure of this package.
+func TestExperimentsRunToCompletion(t *testing.T) {
+	if len(order) != len(experiments) {
+		t.Fatalf("default run lists %d experiments, %d are registered", len(order), len(experiments))
+	}
+	for _, name := range order {
+		experiments[name]() // a name that is not registered is a nil call: the test panics
+	}
+}
+
+// The exponents the command fits come from deterministic counts — executor
+// work counters for E1, output sizes for E5 and E6 — not from wall clocks,
+// so the paper's scaling claims are gated exactly. The comparisons are
+// written !(x <= y) so that a NaN fit (benchkit.Slope on degenerate input)
+// fails them.
+func TestFittedExponentsMatchThePaper(t *testing.T) {
+	// Example 5.8: on the skew instance the chain algorithm is Õ(N^{3/2})
+	// where FD-blind generic join is Ω(N²).
+	chain, generic := e1()
+	if !(chain <= 1.5) {
+		t.Errorf("E1 chain work exponent %.3f, paper: ≤ 1.5", chain)
+	}
+	if !(generic >= 1.9) {
+		t.Errorf("E1 generic-join work exponent %.3f, paper: 2 (want ≥ 1.9)", generic)
+	}
+	// Examples 5.18/5.20: the Fig. 4 output grows as N^{4/3}, the SM bound.
+	if got := e5(); !(math.Abs(got-4.0/3) <= 0.02) {
+		t.Errorf("E5 output exponent %.3f, paper: 4/3", got)
+	}
+	// Example 5.31: the Fig. 9 output grows as N^{3/2}, the CSMA bound.
+	if got := e6(); !(math.Abs(got-1.5) <= 0.02) {
+		t.Errorf("E6 output exponent %.3f, paper: 3/2", got)
+	}
+}

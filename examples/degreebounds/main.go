@@ -7,12 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/bounds"
 	"repro/internal/csma"
 	"repro/internal/paper"
+	"repro/internal/rel"
 )
 
 func main() {
@@ -25,13 +27,14 @@ func main() {
 		cllp := bounds.CLLPFromQuery(q)
 		lv, _ := llp.LogBound.Float64()
 		cv, _ := cllp.LogBound.Float64()
-		out, st, err := csma.Run(q, nil)
+		var out rel.CountSink
+		st, err := csma.RunInto(context.Background(), q, nil, &out)
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("d=%2d: GLVV (no degree info) = 2^%.1f, CLLP = 2^%.1f "+
 			"(min(1.5n, n+log d) = 2^%.1f), |Q| = %d, CSMA branches = %d\n",
-			d, lv, cv, math.Min(1.5*nn, nn+math.Log2(float64(d))), out.Len(), st.Branches)
+			d, lv, cv, math.Min(1.5*nn, nn+math.Log2(float64(d))), out.N, st.Branches)
 	}
 
 	fmt.Println("\ncolored formulation (Eq. 2) — the same bound via guarded FDs:")

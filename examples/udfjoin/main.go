@@ -10,11 +10,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/chainalg"
 	"repro/internal/core"
 	"repro/internal/paper"
+	"repro/internal/rel"
 	"repro/internal/wcoj"
 )
 
@@ -25,16 +27,17 @@ func main() {
 		fmt.Printf("N = %4d: AGM = N^%.2f, GLVV = N^%.2f, chain bound = N^%.2f\n",
 			n, a.LogAGM/log2(n), a.LogLLP/log2(n), a.LogChain/log2(n))
 
-		out, chainStats, err := chainalg.RunBest(q)
+		var out rel.CountSink
+		chainStats, err := chainalg.RunBestInto(context.Background(), q, &out)
 		if err != nil {
 			panic(err)
 		}
-		_, gjStats, err := wcoj.GenericJoin(q, []int{1, 2, 0, 3})
+		gjStats, err := wcoj.GenericJoinInto(context.Background(), q, []int{1, 2, 0, 3}, &rel.CountSink{})
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("          |Q| = %d;  chain work = %d;  FD-blind generic-join work = %d  (%.1f×)\n",
-			out.Len(), chainStats.TuplesVisited+chainStats.Probes,
+			out.N, chainStats.TuplesVisited+chainStats.Probes,
 			gjStats.Extensions+gjStats.Lookups,
 			float64(gjStats.Extensions+gjStats.Lookups)/float64(chainStats.TuplesVisited+chainStats.Probes))
 	}

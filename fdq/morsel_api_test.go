@@ -13,7 +13,7 @@ import (
 // skewCatalog builds a triangle catalog whose output mass concentrates on
 // nhubs hot x-values (each contributing fan² rows through a dense y/z
 // block) over bg background triangles — the adversarial shape for a
-// one-static-partition-per-worker scheduler.
+// scheduler without stealing.
 func skewCatalog(t *testing.T, nhubs, fan, bg int, seed uint64) *fdq.Catalog {
 	t.Helper()
 	var r, s, tt [][]fdq.Value
@@ -70,9 +70,9 @@ func collectWithStats(t *testing.T, sess *fdq.Session, q *fdq.Q) ([][]fdq.Value,
 }
 
 // TestMorselStatsAndSessionOptions: the default session runs parallel
-// queries through the morsel scheduler and reports its work in RunStats;
-// WithStaticPartition routes the same query through the legacy scheduler
-// (byte-identically, no morsel stats); WithMorselSize refines the grain.
+// queries through the morsel scheduler and reports its work in RunStats
+// (a sequential run of the same query is byte-identical and reports no
+// morsel stats); WithMorselSize refines the grain.
 func TestMorselStatsAndSessionOptions(t *testing.T) {
 	cat := skewCatalog(t, 4, 10, 600, 1)
 	q := func() *fdq.Q { return triangleQuery().Workers(4) }
@@ -82,12 +82,12 @@ func TestMorselStatsAndSessionOptions(t *testing.T) {
 		t.Fatalf("morsel scheduler not exercised: %+v", stM)
 	}
 
-	staticRows, stS := collectWithStats(t, fdq.NewSession(cat, fdq.WithStaticPartition()), q())
+	seqRows, stS := collectWithStats(t, cat.Session(), triangleQuery().Workers(1))
 	if stS.Morsels != 0 || stS.Steals != 0 {
-		t.Fatalf("static path reported morsel stats: %+v", stS)
+		t.Fatalf("sequential run reported morsel stats: %+v", stS)
 	}
-	if !slices.EqualFunc(morselRows, staticRows, slices.Equal) {
-		t.Fatalf("static and morsel schedulers disagree: %d vs %d rows", len(staticRows), len(morselRows))
+	if !slices.EqualFunc(morselRows, seqRows, slices.Equal) {
+		t.Fatalf("sequential and morsel runs disagree: %d vs %d rows", len(seqRows), len(morselRows))
 	}
 
 	fineRows, stF := collectWithStats(t, fdq.NewSession(cat, fdq.WithMorselSize(8)), q())

@@ -29,7 +29,7 @@ type RunStats struct {
 	QueueWait time.Duration `json:"queue_wait"` // time spent queued behind the governor's semaphore (JSON: nanoseconds)
 	Degraded  bool          `json:"degraded"`   // ran in PolicyDegrade mode (LIMIT-k or COUNT-only)
 
-	// Morsel-scheduler detail (zero on sequential and legacy-static runs).
+	// Morsel-scheduler detail (zero on sequential runs).
 	Morsels int `json:"morsels"` // work units the morsel scheduler executed
 	Steals  int `json:"steals"`  // morsels a worker took from another worker's share
 }

@@ -31,8 +31,7 @@ type Session struct {
 	cap int
 	gov *Governor // nil = ungoverned
 
-	static     bool // legacy static fork/join partitioning (escape hatch)
-	morselSize int  // morsel sizing override (0 = engine default)
+	morselSize int // morsel sizing override (0 = engine default)
 
 	mu      sync.Mutex
 	entries map[string]*list.Element // guarded by mu; signature → element holding *cacheEntry
@@ -78,16 +77,6 @@ func WithPreparedCacheSize(n int) SessionOption {
 // governor may be shared across sessions.
 func WithGovernor(g *Governor) SessionOption {
 	return func(s *Session) { s.gov = g }
-}
-
-// WithStaticPartition makes the session's parallel executions use the
-// legacy static fork/join scheduler (one hash partition per worker)
-// instead of the morsel-driven work-stealing pool. This is a one-release
-// escape hatch while the morsel scheduler beds in — it mirrors the
-// FDQ_STATIC_PARTITION=1 environment override and will be removed with
-// it. Results are byte-identical either way.
-func WithStaticPartition() SessionOption {
-	return func(s *Session) { s.static = true }
 }
 
 // WithMorselSize overrides how many distinct partition-variable values one
@@ -170,7 +159,6 @@ func (s *Session) resolve(q *Q) (*engine.Bound, *engine.Options, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	opts.StaticPartition = s.static
 	opts.MorselSize = s.morselSize
 	snap := s.cat.snap()
 	sig := q.signature()

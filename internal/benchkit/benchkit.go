@@ -1,6 +1,6 @@
-// Package benchkit provides the shared experiment-harness utilities:
-// timing, log-log slope fitting for exponent estimation, and markdown
-// table rendering used by cmd/experiments.
+// Package benchkit provides cmd/experiments' harness utilities: timing,
+// log-log slope fitting for exponent estimation, and markdown table
+// rendering. It records nothing: performance numbers come from bench/.
 package benchkit
 
 import (

@@ -77,7 +77,7 @@ func ChainBound(q *query.Q, c lattice.Chain) *ChainResult {
 // candidate chain is finite.
 func BestChainBound(q *query.Q, maxEnum int) *ChainResult {
 	// The best chain depends only on the FD lattice and the relation sizes;
-	// memoize per query so repeated executions (chainalg.RunBest) skip the
+	// memoize per query so repeated executions (chainalg.RunBestInto) skip the
 	// exact-rational edge-cover solves that dominate planning cost.
 	var key strings.Builder
 	fmt.Fprintf(&key, "bestchain:%d", maxEnum)

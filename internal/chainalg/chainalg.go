@@ -4,16 +4,17 @@
 // relations Q_i over the variables of C_i by per-tuple minimum-cost
 // conditional search, exactly as in the paper's proof of Theorem 5.7.
 //
-// Run and RunBest are safe to call concurrently on frozen inputs. R_j⁺ and
-// every step's Π_{R_j∧C_i}(R_j⁺) with its two indexes come from the instance's
-// prepared record (expand.Inputs), built once and shared read-only; the Q_i
-// and probe buffers are per-run; the chain memo is in the query's plan cache.
+// RunInto and RunBestInto are safe to call concurrently on frozen inputs.
+// R_j⁺ and every step's Π_{R_j∧C_i}(R_j⁺) with its two indexes come from the
+// instance's prepared record (expand.Inputs), built once and shared
+// read-only; the Q_i and probe buffers are per-run; the chain memo is in the
+// query's plan cache.
 //
-// RunInto/RunBestInto are the sink-based entry points (see rel.Sink): the
-// chain's intermediate relations must materialize (step i+1 enumerates
-// per-tuple over step i), so streaming buffers until the last step and
-// then flushes the sorted result, stopping when the sink does; ctx is
-// checked at chain-step and candidate-batch boundaries.
+// Both are sink-based (see rel.Sink): the chain's intermediate relations
+// must materialize (step i+1 enumerates per-tuple over step i), so
+// streaming buffers until the last step and then flushes the sorted result,
+// stopping when the sink does; ctx is checked at chain-step and
+// candidate-batch boundaries.
 package chainalg
 
 import (
@@ -44,23 +45,12 @@ type Stats struct {
 	Intermediate  []int // |Q_i| per chain step
 }
 
-// Run evaluates the query along the given chain, which must be good for all
-// inputs and have no isolated step (use bounds.BestChainBound to select
-// one). It is the legacy materialized entry point, a zero-copy wrapper
-// over RunInto.
-func Run(q *query.Q, c lattice.Chain) (*rel.Relation, *Stats, error) {
-	sink := rel.NewCollect("Q", q.AllVars().Members()...)
-	st, err := RunInto(context.Background(), q, c, sink)
-	if err != nil {
-		return nil, st, err
-	}
-	return sink.R, st, nil
-}
-
-// RunInto is Run emitting into a sink: the final chain relation Q_k is
-// sorted and streamed, stopping early when the sink does, and ctx
-// cancellation is observed between chain steps and every few hundred
-// candidate tuples within one.
+// RunInto evaluates the query along the given chain, which must be good for
+// all inputs and have no isolated step (use bounds.BestChainBound to select
+// one), emitting into sink: the final chain relation Q_k is sorted and
+// streamed, stopping early when the sink does, and ctx cancellation is
+// observed between chain steps and every few hundred candidate tuples
+// within one.
 func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*Stats, error) {
 	l := q.Lattice()
 	inputs := q.InputElems()
@@ -200,19 +190,8 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 	return st, nil
 }
 
-// RunBest selects the best good chain via bounds.BestChainBound and runs the
-// algorithm on it.
-func RunBest(q *query.Q) (*rel.Relation, *Stats, error) {
-	sink := rel.NewCollect("Q", q.AllVars().Members()...)
-	st, err := RunBestInto(context.Background(), q, sink)
-	if err != nil {
-		return nil, st, err
-	}
-	return sink.R, st, nil
-}
-
-// RunBestInto selects the best good chain and runs the sink-based
-// algorithm on it.
+// RunBestInto selects the best good chain via bounds.BestChainBound and
+// runs the algorithm on it.
 func RunBestInto(ctx context.Context, q *query.Q, sink rel.Sink) (*Stats, error) {
 	cb := bounds.BestChainBound(q, 64)
 	if !cb.Finite {

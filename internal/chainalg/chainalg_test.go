@@ -1,6 +1,7 @@
 package chainalg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/lattice"
@@ -12,13 +13,14 @@ import (
 
 func checkAgainstNaive(t *testing.T, q *query.Q, what string) *Stats {
 	t.Helper()
-	out, st, err := RunBest(q)
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	st, err := RunBestInto(context.Background(), q, out)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	want := naive.Evaluate(q)
-	if !rel.Equal(out, want) {
-		t.Fatalf("%s: chain algorithm output %d tuples, naive %d", what, out.Len(), want.Len())
+	if !rel.Equal(out.R, want) {
+		t.Fatalf("%s: chain algorithm output %d tuples, naive %d", what, out.R.Len(), want.Len())
 	}
 	return st
 }
@@ -43,11 +45,11 @@ func TestFig1SkewSubquadratic(t *testing.T) {
 	// Õ(N^{3/2}) work on the skew instance where generic join does Ω(N²).
 	small := paper.Fig1Skew(64)
 	big := paper.Fig1Skew(256)
-	_, stS, err := RunBest(small)
+	stS, err := RunBestInto(context.Background(), small, &rel.CountSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stB, err := RunBest(big)
+	stB, err := RunBestInto(context.Background(), big, &rel.CountSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +103,12 @@ func TestExplicitChainFig1(t *testing.T) {
 	q := paper.Fig1QuasiProduct(16)
 	l := q.Lattice()
 	c := lattice.Chain{l.Bottom, l.Index(q.Vars("y")), l.Index(q.Vars("y", "z")), l.Top}
-	out, st, err := Run(q, c)
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	st, err := RunInto(context.Background(), q, c, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
+	if !rel.Equal(out.R, naive.Evaluate(q)) {
 		t.Fatal("explicit chain run disagrees with naive")
 	}
 	// Intermediates: Q1(y) = 4, Q2(yz) = 16, Q3 = 64.
@@ -118,7 +121,7 @@ func TestRejectsNonGoodChain(t *testing.T) {
 	q := paper.Fig1QuasiProduct(4)
 	l := q.Lattice()
 	// A non-chain input.
-	if _, _, err := Run(q, lattice.Chain{l.Top, l.Bottom}); err == nil {
+	if _, err := RunInto(context.Background(), q, lattice.Chain{l.Top, l.Bottom}, &rel.CountSink{}); err == nil {
 		t.Fatal("expected error for invalid chain")
 	}
 }
@@ -130,11 +133,11 @@ func TestRejectsNonGoodChain(t *testing.T) {
 // every run re-expanded, re-projected and re-indexed the inputs).
 func TestRunBestAllocRegression(t *testing.T) {
 	q := paper.Fig1Skew(1024)
-	if _, _, err := RunBest(q); err != nil { // warm plan cache + prepared record
+	if _, err := RunBestInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan cache + prepared record
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := RunBest(q); err != nil {
+		if _, err := RunBestInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil {
 			t.Fatal(err)
 		}
 	})

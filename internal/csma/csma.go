@@ -22,18 +22,18 @@
 // The union of the T(1̂) tables across branches, semi-join reduced against
 // every input and FD-filtered, is exactly Q^D.
 //
-// Run is safe to call concurrently on frozen inputs. The initial state and
-// the projections and degree-class partitions the plan takes of
+// RunInto is safe to call concurrently on frozen inputs. The initial state
+// and the projections and degree-class partitions the plan takes of
 // still-initial tables come from the instance's prepared record
 // (expand.Inputs), built once and shared read-only; branch states, joined
 // tables and the result are per-run. No state table is mutated in place:
 // every operation installs a new relation in a cloned state.
 //
-// RunInto is the sink-based entry point (see rel.Sink): the branch union
-// must materialize before the final semi-join reduction, so rows stream
-// from the last FD-filter pass — already sorted and deduplicated — and a
-// stopped sink skips the remaining filtering; ctx cancellation is observed
-// at every plan-operation and degree-bucket branch boundary.
+// It is sink-based (see rel.Sink): the branch union must materialize before
+// the final semi-join reduction, so rows stream from the last FD-filter
+// pass — already sorted and deduplicated — and a stopped sink skips the
+// remaining filtering; ctx cancellation is observed at every plan-operation
+// and degree-bucket branch boundary.
 package csma
 
 import (
@@ -197,17 +197,6 @@ func solvePlan(q *query.Q) *cllpPlan {
 // (LogBound nil when unbounded) through the memo RunInto reads, so a
 // planner that consults the bound and then runs CSMA solves the LP once.
 func CLLP(q *query.Q) *bounds.CLLPResult { return solvePlan(q).res }
-
-// Run evaluates the query with CSMA. It is the legacy materialized entry
-// point, a zero-copy wrapper over RunInto.
-func Run(q *query.Q, optsIn *Options) (*rel.Relation, *Stats, error) {
-	sink := rel.NewCollect("Q", q.AllVars().Members()...)
-	st, err := RunInto(context.Background(), q, optsIn, sink)
-	if err != nil {
-		return nil, st, err
-	}
-	return sink.R, st, nil
-}
 
 // RunInto evaluates the query with CSMA, streaming the result into sink.
 func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*Stats, error) {

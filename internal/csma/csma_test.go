@@ -1,6 +1,7 @@
 package csma
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/naive"
@@ -11,13 +12,14 @@ import (
 
 func runAndCheck(t *testing.T, q *query.Q, what string) *Stats {
 	t.Helper()
-	out, st, err := Run(q, nil)
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	st, err := RunInto(context.Background(), q, nil, out)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	want := naive.Evaluate(q)
-	if !rel.Equal(out, want) {
-		t.Fatalf("%s: CSMA output %d tuples, naive %d", what, out.Len(), want.Len())
+	if !rel.Equal(out.R, want) {
+		t.Fatalf("%s: CSMA output %d tuples, naive %d", what, out.R.Len(), want.Len())
 	}
 	return st
 }
@@ -103,11 +105,11 @@ func TestOptionsDefaults(t *testing.T) {
 // memo, 252 when every run rebuilt the record's contents).
 func TestRunAllocRegression(t *testing.T) {
 	q := paper.DegreeTriangle(256, 8)
-	if _, _, err := Run(q, nil); err != nil { // warm plan cache + prepared record
+	if _, err := RunInto(context.Background(), q, nil, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan cache + prepared record
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := Run(q, nil); err != nil {
+		if _, err := RunInto(context.Background(), q, nil, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -18,14 +18,13 @@
 //
 // The planner (see planner.go) replaces the old try-SMA-then-CSMA "auto"
 // mode with a cost-based choice over the paper's bounds, and large
-// instances are executed in parallel by hash-partitioning one variable's
-// domain across a worker pool (see parallel.go).
+// instances are executed in parallel by range-partitioning one variable's
+// domain into morsels pulled by a worker pool (see parallel.go, morsel.go).
 package engine
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -61,12 +60,6 @@ type Options struct {
 	// covers on the parallel path (≤0: default 128). Smaller morsels level
 	// skew at finer grain; larger morsels amortize per-morsel overhead.
 	MorselSize int
-	// StaticPartition selects the legacy fork/join path that splits the
-	// partition variable's domain into exactly Workers hash parts, with no
-	// stealing and a full barrier before the merge. Kept for one release as
-	// an escape hatch (also switchable process-wide with
-	// FDQ_STATIC_PARTITION=1); the default is the morsel-driven scheduler.
-	StaticPartition bool
 	// MemLimitBytes, when > 0, aborts the run with a *MemLimitError once
 	// the approximate bytes of result data accounted — parallel partition
 	// buffers plus rows delivered to the sink — exceed the budget. The
@@ -87,7 +80,7 @@ type Stats struct {
 	OutSize      int   // rows emitted (for a sink-stopped run: including the stopping push)
 	MemBytes     int64 // approximate result bytes accounted (partition buffers + sink deliveries)
 
-	Morsels       int   // morsels scheduled on the morsel-driven path (0 = static or sequential)
+	Morsels       int   // morsels scheduled on the parallel path (0 = sequential)
 	Steals        int   // morsels a worker took from another worker's share
 	AdaptSwitches int   // always 0: mid-flight re-ordering was removed; kept until the benchmark stops reading it
 	WorkerMorsels []int // morsels each worker executed (nil off the morsel path)
@@ -127,15 +120,12 @@ type Bound struct {
 	prep *Prepared
 	q    *query.Q
 
-	mu       sync.Mutex // guards the single-entry partition/morsel memos below
-	partsKey partKey    // guarded by mu
-	parts    []*query.Q // guarded by mu; the split instances, each with its own prepared record
-
+	mu         sync.Mutex  // guards the single-entry memos below
 	valsOK     bool        // guarded by mu; distinct-value memo for the partition variable
 	valsV      int         // guarded by mu
 	vals       []rel.Value // guarded by mu
 	morselsKey morselKey   // guarded by mu; single-entry morsel-partition memo
-	morsels    []*query.Q  // guarded by mu
+	morsels    []*query.Q  // guarded by mu; the split instances, each with its own prepared record
 }
 
 // Bind attaches an instance to the shape: rels must match the shape's
@@ -181,28 +171,17 @@ func (o *Options) withDefaults() Options {
 		if o.MorselSize > 0 {
 			out.MorselSize = o.MorselSize
 		}
-		out.StaticPartition = o.StaticPartition
 		if o.MemLimitBytes > 0 {
 			out.MemLimitBytes = o.MemLimitBytes
 		}
 	}
-	if !out.StaticPartition && staticPartitionEnv() {
-		out.StaticPartition = true
-	}
 	return out
 }
 
-// staticPartitionEnv reports whether FDQ_STATIC_PARTITION=1 selects the
-// legacy static fork/join path process-wide (read once; the escape hatch
-// for the one release the static path is kept).
-var staticPartitionEnv = sync.OnceValue(func() bool {
-	return os.Getenv("FDQ_STATIC_PARTITION") == "1"
-})
-
 // Run plans and executes the bound instance, materializing the full
 // result. With opts nil (or Algorithm AlgAuto) the cost-based planner
-// chooses the algorithm; large instances are hash-partitioned across a
-// worker pool and the per-partition outputs merged (identical to the
+// chooses the algorithm; large instances are range-partitioned into morsels
+// across a worker pool and the per-morsel outputs merged (identical to the
 // sequential result). It is a zero-copy wrapper over RunInto with a
 // collecting sink.
 func (b *Bound) Run(ctx context.Context, opts *Options) (*rel.Relation, *Stats, error) {
@@ -224,11 +203,11 @@ func (b *Bound) Run(ctx context.Context, opts *Options) (*rel.Relation, *Stats, 
 // boundaries, and aborts with ctx's error.
 //
 // The sink sees one pusher at a time on every path, so it needs no
-// locking: the calling goroutine sequentially, on the legacy static path and
-// for the morsel path's barrier merge; on the morsel path's streaming
-// frontier possibly different goroutines in succession — whichever worker
-// owns the least not-yet-emitted morsel — each hand-over ordered by the
-// scheduler's mutex. A sink must not depend on goroutine identity.
+// locking: the calling goroutine sequentially and for the parallel path's
+// barrier merge; on the parallel path's streaming frontier possibly
+// different goroutines in succession — whichever worker owns the least
+// not-yet-emitted morsel — each hand-over ordered by the scheduler's mutex.
+// A sink must not depend on goroutine identity.
 //
 // Execution is panic-isolated: a panic anywhere in the executors — a
 // user-supplied UDF, a sink, an executor bug — is recovered and returned

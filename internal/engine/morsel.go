@@ -37,9 +37,13 @@ func morselCount(distinct, workers, morselSize int) int {
 // morselKey identifies a memoized morsel partitioning of the bound instance.
 type morselKey struct{ v, n int }
 
-// morselParts returns (building and caching on first use, like partitions)
-// the instance range-partitioned on v into n morsel instances. The memo
-// holds a single entry, bounding memory as partitions does.
+// morselParts returns (building and caching on first use) the instance
+// range-partitioned on v into n morsel instances. Caching them on the Bound
+// — whose relations are immutable — lets repeated parallel Runs skip the
+// split and reuse each morsel's warm index caches and prepared record,
+// mirroring what sequential Runs get from the original instance. The memo
+// holds a single entry (the last configuration), so memory stays bounded at
+// one extra instance copy and what its FD plans derive from it.
 func (b *Bound) morselParts(v int, vals []rel.Value, n int) []*query.Q {
 	key := morselKey{v, n}
 	b.mu.Lock()
@@ -254,11 +258,11 @@ func (f *frontier) complete(m int, run *rel.Relation) {
 	f.mu.Unlock()
 }
 
-// runMorselsInto is the morsel-driven scheduler (the default parallel
-// path): v's sorted distinct-value union is range-partitioned into nm ≫
-// workers morsels, a fixed pool pulls them from a work-stealing queue, and
-// each morsel's rows reach sink by whichever of four hand-offs the
-// scheduler can observe to be the cheapest sound one — never by an option.
+// runMorselsInto is the morsel-driven scheduler (the parallel path): v's
+// sorted distinct-value union is range-partitioned into nm ≫ workers
+// morsels, a fixed pool pulls them from a work-stealing queue, and each
+// morsel's rows reach sink by whichever of four hand-offs the scheduler can
+// observe to be the cheapest sound one — never by an option.
 //
 // Ordering soundness, extending runParallelInto's disjointness argument:
 // morsel ranges are contiguous and ascending in v, so for any two morsels
@@ -297,8 +301,8 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	// (closure expansion and projection indexes — including shared relations
 	// the split does not shrink; kept in the split's prepared record), so
 	// fine grain multiplies setup: their schedule is capped at one morsel
-	// per worker, the same setup bill as the static scheduler, keeping
-	// value-range splits, stealing, and the streaming frontier.
+	// per worker — one setup bill per worker — keeping value-range splits,
+	// stealing, and the streaming frontier.
 	generic := plan.Algorithm == AlgGenericJoin
 	nm := morselCount(len(vals), workers, o.MorselSize)
 	if !generic && nm > workers {
@@ -385,10 +389,10 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	st.Steals = int(queue.steals.Load())
 	st.extensions = int(exts.Load())
 
-	// Error selection mirrors the static path: a real failure beats the
-	// context.Canceled artifacts its group-cancel induced in the siblings;
-	// then the memory gauge; then a sink stop (a consumer decision, not an
-	// error); then the caller's own cancellation.
+	// Error selection: a real failure beats the context.Canceled artifacts
+	// its group-cancel induced in the siblings; then the memory gauge; then
+	// a sink stop (a consumer decision, not an error); then the caller's own
+	// cancellation.
 	for _, err := range errs {
 		if err != nil && !errors.Is(err, context.Canceled) {
 			return err

@@ -100,16 +100,14 @@ func TestMorselQueueLockstepStealBalance(t *testing.T) {
 	}
 }
 
-// TestMorselMatchesSequentialAndStatic checks byte identity across all
-// three execution paths on the hot-key instance, plus morsel stats
+// TestMorselMatchesSequential checks byte identity of the sequential and
+// the morsel execution on the hot-key instance, plus morsel stats
 // coherence.
-func TestMorselMatchesSequentialAndStatic(t *testing.T) {
+func TestMorselMatchesSequential(t *testing.T) {
 	q := hotTriangle(4, 8, 300, 1)
 	seq, _ := mustRun(t, q, &Options{Workers: 1})
 	morsel, stM := mustRun(t, q, &Options{Workers: 4, MinParallelRows: 1})
-	static, stS := mustRun(t, q, &Options{Workers: 4, MinParallelRows: 1, StaticPartition: true})
 	identical(t, seq, morsel)
-	identical(t, seq, static)
 
 	if stM.Workers != 4 || stM.Morsels <= stM.Workers {
 		t.Fatalf("morsel path not exercised: %+v", stM)
@@ -121,13 +119,10 @@ func TestMorselMatchesSequentialAndStatic(t *testing.T) {
 	if sum != stM.Morsels {
 		t.Fatalf("worker morsel counts %v sum to %d, want %d", stM.WorkerMorsels, sum, stM.Morsels)
 	}
-	if stS.Morsels != 0 || stS.WorkerMorsels != nil {
-		t.Fatalf("static path reported morsel stats: %+v", stS)
-	}
 }
 
 // TestWorkerClampOnNarrowDomain: a partition variable with fewer distinct
-// values than workers must clamp Stats.Workers on both parallel paths
+// values than workers must clamp Stats.Workers on the parallel path
 // (before this fix, surplus workers owned empty partitions and still paid
 // goroutine + sort + merge overhead).
 func TestWorkerClampOnNarrowDomain(t *testing.T) {
@@ -146,15 +141,13 @@ func TestWorkerClampOnNarrowDomain(t *testing.T) {
 		r.SortDedup()
 	}
 	seq, _ := mustRun(t, q, &Options{Workers: 1})
-	for _, static := range []bool{false, true} {
-		out, st := mustRun(t, q, &Options{Workers: 8, MinParallelRows: 1, StaticPartition: static})
-		identical(t, seq, out)
-		if st.PartitionVar != 0 {
-			t.Fatalf("static=%v: expected partition on x (var 0), got %d", static, st.PartitionVar)
-		}
-		if st.Workers > 3 {
-			t.Fatalf("static=%v: workers not clamped to the 3 distinct x-values: %+v", static, st)
-		}
+	out, st := mustRun(t, q, &Options{Workers: 8, MinParallelRows: 1})
+	identical(t, seq, out)
+	if st.PartitionVar != 0 {
+		t.Fatalf("expected partition on x (var 0), got %d", st.PartitionVar)
+	}
+	if st.Workers > 3 {
+		t.Fatalf("workers not clamped to the 3 distinct x-values: %+v", st)
 	}
 }
 
@@ -234,9 +227,8 @@ func TestMorselCtxCancelMidStream(t *testing.T) {
 }
 
 // TestProfileSplitsMakespan sanity-checks the modeled-makespan probe: the
-// morsel schedule has many splits, the static schedule exactly `workers`,
-// one worker's makespan is the sequential total, and more workers never
-// model slower than one.
+// morsel schedule has many more splits than workers, one worker's makespan
+// is the sequential total, and more workers never model slower than one.
 func TestProfileSplitsMakespan(t *testing.T) {
 	q := hotTriangle(4, 8, 300, 4)
 	p, err := Prepare(q)
@@ -252,22 +244,13 @@ func TestProfileSplitsMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := b.ProfileSplits(context.Background(), opts, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(static.Durations) != 4 {
-		t.Fatalf("static profile has %d splits, want 4", len(static.Durations))
-	}
-	if len(morsels.Durations) <= len(static.Durations) {
+	if len(morsels.Durations) <= 4 {
 		t.Fatalf("morsel profile has %d splits, want ≫ 4", len(morsels.Durations))
 	}
-	for _, prof := range []*PartProfile{morsels, static} {
-		if prof.Makespan(1, true) != prof.Total() {
-			t.Fatal("1-worker makespan must equal the sequential total")
-		}
-		if prof.Makespan(4, true) > prof.Total() {
-			t.Fatal("4-worker makespan cannot exceed the sequential total")
-		}
+	if morsels.Makespan(1, true) != morsels.Total() {
+		t.Fatal("1-worker makespan must equal the sequential total")
+	}
+	if morsels.Makespan(4, true) > morsels.Total() {
+		t.Fatal("4-worker makespan cannot exceed the sequential total")
 	}
 }

@@ -2,14 +2,11 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/chainalg"
 	"repro/internal/csma"
-	"repro/internal/faultinject"
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/smalg"
@@ -20,30 +17,22 @@ import (
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // runParallelInto executes the plan by splitting one variable's domain
-// across a worker pool and merging the per-split sorted outputs into sink.
-// Two schedulers implement the split:
+// across a worker pool and merging the per-split sorted outputs into sink:
+// the partition variable's sorted distinct-value union is range-partitioned
+// into morsels pulled by the pool with work stealing, merged by a streaming
+// frontier or a tournament (runMorselsInto).
 //
-//   - the morsel-driven scheduler (default, runMorselsInto): the partition
-//     variable's sorted distinct-value union is range-partitioned into many
-//     small morsels pulled by the pool with work stealing, merged by a
-//     streaming frontier or a tournament;
-//   - the legacy static fork/join (Options.StaticPartition): exactly
-//     `workers` hash parts, one per worker, with a full barrier before the
-//     k-way merge (runStaticInto).
-//
-// Soundness, common to both: every relation containing the partition
-// variable v is filtered to a subset of v-values (a hash class or a
-// contiguous value range); relations without v are shared read-only. Each
-// output tuple binds exactly one v-value, so it is produced in exactly one
-// split — splits are pairwise disjoint and their union is the sequential
-// output. FD guards containing v stay consistent: a guard lookup that fails
-// in a split can only fail for tuples that also fail the guard's own
-// membership constraint there, which no output tuple of the split does.
-// Every executor's per-split output is sorted and deduplicated, so merging
-// the splits in sorted order delivers rows byte-identical to — and in the
-// same order as — the sequential execution. The schedulers differ only in
-// how the merge is interleaved with execution; see runMorselsInto for the
-// frontier-streaming refinement of this argument.
+// Soundness: every relation containing the partition variable v is filtered
+// to a subset of v-values (a contiguous value range); relations without v
+// are shared read-only. Each output tuple binds exactly one v-value, so it
+// is produced in exactly one split — splits are pairwise disjoint and their
+// union is the sequential output. FD guards containing v stay consistent: a
+// guard lookup that fails in a split can only fail for tuples that also fail
+// the guard's own membership constraint there, which no output tuple of the
+// split does. Every executor's per-split output is sorted and deduplicated,
+// so merging the splits in sorted order delivers rows byte-identical to —
+// and in the same order as — the sequential execution; see runMorselsInto
+// for the frontier-streaming refinement of this argument.
 //
 // Worker count is clamped to the partition variable's distinct-value count
 // (surfaced in Stats.Workers): beyond that, extra workers would own empty
@@ -66,86 +55,7 @@ func (b *Bound) runParallelInto(ctx context.Context, plan *Plan, workers int, o 
 		st.Workers = 1
 		return runOneInto(ctx, b.q, plan, sink)
 	}
-	if o.StaticPartition {
-		return b.runStaticInto(ctx, plan, v, workers, o.MemLimitBytes, st, sink)
-	}
 	return b.runMorselsInto(ctx, plan, v, vals, workers, o, st, sink)
-}
-
-// runStaticInto is the legacy fork/join scheduler: the instance is
-// hash-partitioned on v into exactly `workers` parts, each executed by its
-// own goroutine, with a barrier before the k-way streamed merge.
-//
-// The sink can only stop the merge, not the parts: partitions must finish
-// before a globally ordered merge can start, so a LIMIT-k consumer saves
-// the merge tail but still pays for partition execution. ctx cancellation,
-// in contrast, reaches into every worker's executor inner loops — and so
-// does the first partition failure: a worker that errors, panics, or trips
-// the shared memory gauge cancels the group context, so its siblings exit
-// promptly instead of completing doomed work. Worker panics are recovered
-// per goroutine into *PanicError; the first real (non-cancellation) error
-// wins.
-func (b *Bound) runStaticInto(ctx context.Context, plan *Plan, v, workers int, memLimit int64, st *Stats, sink rel.Sink) error {
-	parts := b.partitions(v, workers)
-	st.Workers = workers
-	st.PartitionVar = v
-
-	gctx, gcancel := context.WithCancel(ctx)
-	defer gcancel()
-	gauge := &memGauge{limit: memLimit, onTrip: gcancel}
-
-	outs := make([]*rel.Relation, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer func() {
-				if errs[p] != nil && !errors.Is(errs[p], context.Canceled) {
-					gcancel() // fail fast: release the siblings
-				}
-			}()
-			defer recoverToError(&errs[p])
-			faultinject.Fire(faultinject.SitePartitionWorker)
-			if err := gctx.Err(); err != nil {
-				errs[p] = err
-				return
-			}
-			outs[p], _, errs[p] = runBuffered(gctx, parts[p], plan, gauge)
-		}(p)
-	}
-	wg.Wait()
-	st.MemBytes += gauge.used.Load()
-	// Error selection: a real failure beats the context.Canceled artifacts
-	// its group-cancel induced in the siblings; a cancellation of the
-	// caller's own ctx is reported as such.
-	var werr error
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			werr = err
-			break
-		}
-	}
-	if werr == nil && gauge.trip.Load() {
-		return &MemLimitError{Limit: memLimit, Used: gauge.used.Load()}
-	}
-	if werr == nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	}
-	if werr != nil {
-		return werr
-	}
-	faultinject.Fire(faultinject.SitePartitionMerge)
-	rel.MergeSortedInto(sink, outs)
-	return nil
 }
 
 // partSink wraps a partition's collect sink with the shared memory gauge:
@@ -312,69 +222,4 @@ func (b *Bound) distinctVals(v int) []rel.Value {
 	vals = slices.Compact(vals)
 	b.valsOK, b.valsV, b.vals = true, v, vals
 	return vals
-}
-
-// partKey identifies a memoized partitioning of the bound instance.
-type partKey struct{ v, nparts int }
-
-// partitions returns (building and caching on first use) the instance
-// hash-partitioned on variable v into nparts part instances. Caching them
-// on the Bound — whose relations are immutable — lets repeated parallel Runs
-// skip the split and reuse each part's warm index caches and prepared
-// record, mirroring what sequential Runs get from the original instance.
-// The memo holds a single entry (the last configuration), so memory stays
-// bounded at one extra instance copy and what its FD plans derive from it.
-func (b *Bound) partitions(v, nparts int) []*query.Q {
-	key := partKey{v, nparts}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.parts != nil && b.partsKey == key {
-		return b.parts
-	}
-	p := partitionRels(b.q, v, nparts)
-	b.partsKey, b.parts = key, p
-	return p
-}
-
-// partitionRels builds, in one pass per relation, nparts filtered instances:
-// part p of a relation containing v holds the rows whose v-value hashes to
-// p; relations without v are shared (read-only) by every part.
-func partitionRels(q *query.Q, v, nparts int) []*query.Q {
-	parts := make([]*query.Q, nparts)
-	for p := range parts {
-		parts[p] = q.WithFreshRels(make([]*rel.Relation, len(q.Rels)))
-	}
-	for j, r := range q.Rels {
-		c := r.Col(v)
-		if c < 0 {
-			for p := range parts {
-				parts[p].Rels[j] = r
-			}
-			continue
-		}
-		split := make([]*rel.Relation, nparts)
-		for p := range split {
-			split[p] = rel.New(r.Name, r.Attrs...)
-		}
-		for i := 0; i < r.Len(); i++ {
-			row := r.Row(i)
-			split[partOf(row[c], nparts)].AddTuple(row)
-		}
-		for p := range parts {
-			parts[p].Rels[j] = split[p]
-		}
-	}
-	return parts
-}
-
-// partOf maps a value to a partition by avalanche-mixing it, so consecutive
-// dictionary codes (the common encoding) spread evenly across the pool.
-func partOf(v rel.Value, nparts int) int {
-	h := uint64(v)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return int(h % uint64(nparts))
 }

@@ -29,7 +29,7 @@ func TestRunPartitionSMFallsBackToCSMA(t *testing.T) {
 
 func TestRunPartitionPlannerChainOnEmptyPartition(t *testing.T) {
 	// A planner-supplied chain must survive a partition whose relations are
-	// empty (hash partitioning routinely produces them).
+	// empty (a split of a sparse instance can leave one).
 	q := paper.SimpleFDChain(4, 128)
 	p, err := Prepare(q)
 	if err != nil {

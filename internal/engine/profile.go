@@ -4,28 +4,28 @@ import (
 	"context"
 	"errors"
 	"time"
-
-	"repro/internal/query"
 )
 
-// PartProfile holds the sequential execution time of every parallel split
-// (morsel or static hash part) of a bound instance, measured one split at a
-// time on the calling goroutine. On a machine with fewer cores than workers
-// a parallel wall-clock measurement only measures the Go scheduler, so the
-// benchmark tooling measures splits sequentially and models multi-worker
-// wall clocks with Makespan — deterministic, and honest about what each
-// scheduler's assignment policy can and cannot overlap.
+// PartProfile holds the sequential execution time of every morsel of a
+// bound instance's parallel schedule, measured one morsel at a time on the
+// calling goroutine. On a machine with fewer cores than workers a parallel
+// wall-clock measurement only measures the Go scheduler, so the benchmark
+// measures morsels sequentially and models multi-worker wall clocks with
+// Makespan — deterministic, and honest about what an assignment policy can
+// and cannot overlap.
 type PartProfile struct {
 	Durations []time.Duration
 }
 
-// ProfileSplits measures each split of the bound instance's parallel
-// execution sequentially: the morsel schedule's morsels (static=false) or
-// the legacy scheduler's hash parts (static=true), under opts' plan and
-// worker count (clamped like a real run). Each split runs the buffered
-// hand-off: the code a pool worker runs for a morsel that is neither counted
-// nor streamed directly.
-func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, static bool) (*PartProfile, error) {
+// ProfileSplits measures each morsel of the bound instance's parallel
+// schedule sequentially, under opts' plan and worker count (clamped like a
+// real run). Each morsel runs the buffered hand-off: the code a pool worker
+// runs for a morsel that is neither counted nor streamed directly.
+//
+// The bool is ignored: it once selected a second scheduler's splits, and
+// the signature stays until the benchmark (bench/layers.go) stops calling
+// it.
+func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, _ bool) (*PartProfile, error) {
 	o := opts.withDefaults()
 	plan, err := b.plan(o.Algorithm)
 	if err != nil {
@@ -46,16 +46,11 @@ func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, static bool) (
 	if workers <= 1 {
 		return nil, errors.New("engine: instance degrades to sequential after the worker clamp")
 	}
-	var parts []*query.Q
-	if static {
-		parts = b.partitions(v, workers)
-	} else {
-		nm := morselCount(len(vals), workers, o.MorselSize)
-		if plan.Algorithm != AlgGenericJoin && nm > workers {
-			nm = workers // mirror runMorselsInto's algorithm-aware grain cap
-		}
-		parts = b.morselParts(v, vals, nm)
+	nm := morselCount(len(vals), workers, o.MorselSize)
+	if plan.Algorithm != AlgGenericJoin && nm > workers {
+		nm = workers // mirror runMorselsInto's algorithm-aware grain cap
 	}
+	parts := b.morselParts(v, vals, nm)
 	prof := &PartProfile{Durations: make([]time.Duration, len(parts))}
 	for m, qm := range parts {
 		start := time.Now()
@@ -76,13 +71,12 @@ func (p *PartProfile) Total() time.Duration {
 	return sum
 }
 
-// Makespan models the wall clock of executing the profiled splits on
-// `workers` workers. With stealing, splits are taken in id order by
+// Makespan models the wall clock of executing the profiled morsels on
+// `workers` workers. With stealing, morsels are taken in id order by
 // whichever worker frees up first — list scheduling, the steady-state
 // behaviour of the morsel pool's pop-own-front + steal-from-busiest queue.
-// Without stealing, split i is pinned to worker i%workers, the static
-// fork/join assignment (which has exactly one split per worker, so a hot
-// part is a hot worker).
+// Without stealing, morsel i is pinned to worker i%workers, so a hot
+// morsel's worker finishes last however idle the others are.
 func (p *PartProfile) Makespan(workers int, stealing bool) time.Duration {
 	if workers < 1 {
 		workers = 1

@@ -32,9 +32,6 @@ const (
 	// SitePartitionWorker fires at the top of every parallel partition
 	// worker goroutine, before the partition executes.
 	SitePartitionWorker = "engine/partition-worker"
-	// SitePartitionMerge fires on the merging goroutine just before the
-	// k-way partition merge starts streaming.
-	SitePartitionMerge = "engine/partition-merge"
 	// SiteMorselQueue fires on a morsel worker right after it dequeues a
 	// morsel (own share or stolen), before the morsel executes.
 	SiteMorselQueue = "engine/morsel-queue"
@@ -53,7 +50,7 @@ const (
 // Sites lists every canonical site, in stable order — the oracle's fault
 // matrix iterates this.
 func Sites() []string {
-	return []string{SiteTrieDescent, SitePartitionWorker, SitePartitionMerge, SiteMorselQueue, SiteStreamMerge, SiteSinkPush, SiteCacheEvict}
+	return []string{SiteTrieDescent, SitePartitionWorker, SiteMorselQueue, SiteStreamMerge, SiteSinkPush, SiteCacheEvict}
 }
 
 // Kind selects what an armed site does when it fires.

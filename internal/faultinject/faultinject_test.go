@@ -88,8 +88,8 @@ func TestConcurrentFire(t *testing.T) {
 
 func TestSitesAndStrings(t *testing.T) {
 	sites := Sites()
-	if len(sites) != 7 {
-		t.Fatalf("want 7 canonical sites, got %v", sites)
+	if len(sites) != 6 {
+		t.Fatalf("want 6 canonical sites, got %v", sites)
 	}
 	seen := map[string]bool{}
 	for _, s := range sites {

@@ -62,15 +62,11 @@ type faultSite struct {
 
 func engineFaultSites() []faultSite {
 	par := &engine.Options{Workers: 3, MinParallelRows: 1}
-	static := &engine.Options{Workers: 3, MinParallelRows: 1, StaticPartition: true}
 	return []faultSite{
 		{site: faultinject.SiteTrieDescent, opts: &engine.Options{Algorithm: engine.AlgGenericJoin, Workers: 1}},
 		{site: faultinject.SitePartitionWorker, opts: par},
 		{site: faultinject.SiteMorselQueue, opts: par},
 		{site: faultinject.SiteStreamMerge, opts: par},
-		// The legacy static scheduler's merge barrier, reached only with the
-		// escape hatch set (the morsel path streams or tournament-merges).
-		{site: faultinject.SitePartitionMerge, opts: static},
 		{site: faultinject.SiteSinkPush, opts: &engine.Options{Workers: 1}, useChan: true},
 	}
 }

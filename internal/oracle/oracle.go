@@ -30,14 +30,12 @@ import (
 type Config struct {
 	Name      string           `json:"name"`
 	Algorithm engine.Algorithm `json:"algorithm"`
-	Workers   int              `json:"workers"`          // 1 sequential, >1 parallel
-	Static    bool             `json:"static,omitempty"` // legacy static fork/join instead of morsels
+	Workers   int              `json:"workers"` // 1 sequential, >1 parallel
 }
 
 // DefaultConfigs returns the full matrix: every algorithm (the cost-based
-// planner plus each explicit machine) sequential, parallel through the
-// morsel work-stealing scheduler, and parallel through the legacy static
-// fork/join scheduler (kept differential while its escape hatch exists).
+// planner plus each explicit machine) sequential and parallel through the
+// morsel work-stealing scheduler.
 func DefaultConfigs() []Config {
 	algs := []engine.Algorithm{
 		engine.AlgAuto, engine.AlgChain, engine.AlgSM,
@@ -48,7 +46,6 @@ func DefaultConfigs() []Config {
 		out = append(out,
 			Config{Name: string(a) + "/seq", Algorithm: a, Workers: 1},
 			Config{Name: string(a) + "/par", Algorithm: a, Workers: 3},
-			Config{Name: string(a) + "/par-static", Algorithm: a, Workers: 3, Static: true},
 		)
 	}
 	return out
@@ -173,7 +170,7 @@ func CheckInstance(ctx context.Context, in scenario.Instance, cfgs []Config) (re
 // it (the streaming order IS the materialized order — that is the whole
 // contract), and a Count sink must agree on the cardinality. Sequential
 // and parallel flavors both run, since the parallel path streams through a
-// different code path (the k-way partition merge).
+// different code path (the morsel frontier or the tournament merge).
 func streamingChecks(ctx context.Context, res *Result, b *engine.Bound, q *query.Q, want *rel.Relation) []CheckResult {
 	var out []CheckResult
 	check := func(name string, f func() error) {
@@ -252,7 +249,6 @@ func runConfig(ctx context.Context, res *Result, b *engine.Bound, cfg Config, wa
 		Algorithm:       cfg.Algorithm,
 		Workers:         cfg.Workers,
 		MinParallelRows: 1,
-		StaticPartition: cfg.Static,
 	})
 	cr.Millis = float64(time.Since(t0).Microseconds()) / 1000
 	if err != nil {

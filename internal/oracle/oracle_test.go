@@ -17,6 +17,9 @@ import (
 // at the full tier for the committed evidence).
 func TestSmallTierConformance(t *testing.T) {
 	cfgs := DefaultConfigs()
+	if len(cfgs) != 12 {
+		t.Fatalf("want 6 algorithms × {seq, par} = 12 configs, got %d", len(cfgs))
+	}
 	for _, in := range scenario.Instances(scenario.TierSmall) {
 		in := in
 		t.Run(in.Name, func(t *testing.T) {

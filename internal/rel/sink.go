@@ -188,10 +188,10 @@ func (s *BlockSink) Flush() bool {
 // Fast path: when sink is a CollectSink with the same attribute order, r
 // moves as one block instead of row by row — the caller hands over
 // ownership of r. An empty collector adopts the relation wholesale (keeping
-// its own name), which makes the legacy materialized entry points zero-copy
-// wrappers over the sink-based ones; a non-empty one appends r's flat
-// storage in a single copy, which is how the parallel scheduler hands over
-// each completed run.
+// its own name), which makes materializing a buffering executor's output
+// (engine.Bound.Run, any NewCollect sink) zero-copy; a non-empty one appends
+// r's flat storage in a single copy, which is how the parallel scheduler
+// hands over each completed run.
 func Stream(r *Relation, sink Sink) bool {
 	if c, ok := sink.(*CollectSink); ok && c.R != nil && slices.Equal(c.R.Attrs, r.Attrs) {
 		if c.R.n == 0 {
@@ -220,9 +220,9 @@ func Stream(r *Relation, sink Sink) bool {
 // and a LIMIT-k consumer stops after k rows without touching the rest of
 // the partitions' rows. It reports whether the sink accepted every row.
 //
-// A handful of sources (static partitioning) use a linear per-row scan;
-// many sources (morsel runs) are merged by a loser-tree tournament so the
-// per-row cost is O(log k), not O(k).
+// A handful of sources (an FD plan's one morsel per worker) use a linear
+// per-row scan; many sources (generic join's fine morsels) are merged by a
+// loser-tree tournament so the per-row cost is O(log k), not O(k).
 func MergeSortedInto(sink Sink, srcs []*Relation) bool {
 	if len(srcs) == 0 {
 		panic("rel: MergeSortedInto needs at least one source")

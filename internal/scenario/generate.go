@@ -314,10 +314,12 @@ func ZipfStar(rows int, seed int64) *query.Q {
 	return q
 }
 
-// staticPartOf mirrors the engine's legacy static partitioner's avalanche
-// mixer (engine.partOf) so ZipfHot can plant hub values that provably
-// collide in one static hash partition. Duplicated because scenario cannot
-// import engine (the engine's tests import scenario).
+// staticPartOf is the frozen hub hash: the avalanche mixer ZipfHot plants
+// its hub values with, so that they provably collide in one hash class. It
+// mirrors nothing in the engine any more (the hash-partitioning scheduler it
+// was copied from is gone) and must not change: skew/zipf-hot's instances —
+// CONFORMANCE.json's rows and the benchmark's par-skew input — are a
+// function of it.
 func staticPartOf(v Value, nparts int) int {
 	h := uint64(v)
 	h ^= h >> 33
@@ -328,9 +330,9 @@ func staticPartOf(v Value, nparts int) int {
 	return int(h % uint64(nparts))
 }
 
-// zipfHotHubs picks n values that (a) all hash to the static partition of
-// value 0 — the Zipf head — at `workers` workers, so that partition owns
-// the planted hubs AND the background's hottest keys, and (b) start at
+// zipfHotHubs picks n values that (a) all hash to the class of value 0 —
+// the Zipf head — at `workers` classes, so that one hash class owns the
+// planted hubs AND the background's hottest keys, and (b) start at
 // dom/8 and sit ≥ dom/n apart, so a value-range split gives the Zipf head
 // and every hub its own morsel.
 func zipfHotHubs(n, workers, dom int) []Value {
@@ -347,10 +349,11 @@ func zipfHotHubs(n, workers, dom int) []Value {
 
 // ZipfHot builds the morsel scheduler's adversarial triangle: four planted
 // hot x-hubs, each expanding into a fan×fan dense y/z block (fan ≈ √rows),
-// whose values are chosen to land in the SAME static hash partition at 4
-// workers — a one-partition-per-worker scheduler serializes the entire hot
-// mass on one worker, while value-range morsels with stealing spread it
-// (the hubs are spaced apart in value rank, so each gets its own morsel).
+// whose values are chosen to land in the SAME hash class (staticPartOf) at 4
+// workers — a scheduler dealing one hash part per worker serializes the
+// entire hot mass on one worker, while value-range morsels with stealing
+// spread it (the hubs are spaced apart in value rank, so each gets its own
+// morsel).
 // rows Zipf(1.3) background edges plus a uniform scaffold widen x's domain
 // so the range partitioning has rank mass between the hubs.
 func ZipfHot(rows int, seed int64) *query.Q {

@@ -1,16 +1,15 @@
 // Package smalg implements the Sub-Modularity Algorithm (Algorithm 2,
-// Sec. 5.2) and the good-proof search it needs. Run and RunAuto are safe to
-// call concurrently on frozen inputs: the initial slot tables R_j⁺ and their
-// Z-projections come from the instance's prepared record (expand.Inputs),
-// built once and shared read-only; every table a proof step produces is
-// per-run, and none is mutated in place (rel.Semijoin, Join and Project
-// return new relations).
+// Sec. 5.2) and the good-proof search it needs. RunInto and RunAutoInto are
+// safe to call concurrently on frozen inputs: the initial slot tables R_j⁺
+// and their Z-projections come from the instance's prepared record
+// (expand.Inputs), built once and shared read-only; every table a proof step
+// produces is per-run, and none is mutated in place (rel.Semijoin, Join and
+// Project return new relations).
 //
-// RunInto/RunAutoInto are the sink-based entry points (see rel.Sink): the
-// SM-join tables must materialize step by step, so rows stream from the
-// final FD-filter pass — already sorted and deduplicated — and a stopped
-// sink skips the remaining filtering; ctx cancellation is observed at
-// every proof-step boundary.
+// Both are sink-based (see rel.Sink): the SM-join tables must materialize
+// step by step, so rows stream from the final FD-filter pass — already
+// sorted and deduplicated — and a stopped sink skips the remaining
+// filtering; ctx cancellation is observed at every proof-step boundary.
 package smalg
 
 import (
@@ -34,21 +33,11 @@ type Stats struct {
 	LiteSizes  []int // |T(X∨Y)| per step
 }
 
-// Run executes the SM Algorithm (Algorithm 2) for the query using the given
-// good proof sequence and the optimal LLP solution h* that the proof is
-// tight for. The result is exactly Q^D (the final semi-join reduction
-// filters the union of the T(1̂) tables against every input and FD). It is
-// the legacy materialized entry point, a zero-copy wrapper over RunInto.
-func Run(q *query.Q, llp *bounds.LLPResult, proof *Proof) (*rel.Relation, *Stats, error) {
-	sink := rel.NewCollect("Q", q.AllVars().Members()...)
-	st, err := RunInto(context.Background(), q, llp, proof, sink)
-	if err != nil {
-		return nil, st, err
-	}
-	return sink.R, st, nil
-}
-
-// RunInto executes the SM Algorithm streaming the result into sink.
+// RunInto executes the SM Algorithm (Algorithm 2) for the query using the
+// given good proof sequence and the optimal LLP solution h* that the proof
+// is tight for, streaming the result into sink. The result is exactly Q^D
+// (the final semi-join reduction filters the union of the T(1̂) tables
+// against every input and FD).
 func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proof, sink rel.Sink) (*Stats, error) {
 	l := llp.Lat
 	e := expand.New(q)
@@ -163,7 +152,7 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 // FindProofAuto searches for a good SM proof for the given optimal LLP
 // solution: the solver's own dual weights first, then — when the co-atomic
 // hypergraph has no isolated vertex — every dual-optimal vertex of its
-// cover polytope. This is the proof-search pipeline shared by RunAuto,
+// cover polytope. This is the proof-search pipeline shared by RunAutoInto,
 // core.Analyze, and the engine planner.
 func FindProofAuto(q *query.Q, llp *bounds.LLPResult) *Proof {
 	h, _ := bounds.CoatomicHypergraph(q)
@@ -174,31 +163,21 @@ func FindProofAuto(q *query.Q, llp *bounds.LLPResult) *Proof {
 	return FindProofAny(llp, q.LogSizes(), candidates)
 }
 
-// llpProof is the memoized planning artifact of RunAuto: the LLP solution
+// llpProof is the memoized planning artifact of RunAutoInto: the LLP solution
 // and the good proof found for it (nil when the search failed — failures
-// are memoized too, so repeated RunAuto calls on an SM-infeasible instance
+// are memoized too, so repeated RunAutoInto calls on an SM-infeasible instance
 // fail without re-searching).
 type llpProof struct {
 	llp   *bounds.LLPResult
 	proof *Proof
 }
 
-// RunAuto solves the LLP, searches for a good proof, and executes SMA.
-// It fails when no good SM proof exists (e.g. Fig. 9 / Example 5.31), in
-// which case CSMA is the right tool. The LLP solution and proof depend
-// only on the query shape and the instance sizes, so they are memoized in
-// the query's plan cache (like bounds.BestChainBound): repeated executions
-// pay for the LP solve and the backtracking proof search once.
-func RunAuto(q *query.Q) (*rel.Relation, *Stats, error) {
-	sink := rel.NewCollect("Q", q.AllVars().Members()...)
-	st, err := RunAutoInto(context.Background(), q, sink)
-	if err != nil {
-		return nil, st, err
-	}
-	return sink.R, st, nil
-}
-
-// RunAutoInto is RunAuto streaming into a sink.
+// RunAutoInto solves the LLP, searches for a good proof, and executes SMA,
+// streaming into sink. It fails when no good SM proof exists (e.g. Fig. 9 /
+// Example 5.31), in which case CSMA is the right tool. The LLP solution and
+// proof depend only on the query shape and the instance sizes, so they are
+// memoized in the query's plan cache (like bounds.BestChainBound): repeated
+// executions pay for the LP solve and the backtracking proof search once.
 func RunAutoInto(ctx context.Context, q *query.Q, sink rel.Sink) (*Stats, error) {
 	var key strings.Builder
 	key.WriteString("sma:proof")

@@ -1,6 +1,7 @@
 package smalg
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -124,13 +125,14 @@ func TestFig7NonGoodSequenceDetected(t *testing.T) {
 
 func runAndCheck(t *testing.T, q *query.Q, what string) *Stats {
 	t.Helper()
-	out, st, err := RunAuto(q)
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	st, err := RunAutoInto(context.Background(), q, out)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	want := naive.Evaluate(q)
-	if !rel.Equal(out, want) {
-		t.Fatalf("%s: SMA output %d tuples, naive %d", what, out.Len(), want.Len())
+	if !rel.Equal(out.R, want) {
+		t.Fatalf("%s: SMA output %d tuples, naive %d", what, out.R.Len(), want.Len())
 	}
 	return st
 }
@@ -162,7 +164,7 @@ func TestRunSimpleFDChain(t *testing.T) {
 
 func TestRunFig9Fails(t *testing.T) {
 	q, _ := paper.Fig9Instance(4)
-	if _, _, err := RunAuto(q); err == nil {
+	if _, err := RunAutoInto(context.Background(), q, &rel.CountSink{}); err == nil {
 		t.Fatal("SMA must fail on Fig. 9 (no SM proof)")
 	}
 }
@@ -190,11 +192,11 @@ func TestCommonDenominator(t *testing.T) {
 // flat substrate and the memo, 402 when every run re-expanded the inputs).
 func TestRunAutoAllocRegression(t *testing.T) {
 	q, _ := paper.Fig4Instance(64)
-	if _, _, err := RunAuto(q); err != nil { // warm plan cache + prepared record
+	if _, err := RunAutoInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan cache + prepared record
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := RunAuto(q); err != nil {
+		if _, err := RunAutoInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil {
 			t.Fatal(err)
 		}
 	})

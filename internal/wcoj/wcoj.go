@@ -15,12 +15,11 @@
 //
 // Execution is sink-based (see rel.Sink): GenericJoinInto and
 // BinaryPlanInto emit rows into a sink in the final output order and stop
-// the moment the sink does. GenericJoin with the identity variable order —
+// the moment the sink does. Generic join with the identity variable order —
 // the default for FD-light queries — streams natively during the trie
 // descent, so a LIMIT-1 consumer pays only for the first successful
-// descent; other orders (and the binary plan) buffer, sort, and flush.
-// GenericJoin/BinaryPlan keep the legacy materialized signatures as
-// zero-copy wrappers.
+// descent; other orders (and the binary plan) buffer, sort, and flush. A
+// caller that wants the materialized relation passes a rel.NewCollect sink.
 package wcoj
 
 import (
@@ -54,19 +53,6 @@ type Stats struct {
 	Lookups    int // membership probes
 }
 
-// GenericJoin evaluates the query with the generic worst-case-optimal join
-// over the given global variable order. Variables contained in no relation
-// must be derivable via UDF FDs from earlier variables. It is the legacy
-// materialized entry point, a zero-copy wrapper over GenericJoinInto.
-func GenericJoin(q *query.Q, order []int) (*rel.Relation, *Stats, error) {
-	c := rel.NewCollect("Q", q.AllVars().Members()...)
-	st, err := GenericJoinInto(context.Background(), q, order, c)
-	if err != nil {
-		return nil, st, err
-	}
-	return c.R, st, nil
-}
-
 // identityOrder reports whether order is 0, 1, 2, ... — the case in which
 // the descent below enumerates output rows in exactly the final output
 // order (ascending-variable attributes, lexicographically sorted).
@@ -88,13 +74,14 @@ func identityOrder(order []int) bool {
 }
 
 // GenericJoinInto evaluates the query with the generic worst-case-optimal
-// join, emitting result rows into sink (see rel.Sink for the ordering
-// contract). Under the identity variable order rows stream natively during
-// the trie descent — the sink sees the first row after the first
-// successful descent, and stopping the sink abandons the rest of the
-// search. Any other order buffers, sorts, deduplicates, and then streams.
-// ctx is checked every few hundred descent steps; cancellation aborts with
-// ctx's error.
+// join over the given global variable order, emitting result rows into sink
+// (see rel.Sink for the ordering contract). Variables contained in no
+// relation must be derivable via UDF FDs from earlier variables. Under the
+// identity variable order rows stream natively during the trie descent —
+// the sink sees the first row after the first successful descent, and
+// stopping the sink abandons the rest of the search. Any other order
+// buffers, sorts, deduplicates, and then streams. ctx is checked every few
+// hundred descent steps; cancellation aborts with ctx's error.
 //
 // Each relation is viewed as a level-ordered trie (rel.TrieIndex) whose
 // level order is the global order restricted to its attributes, so the
@@ -324,28 +311,17 @@ func genericJoin(ctx context.Context, q *query.Q, order []int, sink rel.Sink) (*
 	return st, nil
 }
 
-// BinaryPlan evaluates the query with a left-deep hash-join plan in the
+// BinaryPlanInto evaluates the query with a left-deep hash-join plan in the
 // given relation order, expanding and FD-filtering at the end — the
-// "traditional query plan" baseline of the introduction. A nil order means
-// the greedy order: start from the smallest relation and repeatedly join
-// the smallest relation sharing a variable with the accumulated set, so
-// connected join graphs never cross-product. It is the legacy materialized
-// entry point, a zero-copy wrapper over BinaryPlanInto.
-func BinaryPlan(q *query.Q, relOrder []int) (*rel.Relation, *Stats, error) {
-	c := rel.NewCollect("Q", q.AllVars().Members()...)
-	st, err := BinaryPlanInto(context.Background(), q, relOrder, c)
-	if err != nil {
-		return nil, st, err
-	}
-	return c.R, st, nil
-}
-
-// BinaryPlanInto is BinaryPlan emitting into a sink. Hash joins must
-// materialize their intermediates, so the win over the legacy path is at
-// the edges: ctx is checked between joins (a cancelled query stops before
-// the next — potentially quadratic — intermediate is built), and the final
-// expand-and-filter pass streams the sorted result, stopping early when
-// the sink does.
+// "traditional query plan" baseline of the introduction — and emits the
+// result into sink. A nil order means the greedy order: start from the
+// smallest relation and repeatedly join the smallest relation sharing a
+// variable with the accumulated set, so connected join graphs never
+// cross-product. Hash joins must materialize their intermediates, so what
+// the sink buys is at the edges: ctx is checked between joins (a cancelled
+// query stops before the next — potentially quadratic — intermediate is
+// built), and the final expand-and-filter pass streams the sorted result,
+// stopping early when the sink does.
 func BinaryPlanInto(ctx context.Context, q *query.Q, relOrder []int, sink rel.Sink) (*Stats, error) {
 	if len(relOrder) == 0 {
 		relOrder = greedyOrder(q)
@@ -396,7 +372,7 @@ func greedyOrder(q *query.Q) []int {
 	return order
 }
 
-// DefaultOrder returns the variable order GenericJoin runs with absent an
+// DefaultOrder returns the variable order generic join runs with absent an
 // explicit one: ascending variable id, except that a variable stored in no
 // relation is deferred until the variables ordered before it can actually
 // derive it (via a guarded FD lookup or a UDF, matching expand.Extend).
@@ -419,7 +395,7 @@ func DefaultOrder(q *query.Q) []int {
 		if picked < 0 {
 			// Not computable from the prefix (CheckComputable rejects such
 			// queries); append the lowest remaining variable and let
-			// GenericJoin report the error.
+			// GenericJoinInto report the error.
 			for v := 0; v < q.K; v++ {
 				if !have.Contains(v) {
 					picked = v

@@ -1,6 +1,7 @@
 package wcoj
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/naive"
@@ -10,11 +11,12 @@ import (
 
 func TestGenericJoinTriangle(t *testing.T) {
 	q := paper.TriangleProduct(3)
-	out, _, err := GenericJoin(q, DefaultOrder(q))
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	_, err := GenericJoinInto(context.Background(), q, DefaultOrder(q), out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
+	if !rel.Equal(out.R, naive.Evaluate(q)) {
 		t.Fatal("generic join disagrees with naive on product triangle")
 	}
 }
@@ -22,11 +24,12 @@ func TestGenericJoinTriangle(t *testing.T) {
 func TestGenericJoinTriangleRandom(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		q := paper.TriangleRandom(6, 25, seed)
-		out, _, err := GenericJoin(q, DefaultOrder(q))
+		out := rel.NewCollect("Q", q.AllVars().Members()...)
+		_, err := GenericJoinInto(context.Background(), q, DefaultOrder(q), out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rel.Equal(out, naive.Evaluate(q)) {
+		if !rel.Equal(out.R, naive.Evaluate(q)) {
 			t.Fatalf("seed %d: generic join disagrees with naive", seed)
 		}
 	}
@@ -35,22 +38,24 @@ func TestGenericJoinTriangleRandom(t *testing.T) {
 func TestGenericJoinFig1(t *testing.T) {
 	// Order y, z, x, u as in Example 5.8 (u is UDF-derived).
 	q := paper.Fig1QuasiProduct(16)
-	out, _, err := GenericJoin(q, []int{1, 2, 0, 3})
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	_, err := GenericJoinInto(context.Background(), q, []int{1, 2, 0, 3}, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
+	if !rel.Equal(out.R, naive.Evaluate(q)) {
 		t.Fatal("generic join disagrees with naive on Fig1")
 	}
 }
 
 func TestGenericJoinFig1Skew(t *testing.T) {
 	q := paper.Fig1Skew(16)
-	out, _, err := GenericJoin(q, []int{1, 2, 0, 3})
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	_, err := GenericJoinInto(context.Background(), q, []int{1, 2, 0, 3}, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
+	if !rel.Equal(out.R, naive.Evaluate(q)) {
 		t.Fatal("generic join disagrees with naive on skew instance")
 	}
 }
@@ -61,11 +66,11 @@ func TestGenericJoinSkewIsQuadratic(t *testing.T) {
 	// only Θ(N). This is the separation the Chain Algorithm removes.
 	small := paper.Fig1Skew(32)
 	big := paper.Fig1Skew(64)
-	_, stSmall, err := GenericJoin(small, []int{1, 2, 0, 3})
+	stSmall, err := GenericJoinInto(context.Background(), small, []int{1, 2, 0, 3}, &rel.CountSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stBig, err := GenericJoin(big, []int{1, 2, 0, 3})
+	stBig, err := GenericJoinInto(context.Background(), big, []int{1, 2, 0, 3}, &rel.CountSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,22 +86,23 @@ func TestGenericJoinSkewIsQuadratic(t *testing.T) {
 func TestGenericJoinFig5(t *testing.T) {
 	// z appears in no relation; must be derived by the UDF.
 	q := paper.Fig5Instance(5)
-	out, _, err := GenericJoin(q, []int{0, 1, 2})
-	if err != nil {
+	out := &rel.CountSink{}
+	if _, err := GenericJoinInto(context.Background(), q, []int{0, 1, 2}, out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 25 {
-		t.Fatalf("Fig5 output = %d, want 25", out.Len())
+	if out.N != 25 {
+		t.Fatalf("Fig5 output = %d, want 25", out.N)
 	}
 }
 
 func TestGenericJoinM3(t *testing.T) {
 	q := paper.M3Instance(6)
-	out, _, err := GenericJoin(q, DefaultOrder(q))
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	_, err := GenericJoinInto(context.Background(), q, DefaultOrder(q), out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
+	if !rel.Equal(out.R, naive.Evaluate(q)) {
 		t.Fatal("generic join disagrees with naive on M3")
 	}
 }
@@ -105,7 +111,7 @@ func TestDefaultOrderDefersDerivedVariables(t *testing.T) {
 	// Fig. 9 stores only D, E, F, M, N, O; P, S, T exist in no relation and
 	// are derivable only after M or N is bound. The identity order dead-ends
 	// on P at depth 3; DefaultOrder must defer it past a determining input
-	// variable, and GenericJoin must then agree with naive.
+	// variable, and generic join must then agree with naive.
 	q, _ := paper.Fig9Instance(16)
 	order := DefaultOrder(q)
 	pos := make([]int, q.K)
@@ -116,18 +122,19 @@ func TestDefaultOrderDefersDerivedVariables(t *testing.T) {
 	if pos[3] < pos[6] && pos[3] < pos[7] {
 		t.Fatalf("order %v binds derived P before any determining input", order)
 	}
-	out, _, err := GenericJoin(q, order)
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	_, err := GenericJoinInto(context.Background(), q, order, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
+	if !rel.Equal(out.R, naive.Evaluate(q)) {
 		t.Fatal("generic join disagrees with naive on Fig9")
 	}
 }
 
 func TestGenericJoinBadOrderLength(t *testing.T) {
 	q := paper.TriangleProduct(2)
-	if _, _, err := GenericJoin(q, []int{0, 1}); err == nil {
+	if _, err := GenericJoinInto(context.Background(), q, []int{0, 1}, &rel.CountSink{}); err == nil {
 		t.Fatal("expected error for short order")
 	}
 }
@@ -135,11 +142,12 @@ func TestGenericJoinBadOrderLength(t *testing.T) {
 func TestBinaryPlan(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		q := paper.TriangleRandom(5, 15, seed)
-		out, _, err := BinaryPlan(q, nil)
+		out := rel.NewCollect("Q", q.AllVars().Members()...)
+		_, err := BinaryPlanInto(context.Background(), q, nil, out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rel.Equal(out, naive.Evaluate(q)) {
+		if !rel.Equal(out.R, naive.Evaluate(q)) {
 			t.Fatalf("seed %d: binary plan disagrees with naive", seed)
 		}
 	}
@@ -147,22 +155,24 @@ func TestBinaryPlan(t *testing.T) {
 
 func TestBinaryPlanFig1(t *testing.T) {
 	q := paper.Fig1QuasiProduct(9)
-	out, _, err := BinaryPlan(q, nil)
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	_, err := BinaryPlanInto(context.Background(), q, nil, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
+	if !rel.Equal(out.R, naive.Evaluate(q)) {
 		t.Fatal("binary plan disagrees with naive on Fig1")
 	}
 }
 
 func TestColoredTriangleGenericJoin(t *testing.T) {
 	q := paper.ColoredTriangle(24, 2)
-	out, _, err := GenericJoin(q, DefaultOrder(q))
+	out := rel.NewCollect("Q", q.AllVars().Members()...)
+	_, err := GenericJoinInto(context.Background(), q, DefaultOrder(q), out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
+	if !rel.Equal(out.R, naive.Evaluate(q)) {
 		t.Fatal("generic join disagrees with naive on colored triangle")
 	}
 }

@@ -19,6 +19,7 @@ import (
 // Differential fuzzing: every algorithm must agree with the naive oracle on
 // random queries with and without FDs.
 func TestFuzzAllAlgorithms(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(2016))
 	for trial := 0; trial < 40; trial++ {
 		withFDs := trial%2 == 0
@@ -28,30 +29,29 @@ func TestFuzzAllAlgorithms(t *testing.T) {
 		}
 		want := naive.Evaluate(q)
 
-		check := func(name string, out *rel.Relation, err error) {
+		check := func(name string, run func(rel.Sink) error) {
 			t.Helper()
-			if err != nil {
+			out := rel.NewCollect("Q", q.AllVars().Members()...)
+			if err := run(out); err != nil {
 				// SMA may legitimately fail when no good proof exists.
 				if name == "sma" {
 					return
 				}
 				t.Fatalf("trial %d (%s): %v", trial, name, err)
 			}
-			if !rel.Equal(out, want) {
+			if !rel.Equal(out.R, want) {
 				t.Fatalf("trial %d (%s): got %d tuples, want %d (FDs=%v)",
-					trial, name, out.Len(), want.Len(), withFDs)
+					trial, name, out.R.Len(), want.Len(), withFDs)
 			}
 		}
-		out, _, err := chainalg.RunBest(q)
-		check("chain", out, err)
-		out, _, err = csma.Run(q, nil)
-		check("csma", out, err)
-		out, _, err = smalg.RunAuto(q)
-		check("sma", out, err)
-		out, _, err = wcoj.GenericJoin(q, wcoj.DefaultOrder(q))
-		check("generic", out, err)
-		out, _, err = wcoj.BinaryPlan(q, nil)
-		check("binary", out, err)
+		check("chain", func(s rel.Sink) error { _, err := chainalg.RunBestInto(ctx, q, s); return err })
+		check("csma", func(s rel.Sink) error { _, err := csma.RunInto(ctx, q, nil, s); return err })
+		check("sma", func(s rel.Sink) error { _, err := smalg.RunAutoInto(ctx, q, s); return err })
+		check("generic", func(s rel.Sink) error {
+			_, err := wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), s)
+			return err
+		})
+		check("binary", func(s rel.Sink) error { _, err := wcoj.BinaryPlanInto(ctx, q, nil, s); return err })
 
 		// The engine's cost-based plan and its parallel partitioned
 		// execution must agree with the oracle too.
@@ -63,10 +63,14 @@ func TestFuzzAllAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: bind: %v", trial, err)
 		}
-		out, _, err = b.Run(context.Background(), &engine.Options{Workers: 1})
-		check("engine-auto", out, err)
-		out, _, err = b.Run(context.Background(), &engine.Options{Workers: 3, MinParallelRows: 1})
-		check("engine-parallel", out, err)
+		check("engine-auto", func(s rel.Sink) error {
+			_, err := b.RunInto(ctx, &engine.Options{Workers: 1}, s)
+			return err
+		})
+		check("engine-parallel", func(s rel.Sink) error {
+			_, err := b.RunInto(ctx, &engine.Options{Workers: 3, MinParallelRows: 1}, s)
+			return err
+		})
 	}
 }
 
@@ -82,18 +86,18 @@ func TestFuzzSimpleKeys(t *testing.T) {
 			t.Fatalf("trial %d: simple keys must give a distributive lattice", trial)
 		}
 		want := naive.Evaluate(q)
-		out, _, err := chainalg.RunBest(q)
-		if err != nil {
+		out := rel.NewCollect("Q", q.AllVars().Members()...)
+		if _, err := chainalg.RunBestInto(context.Background(), q, out); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !rel.Equal(out, want) {
+		if !rel.Equal(out.R, want) {
 			t.Fatalf("trial %d: chain disagreement", trial)
 		}
-		out2, _, err := csma.Run(q, nil)
-		if err != nil {
+		out2 := rel.NewCollect("Q", q.AllVars().Members()...)
+		if _, err := csma.RunInto(context.Background(), q, nil, out2); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !rel.Equal(out2, want) {
+		if !rel.Equal(out2.R, want) {
 			t.Fatalf("trial %d: csma disagreement", trial)
 		}
 	}
