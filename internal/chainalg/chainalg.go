@@ -5,16 +5,30 @@
 // conditional search, exactly as in the paper's proof of Theorem 5.7.
 //
 // RunInto and RunBestInto are safe to call concurrently on frozen inputs.
-// R_j⁺ and every step's Π_{R_j∧C_i}(R_j⁺) with its two indexes come from the
-// instance's prepared record (expand.Inputs), built once and shared
-// read-only; the Q_i and probe buffers are per-run; the chain memo is in the
-// query's plan cache.
+// R_j⁺, every step's Π_{R_j∧C_i}(R_j⁺) with its index and two hashed
+// lookups, and the steps' compiled expansions come from the instance's
+// prepared record (expand.Inputs), built once and shared read-only; the Q_i
+// are per-run; the chain memo is in the query's plan cache. A step costs one
+// O(1) hashed probe per covering relation per tuple of Q_{i-1} and one per
+// other covering relation per candidate — the index lookups the proof of
+// Theorem 5.7 charges — and each candidate fires only the FDs that neither
+// t ∈ Q_{i-1} nor the candidate row has already satisfied on its own.
 //
-// Both are sink-based (see rel.Sink): the chain's intermediate relations
-// must materialize (step i+1 enumerates per-tuple over step i), so
-// streaming buffers until the last step and then flushes the sorted result,
-// stopping when the sink does; ctx is checked at chain-step and
-// candidate-batch boundaries.
+// No Q_i is sorted or deduplicated, because none can hold a duplicate and the
+// next step only iterates it. By induction: Q_0 = {()}. A tuple of Q_i
+// projects onto C_{i-1} to the t ∈ Q_{i-1} it was built from (the candidate
+// row agrees with t on the shared variables, and expansion binds only unbound
+// variables), so tuples built from different t differ; and the candidates of
+// one t are distinct rows of one duplicate-free projection that agree on its
+// shared-variable prefix, so they differ on a variable of
+// (R_j∧C_i) \ C_{i-1} ⊆ C_i, and so do the tuples built from them.
+// TestIntermediateStepsEmitNoDuplicates checks it on the whole catalog.
+//
+// Both are sink-based (see rel.Sink): step i+1 enumerates per tuple of Q_i,
+// so the run buffers until the last step; Q_k is then sorted once, for the
+// Sink contract's order, and streamed, stopping when the sink does — except
+// into a bare *rel.CountSink, which takes its length unsorted. ctx is checked
+// at chain-step and candidate-batch boundaries.
 package chainalg
 
 import (
@@ -26,7 +40,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/query"
 	"repro/internal/rel"
-	"repro/internal/varset"
 )
 
 // cancelCheckInterval is how many candidate tuples pass between context
@@ -48,9 +61,9 @@ type Stats struct {
 // RunInto evaluates the query along the given chain, which must be good for
 // all inputs and have no isolated step (use bounds.BestChainBound to select
 // one), emitting into sink: the final chain relation Q_k is sorted and
-// streamed, stopping early when the sink does, and ctx cancellation is
-// observed between chain steps and every few hundred candidate tuples
-// within one.
+// streamed, stopping early when the sink does (a bare *rel.CountSink is
+// handed its length instead), and ctx cancellation is observed between chain
+// steps and every thousand tuples of Q_{i-1} within one.
 func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*Stats, error) {
 	l := q.Lattice()
 	inputs := q.InputElems()
@@ -82,18 +95,18 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 			return st, err
 		}
 		ciVars := l.Elems[c[i]]
-		prevVars := l.Elems[c[i-1]]
+		prevVars := prev.VarSet() // C_{i-1}; none for Q_0, even if 0̂ holds constants
 
-		// Relations covering step i, with their projections Π_{R_j∧C_i}(R_j)
-		// indexed so that the C_{i-1}-shared attributes form the prefix.
+		// Relations covering step i, with their projections Π_{R_j∧C_i}(R_j⁺)
+		// indexed so that the C_{i-1}-shared attributes form the prefix. All
+		// of it is resolved here, outside the tuple loop, and all of it is
+		// the instance's: a warm run builds and compiles nothing.
 		type covering struct {
-			ix          *rel.Index
-			sharedVars  []int // vars(R_j ∧ C_{i-1}): the join attributes
-			projVars    varset.Set
-			projMembers []int      // projVars.Members(), precomputed
-			memberIx    *rel.Index // full-row membership index
-			prefixBuf   []Value    // reusable Range prefix, len = |sharedVars|
-			probeBuf    []Value    // reusable membership probe, len = |projVars|
+			ix     *rel.Index
+			shared []int           // vars(R_j ∧ C_{i-1}): the join attributes, ix's leading columns
+			run    *rel.KeyLookup  // ix's rows by their shared-variable prefix; nil when nothing is shared
+			member *rel.KeyLookup  // ix's rows by all their variables
+			prog   *expand.Program // (t, row of ix) → C_i
 		}
 		var covs []*covering
 		for j, r := range inputs {
@@ -101,18 +114,19 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 				continue
 			}
 			projSet := l.Elems[l.Meet(r, c[i])]
-			sharedSet := l.Elems[l.Meet(r, c[i-1])]
+			sharedSet := l.Elems[l.Meet(r, c[i-1])].Intersect(prevVars)
 			proj := e.Project(expanded[j], projSet)
-			prio := append(append([]int{}, sharedSet.Members()...), projSet.Diff(sharedSet).Members()...)
-			covs = append(covs, &covering{
-				ix:          proj.IndexOn(prio...),
-				sharedVars:  sharedSet.Members(),
-				projVars:    projSet,
-				projMembers: projSet.Members(),
-				memberIx:    proj.IndexOn(projSet.Members()...),
-				prefixBuf:   make([]Value, sharedSet.Len()),
-				probeBuf:    make([]Value, projSet.Len()),
-			})
+			cv := &covering{shared: sharedSet.Members()}
+			cv.ix = proj.IndexOn(append(sharedSet.Members(), projSet.Diff(sharedSet).Members()...)...)
+			if len(cv.shared) > 0 {
+				cv.run = cv.ix.Lookup(len(cv.shared))
+			}
+			cv.member = cv.ix.Lookup(proj.Arity())
+			// t ∈ Q_{i-1} was expanded to C_{i-1} by the previous step and the
+			// row comes from a projection of R_j⁺ onto a closed set, so each
+			// half already satisfies the FDs inside it (Q_0 carries nothing).
+			cv.prog = e.Program(prevVars.Union(projSet), ciVars, prevVars, projSet)
+			covs = append(covs, cv)
 		}
 		if len(covs) == 0 {
 			return st, fmt.Errorf("chainalg: step %d is an isolated vertex", i)
@@ -135,10 +149,10 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 			var best *covering
 			bestLo, bestHi := 0, 0
 			for _, cv := range covs {
-				for k, v := range cv.sharedVars {
-					cv.prefixBuf[k] = vals[v]
+				lo, hi := 0, cv.ix.Len()
+				if cv.run != nil {
+					lo, hi = cv.run.Run(vals, cv.shared)
 				}
-				lo, hi := cv.ix.Range(cv.prefixBuf...)
 				st.Probes++
 				if best == nil || hi-lo < bestHi-bestLo {
 					best, bestLo, bestHi = cv, lo, hi
@@ -148,15 +162,13 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 			// to C_i, and verify against the other covering relations.
 			for pos := bestLo; pos < bestHi; pos++ {
 				st.TuplesVisited++
-				// best.ix.Row returns the row in index priority order;
-				// Attr(k) maps position k back to its variable id.
+				// The row is in index priority order: position k holds the
+				// value of variable Attrs()[k].
 				row := best.ix.Row(pos)
-				for k := range row {
-					vals[best.ix.Attr(k)] = row[k]
+				for k, v := range best.ix.Attrs() {
+					vals[v] = row[k]
 				}
-				have := prevVars.Union(best.projVars)
-				_, ok := e.ExpandTuple(vals, have, ciVars)
-				if !ok {
+				if !e.Run(best.prog, vals) {
 					continue
 				}
 				okAll := true
@@ -164,11 +176,8 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 					if cv == best {
 						continue
 					}
-					for k, v := range cv.projMembers {
-						cv.probeBuf[k] = vals[v]
-					}
 					st.Probes++
-					if !cv.memberIx.Contains(cv.probeBuf...) {
+					if _, ok := cv.member.Find(vals, cv.ix.Attrs()); !ok {
 						okAll = false
 						break
 					}
@@ -182,13 +191,23 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 				out.AddTuple(nt)
 			}
 		}
-		out.SortDedup()
+		if observeStep != nil {
+			observeStep(out)
+		}
 		st.Intermediate = append(st.Intermediate, out.Len())
 		prev = out
 	}
+	if n, ok := sink.(*rel.CountSink); ok {
+		n.N += prev.Len() // duplicate-free as it stands: a count needs no order
+		return st, nil
+	}
+	prev.SortDedup() // the Sink contract's order; it drops nothing
 	rel.Stream(prev, sink)
 	return st, nil
 }
+
+// observeStep, when set (by tests), sees every Q_i as the step leaves it.
+var observeStep func(qi *rel.Relation)
 
 // RunBestInto selects the best good chain via bounds.BestChainBound and
 // runs the algorithm on it.

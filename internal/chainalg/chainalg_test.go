@@ -9,6 +9,7 @@ import (
 	"repro/internal/paper"
 	"repro/internal/query"
 	"repro/internal/rel"
+	"repro/internal/scenario"
 )
 
 func checkAgainstNaive(t *testing.T, q *query.Q, what string) *Stats {
@@ -128,9 +129,11 @@ func TestRejectsNonGoodChain(t *testing.T) {
 
 // Alloc regression: on the skewed Fig.1 instance a warm run — best chain
 // memoized, the instance's prepared record (R_j⁺, every step's projection
-// and its two indexes, the FD tables) built by the first run — allocates
-// only its own Q_i relations and probe buffers (130 measured; 268 when
-// every run re-expanded, re-projected and re-indexed the inputs).
+// with its index and hashed lookups, the programs, the FD tables) built by
+// the first run — allocates
+// only its own Q_i relations and per-step bookkeeping (107 measured; 268
+// when every run re-expanded, re-projected and re-indexed the inputs, 130
+// with per-covering probe buffers and a sort per step).
 func TestRunBestAllocRegression(t *testing.T) {
 	q := paper.Fig1Skew(1024)
 	if _, err := RunBestInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan cache + prepared record
@@ -141,7 +144,46 @@ func TestRunBestAllocRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 170 {
-		t.Fatalf("chain algorithm allocates %v times per warm run, want ≤ 170", allocs)
+	if allocs > 134 {
+		t.Fatalf("chain algorithm allocates %v times per warm run, want ≤ 134", allocs)
+	}
+}
+
+// TestIntermediateStepsEmitNoDuplicates: on every catalog family with a good
+// chain, no Q_i — which the steps neither sort nor deduplicate — holds a
+// duplicate (SortDedup on a copy drops nothing), so the count a CountSink
+// takes unsorted is the number of rows a CollectSink receives.
+func TestIntermediateStepsEmitNoDuplicates(t *testing.T) {
+	defer func() { observeStep = nil }()
+	ran := 0
+	for _, f := range scenario.Catalog() {
+		q := f.Build(f.Small[0])
+		steps := 0
+		observeStep = func(qi *rel.Relation) {
+			steps++
+			c := qi.Clone()
+			if c.SortDedup(); c.Len() != qi.Len() {
+				t.Errorf("%s: Q_%d holds %d rows, %d distinct", f.Name, steps, qi.Len(), c.Len())
+			}
+		}
+		count := &rel.CountSink{}
+		if _, err := RunBestInto(context.Background(), q, count); err != nil {
+			continue // no good chain with a finite bound
+		}
+		if steps == 0 {
+			t.Errorf("%s: the run showed no step", f.Name)
+		}
+		ran++
+		observeStep = nil
+		out := rel.NewCollect("Q", q.AllVars().Members()...)
+		if _, err := RunBestInto(context.Background(), q, out); err != nil {
+			t.Fatal(err)
+		}
+		if count.N != out.R.Len() {
+			t.Errorf("%s: counted %d rows, collected %d", f.Name, count.N, out.R.Len())
+		}
+	}
+	if ran < 15 {
+		t.Fatalf("the chain algorithm ran on only %d catalog families: the test lost its coverage", ran)
 	}
 }

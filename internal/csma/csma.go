@@ -20,26 +20,32 @@
 //     degrees, whose optimum provably drops (Lemma 5.36).
 //
 // The union of the T(1̂) tables across branches, semi-join reduced against
-// every input and FD-filtered, is exactly Q^D.
+// every input, is exactly Q^D: every state table — an R_j⁺, a projection of
+// one onto a closed set, a degree class or intersection of either, or an
+// expanded join — satisfies every FD inside its own variables, the expansion
+// of T(A) ⋈ T(B) fires the FDs spanning both sides, and so no FD is left to
+// check at the end (expand.TestTablesAreConsistentOnTheirOwnVariables).
 //
-// RunInto is safe to call concurrently on frozen inputs. The initial state
-// and the projections and degree-class partitions the plan takes of
-// still-initial tables come from the instance's prepared record
-// (expand.Inputs), built once and shared read-only; branch states, joined
-// tables and the result are per-run. No state table is mutated in place:
-// every operation installs a new relation in a cloned state.
+// RunInto is safe to call concurrently on frozen inputs. The initial state,
+// the projections and degree-class partitions the plan takes of still-initial
+// tables, and the joins' compiled expansions come from the instance's
+// prepared record (expand.Inputs), built once and shared read-only; branch
+// states, joined tables and the result are per-run. No state table is mutated
+// in place: every operation installs a new relation in a cloned state.
 //
-// It is sink-based (see rel.Sink): the branch union must materialize before
-// the final semi-join reduction, so rows stream from the last FD-filter
-// pass — already sorted and deduplicated — and a stopped sink skips the
-// remaining filtering; ctx cancellation is observed at every plan-operation
-// and degree-bucket branch boundary.
+// It is sink-based (see rel.Sink): the branch union must materialize, and is
+// sorted and deduplicated once, before the final semi-join reduction — one
+// pass against every input — whose result is streamed, stopping when the sink
+// does; ctx cancellation is observed at every plan-operation and
+// degree-bucket branch boundary.
 package csma
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/bounds"
@@ -132,6 +138,17 @@ func buildPlan(l *lattice.Lattice, res *bounds.CLLPResult) ([]op, error) {
 			}
 		}
 	}
+	// The pairs with s_{A,B} > 0 in ascending (A, B): the first that fits is
+	// taken, so the plan is a function of the dual solution, not of map order.
+	var pairs []bounds.SubmodPair
+	for pr, s := range res.S {
+		if s.Sign() > 0 {
+			pairs = append(pairs, pr)
+		}
+	}
+	slices.SortFunc(pairs, func(p, q bounds.SubmodPair) int {
+		return cmp.Or(cmp.Compare(p.X, q.X), cmp.Compare(p.Y, q.Y))
+	})
 	for guard := 0; guard < l.Size()*l.Size()+2; guard++ {
 		closeK()
 		if inK[l.Top] {
@@ -139,10 +156,7 @@ func buildPlan(l *lattice.Lattice, res *bounds.CLLPResult) ([]op, error) {
 		}
 		// Lemma 5.33: find A, B ∈ K̄ with s_{A,B} > 0 and A∨B ∉ K̄.
 		found := false
-		for pr, s := range res.S {
-			if s.Sign() <= 0 {
-				continue
-			}
+		for _, pr := range pairs {
 			a, b := pr.X, pr.Y
 			if inK[a] && inK[b] && !inK[l.Join(a, b)] {
 				add(op{kind: opJoin, x: a, y: b, out: l.Join(a, b)})
@@ -304,7 +318,7 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 				}
 				joined := rel.Join(ta, bk.Table)
 				st.JoinTuples += joined.Len()
-				outTable, err := e.ExpandRelation(ctx, joined, l.Elems[o.out])
+				outTable, err := e.ExpandRelation(ctx, joined, l.Elems[o.out], ta.VarSet(), bk.Table.VarSet())
 				if err != nil {
 					return err
 				}
@@ -326,32 +340,12 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 		return st, err
 	}
 
-	// Exact answer: semi-join reduce against every input, then FD-filter.
-	// results is sorted over ascending variable order and the semi-joins
-	// preserve that order, so the filter pass below emits rows already in
-	// the sink contract's order — it streams directly, and a stopped sink
-	// skips the remaining FD checks.
+	// Exact answer: order the branch union, then semi-join reduce against
+	// every input in one pass. No FD is left to check: every T(1̂) row was
+	// expanded, with every FD its two halves did not already satisfy, by the
+	// join that built it.
 	results.SortDedup()
-	out := results
-	for _, r := range q.Rels {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		out = rel.Semijoin(out, r)
-	}
-	vals := make([]rel.Value, q.K)
-	outVarSet := out.VarSet()
-	for i := 0; i < out.Len(); i++ {
-		t := out.Row(i)
-		for c, v := range out.Attrs {
-			vals[v] = t[c]
-		}
-		if _, ok := e.Extend(vals, outVarSet); ok {
-			if !sink.Push(t) {
-				break
-			}
-		}
-	}
+	rel.Stream(rel.SemijoinAll(results, q.Rels), sink)
 	return st, nil
 }
 

@@ -3,13 +3,22 @@
 // applying functional dependencies — joining with the guard projection for
 // guarded FDs, and evaluating the UDF for unguarded ones.
 //
+// There are two forms. Extend / ExpandTuple run the fixpoint dynamically and
+// assume nothing about the tuple: the reference (naive), the first build of
+// R_j⁺, generic join, and the oracle the other form is tested against. A
+// Program (program.go) is the same fixpoint compiled for tuples of one kind
+// — bound on a fixed set and already FD-consistent on stated subsets of it —
+// into a straight line that fires each remaining FD once: what the chain
+// algorithm, SMA and CSMA run per tuple on the tables they build themselves.
+//
 // What is a function of the query instance alone — the per-FD lookup tables,
 // R_j⁺ per input, the projections Π_X(R_j⁺) and degree-class partitions the
-// executors ask for — lives in the instance's Inputs record (inputs.go):
-// built lazily, once, shared read-only by every run. Nobody mutates a record
-// relation; rel.Intersect, Semijoin and Project return new ones. An Expander
-// is the per-run half, a view of the record plus scratch buffers: NOT safe
-// for concurrent use, built per executor run by New (two allocations).
+// executors ask for, the programs — lives in the instance's Inputs record
+// (inputs.go): built lazily, once, shared read-only by every run. Nobody
+// mutates a record relation; rel.Intersect, Semijoin and Project return new
+// ones. An Expander is the per-run half, a view of the record plus scratch
+// buffers: NOT safe for concurrent use, built per executor run by New (two
+// allocations).
 package expand
 
 import (
@@ -134,13 +143,25 @@ func (e *Expander) ExpandTuple(vals []Value, have, target varset.Set) (varset.Se
 // ExpandRelation expands every tuple of r to the target variable set and
 // returns the result (dropping FD-inconsistent tuples), with attributes in
 // ascending variable order; ctx is consulted every cancelCheckInterval rows.
-func (e *Expander) ExpandRelation(ctx context.Context, r *rel.Relation, target varset.Set) (*rel.Relation, error) {
+//
+// Without known sets it runs the dynamic Extend, which assumes nothing about
+// r, and returns the rows sorted and deduplicated. Given the sets r's rows
+// are already FD-consistent on — for a join T(A) ⋈ T(B) of an executor's own
+// tables, vars T(A) and vars T(B) — it runs the compiled Program, which fires
+// only the FDs no known set settles, and keeps r's row order: order is the
+// caller's business (a union or the final sort establishes it once), and a
+// duplicate-free r whose variables target contains stays duplicate-free.
+func (e *Expander) ExpandRelation(ctx context.Context, r *rel.Relation, target varset.Set, known ...varset.Set) (*rel.Relation, error) {
 	attrs := target.Members()
 	out := rel.New(r.Name+"+", attrs...)
 	out.Grow(r.Len())
 	vals := make([]Value, e.q.K)
 	nt := make(rel.Tuple, len(attrs))
 	rVars := r.VarSet()
+	var prog *Program
+	if len(known) > 0 {
+		prog = e.Program(rVars, target, known...)
+	}
 	for ri := 0; ri < r.Len(); ri++ {
 		if ri%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -151,7 +172,11 @@ func (e *Expander) ExpandRelation(ctx context.Context, r *rel.Relation, target v
 		for i, v := range r.Attrs {
 			vals[v] = t[i]
 		}
-		if _, ok := e.ExpandTuple(vals, rVars, target); !ok {
+		if prog != nil {
+			if !e.Run(prog, vals) {
+				continue
+			}
+		} else if _, ok := e.ExpandTuple(vals, rVars, target); !ok {
 			continue
 		}
 		for i, v := range attrs {
@@ -159,7 +184,9 @@ func (e *Expander) ExpandRelation(ctx context.Context, r *rel.Relation, target v
 		}
 		out.AddTuple(nt)
 	}
-	out.SortDedup()
+	if prog == nil {
+		out.SortDedup()
+	}
 	return out, nil
 }
 

@@ -22,11 +22,15 @@ import (
 type Inputs struct {
 	fds []fdTable // read-only
 
-	mu      sync.Mutex
-	sealed  map[sealedKey]*rel.Relation // guarded by mu; Π_vars(R_input⁺), sorted, never mutated
-	owner   map[*rel.Relation]int       // guarded by mu; sealed relation → its input
-	classes map[classKey][]DegreeClass  // guarded by mu
-	builds  atomic.Int64                // entries built so far
+	mu       sync.Mutex
+	sealed   map[sealedKey]*rel.Relation // guarded by mu; Π_vars(R_input⁺), sorted, never mutated
+	owner    map[*rel.Relation]int       // guarded by mu; sealed relation → its input
+	classes  map[classKey][]DegreeClass  // guarded by mu
+	programs []*Program                  // guarded by mu; compiled expansions, keyed by (have, known)
+	builds   atomic.Int64                // entries built so far
+
+	// verify, when set (by tests, before any run), sees every Program run.
+	verify func(p *Program, vals []Value)
 }
 
 // sealedKey names Π_vars(R_input⁺): R_input⁺ itself when vars is its closure.

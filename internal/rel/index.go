@@ -9,8 +9,9 @@ import (
 
 var indexBuilds atomic.Int64
 
-// IndexBuilds returns how many indexes IndexOn has built (cache misses) so
-// far in this process; a warm run over sealed relations adds none.
+// IndexBuilds returns how many indexes IndexOn, and hashed lookups
+// Index.Lookup, have built (cache misses) so far in this process; a warm run
+// over sealed relations adds none.
 func IndexBuilds() int64 { return indexBuilds.Load() }
 
 // Index is a sorted access path over a relation: rows ordered
@@ -33,6 +34,9 @@ type Index struct {
 
 	trieOnce sync.Once // guards the lazy trie view (see trie.go)
 	trie     *TrieIndex
+
+	mu      sync.Mutex   // guards lookups
+	lookups []*KeyLookup // guarded by mu; hashed lookups on leading columns, keyed by width
 }
 
 // IndexOn builds (or returns a cached) index whose sort priority starts with

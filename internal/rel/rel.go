@@ -4,7 +4,9 @@
 //
 // It provides the operations the paper's algorithms need with the costs the
 // analysis assumes: prefix range lookup and degree counting in O(log N) on a
-// sorted index, hash join/semijoin in time linear in input plus output.
+// sorted index — O(1) expected through the index's hashed lookup, for callers
+// that probe one fixed key width many times — and hash join/semijoin in time
+// linear in input plus output.
 //
 // Storage is flat and columnar-friendly: every relation keeps its rows in a
 // single contiguous []Value with stride = arity, so row access is a cheap
@@ -27,6 +29,7 @@ package rel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -291,16 +294,76 @@ func (r *Relation) compactSorted() bool {
 	return true
 }
 
-// sortedPerm returns row indices sorted by lexicographic row order.
+// sortedPerm returns row indices sorted by lexicographic row order, equal
+// rows in ascending index order. It is the one sort kernel, under SortDedup
+// and IndexOn alike. When the rows fit — Σ over columns of the bit width of
+// (max − min), plus ⌈log₂ n⌉, is at most 64 — each row is packed into one
+// uint64 (its column offsets from the column minima, first column highest,
+// above the row index) and the integers are sorted; dictionary-encoded data
+// nearly always fits. Otherwise it sorts the indices with a row comparator.
 func sortedPerm(data []Value, n, k int) []int32 {
 	perm := make([]int32, n)
+	if n > 1 && k > 0 && sortPacked(data, n, k, perm) {
+		return perm
+	}
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	slices.SortFunc(perm, func(a, b int32) int {
-		return cmpRowsAt(data, int(a)*k, int(b)*k, k)
+		if c := cmpRowsAt(data, int(a)*k, int(b)*k, k); c != 0 {
+			return c
+		}
+		return int(a - b)
 	})
 	return perm
+}
+
+// keyPool recycles sortPacked's key slices, like flatPool its tables.
+var keyPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// sortPacked is sortedPerm's packed-key path: it fills perm and reports
+// true, or reports false when the rows do not fit in 64 bits.
+func sortPacked(data []Value, n, k int, perm []int32) bool {
+	var minBuf, maxBuf [16]Value
+	var widthBuf [16]uint8
+	mins, maxs, widths := minBuf[:], maxBuf[:], widthBuf[:]
+	if k > len(minBuf) {
+		mins, maxs, widths = make([]Value, k), make([]Value, k), make([]uint8, k)
+	}
+	mins, maxs, widths = mins[:k], maxs[:k], widths[:k]
+	copy(mins, data[:k])
+	copy(maxs, data[:k])
+	for base := k; base < n*k; base += k {
+		for c, v := range data[base : base+k] {
+			mins[c], maxs[c] = min(mins[c], v), max(maxs[c], v)
+		}
+	}
+	idxBits := bits.Len(uint(n - 1))
+	total := idxBits
+	for c := range widths {
+		w := bits.Len64(uint64(maxs[c]) - uint64(mins[c])) // exact even when the difference overflows int64
+		if total += w; total > 64 {
+			return false
+		}
+		widths[c] = uint8(w)
+	}
+	kp := keyPool.Get().(*[]uint64)
+	keys := slices.Grow((*kp)[:0], n)[:n]
+	for i := range keys {
+		var key uint64
+		for c, v := range data[i*k : i*k+k] {
+			key = key<<widths[c] | (uint64(v) - uint64(mins[c]))
+		}
+		keys[i] = key<<idxBits | uint64(i)
+	}
+	slices.Sort(keys)
+	idxMask := uint64(1)<<idxBits - 1
+	for i, key := range keys {
+		perm[i] = int32(key & idxMask)
+	}
+	*kp = keys
+	keyPool.Put(kp)
+	return true
 }
 
 // cmpRowsAt2 compares a row in da (at offset a) against a row in db (at b).
@@ -475,6 +538,39 @@ func Semijoin(a, b *Relation) *Relation {
 		}
 	}
 	ht.release()
+	return out
+}
+
+// SemijoinAll returns the rows of a, in a's order, that join with at least
+// one row of every b: one pass over a and one filtered copy, probing each
+// b's key lookup on the shared variables — cached on b (LookupOn), so
+// relations that outlive the call are hashed once.
+func SemijoinAll(a *Relation, bs []*Relation) *Relation {
+	type side struct {
+		ht   *flatTable
+		cols []int // a's columns of the variables shared with this b, ascending
+	}
+	sides := make([]side, len(bs))
+	for j, b := range bs {
+		shared := a.VarSet().Intersect(b.VarSet()).Members()
+		cols := make([]int, len(shared))
+		for x, v := range shared {
+			cols[x] = a.Col(v)
+		}
+		sides[j] = side{b.LookupOn(shared...).ht, cols}
+	}
+	out := New(a.Name, a.Attrs...)
+	out.data = make([]Value, 0, len(a.data))
+	ka := len(a.Attrs)
+rows:
+	for i := 0; i < a.n; i++ {
+		for _, s := range sides {
+			if _, ok := s.ht.probe(a.data, i*ka, s.cols); !ok {
+				continue rows
+			}
+		}
+		out.appendRowOf(a, i)
+	}
 	return out
 }
 

@@ -1,15 +1,23 @@
 // Package smalg implements the Sub-Modularity Algorithm (Algorithm 2,
 // Sec. 5.2) and the good-proof search it needs. RunInto and RunAutoInto are
-// safe to call concurrently on frozen inputs: the initial slot tables R_j⁺
-// and their Z-projections come from the instance's prepared record
-// (expand.Inputs), built once and shared read-only; every table a proof step
-// produces is per-run, and none is mutated in place (rel.Semijoin, Join and
-// Project return new relations).
+// safe to call concurrently on frozen inputs: the initial slot tables R_j⁺,
+// their Z-projections and the steps' compiled expansions come from the
+// instance's prepared record (expand.Inputs), built once and shared
+// read-only; every table a proof step produces is per-run, and none is
+// mutated in place (rel.Semijoin, Join and Project return new relations).
+//
+// Every table a slot holds — an R_j⁺, a projection of one onto a closed set,
+// a subset of either, or an expanded join — satisfies every FD whose
+// variables lie inside its own variable set. That is what lets the expansion
+// of T(X) ⋈ T(Y) fire only the FDs spanning both sides, and why nothing is
+// left to check once the T(1̂) tables are united
+// (expand.TestTablesAreConsistentOnTheirOwnVariables).
 //
 // Both are sink-based (see rel.Sink): the SM-join tables must materialize
-// step by step, so rows stream from the final FD-filter pass — already
-// sorted and deduplicated — and a stopped sink skips the remaining
-// filtering; ctx cancellation is observed at every proof-step boundary.
+// step by step, so the run buffers; the union of the T(1̂) tables is
+// semi-join reduced against every input in one pass, sorted if it is not
+// already, and streamed, stopping when the sink does. ctx cancellation is
+// observed at every proof-step boundary.
 package smalg
 
 import (
@@ -37,7 +45,7 @@ type Stats struct {
 // given good proof sequence and the optimal LLP solution h* that the proof
 // is tight for, streaming the result into sink. The result is exactly Q^D
 // (the final semi-join reduction filters the union of the T(1̂) tables
-// against every input and FD).
+// against every input; the FDs were applied as the tables were built).
 func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proof, sink rel.Sink) (*Stats, error) {
 	l := llp.Lat
 	e := expand.New(q)
@@ -92,7 +100,7 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 		// T(X∨Y) = (T(X) ⋈ (T(Y) ⋉ Lite))⁺, expanded to vars(X∨Y).
 		joined := rel.Join(tx, rel.Semijoin(ty, lite))
 		st.JoinTuples += joined.Len()
-		if tables[s.SlotJoin], err = e.ExpandRelation(ctx, joined, l.Elems[s.Join]); err != nil {
+		if tables[s.SlotJoin], err = e.ExpandRelation(ctx, joined, l.Elems[s.Join], tx.VarSet(), ty.VarSet()); err != nil {
 			return st, err
 		}
 		st.LiteSizes = append(st.LiteSizes, tables[s.SlotJoin].Len())
@@ -123,29 +131,13 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 	if out == nil {
 		return st, nil
 	}
-	for _, r := range q.Rels {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		out = rel.Semijoin(out, r)
-	}
-	// Final FD-consistency filter (covers UDF FDs not witnessed by inputs).
-	// out is sorted over ascending variable order (union/expansion output)
-	// and the semi-joins preserve that, so the filter streams directly in
-	// the sink contract's order; a stopped sink skips the remaining checks.
-	vals := make([]rel.Value, q.K)
-	outVarSet := out.VarSet()
-	for i := 0; i < out.Len(); i++ {
-		t := out.Row(i)
-		for c, v := range out.Attrs {
-			vals[v] = t[c]
-		}
-		if _, ok := e.Extend(vals, outVarSet); ok {
-			if !sink.Push(t) {
-				break
-			}
-		}
-	}
+	// Semi-join reduce against every input: one pass, one fresh copy (out may
+	// be a table of the instance's record, which no sink may adopt). Nothing is
+	// left to check after it: every T(1̂) row was expanded, with every FD its
+	// two halves did not already satisfy, by the step that built it.
+	out = rel.SemijoinAll(out, q.Rels)
+	out.SortDedup() // a lone T(1̂) table is in join order; a union is sorted already (one linear pass)
+	rel.Stream(out, sink)
 	return st, nil
 }
 
