@@ -1,5 +1,5 @@
 // Command experiments regenerates every experiment table of the
-// reproduction (E1–E13 in DESIGN.md / EXPERIMENTS.md), printing paper
+// reproduction (E1–E14 in DESIGN.md / EXPERIMENTS.md), printing paper
 // expectation vs. measured value for each bound, classification, and
 // algorithm-scaling claim in the paper.
 //
@@ -9,10 +9,13 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/benchkit"
@@ -26,6 +29,7 @@ import (
 	"repro/internal/paper"
 	"repro/internal/query"
 	"repro/internal/rel"
+	"repro/internal/scenario"
 	"repro/internal/smalg"
 	"repro/internal/varset"
 	"repro/internal/wcoj"
@@ -39,9 +43,9 @@ var (
 		"E1": func() { e1() }, "E2": e2, "E3": e3, "E4": e4,
 		"E5": func() { e5() }, "E6": func() { e6() },
 		"E7": e7, "E8": e8, "E9": e9, "E10": e10, "E11": e11, "E12": e12,
-		"E13": e13,
+		"E13": e13, "E14": func() { e14() },
 	}
-	order = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"}
+	order = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14"}
 )
 
 func main() {
@@ -384,6 +388,91 @@ func e13() {
 	prow("triangle product m=16 (no FDs)", paper.TriangleProduct(16))
 	prow("triangle product m=2 (tiny)", paper.TriangleProduct(2))
 	fmt.Println(t)
+}
+
+// orderWork is one row of E14: generic join's Extensions on one instance
+// under the identity order, the greedy order and the best of all K! orders.
+type orderWork struct {
+	instance               string
+	identity, greedy, best int
+}
+
+// E14: ROADMAP 8(a), step 0 — what choosing the variable order could buy
+// generic join on the FD-free families, counted in Extensions (deterministic,
+// and what E1 fits its exponent from). Greedy binds the variable with the
+// fewest distinct values first (the smallest column over the relations that
+// hold it), most relations on a tie, lowest id after that.
+func e14() []orderWork {
+	t := benchkit.NewTable("E14 — generic join Extensions by variable order (ROADMAP 8(a): is identity within 1.2× of best?)",
+		"instance", "identity", "greedy", "greedy order", "best", "best order", "identity÷best", "greedy÷best")
+	var rows []orderWork
+	for _, f := range scenario.Catalog() {
+		if !strings.HasPrefix(f.Name, "motif/") && !strings.HasPrefix(f.Name, "skew/") && !strings.HasPrefix(f.Name, "worst/") {
+			continue
+		}
+		for _, size := range []int{64, 256} {
+			q := f.Build(scenario.Params{Size: size, Seed: 1})
+			work := func(order []int) int {
+				st, err := wcoj.GenericJoinInto(ctx, q, order, &rel.CountSink{})
+				must(err)
+				return st.Extensions
+			}
+			greedy := greedyVarOrder(q)
+			w := orderWork{instance: fmt.Sprintf("%s@%d", f.Name, size),
+				identity: work(wcoj.DefaultOrder(q)), greedy: work(greedy), best: math.MaxInt}
+			var bestOrder []int
+			eachOrder(q.K, func(order []int) {
+				if n := work(order); n < w.best {
+					w.best, bestOrder = n, slices.Clone(order)
+				}
+			})
+			t.Row(w.instance, w.identity, w.greedy, fmt.Sprint(greedy), w.best, fmt.Sprint(bestOrder),
+				float64(w.identity)/float64(w.best), float64(w.greedy)/float64(w.best))
+			rows = append(rows, w)
+		}
+	}
+	fmt.Println(t)
+	return rows
+}
+
+// greedyVarOrder is E14's greedy order.
+func greedyVarOrder(q *query.Q) []int {
+	distinct, holders := make([]int, q.K), make([]int, q.K)
+	for v := range distinct {
+		distinct[v] = math.MaxInt
+		for _, r := range q.Rels {
+			if r.Col(v) >= 0 {
+				lo, hi := r.IndexOn(v).Trie().Root()
+				distinct[v] = min(distinct[v], int(hi-lo))
+				holders[v]++
+			}
+		}
+	}
+	order := make([]int, q.K)
+	for v := range order {
+		order[v] = v
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(distinct[a], distinct[b]), cmp.Compare(holders[b], holders[a]))
+	})
+	return order
+}
+
+// eachOrder calls f with every permutation of 0..k-1, in lexicographic order.
+func eachOrder(k int, f func(order []int)) {
+	var rec func(prefix []int, used uint)
+	rec = func(prefix []int, used uint) {
+		if len(prefix) == k {
+			f(prefix)
+			return
+		}
+		for v := 0; v < k; v++ {
+			if used&(1<<v) == 0 {
+				rec(append(prefix, v), used|1<<v)
+			}
+		}
+	}
+	rec(make([]int, 0, k), 0)
 }
 
 func mustQ[T any](q *query.Q, _ T) *query.Q { return q }

@@ -41,3 +41,18 @@ func TestFittedExponentsMatchThePaper(t *testing.T) {
 		t.Errorf("E6 output exponent %.3f, paper: 3/2", got)
 	}
 }
+
+// E14 is a table, not a claim: it has a row per family and size, and the
+// best of all orders is at most what any one order — identity, greedy —
+// costs.
+func TestOrderTableIsProduced(t *testing.T) {
+	rows := e14()
+	if len(rows) != 18 {
+		t.Fatalf("E14 has %d rows, want 9 families × 2 sizes", len(rows))
+	}
+	for _, w := range rows {
+		if w.best <= 0 || w.best > w.identity || w.best > w.greedy {
+			t.Errorf("%s: best of all orders %d, identity %d, greedy %d", w.instance, w.best, w.identity, w.greedy)
+		}
+	}
+}

@@ -398,15 +398,14 @@ func (s *Session) Collect(ctx context.Context, q *Q) (out [][]Value, err error) 
 	if collect == nil {
 		return nil, nil
 	}
-	// One backing array for the whole answer. Each row is a full-slice
-	// view (cap == len), so appending to a returned row reallocates rather
-	// than overwriting its neighbour.
-	k := len(q.vars)
-	flat := make([]Value, 0, collect.R.Len()*k)
+	// The rows are views over the collector's own flat storage, which nobody
+	// else holds: the collector is private to this call, and an executor only
+	// ever streams a relation it built itself into it (rel.Stream). Each is a
+	// full-slice view (cap == len), so appending to a returned row
+	// reallocates rather than overwriting its neighbour.
 	out = make([][]Value, collect.R.Len())
 	for i := range out {
-		flat = append(flat, collect.R.Row(i)...)
-		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
+		out[i] = collect.R.Row(i)
 	}
 	return out, nil
 }

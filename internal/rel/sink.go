@@ -25,8 +25,9 @@ import (
 //   - Push returns false to stop the producer. A stopped producer abandons
 //     its remaining work and returns without error: stopping is a consumer
 //     decision, not a failure.
-//   - Push is the whole interface: a sink that buffers (BlockSink) is
-//     flushed by whoever called RunInto, once the run has returned.
+//   - Push is all a producer may rely on (RunSink is an optional extra): a
+//     sink that buffers (BlockSink) is flushed by whoever called RunInto,
+//     once the run has returned.
 //   - One pusher at a time. Sequential executions push from the calling
 //     goroutine; the parallel scheduler pushes from possibly different
 //     goroutines in succession, each hand-over ordered by the scheduler's
@@ -35,6 +36,24 @@ import (
 //     must not rely on goroutine identity.
 type Sink interface {
 	Push(t Tuple) bool
+}
+
+// RunSink is an optional, internal extension of Sink for the sinks that
+// gain from taking consecutive rows at once: PushRun(prefix, last) means
+// exactly len(last) Pushes of prefix followed by each value of last in turn
+// (last is ascending, both slices are valid for the call only), and a false
+// return stops the producer like Push's. A producer that finds its next rows
+// in that form — generic join's last trie level under one path — offers the
+// run to a sink that implements RunSink and pushes row by row otherwise.
+//
+// CountSink and CollectSink implement it, and nothing else may: a sink that
+// has to see each row — LimitSink, BlockSink, the engine's tally, budget and
+// morsel sinks — gets Push per row simply by not having the method, so
+// limits, row and memory budgets and first-row latency are decided at the
+// same row as without runs.
+type RunSink interface {
+	Sink
+	PushRun(prefix Tuple, last []Value) bool
 }
 
 // CollectSink materializes the pushed rows into R, the moral equivalent of
@@ -55,6 +74,12 @@ func NewCollect(name string, attrs ...int) *CollectSink {
 // producer.
 func (c *CollectSink) Push(t Tuple) bool {
 	c.R.AddTuple(t)
+	return true
+}
+
+// PushRun writes the run's rows straight into the collected relation.
+func (c *CollectSink) PushRun(prefix Tuple, last []Value) bool {
+	c.R.appendRun(prefix, last)
 	return true
 }
 
@@ -98,6 +123,12 @@ type CountSink struct {
 // Push counts the row.
 func (c *CountSink) Push(Tuple) bool {
 	c.N++
+	return true
+}
+
+// PushRun counts the run's rows.
+func (c *CountSink) PushRun(_ Tuple, last []Value) bool {
+	c.N += len(last)
 	return true
 }
 

@@ -289,3 +289,80 @@ func TestWithAttrsSharesStorage(t *testing.T) {
 		t.Fatal("view must share flat storage")
 	}
 }
+
+// A sink that must see each row must never take runs. Embedding the sink
+// beside a type that has a PushRun makes the selector ambiguous — a compile
+// error — the day *LimitSink or *BlockSink gains the method.
+type hasPushRun struct{}
+
+func (hasPushRun) PushRun() {}
+
+var (
+	_ RunSink = (*CollectSink)(nil)
+	_ RunSink = (*CountSink)(nil)
+	_         = struct {
+		*LimitSink
+		hasPushRun
+	}{}.PushRun
+	_ = struct {
+		*BlockSink
+		hasPushRun
+	}{}.PushRun
+)
+
+// TestPushRunEqualsPushes: PushRun(prefix, last) is len(last) Pushes, for both
+// implementers, at every arity from 1 (empty prefix) up, interleaved with
+// plain pushes and across the growth of the collector's storage.
+func TestPushRunEqualsPushes(t *testing.T) {
+	for arity := 1; arity <= 4; arity++ {
+		attrs := make([]int, arity)
+		for i := range attrs {
+			attrs[i] = i
+		}
+		byRun, byRow := NewCollect("run", attrs...), NewCollect("row", attrs...)
+		var nRun, nRow CountSink
+		stale := byRun.R.IndexOn(attrs...)
+		row := make(Tuple, arity)
+		for p := 0; p < 40; p++ {
+			for i := range row[:arity-1] {
+				row[i] = Value(p * (i + 1))
+			}
+			last := make([]Value, (p*7)%23) // empty runs included
+			for i := range last {
+				last[i] = Value(p + 3*i)
+			}
+			if !byRun.PushRun(row[:arity-1], last) || !nRun.PushRun(row[:arity-1], last) {
+				t.Fatal("PushRun stopped the producer")
+			}
+			for _, v := range last {
+				row[arity-1] = v
+				byRow.Push(row)
+				nRow.Push(row)
+			}
+			if p%5 == 0 { // a plain push between runs lands between them
+				row[arity-1] = -1
+				byRun.Push(row)
+				byRow.Push(row)
+			}
+		}
+		if !Identical(byRun.R, byRow.R) {
+			t.Fatalf("arity %d: rows pushed as runs differ from rows pushed one by one", arity)
+		}
+		if nRun.N != nRow.N || nRun.N == 0 {
+			t.Fatalf("arity %d: counted %d by run, %d by row", arity, nRun.N, nRow.N)
+		}
+		if byRun.R.IndexOn(attrs...) == stale {
+			t.Fatalf("arity %d: a run append kept serving an index built before it", arity)
+		}
+		last := byRun.R.Row(byRun.R.Len() - 1)
+		if cap(last) != len(last) {
+			t.Fatalf("arity %d: the last row's view has spare capacity %d", arity, cap(last)-len(last))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a run of the wrong arity must panic like AddTuple")
+		}
+	}()
+	NewCollect("bad", 0, 1, 2).PushRun(Tuple{1}, []Value{2})
+}

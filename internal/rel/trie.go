@@ -101,6 +101,11 @@ func (t *TrieIndex) Children(d int, node int32) (lo, hi int32) {
 // Val returns the value of a node at level d.
 func (t *TrieIndex) Val(d int, node int32) Value { return t.levels[d].vals[node] }
 
+// Vals returns the values of nodes [lo, hi) at level d — a child run when
+// the range is one, so sorted and duplicate-free. The slice aliases the
+// trie's storage and must not be written.
+func (t *TrieIndex) Vals(d int, lo, hi int32) []Value { return t.levels[d].vals[lo:hi:hi] }
+
 // Fanout returns the number of children of node at level d — the degree of
 // the node's value path restricted to distinct next-level values.
 func (t *TrieIndex) Fanout(d int, node int32) int {

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -43,6 +44,9 @@ func TestTrieAgainstDistinctNext(t *testing.T) {
 			clo, chi := tr.Children(0, p)
 			if int(chi-clo) != len(inner) || tr.Fanout(0, p) != len(inner) {
 				t.Fatalf("trial %d: fanout %d, want %d", trial, chi-clo, len(inner))
+			}
+			if run := tr.Vals(1, clo, chi); !slices.Equal(run, inner) || cap(run) != len(run) {
+				t.Fatalf("trial %d: child run %v (cap %d), want %v", trial, run, cap(run), inner)
 			}
 			for c := clo; c < chi; c++ {
 				if tr.Val(1, c) != inner[c-clo] {

@@ -18,8 +18,11 @@
 // the moment the sink does. Generic join with the identity variable order —
 // the default for FD-light queries — streams natively during the trie
 // descent, so a LIMIT-1 consumer pays only for the first successful
-// descent; other orders (and the binary plan) buffer, sort, and flush. A
-// caller that wants the materialized relation passes a rel.NewCollect sink.
+// descent; other orders (and the binary plan) buffer, sort, and flush. The
+// descent is compiled per run from the shape and the order (which relations
+// meet at which trie level, which FDs fire after a binding, which levels a
+// derived value binds), and hands its last level to a rel.RunSink — a bare
+// collector or counter — one run of rows per prefix instead of row by row.
 package wcoj
 
 import (
@@ -81,7 +84,8 @@ func identityOrder(order []int) bool {
 // the sink sees the first row after the first successful descent, and
 // stopping the sink abandons the rest of the search. Any other order
 // buffers, sorts, deduplicates, and then streams. ctx is checked every few
-// hundred descent steps; cancellation aborts with ctx's error.
+// hundred descent steps and emitted rows; cancellation aborts with ctx's
+// error.
 //
 // Each relation is viewed as a level-ordered trie (rel.TrieIndex) whose
 // level order is the global order restricted to its attributes, so the
@@ -89,226 +93,279 @@ func identityOrder(order []int) bool {
 // k-way intersection of the current nodes' child runs: the relation with
 // the smallest fanout seeds the candidates and the others are probed by
 // galloping search with monotone cursors (the seed enumerates ascending).
-// Descending one trie level per binding replaces the full-index binary
-// search the old implementation paid per probe per depth.
+// Which relations meet at which trie level, and which FDs fire and which
+// levels their derived values bind afterwards, is fixed by the shape and
+// the order: compile works it out once, the descent only follows it.
 func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink) (*Stats, error) {
-	if !identityOrder(order) {
-		buf := rel.NewCollect("Q", q.AllVars().Members()...)
-		st, err := genericJoin(ctx, q, order, buf)
-		if err != nil {
-			return st, err
-		}
-		buf.R.SortDedup()
-		rel.Stream(buf.R, sink)
-		return st, nil
-	}
-	return genericJoin(ctx, q, order, sink)
-}
-
-// genericJoin is the descent shared by both entry modes; it pushes rows
-// into sink as they are found, in depth-first enumeration order.
-func genericJoin(ctx context.Context, q *query.Q, order []int, sink rel.Sink) (*Stats, error) {
 	if len(order) != q.K {
 		return nil, fmt.Errorf("wcoj: order must list all %d variables", q.K)
 	}
-	e := expand.New(q)
-	st := &Stats{}
-
-	// Trie per relation, levels = global order restricted to its attrs.
-	type relIx struct {
-		trie    *rel.TrieIndex
-		attrSet varset.Set
-		arity   int
-		depth   int     // trie levels descended = length of the bound prefix
-		nodes   []int32 // node id per descended level
+	out := sink
+	var buf *rel.CollectSink
+	if !identityOrder(order) {
+		buf = rel.NewCollect("Q", q.AllVars().Members()...)
+		out = buf
 	}
-	rixs := make([]*relIx, len(q.Rels))
-	prioBuf := make([]int, 0, q.K)
+	x := &descent{ctx: ctx, sink: out, vals: make([]Value, q.K)}
+	if err := x.compile(q, order); err != nil {
+		return &x.st, err
+	}
+	if err := x.descend(0); err != nil && !errors.Is(err, errStop) {
+		return &x.st, err // errStop: a consumer decision, not an error
+	}
+	if buf != nil {
+		buf.R.SortDedup()
+		rel.Stream(buf.R, sink)
+	}
+	return &x.st, nil
+}
+
+// level is one iterating (or, in no relation, deriving) depth of the
+// descent. A depth whose variable an FD bound earlier is not compiled at all:
+// membership of a derived value is what the seeks check, footnote-1 style.
+type level struct {
+	v     int
+	parts []part          // the relations containing v, in relation order; none: v must be derived
+	prog  *expand.Program // the FDs binding v can fire; nil when there are none
+	seeks []part          // the trie levels of FD-derived variables that binding v reaches, in relation then level order
+	run   bool            // the deepest level, binding the last column, nothing fired after it
+	err   error           // v is neither stored nor derivable: reported if the descent gets here
+}
+
+// part is one trie level of one relation. A relation's level for order[d] is
+// the number of its attributes in order[:d], so it is bound at one depth only
+// and its cell doubles as the galloping cursor while that depth iterates.
+type part struct {
+	trie *rel.TrieIndex
+	lvl  int
+	cell int // into descent.cells; the parent level's is cell-1
+	v    int // the level's variable
+}
+
+// cell holds the node a relation's trie level is bound to, and the end of
+// the child run that node was found in.
+type cell struct{ node, end int32 }
+
+// descent is one run of generic join: the compiled levels and the state they
+// index. vals needs no save and restore: a level only reads the variables
+// bound above it, which the loops above leave alone until it returns.
+type descent struct {
+	ctx    context.Context
+	sink   rel.Sink
+	runs   rel.RunSink      // sink, when it takes the last level as runs
+	e      *expand.Expander // nil on an FD-free query
+	levels []level
+	vals   []Value // by variable id: the row being built
+	cells  []cell  // one per (relation, trie level), a relation's consecutive
+	run    []Value // survivors of a last-level intersection
+	ticks  int
+	st     Stats
+}
+
+// compile derives the levels from the shape and the order. The set of bound
+// variables on entry to a depth is static: it starts empty, and after every
+// binding it is closed under derivation (which FDs fire depends on variable
+// sets only), so past the first level a tuple is FD-consistent on it and the
+// program run after the next binding takes it as known.
+func (x *descent) compile(q *query.Q, order []int) error {
+	tries := make([]*rel.TrieIndex, len(q.Rels))
+	base := make([]int, len(q.Rels)+1) // relation j's cells start at base[j]
 	for j, r := range q.Rels {
-		if err := ctx.Err(); err != nil {
-			return st, err // trie construction is O(data) per relation
+		if err := x.ctx.Err(); err != nil {
+			return err // trie construction is O(data) per relation
 		}
-		prio := prioBuf[:0]
+		prio := make([]int, 0, 8)
 		for _, v := range order {
 			if r.Col(v) >= 0 {
 				prio = append(prio, v)
 			}
 		}
-		rixs[j] = &relIx{trie: r.IndexOn(prio...).Trie(), attrSet: r.VarSet(),
-			arity: r.Arity(), nodes: make([]int32, r.Arity())}
+		tries[j] = r.IndexOn(prio...).Trie()
+		base[j+1] = base[j] + r.Arity()
 	}
-	nr := len(rixs)
-
-	// children returns the node range of ri's current node's children.
-	children := func(ri *relIx) (int32, int32) {
-		if ri.depth == 0 {
-			return ri.trie.Root()
-		}
-		return ri.trie.Children(ri.depth-1, ri.nodes[ri.depth-1])
+	ncells := base[len(tries)]
+	x.cells = make([]cell, ncells)
+	x.levels = make([]level, 0, q.K)
+	parts := make([]part, 0, ncells) // every trie level is bound once: iterated or sought
+	depth := make([]int, len(tries)) // relation j's levels bound so far
+	var fdVars varset.Set            // the variables some FD mentions
+	for _, f := range q.FDs.FDs {
+		fdVars = fdVars.Union(f.From).Union(f.To)
 	}
-
-	outVars := q.AllVars().Members()
-	vals := make([]Value, q.K)
-	ntBuf := make(rel.Tuple, q.K)
-	ticks := 0
-	// Per-recursion-depth scratch (depth ≤ K): saved trie depths around
-	// descent, and the galloping cursors of the non-seed relations during
-	// candidate intersection. vals needs no save/restore: every reader
-	// masks it through have, so entries for unbound variables are never
-	// observed and simply get overwritten on the next binding.
-	depthStack := make([]int, (q.K+1)*nr)
-	cursStack := make([]int32, (q.K+1)*nr)
-
-	// sync descends every relation's trie along newly bound variables: each
-	// level whose variable is in have must hold that variable's value. It
-	// reports false (leaving partial descents for the caller's depth
-	// restore) when some relation rules the current binding out.
-	sync := func(have varset.Set) bool {
-		for _, ri := range rixs {
-			for ri.depth < ri.arity {
-				v := ri.trie.Attr(ri.depth)
-				if !have.Contains(v) {
-					break
-				}
-				lo, hi := children(ri)
-				st.Lookups++
-				pos := ri.trie.Seek(ri.depth, lo, hi, vals[v])
-				if pos < 0 {
-					return false
-				}
-				ri.nodes[ri.depth] = pos
-				ri.depth++
-			}
-		}
-		return true
+	if !fdVars.IsEmpty() {
+		x.e = expand.New(q)
 	}
+	bind := func(j int) { // relation j's next trie level joins the level being compiled
+		t := tries[j]
+		parts = append(parts, part{trie: t, lvl: depth[j], cell: base[j] + depth[j], v: t.Attr(depth[j])})
+		depth[j]++
+	}
+	var bound varset.Set
+	for d, v := range order {
+		if bound.Contains(v) {
+			continue
+		}
+		lv := level{v: v}
+		known, at := bound, len(parts)
+		for j, t := range tries {
+			if depth[j] < t.Levels() && t.Attr(depth[j]) == v {
+				bind(j)
+			}
+		}
+		if lv.parts = parts[at:len(parts):len(parts)]; len(lv.parts) > 0 {
+			bound = bound.Add(v)
+		}
+		// Past the first level bound was closed, so only an FD that mentions
+		// v can fire or derive.
+		if x.e != nil && (len(x.levels) == 0 || len(lv.parts) > 0 && fdVars.Contains(v)) {
+			lv.prog = x.e.Program(bound, varset.Empty, known)
+			bound = derivableFrom(q, bound)
+		}
+		// Every relation descends as far as its level order is bound: through
+		// what was derived just now, or earlier and only now follows a bound level.
+		at = len(parts)
+		for j, t := range tries {
+			for depth[j] < t.Levels() && bound.Contains(t.Attr(depth[j])) {
+				bind(j)
+			}
+		}
+		lv.seeks = parts[at:len(parts):len(parts)]
+		if !bound.Contains(v) {
+			lv.err = fmt.Errorf("wcoj: variable %s neither stored nor derivable at depth %d", q.Names[v], d)
+		}
+		x.levels = append(x.levels, lv)
+	}
+	if n := len(x.levels); n > 0 {
+		last := &x.levels[n-1]
+		last.run = last.v == q.K-1 && len(last.parts) > 0 && last.prog == nil && len(last.seeks) == 0
+	}
+	x.runs, _ = x.sink.(rel.RunSink)
+	return nil
+}
 
-	var rec func(d int, have varset.Set) error
-	rec = func(d int, have varset.Set) error {
-		// &-mask instead of %, and == 1 so the very first descent step
-		// already observes a dead context (interval is a power of two).
-		// The fault-injection hook shares the cadence (and its no-op cost,
-		// one atomic load per interval).
-		if ticks++; ticks&(cancelCheckInterval-1) == 1 {
-			faultinject.Fire(faultinject.SiteTrieDescent)
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if d == q.K {
-			for i, v := range outVars {
-				ntBuf[i] = vals[v]
-			}
-			if !sink.Push(ntBuf) {
-				return errStop
-			}
-			return nil
-		}
-		v := order[d]
-		if have.Contains(v) {
-			// Bound earlier by a UDF (footnote-1 behaviour): membership in
-			// every relation containing v was verified by the sync that
-			// followed the binding (or will be, once the relation's earlier
-			// attributes are bound too).
-			return rec(d+1, have)
-		}
-		// Pick the relation containing v with the smallest fanout as the
-		// intersection seed.
-		bestJ, bestCount := -1, 0
-		for j, ri := range rixs {
-			if !ri.attrSet.Contains(v) {
-				continue
-			}
-			// All of ri's attrs before v in its level order are bound, so
-			// its next unbound level is exactly v.
-			lo, hi := children(ri)
-			if bestJ < 0 || int(hi-lo) < bestCount {
-				bestJ, bestCount = j, int(hi-lo)
-			}
-		}
-		if bestJ < 0 {
-			// v is in no relation: it must be derivable. Extend via FDs.
-			have2, ok := e.Extend(vals, have)
-			if !ok {
-				return nil
-			}
-			if !have2.Contains(v) {
-				return fmt.Errorf("wcoj: variable %s neither stored nor derivable at depth %d",
-					q.Names[v], d)
-			}
-			if !sync(have2) {
-				return nil
-			}
-			return rec(d, have2)
-		}
-		seed := rixs[bestJ]
-		slo, shi := children(seed)
-		// Galloping cursors for the other relations containing v, one per
-		// relation, advancing monotonically with the ascending seed values.
-		curs := cursStack[d*nr : (d+1)*nr]
-		for j, ri := range rixs {
-			if j != bestJ && ri.attrSet.Contains(v) {
-				lo, _ := children(ri)
-				curs[j] = lo
-			}
-		}
-		depths := depthStack[d*nr : (d+1)*nr]
-		for p := slo; p < shi; p++ {
-			st.Extensions++
-			val := seed.trie.Val(seed.depth, p)
-			vals[v] = val
-			// Intersect: gallop every other relation's child run to val.
-			ok := true
-			for j, rj := range rixs {
-				if j == bestJ || !rj.attrSet.Contains(v) {
-					continue
-				}
-				_, hi := children(rj)
-				st.Lookups++
-				pos := rj.trie.SeekGE(rj.depth, curs[j], hi, val)
-				curs[j] = pos
-				if pos == hi || rj.trie.Val(rj.depth, pos) != val {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			// Bind: descend the matching relations one level, then FD
-			// propagation + consistency (LFTJ footnote-1 behaviour) and a
-			// sync over whatever the FDs derived.
-			for j, ri := range rixs {
-				depths[j] = ri.depth
-			}
-			seed.nodes[seed.depth] = p
-			seed.depth++
-			for j, rj := range rixs {
-				if j == bestJ || !rj.attrSet.Contains(v) {
-					continue
-				}
-				rj.nodes[rj.depth] = curs[j]
-				rj.depth++
-			}
-			have2, ok := e.Extend(vals, have.Add(v))
-			if ok && sync(have2) {
-				if err := rec(d+1, have2); err != nil {
-					return err
-				}
-			}
-			for j, ri := range rixs {
-				ri.depth = depths[j]
-			}
+// children returns the child run of the node p's parent level is bound to.
+func (x *descent) children(p *part) (lo, hi int32) {
+	if p.lvl == 0 {
+		return p.trie.Root()
+	}
+	return p.trie.Children(p.lvl-1, x.cells[p.cell-1].node)
+}
+
+// tick counts n descent steps or emitted rows and, on the first and whenever
+// a cancelCheckInterval boundary is crossed, polls ctx and fires the descent's
+// fault site (one atomic load when nothing is armed).
+func (x *descent) tick(n int) error {
+	was := x.ticks
+	x.ticks += n
+	if was != 0 && was/cancelCheckInterval == x.ticks/cancelCheckInterval {
+		return nil
+	}
+	faultinject.Fire(faultinject.SiteTrieDescent)
+	return x.ctx.Err()
+}
+
+// descend binds the variables of levels[d:] in every consistent way below
+// the current path and emits the completed rows, in depth-first order.
+func (x *descent) descend(d int) error {
+	if err := x.tick(1); err != nil {
+		return err
+	}
+	if d == len(x.levels) {
+		if !x.sink.Push(x.vals) {
+			return errStop
 		}
 		return nil
 	}
-	if err := rec(0, varset.Empty); err != nil {
-		if errors.Is(err, errStop) {
-			return st, nil // the sink stopped us: a consumer decision, not an error
-		}
-		return st, err
+	lv := &x.levels[d]
+	if len(lv.parts) == 0 {
+		return x.below(lv, d) // in no relation: whatever the FDs derive from nothing
 	}
-	return st, nil
+	// The relation with the smallest fanout seeds the candidates; the others
+	// gallop after it from the start of their child runs.
+	seed := &lv.parts[0]
+	for i := range lv.parts {
+		p := &lv.parts[i]
+		lo, hi := x.children(p)
+		x.cells[p.cell] = cell{lo, hi}
+		if s := x.cells[seed.cell]; hi-lo < s.end-s.node {
+			seed = p
+		}
+	}
+	lo := x.cells[seed.cell].node
+	cands := seed.trie.Vals(seed.lvl, lo, x.cells[seed.cell].end)
+	asRun := lv.run && x.runs != nil
+	if asRun && len(lv.parts) == 1 {
+		x.st.Extensions += len(cands)
+		return x.emitRun(cands)
+	}
+	run := x.run[:0]
+cand:
+	for i, val := range cands {
+		x.st.Extensions++
+		for j := range lv.parts {
+			p := &lv.parts[j]
+			if p == seed {
+				continue
+			}
+			c := &x.cells[p.cell]
+			x.st.Lookups++
+			c.node = p.trie.SeekGE(p.lvl, c.node, c.end, val)
+			if c.node == c.end || p.trie.Val(p.lvl, c.node) != val {
+				continue cand
+			}
+		}
+		if asRun {
+			run = append(run, val)
+			continue
+		}
+		x.cells[seed.cell].node = lo + int32(i)
+		x.vals[lv.v] = val
+		if err := x.below(lv, d); err != nil {
+			return err
+		}
+	}
+	if asRun {
+		x.run = run
+		return x.emitRun(run)
+	}
+	return nil
+}
+
+// below continues the descent once lv's variable is bound: FD propagation
+// and consistency (LFTJ footnote-1 behaviour), the trie levels the derived
+// values reach, then the levels below.
+func (x *descent) below(lv *level, d int) error {
+	if lv.prog != nil && !x.e.Run(lv.prog, x.vals) {
+		return nil
+	}
+	if lv.err != nil {
+		return lv.err
+	}
+	for i := range lv.seeks {
+		p := &lv.seeks[i]
+		lo, hi := x.children(p)
+		x.st.Lookups++
+		pos := p.trie.Seek(p.lvl, lo, hi, x.vals[p.v])
+		if pos < 0 {
+			return nil // some relation rules the derived value out
+		}
+		x.cells[p.cell].node = pos
+	}
+	return x.descend(d + 1)
+}
+
+// emitRun hands the rows vals[:K-1] × last to the run sink.
+func (x *descent) emitRun(last []Value) error {
+	if len(last) == 0 {
+		return nil
+	}
+	if err := x.tick(len(last)); err != nil {
+		return err
+	}
+	if !x.runs.PushRun(x.vals[:len(x.vals)-1], last) {
+		return errStop
+	}
+	return nil
 }
 
 // BinaryPlanInto evaluates the query with a left-deep hash-join plan in the
