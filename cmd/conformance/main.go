@@ -1,21 +1,26 @@
 // Command conformance runs the scenario catalog through the differential
-// oracle: every scenario × every engine configuration (each algorithm,
-// sequential and parallel, plus prepared-rebind) against the naive
-// reference, with planner bound certification and metamorphic checks. It
-// writes a JSON report and exits non-zero on any failure.
+// oracle and writes a JSON report, exiting non-zero on any failure. The
+// -matrix flag picks what each scenario runs:
+//
+//	standard  every engine configuration (each algorithm, sequential and
+//	          parallel, plus prepared-rebind) against the naive reference,
+//	          with planner bound certification, streaming and metamorphic
+//	          checks
+//	faults    panics and delays forced at the canonical injection sites
+//	          (see internal/faultinject): typed errors, no goroutine leaks,
+//	          byte-identical clean re-runs; plus the run-level fdq/session
+//	          record (the prepared-shape cache's eviction site)
+//	wire      each scenario through fdqd on a loopback listener, directly
+//	          (network/*) and behind the chaos proxy's fault schedules
+//	          (chaos/*); plus the run-level fdqc/handshake record
 //
 //	conformance -tier small                    # CI tier, report to stdout
 //	conformance -tier full -stable -out CONFORMANCE.json
-//	conformance -tier small -faults            # fault-injection matrix
+//	conformance -tier small -matrix faults
+//	conformance -tier small -matrix wire
 //
 // -stable zeroes all wall-clock timings so a regenerated report diffs
 // cleanly against the committed evidence.
-//
-// -faults switches to the fault-injection oracle: every scenario re-runs
-// with panics and delays forced at the canonical injection sites (see
-// internal/faultinject), asserting typed errors, no goroutine leaks, and
-// byte-identical results on the next clean run, plus the fdq session-level
-// cache-eviction site.
 package main
 
 import (
@@ -54,28 +59,25 @@ type Report struct {
 	Millis  float64         `json:"millis"`
 	Results []oracle.Result `json:"results,omitempty"`
 
-	// Fault-injection mode (-faults) summary: cells are (site, mode) pairs.
-	FaultCells  int                  `json:"fault_cells,omitempty"`
-	FaultPasses int                  `json:"fault_passes,omitempty"`
-	FaultSkips  int                  `json:"fault_skips,omitempty"`
-	Faults      []oracle.FaultResult `json:"faults,omitempty"`
+	// The faults and wire matrices: one record per scenario plus the
+	// run-level one, each a list of named checks (cells). A skipped
+	// scenario cannot run the matrix at all (an unnamed-function UDF
+	// cannot cross the wire).
+	Cells            int                   `json:"cells,omitempty"`
+	CellPasses       int                   `json:"cell_passes,omitempty"`
+	CellSkips        int                   `json:"cell_skips,omitempty"`
+	SkippedScenarios int                   `json:"skipped_scenarios,omitempty"`
+	Records          []oracle.MatrixResult `json:"records,omitempty"`
+}
 
-	// Network mode (-network) summary: each scenario runs over a real
-	// loopback socket through fdqd/fdqc and must match the in-process
-	// execution and naive reference byte for byte, typed errors included.
-	NetworkChecks  int                    `json:"network_checks,omitempty"`
-	NetworkPasses  int                    `json:"network_passes,omitempty"`
-	NetworkSkipped int                    `json:"network_skipped,omitempty"`
-	Network        []oracle.NetworkResult `json:"network,omitempty"`
-
-	// Chaos mode (-chaos) summary: the network matrix re-run behind the
-	// chaos proxy, one cell per fault schedule. Every cell must end
-	// byte-identical to the reference or in a typed error, with zero
-	// leaked goroutines.
-	ChaosChecks  int                  `json:"chaos_checks,omitempty"`
-	ChaosPasses  int                  `json:"chaos_passes,omitempty"`
-	ChaosSkipped int                  `json:"chaos_skipped,omitempty"`
-	Chaos        []oracle.ChaosResult `json:"chaos,omitempty"`
+// cellMatrices are the -matrix values besides standard: the per-scenario
+// check and the run-level record that closes the run.
+var cellMatrices = map[string]struct {
+	instance func(context.Context, scenario.Instance) oracle.MatrixResult
+	run      func(context.Context) oracle.MatrixResult
+}{
+	"faults": {oracle.CheckFaultInstance, oracle.CheckSessionFaults},
+	"wire":   {oracle.CheckWireInstance, oracle.CheckHandshake},
 }
 
 func main() {
@@ -83,9 +85,7 @@ func main() {
 	outFlag := flag.String("out", "-", "report path, - for stdout")
 	verbose := flag.Bool("v", false, "print per-scenario progress to stderr")
 	stable := flag.Bool("stable", false, "zero all timings for a diff-stable committed report")
-	faults := flag.Bool("faults", false, "run the fault-injection matrix instead of the standard one")
-	network := flag.Bool("network", false, "run the network matrix (fdqd over a real socket) instead of the standard one")
-	chaos := flag.Bool("chaos", false, "run the network matrix behind the chaos proxy's fault schedules")
+	matrix := flag.String("matrix", "standard", "what every scenario runs: standard|faults|wire")
 	flag.Parse()
 
 	tier, err := scenario.ParseTier(*tierFlag)
@@ -93,32 +93,58 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	if *faults {
-		runFaults(tier, *tierFlag, *outFlag, *verbose, *stable)
-		return
-	}
-	if *network {
-		runNetwork(tier, *tierFlag, *outFlag, *verbose, *stable)
-		return
-	}
-	if *chaos {
-		runChaos(tier, *tierFlag, *outFlag, *verbose, *stable)
-		return
+	cells, ok := cellMatrices[*matrix]
+	if !ok && *matrix != "standard" {
+		fmt.Fprintf(os.Stderr, "conformance: unknown -matrix %q (want standard|faults|wire)\n", *matrix)
+		os.Exit(2)
 	}
 
+	ctx := context.Background()
 	start := time.Now()
-	cfgs := oracle.DefaultConfigs()
 	rep := Report{Tier: *tierFlag}
-	var slackSum float64
-	for _, in := range scenario.Instances(tier) {
-		res := oracle.CheckInstance(context.Background(), in, cfgs)
+	// tally counts one record's verdict and, under -v, prints its line.
+	tally := func(name string, v oracle.Verdict, status, line string) {
 		rep.Scenarios++
-		if res.Pass {
+		if v.Pass {
 			rep.Passed++
 		} else {
 			rep.Failed++
+			status = "FAIL"
 		}
+		if *verbose {
+			fmt.Fprintf(os.Stderr, "%-4s %-40s %s %.0fms\n", status, name, line, v.Millis)
+			for _, f := range v.Failures {
+				fmt.Fprintf(os.Stderr, "     %s\n", f)
+			}
+		}
+	}
+	addRecord := func(res oracle.MatrixResult) {
+		status := "ok"
+		if res.Skipped != "" {
+			rep.SkippedScenarios++
+			status = "skip"
+		}
+		for _, c := range res.Checks {
+			rep.Cells++
+			switch c.Status {
+			case oracle.StatusPass:
+				rep.CellPasses++
+			case oracle.StatusSkip:
+				rep.CellSkips++
+			}
+		}
+		rep.Records = append(rep.Records, res)
+		tally(res.Scenario, res.Verdict, status, fmt.Sprintf("%d cells", len(res.Checks)))
+	}
+
+	var slackSum float64
+	cfgs := oracle.DefaultConfigs()
+	for _, in := range scenario.Instances(tier) {
+		if ok {
+			addRecord(cells.instance(ctx, in))
+			continue
+		}
+		res := oracle.CheckInstance(ctx, in, cfgs)
 		for _, c := range res.Configs {
 			rep.ConfigRuns++
 			switch c.Status {
@@ -144,17 +170,10 @@ func main() {
 			}
 		}
 		rep.Results = append(rep.Results, res)
-		if *verbose {
-			status := "ok"
-			if !res.Pass {
-				status = "FAIL"
-			}
-			fmt.Fprintf(os.Stderr, "%-4s %-40s plan=%s out=%d %.0fms\n",
-				status, res.Scenario, res.PlanAlgorithm, res.OutRows, res.Millis)
-			for _, f := range res.Failures {
-				fmt.Fprintf(os.Stderr, "     %s\n", f)
-			}
-		}
+		tally(res.Scenario, res.Verdict, "ok", fmt.Sprintf("plan=%s out=%d", res.PlanAlgorithm, res.OutRows))
+	}
+	if ok {
+		addRecord(cells.run(ctx))
 	}
 	if rep.BoundsFinite > 0 {
 		rep.MeanSlack = ptr(round3(slackSum / float64(rep.BoundsFinite)))
@@ -169,6 +188,9 @@ func main() {
 			for j := range rep.Results[i].Configs {
 				rep.Results[i].Configs[j].Millis = 0
 			}
+		}
+		for i := range rep.Records {
+			rep.Records[i].Millis = 0
 		}
 	}
 
@@ -185,208 +207,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Fprintf(os.Stderr, "conformance: %d scenarios, %d passed, %d failed, %d config runs (%d skips), %d bounds certified\n",
-		rep.Scenarios, rep.Passed, rep.Failed, rep.ConfigRuns, rep.ConfigSkips, rep.BoundsCertified)
-	if rep.Failed > 0 {
-		os.Exit(1)
+	fmt.Fprintf(os.Stderr, "conformance -matrix %s: %d scenarios, %d passed, %d failed, ", *matrix, rep.Scenarios, rep.Passed, rep.Failed)
+	if ok {
+		fmt.Fprintf(os.Stderr, "%d cells (%d skips), %d scenarios skipped\n", rep.Cells, rep.CellSkips, rep.SkippedScenarios)
+	} else {
+		fmt.Fprintf(os.Stderr, "%d config runs (%d skips), %d bounds certified\n", rep.ConfigRuns, rep.ConfigSkips, rep.BoundsCertified)
 	}
-}
-
-// runFaults drives the fault-injection oracle over the tier's scenarios
-// plus the fdq session-level harness, writes the report, and exits
-// non-zero on any failure.
-func runFaults(tier scenario.Tier, tierName, outPath string, verbose, stable bool) {
-	start := time.Now()
-	rep := Report{Tier: tierName}
-	record := func(res oracle.FaultResult) {
-		rep.Scenarios++
-		if res.Pass {
-			rep.Passed++
-		} else {
-			rep.Failed++
-		}
-		for _, c := range res.Checks {
-			rep.FaultCells++
-			switch c.Status {
-			case oracle.StatusPass:
-				rep.FaultPasses++
-			case oracle.StatusSkip:
-				rep.FaultSkips++
-			}
-		}
-		rep.Faults = append(rep.Faults, res)
-		if verbose {
-			status := "ok"
-			if !res.Pass {
-				status = "FAIL"
-			}
-			fmt.Fprintf(os.Stderr, "%-4s %-40s %d cells %.0fms\n", status, res.Scenario, len(res.Checks), res.Millis)
-			for _, f := range res.Failures {
-				fmt.Fprintf(os.Stderr, "     %s\n", f)
-			}
-		}
-	}
-	for _, in := range scenario.Instances(tier) {
-		record(oracle.CheckFaultInstance(context.Background(), in))
-	}
-	record(oracle.CheckSessionFaults(context.Background()))
-	rep.Millis = float64(time.Since(start).Microseconds()) / 1000
-	if stable {
-		rep.Millis = 0
-		for i := range rep.Faults {
-			rep.Faults[i].Millis = 0
-		}
-	}
-
-	enc, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	enc = append(enc, '\n')
-	if outPath == "-" {
-		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(outPath, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	fmt.Fprintf(os.Stderr, "conformance -faults: %d scenarios, %d passed, %d failed, %d cells (%d skips)\n",
-		rep.Scenarios, rep.Passed, rep.Failed, rep.FaultCells, rep.FaultSkips)
-	if rep.Failed > 0 {
-		os.Exit(1)
-	}
-}
-
-// runNetwork drives every tier scenario across a real loopback socket:
-// fdqd server, fdqc client, byte-identity against the in-process and
-// naive executions, typed-error equivalence across the wire. It writes
-// the report and exits non-zero on any failure.
-func runNetwork(tier scenario.Tier, tierName, outPath string, verbose, stable bool) {
-	start := time.Now()
-	rep := Report{Tier: tierName}
-	for _, in := range scenario.Instances(tier) {
-		res := oracle.CheckNetworkInstance(context.Background(), in)
-		rep.Scenarios++
-		if res.Pass {
-			rep.Passed++
-		} else {
-			rep.Failed++
-		}
-		if res.Skipped != "" {
-			rep.NetworkSkipped++
-		}
-		for _, c := range res.Checks {
-			rep.NetworkChecks++
-			if c.Status == oracle.StatusPass {
-				rep.NetworkPasses++
-			}
-		}
-		rep.Network = append(rep.Network, res)
-		if verbose {
-			status := "ok"
-			if !res.Pass {
-				status = "FAIL"
-			}
-			if res.Skipped != "" {
-				status = "skip"
-			}
-			fmt.Fprintf(os.Stderr, "%-4s %-40s %d checks %.0fms\n", status, res.Scenario, len(res.Checks), res.Millis)
-			for _, f := range res.Failures {
-				fmt.Fprintf(os.Stderr, "     %s\n", f)
-			}
-		}
-	}
-	rep.Millis = float64(time.Since(start).Microseconds()) / 1000
-	if stable {
-		rep.Millis = 0
-		for i := range rep.Network {
-			rep.Network[i].Millis = 0
-		}
-	}
-
-	enc, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	enc = append(enc, '\n')
-	if outPath == "-" {
-		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(outPath, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	fmt.Fprintf(os.Stderr, "conformance -network: %d scenarios, %d passed, %d failed, %d checks (%d scenarios skipped)\n",
-		rep.Scenarios, rep.Passed, rep.Failed, rep.NetworkChecks, rep.NetworkSkipped)
-	if rep.Failed > 0 {
-		os.Exit(1)
-	}
-}
-
-// runChaos drives every tier scenario across the chaos matrix: the same
-// loopback fdqd/fdqc pair as -network, but with a deterministic fault
-// schedule injected between them per cell. It writes the report and
-// exits non-zero on any failure.
-func runChaos(tier scenario.Tier, tierName, outPath string, verbose, stable bool) {
-	start := time.Now()
-	rep := Report{Tier: tierName}
-	for _, in := range scenario.Instances(tier) {
-		res := oracle.CheckChaosInstance(context.Background(), in)
-		rep.Scenarios++
-		if res.Pass {
-			rep.Passed++
-		} else {
-			rep.Failed++
-		}
-		if res.Skipped != "" {
-			rep.ChaosSkipped++
-		}
-		for _, c := range res.Checks {
-			rep.ChaosChecks++
-			if c.Status == oracle.StatusPass {
-				rep.ChaosPasses++
-			}
-		}
-		rep.Chaos = append(rep.Chaos, res)
-		if verbose {
-			status := "ok"
-			if !res.Pass {
-				status = "FAIL"
-			}
-			if res.Skipped != "" {
-				status = "skip"
-			}
-			fmt.Fprintf(os.Stderr, "%-4s %-40s %d cells %.0fms\n", status, res.Scenario, len(res.Checks), res.Millis)
-			for _, f := range res.Failures {
-				fmt.Fprintf(os.Stderr, "     %s\n", f)
-			}
-		}
-	}
-	rep.Millis = float64(time.Since(start).Microseconds()) / 1000
-	if stable {
-		rep.Millis = 0
-		for i := range rep.Chaos {
-			rep.Chaos[i].Millis = 0
-		}
-	}
-
-	enc, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	enc = append(enc, '\n')
-	if outPath == "-" {
-		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(outPath, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	fmt.Fprintf(os.Stderr, "conformance -chaos: %d scenarios, %d passed, %d failed, %d cells (%d scenarios skipped)\n",
-		rep.Scenarios, rep.Passed, rep.Failed, rep.ChaosChecks, rep.ChaosSkipped)
 	if rep.Failed > 0 {
 		os.Exit(1)
 	}

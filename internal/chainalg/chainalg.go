@@ -33,6 +33,7 @@ package chainalg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/bounds"
@@ -209,12 +210,17 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 // observeStep, when set (by tests), sees every Q_i as the step leaves it.
 var observeStep func(qi *rel.Relation)
 
+// ErrNoGoodChain is RunBestInto's error when no good chain has a finite
+// bound: the chain algorithm does not apply to the instance, which is not a
+// bug.
+var ErrNoGoodChain = errors.New("chainalg: no good chain with a finite bound")
+
 // RunBestInto selects the best good chain via bounds.BestChainBound and
 // runs the algorithm on it.
 func RunBestInto(ctx context.Context, q *query.Q, sink rel.Sink) (*Stats, error) {
 	cb := bounds.BestChainBound(q, 64)
 	if !cb.Finite {
-		return nil, fmt.Errorf("chainalg: no good chain with a finite bound")
+		return nil, ErrNoGoodChain
 	}
 	return RunInto(ctx, q, cb.Chain, sink)
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/paper"
 	"repro/internal/query"
 	"repro/internal/rel"
-	"repro/internal/workload"
+	"repro/internal/scenario"
 )
 
 func mustRun(t *testing.T, q *query.Q, opts *Options) (*rel.Relation, *Stats) {
@@ -328,7 +328,7 @@ func TestFuzzPlannerMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(516))
 	for trial := 0; trial < 30; trial++ {
 		withFDs := trial%2 == 0
-		q := workload.RandomQuery(rng, 3+rng.Intn(2), 2+rng.Intn(2), 20, 4, withFDs)
+		q := scenario.RandomQuery(rng, 3+rng.Intn(2), 2+rng.Intn(2), 20, 4, withFDs)
 		if err := q.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

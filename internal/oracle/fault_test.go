@@ -8,8 +8,8 @@ import (
 )
 
 // TestFaultMatrixSmallSample runs the fault-injection oracle in-process on
-// a few small-tier scenarios (the full sweep is cmd/conformance -faults,
-// exercised in CI): every cell must pass or be an explicit skip.
+// a few small-tier scenarios (the full sweep is cmd/conformance -matrix
+// faults, exercised in CI): every cell must pass or be an explicit skip.
 func TestFaultMatrixSmallSample(t *testing.T) {
 	want := map[string]bool{
 		"worst/agm-product": true,
@@ -31,7 +31,7 @@ func TestFaultMatrixSmallSample(t *testing.T) {
 		}
 		for _, c := range res.Checks {
 			if c.Status == StatusFail {
-				t.Errorf("%s: %s/%s: %s", res.Scenario, c.Site, c.Mode, c.Detail)
+				t.Errorf("%s: %s: %s", res.Scenario, c.Check, c.Detail)
 			}
 		}
 	}
@@ -51,7 +51,7 @@ func TestSessionFaults(t *testing.T) {
 	}
 	for _, c := range res.Checks {
 		if c.Status != StatusPass {
-			t.Errorf("%s/%s: status %s: %s", c.Site, c.Mode, c.Status, c.Detail)
+			t.Errorf("%s: status %s: %s", c.Check, c.Status, c.Detail)
 		}
 	}
 }

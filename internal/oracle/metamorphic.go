@@ -27,62 +27,39 @@ import (
 
 // metamorphicChecks runs every applicable check against the reference
 // output and records failures on res.
-func metamorphicChecks(ctx context.Context, res *Result, q *query.Q, want *rel.Relation) []CheckResult {
-	checks := []struct {
-		name  string
-		build func() (*query.Q, *rel.Relation, error)
-	}{
-		{"row-permutation", func() (*query.Q, *rel.Relation, error) {
-			return transformRels(q, reverseRows), want, nil
-		}},
-		{"row-duplication", func() (*query.Q, *rel.Relation, error) {
-			return transformRels(q, duplicateRows), want, nil
-		}},
-		{"relation-permutation", func() (*query.Q, *rel.Relation, error) {
-			qp, err := reverseRelations(q)
-			return qp, want, err
-		}},
-		{"value-renaming", func() (*query.Q, *rel.Relation, error) {
-			if hasUDF(q.FDs) {
-				return nil, nil, nil // inapplicable, reported as skip
-			}
-			return transformRels(q, renameValues), renameRelation(want), nil
-		}},
-	}
-
-	out := make([]CheckResult, 0, len(checks))
-	for _, c := range checks {
-		cr := CheckResult{Check: c.name}
-		qt, expect, err := c.build()
-		switch {
-		case err != nil:
-			cr.Status = StatusFail
-			cr.Detail = err.Error()
-			res.fail("metamorphic %s: %v", c.name, err)
-		case qt == nil:
-			cr.Status = StatusSkip
-			cr.Detail = "query has UDF FDs: renaming values would break them"
-		default:
-			cr.Status, cr.Detail = runMetamorphic(ctx, qt, expect)
-			if cr.Status == StatusFail {
-				res.fail("metamorphic %s: %s", c.name, cr.Detail)
-			}
+func metamorphicChecks(ctx context.Context, res *Result, q *query.Q, want *rel.Relation) {
+	add := func(name string, f func() error) { check(&res.Verdict, &res.Metamorphic, name, f) }
+	add("row-permutation", func() error {
+		return runMetamorphic(ctx, transformRels(q, reverseRows), want)
+	})
+	add("row-duplication", func() error {
+		return runMetamorphic(ctx, transformRels(q, duplicateRows), want)
+	})
+	add("relation-permutation", func() error {
+		qp, err := reverseRelations(q)
+		if err != nil {
+			return err
 		}
-		out = append(out, cr)
-	}
-	return out
+		return runMetamorphic(ctx, qp, want)
+	})
+	add("value-renaming", func() error {
+		if hasUDF(q.FDs) {
+			return skip("query has UDF FDs: renaming values would break them")
+		}
+		return runMetamorphic(ctx, transformRels(q, renameValues), renameRelation(want))
+	})
 }
 
 // runMetamorphic evaluates the transformed instance with the planner's
 // choice, sequentially and in parallel, and compares both against expect.
-func runMetamorphic(ctx context.Context, q *query.Q, expect *rel.Relation) (status, detail string) {
+func runMetamorphic(ctx context.Context, q *query.Q, expect *rel.Relation) error {
 	p, err := engine.Prepare(q)
 	if err != nil {
-		return StatusFail, fmt.Sprintf("prepare: %v", err)
+		return fmt.Errorf("prepare: %w", err)
 	}
 	b, err := p.Bind(nil)
 	if err != nil {
-		return StatusFail, fmt.Sprintf("bind: %v", err)
+		return fmt.Errorf("bind: %w", err)
 	}
 	for _, opts := range []*engine.Options{
 		{Workers: 1},
@@ -90,14 +67,14 @@ func runMetamorphic(ctx context.Context, q *query.Q, expect *rel.Relation) (stat
 	} {
 		out, _, err := b.Run(ctx, opts)
 		if err != nil {
-			return StatusFail, fmt.Sprintf("run (workers=%d): %v", opts.Workers, err)
+			return fmt.Errorf("run (workers=%d): %w", opts.Workers, err)
 		}
 		if !rel.Identical(out, expect) {
-			return StatusFail, fmt.Sprintf("output differs (workers=%d): %d vs %d rows",
+			return fmt.Errorf("output differs (workers=%d): %d vs %d rows",
 				opts.Workers, out.Len(), expect.Len())
 		}
 	}
-	return StatusPass, ""
+	return nil
 }
 
 // --- instance transformations ---------------------------------------------

@@ -8,17 +8,18 @@ import (
 	"repro/internal/scenario"
 )
 
-// TestNetworkSmallTier runs the network flavor over the whole small tier:
-// every scenario either passes byte-identically across a real socket or
-// is a recorded unnamed-function skip — the same matrix CI drives through
-// cmd/conformance -network.
+// TestNetworkSmallTier runs the wire matrix over the whole small tier:
+// every scenario either passes byte-identically across a real socket, both
+// directly and behind every chaos schedule, or is a recorded
+// unnamed-function skip — the same matrix CI drives through
+// cmd/conformance -matrix wire. The run-level handshake record closes it.
 func TestNetworkSmallTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a server per scenario")
 	}
 	passes, skips := 0, 0
 	for _, in := range scenario.Instances(scenario.TierSmall) {
-		res := CheckNetworkInstance(context.Background(), in)
+		res := CheckWireInstance(context.Background(), in)
 		if !res.Pass {
 			t.Errorf("%s: %v", in.Name, res.Failures)
 			continue
@@ -43,5 +44,9 @@ func TestNetworkSmallTier(t *testing.T) {
 	if skips == 0 {
 		t.Fatal("no unnamed-function scenario was recorded as a skip")
 	}
-	t.Logf("network tier: %d passed, %d skipped", passes, skips)
+	hs := CheckHandshake(context.Background())
+	if !hs.Pass || len(hs.Checks) != 1 || hs.Checks[0].Status != StatusPass {
+		t.Errorf("handshake record: %+v", hs)
+	}
+	t.Logf("wire tier: %d passed, %d skipped", passes, skips)
 }

@@ -6,6 +6,11 @@
 // metamorphic checks (row/relation permutation invariance, value renaming,
 // FD-preserving row duplication — see metamorphic.go).
 //
+// Two more matrices re-run every instance under perturbation, each filling
+// a MatrixResult of named checks: the fault matrix (fault.go) forces panics
+// and delays at the injection sites, the wire matrix (wire.go) runs the
+// instance through fdqd over loopback, directly and behind the chaos proxy.
+//
 // An algorithm that is legitimately inapplicable to a shape (SMA with no
 // good proof, chain with no finite good-chain bound) is recorded as a skip,
 // never silently passed: every other error is a conformance failure.
@@ -13,17 +18,19 @@ package oracle
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"time"
 
+	"repro/internal/chainalg"
 	"repro/internal/engine"
 	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/scenario"
+	"repro/internal/smalg"
 )
 
 // Config is one engine configuration of the conformance matrix.
@@ -51,7 +58,7 @@ func DefaultConfigs() []Config {
 	return out
 }
 
-// Status values of a config or metamorphic check.
+// Status values of a config or check.
 const (
 	StatusPass = "pass"
 	StatusFail = "fail"
@@ -67,11 +74,77 @@ type ConfigResult struct {
 	Millis  float64 `json:"millis"`
 }
 
-// CheckResult reports one metamorphic check.
+// CheckResult reports one named check.
 type CheckResult struct {
 	Check  string `json:"check"`
 	Status string `json:"status"`
 	Detail string `json:"detail,omitempty"`
+}
+
+// Verdict closes every record: whether all its checks held, what failed,
+// and how long the record took. Records embed it last, so its fields close
+// their JSON object.
+type Verdict struct {
+	Pass     bool     `json:"pass"`
+	Failures []string `json:"failures,omitempty"`
+	Millis   float64  `json:"millis"`
+}
+
+func (v *Verdict) fail(format string, args ...any) {
+	v.Pass = false
+	v.Failures = append(v.Failures, fmt.Sprintf(format, args...))
+}
+
+// finish stamps the time since start; records defer it.
+func (v *Verdict) finish(start time.Time) { v.Millis = millis(start) }
+
+func millis(start time.Time) float64 { return float64(time.Since(start).Microseconds()) / 1000 }
+
+// skip is a check's outcome when the check does not apply to the instance
+// (a fault site the configuration never reaches, a transformation a UDF
+// forbids): recorded as StatusSkip with the reason, never as a pass.
+type skip string
+
+func (s skip) Error() string { return string(s) }
+
+// check runs one named check and appends its result to out: a pass on nil,
+// a skip on a skip, otherwise a failure recorded on v too.
+func check(v *Verdict, out *[]CheckResult, name string, f func() error) {
+	cr := CheckResult{Check: name, Status: StatusPass}
+	if err := f(); err != nil {
+		cr.Status, cr.Detail = StatusFail, err.Error()
+		if _, ok := err.(skip); ok {
+			cr.Status = StatusSkip
+		} else {
+			v.fail("%s: %v", name, err)
+		}
+	}
+	*out = append(*out, cr)
+}
+
+// reference validates q and returns its naive answer, refusing an empty one:
+// an empty reference satisfies every differential, bound, fault and wire
+// check trivially, so a catalog instance that produces one is a
+// scenario-selection bug, at any tier.
+func reference(q *query.Q) (*rel.Relation, error) {
+	if err := q.Validate(); err != nil {
+		return nil, fmt.Errorf("instance does not validate: %w", err)
+	}
+	want := naive.Evaluate(q)
+	if want.Len() == 0 {
+		return nil, errors.New("reference output is empty: every conformance check would be vacuous")
+	}
+	return want, nil
+}
+
+// MatrixResult is the record of one scenario instance (or of one run-level
+// harness) under the fault or the wire matrix: its named checks, or the
+// reason the instance cannot run the matrix at all.
+type MatrixResult struct {
+	Scenario string        `json:"scenario"`
+	Checks   []CheckResult `json:"checks"`
+	Skipped  string        `json:"skipped,omitempty"` // e.g. a programmatic UDF cannot cross the wire
+	Verdict
 }
 
 // Result is the full conformance record of one scenario instance.
@@ -95,14 +168,7 @@ type Result struct {
 	Streaming   []CheckResult  `json:"streaming"`
 	Metamorphic []CheckResult  `json:"metamorphic"`
 
-	Pass     bool     `json:"pass"`
-	Failures []string `json:"failures,omitempty"`
-	Millis   float64  `json:"millis"`
-}
-
-func (r *Result) fail(format string, args ...any) {
-	r.Pass = false
-	r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
+	Verdict
 }
 
 // inapplicable reports whether an explicit-algorithm error means the
@@ -110,37 +176,28 @@ func (r *Result) fail(format string, args ...any) {
 func inapplicable(alg engine.Algorithm, err error) bool {
 	switch alg {
 	case engine.AlgSM:
-		return strings.Contains(err.Error(), "no good SM proof")
+		return errors.Is(err, smalg.ErrNoGoodProof)
 	case engine.AlgChain:
-		return strings.Contains(err.Error(), "no good chain")
+		return errors.Is(err, chainalg.ErrNoGoodChain)
 	}
 	return false
 }
 
 // CheckInstance runs the full conformance suite on one scenario instance.
 func CheckInstance(ctx context.Context, in scenario.Instance, cfgs []Config) (res Result) {
-	start := time.Now()
-	res = Result{Scenario: in.Name, Desc: in.Family().Desc, Pass: true}
-	defer func() { res.Millis = float64(time.Since(start).Microseconds()) / 1000 }()
+	res = Result{Scenario: in.Name, Desc: in.Family().Desc, Verdict: Verdict{Pass: true}}
+	defer res.finish(time.Now())
 
 	q := in.Build()
 	res.Vars = q.K
 	res.Relations = len(q.Rels)
 	res.InputRows = q.TotalSize()
-	if err := q.Validate(); err != nil {
-		res.fail("instance does not validate: %v", err)
+	want, err := reference(q)
+	if err != nil {
+		res.fail("%v", err)
 		return res
 	}
-
-	want := naive.Evaluate(q)
 	res.OutRows = want.Len()
-	if want.Len() == 0 {
-		// An empty reference output satisfies every differential, bound, and
-		// metamorphic check trivially; a catalog instance that produces one
-		// is a scenario-selection bug, at any tier.
-		res.fail("reference output is empty: every conformance check would be vacuous")
-		return res
-	}
 
 	p, err := engine.Prepare(q)
 	if err != nil {
@@ -159,8 +216,8 @@ func CheckInstance(ctx context.Context, in scenario.Instance, cfgs []Config) (re
 		res.Configs = append(res.Configs, runConfig(ctx, &res, b, cfg, want))
 	}
 	res.Configs = append(res.Configs, runRebind(ctx, &res, p, q, want))
-	res.Streaming = streamingChecks(ctx, &res, b, q, want)
-	res.Metamorphic = metamorphicChecks(ctx, &res, q, want)
+	streamingChecks(ctx, &res, b, q, want)
+	metamorphicChecks(ctx, &res, q, want)
 	return res
 }
 
@@ -171,22 +228,13 @@ func CheckInstance(ctx context.Context, in scenario.Instance, cfgs []Config) (re
 // contract), and a Count sink must agree on the cardinality. Sequential
 // and parallel flavors both run, since the parallel path streams through a
 // different code path (the morsel frontier or the tournament merge).
-func streamingChecks(ctx context.Context, res *Result, b *engine.Bound, q *query.Q, want *rel.Relation) []CheckResult {
-	var out []CheckResult
-	check := func(name string, f func() error) {
-		cr := CheckResult{Check: name, Status: StatusPass}
-		if err := f(); err != nil {
-			cr.Status = StatusFail
-			cr.Detail = err.Error()
-			res.fail("%s: %v", name, err)
-		}
-		out = append(out, cr)
-	}
+func streamingChecks(ctx context.Context, res *Result, b *engine.Bound, q *query.Q, want *rel.Relation) {
+	add := func(name string, f func() error) { check(&res.Verdict, &res.Streaming, name, f) }
 	for _, workers := range []int{1, 3} {
 		opts := &engine.Options{Workers: workers, MinParallelRows: 1}
 		flavor := map[int]string{1: "seq", 3: "par"}[workers]
 
-		check("stream/collect/"+flavor, func() error {
+		add("stream/collect/"+flavor, func() error {
 			sink := rel.NewCollect("Q", q.AllVars().Members()...)
 			if _, err := b.RunInto(ctx, opts, sink); err != nil {
 				return err
@@ -198,18 +246,14 @@ func streamingChecks(ctx context.Context, res *Result, b *engine.Bound, q *query
 			return nil
 		})
 
-		// k values are deduplicated and never exceed the reference size, so
-		// a tiny (or, defensively, empty) reference never demands more rows
-		// than exist. CheckInstance rejects empty references earlier.
-		var ks []int
-		for _, k := range []int{1, (want.Len() + 1) / 2} {
-			if k >= 1 && k <= want.Len() && !slices.Contains(ks, k) {
-				ks = append(ks, k)
-			}
+		// k = 1 and the middle of the reference, deduplicated; neither
+		// exceeds the reference size, which reference keeps at least 1.
+		ks := []int{1}
+		if k := (want.Len() + 1) / 2; k > 1 {
+			ks = append(ks, k)
 		}
 		for _, k := range ks {
-			k := k
-			check(fmt.Sprintf("stream/limit%d/%s", k, flavor), func() error {
+			add(fmt.Sprintf("stream/limit%d/%s", k, flavor), func() error {
 				inner := rel.NewCollect("Q", q.AllVars().Members()...)
 				if _, err := b.RunInto(ctx, opts, rel.Limit(inner, k)); err != nil {
 					return err
@@ -227,7 +271,7 @@ func streamingChecks(ctx context.Context, res *Result, b *engine.Bound, q *query
 			})
 		}
 
-		check("stream/count/"+flavor, func() error {
+		add("stream/count/"+flavor, func() error {
 			var c rel.CountSink
 			if _, err := b.RunInto(ctx, opts, &c); err != nil {
 				return err
@@ -238,7 +282,6 @@ func streamingChecks(ctx context.Context, res *Result, b *engine.Bound, q *query
 			return nil
 		})
 	}
-	return out
 }
 
 // runConfig executes one configuration and compares against the reference.
@@ -250,26 +293,27 @@ func runConfig(ctx context.Context, res *Result, b *engine.Bound, cfg Config, wa
 		Workers:         cfg.Workers,
 		MinParallelRows: 1,
 	})
-	cr.Millis = float64(time.Since(t0).Microseconds()) / 1000
-	if err != nil {
-		if inapplicable(cfg.Algorithm, err) {
-			cr.Status = StatusSkip
-			cr.Detail = err.Error()
-			return cr
-		}
+	cr.Millis = millis(t0)
+	switch {
+	case err != nil && inapplicable(cfg.Algorithm, err):
+		cr.Status = StatusSkip
+		cr.Detail = err.Error()
+		return cr
+	case err != nil:
 		cr.Status = StatusFail
 		cr.Detail = err.Error()
-		res.fail("%s: %v", cfg.Name, err)
-		return cr
-	}
-	cr.OutRows = out.Len()
-	if !rel.Identical(out, want) {
+	case !rel.Identical(out, want):
 		cr.Status = StatusFail
 		cr.Detail = fmt.Sprintf("output differs from naive reference (%d vs %d rows)", out.Len(), want.Len())
-		res.fail("%s: %s", cfg.Name, cr.Detail)
-		return cr
+	default:
+		cr.Status = StatusPass
 	}
-	cr.Status = StatusPass
+	if err == nil {
+		cr.OutRows = out.Len()
+	}
+	if cr.Status == StatusFail {
+		res.fail("%s: %s", cfg.Name, cr.Detail)
+	}
 	return cr
 }
 
@@ -277,36 +321,17 @@ func runConfig(ctx context.Context, res *Result, b *engine.Bound, cfg Config, wa
 // fresh deep copy of the instance must produce the identical output (the
 // shared plan cache must not leak per-binding state).
 func runRebind(ctx context.Context, res *Result, p *engine.Prepared, q *query.Q, want *rel.Relation) ConfigResult {
-	cr := ConfigResult{Config: "auto/rebind"}
+	cfg := Config{Name: "auto/rebind", Algorithm: engine.AlgAuto, Workers: 1}
 	fresh := make([]*rel.Relation, len(q.Rels))
 	for j, r := range q.Rels {
 		fresh[j] = r.Clone()
 	}
 	b, err := p.Bind(fresh)
 	if err != nil {
-		cr.Status = StatusFail
-		cr.Detail = err.Error()
 		res.fail("rebind: %v", err)
-		return cr
+		return ConfigResult{Config: cfg.Name, Status: StatusFail, Detail: err.Error()}
 	}
-	t0 := time.Now()
-	out, _, err := b.Run(ctx, &engine.Options{Workers: 1})
-	cr.Millis = float64(time.Since(t0).Microseconds()) / 1000
-	if err != nil {
-		cr.Status = StatusFail
-		cr.Detail = err.Error()
-		res.fail("rebind run: %v", err)
-		return cr
-	}
-	cr.OutRows = out.Len()
-	if !rel.Identical(out, want) {
-		cr.Status = StatusFail
-		cr.Detail = fmt.Sprintf("rebound output differs (%d vs %d rows)", out.Len(), want.Len())
-		res.fail("auto/rebind: %s", cr.Detail)
-		return cr
-	}
-	cr.Status = StatusPass
-	return cr
+	return runConfig(ctx, res, b, cfg, want)
 }
 
 // certifyBound checks |output| ≤ 2^LogBound for the planner's recorded

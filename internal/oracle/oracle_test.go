@@ -2,13 +2,20 @@ package oracle
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/chainalg"
 	"repro/internal/engine"
 	"repro/internal/naive"
 	"repro/internal/paper"
+	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/scenario"
+	"repro/internal/smalg"
 )
 
 // The in-test conformance sweep: every small-tier catalog instance must
@@ -103,7 +110,8 @@ func TestOracleDemandsByteIdentity(t *testing.T) {
 
 func TestInapplicableOnlyExcusesKnownErrors(t *testing.T) {
 	// Fig. 9 has no good SM proof, so explicit SMA fails with the one error
-	// the oracle may record as a skip.
+	// the oracle may record as a skip — on the sequential and the parallel
+	// path alike.
 	q, _ := paper.Fig9Instance(16)
 	p, err := engine.Prepare(q)
 	if err != nil {
@@ -113,15 +121,119 @@ func TestInapplicableOnlyExcusesKnownErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, errSM := b.Run(context.Background(), &engine.Options{Algorithm: engine.AlgSM, Workers: 1})
-	if errSM == nil {
-		t.Fatal("explicit SM on Fig9 must fail")
+	for _, workers := range []int{1, 3} {
+		_, _, errSM := b.Run(context.Background(), &engine.Options{Algorithm: engine.AlgSM, Workers: workers, MinParallelRows: 1})
+		if errSM == nil {
+			t.Fatalf("explicit SM on Fig9 (workers=%d) must fail", workers)
+		}
+		if !inapplicable(engine.AlgSM, errSM) {
+			t.Fatalf("Fig9 SM error (workers=%d) should be a legitimate skip, got: %v", workers, errSM)
+		}
+		if inapplicable(engine.AlgCSMA, errSM) {
+			t.Fatal("CSMA errors are never legitimate skips")
+		}
 	}
-	if !inapplicable(engine.AlgSM, errSM) {
-		t.Fatalf("Fig9 SM error should be a legitimate skip, got: %v", errSM)
+	if !inapplicable(engine.AlgChain, fmt.Errorf("part 2: %w", chainalg.ErrNoGoodChain)) {
+		t.Fatal("a wrapped no-good-chain error should be a legitimate skip")
 	}
-	if inapplicable(engine.AlgCSMA, errSM) {
-		t.Fatal("CSMA errors are never legitimate skips")
+	// Identity, not text: the same message from anywhere else is a failure.
+	for alg, sentinel := range map[engine.Algorithm]error{
+		engine.AlgSM:    smalg.ErrNoGoodProof,
+		engine.AlgChain: chainalg.ErrNoGoodChain,
+	} {
+		if inapplicable(alg, errors.New(sentinel.Error())) {
+			t.Fatalf("%s: an error that only reads like %q must not be excused", alg, sentinel)
+		}
+	}
+}
+
+// The shared instance setup refuses what would make every check vacuous or
+// meaningless: an empty reference, and an instance that violates its FDs.
+func TestReferenceRefusesEmptyAndInvalid(t *testing.T) {
+	empty := query.New("x", "y")
+	r := rel.New("R", 0, 1)
+	r.Add(1, 2)
+	s := rel.New("S", 0, 1)
+	s.Add(1, 3)
+	empty.AddRel(r)
+	empty.AddRel(s)
+	if _, err := reference(empty); err == nil || !strings.Contains(err.Error(), "reference output is empty") {
+		t.Fatalf("empty reference: got %v", err)
+	}
+
+	invalid := query.New("x", "y")
+	v := rel.New("R", 0, 1)
+	v.Add(1, 2)
+	v.Add(1, 3) // violates x -> y
+	invalid.AddRel(v)
+	invalid.FDs.AddGuarded(invalid.Vars("x"), invalid.Vars("y"), 0)
+	if _, err := reference(invalid); err == nil || !strings.Contains(err.Error(), "instance does not validate") {
+		t.Fatalf("invalid instance: got %v", err)
+	}
+}
+
+// TestMatrixCellNames pins the ordered check names of every matrix on one
+// instance, so no cell can be dropped in silence.
+func TestMatrixCellNames(t *testing.T) {
+	var in scenario.Instance
+	for _, c := range scenario.Instances(scenario.TierSmall) {
+		if c.Family().Name == "worst/agm-product" {
+			in = c
+		}
+	}
+	if in.Name == "" {
+		t.Fatal("worst/agm-product is not in the small tier")
+	}
+	ctx := context.Background()
+	names := func(crs []CheckResult) []string {
+		var out []string
+		for _, c := range crs {
+			out = append(out, c.Check)
+		}
+		return out
+	}
+
+	std := CheckInstance(ctx, in, DefaultConfigs())
+	var configs []string
+	for _, c := range std.Configs {
+		configs = append(configs, c.Config)
+	}
+	wantConfigs := []string{
+		"auto/seq", "auto/par", "chain/seq", "chain/par", "sm/seq", "sm/par",
+		"csma/seq", "csma/par", "generic/seq", "generic/par", "binary/seq", "binary/par",
+		"auto/rebind",
+	}
+	// The instance has 180 output rows: LIMIT-k checks take k = 1 and 90.
+	wantStreaming := []string{
+		"stream/collect/seq", "stream/limit1/seq", "stream/limit90/seq", "stream/count/seq",
+		"stream/collect/par", "stream/limit1/par", "stream/limit90/par", "stream/count/par",
+	}
+	wantMeta := []string{"row-permutation", "row-duplication", "relation-permutation", "value-renaming"}
+
+	var wantFaults []string
+	for _, site := range []string{"wcoj/trie-descent", "engine/partition-worker", "engine/morsel-queue", "engine/stream-merge", "rel/sink-push"} {
+		wantFaults = append(wantFaults, "fault/"+site+"/panic", "fault/"+site+"/delay")
+	}
+	wantWire := []string{
+		"network/collect", "network/count", "network/limit90",
+		"network/error/bound", "network/error/rows",
+		"chaos/clean", "chaos/latency", "chaos/chunk", "chaos/throttle",
+		"chaos/rst-first-conn", "chaos/drop-upstream", "chaos/drop-mid-stream",
+	}
+
+	for _, c := range []struct {
+		matrix    string
+		got, want []string
+	}{
+		{"standard configs", configs, wantConfigs},
+		{"standard streaming", names(std.Streaming), wantStreaming},
+		{"standard metamorphic", names(std.Metamorphic), wantMeta},
+		{"faults", names(CheckFaultInstance(ctx, in).Checks), wantFaults},
+		{"wire", names(CheckWireInstance(ctx, in).Checks), wantWire},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s: checks\n %q\nwant\n %q", c.matrix, c.got, c.want)
+		}
 	}
 }
 
@@ -129,13 +241,13 @@ func TestInapplicableOnlyExcusesKnownErrors(t *testing.T) {
 // the certification logic would actually catch one by feeding it a
 // fabricated plan.
 func TestCertifyBoundDetectsViolation(t *testing.T) {
-	res := Result{Pass: true}
+	res := Result{Verdict: Verdict{Pass: true}}
 	pl := &engine.Plan{Algorithm: engine.AlgChain, LogBound: 3.0, Reason: "test"}
 	certifyBound(&res, pl, 9) // 2^3 = 8 < 9
 	if res.BoundCertified || res.Pass {
 		t.Fatal("bound violation not detected")
 	}
-	res2 := Result{Pass: true}
+	res2 := Result{Verdict: Verdict{Pass: true}}
 	certifyBound(&res2, pl, 8) // exactly 2^3
 	if !res2.BoundCertified || !res2.Pass {
 		t.Fatalf("exact bound must certify: %+v", res2.Failures)

@@ -1,8 +1,7 @@
 // Instance generators: the synthetic constructions the catalog families are
-// built from. The first three (ProductInstance, RandomQuery,
-// RandomSimpleKeyQuery) moved here from internal/workload, which now
-// delegates; the rest are catalog-native (graph motifs, Zipf skew,
-// near-product noise, guarded FD DAGs and cycles).
+// built from — AGM product instances, random FD-consistent and simple-key
+// queries for differential fuzzing, graph motifs, Zipf skew, near-product
+// noise, guarded FD DAGs and cycles.
 package scenario
 
 import (

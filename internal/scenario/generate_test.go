@@ -1,4 +1,4 @@
-package workload
+package scenario
 
 import (
 	"context"

@@ -5,9 +5,8 @@
 // by size and seed, and builds validated instances on demand.
 //
 // The catalog is the single source of synthetic workloads: the generators
-// that used to live ad hoc in internal/workload (random FD-consistent
-// queries, AGM product instances) are defined here, internal/workload
-// delegates to them, and internal/oracle + cmd/conformance drive every
+// (random FD-consistent queries, AGM product instances, graph motifs, skew)
+// are defined here, and internal/oracle + cmd/conformance drive every
 // catalog instance through the full engine configuration matrix against the
 // naive reference (see DESIGN.md, "Conformance").
 //

@@ -22,6 +22,7 @@ package smalg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -164,6 +165,10 @@ type llpProof struct {
 	proof *Proof
 }
 
+// ErrNoGoodProof is RunAutoInto's error when no good SM proof exists: SMA
+// does not apply to the instance, which is not a bug.
+var ErrNoGoodProof = errors.New("smalg: no good SM proof sequence found among optimal dual weights")
+
 // RunAutoInto solves the LLP, searches for a good proof, and executes SMA,
 // streaming into sink. It fails when no good SM proof exists (e.g. Fig. 9 /
 // Example 5.31), in which case CSMA is the right tool. The LLP solution and
@@ -186,7 +191,7 @@ func RunAutoInto(ctx context.Context, q *query.Q, sink rel.Sink) (*Stats, error)
 		q.SetPlanCache(key.String(), lp)
 	}
 	if lp.proof == nil {
-		return nil, fmt.Errorf("smalg: no good SM proof sequence found among optimal dual weights")
+		return nil, ErrNoGoodProof
 	}
 	return RunInto(ctx, q, lp.llp, lp.proof, sink)
 }
