@@ -1,10 +1,8 @@
 package bounds
 
 import (
-	"fmt"
 	"math"
 	"math/big"
-	"strings"
 
 	"repro/internal/hypergraph"
 	"repro/internal/lattice"
@@ -74,19 +72,9 @@ func ChainBound(q *query.Q, c lattice.Chain) *ChainResult {
 // it always tries the Corollary 5.9 and 5.11 constructions, and additionally
 // enumerates all maximal chains when the lattice is small (≤ maxEnum
 // elements). It returns the best finite result, or an infinite one if no
-// candidate chain is finite.
+// candidate chain is finite. It solves afresh on every call; chainalg.Best
+// is the memoized one the planner and the chain executor share.
 func BestChainBound(q *query.Q, maxEnum int) *ChainResult {
-	// The best chain depends only on the FD lattice and the relation sizes;
-	// memoize per query so repeated executions (chainalg.RunBestInto) skip the
-	// exact-rational edge-cover solves that dominate planning cost.
-	var key strings.Builder
-	fmt.Fprintf(&key, "bestchain:%d", maxEnum)
-	for _, r := range q.Rels {
-		fmt.Fprintf(&key, ":%d", r.Len())
-	}
-	if v, ok := q.PlanCache(key.String()); ok {
-		return v.(*ChainResult)
-	}
 	l := q.Lattice()
 	inputs := q.InputElems()
 	candidates := []lattice.Chain{
@@ -112,6 +100,5 @@ func BestChainBound(q *query.Q, maxEnum int) *ChainResult {
 	if best == nil {
 		best = &ChainResult{Finite: false}
 	}
-	q.SetPlanCache(key.String(), best)
 	return best
 }

@@ -8,11 +8,11 @@
 // R_j⁺, every step's Π_{R_j∧C_i}(R_j⁺) with its index and two hashed
 // lookups, and the steps' compiled expansions come from the instance's
 // prepared record (expand.Inputs), built once and shared read-only; the Q_i
-// are per-run; the chain memo is in the query's plan cache. A step costs one
-// O(1) hashed probe per covering relation per tuple of Q_{i-1} and one per
-// other covering relation per candidate — the index lookups the proof of
-// Theorem 5.7 charges — and each candidate fires only the FDs that neither
-// t ∈ Q_{i-1} nor the candidate row has already satisfied on its own.
+// are per-run; the best chain is a slot of the shape's plan record (Best). A
+// step costs one O(1) hashed probe per covering relation per tuple of Q_{i-1}
+// and one per other covering relation per candidate — the index lookups the
+// proof of Theorem 5.7 charges — and each candidate fires only the FDs that
+// neither t ∈ Q_{i-1} nor the candidate row has already satisfied on its own.
 //
 // No Q_i is sorted or deduplicated, because none can hold a duplicate and the
 // next step only iterates it. By induction: Q_0 = {()}. A tuple of Q_i
@@ -60,11 +60,11 @@ type Stats struct {
 }
 
 // RunInto evaluates the query along the given chain, which must be good for
-// all inputs and have no isolated step (use bounds.BestChainBound to select
-// one), emitting into sink: the final chain relation Q_k is sorted and
-// streamed, stopping early when the sink does (a bare *rel.CountSink is
-// handed its length instead), and ctx cancellation is observed between chain
-// steps and every thousand tuples of Q_{i-1} within one.
+// all inputs and have no isolated step (use Best to select one), emitting
+// into sink: the final chain relation Q_k is sorted and streamed, stopping
+// early when the sink does (a bare *rel.CountSink is handed its length
+// instead), and ctx cancellation is observed between chain steps and every
+// thousand tuples of Q_{i-1} within one.
 func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*Stats, error) {
 	l := q.Lattice()
 	inputs := q.InputElems()
@@ -215,10 +215,18 @@ var observeStep func(qi *rel.Relation)
 // bug.
 var ErrNoGoodChain = errors.New("chainalg: no good chain with a finite bound")
 
-// RunBestInto selects the best good chain via bounds.BestChainBound and
-// runs the algorithm on it.
+// bestChain is the shape's slot for the best good chain at given sizes.
+var bestChain = query.NewSlot[*bounds.ChainResult]()
+
+// Best returns bounds.BestChainBound(q, 64), searched once per (shape,
+// sizes): the chain the planner compares is the chain RunBestInto climbs.
+func Best(q *query.Q) *bounds.ChainResult {
+	return bestChain.Get(q, func(q *query.Q) *bounds.ChainResult { return bounds.BestChainBound(q, 64) })
+}
+
+// RunBestInto climbs the best good chain (Best) at q's sizes.
 func RunBestInto(ctx context.Context, q *query.Q, sink rel.Sink) (*Stats, error) {
-	cb := bounds.BestChainBound(q, 64)
+	cb := Best(q)
 	if !cb.Finite {
 		return nil, ErrNoGoodChain
 	}

@@ -136,7 +136,7 @@ func TestRejectsNonGoodChain(t *testing.T) {
 // with per-covering probe buffers and a sort per step).
 func TestRunBestAllocRegression(t *testing.T) {
 	q := paper.Fig1Skew(1024)
-	if _, err := RunBestInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan cache + prepared record
+	if _, err := RunBestInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan record + prepared record
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {

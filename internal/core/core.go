@@ -1,27 +1,20 @@
-// Package core is the legacy internal façade, kept as a thin shim for the
-// analysis entry point and the older one-call execution style.
-//
-// Deprecated: the public, stable surface of this repository is the
-// root-level fdq package (catalog + session + streaming rows); in-module
-// callers that need execution control should use internal/engine
-// (Prepare/Bind/Run/RunInto) directly. Only Analyze — the one-call bound
-// and lattice classification used by `fdjoin analyze` and the experiments
-// — has no replacement yet and remains the supported way to get it.
+// Package core holds Analyze, the one-call bound and lattice classification
+// used by `fdjoin analyze`, the examples and the experiments. Execution goes
+// through the public fdq package, or internal/engine
+// (Prepare/Bind/Run/RunInto) inside the module.
 //
 //	q := query.New("x", "y", "z") ... // define relations and FDs
 //	a := core.Analyze(q)              // bounds + lattice classification
-//	out, stats, err := core.Execute(q, core.AlgAuto)
 package core
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/bounds"
-	"repro/internal/engine"
+	"repro/internal/chainalg"
+	"repro/internal/csma"
 	"repro/internal/lattice"
 	"repro/internal/query"
-	"repro/internal/rel"
 	"repro/internal/smalg"
 )
 
@@ -45,7 +38,9 @@ type Analysis struct {
 	Chain lattice.Chain // the best good chain found
 }
 
-// Analyze computes all bounds and classifications for the query.
+// Analyze computes all bounds and classifications for the query. The chain,
+// LLP + proof and CLLP come from the executors' slots, so a run at the same
+// sizes afterwards solves none of them again.
 func Analyze(q *query.Q) *Analysis {
 	l := q.Lattice()
 	a := &Analysis{
@@ -68,17 +63,16 @@ func Analyze(q *query.Q) *Analysis {
 	a.LogAGMClosure = logOf(bounds.AGMClosure(q))
 	a.LogCoatomic = logOf(bounds.CoatomicCover(q))
 
-	llp := bounds.LLP(q)
-	a.LogLLP, _ = llp.LogBound.Float64()
+	a.LogLLP, _ = smalg.LLP(q).LogBound.Float64()
 
-	cllp := bounds.CLLPFromQuery(q)
+	cllp := csma.CLLP(q)
 	if cllp.LogBound == nil {
 		a.LogCLLP = math.Inf(1)
 	} else {
 		a.LogCLLP, _ = cllp.LogBound.Float64()
 	}
 
-	cb := bounds.BestChainBound(q, 64)
+	cb := chainalg.Best(q)
 	if cb.Finite {
 		a.LogChain, _ = cb.LogBound.Float64()
 		a.Chain = cb.Chain
@@ -86,52 +80,6 @@ func Analyze(q *query.Q) *Analysis {
 		a.LogChain = math.Inf(1)
 	}
 
-	a.SMProofExists = smalg.FindProofAuto(q, llp) != nil
+	a.SMProofExists = smalg.GoodProof(q) != nil
 	return a
-}
-
-// Algorithm selects an execution strategy (aliased from the engine, which
-// owns the execution layer).
-type Algorithm = engine.Algorithm
-
-// Available algorithms.
-const (
-	AlgAuto        = engine.AlgAuto        // cost-based planner decides
-	AlgChain       = engine.AlgChain       // Chain Algorithm (Alg. 1)
-	AlgSM          = engine.AlgSM          // Sub-Modularity Algorithm (Alg. 2)
-	AlgCSMA        = engine.AlgCSMA        // Conditional SM Algorithm (Sec. 5.3)
-	AlgGenericJoin = engine.AlgGenericJoin // FD-blind worst-case-optimal join
-	AlgBinary      = engine.AlgBinary      // traditional binary-join plan
-)
-
-// ExecStats reports the engine's execution statistics: the chosen plan with
-// its predicted bound and rationale, the degree of parallelism, timing, and
-// output size (engine.Stats re-exported under the façade's historical name).
-type ExecStats = engine.Stats
-
-// Execute runs the query with the chosen algorithm and returns the result
-// over all query variables. AlgAuto consults the cost-based planner; large
-// instances execute in parallel on every CPU. It is a thin wrapper over
-// engine.Prepare(q).Bind(nil).Run(ctx) for one-shot callers.
-//
-// Deprecated: use the public fdq package, or internal/engine directly for
-// streaming (RunInto) and prepared re-binding.
-func Execute(q *query.Q, alg Algorithm) (*rel.Relation, *ExecStats, error) {
-	return ExecuteOptions(context.Background(), q, &engine.Options{Algorithm: alg})
-}
-
-// ExecuteOptions is Execute with full engine control (workers, thresholds,
-// cancellation).
-//
-// Deprecated: use the public fdq package, or internal/engine directly.
-func ExecuteOptions(ctx context.Context, q *query.Q, opts *engine.Options) (*rel.Relation, *ExecStats, error) {
-	p, err := engine.Prepare(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	b, err := p.Bind(nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b.Run(ctx, opts)
 }

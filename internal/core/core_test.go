@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/naive"
 	"repro/internal/paper"
-	"repro/internal/rel"
 )
 
 func TestAnalyzeFig1(t *testing.T) {
@@ -50,43 +48,5 @@ func TestAnalyzeFig9(t *testing.T) {
 	}
 	if !a.Normal {
 		t.Fatal("Fig9 lattice is normal")
-	}
-}
-
-func TestExecuteAllAlgorithms(t *testing.T) {
-	q := paper.Fig1QuasiProduct(16)
-	want := naive.Evaluate(q)
-	for _, alg := range []Algorithm{AlgChain, AlgSM, AlgCSMA, AlgGenericJoin, AlgBinary, AlgAuto} {
-		out, st, err := Execute(q, alg)
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if !rel.Equal(out, want) {
-			t.Fatalf("%s: wrong answer", alg)
-		}
-		if st.OutSize != want.Len() {
-			t.Fatalf("%s: stats OutSize %d != %d", alg, st.OutSize, want.Len())
-		}
-	}
-}
-
-func TestExecuteAutoFallsBackToCSMA(t *testing.T) {
-	// Fig9 has no SM proof: Auto must fall through to CSMA and still be
-	// correct.
-	q, _ := paper.Fig9Instance(9)
-	out, st, err := Execute(q, AlgAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
-		t.Fatal("auto produced a wrong answer on Fig9")
-	}
-	_ = st
-}
-
-func TestExecuteUnknown(t *testing.T) {
-	q := paper.TriangleProduct(2)
-	if _, _, err := Execute(q, Algorithm("nope")); err == nil {
-		t.Fatal("expected error for unknown algorithm")
 	}
 }

@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/bounds"
 	"repro/internal/expand"
@@ -181,36 +180,28 @@ type cllpPlan struct {
 	err  error // why CSMA cannot run: CLLP unbounded, or no plan from its dual
 }
 
-// solvePlan solves the CLLP and builds the CSM plan, memoized per instance
-// sizes in the query's plan cache (the same discipline as
-// bounds.BestChainBound): whoever asks first — the engine planner comparing
-// bounds through CLLP, or RunInto — pays for the exact-rational LP solve,
-// and every later plan or execution at the same sizes reuses it. Failures
-// are memoized too. Restart branches solve their own branch-specific CLLPs
-// and are never memoized.
+// planSlot is the shape's slot for solvePlan at given sizes: whoever asks
+// first — the engine planner comparing bounds through CLLP, or RunInto —
+// pays for the exact-rational LP solve, and every later plan or execution
+// at the same sizes reuses it. Failures are kept too. Restart branches
+// solve their own branch-specific CLLPs, which are never kept.
+var planSlot = query.NewSlot[*cllpPlan]()
+
+// solvePlan solves the CLLP at q's sizes and builds the CSM plan from it.
 func solvePlan(q *query.Q) *cllpPlan {
-	var key strings.Builder
-	key.WriteString("csma:plan")
-	for _, r := range q.Rels {
-		fmt.Fprintf(&key, ":%d", r.Len())
-	}
-	if v, ok := q.PlanCache(key.String()); ok {
-		return v.(*cllpPlan)
-	}
 	cp := &cllpPlan{res: bounds.CLLPFromQuery(q)}
 	if cp.res.LogBound == nil {
 		cp.err = fmt.Errorf("csma: CLLP is unbounded (query not computable from the given constraints)")
 	} else {
 		cp.plan, cp.err = buildPlan(cp.res.Lat, cp.res)
 	}
-	q.SetPlanCache(key.String(), cp)
 	return cp
 }
 
 // CLLP returns the conditional LLP solution for q at its instance sizes
-// (LogBound nil when unbounded) through the memo RunInto reads, so a
-// planner that consults the bound and then runs CSMA solves the LP once.
-func CLLP(q *query.Q) *bounds.CLLPResult { return solvePlan(q).res }
+// (LogBound nil when unbounded) from the record RunInto reads, so a planner
+// that consults the bound and then runs CSMA solves the LP once.
+func CLLP(q *query.Q) *bounds.CLLPResult { return planSlot.Get(q, solvePlan).res }
 
 // RunInto evaluates the query with CSMA, streaming the result into sink.
 func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*Stats, error) {
@@ -219,7 +210,7 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 	e := expand.New(q)
 	st := &Stats{}
 
-	cp := solvePlan(q)
+	cp := planSlot.Get(q, solvePlan)
 	if cp.err != nil {
 		return st, cp.err
 	}

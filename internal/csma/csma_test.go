@@ -109,7 +109,7 @@ func TestOptionsDefaults(t *testing.T) {
 // reduction made one filtered copy per input).
 func TestRunAllocRegression(t *testing.T) {
 	q := paper.DegreeTriangle(256, 8)
-	if _, err := RunInto(context.Background(), q, nil, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan cache + prepared record
+	if _, err := RunInto(context.Background(), q, nil, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan record + prepared record
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {

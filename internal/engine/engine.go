@@ -10,7 +10,7 @@
 //	stats, _ = b.RunInto(ctx, nil, sink) // stream rows; sink can stop early
 //
 // Run and RunInto are safe to call from many goroutines on the same or
-// different Bound values: the lattice, the plan cache, the relations' index
+// different Bound values: the lattice, the plan records, the relations' index
 // caches and the instance's prepared record (expand.Inputs, kept with the
 // Bound) are all mutex-guarded, and each execution keeps its own working
 // state. (A Sink belongs to one execution; don't share one across
@@ -89,7 +89,7 @@ type Stats struct {
 }
 
 // Prepared is an analyzed query shape. It wraps the query whose lazily
-// built lattice and whose plan cache accumulate artifacts shared by every
+// built lattice and whose plan records accumulate artifacts shared by every
 // instance bound from it.
 type Prepared struct {
 	q *query.Q
@@ -131,7 +131,7 @@ type Bound struct {
 // Bind attaches an instance to the shape: rels must match the shape's
 // relations positionally (same variable sets). Passing nil binds the
 // relations the shape was prepared with. The returned Bound shares the
-// shape's lattice and plan cache, so planning artifacts computed for one
+// shape's lattice and plan records, so planning artifacts computed for one
 // instance benefit all others.
 //
 // Bind checks schemas only — it does NOT re-check that the instance
@@ -264,7 +264,7 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 		err = b.runParallelInto(ctx, plan, workers, &o, st, runSink)
 	} else {
 		if err = ctx.Err(); err == nil {
-			err = runOneInto(ctx, b.q, plan, runSink)
+			_, err = runOneInto(ctx, b.q, plan, runSink)
 		}
 	}
 	if err != nil {
@@ -303,11 +303,16 @@ func (t *tallySink) Push(row rel.Tuple) bool {
 	return t.s.Push(row)
 }
 
-// runOneInto executes the planned algorithm sequentially on q, streaming
-// into sink and reusing the planner's artifacts (chosen chain, LLP
-// solution, SM proof) when present.
-func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) error {
-	var err error
+// runOneInto executes the planned algorithm sequentially on q — a whole
+// instance or one split of it — streaming into sink. A plan's chain is
+// climbed as it is (goodness does not depend on sizes); every other artifact
+// is read from the executor's slot at q's own sizes: for the whole instance
+// that is what the planner solved, and a split re-resolves at its sizes
+// (an SM proof is tight for specific sizes, and a split may have none).
+//
+// ext is generic join's wcoj.Stats.Extensions (0 for the other machines),
+// the work measure the partitioning tests sum.
+func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) (ext int, err error) {
 	switch plan.Algorithm {
 	case AlgChain:
 		if plan.Chain != nil {
@@ -316,19 +321,18 @@ func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) erro
 			_, err = chainalg.RunBestInto(ctx, q, sink)
 		}
 	case AlgSM:
-		if plan.llp != nil && plan.proof != nil {
-			_, err = smalg.RunInto(ctx, q, plan.llp, plan.proof, sink)
-		} else {
-			_, err = smalg.RunAutoInto(ctx, q, sink)
-		}
+		_, err = smalg.RunAutoInto(ctx, q, sink)
 	case AlgCSMA:
 		_, err = csma.RunInto(ctx, q, nil, sink)
 	case AlgGenericJoin:
-		_, err = wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), sink)
+		var st *wcoj.Stats
+		if st, err = wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), sink); st != nil {
+			ext = st.Extensions
+		}
 	case AlgBinary:
 		_, err = wcoj.BinaryPlanInto(ctx, q, nil, sink)
 	default:
-		return fmt.Errorf("engine: unknown algorithm %q", plan.Algorithm)
+		err = fmt.Errorf("engine: unknown algorithm %q", plan.Algorithm)
 	}
-	return err
+	return ext, err
 }

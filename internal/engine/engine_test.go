@@ -137,6 +137,12 @@ func TestPlannerPicksCSMA(t *testing.T) {
 	if pl9.Algorithm != AlgCSMA {
 		t.Fatalf("Fig9: want csma, got %s (%s)", pl9.Algorithm, pl9.Reason)
 	}
+	// Whatever the planner picks on a small Fig. 9 instance, SMA has no
+	// proof there, and the answer must still be exact.
+	q9s, _ := paper.Fig9Instance(9)
+	if out, _ := mustRun(t, q9s, nil); !rel.Equal(out, naive.Evaluate(q9s)) {
+		t.Fatal("Fig9 at size 9: auto produced a wrong answer")
+	}
 }
 
 func TestPlannerPicksGeneric(t *testing.T) {
@@ -260,7 +266,7 @@ func TestConcurrentRunsMatchSequential(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			// Alternate sequential and parallel runs to stress both the
-			// shared plan cache and the shared index caches.
+			// shared plan records and the shared index caches.
 			opts := &Options{Workers: 1}
 			if g%2 == 1 {
 				opts = &Options{Workers: 2, MinParallelRows: 1}

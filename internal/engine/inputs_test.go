@@ -145,7 +145,7 @@ func TestFailedRecordBuildLeavesNoEntry(t *testing.T) {
 }
 
 // TestBoundsOfOnePreparedDoNotShareRecords: two instances bound from one
-// shape run concurrently (the lattice and plan cache are shared, the records
+// shape run concurrently (the lattice and plan records are shared, the records
 // must not be), and each matches the reference on its own data.
 func TestBoundsOfOnePreparedDoNotShareRecords(t *testing.T) {
 	for _, alg := range []Algorithm{AlgAuto, AlgChain, AlgCSMA} {

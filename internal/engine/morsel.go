@@ -358,13 +358,13 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 				switch {
 				case counting:
 					var c *rel.CountSink
-					ext, err = runPartition(gctx, qm, plan, func() rel.Sink { c = &rel.CountSink{}; return c })
+					ext, err = runSplit(gctx, qm, plan, func() rel.Sink { c = &rel.CountSink{}; return c })
 					if err == nil {
 						rows.Add(int64(c.N))
 					}
 				case generic && f.claim(m):
 					faultinject.Fire(faultinject.SiteStreamMerge)
-					ext, err = runPartition(gctx, qm, plan, func() rel.Sink { return f })
+					ext, err = runSplit(gctx, qm, plan, func() rel.Sink { return f })
 					if err == nil {
 						f.complete(m, nil)
 					}

@@ -5,11 +5,8 @@ import (
 	"runtime"
 	"slices"
 
-	"repro/internal/chainalg"
-	"repro/internal/csma"
 	"repro/internal/query"
 	"repro/internal/rel"
-	"repro/internal/smalg"
 	"repro/internal/wcoj"
 )
 
@@ -43,17 +40,17 @@ func (b *Bound) runParallelInto(ctx context.Context, plan *Plan, workers int, o 
 		return err // don't pay the partition split for a dead context
 	}
 	v := choosePartitionVar(b.q, plan)
-	if v < 0 {
-		st.Workers = 1
-		return runOneInto(ctx, b.q, plan, sink)
+	var vals []rel.Value
+	if v >= 0 {
+		vals = b.distinctVals(v)
 	}
-	vals := b.distinctVals(v)
 	if len(vals) < workers {
 		workers = len(vals)
 	}
 	if workers <= 1 {
 		st.Workers = 1
-		return runOneInto(ctx, b.q, plan, sink)
+		_, err := runOneInto(ctx, b.q, plan, sink)
+		return err
 	}
 	return b.runMorselsInto(ctx, plan, v, vals, workers, o, st, sink)
 }
@@ -75,63 +72,33 @@ func (s *partSink) Push(t rel.Tuple) bool {
 	return s.c.Push(t)
 }
 
-// runPartition executes the planned algorithm on one split instance,
-// pushing into the sink newSink returns. Planner-chosen plans degrade
-// gracefully when their full-instance artifacts don't fit the split's
-// sizes: the chain stays good (goodness is instance-independent), but an SM
-// proof is re-searched per split and executions that fail fall back to CSMA
-// and finally Generic-Join, which are always applicable. Every attempt asks
-// newSink for a fresh sink, so a failed attempt's rows never mix with its
-// fallback's: on success the result is in the last sink handed out.
-// Generic-join plans make exactly one attempt. Explicitly requested
+// runSplit executes the plan on one split instance through runOneInto,
+// pushing into the sink newSink returns. A planner plan whose executor fails
+// at the split's sizes (no good SM proof there, say) falls back to CSMA and
+// then to generic join, which always apply. Every attempt asks newSink for a
+// fresh sink, so a failed attempt's rows never mix with its fallback's: on
+// success the result is in the last sink handed out. Explicitly requested
 // algorithms never substitute — a split's failure propagates, matching the
 // sequential path's error behaviour. A cancelled ctx always propagates:
 // cancellation is never "fixed" by falling back to another algorithm.
-//
-// ext is the descent's wcoj.Stats.Extensions when the split ran generic join
-// (0 for the other machines), the work measure the partitioning tests sum.
-func runPartition(ctx context.Context, qp *query.Q, plan *Plan, newSink func() rel.Sink) (ext int, err error) {
-	generic := func() (int, error) {
-		st, err := wcoj.GenericJoinInto(ctx, qp, wcoj.DefaultOrder(qp), newSink())
-		return st.Extensions, err
-	}
-	switch plan.Algorithm {
-	case AlgChain:
-		if plan.Chain == nil {
-			// Explicit chain request with no planner-supplied chain: each
-			// part searches its own best good chain.
-			_, err = chainalg.RunBestInto(ctx, qp, newSink())
-			return 0, err
+func runSplit(ctx context.Context, qp *query.Q, plan *Plan, newSink func() rel.Sink) (int, error) {
+	for {
+		ext, err := runOneInto(ctx, qp, plan, newSink())
+		if err == nil || plan.explicit {
+			return ext, err
 		}
-		if _, err = chainalg.RunInto(ctx, qp, plan.Chain, newSink()); err == nil {
-			return 0, nil
+		switch plan.Algorithm {
+		case AlgChain, AlgSM:
+			plan = &Plan{Algorithm: AlgCSMA}
+		case AlgCSMA:
+			plan = &Plan{Algorithm: AlgGenericJoin}
+		default:
+			return ext, err
 		}
-	case AlgSM:
-		// Only planner-chosen SM plans reach a partition (Run forces
-		// explicit AlgSM sequential): the full-instance proof is tight for
-		// the full-instance LLP, so the partition re-plans at its own sizes
-		// and may fall back below.
-		if _, err = smalg.RunAutoInto(ctx, qp, newSink()); err == nil {
-			return 0, nil
+		if cerr := ctx.Err(); cerr != nil {
+			return 0, cerr
 		}
-	case AlgGenericJoin:
-		return generic()
-	case AlgBinary:
-		_, err = wcoj.BinaryPlanInto(ctx, qp, nil, newSink())
-		return 0, err
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	// AlgCSMA, plus the fallback chain for planner-chosen chain/SM plans
-	// that failed at this partition's sizes.
-	if _, err = csma.RunInto(ctx, qp, nil, newSink()); err == nil || plan.explicit {
-		return 0, err
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return generic()
 }
 
 // runBuffered executes one split into a private collector and returns its
@@ -144,7 +111,7 @@ func runPartition(ctx context.Context, qp *query.Q, plan *Plan, newSink func() r
 func runBuffered(ctx context.Context, qp *query.Q, plan *Plan, gauge *memGauge) (*rel.Relation, int, error) {
 	vars := qp.AllVars().Members()
 	var c *rel.CollectSink
-	ext, err := runPartition(ctx, qp, plan, func() rel.Sink {
+	ext, err := runSplit(ctx, qp, plan, func() rel.Sink {
 		c = rel.NewCollect("Q", vars...)
 		if gauge.limit <= 0 {
 			return c

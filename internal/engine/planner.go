@@ -3,9 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/bounds"
+	"repro/internal/chainalg"
 	"repro/internal/csma"
 	"repro/internal/lattice"
 	"repro/internal/query"
@@ -22,23 +22,26 @@ type Plan struct {
 
 	Chain lattice.Chain // the good chain to climb (AlgChain only)
 
-	llp      *bounds.LLPResult // LLP optimum the SM proof is tight for
-	proof    *smalg.Proof      // good SM proof sequence (AlgSM only)
-	explicit bool              // caller forced the algorithm: no fallbacks
+	explicit bool // caller forced the algorithm: no fallbacks
 }
 
 // tinyInputRows is the total instance size at or below which a binary
 // hash-join plan beats every asymptotically better algorithm on constants.
 const tinyInputRows = 64
 
+// planSlot is the shape's slot for the planner's decision at given sizes.
+var planSlot = query.NewSlot[*Plan]()
+
 // plan resolves the requested algorithm into a Plan. Explicit requests pass
 // through (so callers can still force any algorithm); AlgAuto consults the
-// bound analysis. Plans are memoized per instance sizes in the shape's plan
-// cache, so re-running a bound instance skips the LP solves.
+// bound analysis. A plan is kept in the shape's plan record, so re-running a
+// bound instance skips the LP solves; the artifacts it was decided from
+// (chain, LLP + proof, CLLP + CSM plan) sit in the same record, in the
+// executors' own slots, where every run at these sizes finds them.
 func (b *Bound) plan(alg Algorithm) (*Plan, error) {
 	switch alg {
 	case AlgAuto:
-		return b.planAuto(), nil
+		return b.Plan(), nil
 	case AlgChain, AlgSM, AlgCSMA, AlgGenericJoin, AlgBinary:
 		return &Plan{Algorithm: alg, LogBound: math.NaN(), Reason: "explicitly requested", explicit: true}, nil
 	default:
@@ -48,22 +51,7 @@ func (b *Bound) plan(alg Algorithm) (*Plan, error) {
 
 // Plan exposes the cost-based decision for the bound instance without
 // executing it.
-func (b *Bound) Plan() *Plan { return b.planAuto() }
-
-func (b *Bound) planAuto() *Plan {
-	q := b.q
-	var key strings.Builder
-	key.WriteString("engine:plan")
-	for _, r := range q.Rels {
-		fmt.Fprintf(&key, ":%d", r.Len())
-	}
-	if v, ok := q.PlanCache(key.String()); ok {
-		return v.(*Plan)
-	}
-	p := computePlan(q)
-	q.SetPlanCache(key.String(), p)
-	return p
-}
+func (b *Bound) Plan() *Plan { return planSlot.Get(b.q, computePlan) }
 
 // computePlan is the decision table (see DESIGN.md):
 //
@@ -97,7 +85,7 @@ func computePlan(q *query.Q) *Plan {
 	best := &Plan{Algorithm: AlgGenericJoin, LogBound: math.Inf(1),
 		Reason: "no finite FD-aware bound: falling back to Generic-Join"}
 
-	cb := bounds.BestChainBound(q, 64)
+	cb := chainalg.Best(q)
 	if cb.Finite {
 		lb, _ := cb.LogBound.Float64()
 		best = &Plan{
@@ -106,21 +94,19 @@ func computePlan(q *query.Q) *Plan {
 		}
 	}
 
-	llp := bounds.LLP(q)
-	logLLP, _ := llp.LogBound.Float64()
+	logLLP, _ := smalg.LLP(q).LogBound.Float64()
 	if logLLP < best.LogBound-eps {
 		// The LLP bound only buys an execution if a good SM proof realizes
 		// it; the proof search is the expensive part, so gate it on the
 		// bound actually improving on the chain.
-		if proof := smalg.FindProofAuto(q, llp); proof != nil {
+		if smalg.GoodProof(q) != nil {
 			best = &Plan{
-				Algorithm: AlgSM, LogBound: logLLP, llp: llp, proof: proof,
+				Algorithm: AlgSM, LogBound: logLLP,
 				Reason: fmt.Sprintf("good SM proof tight for LLP bound 2^%.2f < chain bound", logLLP),
 			}
 		}
 	}
 
-	// Through csma's memo, so that a CSMA run of this plan reuses the solve.
 	cllp := csma.CLLP(q)
 	if cllp.LogBound != nil {
 		logCLLP, _ := cllp.LogBound.Float64()

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/paper"
 	"repro/internal/rel"
 	"repro/internal/scenario"
+	"repro/internal/smalg"
 )
 
 // Prepare must not build the FD lattice: planner rules 1 (tiny input) and 2
@@ -98,37 +98,52 @@ func TestConcurrentFirstRunsShareOneLattice(t *testing.T) {
 }
 
 // The planner consults the CLLP bound and CSMA executes from the CLLP's dual:
-// one solve must serve both, so after Plan() the LP result is already in
-// the entry csma.RunInto reads ("csma:plan:<sizes>", csma.solvePlan).
+// one solve must serve both, so after Plan() the CLLP is already in the
+// record slot csma.RunInto reads, shared by every instance of those sizes.
 func TestPlannerSolvesTheCLLPForCSMA(t *testing.T) {
 	q, _ := paper.Fig9Instance(64)
-	p, err := Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Bind(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "csma:plan"
-	for _, r := range q.Rels {
-		key += fmt.Sprintf(":%d", r.Len())
-	}
-	if _, ok := b.Query().PlanCache(key); ok {
-		t.Fatalf("plan cache entry %q exists before planning", key)
-	}
+	b := bind(t, q)
 	pl := b.Plan()
 	if pl.Algorithm != AlgCSMA {
 		t.Fatalf("want csma, got %s (%s)", pl.Algorithm, pl.Reason)
 	}
-	if _, ok := b.Query().PlanCache(key); !ok {
-		t.Fatalf("no plan cache entry %q after Plan(): the first CSMA run will solve the CLLP again", key)
+	if n := testing.AllocsPerRun(10, func() { csma.CLLP(b.Query()) }); n != 0 {
+		t.Fatalf("csma.CLLP after Plan() allocated %v times: the first CSMA run will solve the CLLP again", n)
 	}
 	memo := csma.CLLP(b.Query())
 	if got, _ := memo.LogBound.Float64(); got != pl.LogBound {
-		t.Fatalf("memoized CLLP bound 2^%v, plan says 2^%v", got, pl.LogBound)
+		t.Fatalf("recorded CLLP bound 2^%v, plan says 2^%v", got, pl.LogBound)
 	}
-	if again := csma.CLLP(b.Query()); again != memo {
-		t.Fatal("csma.CLLP solved again instead of returning the memoized result")
+	if again := csma.CLLP(q.WithFreshRels(q.Rels)); again != memo {
+		t.Fatal("another instance of the same shape and sizes solved its own CLLP")
+	}
+}
+
+// An explicit SM request and smalg.RunAutoInto run from the planner's own
+// LLP solution and proof: after Plan() both sit in the slots SMA reads, and
+// no run solves or searches again.
+func TestExplicitSMRunsThePlannersProof(t *testing.T) {
+	q, _ := paper.Fig4Instance(216)
+	b := bind(t, q)
+	if pl := b.Plan(); pl.Algorithm != AlgSM {
+		t.Fatalf("want sm, got %s (%s)", pl.Algorithm, pl.Reason)
+	}
+	if n := testing.AllocsPerRun(10, func() { smalg.LLP(q); smalg.GoodProof(q) }); n != 0 {
+		t.Fatalf("reading the LLP and proof after Plan() allocated %v times: the planner did not leave them for SMA", n)
+	}
+	llp, proof := smalg.LLP(q), smalg.GoodProof(q)
+	out, _, err := b.Run(context.Background(), &Options{Algorithm: AlgSM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rel.Equal(out, naive.Evaluate(q)) {
+		t.Fatal("explicit sm: wrong answer")
+	}
+	st, err := smalg.RunAutoInto(context.Background(), q, &rel.CountSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Proof != proof || smalg.LLP(q) != llp || smalg.GoodProof(q) != proof {
+		t.Fatal("a run solved the LLP or searched the proof again")
 	}
 }

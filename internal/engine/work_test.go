@@ -58,7 +58,7 @@ func TestWarmWorkloadCountedWork(t *testing.T) {
 			got = fmt.Sprintf("chain visited=%d probes=%d intermediate=%v", st.TuplesVisited, st.Probes, st.Intermediate)
 		case AlgSM:
 			var st *smalg.Stats
-			st, err = smalg.RunInto(ctx, b.Query(), plan.llp, plan.proof, &rel.CountSink{})
+			st, err = smalg.RunInto(ctx, b.Query(), smalg.LLP(b.Query()), smalg.GoodProof(b.Query()), &rel.CountSink{})
 			got = fmt.Sprintf("sm join=%d", st.JoinTuples)
 		case AlgCSMA:
 			var st *csma.Stats

@@ -319,7 +319,7 @@ func runConfig(ctx context.Context, res *Result, b *engine.Bound, cfg Config, wa
 
 // runRebind exercises the prepared-rebind path: the same shape bound to a
 // fresh deep copy of the instance must produce the identical output (the
-// shared plan cache must not leak per-binding state).
+// shared plan records must not leak per-binding state).
 func runRebind(ctx context.Context, res *Result, p *engine.Prepared, q *query.Q, want *rel.Relation) ConfigResult {
 	cfg := Config{Name: "auto/rebind", Algorithm: engine.AlgAuto, Workers: 1}
 	fresh := make([]*rel.Relation, len(q.Rels))

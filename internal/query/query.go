@@ -1,10 +1,14 @@
 // Package query represents full conjunctive queries with functional
 // dependencies and optional degree bounds (Sec. 2 and 5.3 of the paper),
 // bundling the schema, the FD set, and the database instance, and exposing
-// the lattice representation (Sec. 3.1).
+// the lattice representation (Sec. 3.1). A shape also keeps the planning
+// artifacts derived from it: one plan record per relation-size vector, read
+// and filled through typed Slots, one per artifact, each owned by the
+// package that runs from it.
 package query
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
@@ -39,16 +43,16 @@ type Q struct {
 	inst  *atomic.Value // the instance's prepared record; never shared between instances
 }
 
-// qstate boxes the lazily built lattice and the plan cache behind one
+// qstate boxes the lazily built lattice and the plan records behind one
 // mutex. It is held by pointer so shallow copies of Q (WithFreshRels) share
 // a single guarded instance: concurrent executions of the same query shape
 // on different instances are race-free, and planning artifacts computed for
-// one instance are visible to the others (cache keys fold in whatever the
-// artifact depends on, e.g. relation sizes).
+// one instance are visible to every other of the same relation sizes (see
+// Slot).
 type qstate struct {
 	mu    sync.Mutex
 	lat   *lattice.Lattice // guarded by mu
-	plans map[string]any   // guarded by mu
+	plans map[string][]any // guarded by mu; the plan record per size vector, indexed by slot id
 }
 
 // New creates a query over the given variable names with an empty FD set.
@@ -76,7 +80,7 @@ func (q *Q) AddRel(r *rel.Relation) int {
 	return len(q.Rels) - 1
 }
 
-// invalidate drops the cached lattice and plan artifacts and the prepared
+// invalidate drops the cached lattice and plan records and the prepared
 // record. Called whenever the query shape changes (relations or FDs added).
 func (q *Q) invalidate() {
 	s := q.st()
@@ -103,37 +107,82 @@ func (q *Q) Prepared(create func() any) any {
 	return q.inst.Load()
 }
 
-// PlanCache returns the memoized planning artifact stored under key.
-// The cache is cleared when a relation is added; callers whose artifacts
-// depend on instance sizes must fold those sizes into the key (see
-// bounds.BestChainBound). Safe for concurrent use.
-func (q *Q) PlanCache(key string) (any, bool) {
-	s := q.st()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.plans[key]
-	return v, ok
+// Slot is one typed planning artifact of a query shape — the best chain, the
+// LLP solution, a CSM plan. Every such artifact is a function of the FD
+// lattice and the relation sizes alone (the sizes enter the paper's LPs only
+// on the right-hand side), so a shape keeps one plan record per size vector
+// and a Slot is one entry of it; the records go when the shape changes
+// (AddRel, AddDegreeBound). Declare a slot once, as a package variable, with
+// NewSlot; T should be a pointer type.
+type Slot[T any] struct{ id int }
+
+var slots atomic.Int32
+
+// NewSlot allocates a slot in every plan record.
+func NewSlot[T any]() Slot[T] { return Slot[T]{id: int(slots.Add(1) - 1)} }
+
+// planRecordMax bounds the records a shape keeps: a long-lived shape serving
+// many differently-sized instances (or morsel splits) would otherwise
+// accumulate them forever. On overflow the store resets — entries are pure
+// memoizations and rebuild on demand.
+const planRecordMax = 256
+
+// Get returns the slot's artifact for q at q's relation sizes, building it
+// with build on a miss. build runs outside the lock (it may read other
+// slots); when first callers race, the first store wins and every caller
+// gets the stored value. A hit allocates nothing when build captures
+// nothing. Safe for concurrent use.
+func (s Slot[T]) Get(q *Q, build func(*Q) T) T {
+	var buf [128]byte
+	key := sizeKey(buf[:0], q.Rels)
+	st := q.st()
+	if v, ok := st.load(key, s.id); ok {
+		return v.(T)
+	}
+	return st.store(key, s.id, build(q)).(T)
 }
 
-// planCacheMax bounds the plan cache: keys fold in instance sizes, so a
-// long-lived shape serving many differently-sized instances would otherwise
-// accumulate entries forever. On overflow the cache resets — entries are
-// pure memoizations and rebuild on demand.
-const planCacheMax = 256
+// sizeKey appends the relation sizes to buf as uvarints: self-delimiting, so
+// distinct size vectors get distinct keys.
+func sizeKey(buf []byte, rels []*rel.Relation) []byte {
+	for _, r := range rels {
+		buf = binary.AppendUvarint(buf, uint64(r.Len()))
+	}
+	return buf
+}
 
-// SetPlanCache memoizes a planning artifact under key. Safe for concurrent
-// use.
-func (q *Q) SetPlanCache(key string, v any) {
-	s := q.st()
+// load returns entry id of the record for key.
+func (s *qstate) load(key []byte, id int) (any, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.plans) >= planCacheMax {
+	rec := s.plans[string(key)]
+	if id < len(rec) && rec[id] != nil {
+		return rec[id], true
+	}
+	return nil, false
+}
+
+// store sets entry id of the record for key to v, unless a racing build
+// stored one first, and returns the entry.
+func (s *qstate) store(key []byte, id int, v any) any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, ok := s.plans[string(key)]
+	if id < len(rec) && rec[id] != nil {
+		return rec[id]
+	}
+	if !ok && len(s.plans) >= planRecordMax {
 		s.plans = nil
 	}
 	if s.plans == nil {
-		s.plans = make(map[string]any, 2)
+		s.plans = make(map[string][]any, 2)
 	}
-	s.plans[key] = v
+	if id >= len(rec) {
+		rec = append(rec, make([]any, id+1-len(rec))...)
+	}
+	rec[id] = v
+	s.plans[string(key)] = rec
+	return v
 }
 
 // AddDegreeBound registers a degree-bound constraint.
@@ -321,7 +370,7 @@ func checkFDHolds(g *rel.Relation, f fd.FD) error {
 
 // WithFreshRels returns a shallow copy of q with the given relations
 // substituted (same schema positions); used to re-run a query shape on a
-// different instance. The copy shares q's lattice and plan cache (both are
+// different instance. The copy shares q's lattice and plan records (both are
 // mutex-guarded), so preparing a shape once amortizes planning across
 // instances; what is derived from the relations themselves (the prepared
 // record) starts empty.

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"strings"
 
 	"repro/internal/bounds"
 	"repro/internal/expand"
@@ -145,8 +144,8 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 // FindProofAuto searches for a good SM proof for the given optimal LLP
 // solution: the solver's own dual weights first, then — when the co-atomic
 // hypergraph has no isolated vertex — every dual-optimal vertex of its
-// cover polytope. This is the proof-search pipeline shared by RunAutoInto,
-// core.Analyze, and the engine planner.
+// cover polytope. It searches afresh on every call; GoodProof is the
+// memoized search the planner and RunAutoInto share.
 func FindProofAuto(q *query.Q, llp *bounds.LLPResult) *Proof {
 	h, _ := bounds.CoatomicHypergraph(q)
 	var candidates [][]*big.Rat
@@ -156,44 +155,37 @@ func FindProofAuto(q *query.Q, llp *bounds.LLPResult) *Proof {
 	return FindProofAny(llp, q.LogSizes(), candidates)
 }
 
-// llpProof is the memoized planning artifact of RunAutoInto: the LLP solution
-// and the good proof found for it (nil when the search failed — failures
-// are memoized too, so repeated RunAutoInto calls on an SM-infeasible instance
-// fail without re-searching).
-type llpProof struct {
-	llp   *bounds.LLPResult
-	proof *Proof
+// The shape's slots for the LLP solution and for its good proof, apart so
+// that reading the bound never pays for the proof search.
+var (
+	llpSlot   = query.NewSlot[*bounds.LLPResult]()
+	proofSlot = query.NewSlot[*Proof]()
+)
+
+// LLP returns bounds.LLP(q), solved once per (shape, sizes).
+func LLP(q *query.Q) *bounds.LLPResult { return llpSlot.Get(q, bounds.LLP) }
+
+// GoodProof returns FindProofAuto(q, LLP(q)), searched once per (shape,
+// sizes) and only when asked for; nil — remembered like a proof — when no
+// good proof exists.
+func GoodProof(q *query.Q) *Proof {
+	return proofSlot.Get(q, func(q *query.Q) *Proof { return FindProofAuto(q, LLP(q)) })
 }
 
 // ErrNoGoodProof is RunAutoInto's error when no good SM proof exists: SMA
 // does not apply to the instance, which is not a bug.
 var ErrNoGoodProof = errors.New("smalg: no good SM proof sequence found among optimal dual weights")
 
-// RunAutoInto solves the LLP, searches for a good proof, and executes SMA,
-// streaming into sink. It fails when no good SM proof exists (e.g. Fig. 9 /
-// Example 5.31), in which case CSMA is the right tool. The LLP solution and
-// proof depend only on the query shape and the instance sizes, so they are
-// memoized in the query's plan cache (like bounds.BestChainBound): repeated
-// executions pay for the LP solve and the backtracking proof search once.
+// RunAutoInto executes SMA from LLP(q) and GoodProof(q), streaming into
+// sink: the planner's solve and search when it planned these sizes. It fails
+// when no good SM proof exists (e.g. Fig. 9 / Example 5.31), in which case
+// CSMA is the right tool.
 func RunAutoInto(ctx context.Context, q *query.Q, sink rel.Sink) (*Stats, error) {
-	var key strings.Builder
-	key.WriteString("sma:proof")
-	//lint:ignore fdqvet/ctxloop bounded key-building loop: one O(1) Fprintf per input relation, no data-proportional work
-	for _, r := range q.Rels {
-		fmt.Fprintf(&key, ":%d", r.Len())
-	}
-	var lp *llpProof
-	if v, ok := q.PlanCache(key.String()); ok {
-		lp = v.(*llpProof)
-	} else {
-		llp := bounds.LLP(q)
-		lp = &llpProof{llp: llp, proof: FindProofAuto(q, llp)}
-		q.SetPlanCache(key.String(), lp)
-	}
-	if lp.proof == nil {
+	proof := GoodProof(q)
+	if proof == nil {
 		return nil, ErrNoGoodProof
 	}
-	return RunInto(ctx, q, lp.llp, lp.proof, sink)
+	return RunInto(ctx, q, LLP(q), proof, sink)
 }
 
 // SMBound returns the bound certified by a proof: Σ_j w_j n_j where w_j are

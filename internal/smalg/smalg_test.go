@@ -193,7 +193,7 @@ func TestCommonDenominator(t *testing.T) {
 // while the final reduction made one filtered copy per input).
 func TestRunAutoAllocRegression(t *testing.T) {
 	q, _ := paper.Fig4Instance(64)
-	if _, err := RunAutoInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan cache + prepared record
+	if _, err := RunAutoInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan record + prepared record
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
