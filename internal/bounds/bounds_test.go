@@ -431,24 +431,6 @@ func TestFig9LatticeNotNormalIrrelevantButSMBoundHolds(t *testing.T) {
 	}
 }
 
-func TestSimpleFDsTightChain(t *testing.T) {
-	// Cor. 5.17: simple FDs ⇒ distributive ⇒ chain bound = LLP.
-	q := paper.SimpleFDChain(4, 16)
-	if !q.Lattice().IsDistributive() {
-		t.Fatal("simple FD lattice must be distributive")
-	}
-	llp := LLP(q)
-	best := BestChainBound(q, 64)
-	if !best.Finite {
-		t.Fatal("chain bound must be finite")
-	}
-	a, _ := llp.LogBound.Float64()
-	b, _ := best.LogBound.Float64()
-	if math.Abs(a-b) > 1e-6 {
-		t.Fatalf("chain bound %v != LLP %v on distributive lattice", b, a)
-	}
-}
-
 // The exact.Num kernel took one LLP of the 27-element lattice below from
 // 168k allocations to 2.4k and its CLLP from 237k to 2.9k (what remains is
 // the big.Rat terms of the problem and the solution vectors). The ceilings

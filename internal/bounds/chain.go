@@ -75,27 +75,42 @@ func ChainBound(q *query.Q, c lattice.Chain) *ChainResult {
 // candidate chain is finite. It solves afresh on every call; chainalg.Best
 // is the memoized one the planner and the chain executor share.
 func BestChainBound(q *query.Q, maxEnum int) *ChainResult {
+	return BestChainBoundWithFloor(q, maxEnum, nil)
+}
+
+// BestChainBoundWithFloor is BestChainBound cut short at a floor no chain
+// bound goes below — the LLP optimum, since every good chain bound proves an
+// inequality that every lattice polymatroid satisfies (Thm 5.3): the search
+// stops at the first candidate whose bound equals the floor. A later
+// candidate replaces the best only when strictly smaller, so that candidate
+// is the one the full search returns. floor is called only when the lattice
+// is small enough to enumerate (≤ maxEnum elements), the one case with a
+// search long enough to cut; a nil floor searches in full.
+func BestChainBoundWithFloor(q *query.Q, maxEnum int, floor func() *big.Rat) *ChainResult {
 	l := q.Lattice()
 	inputs := q.InputElems()
-	candidates := []lattice.Chain{
-		l.GoodChainJoinIrreducibles(inputs),
-		l.GoodChainMeetIrreducibles(inputs),
-	}
-	if l.Size() <= maxEnum {
-		candidates = append(candidates, l.MaximalChains()...)
+	enumerate := l.Size() <= maxEnum
+	var lo *big.Rat
+	if enumerate && floor != nil {
+		lo = floor()
 	}
 	var best *ChainResult
-	for _, c := range candidates {
+	// offer weighs one candidate and reports whether the search goes on.
+	offer := func(c lattice.Chain) bool {
 		if !l.IsChain(c) || !l.GoodForAll(c, inputs) {
-			continue
+			return true
 		}
 		r := ChainBound(q, c)
 		if !r.Finite {
-			continue
+			return true
 		}
 		if best == nil || r.LogBound.Cmp(best.LogBound) < 0 {
 			best = r
 		}
+		return lo == nil || best.LogBound.Cmp(lo) != 0
+	}
+	if offer(l.GoodChainJoinIrreducibles(inputs)) && offer(l.GoodChainMeetIrreducibles(inputs)) && enumerate {
+		l.EachMaximalChain(offer)
 	}
 	if best == nil {
 		best = &ChainResult{Finite: false}

@@ -35,12 +35,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/big"
 
 	"repro/internal/bounds"
 	"repro/internal/expand"
 	"repro/internal/lattice"
 	"repro/internal/query"
 	"repro/internal/rel"
+	"repro/internal/smalg"
 )
 
 // cancelCheckInterval is how many candidate tuples pass between context
@@ -219,9 +221,15 @@ var ErrNoGoodChain = errors.New("chainalg: no good chain with a finite bound")
 var bestChain = query.NewSlot[*bounds.ChainResult]()
 
 // Best returns bounds.BestChainBound(q, 64), searched once per (shape,
-// sizes): the chain the planner compares is the chain RunBestInto climbs.
-func Best(q *query.Q) *bounds.ChainResult {
-	return bestChain.Get(q, func(q *query.Q) *bounds.ChainResult { return bounds.BestChainBound(q, 64) })
+// sizes): the chain the planner compares is the chain RunBestInto climbs. On
+// a lattice small enough to enumerate, the search stops at the first chain
+// that reaches the LLP optimum (smalg.LLP, the slot the planner fills first),
+// which is the chain the full search returns; a larger lattice has no
+// enumeration to cut, and never pays for an LLP here.
+func Best(q *query.Q) *bounds.ChainResult { return bestChain.Get(q, searchBest) }
+
+func searchBest(q *query.Q) *bounds.ChainResult {
+	return bounds.BestChainBoundWithFloor(q, 64, func() *big.Rat { return smalg.LLP(q).LogBound })
 }
 
 // RunBestInto climbs the best good chain (Best) at q's sizes.

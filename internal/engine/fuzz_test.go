@@ -12,8 +12,11 @@ import (
 
 // FuzzPlannerConsistency drives the cost-based planner and both execution
 // paths on random FD-consistent queries: the planner's choice must be
-// deterministic for a fixed shape+instance, and sequential and parallel
-// execution must both reproduce the naive reference byte-for-byte.
+// deterministic for a fixed shape+instance, the FD-aware decision planned
+// from the LLP floor must equal the full search's (referencePlan) — checked
+// directly, since the tiny-input rule takes most plans of instances this
+// small — and sequential and parallel execution must both reproduce the
+// naive reference byte-for-byte.
 func FuzzPlannerConsistency(f *testing.F) {
 	f.Add(int64(2016), 4, 3, 20, 4, true)
 	f.Add(int64(516), 3, 2, 12, 3, false)
@@ -48,6 +51,9 @@ func FuzzPlannerConsistency(f *testing.F) {
 		pl1, pl2 := b.Plan(), b.Plan()
 		if pl1.Algorithm != pl2.Algorithm || pl1.LogBound != pl2.LogBound || pl1.Reason != pl2.Reason {
 			t.Fatalf("plan not deterministic: %+v vs %+v", pl1, pl2)
+		}
+		if d := samePlan(planFDAware(b.Query()), referencePlan(q)); d != "" {
+			t.Fatal(d)
 		}
 
 		seq, st, err := b.Run(context.Background(), &Options{Workers: 1})

@@ -62,7 +62,7 @@ func (b *Bound) Plan() *Plan { return planSlot.Get(b.q, computePlan) }
 //     (Thm 5.7), LLP when a good SM proof exists (Thm 5.27), CLLP
 //     (Thm 5.37) — and pick the algorithm with the smallest predicted
 //     bound, breaking ties toward the cheaper machine
-//     (chain ≺ SMA ≺ CSMA);
+//     (chain ≺ SMA ≺ CSMA): planFDAware;
 //  4. no finite FD-aware bound → Generic-Join as the safety net.
 func computePlan(q *query.Q) *Plan {
 	if q.TotalSize() <= tinyInputRows {
@@ -79,11 +79,23 @@ func computePlan(q *query.Q) *Plan {
 			Reason:    "no FDs or degree bounds: Generic-Join is worst-case optimal (AGM)",
 		}
 	}
+	return planFDAware(q)
+}
 
-	// FD-aware candidates, in tie-break priority order.
+// planFDAware picks among the FD-aware candidates, in tie-break priority
+// order, from the LLP floor up: no good chain bound is below the LLP optimum
+// (Thm 5.3), and without degree bounds the CLLP is the LLP (Prop. 5.32). So
+// the chain search stops at the first chain that reaches the floor
+// (chainalg.Best), and the CLLP is solved only where it can still win: the
+// query has degree bounds, or the LLP beat the chain and no good SM proof
+// realized it. Every skipped solve is one whose bound could not have won by
+// eps, so the plan is the one a full chain search, LLP and CLLP would make.
+func planFDAware(q *query.Q) *Plan {
 	const eps = 1e-9
 	best := &Plan{Algorithm: AlgGenericJoin, LogBound: math.Inf(1),
 		Reason: "no finite FD-aware bound: falling back to Generic-Join"}
+
+	logLLP, _ := smalg.LLP(q).LogBound.Float64()
 
 	cb := chainalg.Best(q)
 	if cb.Finite {
@@ -94,7 +106,6 @@ func computePlan(q *query.Q) *Plan {
 		}
 	}
 
-	logLLP, _ := smalg.LLP(q).LogBound.Float64()
 	if logLLP < best.LogBound-eps {
 		// The LLP bound only buys an execution if a good SM proof realizes
 		// it; the proof search is the expensive part, so gate it on the
@@ -107,8 +118,12 @@ func computePlan(q *query.Q) *Plan {
 		}
 	}
 
-	cllp := csma.CLLP(q)
-	if cllp.LogBound != nil {
+	// A degree-free CLLP equals the LLP, which beats the plan so far only
+	// when SM was wanted and had no proof.
+	if len(q.DegreeBounds) == 0 && logLLP >= best.LogBound-eps {
+		return best
+	}
+	if cllp := csma.CLLP(q); cllp.LogBound != nil {
 		logCLLP, _ := cllp.LogBound.Float64()
 		if logCLLP < best.LogBound-eps {
 			best = &Plan{

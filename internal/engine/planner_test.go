@@ -1,0 +1,87 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/bounds"
+	"repro/internal/paper"
+	"repro/internal/query"
+	"repro/internal/scenario"
+	"repro/internal/smalg"
+)
+
+// referencePlan is the FD-aware decision table made from a full search: every
+// candidate chain, then the LLP and a proof search where it beats the chain,
+// then the CLLP, each solved afresh. planFDAware must make the same plan while
+// skipping what the LLP floor rules out.
+func referencePlan(q *query.Q) *Plan {
+	const eps = 1e-9
+	best := &Plan{Algorithm: AlgGenericJoin, LogBound: math.Inf(1),
+		Reason: "no finite FD-aware bound: falling back to Generic-Join"}
+	if cb := bounds.BestChainBound(q, 64); cb.Finite {
+		lb, _ := cb.LogBound.Float64()
+		best = &Plan{
+			Algorithm: AlgChain, LogBound: lb, Chain: cb.Chain,
+			Reason: fmt.Sprintf("finite good-chain bound 2^%.2f (chain length %d)", lb, len(cb.Chain)),
+		}
+	}
+	llp := bounds.LLP(q)
+	logLLP, _ := llp.LogBound.Float64()
+	if logLLP < best.LogBound-eps && smalg.FindProofAuto(q, llp) != nil {
+		best = &Plan{
+			Algorithm: AlgSM, LogBound: logLLP,
+			Reason: fmt.Sprintf("good SM proof tight for LLP bound 2^%.2f < chain bound", logLLP),
+		}
+	}
+	if cllp := bounds.CLLPFromQuery(q); cllp.LogBound != nil {
+		logCLLP, _ := cllp.LogBound.Float64()
+		if logCLLP < best.LogBound-eps {
+			best = &Plan{
+				Algorithm: AlgCSMA, LogBound: logCLLP,
+				Reason: fmt.Sprintf("CLLP bound 2^%.2f beats chain/SM candidates (degree bounds or no good proof)", logCLLP),
+			}
+		}
+	}
+	return best
+}
+
+// samePlan reports how got differs from want, or "" when it does not.
+func samePlan(got, want *Plan) string {
+	if got.Algorithm != want.Algorithm || got.LogBound != want.LogBound ||
+		got.Reason != want.Reason || !slices.Equal(got.Chain, want.Chain) {
+		return fmt.Sprintf("planned %s 2^%v chain %v (%s), the full search %s 2^%v chain %v (%s)",
+			got.Algorithm, got.LogBound, got.Chain, got.Reason,
+			want.Algorithm, want.LogBound, want.Chain, want.Reason)
+	}
+	return ""
+}
+
+// Planning from the LLP floor makes the full search's plan on every FD or
+// degree shape of the full-tier catalog and the benchmark's six-variable
+// simple-FD chain, each planned cold.
+func TestPlanFromTheFloorMatchesFullSearch(t *testing.T) {
+	qs := map[string]func() *query.Q{
+		"paper/simple-fd-chain-6@32": func() *query.Q { return paper.SimpleFDChain(6, 32) },
+	}
+	for _, in := range scenario.Instances(scenario.TierFull) {
+		qs[in.Name] = in.Build
+	}
+	checked := 0
+	for name, build := range qs {
+		want, q := build(), build()
+		if len(q.FDs.FDs) == 0 && len(q.DegreeBounds) == 0 {
+			continue
+		}
+		checked++
+		if d := samePlan(planFDAware(q), referencePlan(want)); d != "" {
+			t.Errorf("%s: %s", name, d)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no FD or degree shape in the catalog")
+	}
+	t.Logf("%d FD / degree instances planned alike", checked)
+}

@@ -1,5 +1,7 @@
 package lattice
 
+import "slices"
+
 // Chain is a strictly increasing sequence of lattice elements from Bottom to
 // Top: C_0 = 0̂ ≺ C_1 ≺ ... ≺ C_k = 1̂ (Sec. 5.1).
 type Chain []int
@@ -68,23 +70,30 @@ func (l *Lattice) IsMaximalChain(c Chain) bool {
 
 // MaximalChains enumerates all maximal chains from Bottom to Top. Intended
 // for the paper's small lattices; the count can be exponential in general.
-func (l *Lattice) MaximalChains() []Chain {
-	var out []Chain
+func (l *Lattice) MaximalChains() []Chain { return slices.Collect(l.EachMaximalChain) }
+
+// EachMaximalChain calls yield with every maximal chain from Bottom to Top,
+// in MaximalChains' order, until yield returns false: a search that can stop
+// early never builds the rest. Each chain yielded is a fresh slice.
+func (l *Lattice) EachMaximalChain(yield func(Chain) bool) {
 	var cur Chain
-	var rec func(x int)
-	rec = func(x int) {
+	var rec func(x int) bool
+	rec = func(x int) bool {
 		cur = append(cur, x)
+		more := true
 		if x == l.Top {
-			out = append(out, append(Chain(nil), cur...))
+			more = yield(append(Chain(nil), cur...))
 		} else {
 			for _, u := range l.upperCovers[x] {
-				rec(u)
+				if more = rec(u); !more {
+					break
+				}
 			}
 		}
 		cur = cur[:len(cur)-1]
+		return more
 	}
 	rec(l.Bottom)
-	return out
 }
 
 // ChainEdge returns, per input element r, the set of steps of the chain that

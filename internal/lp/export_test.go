@@ -1,13 +1,26 @@
 package lp
 
+import "fmt"
+
 // DiffSolve is diffSolve for the external tests of this directory, which
 // may import the packages that build the repository's LPs.
 var DiffSolve = diffSolve
 
 // CollectSolves runs fn and returns every problem passed to Solve meanwhile.
-func CollectSolves(fn func()) []*Problem {
+func CollectSolves(fn func()) []*Problem { return CollectSolvesBelow(0, fn) }
+
+// CollectSolvesBelow is CollectSolves for an fn that must solve no problem
+// of maxVars or more variables (0: no limit): such a problem panics before it
+// is solved, so a guard against a solve too large to finish fails without
+// paying for it.
+func CollectSolvesBelow(maxVars int, fn func()) []*Problem {
 	var seen []*Problem
-	testHookSolve = func(p *Problem) { seen = append(seen, p) }
+	testHookSolve = func(p *Problem) {
+		seen = append(seen, p)
+		if maxVars > 0 && p.NumVars >= maxVars {
+			panic(fmt.Sprintf("lp: a problem of %d variables, limit %d", p.NumVars, maxVars-1))
+		}
+	}
 	defer func() { testHookSolve = nil }()
 	fn()
 	return seen

@@ -1,0 +1,116 @@
+package lp_test
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/lp"
+	"repro/internal/paper"
+	"repro/internal/query"
+	"repro/internal/scenario"
+)
+
+// catalogQuery builds a catalog family at (size, seed), or the six-variable
+// simple-FD chain the benchmark adds to it.
+func catalogQuery(t *testing.T, family string, size int, seed int64) *query.Q {
+	t.Helper()
+	if family == "paper/simple-fd-chain-6" {
+		return paper.SimpleFDChain(6, size)
+	}
+	for _, f := range scenario.Catalog() {
+		if f.Name == family {
+			return f.Build(scenario.Params{Size: size, Seed: seed})
+		}
+	}
+	t.Fatalf("no catalog family %q", family)
+	return nil
+}
+
+// TestColdPlanSolveCounts pins the LPs one cold Prepare → Bind → Plan solves
+// on the twelve FD / degree shapes of the benchmark's plan-cold workload
+// (seed 1). The planner solves the LLP first, stops the chain search at the
+// first chain whose bound reaches it, and solves the CLLP only where it can
+// win: with degree bounds (degree-triangle), or where the LLP beats every
+// chain and no good SM proof exists (fig9, which also searches every chain
+// and every proof candidate). A full chain search, LLP and CLLP on every
+// shape solve 220.
+func TestColdPlanSolveCounts(t *testing.T) {
+	for _, tc := range []struct {
+		family string
+		size   int
+		solves int
+	}{
+		{"paper/fig1-quasi", 64, 8},
+		{"paper/m3-mod", 24, 2},
+		{"paper/fig4", 64, 15},
+		{"paper/fig9", 32, 11},
+		{"paper/fig5", 48, 2},
+		{"paper/degree-triangle", 128, 3},
+		{"paper/colored-triangle", 64, 27},
+		{"paper/simple-fd-chain-6", 32, 2},
+		{"paper/four-cycle-key", 64, 2},
+		{"paper/composite-key", 12, 2},
+		{"fd/dag", 64, 2},
+		{"fd/cycle", 64, 2},
+	} {
+		q := catalogQuery(t, tc.family, tc.size, 1)
+		var pl *engine.Plan
+		got := len(lp.CollectSolves(func() {
+			p, err := engine.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := p.Bind(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl = b.Plan()
+		}))
+		if got != tc.solves {
+			t.Errorf("%s@%d: cold plan (%s) solved %d LPs, want %d", tc.family, tc.size, pl.Algorithm, got, tc.solves)
+		}
+	}
+}
+
+// TestExplicitChainSolvesNoLLPOnLargeLattices: the chain search reads the
+// LLP floor only on a lattice of ≤ 64 elements, the only one whose maximal
+// chains it enumerates. An explicit chain run on motif/path-8@16 (FD-free,
+// 256 closed sets) or on any small-tier shape with a larger lattice solves
+// the constructions' edge covers and no LP over the lattice's elements — one
+// that, on these lattices, would not fit in memory, so it is refused before
+// it is solved.
+func TestExplicitChainSolvesNoLLPOnLargeLattices(t *testing.T) {
+	type named struct {
+		name string
+		q    *query.Q
+	}
+	qs := []named{{"motif/path-8@16", scenario.PathQuery(8, 16, 1)}}
+	for _, in := range scenario.Instances(scenario.TierSmall) {
+		if q := in.Build(); q.Lattice().Size() > 64 {
+			qs = append(qs, named{in.Name, q})
+		}
+	}
+	for _, nq := range qs {
+		size := nq.q.Lattice().Size()
+		if size <= 64 {
+			t.Fatalf("%s: lattice of %d elements; the test wants more than 64", nq.name, size)
+		}
+		problems := lp.CollectSolvesBelow(size, func() {
+			p, err := engine.Prepare(nq.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := p.Bind(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := b.Run(context.Background(), &engine.Options{Algorithm: engine.AlgChain, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(problems) == 0 {
+			t.Errorf("%s: the chain run solved no LP: the search went unobserved", nq.name)
+		}
+	}
+}
