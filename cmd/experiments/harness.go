@@ -1,7 +1,8 @@
-// Package benchkit provides cmd/experiments' harness utilities: timing,
-// log-log slope fitting for exponent estimation, and markdown table
-// rendering. It records nothing: performance numbers come from bench/.
-package benchkit
+package main
+
+// The experiments' harness: timing, log-log slope fitting for exponent
+// estimation, and markdown table rendering. It records nothing: performance
+// numbers come from bench/.
 
 import (
 	"fmt"
@@ -10,17 +11,17 @@ import (
 	"time"
 )
 
-// Time runs f once and returns the wall-clock duration.
-func Time(f func()) time.Duration {
+// timeIt runs f once and returns the wall-clock duration.
+func timeIt(f func()) time.Duration {
 	start := time.Now()
 	f()
 	return time.Since(start)
 }
 
-// Slope fits the least-squares slope of log2(y) against log2(x) — the
+// slope fits the least-squares slope of log2(y) against log2(x) — the
 // empirical exponent of a power law y ≈ c·x^slope. It ignores non-positive
 // points.
-func Slope(xs, ys []float64) float64 {
+func slope(xs, ys []float64) float64 {
 	var sx, sy, sxx, sxy float64
 	n := 0.0
 	for i := range xs {
@@ -40,20 +41,20 @@ func Slope(xs, ys []float64) float64 {
 	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }
 
-// Table renders a markdown table.
-type Table struct {
-	Title   string
-	Headers []string
+// table renders a markdown table.
+type table struct {
+	title   string
+	headers []string
 	rows    [][]string
 }
 
-// NewTable creates a table with the given title and column headers.
-func NewTable(title string, headers ...string) *Table {
-	return &Table{Title: title, Headers: headers}
+// newTable creates a table with the given title and column headers.
+func newTable(title string, headers ...string) *table {
+	return &table{title: title, headers: headers}
 }
 
-// Row appends a row; cells are formatted with %v.
-func (t *Table) Row(cells ...interface{}) {
+// row appends a row; cells are formatted with %v.
+func (t *table) row(cells ...interface{}) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -73,13 +74,13 @@ func (t *Table) Row(cells ...interface{}) {
 }
 
 // String renders the table as markdown.
-func (t *Table) String() string {
+func (t *table) String() string {
 	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "### %s\n\n", t.Title)
+	if t.title != "" {
+		fmt.Fprintf(&b, "### %s\n\n", t.title)
 	}
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
+	widths := make([]int, len(t.headers))
+	for i, h := range t.headers {
 		widths[i] = len(h)
 	}
 	for _, r := range t.rows {
@@ -96,7 +97,7 @@ func (t *Table) String() string {
 		}
 		b.WriteString("\n")
 	}
-	writeRow(t.Headers)
+	writeRow(t.headers)
 	b.WriteString("|")
 	for _, w := range widths {
 		b.WriteString(strings.Repeat("-", w+2) + "|")
@@ -108,5 +109,5 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Pow2 returns 2^x, rendering bound exponents as sizes.
-func Pow2(x float64) float64 { return math.Exp2(x) }
+// pow2 returns 2^x, rendering bound exponents as sizes.
+func pow2(x float64) float64 { return math.Exp2(x) }

@@ -1,4 +1,4 @@
-package benchkit
+package main
 
 import (
 	"math"
@@ -11,7 +11,7 @@ func TestSlope(t *testing.T) {
 	// y = x² → slope 2.
 	xs := []float64{2, 4, 8, 16}
 	ys := []float64{4, 16, 64, 256}
-	if s := Slope(xs, ys); math.Abs(s-2) > 1e-9 {
+	if s := slope(xs, ys); math.Abs(s-2) > 1e-9 {
 		t.Fatalf("slope = %v, want 2", s)
 	}
 	// y = x^{3/2}.
@@ -19,25 +19,25 @@ func TestSlope(t *testing.T) {
 	for i, x := range xs {
 		ys2[i] = math.Pow(x, 1.5)
 	}
-	if s := Slope(xs, ys2); math.Abs(s-1.5) > 1e-9 {
+	if s := slope(xs, ys2); math.Abs(s-1.5) > 1e-9 {
 		t.Fatalf("slope = %v, want 1.5", s)
 	}
 }
 
 func TestSlopeDegenerate(t *testing.T) {
-	if !math.IsNaN(Slope([]float64{1}, []float64{1})) {
+	if !math.IsNaN(slope([]float64{1}, []float64{1})) {
 		t.Fatal("single point slope should be NaN")
 	}
-	if !math.IsNaN(Slope([]float64{0, -1}, []float64{1, 1})) {
+	if !math.IsNaN(slope([]float64{0, -1}, []float64{1, 1})) {
 		t.Fatal("non-positive points must be ignored")
 	}
 }
 
 func TestTable(t *testing.T) {
-	tb := NewTable("demo", "a", "b")
-	tb.Row(1, 2.5)
-	tb.Row("x", math.Inf(1))
-	tb.Row(time.Millisecond, "z")
+	tb := newTable("demo", "a", "b")
+	tb.row(1, 2.5)
+	tb.row("x", math.Inf(1))
+	tb.row(time.Millisecond, "z")
 	s := tb.String()
 	if !strings.Contains(s, "### demo") || !strings.Contains(s, "∞") || !strings.Contains(s, "1ms") {
 		t.Fatalf("table rendering wrong:\n%s", s)
@@ -49,14 +49,14 @@ func TestTable(t *testing.T) {
 }
 
 func TestTime(t *testing.T) {
-	d := Time(func() { time.Sleep(time.Millisecond) })
+	d := timeIt(func() { time.Sleep(time.Millisecond) })
 	if d < time.Millisecond {
-		t.Fatalf("Time too short: %v", d)
+		t.Fatalf("timeIt too short: %v", d)
 	}
 }
 
 func TestPow2(t *testing.T) {
-	if Pow2(3) != 8 {
-		t.Fatal("Pow2 wrong")
+	if pow2(3) != 8 {
+		t.Fatal("pow2 wrong")
 	}
 }

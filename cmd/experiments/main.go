@@ -18,10 +18,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/benchkit"
 	"repro/internal/bounds"
 	"repro/internal/chainalg"
-	"repro/internal/core"
 	"repro/internal/csma"
 	"repro/internal/engine"
 	"repro/internal/lattice"
@@ -42,7 +40,7 @@ var (
 	experiments = map[string]func(){
 		"E1": func() { e1() }, "E2": e2, "E3": e3, "E4": e4,
 		"E5": func() { e5() }, "E6": func() { e6() },
-		"E7": e7, "E8": e8, "E9": e9, "E10": e10, "E11": e11, "E12": e12,
+		"E7": e7, "E8": e8, "E9": func() { e9() }, "E10": e10, "E11": e11, "E12": e12,
 		"E13": e13, "E14": func() { e14() },
 	}
 	order = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14"}
@@ -71,30 +69,30 @@ func logb(x float64) float64 { return math.Log2(x) }
 // Õ(N^{3/2}) while FD-blind WCOJ is Ω(N²) on the skew instance. Returns the
 // two work exponents fitted over N.
 func e1() (chainExp, genericExp float64) {
-	t := benchkit.NewTable("E1 — Fig.1 UDF query: bounds (log2, units of n = log N)",
+	t := newTable("E1 — Fig.1 UDF query: bounds (log2, units of n = log N)",
 		"N", "AGM", "AGM(Q⁺)", "GLVV/LLP", "best chain", "|Q| measured")
 	for _, N := range []int{64, 256} {
 		q := paper.Fig1QuasiProduct(N)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		n := logb(float64(q.Rels[0].Len()))
 		out := naive.Evaluate(q)
-		t.Row(q.Rels[0].Len(), a.LogAGM/n, a.LogAGMClosure/n, a.LogLLP/n, a.LogChain/n, out.Len())
+		t.row(q.Rels[0].Len(), a.LogAGM/n, a.LogAGMClosure/n, a.LogLLP/n, a.LogChain/n, out.Len())
 	}
 	fmt.Println(t)
 
-	t2 := benchkit.NewTable("E1 — skew instance work (Example 5.8): chain vs FD-blind generic join",
+	t2 := newTable("E1 — skew instance work (Example 5.8): chain vs FD-blind generic join",
 		"N", "chain work", "generic-join work", "chain time", "generic time")
 	var ns, chainWork, gjWork []float64
 	for _, N := range []int{128, 256, 512, 1024} {
 		q := paper.Fig1Skew(N)
 		var cw, gw int
 		var cd, gd time.Duration
-		cd = benchkit.Time(func() {
+		cd = timeIt(func() {
 			st, err := chainalg.RunBestInto(ctx, q, &rel.CountSink{})
 			must(err)
 			cw = st.TuplesVisited + st.Probes
 		})
-		gd = benchkit.Time(func() {
+		gd = timeIt(func() {
 			st, err := wcoj.GenericJoinInto(ctx, q, []int{1, 2, 0, 3}, &rel.CountSink{})
 			must(err)
 			gw = st.Extensions + st.Lookups
@@ -102,10 +100,10 @@ func e1() (chainExp, genericExp float64) {
 		ns = append(ns, float64(N))
 		chainWork = append(chainWork, float64(cw))
 		gjWork = append(gjWork, float64(gw))
-		t2.Row(N, cw, gw, cd, gd)
+		t2.row(N, cw, gw, cd, gd)
 	}
 	fmt.Println(t2)
-	chainExp, genericExp = benchkit.Slope(ns, chainWork), benchkit.Slope(ns, gjWork)
+	chainExp, genericExp = slope(ns, chainWork), slope(ns, gjWork)
 	fmt.Printf("empirical exponents (paper: chain ≤ 1.5 via Õ(N^1.5); generic 2.0 via Ω(N²)): chain %.2f, generic %.2f\n\n",
 		chainExp, genericExp)
 	return chainExp, genericExp
@@ -114,9 +112,9 @@ func e1() (chainExp, genericExp float64) {
 // E2: Eq. (2) / Sec. 5.3 — degree-bounded triangle: CLLP bound
 // min(N^{3/2}, N·d) and CSMA respecting it.
 func e2() {
-	t := benchkit.NewTable("E2 — degree-bounded triangle (Eq. 2): bound min(N^{3/2}, N·d)",
+	t := newTable("E2 — degree-bounded triangle (Eq. 2): bound min(N^{3/2}, N·d)",
 		"N≈", "d", "LLP (no degrees)", "CLLP (degrees)", "min(1.5n, n+log d)", "|Q|", "CSMA time")
-	for _, d := range []int{2, 4, 8, 16} {
+	for _, d := range []int{2, 4, 8, 16, 32} {
 		q := paper.DegreeTriangle(512, d)
 		n := logb(float64(q.Rels[0].Len()))
 		llp := bounds.LLP(q)
@@ -125,15 +123,15 @@ func e2() {
 		cv, _ := cllp.LogBound.Float64()
 		want := math.Min(1.5*n, n+logb(float64(d)))
 		var out rel.CountSink
-		dur := benchkit.Time(func() {
+		dur := timeIt(func() {
 			_, err := csma.RunInto(ctx, q, nil, &out)
 			must(err)
 		})
-		t.Row(q.Rels[0].Len(), d, lv, cv, want, out.N, dur)
+		t.row(q.Rels[0].Len(), d, lv, cv, want, out.N, dur)
 	}
 	fmt.Println(t)
 
-	t2 := benchkit.NewTable("E2b — colored formulation (Eq. 2 with colors C1, C2)",
+	t2 := newTable("E2b — colored formulation (Eq. 2 with colors C1, C2)",
 		"N≈", "d", "GLVV (colored)", "n + log d", "|Q| (x,y,z proj)")
 	for _, d := range []int{2, 4} {
 		q := paper.ColoredTriangle(256, d)
@@ -141,9 +139,7 @@ func e2() {
 		lv, _ := llp.LogBound.Float64()
 		n := logb(float64(q.Rels[2].Len()))
 		out := naive.Evaluate(q).Project(q.Vars("x", "y", "z"))
-		t.Row(q.Rels[2].Len(), d, lv, n+logb(float64(d)), out.Len())
-		_ = out
-		t2.Row(q.Rels[2].Len(), d, lv, n+logb(float64(d)), out.Len())
+		t2.row(q.Rels[2].Len(), d, lv, n+logb(float64(d)), out.Len())
 	}
 	fmt.Println(t2)
 }
@@ -151,17 +147,17 @@ func e2() {
 // E3: Eq. (4) / Theorem 2.1 — AGM bound tight on product instances;
 // Generic-Join is worst-case optimal without FDs.
 func e3() {
-	t := benchkit.NewTable("E3 — triangle AGM bound (Eq. 4) and tightness on product instances",
+	t := newTable("E3 — triangle AGM bound (Eq. 4) and tightness on product instances",
 		"m (domain)", "N=m²", "AGM = N^{3/2}", "|Q| = m³", "generic-join time")
 	for _, m := range []int{4, 8, 16} {
 		q := paper.TriangleProduct(m)
 		a := bounds.AGM(q)
 		var out rel.CountSink
-		dur := benchkit.Time(func() {
+		dur := timeIt(func() {
 			_, err := wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), &out)
 			must(err)
 		})
-		t.Row(m, m*m, a.Bound(), out.N, dur)
+		t.row(m, m*m, a.Bound(), out.N, dur)
 	}
 	fmt.Println(t)
 }
@@ -169,17 +165,17 @@ func e3() {
 // E4: Example 5.12 / Fig. 3 — M3: chain bound N² tight; coatomic cover
 // bound N^{3/2} invalid (non-normal lattice).
 func e4() {
-	t := benchkit.NewTable("E4 — M3 (Example 5.12): N² is tight; co-atomic N^{3/2} is NOT a bound",
+	t := newTable("E4 — M3 (Example 5.12): N² is tight; co-atomic N^{3/2} is NOT a bound",
 		"N", "GLVV/LLP", "chain", "coatomic (invalid)", "|Q| = N²", "chain-alg time")
 	for _, N := range []int{8, 16, 32} {
 		q := paper.M3Instance(N)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		var out rel.CountSink
-		dur := benchkit.Time(func() {
+		dur := timeIt(func() {
 			_, err := chainalg.RunBestInto(ctx, q, &out)
 			must(err)
 		})
-		t.Row(N, benchkit.Pow2(a.LogLLP), benchkit.Pow2(a.LogChain), benchkit.Pow2(a.LogCoatomic), out.N, dur)
+		t.row(N, pow2(a.LogLLP), pow2(a.LogChain), pow2(a.LogCoatomic), out.N, dur)
 	}
 	fmt.Println(t)
 }
@@ -188,29 +184,29 @@ func e4() {
 // SM bound N^{4/3}; SMA runs within it. Returns the output exponent fitted
 // over N.
 func e5() float64 {
-	t := benchkit.NewTable("E5 — Fig.4 query: chain N^{3/2} vs SM/GLVV N^{4/3} (Examples 5.18/5.20)",
+	t := newTable("E5 — Fig.4 query: chain N^{3/2} vs SM/GLVV N^{4/3} (Examples 5.18/5.20)",
 		"N=m³", "chain bound", "GLVV=SM bound", "|Q| = m⁴", "SMA time", "chain-alg time")
 	var ns, smWork []float64
 	for _, m := range []int{3, 4, 5} {
 		q, mm := paper.Fig4Instance(m * m * m)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		var out rel.CountSink
-		smDur := benchkit.Time(func() {
+		smDur := timeIt(func() {
 			_, err := smalg.RunAutoInto(ctx, q, &out)
 			must(err)
 		})
-		chDur := benchkit.Time(func() {
+		chDur := timeIt(func() {
 			_, err := chainalg.RunBestInto(ctx, q, &rel.CountSink{})
 			must(err)
 		})
 		N := float64(q.Rels[0].Len())
 		ns = append(ns, N)
 		smWork = append(smWork, float64(out.N))
-		t.Row(q.Rels[0].Len(), benchkit.Pow2(a.LogChain), benchkit.Pow2(a.LogLLP), out.N, smDur, chDur)
+		t.row(q.Rels[0].Len(), pow2(a.LogChain), pow2(a.LogLLP), out.N, smDur, chDur)
 		_ = mm
 	}
 	fmt.Println(t)
-	exp := benchkit.Slope(ns, smWork)
+	exp := slope(ns, smWork)
 	fmt.Printf("output exponent vs N (paper: 4/3 ≈ 1.33): %.2f\n\n", exp)
 	return exp
 }
@@ -226,24 +222,24 @@ func e6() float64 {
 		pAny := smalg.FindProofAny(llp, q.LogSizes(), hco.CoverPolytope().Vertices())
 		fmt.Printf("E6 — Fig.9: SM proof exists (paper: NO): direct=%v any-dual=%v\n\n", p != nil, pAny != nil)
 	}
-	t := benchkit.NewTable("E6 — Fig.9 query via CSMA (Example 5.31 continued)",
+	t := newTable("E6 — Fig.9 query via CSMA (Example 5.31 continued)",
 		"N per input", "OPT = N^{3/2}", "|Q|", "CSMA time", "branches", "restarts")
 	var ns, outs []float64
 	for _, n := range []int{16, 36, 64} {
 		q, _ := paper.Fig9Instance(n)
 		var out rel.CountSink
 		var st *csma.Stats
-		dur := benchkit.Time(func() {
+		dur := timeIt(func() {
 			var err error
 			st, err = csma.RunInto(ctx, q, nil, &out)
 			must(err)
 		})
 		ns = append(ns, float64(q.Rels[0].Len()))
 		outs = append(outs, float64(out.N))
-		t.Row(q.Rels[0].Len(), benchkit.Pow2(st.OPT), out.N, dur, st.Branches, st.Restarts)
+		t.row(q.Rels[0].Len(), pow2(st.OPT), out.N, dur, st.Branches, st.Restarts)
 	}
 	fmt.Println(t)
-	exp := benchkit.Slope(ns, outs)
+	exp := slope(ns, outs)
 	fmt.Printf("output exponent vs N (paper: 3/2): %.2f\n\n", exp)
 	return exp
 }
@@ -259,17 +255,17 @@ func e7() {
 	var out rel.CountSink
 	_, err := chainalg.RunBestInto(ctx, q, &out)
 	must(err)
-	t := benchkit.NewTable("E7 — Fig.5: R(x), S(y), z=f(x,y) (Example 5.10)",
+	t := newTable("E7 — Fig.5: R(x), S(y), z=f(x,y) (Example 5.10)",
 		"chain", "bound", "|Q|")
-	t.Row("0̂≺z≺xz≺1̂ (maximal)", r1.Bound(), "-")
-	t.Row(fmt.Sprintf("Cor 5.9 chain (len %d)", len(best.Chain)), best.Bound(), out.N)
+	t.row("0̂≺z≺xz≺1̂ (maximal)", r1.Bound(), "-")
+	t.row(fmt.Sprintf("Cor 5.9 chain (len %d)", len(best.Chain)), best.Bound(), out.N)
 	fmt.Println(t)
 }
 
 // E8: Sec. 2 "Closure" — simple keys are handled by AGM(Q⁺); composite keys
 // are not.
 func e8() {
-	t := benchkit.NewTable("E8 — closure bounds (Sec. 2)",
+	t := newTable("E8 — closure bounds (Sec. 2)",
 		"query", "AGM", "AGM(Q⁺)", "GLVV/LLP", "|Q|")
 	{
 		q := paper.FourCycleWithKey(16)
@@ -277,26 +273,29 @@ func e8() {
 			q.Rels[1].Add(paper.Value(1000+i), paper.Value(1000+i))
 			q.Rels[2].Add(paper.Value(1000+i), paper.Value(1000+i))
 		}
-		a := core.Analyze(q)
-		t.Row("4-cycle, key y→z", benchkit.Pow2(a.LogAGM), benchkit.Pow2(a.LogAGMClosure),
-			benchkit.Pow2(a.LogLLP), naive.Evaluate(q).Len())
+		a := engine.Analyze(q)
+		t.row("4-cycle, key y→z", pow2(a.LogAGM), pow2(a.LogAGMClosure),
+			pow2(a.LogLLP), naive.Evaluate(q).Len())
 	}
 	{
 		q := paper.CompositeKey(8, 4096)
-		a := core.Analyze(q)
-		t.Row("R(x),S(y),T(x,y,z), key xy→z", benchkit.Pow2(a.LogAGM), benchkit.Pow2(a.LogAGMClosure),
-			benchkit.Pow2(a.LogLLP), naive.Evaluate(q).Len())
+		a := engine.Analyze(q)
+		t.row("R(x),S(y),T(x,y,z), key xy→z", pow2(a.LogAGM), pow2(a.LogAGMClosure),
+			pow2(a.LogLLP), naive.Evaluate(q).Len())
 	}
 	fmt.Println(t)
 }
 
-// E9: Fig. 10 — lattice classification of every named lattice in the paper.
-func e9() {
-	t := benchkit.NewTable("E9 — lattice classification (Fig. 10 regions)",
-		"lattice", "|L|", "distributive", "modular", "normal", "M3-top", "good SM proof")
+// E9: Fig. 10 — lattice classification of every named lattice in the paper,
+// with its bounds in log2. Returns the table so main_test.go can read it.
+func e9() *table {
+	t := newTable("E9 — lattice classification (Fig. 10 regions) and bounds (log2)",
+		"lattice", "|L|", "distributive", "modular", "normal", "M3-top", "good SM proof",
+		"AGM", "AGM(Q⁺)", "chain", "GLVV/LLP")
 	row := func(name string, q *query.Q) {
-		a := core.Analyze(q)
-		t.Row(name, a.LatticeSize, a.Distributive, a.Modular, a.Normal, a.HasM3Top, a.SMProofExists)
+		a := engine.Analyze(q)
+		t.row(name, a.LatticeSize, a.Distributive, a.Modular, a.Normal, a.HasM3Top, a.SMProofExists,
+			a.LogAGM, a.LogAGMClosure, a.LogChain, a.LogLLP)
 	}
 	row("Boolean (triangle)", paper.TriangleProduct(3))
 	row("Fig.1 running example", paper.Fig1QuasiProduct(16))
@@ -307,10 +306,16 @@ func e9() {
 	q9, _ := paper.Fig9Instance(16)
 	row("Fig.9", q9)
 	row("simple FDs (chain)", paper.SimpleFDChain(4, 16))
-	// N5 as a standalone lattice (no instance): report its structure only.
-	n5 := lattice.FromFamily(3, []varset.Set{varset.Empty, varset.Of(0), varset.Of(0, 1), varset.Of(2), varset.Of(0, 1, 2)})
-	t.Row("N5 (structure only)", n5.Size(), n5.IsDistributive(), n5.IsModular(), "-", n5.HasM3Top(), "-")
+	// N5 (normal, per the paper) and Fig. 7 (Example 5.29: a non-good SM
+	// proof) as standalone lattices, without instances: structure only.
+	structure := func(name string, l *lattice.Lattice) {
+		t.row(name, l.Size(), l.IsDistributive(), l.IsModular(), "-", l.HasM3Top(), "-", "-", "-", "-", "-")
+	}
+	structure("N5 (structure only)",
+		lattice.FromFamily(3, []varset.Set{varset.Empty, varset.Of(0), varset.Of(0, 1), varset.Of(2), varset.Of(0, 1, 2)}))
+	structure("Fig.7 (structure only)", lattice.FromFamily(6, paper.Fig7Family()))
 	fmt.Println(t)
+	return t
 }
 
 // E10: Fig. 1 labels / Lemma 3.9 — LLP primal/dual values of the running
@@ -319,17 +324,17 @@ func e10() {
 	q := paper.Fig1QuasiProduct(256)
 	llp := bounds.LLP(q)
 	n := logb(256)
-	t := benchkit.NewTable("E10 — Fig.1 optimal polymatroid h* (units of n; figure labels)",
+	t := newTable("E10 — Fig.1 optimal polymatroid h* (units of n; figure labels)",
 		"element", "h*/n")
 	for i, e := range llp.Lat.Elems {
 		v, _ := llp.H[i].Float64()
-		t.Row(e.Format(q.Names), v/n)
+		t.row(e.Format(q.Names), v/n)
 	}
 	fmt.Println(t)
-	t2 := benchkit.NewTable("E10b — dual weights (output inequality coefficients)",
+	t2 := newTable("E10b — dual weights (output inequality coefficients)",
 		"relation", "w*")
 	for j, w := range llp.W {
-		t2.Row(q.Rels[j].Name, w.RatString())
+		t2.row(q.Rels[j].Name, w.RatString())
 	}
 	fmt.Println(t2)
 }
@@ -337,13 +342,13 @@ func e10() {
 // E11: Examples 3.8 / 4.6 / Lemma 4.5 — quasi-product instances materialize
 // normal polymatroids.
 func e11() {
-	t := benchkit.NewTable("E11 — quasi-product materialization (Lemma 4.5)",
+	t := newTable("E11 — quasi-product materialization (Lemma 4.5)",
 		"N", "GLVV bound", "|Q| on quasi-product instance", "ratio")
 	for _, N := range []int{16, 64, 256} {
 		q := paper.Fig1QuasiProduct(N)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		out := naive.Evaluate(q).Len()
-		t.Row(q.Rels[0].Len(), benchkit.Pow2(a.LogLLP), out, float64(out)/benchkit.Pow2(a.LogLLP))
+		t.row(q.Rels[0].Len(), pow2(a.LogLLP), out, float64(out)/pow2(a.LogLLP))
 	}
 	fmt.Println(t)
 }
@@ -351,17 +356,17 @@ func e11() {
 // E12: Prop. 3.2 / Cor. 5.15/5.17 — simple FDs: distributive lattice, chain
 // bound tight, chain algorithm worst-case optimal.
 func e12() {
-	t := benchkit.NewTable("E12 — simple FDs (Cor. 5.17)",
+	t := newTable("E12 — simple FDs (Cor. 5.17)",
 		"k vars", "N", "distributive", "LLP", "chain bound", "|Q|", "chain-alg time")
 	for _, k := range []int{3, 4, 5} {
 		q := paper.SimpleFDChain(k, 64)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		var out rel.CountSink
-		dur := benchkit.Time(func() {
+		dur := timeIt(func() {
 			_, err := chainalg.RunBestInto(ctx, q, &out)
 			must(err)
 		})
-		t.Row(k, 64, a.Distributive, benchkit.Pow2(a.LogLLP), benchkit.Pow2(a.LogChain), out.N, dur)
+		t.row(k, 64, a.Distributive, pow2(a.LogLLP), pow2(a.LogChain), out.N, dur)
 	}
 	fmt.Println(t)
 }
@@ -370,7 +375,7 @@ func e12() {
 // parallel execution compares with sequential is wall-clock on real cores
 // and belongs to the benchmark: engine.seq_ms / par_ms / par_speedup.)
 func e13() {
-	t := benchkit.NewTable("E13 — engine planner decisions (decision table in DESIGN.md)",
+	t := newTable("E13 — engine planner decisions (decision table in DESIGN.md)",
 		"workload", "plan", "predicted log2 bound", "|Q|")
 	prow := func(name string, q *query.Q) {
 		p, err := engine.Prepare(q)
@@ -379,7 +384,7 @@ func e13() {
 		must(err)
 		out, st, err := b.Run(ctx, &engine.Options{Workers: 1})
 		must(err)
-		t.Row(name, string(st.Plan.Algorithm), st.Plan.LogBound, out.Len())
+		t.row(name, string(st.Plan.Algorithm), st.Plan.LogBound, out.Len())
 	}
 	prow("Fig.1 N=64 (simple-ish FDs)", paper.Fig1QuasiProduct(64))
 	prow("Fig.4 N=125 (SM beats chain)", mustQ(paper.Fig4Instance(125)))
@@ -403,7 +408,7 @@ type orderWork struct {
 // fewest distinct values first (the smallest column over the relations that
 // hold it), most relations on a tie, lowest id after that.
 func e14() []orderWork {
-	t := benchkit.NewTable("E14 — generic join Extensions by variable order (ROADMAP 8(a): is identity within 1.2× of best?)",
+	t := newTable("E14 — generic join Extensions by variable order (ROADMAP 8(a): is identity within 1.2× of best?)",
 		"instance", "identity", "greedy", "greedy order", "best", "best order", "identity÷best", "greedy÷best")
 	var rows []orderWork
 	for _, f := range scenario.Catalog() {
@@ -426,7 +431,7 @@ func e14() []orderWork {
 					w.best, bestOrder = n, slices.Clone(order)
 				}
 			})
-			t.Row(w.instance, w.identity, w.greedy, fmt.Sprint(greedy), w.best, fmt.Sprint(bestOrder),
+			t.row(w.instance, w.identity, w.greedy, fmt.Sprint(greedy), w.best, fmt.Sprint(bestOrder),
 				float64(w.identity)/float64(w.best), float64(w.greedy)/float64(w.best))
 			rows = append(rows, w)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func TestExperimentsRunToCompletion(t *testing.T) {
 // The exponents the command fits come from deterministic counts — executor
 // work counters for E1, output sizes for E5 and E6 — not from wall clocks,
 // so the paper's scaling claims are gated exactly. The comparisons are
-// written !(x <= y) so that a NaN fit (benchkit.Slope on degenerate input)
+// written !(x <= y) so that a NaN fit (slope on degenerate input)
 // fails them.
 func TestFittedExponentsMatchThePaper(t *testing.T) {
 	// Example 5.8: on the skew instance the chain algorithm is Õ(N^{3/2})
@@ -53,6 +54,25 @@ func TestOrderTableIsProduced(t *testing.T) {
 	for _, w := range rows {
 		if w.best <= 0 || w.best > w.identity || w.best > w.greedy {
 			t.Errorf("%s: best of all orders %d, identity %d, greedy %d", w.instance, w.best, w.identity, w.greedy)
+		}
+	}
+}
+
+// E9 carries the Fig. 1 bounds at N=16 — AGM and AGM(Q⁺) 2n, chain and LLP
+// 1.5n with n = 4 — and Fig. 7 as a structure-only row: |L| = 10, not
+// distributive, no instance to bound.
+func TestLatticeTableBoundsAndFig7(t *testing.T) {
+	rows := map[string][]string{}
+	for _, r := range e9().rows {
+		rows[r[0]] = r
+	}
+	want := map[string][]string{
+		"Fig.1 running example":  {"Fig.1 running example", "12", "false", "false", "true", "false", "true", "8", "8", "6", "6"},
+		"Fig.7 (structure only)": {"Fig.7 (structure only)", "10", "false", "false", "-", "false", "-", "-", "-", "-", "-"},
+	}
+	for name, w := range want {
+		if got := rows[name]; !slices.Equal(got, w) {
+			t.Errorf("E9 row %q = %q, want %q", name, got, w)
 		}
 	}
 }

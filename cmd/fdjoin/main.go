@@ -27,7 +27,7 @@ import (
 	"time"
 
 	"repro/fdq"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/paper"
 	"repro/internal/query"
 )
@@ -92,7 +92,7 @@ func load(path string) *query.Q {
 }
 
 func analyze(q *query.Q) {
-	a := core.Analyze(q)
+	a := engine.Analyze(q)
 	fmt.Printf("variables: %v\n", q.Names)
 	for _, r := range q.Rels {
 		fmt.Printf("  %s%v: %d tuples\n", r.Name, r.Attrs, r.Len())

@@ -43,8 +43,8 @@ type Config struct {
 	// admission semaphore, budgets, and policy.
 	Tenants map[string][]fdq.GovernorOption
 
-	// SessionOptions applies to every tenant session (cache size, morsel
-	// scheduler tuning, ...). Governors come from the tenant config.
+	// SessionOptions applies to every tenant session (prepared-cache size,
+	// ...). Governors come from the tenant config.
 	SessionOptions []fdq.SessionOption
 
 	// IOTimeout bounds each frame write and each mid-handshake read

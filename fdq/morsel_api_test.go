@@ -72,7 +72,7 @@ func collectWithStats(t *testing.T, sess *fdq.Session, q *fdq.Q) ([][]fdq.Value,
 // TestMorselStatsAndSessionOptions: the default session runs parallel
 // queries through the morsel scheduler and reports its work in RunStats
 // (a sequential run of the same query is byte-identical and reports no
-// morsel stats); WithMorselSize refines the grain.
+// morsel stats).
 func TestMorselStatsAndSessionOptions(t *testing.T) {
 	cat := skewCatalog(t, 4, 10, 600, 1)
 	q := func() *fdq.Q { return triangleQuery().Workers(4) }
@@ -88,14 +88,6 @@ func TestMorselStatsAndSessionOptions(t *testing.T) {
 	}
 	if !slices.EqualFunc(morselRows, seqRows, slices.Equal) {
 		t.Fatalf("sequential and morsel runs disagree: %d vs %d rows", len(seqRows), len(morselRows))
-	}
-
-	fineRows, stF := collectWithStats(t, fdq.NewSession(cat, fdq.WithMorselSize(8)), q())
-	if stF.Morsels <= stM.Morsels {
-		t.Fatalf("WithMorselSize(8) produced %d morsels, want more than the default's %d", stF.Morsels, stM.Morsels)
-	}
-	if !slices.EqualFunc(morselRows, fineRows, slices.Equal) {
-		t.Fatal("finer morsels changed the result")
 	}
 }
 

@@ -31,8 +31,6 @@ type Session struct {
 	cap int
 	gov *Governor // nil = ungoverned
 
-	morselSize int // morsel sizing override (0 = engine default)
-
 	mu      sync.Mutex
 	entries map[string]*list.Element // guarded by mu; signature → element holding *cacheEntry
 	order   *list.List               // guarded by mu; front = most recently used
@@ -77,14 +75,6 @@ func WithPreparedCacheSize(n int) SessionOption {
 // governor may be shared across sessions.
 func WithGovernor(g *Governor) SessionOption {
 	return func(s *Session) { s.gov = g }
-}
-
-// WithMorselSize overrides how many distinct partition-variable values one
-// morsel spans (the engine defaults to 128; values ≤ 0 keep the default).
-// Smaller morsels give the work-stealing pool finer grain to balance
-// skewed instances at the cost of more per-morsel overhead.
-func WithMorselSize(n int) SessionOption {
-	return func(s *Session) { s.morselSize = n }
 }
 
 // NewSession returns a session over the catalog.
@@ -159,7 +149,6 @@ func (s *Session) resolve(q *Q) (*engine.Bound, *engine.Options, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	opts.MorselSize = s.morselSize
 	snap := s.cat.snap()
 	sig := q.signature()
 	e := s.entry(sig)

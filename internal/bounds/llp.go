@@ -34,9 +34,6 @@ func (r *LLPResult) Bound() float64 {
 	return math.Exp2(f)
 }
 
-// HOf returns h*(X) for a lattice element index.
-func (r *LLPResult) HOf(x int) *big.Rat { return r.H[x] }
-
 // LLP builds and solves the lattice linear program (Eq. 5):
 //
 //	max h(1̂)
@@ -48,18 +45,7 @@ func (r *LLPResult) HOf(x int) *big.Rat { return r.H[x] }
 // Lemma 3.9 these coefficients constitute a proof of the output inequality
 // Σ_j w*_j·h(R_j) ≥ h(1̂).
 func LLP(q *query.Q) *LLPResult {
-	l := q.Lattice()
-	inputs := q.InputElems()
-	return solveLLP(l, inputs, q.LogSizes())
-}
-
-// LLPWithSizes solves the LLP for a lattice and inputs with explicit log
-// sizes, without needing relation instances.
-func LLPWithSizes(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *LLPResult {
-	return solveLLP(l, inputs, logSizes)
-}
-
-func solveLLP(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *LLPResult {
+	l, inputs, logSizes := q.Lattice(), q.InputElems(), q.LogSizes()
 	n := l.Size()
 	p := lp.NewProblem(n, true)
 	one := big.NewRat(1, 1)
@@ -163,17 +149,6 @@ func IsPolymatroid(l *lattice.Lattice, h []*big.Rat) bool {
 		}
 	}
 	return true
-}
-
-// CheckOutputInequality verifies Σ_j w_j·h(R_j) ≥ h(1̂) for a given h.
-func CheckOutputInequality(l *lattice.Lattice, inputs []int, w, h []*big.Rat) bool {
-	lhs := new(big.Rat)
-	t := new(big.Rat)
-	for j, r := range inputs {
-		t.Mul(w[j], h[r])
-		lhs.Add(lhs, t)
-	}
-	return lhs.Cmp(h[l.Top]) >= 0
 }
 
 // OutputInequalityHolds decides whether the output inequality (7) with

@@ -56,10 +56,6 @@ type Options struct {
 	Algorithm       Algorithm // "" or AlgAuto: cost-based planner decides
 	Workers         int       // ≤0: GOMAXPROCS; 1 forces sequential
 	MinParallelRows int       // ≤0: default 2048 total input rows
-	// MorselSize is how many distinct partition-variable values one morsel
-	// covers on the parallel path (≤0: default 128). Smaller morsels level
-	// skew at finer grain; larger morsels amortize per-morsel overhead.
-	MorselSize int
 	// MemLimitBytes, when > 0, aborts the run with a *MemLimitError once
 	// the approximate bytes of result data accounted — parallel partition
 	// buffers plus rows delivered to the sink — exceed the budget. The
@@ -158,8 +154,7 @@ func (p *Prepared) Bind(rels []*rel.Relation) (*Bound, error) {
 func (b *Bound) Query() *query.Q { return b.q }
 
 func (o *Options) withDefaults() Options {
-	out := Options{Algorithm: AlgAuto, Workers: 0, MinParallelRows: 2048,
-		MorselSize: 128}
+	out := Options{Algorithm: AlgAuto, Workers: 0, MinParallelRows: 2048}
 	if o != nil {
 		if o.Algorithm != "" {
 			out.Algorithm = o.Algorithm
@@ -167,9 +162,6 @@ func (o *Options) withDefaults() Options {
 		out.Workers = o.Workers
 		if o.MinParallelRows > 0 {
 			out.MinParallelRows = o.MinParallelRows
-		}
-		if o.MorselSize > 0 {
-			out.MorselSize = o.MorselSize
 		}
 		if o.MemLimitBytes > 0 {
 			out.MemLimitBytes = o.MemLimitBytes

@@ -421,7 +421,7 @@ func TestGenericMorselsDoNotRepeatWork(t *testing.T) {
 		}
 		b := mustBind(t, tc.q)
 		var c rel.CountSink
-		st, err := b.RunInto(context.Background(), &Options{Algorithm: AlgGenericJoin, Workers: 4, MinParallelRows: 1, MorselSize: 4}, &c)
+		st, err := b.RunInto(context.Background(), &Options{Algorithm: AlgGenericJoin, Workers: 4, MinParallelRows: 1}, &c)
 		if err != nil {
 			t.Fatal(err)
 		}

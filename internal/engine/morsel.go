@@ -17,10 +17,15 @@ import (
 // worth of work behind a worker, not a worker's whole share.
 const morselTargetPerWorker = 4
 
-// morselCount sizes the schedule: distinct values / MorselSize morsels,
+// morselSize is how many distinct partition-variable values one morsel
+// covers on the parallel path. Smaller morsels level skew at finer grain;
+// larger morsels amortize per-morsel overhead.
+const morselSize = 128
+
+// morselCount sizes the schedule: distinct values / morselSize morsels,
 // floored at morselTargetPerWorker per worker (so stealing has grain to
 // work with) and capped at one morsel per distinct value.
-func morselCount(distinct, workers, morselSize int) int {
+func morselCount(distinct, workers int) int {
 	m := (distinct + morselSize - 1) / morselSize
 	if floor := morselTargetPerWorker * workers; m < floor {
 		m = floor
@@ -304,7 +309,7 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	// per worker — one setup bill per worker — keeping value-range splits,
 	// stealing, and the streaming frontier.
 	generic := plan.Algorithm == AlgGenericJoin
-	nm := morselCount(len(vals), workers, o.MorselSize)
+	nm := morselCount(len(vals), workers)
 	if !generic && nm > workers {
 		nm = workers
 	}

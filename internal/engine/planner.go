@@ -135,6 +135,59 @@ func planFDAware(q *query.Q) *Plan {
 	return best
 }
 
+// Analysis aggregates every bound (in log2) and lattice property of a
+// query: what `fdjoin analyze` and cmd/experiments print.
+type Analysis struct {
+	LatticeSize   int
+	Distributive  bool
+	Modular       bool
+	BooleanAlg    bool
+	HasM3Top      bool // Prop. 4.10 necessary condition for non-normality
+	Normal        bool // Theorem 4.9 decision procedure
+	SMProofExists bool // a good SM proof for some optimal dual
+
+	LogAGM        float64 // AGM bound ignoring FDs (+Inf if infeasible)
+	LogAGMClosure float64 // AGM(Q⁺)
+	LogCoatomic   float64 // co-atomic cover bound (valid iff Normal)
+	LogLLP        float64 // GLVV bound (LLP optimum)
+	LogCLLP       float64 // CLLP with declared degree bounds
+	LogChain      float64 // best good chain bound (+Inf if none)
+
+	Chain lattice.Chain // the best good chain found
+}
+
+// Analyze computes all bounds and classifications for the query. The chain,
+// LLP + proof and CLLP come from the same slots the planner and executors
+// read, so a plan or run at the same sizes afterwards solves none of them
+// again.
+func Analyze(q *query.Q) *Analysis {
+	l := q.Lattice()
+	a := &Analysis{
+		LatticeSize:   l.Size(),
+		Distributive:  l.IsDistributive(),
+		Modular:       l.IsModular(),
+		BooleanAlg:    l.IsBoolean(),
+		HasM3Top:      l.HasM3Top(),
+		Normal:        bounds.IsNormalLattice(q).Normal,
+		LogAGM:        logOrInf(bounds.AGM(q)),
+		LogAGMClosure: logOrInf(bounds.AGMClosure(q)),
+		LogCoatomic:   logOrInf(bounds.CoatomicCover(q)),
+		LogCLLP:       math.Inf(1),
+		LogChain:      math.Inf(1),
+	}
+	a.LogLLP, _ = smalg.LLP(q).LogBound.Float64()
+	if cllp := csma.CLLP(q); cllp.LogBound != nil {
+		a.LogCLLP, _ = cllp.LogBound.Float64()
+	}
+	if cb := chainalg.Best(q); cb.Finite {
+		a.LogChain, _ = cb.LogBound.Float64()
+		a.Chain = cb.Chain
+	}
+	a.SMProofExists = smalg.GoodProof(q) != nil
+	return a
+}
+
+// logOrInf is an AGM-style bound in log2, +Inf when it is infinite.
 func logOrInf(r *bounds.AGMResult) float64 {
 	if !r.Finite {
 		return math.Inf(1)

@@ -46,7 +46,7 @@ func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, _ bool) (*Part
 	if workers <= 1 {
 		return nil, errors.New("engine: instance degrades to sequential after the worker clamp")
 	}
-	nm := morselCount(len(vals), workers, o.MorselSize)
+	nm := morselCount(len(vals), workers)
 	if plan.Algorithm != AlgGenericJoin && nm > workers {
 		nm = workers // mirror runMorselsInto's algorithm-aware grain cap
 	}

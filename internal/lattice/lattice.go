@@ -206,15 +206,6 @@ func (l *Lattice) Meet(i, j int) int { return l.meet[i][j] }
 // Join returns i ∨ j.
 func (l *Lattice) Join(i, j int) int { return l.join[i][j] }
 
-// JoinAll returns the join of a list of elements (Bottom for empty input).
-func (l *Lattice) JoinAll(xs ...int) int {
-	out := l.Bottom
-	for _, x := range xs {
-		out = l.join[out][x]
-	}
-	return out
-}
-
 // UpperCovers returns the elements covering i.
 func (l *Lattice) UpperCovers(i int) []int { return l.upperCovers[i] }
 
@@ -359,15 +350,6 @@ func (l *Lattice) HasM3Top() bool {
 // Format renders element i with variable names.
 func (l *Lattice) Format(i int, names []string) string {
 	return l.Elems[i].Format(names)
-}
-
-// SortedIdx returns the indices 0..n-1 (a linear extension by construction).
-func (l *Lattice) SortedIdx() []int {
-	out := make([]int, len(l.Elems))
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // Dual note: the element list is sorted by cardinality, so index order is a

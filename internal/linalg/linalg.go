@@ -195,15 +195,6 @@ func Dot(a, b []*big.Rat) *big.Rat {
 	return sum
 }
 
-// VecClone deep-copies a rational vector.
-func VecClone(v []*big.Rat) []*big.Rat {
-	out := make([]*big.Rat, len(v))
-	for i := range v {
-		out[i] = new(big.Rat).Set(v[i])
-	}
-	return out
-}
-
 // ZeroVec returns a vector of n fresh zero rationals.
 func ZeroVec(n int) []*big.Rat {
 	out := make([]*big.Rat, n)
