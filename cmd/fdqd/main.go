@@ -43,7 +43,6 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-frame socket read/write deadline")
 	idle := flag.Duration("idle-timeout", 5*time.Minute, "drop connections idle between queries this long")
-	batch := flag.Int("batch", 256, "maximum rows per batch frame (a stream's frames grow to it from one row)")
 	maxConns := flag.Int("max-conns", 0, "server-wide open-connection cap; extras get a typed over-capacity refusal (0 = unlimited)")
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff hint carried in over-capacity refusals")
 	frameTimeout := flag.Duration("frame-timeout", 0, "slow-loris guard: a started frame must finish within this (0 = io-timeout)")
@@ -69,7 +68,6 @@ func main() {
 		Catalog:      cat,
 		IOTimeout:    *ioTimeout,
 		IdleTimeout:  *idle,
-		BatchRows:    *batch,
 		MaxConns:     *maxConns,
 		RetryAfter:   *retryAfter,
 		FrameTimeout: *frameTimeout,

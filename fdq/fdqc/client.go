@@ -42,11 +42,11 @@ func WithRetryPolicy(p RetryPolicy) DialOption {
 	return func(c *Client) { pp := p.norm(); c.retry = &pp }
 }
 
-// WithCancelGrace sets how long the client waits, after sending a cancel
-// frame for a cancelled context, for the server's terminal frame before
-// forcing the blocked read to fail (default 2s). It bounds how long a
-// cancelled query can stay stuck on a blackholed connection.
-func WithCancelGrace(d time.Duration) DialOption { return func(c *Client) { c.cancelGrace = d } }
+// cancelGrace is how long the client waits, after sending a cancel frame
+// for a cancelled context, for the server's terminal frame before forcing
+// the blocked read to fail. It bounds how long a cancelled query can stay
+// stuck on a blackholed connection.
+const cancelGrace = 2 * time.Second
 
 // Client is one connection to an fdqd server (and, when a RetryPolicy is
 // set, the ability to re-establish it). It serves one query at a time
@@ -58,7 +58,6 @@ type Client struct {
 	tenant      string
 	ioTimeout   time.Duration
 	dialTimeout time.Duration
-	cancelGrace time.Duration
 	retry       *RetryPolicy
 
 	conn  net.Conn
@@ -82,7 +81,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 // (including typed over-capacity refusals, whose retry-after hint floors
 // the backoff) are retried under the policy.
 func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	c := &Client{addr: addr, ioTimeout: 30 * time.Second, cancelGrace: 2 * time.Second}
+	c := &Client{addr: addr, ioTimeout: 30 * time.Second}
 	for _, o := range opts {
 		o(c)
 	}
@@ -305,11 +304,7 @@ func (c *Client) query1(ctx context.Context, spec *QuerySpec) (*Rows, error) {
 				// Give the server cancelGrace to deliver its terminal
 				// frame; then force the blocked read to fail so a
 				// blackholed connection cannot pin the iterator.
-				grace := c.cancelGrace
-				if grace <= 0 {
-					grace = 2 * time.Second
-				}
-				t := time.NewTimer(grace)
+				t := time.NewTimer(cancelGrace)
 				defer t.Stop()
 				select {
 				case <-t.C:

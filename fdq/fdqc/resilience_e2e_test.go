@@ -155,8 +155,7 @@ func TestCancelGraceUnsticksBlackholedQuery(t *testing.T) {
 	defer p.Close()
 
 	c, err := fdqc.Dial(p.Addr(),
-		fdqc.WithIOTimeout(30*time.Second), // deliberately long: grace must win
-		fdqc.WithCancelGrace(300*time.Millisecond))
+		fdqc.WithIOTimeout(30*time.Second)) // deliberately long: the 2 s cancel grace must win
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,8 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,8 +232,7 @@ func TestFaultModeLeakTable(t *testing.T) {
 	// mid-stream when the fault fires.
 	cat := gridCatalog(t, 60)
 	srv, addr := startServer(t, fdqd.Config{
-		Catalog:   cat,
-		BatchRows: 64,
+		Catalog: cat,
 		Tenants: map[string][]fdq.GovernorOption{
 			// One admission slot: a leaked hold would starve the follow-up query.
 			"solo": {fdq.WithPolicy(fdq.PolicyQueue), fdq.WithMaxLogBound(0.5), fdq.WithQueryTimeout(time.Hour)},
@@ -301,5 +302,185 @@ func TestFaultModeLeakTable(t *testing.T) {
 			settleGoroutines(t, base+3)
 			settleConns(t, srv, mode.name)
 		})
+	}
+}
+
+// churnSchedules is every chaos class at once. The terminal offsets are
+// sized to a churning connection's short life — a few small queries and an
+// abandoned 512-row stream — so every class fires during the run.
+func churnSchedules() []chaosproxy.Schedule {
+	return []chaosproxy.Schedule{
+		chaosproxy.Clean(),
+		{Name: "latency", Seed: 9, Jitter: 200 * time.Microsecond, Rules: []chaosproxy.Rule{
+			{Dir: chaosproxy.Up, Kind: chaosproxy.Latency, Conn: -1, Delay: 500 * time.Microsecond},
+			{Dir: chaosproxy.Down, Kind: chaosproxy.Latency, Conn: -1, Delay: 500 * time.Microsecond},
+		}},
+		{Name: "chunk", Rules: []chaosproxy.Rule{
+			{Dir: chaosproxy.Up, Kind: chaosproxy.Chunk, Conn: -1, N: 9},
+			{Dir: chaosproxy.Down, Kind: chaosproxy.Chunk, Conn: -1, N: 7},
+		}},
+		{Name: "throttle", Rules: []chaosproxy.Rule{
+			{Dir: chaosproxy.Down, Kind: chaosproxy.Throttle, Conn: -1, BPS: 1 << 20},
+		}},
+		{Name: "rst-1k", Rules: []chaosproxy.Rule{
+			{Dir: chaosproxy.Down, Kind: chaosproxy.RST, Off: 1 << 10, Conn: -1},
+		}},
+		{Name: "drop-up-300", Rules: []chaosproxy.Rule{
+			{Dir: chaosproxy.Up, Kind: chaosproxy.Drop, Off: 300, Conn: -1},
+		}},
+		{Name: "blackhole-2k", Rules: []chaosproxy.Rule{
+			{Dir: chaosproxy.Down, Kind: chaosproxy.Blackhole, Off: 2 << 10, Conn: -1},
+		}},
+	}
+}
+
+// typedChurnError reports whether err is something a resilient caller can
+// classify and act on. Chaos guarantees plenty of these; anything else is
+// a contract breach.
+func typedChurnError(err error) bool {
+	var te *fdqc.TransportError
+	var pe *fdqc.ProtocolError
+	var re *fdqc.RemoteError
+	var oc *fdqc.OverCapacityError
+	return errors.As(err, &te) || errors.As(err, &pe) || errors.As(err, &re) ||
+		errors.As(err, &oc) ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// churnWorker runs one connection's six-op cycle twice through the proxy
+// at addr, starting at op first, and hands every error to check. A failed
+// connection is dropped and redialled at the next op, as a resilient
+// caller would.
+func churnWorker(addr string, first int, check func(error)) {
+	limited, abandon := *pathSpec(), *pathSpec()
+	limited.Limit, abandon.Limit = 8, 512
+	var c *fdqc.Client
+	drop := func() {
+		if c != nil {
+			c.Close()
+			c = nil
+		}
+	}
+	defer drop()
+	fail := func(err error) {
+		if err != nil {
+			drop()
+			check(err)
+		}
+	}
+	for i := first; i < first+12; i++ {
+		if c == nil {
+			cc, err := fdqc.Dial(addr, fdqc.WithTenant("churn"),
+				fdqc.WithIOTimeout(300*time.Millisecond), fdqc.WithDialTimeout(2*time.Second))
+			if err != nil {
+				fail(err)
+				continue
+			}
+			c = cc
+		}
+		switch i % 6 {
+		case 0: // a small query, run to completion
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			_, err := c.Count(ctx, &limited)
+			cancel()
+			fail(err)
+		case 1: // abandon politely: one row, then Close (a cancel frame)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			rows, err := c.Query(ctx, &abandon)
+			if err == nil {
+				rows.Next()
+				err = rows.Close()
+			}
+			cancel()
+			fail(err)
+		case 2: // abandon rudely: one row, then sever the connection
+			// No deadline: this Rows never finishes, so a cancellable
+			// context would leave its cancel watcher out for the full grace.
+			rows, err := c.Query(context.Background(), &abandon)
+			if err == nil && !rows.Next() {
+				err = rows.Err()
+			}
+			drop()
+			fail(err)
+		case 3: // an impatient caller: most queries beat 25 ms, some do not
+			ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+			_, err := c.Count(ctx, &limited)
+			cancel()
+			fail(err)
+		case 4: // goodbye, and a fresh dial at the next op
+			drop()
+		case 5: // hold the open connection idle into the next op
+		}
+	}
+}
+
+// TestConcurrentChurnLeavesNothingBehind: connections churning at once
+// through every chaos class — completed, abandoned and severed queries,
+// deadlines, redials, idle holds — see only typed errors, and once the
+// proxies close the server holds no admission slot, connection or
+// goroutine beyond its baseline. The tenant queues, so every admitted
+// query holds semaphore units until it releases them.
+func TestConcurrentChurnLeavesNothingBehind(t *testing.T) {
+	const workersPerSchedule = 4
+	base := runtime.NumGoroutine()
+	cat := gridCatalog(t, 12)
+	q, err := pathSpec().Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := cat.Session().Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, fdqd.Config{
+		Catalog: cat,
+		Tenants: map[string][]fdq.GovernorOption{
+			// Room for four path queries at once; the rest wait their turn.
+			"churn": {fdq.WithPolicy(fdq.PolicyQueue), fdq.WithMaxLogBound(ex.LogBound + 2)},
+		},
+	})
+
+	var typed atomic.Int64
+	var wg sync.WaitGroup
+	var proxies []*chaosproxy.Proxy
+	for si, sched := range churnSchedules() {
+		p, err := chaosproxy.New(addr, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		proxies = append(proxies, p)
+		for w := 0; w < workersPerSchedule; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Staggered start ops: the fleet runs the whole mix from the first beat.
+				churnWorker(p.Addr(), si*workersPerSchedule+w, func(err error) {
+					if typedChurnError(err) {
+						typed.Add(1)
+					} else {
+						t.Errorf("%s: untyped error: %v", sched.Name, err)
+					}
+				})
+			}()
+		}
+	}
+	wg.Wait()
+	for _, p := range proxies {
+		p.Close()
+	}
+	if typed.Load() == 0 {
+		t.Fatal("no chaos class surfaced an error: the faults never fired")
+	}
+
+	settleConns(t, srv, "the churn")
+	settleGoroutines(t, base+3)
+	gov := srv.TenantGovernor("churn")
+	deadline := time.Now().Add(5 * time.Second)
+	for gov.InFlight() != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := gov.InFlight(); n != 0 {
+		t.Fatalf("%d admission units still held after the churn", n)
 	}
 }

@@ -28,6 +28,10 @@ import (
 	"repro/fdq/fdqc"
 )
 
+// batchRows caps the row count of a batch frame; a stream's frames grow to
+// it from a single row, ×4 each.
+const batchRows = 256
+
 // Config describes a server. Catalog is required; everything else has
 // serviceable defaults.
 type Config struct {
@@ -76,13 +80,6 @@ type Config struct {
 	// (default 1s). Clients with a RetryPolicy treat it as a floor under
 	// their jittered backoff.
 	RetryAfter time.Duration
-
-	// BatchRows caps the row count of a batch frame (default 256); a
-	// stream's frames grow to it from a single row, ×4 each.
-	BatchRows int
-
-	// Name is the identity reported in the hello ack.
-	Name string
 
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
@@ -136,12 +133,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	if cfg.BatchRows <= 0 {
-		cfg.BatchRows = 256
-	}
-	if cfg.Name == "" {
-		cfg.Name = "fdqd"
-	}
 	s := &Server{cfg: cfg, tenants: map[string]*tenantState{}}
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
 	s.listeners.ls = map[net.Listener]struct{}{}
@@ -192,7 +183,7 @@ func (s *Server) tenant(name string) *tenantState {
 func (s *Server) Metrics() *Metrics { return &s.metrics }
 
 // TenantGovernor returns the governor serving the named tenant (the
-// default tenant's when the name is empty or unknown) — the handle soak
+// default tenant's when the name is empty or unknown) — the handle churn
 // and leak tests use to assert admission slots return to baseline.
 func (s *Server) TenantGovernor(name string) *fdq.Governor {
 	return s.tenant(name).sess.Governor()
@@ -441,7 +432,7 @@ func (sc *serverConn) serve() {
 		})
 		return
 	}
-	if err := sc.writeJSON(fdqc.FrameHelloAck, fdqc.HelloAck{Version: fdqc.ProtocolVersion, Server: s.cfg.Name}); err != nil {
+	if err := sc.writeJSON(fdqc.FrameHelloAck, fdqc.HelloAck{Version: fdqc.ProtocolVersion, Server: "fdqd"}); err != nil {
 		return
 	}
 
@@ -590,7 +581,7 @@ func badQueryIfUntyped(err error) error {
 }
 
 // execute runs the spec on the tenant session, streaming batches as it
-// goes: frames of 1, 4, 16, 64, ... up to BatchRows rows, each encoded into
+// goes: frames of 1, 4, 16, 64, ... up to batchRows rows, each encoded into
 // one reused buffer and counted in RowsStreamed once written. It returns the
 // finished Rows (for stats), the cardinality in COUNT mode, and the terminal
 // error, with write failures folded in. A cancelled query ends at the next
@@ -623,7 +614,7 @@ func (sc *serverConn) execute(ctx context.Context, tenant *tenantState, spec *fd
 		}
 		sc.s.metrics.RowsStreamed.Add(int64(pending))
 		batch, pending = batch[:0], 0
-		frame = min(frame*4, sc.s.cfg.BatchRows)
+		frame = min(frame*4, batchRows)
 		return nil
 	}
 	for rows.Next() {

@@ -175,7 +175,7 @@ func TestClientCollectRowsAreIndependent(t *testing.T) {
 // including one closed early mid-stream.
 func TestConnectionReuse(t *testing.T) {
 	cat := gridCatalog(t, 10)
-	_, addr := startServer(t, fdqd.Config{Catalog: cat, BatchRows: 16})
+	_, addr := startServer(t, fdqd.Config{Catalog: cat})
 	c, err := fdqc.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -308,8 +308,7 @@ func TestClientDisconnectMidStream(t *testing.T) {
 	// (parked on a write) when the client vanishes.
 	cat := gridCatalog(t, 100)
 	srv, addr := startServer(t, fdqd.Config{
-		Catalog:   cat,
-		BatchRows: 64,
+		Catalog: cat,
 		Tenants: map[string][]fdq.GovernorOption{
 			// One admission slot: a leaked hold would starve the next query.
 			"solo": {fdq.WithPolicy(fdq.PolicyQueue), fdq.WithMaxLogBound(0.5), fdq.WithQueryTimeout(time.Hour)},
@@ -362,7 +361,7 @@ func TestCancelPropagation(t *testing.T) {
 	// As in the disconnect test, the result must dwarf socket buffering so
 	// the cancel frame genuinely arrives mid-stream.
 	cat := gridCatalog(t, 100)
-	_, addr := startServer(t, fdqd.Config{Catalog: cat, BatchRows: 64})
+	_, addr := startServer(t, fdqd.Config{Catalog: cat})
 	c, err := fdqc.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +388,7 @@ func TestCancelPropagation(t *testing.T) {
 // refuses new queries, and drops idle connections.
 func TestGracefulDrain(t *testing.T) {
 	cat := gridCatalog(t, 16)
-	srv, err := fdqd.New(fdqd.Config{Catalog: cat, BatchRows: 4})
+	srv, err := fdqd.New(fdqd.Config{Catalog: cat})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestRowsStreamedCountsDecodedRows(t *testing.T) {
 
 // TestFirstRowDoesNotWaitForABatch: the first row crosses the wire the
 // moment it exists. The producer stalls for a second on its second row; a
-// server that held the first frame until BatchRows rows were ready would
+// server that held the first frame until a full batch was ready would
 // make the client wait that second out.
 func TestFirstRowDoesNotWaitForABatch(t *testing.T) {
 	cat := gridCatalog(t, 10) // 1 000 result rows

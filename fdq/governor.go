@@ -171,7 +171,7 @@ func NewGovernor(opts ...GovernorOption) *Governor {
 // InFlight reports the admission-semaphore units currently held — the
 // live weight of queued-policy queries past admission and not yet
 // finished. It is 0 for nil governors and non-queue policies (they hold
-// no slots). Soak and leak tests assert it returns to baseline after the
+// no slots). Churn and leak tests assert it returns to baseline after the
 // clients vanish: a nonzero resting value is a leaked admission slot.
 func (g *Governor) InFlight() int64 {
 	if g == nil || g.sem == nil {

@@ -59,25 +59,6 @@ func IsNormalFunction(l *lattice.Lattice, h []*big.Rat) bool {
 	return true
 }
 
-// IsStrictlyNormal additionally requires g(Z) = 0 for every Z ≺ 1̂ that is
-// not a co-atom.
-func IsStrictlyNormal(l *lattice.Lattice, h []*big.Rat) bool {
-	if !IsNormalFunction(l, h) {
-		return false
-	}
-	g := CMI(l, h)
-	isCoatom := make([]bool, l.Size())
-	for _, c := range l.Coatoms() {
-		isCoatom[c] = true
-	}
-	for z := 0; z < l.Size(); z++ {
-		if z != l.Top && !isCoatom[z] && g[z].Sign() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // StepFunction returns h_Z: h_Z(X) = 1 if X ⋠ Z, else 0. Step functions are
 // the extreme rays of the normal polymatroid cone (Sec. 4).
 func StepFunction(l *lattice.Lattice, z int) []*big.Rat {
