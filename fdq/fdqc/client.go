@@ -325,9 +325,9 @@ func (c *Client) query1(ctx context.Context, spec *QuerySpec) (*Rows, error) {
 // Rows iterates a streamed query result with the fdq.Rows contract:
 // Next/Scan/Err/Close, deterministic row order, Close propagating to a
 // server-side cancellation. Stats returns the server's RunStats after
-// exhaustion. A Rows is used by one goroutine at a time. Every batch is
-// decoded into the stream's one buffer: a row held across Next is not
-// required to survive, a row returned by Collect is.
+// exhaustion. A Rows is used by one goroutine at a time. Next decodes every
+// batch into the stream's one buffer, so a row held across Next is not
+// required to survive; Collect decodes into the rows it returns.
 //
 //lint:ignore fdqvet/structalign fields are grouped by lifecycle phase (primed frame, stream state, guarded close); one instance per query, so 24B is not worth breaking the grouping
 type Rows struct {
@@ -391,6 +391,52 @@ func (r *Rows) fail(err error) {
 	r.finish(err, nil)
 }
 
+// nextBatch reads the next frame: a row batch's payload, valid until the
+// next read, or false once a terminal frame or a failure finished r.
+func (r *Rows) nextBatch() ([]byte, bool) {
+	t, payload := r.primedT, r.primedP
+	var err error
+	if r.hasPrimed {
+		r.hasPrimed, r.primedP = false, nil
+	} else {
+		t, payload, err = r.c.readFrame()
+	}
+	if err != nil {
+		var pe *ProtocolError
+		if ce := r.parent.Err(); ce != nil {
+			// The caller cancelled; the read failing (deadline smash,
+			// severed conn) is the mechanism, not the story.
+			err = ce
+		} else if !errors.As(err, &pe) || pe.Err != nil {
+			err = &TransportError{Op: "recv", MidStream: r.batches > 0, Err: err}
+		} // else a peer desync: typed, never retried
+		r.fail(err)
+		return nil, false
+	}
+	switch t {
+	case FrameBatch:
+		r.batches++
+		return payload, true
+	case FrameStats:
+		var sf StatsFrame
+		if err := json.Unmarshal(payload, &sf); err != nil {
+			r.fail(&ProtocolError{Reason: fmt.Sprintf("malformed stats frame: %v", err)})
+		} else {
+			r.finish(nil, &sf)
+		}
+	case FrameError:
+		var ef ErrorFrame
+		if err := json.Unmarshal(payload, &ef); err != nil {
+			r.fail(&ProtocolError{Reason: fmt.Sprintf("malformed error frame: %v", err)})
+		} else {
+			r.finish(ef.Err(), nil)
+		}
+	default:
+		r.fail(&ProtocolError{Reason: fmt.Sprintf("unexpected %c frame mid-stream", t)})
+	}
+	return nil, false
+}
+
 // Next advances to the next row, reporting false on exhaustion, error, or
 // close (check Err to distinguish).
 func (r *Rows) Next() bool {
@@ -399,59 +445,16 @@ func (r *Rows) Next() bool {
 	}
 	width := len(r.cols)
 	for len(r.pending) == 0 {
-		var t FrameType
-		var payload []byte
+		payload, ok := r.nextBatch()
+		if !ok {
+			return false
+		}
 		var err error
-		if r.hasPrimed {
-			t, payload = r.primedT, r.primedP
-			r.hasPrimed = false
-			r.primedP = nil
-		} else {
-			t, payload, err = r.c.readFrame()
-		}
-		if err != nil {
-			if ce := r.parent.Err(); ce != nil {
-				// The caller cancelled; the read failing (deadline smash,
-				// severed conn) is the mechanism, not the story.
-				r.fail(ce)
-				return false
-			}
-			var pe *ProtocolError
-			if errors.As(err, &pe) && pe.Err == nil {
-				r.fail(err) // peer desync: typed, never retried
-				return false
-			}
-			r.fail(&TransportError{Op: "recv", MidStream: r.batches > 0, Err: err})
+		if r.vals, err = decodeBatch(r.vals[:0], payload, width); err != nil {
+			r.fail(err)
 			return false
 		}
-		switch t {
-		case FrameBatch:
-			if r.vals, err = decodeBatch(r.vals, payload, width); err != nil {
-				r.fail(err)
-				return false
-			}
-			r.batches++
-			r.pending = r.vals
-		case FrameStats:
-			var sf StatsFrame
-			if err := json.Unmarshal(payload, &sf); err != nil {
-				r.fail(&ProtocolError{Reason: fmt.Sprintf("malformed stats frame: %v", err)})
-				return false
-			}
-			r.finish(nil, &sf)
-			return false
-		case FrameError:
-			var ef ErrorFrame
-			if err := json.Unmarshal(payload, &ef); err != nil {
-				r.fail(&ProtocolError{Reason: fmt.Sprintf("malformed error frame: %v", err)})
-				return false
-			}
-			r.finish(ef.Err(), nil)
-			return false
-		default:
-			r.fail(&ProtocolError{Reason: fmt.Sprintf("unexpected %c frame mid-stream", t)})
-			return false
-		}
+		r.pending = r.vals
 	}
 	r.cur = r.pending[:width:width]
 	r.pending = r.pending[width:]
@@ -544,9 +547,9 @@ func (c *Client) Count(ctx context.Context, spec *QuerySpec) (int, error) {
 	return r.count, nil
 }
 
-// collectChunkMax caps the backing arrays Collect copies rows into (values,
-// i.e. 32 KiB): large enough that a big answer costs few allocations, small
-// enough that the unused tail of the last one does not show.
+// collectChunkMax caps the doubling of the chunks Collect decodes into
+// (values, i.e. 32 KiB): large enough that a big answer costs few
+// allocations, small enough that the unused tail of the last one does not show.
 const collectChunkMax = 4096
 
 // Collect runs the query and gathers the whole result in memory.
@@ -556,24 +559,35 @@ func (c *Client) Collect(ctx context.Context, spec *QuerySpec) ([][]fdq.Value, *
 		return nil, nil, err
 	}
 	defer r.Close()
-	// Rows are copied into chunks that double up to collectChunkMax values
-	// rather than one allocation each: a small answer stays small, and a
-	// large one leaves at most one chunk partly unused. Each row is a
-	// full-slice view (cap == len), so appending to a returned row
-	// reallocates rather than overwriting its neighbour.
-	var out [][]fdq.Value
+	// Each batch decodes straight into the storage its rows are returned in:
+	// chunks doubling up to collectChunkMax values, or one whole batch if more.
+	width := len(r.cols)
+	var chunks [][]fdq.Value
 	var chunk []fdq.Value
-	for r.Next() {
-		row := r.Row()
-		if len(chunk)+len(row) > cap(chunk) {
-			chunk = make([]fdq.Value, 0, max(min(2*cap(chunk), collectChunkMax), 16*len(row)))
+	n := 0 // values
+	for payload, ok := r.nextBatch(); ok; payload, ok = r.nextBatch() {
+		vals, _, _ := batchValues(payload, width) // a malformed header fails decodeBatch
+		if len(chunk)+vals > cap(chunk) {
+			chunks = append(chunks, chunk)
+			chunk = make([]fdq.Value, 0, max(min(2*cap(chunk), collectChunkMax), vals))
 		}
-		at := len(chunk)
-		chunk = append(chunk, row...)
-		out = append(out, chunk[at:len(chunk):len(chunk)])
+		var err error
+		if chunk, err = decodeBatch(chunk, payload, width); err != nil {
+			r.fail(err)
+			break
+		}
+		n += vals
 	}
 	if err := r.Err(); err != nil {
 		return nil, nil, err
+	}
+	// Each row is a full-slice view (cap == len), so appending to a
+	// returned row reallocates rather than overwriting its neighbour.
+	out := make([][]fdq.Value, 0, n/width)
+	for _, chunk := range append(chunks, chunk) {
+		for ; len(chunk) > 0; chunk = chunk[width:] {
+			out = append(out, chunk[:width:width])
+		}
 	}
 	return out, r.Stats(), nil
 }

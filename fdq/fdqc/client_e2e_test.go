@@ -8,8 +8,9 @@ package fdqc_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,6 +33,12 @@ func startServer(t *testing.T, n int) string {
 	if err := cat.Define("E", []string{"a", "b"}, rows); err != nil {
 		t.Fatal(err)
 	}
+	return serveCatalog(t, cat)
+}
+
+// serveCatalog serves cat on a loopback listener until the test ends.
+func serveCatalog(t *testing.T, cat *fdq.Catalog) string {
+	t.Helper()
 	srv, err := fdqd.New(fdqd.Config{
 		Catalog: cat,
 		Tenants: map[string][]fdq.GovernorOption{
@@ -183,7 +190,10 @@ func TestTypedRejectAndBadQuery(t *testing.T) {
 }
 
 func TestContextCancelMidStream(t *testing.T) {
-	addr := startServer(t, 64) // 64³ rows: the stream cannot fit in socket buffers
+	// 256³ rows are about 50 MB on the wire, more than loopback socket
+	// buffers hold; at 64³ (0.8 MB) the whole stream could be written
+	// before the cancel arrived, which then had nothing left to stop.
+	addr := startServer(t, 256)
 	c, err := fdqc.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -244,27 +254,96 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
+// TestCollectMatchesInProcess: Collect returns the in-process answer byte
+// for byte on answers that end inside, on and across frame boundaries, and
+// appending to a returned row never reaches the next one, which may start a
+// new frame.
 func TestCollectMatchesInProcess(t *testing.T) {
-	addr := startServer(t, 6)
+	cat := fdq.NewCatalog()
+	var grid, line [][]fdq.Value
+	for i := 0; i < 24; i++ {
+		for j := 0; j < 24; j++ {
+			grid = append(grid, []fdq.Value{int64(i), int64(j)})
+		}
+	}
+	// The server's frames hold 1, 4, 16, ..., 4096 rows: 5,461 rows end on
+	// the seventh frame's last row.
+	for i := 0; i < 1+4+16+64+256+1024+4096; i++ {
+		line = append(line, []fdq.Value{int64(i), -7919 * int64(i)})
+	}
+	for name, rows := range map[string][][]fdq.Value{"E": grid, "L": line, "F": {{100, 0}}} {
+		if err := cat.Define(name, []string{"a", "b"}, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := fdqc.Dial(serveCatalog(t, cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	disjoint := pathSpec()
+	disjoint.Rels[1].Name = "F" // F's only y, 100, is no y of E
+	for _, tc := range []struct {
+		name string
+		spec *fdqc.QuerySpec
+		rows int
+	}{
+		{"empty", disjoint, 0},
+		{"ends on a frame boundary", &fdqc.QuerySpec{Vars: []string{"x", "y"}, Rels: []fdqc.RelSpec{{Name: "L", Vars: []string{"x", "y"}}}}, 5461},
+		{"several full frames", pathSpec(), 24 * 24 * 24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := tc.spec.Query()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fdq.NewSession(cat).Collect(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := c.Collect(context.Background(), tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != tc.rows || !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("got %d rows, in process %d, want %d; or they differ", len(got), len(want), tc.rows)
+			}
+			for i := 0; i+1 < len(got); i++ {
+				_ = append(got[i], -1)
+				if !slices.Equal(got[i+1], want[i+1]) {
+					t.Fatalf("row %d = %v after appending to row %d, want %v", i+1, got[i+1], i, want[i+1])
+				}
+			}
+		})
+	}
+}
+
+// TestCollectAllocationsPerRow is the ceiling on what a warm loopback
+// Collect allocates, client and server together, per row it returns. A
+// row's storage is 48 bytes (three values and its slice header); copying
+// rows out of a per-stream decode buffer into doubling storage took 206.
+func TestCollectAllocationsPerRow(t *testing.T) {
+	const n, collects = 48, 5
+	addr := startServer(t, n)
 	c, err := fdqc.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, _, err := c.Collect(context.Background(), pathSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for x := 0; x < 6; x++ {
-		for y := 0; y < 6; y++ {
-			for z := 0; z < 6; z++ {
-				row := got[want]
-				if fmt.Sprint(row) != fmt.Sprintf("[%d %d %d]", x, y, z) {
-					t.Fatalf("row %d = %v, want [%d %d %d]", want, row, x, y, z)
-				}
-				want++
-			}
+	run := func() {
+		if got, _, err := c.Collect(context.Background(), pathSpec()); err != nil || len(got) != n*n*n {
+			t.Fatalf("%d rows, %v", len(got), err)
 		}
+	}
+	run() // plans, binds, builds the tries
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range collects {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / (collects * n * n * n)
+	if t.Logf("%.0f bytes per row", perRow); perRow > 130 {
+		t.Errorf("a warm Collect allocates %.0f bytes per row, want at most 130", perRow)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/fdq"
@@ -21,10 +23,11 @@ func frameBytes(t FrameType, payload []byte) []byte {
 
 // FuzzFrameDecode drives the full hostile-input surface of the wire
 // layer: ReadFrame over arbitrary bytes, then DecodeBatch over whatever
-// payload comes out. The properties: never panic, never allocate beyond
-// the bytes actually supplied (enforced structurally by readStep and the
-// batch-count check), and classify every failure as either a clean
-// io.EOF between frames or a typed *ProtocolError.
+// payload comes out, alone and onto a non-empty buffer. The properties:
+// never panic, never allocate beyond the bytes actually supplied (enforced
+// structurally by readStep and the batch-count check), never write the
+// buffer's prefix, and classify every failure as either a clean io.EOF
+// between frames or a typed *ProtocolError.
 func FuzzFrameDecode(f *testing.F) {
 	// Well-formed frames.
 	f.Add(frameBytes(FrameHello, []byte(`{"version":1}`)))
@@ -60,12 +63,24 @@ func FuzzFrameDecode(f *testing.F) {
 			if ft == FrameBatch {
 				for _, width := range []int{1, 2, 3} {
 					vals, err := DecodeBatch(payload, width)
+					// Collect decodes onto the rows it already holds, spare
+					// capacity included: the same payload must decode to the
+					// same values after them and fail the same way.
+					prefix := []fdq.Value{math.MinInt64, -1, math.MaxInt64}
+					buf := append(make([]fdq.Value, 0, len(prefix)+4), prefix...)
+					onto, ontoErr := decodeBatch(buf, payload, width)
+					if !slices.Equal(buf, prefix) {
+						t.Fatalf("decoding onto %v overwrote it: %v", prefix, buf)
+					}
 					if err != nil {
 						var pe *ProtocolError
-						if !errors.As(err, &pe) {
-							t.Fatalf("DecodeBatch returned an untyped error: %v", err)
+						if !errors.As(err, &pe) || !errors.As(ontoErr, &pe) {
+							t.Fatalf("DecodeBatch failed with %v, onto a prefix with %v: want both typed", err, ontoErr)
 						}
 						continue
+					}
+					if ontoErr != nil || !slices.Equal(onto[:len(prefix)], prefix) || !slices.Equal(onto[len(prefix):], vals) {
+						t.Fatalf("decoding onto %v gave %v, %v; want the prefix then %v", prefix, onto, ontoErr, vals)
 					}
 					if len(vals) > len(payload)*8 {
 						t.Fatalf("DecodeBatch produced %d values from %d bytes", len(vals), len(payload))

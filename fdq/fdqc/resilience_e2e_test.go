@@ -102,9 +102,9 @@ func TestMidStreamDropSurfacesTransportError(t *testing.T) {
 	addr := startServer(t, 12) // 1728 rows, several batches
 	p, err := chaosproxy.New(addr, chaosproxy.Schedule{
 		Name: "drop-mid-stream",
-		// ~775 bytes per 256-row batch of small varints, ~300 for the 85
-		// rows of the ramp before them: 2KiB lands in the third full batch,
-		// well short of the ~5.5KiB full stream.
+		// Small varints, ~3 bytes a row: the ramp's first 341 rows take
+		// ~1.1KiB and its 1024-row frame runs to ~4.2KiB, so 2KiB lands
+		// inside that frame, well short of the ~5.3KiB full stream.
 		Rules: []chaosproxy.Rule{{Dir: chaosproxy.Down, Kind: chaosproxy.Drop, Off: 2 << 10, Conn: -1}},
 	})
 	if err != nil {

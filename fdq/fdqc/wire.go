@@ -167,22 +167,31 @@ func DecodeBatch(payload []byte, width int) ([]fdq.Value, error) {
 	return decodeBatch(nil, payload, width)
 }
 
-// decodeBatch is DecodeBatch into vals' storage, where the batch fits it.
-func decodeBatch(vals []fdq.Value, payload []byte, width int) ([]fdq.Value, error) {
+// batchValues reads a batch payload's header, validated as DecodeBatch
+// describes, and returns the values it declares and the bytes holding them.
+func batchValues(payload []byte, width int) (int, []byte, error) {
 	n, k := binary.Uvarint(payload)
 	if k <= 0 {
-		return nil, &ProtocolError{Reason: "malformed batch header"}
+		return 0, nil, &ProtocolError{Reason: "malformed batch header"}
 	}
 	payload = payload[k:]
 	if width <= 0 || n > uint64(MaxFrame) {
-		return nil, &ProtocolError{Reason: fmt.Sprintf("batch of %d rows at width %d", n, width)}
+		return 0, nil, &ProtocolError{Reason: fmt.Sprintf("batch of %d rows at width %d", n, width)}
 	}
-	total := n * uint64(width)
-	if total > uint64(len(payload)) {
-		return nil, &ProtocolError{Reason: fmt.Sprintf("batch declares %d values in %d payload bytes", total, len(payload))}
+	if total := n * uint64(width); total > uint64(len(payload)) {
+		return 0, nil, &ProtocolError{Reason: fmt.Sprintf("batch declares %d values in %d payload bytes", total, len(payload))}
 	}
-	vals = slices.Grow(vals[:0], int(total))
-	for i := uint64(0); i < total; i++ {
+	return int(n) * width, payload, nil
+}
+
+// decodeBatch is DecodeBatch appending onto vals, whose prefix it never writes.
+func decodeBatch(vals []fdq.Value, payload []byte, width int) ([]fdq.Value, error) {
+	total, payload, err := batchValues(payload, width)
+	if err != nil {
+		return nil, err
+	}
+	vals = slices.Grow(vals, total)
+	for i := 0; i < total; i++ {
 		v, k := binary.Varint(payload)
 		if k <= 0 {
 			return nil, &ProtocolError{Reason: fmt.Sprintf("batch truncated at value %d", i)}

@@ -30,7 +30,20 @@ import (
 
 // batchRows caps the row count of a batch frame; a stream's frames grow to
 // it from a single row, ×4 each.
-const batchRows = 256
+const batchRows = 4096
+
+// cancelCheckRows is how often the frame loop checks the query context
+// between frame boundaries: a cancel lands within that many rows.
+const cancelCheckRows = 256
+
+// frameBufs is one query's batch and payload buffers, pooled rather than
+// kept per connection so that an idle connection pins none.
+type frameBufs struct {
+	batch   []fdq.Value
+	payload []byte
+}
+
+var frameBufPool = sync.Pool{New: func() any { return new(frameBufs) }}
 
 // Config describes a server. Catalog is required; everything else has
 // serviceable defaults.
@@ -582,10 +595,10 @@ func badQueryIfUntyped(err error) error {
 
 // execute runs the spec on the tenant session, streaming batches as it
 // goes: frames of 1, 4, 16, 64, ... up to batchRows rows, each encoded into
-// one reused buffer and counted in RowsStreamed once written. It returns the
+// one pooled buffer and counted in RowsStreamed once written. It returns the
 // finished Rows (for stats), the cardinality in COUNT mode, and the terminal
-// error, with write failures folded in. A cancelled query ends at the next
-// frame boundary, whatever the iterator still has buffered.
+// error, with write failures folded in. A cancelled query ends within
+// cancelCheckRows rows, whatever the iterator still has buffered.
 func (sc *serverConn) execute(ctx context.Context, tenant *tenantState, spec *fdqc.QuerySpec) (*fdq.Rows, int, error) {
 	q, err := spec.Query()
 	if err != nil {
@@ -600,29 +613,33 @@ func (sc *serverConn) execute(ctx context.Context, tenant *tenantState, spec *fd
 		return nil, 0, badQueryIfUntyped(err)
 	}
 	defer rows.Close()
-	var batch []fdq.Value
-	var payload []byte
-	pending, frame := 0, 1 // rows in batch, rows the next frame takes
+	b := frameBufPool.Get().(*frameBufs)
+	defer frameBufPool.Put(b)
+	b.batch = b.batch[:0]
+	pending, frame := 0, 1 // rows in b.batch, rows the next frame takes
 	flush := func() error {
 		if err := ctx.Err(); err != nil || pending == 0 {
 			return err
 		}
-		payload = fdqc.AppendBatch(payload[:0], batch, len(spec.Vars))
+		b.payload = fdqc.AppendBatch(b.payload[:0], b.batch, len(spec.Vars))
 		// A failed write: the client is gone or stalled past the deadline.
-		if err := sc.writeFrame(fdqc.FrameBatch, payload); err != nil {
+		if err := sc.writeFrame(fdqc.FrameBatch, b.payload); err != nil {
 			return err
 		}
 		sc.s.metrics.RowsStreamed.Add(int64(pending))
-		batch, pending = batch[:0], 0
+		b.batch, pending = b.batch[:0], 0
 		frame = min(frame*4, batchRows)
 		return nil
 	}
 	for rows.Next() {
-		batch = append(batch, rows.Row()...)
+		b.batch = append(b.batch, rows.Row()...)
 		if pending++; pending == frame {
-			if err := flush(); err != nil {
-				return rows, 0, err
-			}
+			err = flush()
+		} else if pending%cancelCheckRows == 0 {
+			err = ctx.Err()
+		}
+		if err != nil {
+			return rows, 0, err
 		}
 	}
 	if err := rows.Err(); err != nil {

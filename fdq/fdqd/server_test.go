@@ -137,11 +137,11 @@ func TestEndToEndByteIdentity(t *testing.T) {
 	}
 }
 
-// TestClientCollectRowsAreIndependent: Client.Collect copies decoded rows
-// into shared chunks; an append or write to one returned row may not show
-// up in its neighbours, across chunk boundaries included.
+// TestClientCollectRowsAreIndependent: Client.Collect decodes rows into
+// shared chunks; an append or write to one returned row may not show up in
+// its neighbours, across chunk boundaries included.
 func TestClientCollectRowsAreIndependent(t *testing.T) {
-	cat := gridCatalog(t, 8) // 512 rows: chunks of 16, 32, 64, … rows
+	cat := gridCatalog(t, 8) // 512 rows: chunks of 1, 4, 16, 64, 256 and 171 rows
 	_, addr := startServer(t, fdqd.Config{Catalog: cat})
 	c, err := fdqc.Dial(addr)
 	if err != nil {
