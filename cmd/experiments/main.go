@@ -218,8 +218,7 @@ func e6() float64 {
 		q, _ := paper.Fig9Instance(4)
 		llp := bounds.LLP(q)
 		p := smalg.FindProof(llp)
-		hco, _ := bounds.CoatomicHypergraph(q)
-		pAny := smalg.FindProofAny(llp, q.LogSizes(), hco.CoverPolytope().Vertices())
+		pAny := smalg.FindProofAuto(q, llp)
 		fmt.Printf("E6 — Fig.9: SM proof exists (paper: NO): direct=%v any-dual=%v\n\n", p != nil, pAny != nil)
 	}
 	t := newTable("E6 — Fig.9 query via CSMA (Example 5.31 continued)",

@@ -61,17 +61,7 @@ func CLLP(l *lattice.Lattice, P []DegreePair) *CLLPResult {
 		}
 		p.Add(lp.LE, dp.LogBound, lp.T(dp.Y, 1), lp.T(dp.X, -1))
 	}
-	var pairs []SubmodPair
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			if !l.Incomparable(x, y) {
-				continue
-			}
-			pairs = append(pairs, SubmodPair{x, y})
-			p.Add(lp.LE, zero,
-				lp.T(l.Meet(x, y), 1), lp.T(l.Join(x, y), 1), lp.T(x, -1), lp.T(y, -1))
-		}
-	}
+	pairs := addSubmodularity(p, l)
 	var monoRows [][2]int
 	for x := 0; x < n; x++ {
 		for _, y := range l.UpperCovers(x) {

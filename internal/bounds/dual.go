@@ -28,14 +28,7 @@ type DualLLP struct {
 // (min, max) by element index.
 func SolveDualLLP(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *DualLLP {
 	n := l.Size()
-	var pairs []SubmodPair
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			if l.Incomparable(x, y) {
-				pairs = append(pairs, SubmodPair{x, y})
-			}
-		}
-	}
+	pairs := incomparablePairs(l)
 	nw := len(inputs)
 	p := lp.NewProblem(nw+len(pairs), false)
 	for j := range inputs {

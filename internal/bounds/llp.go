@@ -16,6 +16,32 @@ type SubmodPair struct {
 	X, Y int
 }
 
+// incomparablePairs lists the lattice's incomparable pairs in the order
+// every LP over it gives their sub-modularity rows.
+func incomparablePairs(l *lattice.Lattice) []SubmodPair {
+	var pairs []SubmodPair
+	for x := 0; x < l.Size(); x++ {
+		for y := x + 1; y < l.Size(); y++ {
+			if l.Incomparable(x, y) {
+				pairs = append(pairs, SubmodPair{x, y})
+			}
+		}
+	}
+	return pairs
+}
+
+// addSubmodularity adds h(X∧Y) + h(X∨Y) − h(X) − h(Y) ≤ 0 over variables
+// h(X) = x_X for every incomparable pair and returns the pairs, in row order.
+func addSubmodularity(p *lp.Problem, l *lattice.Lattice) []SubmodPair {
+	pairs := incomparablePairs(l)
+	zero := new(big.Rat)
+	for _, pr := range pairs {
+		x, y := pr.X, pr.Y
+		p.Add(lp.LE, zero, lp.T(l.Meet(x, y), 1), lp.T(l.Join(x, y), 1), lp.T(x, -1), lp.T(y, -1))
+	}
+	return pairs
+}
+
 // LLPResult holds the primal and dual optimal solutions of the lattice
 // linear program (Eq. 5) — the GLVV bound — at a vertex of each polytope.
 type LLPResult struct {
@@ -51,23 +77,12 @@ func LLP(q *query.Q) *LLPResult {
 	one := big.NewRat(1, 1)
 	p.SetObj(l.Top, one)
 
-	var pairs []SubmodPair
-	zero := new(big.Rat)
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			if !l.Incomparable(x, y) {
-				continue
-			}
-			pairs = append(pairs, SubmodPair{x, y})
-			p.Add(lp.LE, zero,
-				lp.T(l.Meet(x, y), 1), lp.T(l.Join(x, y), 1), lp.T(x, -1), lp.T(y, -1))
-		}
-	}
+	pairs := addSubmodularity(p, l)
 	for j, r := range inputs {
 		p.Add(lp.LE, logSizes[j], lp.T(r, 1))
 	}
 	// h(0̂) = 0.
-	p.Add(lp.LE, zero, lp.T(l.Bottom, 1))
+	p.Add(lp.LE, new(big.Rat), lp.T(l.Bottom, 1))
 
 	sol, err := lp.Solve(p)
 	if err != nil {
@@ -136,16 +151,11 @@ func IsPolymatroid(l *lattice.Lattice, h []*big.Rat) bool {
 	}
 	lhs := new(big.Rat)
 	rhs := new(big.Rat)
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			if !l.Incomparable(x, y) {
-				continue
-			}
-			lhs.Add(h[x], h[y])
-			rhs.Add(h[l.Meet(x, y)], h[l.Join(x, y)])
-			if rhs.Cmp(lhs) > 0 {
-				return false
-			}
+	for _, pr := range incomparablePairs(l) {
+		lhs.Add(h[pr.X], h[pr.Y])
+		rhs.Add(h[l.Meet(pr.X, pr.Y)], h[l.Join(pr.X, pr.Y)])
+		if rhs.Cmp(lhs) > 0 {
+			return false
 		}
 	}
 	return true
@@ -170,17 +180,8 @@ func OutputInequalityHolds(l *lattice.Lattice, inputs []int, w []*big.Rat) bool 
 	for i, c := range objCoef {
 		p.SetObj(i, c)
 	}
-	zero := new(big.Rat)
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			if !l.Incomparable(x, y) {
-				continue
-			}
-			p.Add(lp.LE, zero,
-				lp.T(l.Meet(x, y), 1), lp.T(l.Join(x, y), 1), lp.T(x, -1), lp.T(y, -1))
-		}
-	}
-	p.Add(lp.LE, zero, lp.T(l.Bottom, 1))
+	addSubmodularity(p, l)
+	p.Add(lp.LE, new(big.Rat), lp.T(l.Bottom, 1))
 	p.Add(lp.LE, one, lp.T(l.Top, 1)) // normalization
 	sol, err := lp.Solve(p)
 	if err != nil || sol.Status != lp.Optimal {

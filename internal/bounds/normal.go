@@ -4,6 +4,7 @@ import (
 	"math/big"
 
 	"repro/internal/lattice"
+	"repro/internal/lp"
 	"repro/internal/query"
 )
 
@@ -102,11 +103,12 @@ type NormalityResult struct {
 }
 
 // IsNormalLattice decides whether the lattice is normal w.r.t. the query's
-// inputs, using the paper's naive procedure: enumerate the vertices of the
-// fractional edge cover polytope of the co-atomic hypergraph and check that
-// each resulting output inequality (7) holds over the submodular cone
-// (Lemma 3.9 / Theorem 4.9 item 3). Exponential in query size; fine for the
-// paper's lattices.
+// inputs by the paper's procedure: walk the vertices of the fractional edge
+// cover polytope of the co-atomic hypergraph (lp.Vertices) and check that
+// each one's output inequality (7) holds over the submodular cone
+// (Lemma 3.9 / Theorem 4.9 item 3). The walk is as long as the polytope has
+// feasible bases, which can be exponential in the query; only analysis
+// (engine.Analyze) asks.
 func IsNormalLattice(q *query.Q) *NormalityResult {
 	l := q.Lattice()
 	inputs := q.InputElems()
@@ -117,11 +119,15 @@ func IsNormalLattice(q *query.Q) *NormalityResult {
 		// item 3 degenerates. Treat as normal w.r.t. these inputs.
 		return &NormalityResult{Normal: true}
 	}
-	poly := h.CoverPolytope()
-	for _, w := range poly.Vertices() {
+	res := &NormalityResult{Normal: true}
+	err := lp.Vertices(h.CoverLP(q.LogSizes()), 0, func(w []*big.Rat) bool {
 		if !OutputInequalityHolds(l, inputs, w) {
-			return &NormalityResult{Normal: false, WitnessCover: w}
+			res = &NormalityResult{Normal: false, WitnessCover: w}
 		}
+		return res.Normal
+	})
+	if err != nil {
+		panic("bounds: cover polytope walk failed: " + err.Error())
 	}
-	return &NormalityResult{Normal: true}
+	return res
 }

@@ -5,12 +5,15 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/paper"
 	"repro/internal/query"
+	"repro/internal/rel"
 	"repro/internal/scenario"
 	"repro/internal/smalg"
+	"repro/internal/varset"
 )
 
 // referencePlan is the FD-aware decision table made from a full search: every
@@ -84,6 +87,74 @@ func TestPlanFromTheFloorMatchesFullSearch(t *testing.T) {
 		t.Fatal("no FD or degree shape in the catalog")
 	}
 	t.Logf("%d FD / degree instances planned alike", checked)
+}
+
+// wideFig9 is Fig. 9 with k more inputs Y_i(y_i) of 2^10 rows each: every
+// {y_i} is closed, and so is every Fig. 9 element, but y_i with any other
+// variable determines all of them. The lattice is Fig. 9's with k atoms
+// that are also co-atoms, so the co-atomic hypergraph has 3+k nodes and 3+k
+// edges. The Y_i are too large to enter an optimal cover, so the LLP optimum
+// is Fig. 9's 3n/2 and, as on Fig. 9, no optimal dual weights have a good SM
+// proof.
+func wideFig9(k int) *query.Q {
+	fig9 := paper.Fig9()
+	names := slices.Clone(fig9.Names)
+	for i := range k {
+		names = append(names, fmt.Sprintf("y%d", i))
+	}
+	q := query.New(names...)
+	all := varset.Universe(len(names))
+	for _, f := range fig9.FDs.FDs {
+		q.FDs.Add(f.From, f.To, -1, nil) // planning reads the lattice only
+	}
+	q.FDs.Add(varset.Universe(9), all, -1, nil) // Fig. 9's 1̂ is no longer closed
+	for y := 9; y < len(names); y++ {
+		for v := range len(names) {
+			if v != y {
+				q.FDs.Add(varset.Of(y, v), all, -1, nil)
+			}
+		}
+	}
+	for _, attrs := range [][]int{{0, 1, 6}, {0, 2, 7}, {1, 2, 8}} {
+		r := rel.New("T"+names[attrs[2]], attrs...)
+		for v := range 16 {
+			r.Add(rel.Value(v), rel.Value(v), rel.Value(v))
+		}
+		q.AddRel(r)
+	}
+	for i := range k {
+		r := rel.New("Y"+fmt.Sprint(i), 9+i)
+		for v := range 1 << 10 {
+			r.Add(rel.Value(v))
+		}
+		q.AddRel(r)
+	}
+	return q
+}
+
+// A shape with sixteen inputs whose solver dual has no good SM proof plans
+// within seconds: the proof search walks the few vertices of the cover
+// polytope's optimal face, not the C(32, 16) ≈ 6·10⁸ square systems of the
+// polytope's tight-row choices, and the planner falls back to CSMA as on
+// Fig. 9.
+func TestPlanWideFig9SearchesTheOptimalFace(t *testing.T) {
+	q := wideFig9(13)
+	if n, co, size := len(q.Rels), len(q.Lattice().Coatoms()), q.Lattice().Size(); n != 16 || co != 16 || size != 31 {
+		t.Fatalf("%d inputs, %d co-atoms and %d closed sets, want 16, 16 and 18+13", n, co, size)
+	}
+	if smalg.FindProof(smalg.LLP(q)) != nil {
+		t.Fatal("the solver's own dual weights have a good proof: the search is never reached")
+	}
+	done := make(chan *Plan, 1)
+	go func() { done <- planFDAware(q) }()
+	select {
+	case p := <-done:
+		if p.Algorithm != AlgCSMA {
+			t.Fatalf("planned %s (%s), want csma", p.Algorithm, p.Reason)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("planning took more than 20 s")
+	}
 }
 
 func TestAnalyzeFig1(t *testing.T) {

@@ -6,7 +6,6 @@ package hypergraph
 import (
 	"math/big"
 
-	"repro/internal/linalg"
 	"repro/internal/lp"
 	"repro/internal/varset"
 )
@@ -52,6 +51,18 @@ func (h *H) FractionalEdgeCover(logSizes []*big.Rat) *CoverResult {
 	if h.HasIsolatedVertex() {
 		return &CoverResult{Finite: false}
 	}
+	sol, err := lp.Solve(h.CoverLP(logSizes))
+	if err != nil || sol.Status != lp.Optimal {
+		panic("hypergraph: edge cover LP must be solvable")
+	}
+	return &CoverResult{Value: sol.Objective, Weights: sol.X, Finite: true}
+}
+
+// CoverLP returns the weighted fractional edge cover LP: minimize
+// Σ_j w_j·logSize_j over the cover polytope {w ≥ 0 : Σ_{j: i ∈ e_j} w_j ≥ 1
+// for every node i}, whose vertices the normality test (Theorem 4.9) and the
+// SM proof search walk with lp.Vertices.
+func (h *H) CoverLP(logSizes []*big.Rat) *lp.Problem {
 	m := len(h.Edges)
 	p := lp.NewProblem(m, false)
 	for j := 0; j < m; j++ {
@@ -67,11 +78,7 @@ func (h *H) FractionalEdgeCover(logSizes []*big.Rat) *CoverResult {
 		}
 		p.Add(lp.GE, one, terms...)
 	}
-	sol, err := lp.Solve(p)
-	if err != nil || sol.Status != lp.Optimal {
-		panic("hypergraph: edge cover LP must be solvable")
-	}
-	return &CoverResult{Value: sol.Objective, Weights: sol.X, Finite: true}
+	return p
 }
 
 // PackingResult is the outcome of a fractional vertex packing computation.
@@ -105,31 +112,4 @@ func (h *H) FractionalVertexPacking(logSizes []*big.Rat) *PackingResult {
 		return nil
 	}
 	return &PackingResult{Value: sol.Objective, Values: sol.X}
-}
-
-// CoverPolytope returns the fractional edge cover polytope
-// {w ≥ 0 : Σ_{j: i ∈ e_j} w_j ≥ 1 ∀i} for vertex enumeration (used by the
-// normality test, Theorem 4.9).
-func (h *H) CoverPolytope() *linalg.Polytope {
-	m := len(h.Edges)
-	A := linalg.NewMatrix(h.N, m)
-	b := make([]*big.Rat, h.N)
-	for i := 0; i < h.N; i++ {
-		for j, e := range h.Edges {
-			if e.Contains(i) {
-				A.SetInt(i, j, 1)
-			}
-		}
-		b[i] = big.NewRat(1, 1)
-	}
-	return &linalg.Polytope{A: A, B: b}
-}
-
-// UnitLogSizes returns a vector of m ones, for unweighted ρ*.
-func UnitLogSizes(m int) []*big.Rat {
-	out := make([]*big.Rat, m)
-	for i := range out {
-		out[i] = big.NewRat(1, 1)
-	}
-	return out
 }

@@ -1,11 +1,23 @@
 package hypergraph
 
 import (
+	"fmt"
 	"math/big"
+	"slices"
 	"testing"
 
+	"repro/internal/lp"
 	"repro/internal/varset"
 )
+
+// unitLogSizes returns a vector of m ones, for unweighted ρ*.
+func unitLogSizes(m int) []*big.Rat {
+	out := make([]*big.Rat, m)
+	for i := range out {
+		out[i] = big.NewRat(1, 1)
+	}
+	return out
+}
 
 func triangle() *H {
 	h := New(3)
@@ -17,7 +29,7 @@ func triangle() *H {
 
 func TestTriangleRhoStar(t *testing.T) {
 	h := triangle()
-	res := h.FractionalEdgeCover(UnitLogSizes(3))
+	res := h.FractionalEdgeCover(unitLogSizes(3))
 	if !res.Finite {
 		t.Fatal("triangle cover is finite")
 	}
@@ -53,10 +65,10 @@ func TestIsolatedVertex(t *testing.T) {
 	if !h.HasIsolatedVertex() {
 		t.Fatal("node 2 is isolated")
 	}
-	if h.FractionalEdgeCover(UnitLogSizes(1)).Finite {
+	if h.FractionalEdgeCover(unitLogSizes(1)).Finite {
 		t.Fatal("cover with isolated vertex must be infinite")
 	}
-	if h.FractionalVertexPacking(UnitLogSizes(1)) != nil {
+	if h.FractionalVertexPacking(unitLogSizes(1)) != nil {
 		t.Fatal("packing with isolated vertex is unbounded")
 	}
 }
@@ -64,17 +76,24 @@ func TestIsolatedVertex(t *testing.T) {
 func TestCoverPolytopeVertices(t *testing.T) {
 	// Paper Sec. 2: the triangle's edge cover polytope has exactly the 4
 	// vertices (1/2,1/2,1/2), (1,1,0), (1,0,1), (0,1,1).
-	h := triangle()
-	vs := h.CoverPolytope().Vertices()
-	if len(vs) != 4 {
-		t.Fatalf("got %d vertices, want 4", len(vs))
+	var vs []string
+	err := lp.Vertices(triangle().CoverLP(unitLogSizes(3)), 0, func(w []*big.Rat) bool {
+		vs = append(vs, fmt.Sprint(w))
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(vs)
+	if want := []string{"[0/1 1/1 1/1]", "[1/1 0/1 1/1]", "[1/1 1/1 0/1]", "[1/2 1/2 1/2]"}; !slices.Equal(vs, want) {
+		t.Fatalf("vertices %v, want %v", vs, want)
 	}
 }
 
 func TestSingleEdgeGraph(t *testing.T) {
 	h := New(2)
 	h.AddEdge("R", varset.Of(0, 1))
-	res := h.FractionalEdgeCover(UnitLogSizes(1))
+	res := h.FractionalEdgeCover(unitLogSizes(1))
 	if res.Value.Cmp(big.NewRat(1, 1)) != 0 {
 		t.Fatalf("single edge cover = %v, want 1", res.Value)
 	}
@@ -87,7 +106,7 @@ func TestFourCycleCover(t *testing.T) {
 	h.AddEdge("S", varset.Of(1, 2))
 	h.AddEdge("T", varset.Of(2, 3))
 	h.AddEdge("K", varset.Of(3, 0))
-	res := h.FractionalEdgeCover(UnitLogSizes(4))
+	res := h.FractionalEdgeCover(unitLogSizes(4))
 	if res.Value.Cmp(big.NewRat(2, 1)) != 0 {
 		t.Fatalf("4-cycle ρ* = %v, want 2", res.Value)
 	}

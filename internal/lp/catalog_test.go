@@ -1,6 +1,8 @@
 package lp_test
 
 import (
+	"math/big"
+	"reflect"
 	"testing"
 
 	"repro/internal/bounds"
@@ -37,6 +39,86 @@ func boundLPs(q *query.Q) {
 	smalg.FindProofAuto(q, llp)
 	bounds.OutputInequalityHolds(llp.Lat, llp.Inputs, llp.W)
 	bounds.CLLPFromQuery(q)
+}
+
+// refFindProof is the SM proof search as it ran on the exhaustive
+// enumeration: the solver's dual weights, then every vertex of the co-atomic
+// cover polytope at the LLP value whose output inequality holds.
+func refFindProof(q *query.Q, llp *bounds.LLPResult) *smalg.Proof {
+	if p := smalg.FindProof(llp); p != nil {
+		return p
+	}
+	h, _ := bounds.CoatomicHypergraph(q)
+	if h.HasIsolatedVertex() {
+		return nil
+	}
+	for _, w := range lp.RefVertices(h.CoverLP(q.LogSizes())) {
+		val := new(big.Rat)
+		for j, n := range q.LogSizes() {
+			val.Add(val, new(big.Rat).Mul(w[j], n))
+		}
+		if val.Cmp(llp.LogBound) != 0 || !bounds.OutputInequalityHolds(llp.Lat, llp.Inputs, w) {
+			continue
+		}
+		alt := *llp
+		alt.W = w
+		if p := smalg.FindProof(&alt); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// TestCoverSearchesMatchExhaustive: on every FD or degree shape of the
+// full-tier catalog and the paper's instances, the SM proof search and the
+// normality test, which walk cover-polytope vertices with lp.Vertices, decide
+// what the exhaustive enumeration decides — a good proof exists, the lattice
+// is normal — and the search finds the same proof.
+func TestCoverSearchesMatchExhaustive(t *testing.T) {
+	fig4, _ := paper.Fig4Instance(64)
+	fig9, _ := paper.Fig9Instance(16)
+	qs := map[string]*query.Q{
+		"paper/fig4@64":              fig4,
+		"paper/fig9@16":              fig9,
+		"paper/m3@8":                 paper.M3Instance(8),
+		"paper/fig1@16":              paper.Fig1QuasiProduct(16),
+		"paper/colored-triangle@100": paper.ColoredTriangle(100, 3),
+		"paper/simple-fd-chain-6@32": paper.SimpleFDChain(6, 32),
+	}
+	for _, in := range scenario.Instances(scenario.TierFull) {
+		qs[in.Name] = in.Build()
+	}
+	proofs, searched := 0, 0
+	for name, q := range qs {
+		if len(q.FDs.FDs) == 0 && len(q.DegreeBounds) == 0 || q.Lattice().Size() > maxCatalogLattice {
+			continue
+		}
+		llp := bounds.LLP(q)
+		got, want := smalg.FindProofAuto(q, llp), refFindProof(q, llp)
+		if (got == nil) != (want == nil) || got != nil && !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: proof %v, exhaustive search %v", name, got, want)
+		}
+		if smalg.FindProof(llp) == nil {
+			searched++
+			if got != nil {
+				proofs++
+			}
+		}
+		h, _ := bounds.CoatomicHypergraph(q)
+		normal := true
+		if !h.HasIsolatedVertex() {
+			for _, w := range lp.RefVertices(h.CoverLP(q.LogSizes())) {
+				normal = normal && bounds.OutputInequalityHolds(llp.Lat, llp.Inputs, w)
+			}
+		}
+		if got := bounds.IsNormalLattice(q).Normal; got != normal {
+			t.Errorf("%s: normal %v, exhaustive enumeration %v", name, got, normal)
+		}
+	}
+	if searched == 0 || proofs == 0 {
+		t.Fatalf("%d shapes searched past the solver's weights, %d of them found a proof: the comparison went untested", searched, proofs)
+	}
+	t.Logf("%d shapes, %d searched past the solver's weights, %d of them found a good proof", len(qs), searched, proofs)
 }
 
 // TestCatalogLPsMatchReference diffs the kernel against the retained

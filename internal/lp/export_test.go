@@ -6,6 +6,10 @@ import "fmt"
 // may import the packages that build the repository's LPs.
 var DiffSolve = diffSolve
 
+// RefVertices is refVertices, the exhaustive vertex enumeration, for the
+// external tests that diff the searches built on Vertices against it.
+var RefVertices = refVertices
+
 // CollectSolves runs fn and returns every problem passed to Solve meanwhile.
 func CollectSolves(fn func()) []*Problem { return CollectSolvesBelow(0, fn) }
 

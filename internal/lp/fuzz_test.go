@@ -65,3 +65,15 @@ func FuzzSolveDiff(f *testing.F) {
 		}
 	})
 }
+
+// FuzzVerticesDiff requires the vertex walk to meet exactly the vertices the
+// exhaustive enumeration finds on whatever region the input decodes to, when
+// that enumeration has at most 5000 square systems to solve.
+func FuzzVerticesDiff(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 0, 0, 1, 1, 1, 1, 1, 3, 1, 0, 2, 1, 1})
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1, 0, 1, 1, 2, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		diffVertices(t, problemFromBytes(data), 5000)
+	})
+}

@@ -3,6 +3,9 @@
 // held by value as an int64 fraction that becomes a big.Rat only when a
 // product or sum leaves 63 bits.
 //
+// Vertices walks the same tableau from basis to basis to enumerate the
+// vertices of a feasible region (vertices.go).
+//
 // All linear programs in this repository — the lattice linear program (LLP,
 // Eq. 5 of the paper), its dual (Eq. 8), the conditional LLP (Sec. 5.3.1),
 // and fractional edge cover / vertex packing programs — are small (tens of
@@ -151,50 +154,19 @@ type tableau struct {
 func (t *tableau) row(i int) []exact.Num { return t.a[i*(t.n+1) : (i+1)*(t.n+1)] }
 
 // testHookSolve, when a test of this package sets it, sees every problem
-// Solve is given; the catalog test collects through it the LPs the bound
-// layers actually build.
+// Solve or Vertices is given; the catalog test collects through it the LPs
+// the bound layers actually build.
 var testHookSolve func(*Problem)
 
 // Solve runs the two-phase simplex and returns an optimal solution with
 // primal and dual values, or an Infeasible/Unbounded status.
 func Solve(p *Problem) (*Solution, error) {
-	if testHookSolve != nil {
-		testHookSolve(p)
+	t, err := phase1(p)
+	if err != nil {
+		return nil, err
 	}
-	if p.NumVars <= 0 {
-		return nil, fmt.Errorf("lp: problem has no variables")
-	}
-	for _, c := range p.Cons {
-		for _, term := range c.Terms {
-			if term.Var < 0 || term.Var >= p.NumVars {
-				return nil, fmt.Errorf("lp: constraint term variable %d out of range [0,%d)", term.Var, p.NumVars)
-			}
-		}
-	}
-	t := buildTableau(p)
-
-	// Phase 1: minimize the sum of artificials, if any exist.
-	if t.artStart < t.n {
-		t.setCost(func(j int) exact.Num {
-			if j >= t.artStart {
-				return exact.Int(1)
-			}
-			return exact.Num{}
-		})
-		if status := t.run(false); status == Unbounded {
-			return nil, fmt.Errorf("lp: phase 1 unbounded (internal error)")
-		}
-		// Infeasible if any artificial is basic with positive value.
-		var obj exact.Num
-		for i, bi := range t.basis {
-			if bi >= t.artStart {
-				obj = obj.Add(t.row(i)[t.n])
-			}
-		}
-		if obj.Sign() > 0 {
-			return &Solution{Status: Infeasible}, nil
-		}
-		t.driveOutArtificials()
+	if t == nil {
+		return &Solution{Status: Infeasible}, nil
 	}
 
 	// Phase 2: minimize c̃ over structural variables (artificials barred),
@@ -213,6 +185,50 @@ func Solve(p *Problem) (*Solution, error) {
 		return &Solution{Status: Unbounded}, nil
 	}
 	return t.extract(p), nil
+}
+
+// phase1 checks p, builds its tableau and, when the tableau has artificial
+// columns, minimizes their sum and drives them out of the basis. It returns
+// the tableau at a feasible basis, or nil when p is infeasible.
+func phase1(p *Problem) (*tableau, error) {
+	if testHookSolve != nil {
+		testHookSolve(p)
+	}
+	if p.NumVars <= 0 {
+		return nil, fmt.Errorf("lp: problem has no variables")
+	}
+	for _, c := range p.Cons {
+		for _, term := range c.Terms {
+			if term.Var < 0 || term.Var >= p.NumVars {
+				return nil, fmt.Errorf("lp: constraint term variable %d out of range [0,%d)", term.Var, p.NumVars)
+			}
+		}
+	}
+	t := buildTableau(p)
+	if t.artStart == t.n {
+		return t, nil
+	}
+	t.setCost(func(j int) exact.Num {
+		if j >= t.artStart {
+			return exact.Int(1)
+		}
+		return exact.Num{}
+	})
+	if status := t.run(false); status == Unbounded {
+		return nil, fmt.Errorf("lp: phase 1 unbounded (internal error)")
+	}
+	// Infeasible if any artificial is basic with positive value.
+	var obj exact.Num
+	for i, bi := range t.basis {
+		if bi >= t.artStart {
+			obj = obj.Add(t.row(i)[t.n])
+		}
+	}
+	if obj.Sign() > 0 {
+		return nil, nil
+	}
+	t.driveOutArtificials()
+	return t, nil
 }
 
 // buildTableau converts the problem to standard equality form with RHS ≥ 0.

@@ -32,9 +32,10 @@ func catalogQuery(t *testing.T, family string, size int, seed int64) *query.Q {
 // (seed 1). The planner solves the LLP first, stops the chain search at the
 // first chain whose bound reaches it, and solves the CLLP only where it can
 // win: with degree bounds (degree-triangle), or where the LLP beats every
-// chain and no good SM proof exists (fig9, which also searches every chain
-// and every proof candidate). A full chain search, LLP and CLLP on every
-// shape solve 220.
+// chain and no good SM proof exists (fig9, which also searches every chain,
+// walks the cover polytope's optimal face — one problem given to Vertices —
+// and checks each proof candidate's output inequality). A full chain search,
+// LLP and CLLP on every shape solve 220.
 func TestColdPlanSolveCounts(t *testing.T) {
 	for _, tc := range []struct {
 		family string
@@ -44,7 +45,7 @@ func TestColdPlanSolveCounts(t *testing.T) {
 		{"paper/fig1-quasi", 64, 8},
 		{"paper/m3-mod", 24, 2},
 		{"paper/fig4", 64, 15},
-		{"paper/fig9", 32, 11},
+		{"paper/fig9", 32, 12},
 		{"paper/fig5", 48, 2},
 		{"paper/degree-triangle", 128, 3},
 		{"paper/colored-triangle", 64, 27},

@@ -208,45 +208,16 @@ func lcm(a, b *big.Int) *big.Int {
 
 // FindProof searches for a good SM proof using the dual weights returned by
 // the LLP solve. Different optimal dual vertices can differ in whether a
-// good proof exists; use FindProofAny to search across them.
+// good proof exists; FindProofAuto searches across them.
 func FindProof(llp *bounds.LLPResult) *Proof {
 	return findProofFor(llp, llp.W)
 }
 
-// FindProofAny tries the solver's dual weights and then every vertex of the
-// co-atomic cover polytope that attains the same optimal value Σ w_j·n_j.
-// (Any primal-optimal h* is complementary to any dual-optimal w: if
-// w_j > 0 forced h*(R_j) < n_j, the output inequality would fail at h*.)
-func FindProofAny(llp *bounds.LLPResult, logSizes []*big.Rat, candidates [][]*big.Rat) *Proof {
-	if p := findProofFor(llp, llp.W); p != nil {
-		return p
-	}
-	for _, w := range candidates {
-		if len(w) != len(llp.W) {
-			continue
-		}
-		val := new(big.Rat)
-		t := new(big.Rat)
-		for j := range w {
-			t.Mul(w[j], logSizes[j])
-			val.Add(val, t)
-		}
-		if val.Cmp(llp.LogBound) != 0 {
-			continue // not dual-optimal
-		}
-		if !bounds.OutputInequalityHolds(llp.Lat, llp.Inputs, w) {
-			continue
-		}
-		if p := findProofFor(llp, w); p != nil {
-			return p
-		}
-	}
-	return nil
-}
-
 // findProofFor backtracks over the choice of SM-steps for the multiset
 // defined by weights w (w_j = q_j/d copies of R_j), preferring steps that
-// are tight for h* (required for the size invariants of Lemma 5.24), and
+// are tight for h* (required for the size invariants of Lemma 5.24; any
+// primal-optimal h* is complementary to any dual-optimal w, since if w_j > 0
+// forced h*(R_j) < n_j the output inequality would fail at h*), and
 // validates goodness (Def. 5.26) before accepting a terminal state. It
 // returns nil when no good SM proof exists within the node budget (e.g.
 // Fig. 9 / Example 5.31).
