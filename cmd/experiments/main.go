@@ -1,5 +1,5 @@
 // Command experiments regenerates every experiment table of the
-// reproduction (E1–E14 in DESIGN.md / EXPERIMENTS.md), printing paper
+// reproduction (E1–E15 in DESIGN.md / EXPERIMENTS.md), printing paper
 // expectation vs. measured value for each bound, classification, and
 // algorithm-scaling claim in the paper.
 //
@@ -41,9 +41,9 @@ var (
 		"E1": func() { e1() }, "E2": e2, "E3": e3, "E4": e4,
 		"E5": func() { e5() }, "E6": func() { e6() },
 		"E7": e7, "E8": e8, "E9": func() { e9() }, "E10": e10, "E11": e11, "E12": e12,
-		"E13": e13, "E14": func() { e14() },
+		"E13": e13, "E14": func() { e14() }, "E15": func() { e15() },
 	}
-	order = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14"}
+	order = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15"}
 )
 
 func main() {
@@ -434,6 +434,45 @@ func e14() []orderWork {
 				float64(w.identity)/float64(w.best), float64(w.greedy)/float64(w.best))
 			rows = append(rows, w)
 		}
+	}
+	fmt.Println(t)
+	return rows
+}
+
+// attemptRow is one row of E15; skew is the size of Example 5.8's instance.
+type attemptRow struct {
+	instance string
+	skew     int
+	fits     bool
+}
+
+// E15: the evidence for the engine's budget of 8·(N + 2^LogBound) counted work
+// (Extensions + Lookups) on a sequential FD plan's first generic-join attempt,
+// on every FD-planned full-tier instance and the skew instance, and its verdict.
+func e15() (rows []attemptRow) {
+	t := newTable("E15 — generic-join work ÷ (N + 2^LogBound) on FD plans, and the attempt's verdict at 8×",
+		"instance", "plan", "N", "log2 bound", "generic work", "ratio", "verdict")
+	row := func(name string, skew int, q *query.Q) {
+		p, err := engine.Prepare(q)
+		must(err)
+		b, err := p.Bind(nil)
+		must(err)
+		if pl := b.Plan(); pl.Algorithm == engine.AlgChain || pl.Algorithm == engine.AlgSM || pl.Algorithm == engine.AlgCSMA {
+			ws, err := wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), &rel.CountSink{})
+			must(err)
+			st, err := b.RunInto(ctx, &engine.Options{Workers: 1}, &rel.CountSink{})
+			must(err)
+			rows = append(rows, attemptRow{name, skew, st.Ran == engine.AlgGenericJoin})
+			work := ws.Extensions + ws.Lookups
+			t.row(name, string(pl.Algorithm), q.TotalSize(), pl.LogBound, work,
+				float64(work)/(float64(q.TotalSize())+math.Exp2(pl.LogBound)), map[bool]string{true: "fits", false: "overruns"}[rows[len(rows)-1].fits])
+		}
+	}
+	for _, in := range scenario.Instances(scenario.TierFull) {
+		row(in.Name, map[bool]int{true: in.Params.Size}[in.Family().Name == "paper/fig1-skew"], in.Build())
+	}
+	for n := 64; n <= 2048; n *= 2 {
+		row(fmt.Sprintf("Fig1Skew(%d)", n), n, paper.Fig1Skew(n))
 	}
 	fmt.Println(t)
 	return rows

@@ -58,6 +58,25 @@ func TestOrderTableIsProduced(t *testing.T) {
 	}
 }
 
+// E15 gates the attempt's factor of 8: generic join overruns it on
+// Example 5.8's skew instance from size 256 on, where it is Ω(N²), and fits
+// it on every other FD-planned instance.
+func TestAttemptFactorSeparatesTheSkewInstance(t *testing.T) {
+	rows := e15()
+	skew := 0
+	for _, r := range rows {
+		if r.skew >= 256 {
+			skew++
+		}
+		if want := r.skew < 256; r.fits != want {
+			t.Errorf("%s: fits %v, want %v", r.instance, r.fits, want)
+		}
+	}
+	if skew < 4 {
+		t.Fatalf("E15 has %d skew rows at size ≥ 256 in %d rows: the gate lost its overruns", skew, len(rows))
+	}
+}
+
 // E9 carries the Fig. 1 bounds at N=16 — AGM and AGM(Q⁺) 2n, chain and LLP
 // 1.5n with n = 4 — and Fig. 7 as a structure-only row: |L| = 10, not
 // distributive, no instance to bound.

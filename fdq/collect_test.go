@@ -11,6 +11,7 @@ import (
 
 	"repro/fdq"
 	"repro/internal/naive"
+	"repro/internal/paper"
 	"repro/internal/query"
 	"repro/internal/scenario"
 )
@@ -157,6 +158,44 @@ func TestCollectRowsAreCallerOwned(t *testing.T) {
 	for _, alg := range []string{"chain", "sm", "csma", "generic", "binary"} {
 		if !planned[alg] {
 			t.Errorf("no instance was planned to %s (got %v)", alg, planned)
+		}
+	}
+}
+
+// TestStatsSayWhatRan: Explain reports the planner's certificate and a run's
+// stats the algorithm that produced its rows. On Fig. 4 the SM plan's
+// generic-join attempt fits its budget, so generic join answers; on
+// Example 5.8's skew instance it overruns and the chain algorithm answers.
+func TestStatsSayWhatRan(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		qq        *query.Q
+		plan, ran string
+	}{
+		{"paper/fig4@216", scenarioQuery(t, "paper/fig4", 216), "sm", "generic"},
+		{"Fig1Skew(2048)", paper.Fig1Skew(2048), "chain", "chain"},
+	} {
+		cat, q := fromInternal(t, tc.qq)
+		q.Workers(1) // the attempt is made on the sequential path
+		sess := cat.Session()
+		ex, err := sess.Explain(q)
+		if err != nil || ex.Algorithm != tc.plan {
+			t.Fatalf("%s: Explain says %q (%v), want %q", tc.name, ex.Algorithm, err, tc.plan)
+		}
+		rows, err := sess.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Err(); err != nil || n != naive.Evaluate(tc.qq).Len() {
+			t.Fatalf("%s: %d rows, %v", tc.name, n, err)
+		}
+		if got := rows.Stats().Algorithm; got != tc.ran {
+			t.Fatalf("%s: Rows.Stats().Algorithm says %q, want %q", tc.name, got, tc.ran)
 		}
 	}
 }

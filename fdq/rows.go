@@ -39,7 +39,7 @@ func runStats(st *engine.Stats, adm *admission) *RunStats {
 		return nil
 	}
 	rs := &RunStats{
-		Algorithm: string(st.Plan.Algorithm),
+		Algorithm: string(st.Ran),
 		Workers:   st.Workers,
 		Rows:      st.OutSize,
 		Duration:  st.Duration,

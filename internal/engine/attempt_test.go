@@ -1,0 +1,292 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"testing"
+
+	"repro/internal/naive"
+	"repro/internal/paper"
+	"repro/internal/query"
+	"repro/internal/rel"
+	"repro/internal/wcoj"
+)
+
+// These tests pin the generic-join attempt a sequential planner-chosen FD run
+// makes first (attemptInto): its budget, the resume after an overrun, the
+// verdict kept on the Bound, and what it must never do.
+
+// rowSink collects rows one Push at a time: no RunSink, no Stream adoption.
+type rowSink struct{ c *rel.CollectSink }
+
+func (s rowSink) Push(t rel.Tuple) bool { return s.c.Push(t) }
+
+// tripPoint runs the attempt's descent alone: the rows it delivers before it
+// overruns, and its work counters then.
+func tripPoint(t *testing.T, b *Bound) (int, *wcoj.Stats) {
+	t.Helper()
+	var c rel.CountSink
+	ws, err := wcoj.GenericJoinBudgetInto(context.Background(), b.q, wcoj.DefaultOrder(b.q), attemptBudget(b.q, b.Plan()), &c)
+	if !errors.Is(err, wcoj.ErrWorkBudget) {
+		t.Fatalf("the attempt does not overrun: %v", err)
+	}
+	return c.N, ws
+}
+
+// TestAttemptOverrunResumesOnEverySink: on Example 5.8's skew instance the
+// attempt overruns (generic join is Ω(N²) there) and the chain algorithm
+// resumes. Every kind of sink a first run can be handed sees exactly the
+// naive answer, the rows the attempt delivered included once, and the
+// attempt spent at most its budget plus one descent step.
+func TestAttemptOverrunResumesOnEverySink(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{512, 2048} {
+		q := paper.Fig1Skew(n)
+		want := naive.Evaluate(q)
+		p, err := Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := func() *Bound {
+			b, err := p.Bind(q.Rels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		if alg := fresh().Plan().Algorithm; alg != AlgChain {
+			t.Fatalf("Fig1Skew(%d) is planned to %s, want chain", n, alg)
+		}
+		delivered, ws := tripPoint(t, fresh())
+		budget, work := attemptBudget(q, fresh().Plan()), ws.Extensions+ws.Lookups
+		if delivered == 0 || delivered >= want.Len() {
+			t.Fatalf("Fig1Skew(%d): the attempt delivers %d of %d rows before it overruns: the resume is not tested mid-stream", n, delivered, want.Len())
+		}
+		if work > budget+stepWork(q) {
+			t.Fatalf("Fig1Skew(%d): the attempt spent %d, budget %d + one descent step %d", n, work, budget, stepWork(q))
+		}
+
+		vars := q.AllVars().Members()
+		prefix := func(k int) *rel.Relation {
+			r := rel.New("Q", vars...)
+			for i := 0; i < k && i < want.Len(); i++ {
+				r.AddTuple(want.Row(i))
+			}
+			return r
+		}
+		type outcome struct {
+			got  func() *rel.Relation
+			want *rel.Relation
+		}
+		for _, tc := range []struct {
+			name string
+			opts Options
+			sink func() (rel.Sink, outcome)
+		}{
+			{"collect", Options{}, func() (rel.Sink, outcome) {
+				c := rel.NewCollect("Q", vars...)
+				return c, outcome{func() *rel.Relation { return c.R }, want}
+			}},
+			{"count", Options{}, func() (rel.Sink, outcome) {
+				c := &rel.CountSink{}
+				return c, outcome{func() *rel.Relation { return prefix(c.N) }, want}
+			}},
+			{"limit-1", Options{}, func() (rel.Sink, outcome) {
+				c := rel.NewCollect("Q", vars...)
+				return rel.Limit(c, 1), outcome{func() *rel.Relation { return c.R }, prefix(1)}
+			}},
+			{"limit-past-trip", Options{}, func() (rel.Sink, outcome) {
+				c := rel.NewCollect("Q", vars...)
+				return rel.Limit(c, delivered+7), outcome{func() *rel.Relation { return c.R }, prefix(delivered + 7)}
+			}},
+			{"per-row", Options{}, func() (rel.Sink, outcome) {
+				c := rel.NewCollect("Q", vars...)
+				return rowSink{c}, outcome{func() *rel.Relation { return c.R }, want}
+			}},
+			{"mem-limit", Options{MemLimitBytes: 1 << 40}, func() (rel.Sink, outcome) {
+				c := rel.NewCollect("Q", vars...)
+				return c, outcome{func() *rel.Relation { return c.R }, want}
+			}},
+			{"block", Options{}, func() (rel.Sink, outcome) {
+				// fdq.Query's hand-off: a consumer goroutine drains the blocks.
+				bs := rel.NewBlockSink(nil)
+				got := rel.New("Q", vars...)
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					for blk := range bs.C {
+						for i, w := 0, len(vars); i < blk.N; i++ {
+							got.AddTuple(blk.Vals[i*w : (i+1)*w])
+						}
+					}
+				}()
+				return bs, outcome{func() *rel.Relation { bs.Flush(); close(bs.C); <-done; return got }, want}
+			}},
+		} {
+			b := fresh()
+			sink, out := tc.sink()
+			opts := tc.opts
+			opts.Workers = 1
+			st, err := b.RunInto(ctx, &opts, sink)
+			if err != nil {
+				t.Fatalf("Fig1Skew(%d) %s: %v", n, tc.name, err)
+			}
+			if got := out.got(); !rel.Identical(got, out.want) {
+				t.Fatalf("Fig1Skew(%d) %s: %d rows differ from the reference's %d", n, tc.name, got.Len(), out.want.Len())
+			}
+			if tc.name == "limit-1" {
+				// The first row arrives before the trip: a stopped attempt, no verdict.
+				if st.Ran != AlgGenericJoin || b.won.Load() != nil {
+					t.Fatalf("Fig1Skew(%d) limit-1: ran %s, decided %v; want generic, undecided", n, st.Ran, b.won.Load())
+				}
+				continue
+			}
+			if st.Ran != AlgChain || b.won.Load() != b.Plan() {
+				t.Fatalf("Fig1Skew(%d) %s: ran %s, decided %v; want the chain algorithm after an overrun", n, tc.name, st.Ran, b.won.Load())
+			}
+			if st.extensions != ws.Extensions {
+				t.Fatalf("Fig1Skew(%d) %s: the attempt made %d extensions, its descent alone %d", n, tc.name, st.extensions, ws.Extensions)
+			}
+		}
+	}
+}
+
+// stepWork bounds the counted work one step of generic join's descent does on
+// q, which is how far past its budget an attempt can get: one scan of a child
+// run, probing each other relation once per candidate.
+func stepWork(q *query.Q) int {
+	most := 0
+	for _, r := range q.Rels {
+		most = max(most, r.Len())
+	}
+	return most * len(q.Rels)
+}
+
+// TestAttemptVerdictIsKept: the first complete run decides, and every later
+// run goes straight to the winner: the chain algorithm with no generic work
+// on Example 5.8's skew instance, generic join with no FD machine on Fig. 4.
+func TestAttemptVerdictIsKept(t *testing.T) {
+	fig4, _ := paper.Fig4Instance(216)
+	for _, tc := range []struct {
+		name      string
+		q         *query.Q
+		plan, ran Algorithm
+	}{
+		{"fig1-skew", paper.Fig1Skew(512), AlgChain, AlgChain},
+		{"fig4", fig4, AlgSM, AlgGenericJoin},
+	} {
+		b := bind(t, tc.q)
+		want := naive.Evaluate(tc.q)
+		for i := range 3 {
+			out, st, err := b.Run(context.Background(), &Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rel.Identical(out, want) {
+				t.Fatalf("%s run %d differs from the reference", tc.name, i)
+			}
+			if st.Plan.Algorithm != tc.plan || st.Ran != tc.ran {
+				t.Fatalf("%s run %d: plan %s ran %s, want %s and %s", tc.name, i, st.Plan.Algorithm, st.Ran, tc.plan, tc.ran)
+			}
+			if i > 0 && tc.ran == AlgChain && st.extensions != 0 {
+				t.Fatalf("%s run %d: %d generic-join extensions after the verdict", tc.name, i, st.extensions)
+			}
+		}
+	}
+}
+
+// TestRacingFirstRunsAgree: eight first runs of one Bound race to decide;
+// all eight answer the reference and the verdict is the lone run's.
+func TestRacingFirstRunsAgree(t *testing.T) {
+	fig4, _ := paper.Fig4Instance(216)
+	for _, tc := range []struct {
+		name string
+		q    *query.Q
+		won  Algorithm
+	}{{"fig1-skew", paper.Fig1Skew(512), AlgChain}, {"fig4", fig4, AlgGenericJoin}} {
+		b := bind(t, tc.q)
+		want := naive.Evaluate(tc.q)
+		var wg sync.WaitGroup
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out, _, err := b.Run(context.Background(), &Options{Workers: 1})
+				if err != nil {
+					t.Errorf("%s: %v", tc.name, err)
+				} else if !rel.Identical(out, want) {
+					t.Errorf("%s: a racing first run differs from the reference", tc.name)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := b.won.Load(); got == nil || got.Algorithm != tc.won {
+			t.Fatalf("%s: the race decided %v, want %s", tc.name, got, tc.won)
+		}
+	}
+}
+
+// TestAttemptFailuresDoNotFallBack: a UDF panic or a cancelled context inside
+// the attempt fails the run with *PanicError or context.Canceled; the planned
+// machine does not run and nothing is decided, and a clean re-run answers.
+func TestAttemptFailuresDoNotFallBack(t *testing.T) {
+	for _, mode := range []string{"panic", "cancel"} {
+		q, _ := paper.Fig4Instance(216)
+		u := &udfTrap{}
+		u.install(q)
+		b := bind(t, q)
+		want := naive.Evaluate(q)
+		ctx, cancel := context.WithCancel(context.Background())
+		u.trip = cancel
+		if mode == "panic" {
+			u.trip = func() { panic("boom: injected UDF failure") }
+		}
+		u.calls, u.at = 0, 100
+		_, st, err := b.Run(ctx, &Options{Workers: 1})
+		cancel()
+		var pe *PanicError
+		switch {
+		case mode == "panic" && !errors.As(err, &pe):
+			t.Fatalf("%s: want *PanicError, got %v", mode, err)
+		case mode == "cancel" && !errors.Is(err, context.Canceled):
+			t.Fatalf("%s: want context.Canceled, got %v", mode, err)
+		case mode == "cancel" && st.Ran != AlgGenericJoin:
+			t.Fatalf("%s: ran %s after the attempt failed", mode, st.Ran)
+		case b.won.Load() != nil:
+			t.Fatalf("%s: a failed attempt decided %v", mode, b.won.Load())
+		}
+		u.at = 0
+		out, st, err := b.Run(context.Background(), &Options{Workers: 1})
+		if err != nil || !rel.Identical(out, want) || st.Ran != AlgGenericJoin {
+			t.Fatalf("%s: clean re-run: ran %s, err %v", mode, st.Ran, err)
+		}
+	}
+}
+
+// TestExplicitRequestsNeverAttempt: an explicitly requested FD machine, and a
+// planned one on the parallel path, runs as requested with no attempt.
+func TestExplicitRequestsNeverAttempt(t *testing.T) {
+	fig4, _ := paper.Fig4Instance(216)
+	for _, tc := range []struct {
+		q    *query.Q
+		opts Options
+	}{
+		{paper.Fig1Skew(512), Options{Algorithm: AlgChain, Workers: 1}},
+		{fig4, Options{Algorithm: AlgSM, Workers: 1}},
+		{fig4, Options{Algorithm: AlgCSMA, Workers: 1}},
+		{fig4, Options{Workers: 2, MinParallelRows: 1}},
+	} {
+		b := bind(t, tc.q)
+		out, st, err := b.Run(context.Background(), &tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rel.Identical(out, naive.Evaluate(tc.q)) {
+			t.Fatalf("%+v: output differs from the reference", tc.opts)
+		}
+		if st.extensions != 0 || st.Ran != st.Plan.Algorithm || b.won.Load() != nil {
+			t.Fatalf("%+v: %d generic-join extensions, ran %s for plan %s, decided %v", tc.opts, st.extensions, st.Ran, st.Plan.Algorithm, b.won.Load())
+		}
+	}
+}

@@ -24,8 +24,11 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chainalg"
@@ -70,8 +73,9 @@ type Options struct {
 // the outcome.
 type Stats struct {
 	Plan         Plan
-	Workers      int // goroutines that executed partitions (1 = sequential; clamped to the partition variable's distinct-value count)
-	PartitionVar int // variable whose domain was partitioned; -1 sequential
+	Ran          Algorithm // what produced the rows: Plan.Algorithm, or generic join where an FD plan's attempt fit
+	Workers      int       // goroutines that executed partitions (1 = sequential; clamped to the partition variable's distinct-value count)
+	PartitionVar int       // variable whose domain was partitioned; -1 sequential
 	Duration     time.Duration
 	OutSize      int   // rows emitted (for a sink-stopped run: including the stopping push)
 	MemBytes     int64 // approximate result bytes accounted (partition buffers + sink deliveries)
@@ -122,6 +126,8 @@ type Bound struct {
 	vals       []rel.Value // guarded by mu
 	morselsKey morselKey   // guarded by mu; single-entry morsel-partition memo
 	morsels    []*query.Q  // guarded by mu; the split instances, each with its own prepared record
+
+	won atomic.Pointer[Plan] // what an FD plan's sequential runs execute once its attempt decided (attemptInto)
 }
 
 // Bind attaches an instance to the shape: rels must match the shape's
@@ -214,7 +220,7 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	if perr != nil {
 		return nil, perr
 	}
-	st = &Stats{Plan: *plan, Workers: 1, PartitionVar: -1}
+	st = &Stats{Plan: *plan, Ran: plan.Algorithm, Workers: 1, PartitionVar: -1}
 
 	workers := o.Workers
 	if workers <= 0 {
@@ -254,10 +260,10 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	}
 	if workers > 1 && b.q.TotalSize() >= o.MinParallelRows {
 		err = b.runParallelInto(ctx, plan, workers, &o, st, runSink)
-	} else {
-		if err = ctx.Err(); err == nil {
-			_, err = runOneInto(ctx, b.q, plan, runSink)
-		}
+	} else if err = ctx.Err(); err == nil && attempts(plan) {
+		err = b.attemptInto(ctx, plan, st, runSink, outSize)
+	} else if err == nil {
+		_, err = runOneInto(ctx, b.q, plan, runSink)
 	}
 	if err != nil {
 		return st, err
@@ -327,4 +333,61 @@ func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) (ext
 		err = fmt.Errorf("engine: unknown algorithm %q", plan.Algorithm)
 	}
 	return ext, err
+}
+
+// attemptFactor is c in an attempt's budget of c·(N + 2^LogBound) counted work
+// (E15 in cmd/experiments); a variable so that FuzzPlannerConsistency can vary it.
+var attemptFactor = 8
+
+// attempts reports whether a sequential run of plan first tries generic join:
+// the planner chose an FD machine for its finite bound.
+func attempts(plan *Plan) bool {
+	return !plan.explicit && !math.IsInf(plan.LogBound, 1) &&
+		(plan.Algorithm == AlgChain || plan.Algorithm == AlgSM || plan.Algorithm == AlgCSMA)
+}
+
+// attemptBudget is attemptFactor·(N + 2^LogBound), N the instance's rows.
+func attemptBudget(q *query.Q, plan *Plan) int {
+	return int(min(float64(attemptFactor)*(float64(q.TotalSize())+math.Exp2(plan.LogBound)), 1<<62))
+}
+
+// attemptInto runs a planner-chosen FD plan sequentially, trying generic join
+// first under attemptBudget; on an overrun the planned machine resumes past the
+// rows already delivered, a prefix of the same sorted answer. The first run
+// that finishes or overruns decides for every later run of the (immutable)
+// Bound. DESIGN.md, "Run time: the generic-join attempt", has the argument.
+func (b *Bound) attemptInto(ctx context.Context, plan *Plan, st *Stats, sink rel.Sink, delivered func() int) (err error) {
+	if won := b.won.Load(); won != nil {
+		st.Ran = won.Algorithm
+		st.extensions, err = runOneInto(ctx, b.q, won, sink)
+		return err
+	}
+	ws, err := wcoj.GenericJoinBudgetInto(ctx, b.q, wcoj.DefaultOrder(b.q), attemptBudget(b.q, plan), sink)
+	st.extensions = ws.Extensions
+	if !errors.Is(err, wcoj.ErrWorkBudget) {
+		if err == nil && !ws.Stopped {
+			b.won.Store(&Plan{Algorithm: AlgGenericJoin})
+		}
+		st.Ran = AlgGenericJoin
+		return err
+	}
+	b.won.Store(plan)
+	if n := delivered(); n > 0 {
+		sink = &skipSink{s: sink, n: n}
+	}
+	_, err = runOneInto(ctx, b.q, plan, sink)
+	return err
+}
+
+// skipSink drops the first n rows pushed and forwards the rest.
+type skipSink struct {
+	s rel.Sink
+	n int
+}
+
+func (k *skipSink) Push(row rel.Tuple) bool {
+	if k.n--; k.n >= 0 {
+		return true
+	}
+	return k.s.Push(row)
 }

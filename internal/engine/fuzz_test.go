@@ -16,7 +16,8 @@ import (
 // from the LLP floor must equal the full search's (referencePlan) — checked
 // directly, since the tiny-input rule takes most plans of instances this
 // small — and sequential and parallel execution must both reproduce the
-// naive reference byte-for-byte.
+// naive reference byte-for-byte, as must an FD plan resumed after its
+// generic-join attempt overran.
 func FuzzPlannerConsistency(f *testing.F) {
 	f.Add(int64(2016), 4, 3, 20, 4, true)
 	f.Add(int64(516), 3, 2, 12, 3, false)
@@ -63,6 +64,26 @@ func FuzzPlannerConsistency(f *testing.F) {
 		if !rel.Identical(seq, want) {
 			t.Fatalf("planner chose %s (%s): %d rows, want %d",
 				st.Plan.Algorithm, st.Plan.Reason, seq.Len(), want.Len())
+		}
+		// An FD plan's generic-join attempt, past the tiny-input rule, at a
+		// budget factor of 0 overruns before its first row, at 1 mostly after
+		// some rows, at 2 mostly fits: the planned machine's resume must
+		// complete exactly the same answer.
+		if plan := planFDAware(b.Query()); attempts(plan) {
+			defer func(c int) { attemptFactor = c }(attemptFactor)
+			attemptFactor = fold(int(seed), 3)
+			b0, err := p.Bind(q.Rels)
+			if err != nil {
+				t.Fatalf("bind: %v", err)
+			}
+			c := rel.NewCollect("Q", q.AllVars().Members()...)
+			st := &Stats{Ran: plan.Algorithm}
+			if err := b0.attemptInto(context.Background(), plan, st, c, func() int { return c.R.Len() }); err != nil {
+				t.Fatalf("%s with an attempt at factor %d: %v", plan.Algorithm, attemptFactor, err)
+			}
+			if !rel.Identical(c.R, want) {
+				t.Fatalf("%s, ran %s after an attempt at factor %d: %d rows, want %d", plan.Algorithm, st.Ran, attemptFactor, c.R.Len(), want.Len())
+			}
 		}
 		par, _, err := b.Run(context.Background(), &Options{Workers: 3, MinParallelRows: 1})
 		if err != nil {

@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/expand"
 	"repro/internal/faultinject"
@@ -44,6 +45,9 @@ type Value = rel.Value
 // never escapes the package.
 var errStop = errors.New("wcoj: sink stopped execution")
 
+// ErrWorkBudget reports that GenericJoinBudgetInto overran its budget.
+var ErrWorkBudget = errors.New("wcoj: work budget exceeded")
+
 // cancelCheckInterval is how many recursion steps pass between context
 // checks in the descent loops — frequent enough that cancellation is
 // prompt, rare enough that ctx.Err()'s mutex never shows in profiles.
@@ -52,8 +56,9 @@ const cancelCheckInterval = 256
 // Stats reports the work done by an execution, to make intermediate-size
 // blowups observable in experiments.
 type Stats struct {
-	Extensions int // candidate tuples materialized/extended
-	Lookups    int // membership probes
+	Extensions int  // candidate tuples materialized/extended
+	Lookups    int  // membership probes
+	Stopped    bool // the sink stopped the descent before it finished
 }
 
 // identityOrder reports whether order is 0, 1, 2, ... — the case in which
@@ -97,6 +102,12 @@ func identityOrder(order []int) bool {
 // levels their derived values bind afterwards, is fixed by the shape and
 // the order: compile works it out once, the descent only follows it.
 func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink) (*Stats, error) {
+	return GenericJoinBudgetInto(ctx, q, order, math.MaxInt, sink)
+}
+
+// GenericJoinBudgetInto is GenericJoinInto giving up with ErrWorkBudget once its
+// counted work exceeds budget, by at most what one descent step does.
+func GenericJoinBudgetInto(ctx context.Context, q *query.Q, order []int, budget int, sink rel.Sink) (*Stats, error) {
 	if len(order) != q.K {
 		return nil, fmt.Errorf("wcoj: order must list all %d variables", q.K)
 	}
@@ -106,16 +117,18 @@ func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink
 		buf = rel.NewCollect("Q", q.AllVars().Members()...)
 		out = buf
 	}
-	x := &descent{ctx: ctx, sink: out, vals: make([]Value, q.K)}
+	x := &descent{ctx: ctx, sink: out, vals: make([]Value, q.K), budget: budget}
 	if err := x.compile(q, order); err != nil {
 		return &x.st, err
 	}
-	if err := x.descend(0); err != nil && !errors.Is(err, errStop) {
-		return &x.st, err // errStop: a consumer decision, not an error
+	if err := x.descend(0); errors.Is(err, errStop) {
+		x.st.Stopped = true // a consumer decision, not an error
+	} else if err != nil {
+		return &x.st, err
 	}
 	if buf != nil {
 		buf.R.SortDedup()
-		rel.Stream(buf.R, sink)
+		x.st.Stopped = !rel.Stream(buf.R, sink)
 	}
 	return &x.st, nil
 }
@@ -159,6 +172,7 @@ type descent struct {
 	cells  []cell  // one per (relation, trie level), a relation's consecutive
 	run    []Value // survivors of a last-level intersection
 	ticks  int
+	budget int // counted work allowed, checked at every tick
 	st     Stats
 }
 
@@ -251,12 +265,16 @@ func (x *descent) children(p *part) (lo, hi int32) {
 	return p.trie.Children(p.lvl-1, x.cells[p.cell-1].node)
 }
 
-// tick counts n descent steps or emitted rows and, on the first and whenever
-// a cancelCheckInterval boundary is crossed, polls ctx and fires the descent's
+// tick counts n descent steps or emitted rows, checks the work budget (a
+// cancelled ctx wins over an overrun) and, on the first and whenever a
+// cancelCheckInterval boundary is crossed, polls ctx and fires the descent's
 // fault site (one atomic load when nothing is armed).
 func (x *descent) tick(n int) error {
 	was := x.ticks
 	x.ticks += n
+	if x.st.Extensions+x.st.Lookups > x.budget && x.ctx.Err() == nil {
+		return ErrWorkBudget
+	}
 	if was != 0 && was/cancelCheckInterval == x.ticks/cancelCheckInterval {
 		return nil
 	}
