@@ -23,14 +23,14 @@ func (l *Lattice) IsChain(c Chain) bool {
 // CoversStep reports whether element x "covers" step i of the chain:
 // x ∧ C_i ≠ x ∧ C_{i-1}.
 func (l *Lattice) CoversStep(c Chain, x, i int) bool {
-	return l.meet[x][c[i]] != l.meet[x][c[i-1]]
+	return l.Meet(x, c[i]) != l.Meet(x, c[i-1])
 }
 
 // GoodFor reports whether the chain is good for element r (Eq. 11):
 // for every step i that r covers, C_{i-1} ∨ (r ∧ C_i) = C_i.
 func (l *Lattice) GoodFor(c Chain, r int) bool {
 	for i := 1; i < len(c); i++ {
-		if l.CoversStep(c, r, i) && l.join[c[i-1]][l.meet[r][c[i]]] != c[i] {
+		if l.CoversStep(c, r, i) && l.Join(c[i-1], l.Meet(r, c[i])) != c[i] {
 			return false
 		}
 	}
@@ -54,14 +54,7 @@ func (l *Lattice) IsMaximalChain(c Chain) bool {
 		return false
 	}
 	for i := 1; i < len(c); i++ {
-		found := false
-		for _, u := range l.upperCovers[c[i-1]] {
-			if u == c[i] {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(l.upperCovers[c[i-1]], c[i]) {
 			return false
 		}
 	}
@@ -120,7 +113,7 @@ func (l *Lattice) GoodChainJoinIrreducibles(inputs []int) Chain {
 	for _, z := range l.JoinIrreducibles() {
 		below := false
 		for _, r := range inputs {
-			if l.leq[z][r] {
+			if l.Leq(z, r) {
 				below = true
 				break
 			}
@@ -138,7 +131,7 @@ func (l *Lattice) GoodChainJoinIrreducibles(inputs []int) Chain {
 			if used[z] {
 				continue
 			}
-			jn := l.join[cur][z]
+			jn := l.Join(cur, z)
 			if jn == cur {
 				used[z] = true // already below the prefix; consume it
 				continue
@@ -173,7 +166,7 @@ func (l *Lattice) GoodChainMeetIrreducibles(inputs []int) Chain {
 			if used[z] {
 				continue
 			}
-			mt := l.meet[cur][z]
+			mt := l.Meet(cur, z)
 			if mt == cur {
 				used[z] = true
 				continue
@@ -234,7 +227,7 @@ func (l *Lattice) ChainTightCondition(c Chain) bool {
 	}
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
-			if masks[l.join[x][y]]&^(masks[x]|masks[y]) != 0 {
+			if masks[l.Join(x, y)]&^(masks[x]|masks[y]) != 0 {
 				return false
 			}
 		}

@@ -1,15 +1,15 @@
 // Package lattice implements the lattice of closed attribute sets that
 // represents a query with functional dependencies (Sec. 3 of the paper),
 // together with the lattice-theoretic machinery the bounds and algorithms
-// need: meet/join tables, covers, join- and meet-irreducibles, atoms and
-// co-atoms, the Möbius function, distributivity/modularity tests, M3
-// detection (Prop. 4.10), chains and chain goodness (Sec. 5.1), and lattice
-// embeddings (Sec. 3.4).
+// need: order, meet and join computed from the closed sets, covers,
+// join- and meet-irreducibles, atoms and co-atoms, the Möbius function,
+// distributivity/modularity tests, M3 detection (Prop. 4.10), chains and
+// chain goodness (Sec. 5.1), and lattice embeddings (Sec. 3.4).
 package lattice
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/varset"
@@ -26,8 +26,6 @@ type Lattice struct {
 	closure func(varset.Set) varset.Set
 
 	idx         map[varset.Set]int
-	leq         [][]bool
-	meet, join  [][]int
 	upperCovers [][]int
 	lowerCovers [][]int
 
@@ -109,63 +107,35 @@ func fromSortedElems(k int, elems []varset.Set, closure func(varset.Set) varset.
 	n := len(elems)
 	l := &Lattice{
 		K: k, Elems: elems, Bottom: 0, Top: n - 1, closure: closure,
-		idx: make(map[varset.Set]int, n),
+		idx:         make(map[varset.Set]int, n),
+		upperCovers: make([][]int, n),
+		lowerCovers: make([][]int, n),
 	}
 	for i, e := range elems {
 		l.idx[e] = i
 	}
-	l.leq = make([][]bool, n)
-	for i := range l.leq {
-		l.leq[i] = make([]bool, n)
-		for j := range l.leq[i] {
-			l.leq[i][j] = elems[j].ContainsAll(elems[i])
+	// Every y above x contains closure(x ∪ {v}) for each v ∈ y \ x, so the
+	// upper covers of x are the minimal sets among those k closures. Both
+	// cover lists come out in ascending index order: CLLP and CSMA emit LP
+	// rows in that order.
+	var succ []int
+	for i, x := range elems {
+		succ = succ[:0]
+		for v := 0; v < k; v++ {
+			if !x.Contains(v) {
+				succ = append(succ, l.IndexOfClosure(x.Add(v)))
+			}
 		}
-	}
-	l.meet = make([][]int, n)
-	l.join = make([][]int, n)
-	for i := 0; i < n; i++ {
-		l.meet[i] = make([]int, n)
-		l.join[i] = make([]int, n)
-		for j := 0; j < n; j++ {
-			m, ok := l.idx[elems[i].Intersect(elems[j])]
-			if !ok {
-				panic("lattice: meet escapes element set (closure system broken)")
-			}
-			l.meet[i][j] = m
-			jn, ok := l.idx[closure(elems[i].Union(elems[j]))]
-			if !ok {
-				panic("lattice: join escapes element set (closure system broken)")
-			}
-			l.join[i][j] = jn
-		}
-	}
-	l.computeCovers()
-	return l
-}
-
-func (l *Lattice) computeCovers() {
-	n := len(l.Elems)
-	l.upperCovers = make([][]int, n)
-	l.lowerCovers = make([][]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || !l.leq[i][j] {
-				continue
-			}
-			// j covers i iff no k strictly between.
-			covers := true
-			for k := 0; k < n; k++ {
-				if k != i && k != j && l.leq[i][k] && l.leq[k][j] {
-					covers = false
-					break
-				}
-			}
-			if covers {
+		slices.Sort(succ)
+		succ = slices.Compact(succ)
+		for _, j := range succ {
+			if !slices.ContainsFunc(succ, func(m int) bool { return l.Lt(m, j) }) {
 				l.upperCovers[i] = append(l.upperCovers[i], j)
 				l.lowerCovers[j] = append(l.lowerCovers[j], i)
 			}
 		}
 	}
+	return l
 }
 
 // Size returns the number of lattice elements.
@@ -191,25 +161,39 @@ func (l *Lattice) IndexOfClosure(x varset.Set) int {
 // Closure applies the underlying closure operator.
 func (l *Lattice) Closure(x varset.Set) varset.Set { return l.closure(x) }
 
-// Leq reports whether element i ≤ element j.
-func (l *Lattice) Leq(i, j int) bool { return l.leq[i][j] }
+// Leq reports whether element i ≤ element j, that is Elems[i] ⊆ Elems[j].
+func (l *Lattice) Leq(i, j int) bool { return l.Elems[j].ContainsAll(l.Elems[i]) }
 
 // Lt reports whether i < j strictly.
-func (l *Lattice) Lt(i, j int) bool { return i != j && l.leq[i][j] }
+func (l *Lattice) Lt(i, j int) bool { return i != j && l.Leq(i, j) }
 
 // Incomparable reports whether neither i ≤ j nor j ≤ i.
-func (l *Lattice) Incomparable(i, j int) bool { return !l.leq[i][j] && !l.leq[j][i] }
+func (l *Lattice) Incomparable(i, j int) bool { return !l.Leq(i, j) && !l.Leq(j, i) }
 
-// Meet returns i ∧ j.
-func (l *Lattice) Meet(i, j int) int { return l.meet[i][j] }
+// Meet returns i ∧ j, the intersection of the two closed sets.
+func (l *Lattice) Meet(i, j int) int {
+	m, ok := l.idx[l.Elems[i].Intersect(l.Elems[j])]
+	if !ok {
+		panic("lattice: meet escapes element set (closure system broken)")
+	}
+	return m
+}
 
-// Join returns i ∨ j.
-func (l *Lattice) Join(i, j int) int { return l.join[i][j] }
+// Join returns i ∨ j, the closure of the union of the two closed sets.
+func (l *Lattice) Join(i, j int) int {
+	switch {
+	case l.Leq(i, j):
+		return j
+	case l.Leq(j, i):
+		return i
+	}
+	return l.IndexOfClosure(l.Elems[i].Union(l.Elems[j]))
+}
 
-// UpperCovers returns the elements covering i.
+// UpperCovers returns the elements covering i, in ascending index order.
 func (l *Lattice) UpperCovers(i int) []int { return l.upperCovers[i] }
 
-// LowerCovers returns the elements covered by i.
+// LowerCovers returns the elements covered by i, in ascending index order.
 func (l *Lattice) LowerCovers(i int) []int { return l.lowerCovers[i] }
 
 // Atoms returns the elements covering Bottom.
@@ -259,12 +243,12 @@ func (l *Lattice) buildMobius() {
 		mob[a][a] = 1
 		// Process targets in element order (a sorted linear extension).
 		for b := a + 1; b < n; b++ {
-			if !l.leq[a][b] {
+			if !l.Leq(a, b) {
 				continue
 			}
 			var sum int64
 			for z := a; z < b; z++ {
-				if l.leq[a][z] && l.leq[z][b] && z != b {
+				if l.Leq(a, z) && l.Leq(z, b) {
 					sum += mob[a][z]
 				}
 			}
@@ -281,7 +265,7 @@ func (l *Lattice) IsDistributive() bool {
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			for c := 0; c < n; c++ {
-				if l.meet[a][l.join[b][c]] != l.join[l.meet[a][b]][l.meet[a][c]] {
+				if l.Meet(a, l.Join(b, c)) != l.Join(l.Meet(a, b), l.Meet(a, c)) {
 					return false
 				}
 			}
@@ -296,11 +280,11 @@ func (l *Lattice) IsModular() bool {
 	n := len(l.Elems)
 	for a := 0; a < n; a++ {
 		for c := 0; c < n; c++ {
-			if !l.leq[a][c] {
+			if !l.Leq(a, c) {
 				continue
 			}
 			for b := 0; b < n; b++ {
-				if l.join[a][l.meet[b][c]] != l.meet[l.join[a][b]][c] {
+				if l.Join(a, l.Meet(b, c)) != l.Meet(l.Join(a, b), c) {
 					return false
 				}
 			}
@@ -328,16 +312,16 @@ func (l *Lattice) HasM3Top() bool {
 			continue
 		}
 		for y := x + 1; y < n; y++ {
-			if y == top || l.join[x][y] != top {
+			if y == top || l.Join(x, y) != top {
 				continue
 			}
-			u := l.meet[x][y]
+			u := l.Meet(x, y)
 			for z := y + 1; z < n; z++ {
 				if z == top {
 					continue
 				}
-				if l.join[x][z] == top && l.join[y][z] == top &&
-					l.meet[x][z] == u && l.meet[y][z] == u &&
+				if l.Join(x, z) == top && l.Join(y, z) == top &&
+					l.Meet(x, z) == u && l.Meet(y, z) == u &&
 					u != x && u != y && u != z {
 					return true
 				}
@@ -362,10 +346,10 @@ type Embedding struct {
 	Map      []int // element index in From → element index in To
 }
 
-// Valid checks the embedding conditions: f(⋁X) = ⋁f(X) for all pairs (which
-// suffices for finite joins together with f(0̂)... the paper requires the
-// condition for all subsets; pairwise plus bottom preservation f(0̂) = image
-// bottom of the empty join is checked explicitly) and f(1̂) = 1̂.
+// Valid checks the embedding conditions: f(1̂) = 1̂ and f(⋁X) = ⋁f(X). The
+// paper requires the join condition for every subset X of L; on a finite
+// lattice it follows from the condition on pairs plus the empty join,
+// f(0̂) = 0̂', and those are what is checked.
 func (e *Embedding) Valid() bool {
 	if len(e.Map) != e.From.Size() {
 		return false
@@ -408,24 +392,4 @@ func (e *Embedding) RightAdjoint() []int {
 // Boolean returns the Boolean algebra lattice 2^[k].
 func Boolean(k int) *Lattice {
 	return New(k, func(x varset.Set) varset.Set { return x })
-}
-
-// ElemsByLevel groups element indices by cardinality of the closed set,
-// useful for rendering Hasse-like summaries.
-func (l *Lattice) ElemsByLevel() [][]int {
-	byLen := map[int][]int{}
-	var lens []int
-	for i, e := range l.Elems {
-		n := e.Len()
-		if _, ok := byLen[n]; !ok {
-			lens = append(lens, n)
-		}
-		byLen[n] = append(byLen[n], i)
-	}
-	sort.Ints(lens)
-	out := make([][]int, 0, len(lens))
-	for _, n := range lens {
-		out = append(out, byLen[n])
-	}
-	return out
 }

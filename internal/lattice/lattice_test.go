@@ -319,11 +319,3 @@ func TestInvalidEmbedding(t *testing.T) {
 		t.Fatal("constant map must not be a valid embedding")
 	}
 }
-
-func TestElemsByLevel(t *testing.T) {
-	l := Boolean(2)
-	levels := l.ElemsByLevel()
-	if len(levels) != 3 || len(levels[0]) != 1 || len(levels[1]) != 2 || len(levels[2]) != 1 {
-		t.Fatalf("levels wrong: %v", levels)
-	}
-}
