@@ -381,9 +381,10 @@ func e13() {
 		must(err)
 		b, err := p.Bind(nil)
 		must(err)
-		out, st, err := b.Run(ctx, &engine.Options{Workers: 1})
+		out, _, err := b.Run(ctx, &engine.Options{Workers: 1})
 		must(err)
-		t.row(name, string(st.Plan.Algorithm), st.Plan.LogBound, out.Len())
+		pl := b.Plan()
+		t.row(name, string(pl.Algorithm), pl.LogBound, out.Len())
 	}
 	prow("Fig.1 N=64 (simple-ish FDs)", paper.Fig1QuasiProduct(64))
 	prow("Fig.4 N=125 (SM beats chain)", mustQ(paper.Fig4Instance(125)))

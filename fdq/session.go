@@ -256,8 +256,10 @@ func (s *Session) begin(ctx context.Context, q *Q) (*exec, error) {
 	}
 	e := &exec{ctx: ctx, b: b, opts: opts, limit: q.limit}
 	// The certified output bound drives admission and is reported in
-	// RunStats even when ungoverned. Plan() is memoized per binding.
-	logBound := b.Plan().LogBound
+	// RunStats even when ungoverned. Admission() is memoized per binding:
+	// the plan's own bound, solved without choosing the machine, which a
+	// sequential run plans only if its generic-join attempt overruns.
+	logBound := b.Admission().LogBound
 	g := s.gov
 	if g == nil {
 		e.adm = &admission{logBound: logBound}

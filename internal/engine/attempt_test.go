@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -166,15 +167,18 @@ func stepWork(q *query.Q) int {
 // TestAttemptVerdictIsKept: the first complete run decides, and every later
 // run goes straight to the winner: the chain algorithm with no generic work
 // on Example 5.8's skew instance, generic join with no FD machine on Fig. 4.
+// Every run reports the plan it executed from: the chain plan, chosen at the
+// first run's overrun, on the skew instance; on Fig. 4 the admission record,
+// since the machine (SM) is never planned.
 func TestAttemptVerdictIsKept(t *testing.T) {
 	fig4, _ := paper.Fig4Instance(216)
 	for _, tc := range []struct {
-		name      string
-		q         *query.Q
-		plan, ran Algorithm
+		name           string
+		q              *query.Q
+		plan, ran, mch Algorithm // st.Plan, st.Ran, Plan()
 	}{
-		{"fig1-skew", paper.Fig1Skew(512), AlgChain, AlgChain},
-		{"fig4", fig4, AlgSM, AlgGenericJoin},
+		{"fig1-skew", paper.Fig1Skew(512), AlgChain, AlgChain, AlgChain},
+		{"fig4", fig4, AlgAuto, AlgGenericJoin, AlgSM},
 	} {
 		b := bind(t, tc.q)
 		want := naive.Evaluate(tc.q)
@@ -189,11 +193,28 @@ func TestAttemptVerdictIsKept(t *testing.T) {
 			if st.Plan.Algorithm != tc.plan || st.Ran != tc.ran {
 				t.Fatalf("%s run %d: plan %s ran %s, want %s and %s", tc.name, i, st.Plan.Algorithm, st.Ran, tc.plan, tc.ran)
 			}
+			if tc.plan != AlgAuto && !reflect.DeepEqual(st.Plan, *b.Plan()) {
+				t.Fatalf("%s run %d reports %+v, the planner %+v", tc.name, i, st.Plan, *b.Plan())
+			}
 			if i > 0 && tc.ran == AlgChain && st.extensions != 0 {
 				t.Fatalf("%s run %d: %d generic-join extensions after the verdict", tc.name, i, st.extensions)
 			}
 		}
+		if was := planned(b); was != (tc.plan != AlgAuto) {
+			t.Fatalf("%s: machine planned %v after three runs, want %v", tc.name, was, !was)
+		}
+		if got := b.Plan().Algorithm; got != tc.mch {
+			t.Fatalf("%s: the planner chooses %s, want %s", tc.name, got, tc.mch)
+		}
 	}
+}
+
+// planned reports whether b's plan slot held the machine plan, and plans it
+// if not.
+func planned(b *Bound) bool {
+	was := true
+	planSlot.Get(b.q, func(q *query.Q) *Plan { was = false; return computePlan(q) })
+	return was
 }
 
 // TestRacingFirstRunsAgree: eight first runs of one Bound race to decide;

@@ -72,8 +72,13 @@ type Options struct {
 // log2 bound, and the planner's reasoning), the degree of parallelism, and
 // the outcome.
 type Stats struct {
+	// Plan is the plan the run executed from. A sequential auto run whose
+	// machine was never chosen — its generic-join attempt fit, or a
+	// stopped sink ended it first — holds the admission record instead
+	// (Bound.Admission: Algorithm AlgAuto, the same LogBound); Bound.Plan
+	// reports the machine.
 	Plan         Plan
-	Ran          Algorithm // what produced the rows: Plan.Algorithm, or generic join where an FD plan's attempt fit
+	Ran          Algorithm // what produced the rows: Plan.Algorithm, or generic join where an attempt fit
 	Workers      int       // goroutines that executed partitions (1 = sequential; clamped to the partition variable's distinct-value count)
 	PartitionVar int       // variable whose domain was partitioned; -1 sequential
 	Duration     time.Duration
@@ -216,17 +221,11 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	defer recoverToError(&err)
 	o := opts.withDefaults()
 	start := time.Now()
-	plan, perr := b.plan(o.Algorithm)
-	if perr != nil {
-		return nil, perr
-	}
-	st = &Stats{Plan: *plan, Ran: plan.Algorithm, Workers: 1, PartitionVar: -1}
-
 	workers := o.Workers
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	if plan.explicit && plan.Algorithm == AlgSM {
+	if o.Algorithm == AlgSM {
 		// An SM proof is tight for specific instance sizes; partitions would
 		// have to re-search proofs at their own sizes and could fail where
 		// the full instance succeeds (or vice versa), making an explicit
@@ -234,6 +233,17 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 		// planner-chosen parallel SM path keeps its per-part fallbacks.
 		workers = 1
 	}
+	parallel := workers > 1 && b.q.TotalSize() >= o.MinParallelRows
+	// A sequential auto run is admitted on the certificate alone; the
+	// machine is planned at its attempt's first overrun, if any.
+	var plan *Plan
+	if o.Algorithm == AlgAuto && !parallel {
+		plan = b.Admission()
+	} else if plan, err = b.plan(o.Algorithm); err != nil {
+		return nil, err
+	}
+	st = &Stats{Plan: *plan, Ran: plan.Algorithm, Workers: 1, PartitionVar: -1}
+
 	// Count emitted rows for Stats.OutSize. A CollectSink is counted by
 	// its own length rather than wrapped: wrapping would hide it from
 	// rel.Stream's block fast path and turn the zero-copy materialized
@@ -258,7 +268,7 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 		outSize = func() int { return t.n }
 		memTripped = func() bool { return t.tripped }
 	}
-	if workers > 1 && b.q.TotalSize() >= o.MinParallelRows {
+	if parallel {
 		err = b.runParallelInto(ctx, plan, workers, &o, st, runSink)
 	} else if err = ctx.Err(); err == nil && attempts(plan) {
 		err = b.attemptInto(ctx, plan, st, runSink, outSize)
@@ -340,10 +350,14 @@ func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) (ext
 var attemptFactor = 8
 
 // attempts reports whether a sequential run of plan first tries generic join:
-// the planner chose an FD machine for its finite bound.
+// the planner chose an FD machine for its finite bound, or the run was
+// admitted on the LLP with the machine not chosen yet (Admission).
 func attempts(plan *Plan) bool {
-	return !plan.explicit && !math.IsInf(plan.LogBound, 1) &&
-		(plan.Algorithm == AlgChain || plan.Algorithm == AlgSM || plan.Algorithm == AlgCSMA)
+	switch plan.Algorithm {
+	case AlgAuto, AlgChain, AlgSM, AlgCSMA:
+		return !plan.explicit && !math.IsInf(plan.LogBound, 1)
+	}
+	return false
 }
 
 // attemptBudget is attemptFactor·(N + 2^LogBound), N the instance's rows.
@@ -351,13 +365,22 @@ func attemptBudget(q *query.Q, plan *Plan) int {
 	return int(min(float64(attemptFactor)*(float64(q.TotalSize())+math.Exp2(plan.LogBound)), 1<<62))
 }
 
-// attemptInto runs a planner-chosen FD plan sequentially, trying generic join
-// first under attemptBudget; on an overrun the planned machine resumes past the
-// rows already delivered, a prefix of the same sorted answer. The first run
-// that finishes or overruns decides for every later run of the (immutable)
-// Bound. DESIGN.md, "Run time: the generic-join attempt", has the argument.
+// attemptFit is Bound.won once an attempt has finished: generic join wins.
+var attemptFit = &Plan{Algorithm: AlgGenericJoin}
+
+// attemptInto runs an FD plan, or an admission record whose machine is not
+// chosen yet, sequentially, trying generic join first under attemptBudget; on
+// an overrun the planned machine (planned now, for an admission record)
+// resumes past the rows already delivered, a prefix of the same sorted
+// answer. The first run that finishes or overruns decides for every later run
+// of the (immutable) Bound, and a machine verdict is what later runs report
+// in st.Plan. DESIGN.md, "Run time: the generic-join attempt", has the
+// argument.
 func (b *Bound) attemptInto(ctx context.Context, plan *Plan, st *Stats, sink rel.Sink, delivered func() int) (err error) {
 	if won := b.won.Load(); won != nil {
+		if won != attemptFit {
+			st.Plan = *won
+		}
 		st.Ran = won.Algorithm
 		st.extensions, err = runOneInto(ctx, b.q, won, sink)
 		return err
@@ -366,10 +389,14 @@ func (b *Bound) attemptInto(ctx context.Context, plan *Plan, st *Stats, sink rel
 	st.extensions = ws.Extensions
 	if !errors.Is(err, wcoj.ErrWorkBudget) {
 		if err == nil && !ws.Stopped {
-			b.won.Store(&Plan{Algorithm: AlgGenericJoin})
+			b.won.Store(attemptFit)
 		}
 		st.Ran = AlgGenericJoin
 		return err
+	}
+	if plan.Algorithm == AlgAuto {
+		plan = b.Plan()
+		st.Plan, st.Ran = *plan, plan.Algorithm
 	}
 	b.won.Store(plan)
 	if n := delivered(); n > 0 {

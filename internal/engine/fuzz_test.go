@@ -2,10 +2,13 @@ package engine
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/naive"
+	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/scenario"
 )
@@ -17,7 +20,9 @@ import (
 // directly, since the tiny-input rule takes most plans of instances this
 // small — and sequential and parallel execution must both reproduce the
 // naive reference byte-for-byte, as must an FD plan resumed after its
-// generic-join attempt overran.
+// generic-join attempt overran. The admission record's bound must be the
+// plan's, and a fresh shape's run admitted on it must plan its machine at
+// the overrun.
 func FuzzPlannerConsistency(f *testing.F) {
 	f.Add(int64(2016), 4, 3, 20, 4, true)
 	f.Add(int64(516), 3, 2, 12, 3, false)
@@ -53,8 +58,16 @@ func FuzzPlannerConsistency(f *testing.F) {
 		if pl1.Algorithm != pl2.Algorithm || pl1.LogBound != pl2.LogBound || pl1.Reason != pl2.Reason {
 			t.Fatalf("plan not deterministic: %+v vs %+v", pl1, pl2)
 		}
-		if d := samePlan(planFDAware(b.Query()), referencePlan(q)); d != "" {
+		fdPlan := planFDAware(b.Query())
+		if d := samePlan(fdPlan, referencePlan(q)); d != "" {
 			t.Fatal(d)
+		}
+		// Admission on the LLP alone certifies the plan's own bound.
+		if adm := admitFDAware(b.Query()); math.Float64bits(adm.LogBound) != math.Float64bits(fdPlan.LogBound) {
+			t.Fatalf("admitted on 2^%v, planned %s on 2^%v", adm.LogBound, fdPlan.Algorithm, fdPlan.LogBound)
+		}
+		if adm, pl := b.Admission(), b.Plan(); math.Float64bits(adm.LogBound) != math.Float64bits(pl.LogBound) {
+			t.Fatalf("admitted on 2^%v, planned %s on 2^%v", adm.LogBound, pl.Algorithm, pl.LogBound)
 		}
 
 		seq, st, err := b.Run(context.Background(), &Options{Workers: 1})
@@ -68,21 +81,38 @@ func FuzzPlannerConsistency(f *testing.F) {
 		// An FD plan's generic-join attempt, past the tiny-input rule, at a
 		// budget factor of 0 overruns before its first row, at 1 mostly after
 		// some rows, at 2 mostly fits: the planned machine's resume must
-		// complete exactly the same answer.
-		if plan := planFDAware(b.Query()); attempts(plan) {
-			defer func(c int) { attemptFactor = c }(attemptFactor)
-			attemptFactor = fold(int(seed), 3)
-			b0, err := p.Bind(q.Rels)
+		// complete exactly the same answer. So must a fresh shape's run
+		// admitted on the LLP alone, whose machine is planned at the overrun
+		// and then reported in st.Plan.
+		defer func(c int) { attemptFactor = c }(attemptFactor)
+		attemptFactor = fold(int(seed), 3)
+		fresh := scenario.RandomQuery(rand.New(rand.NewSource(seed)), nVars, nRels, nRows, domain, withFDs)
+		for _, tc := range []struct {
+			q    *query.Q
+			plan *Plan
+		}{{q, fdPlan}, {fresh, admitFDAware(fresh)}} {
+			if !attempts(tc.plan) {
+				continue
+			}
+			p0, err := Prepare(tc.q)
+			if err != nil {
+				t.Fatalf("prepare: %v", err)
+			}
+			b0, err := p0.Bind(tc.q.Rels)
 			if err != nil {
 				t.Fatalf("bind: %v", err)
 			}
 			c := rel.NewCollect("Q", q.AllVars().Members()...)
-			st := &Stats{Ran: plan.Algorithm}
-			if err := b0.attemptInto(context.Background(), plan, st, c, func() int { return c.R.Len() }); err != nil {
-				t.Fatalf("%s with an attempt at factor %d: %v", plan.Algorithm, attemptFactor, err)
+			st := &Stats{Plan: *tc.plan, Ran: tc.plan.Algorithm}
+			if err := b0.attemptInto(context.Background(), tc.plan, st, c, func() int { return c.R.Len() }); err != nil {
+				t.Fatalf("%s with an attempt at factor %d: %v", tc.plan.Algorithm, attemptFactor, err)
 			}
 			if !rel.Identical(c.R, want) {
-				t.Fatalf("%s, ran %s after an attempt at factor %d: %d rows, want %d", plan.Algorithm, st.Ran, attemptFactor, c.R.Len(), want.Len())
+				t.Fatalf("%s, ran %s after an attempt at factor %d: %d rows, want %d", tc.plan.Algorithm, st.Ran, attemptFactor, c.R.Len(), want.Len())
+			}
+			if won := b0.won.Load(); tc.plan.Algorithm == AlgAuto && won != attemptFit &&
+				(won != b0.Plan() || !reflect.DeepEqual(st.Plan, *won) || st.Ran != won.Algorithm) {
+				t.Fatalf("admitted run overran at factor %d: reports %+v, ran %s; the planner %+v", attemptFactor, st.Plan, st.Ran, *b0.Plan())
 			}
 		}
 		par, _, err := b.Run(context.Background(), &Options{Workers: 3, MinParallelRows: 1})

@@ -62,10 +62,10 @@ func TestParallelPlannerSMFallbackMatchesSequential(t *testing.T) {
 	// per-partition fallback inside a real parallel Run. The merged result
 	// must stay byte-identical to the sequential one.
 	q, _ := paper.Fig4Instance(125)
-	seq, stSeq := mustRun(t, q, &Options{Workers: 1})
-	if stSeq.Plan.Algorithm != AlgSM {
-		t.Fatalf("precondition: expected SM plan, got %s", stSeq.Plan.Algorithm)
+	if alg := planOf(t, q).Algorithm; alg != AlgSM {
+		t.Fatalf("precondition: expected SM plan, got %s", alg)
 	}
+	seq, _ := mustRun(t, q, &Options{Workers: 1})
 	par, stPar := mustRun(t, q, &Options{Workers: 4, MinParallelRows: 1})
 	if stPar.Workers != 4 {
 		t.Fatalf("parallelism not exercised: %+v", stPar)
@@ -105,8 +105,8 @@ func TestChoosePartitionVar(t *testing.T) {
 
 // TestPlanStatsDeterministic asserts that the recorded plan (algorithm,
 // predicted bound, rationale) is identical across repeated Bind/Run on the
-// same shape, across Runs on the same Bound, and across a fresh Prepare of
-// an identical query.
+// same shape and across Runs on the same Bound, and that a fresh Prepare of
+// an identical query plans what the Bound's planner chose.
 func TestPlanStatsDeterministic(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -125,8 +125,9 @@ func TestPlanStatsDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ref *Stats
+			var b *Bound
 			for rep := 0; rep < 3; rep++ {
-				b, err := p.Bind(q.Rels)
+				b, err = p.Bind(q.Rels)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,10 +161,10 @@ func TestPlanStatsDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pl2 := b2.Plan()
-			if pl2.Algorithm != ref.Plan.Algorithm || pl2.LogBound != ref.Plan.LogBound ||
-				pl2.Reason != ref.Plan.Reason {
-				t.Fatalf("fresh prepare planned differently: %+v vs %+v", pl2, ref.Plan)
+			pl, pl2 := b.Plan(), b2.Plan()
+			if pl2.Algorithm != pl.Algorithm || pl2.LogBound != pl.LogBound ||
+				pl2.Reason != pl.Reason {
+				t.Fatalf("fresh prepare planned differently: %+v vs %+v", pl2, pl)
 			}
 		})
 	}

@@ -29,8 +29,12 @@ type Plan struct {
 // hash-join plan beats every asymptotically better algorithm on constants.
 const tinyInputRows = 64
 
-// planSlot is the shape's slot for the planner's decision at given sizes.
-var planSlot = query.NewSlot[*Plan]()
+// planSlot is the shape's slot for the planner's decision at given sizes;
+// admitSlot is the slot for the record a sequential auto run is admitted on.
+var (
+	planSlot  = query.NewSlot[*Plan]()
+	admitSlot = query.NewSlot[*Plan]()
+)
 
 // plan resolves the requested algorithm into a Plan. Explicit requests pass
 // through (so callers can still force any algorithm); AlgAuto consults the
@@ -52,6 +56,32 @@ func (b *Bound) plan(alg Algorithm) (*Plan, error) {
 // Plan exposes the cost-based decision for the bound instance without
 // executing it.
 func (b *Bound) Plan() *Plan { return planSlot.Get(b.q, computePlan) }
+
+// Admission is the record a sequential auto run is admitted and started on:
+// its LogBound is Plan().LogBound, but on a degree-free FD shape it is only
+// the LLP optimum, with Algorithm AlgAuto (machine not chosen yet). The run
+// tries generic join under that bound and calls Plan() at its first overrun
+// (attemptInto). Tiny, FD-free and degree-bound shapes admit on Plan()
+// itself: their plans are cheap, or need the CLLP anyway.
+func (b *Bound) Admission() *Plan { return admitSlot.Get(b.q, computeAdmission) }
+
+func computeAdmission(q *query.Q) *Plan {
+	if q.TotalSize() <= tinyInputRows || len(q.FDs.FDs) == 0 || len(q.DegreeBounds) > 0 {
+		return planSlot.Get(q, computePlan)
+	}
+	return admitFDAware(q)
+}
+
+// admitFDAware is planFDAware's bound on a degree-free shape without its
+// machine: no good chain bound is below the LLP (Thm 5.3) and a degree-free
+// CLLP is the LLP (Prop. 5.32), so the plan's bound is the LLP optimum.
+func admitFDAware(q *query.Q) *Plan {
+	logLLP, _ := smalg.LLP(q).LogBound.Float64()
+	return &Plan{
+		Algorithm: AlgAuto, LogBound: logLLP,
+		Reason: fmt.Sprintf("GLVV bound 2^%.2f (LLP): machine chosen at the first overrun", logLLP),
+	}
+}
 
 // computePlan is the decision table (see DESIGN.md):
 //

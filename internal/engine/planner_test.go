@@ -89,6 +89,38 @@ func TestPlanFromTheFloorMatchesFullSearch(t *testing.T) {
 	t.Logf("%d FD / degree instances planned alike", checked)
 }
 
+// The admission record's bound is the plan's, bit for bit, on every binding
+// of both catalog tiers, each admitted cold; a degree-free FD shape past the
+// tiny-input rule is admitted on the LLP alone, with no machine chosen.
+func TestAdmissionIsThePlansBound(t *testing.T) {
+	llpOnly, n := 0, 0
+	for _, tier := range []scenario.Tier{scenario.TierSmall, scenario.TierFull} {
+		for _, in := range scenario.Instances(tier) {
+			b := bind(t, in.Build())
+			adm := b.Admission()
+			pl := b.Plan()
+			if math.Float64bits(adm.LogBound) != math.Float64bits(pl.LogBound) {
+				t.Errorf("%s: admitted on 2^%v, planned %s on 2^%v", in.Name, adm.LogBound, pl.Algorithm, pl.LogBound)
+			}
+			q := b.Query()
+			deferred := q.TotalSize() > tinyInputRows && len(q.FDs.FDs) > 0 && len(q.DegreeBounds) == 0
+			switch {
+			case deferred && adm.Algorithm != AlgAuto:
+				t.Errorf("%s: a degree-free FD shape admitted on %s, want the LLP alone", in.Name, adm.Algorithm)
+			case !deferred && adm != pl:
+				t.Errorf("%s: admitted on %+v, not on its plan %+v", in.Name, adm, pl)
+			case deferred:
+				llpOnly++
+			}
+			n++
+		}
+	}
+	if llpOnly < 35 {
+		t.Fatalf("%d of %d bindings admitted on the LLP alone, want at least 35", llpOnly, n)
+	}
+	t.Logf("%d of %d bindings admitted on the LLP alone", llpOnly, n)
+}
+
 // wideFig9 is Fig. 9 with k more inputs Y_i(y_i) of 2^10 rows each: every
 // {y_i} is closed, and so is every Fig. 9 element, but y_i with any other
 // variable determines all of them. The lattice is Fig. 9's with k atoms

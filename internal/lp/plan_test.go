@@ -8,6 +8,7 @@ import (
 	"repro/internal/lp"
 	"repro/internal/paper"
 	"repro/internal/query"
+	"repro/internal/rel"
 	"repro/internal/scenario"
 )
 
@@ -27,49 +28,78 @@ func catalogQuery(t *testing.T, family string, size int, seed int64) *query.Q {
 	return nil
 }
 
+// coldShapes are the twelve FD / degree shapes of the benchmark's plan-cold
+// workload (seed 1), with the LPs a cold plan and a cold run of each solve.
+var coldShapes = []struct {
+	family    string
+	size      int
+	plan, run int
+}{
+	{"paper/fig1-quasi", 64, 8, 1},
+	{"paper/m3-mod", 24, 2, 1},
+	{"paper/fig4", 64, 15, 1},
+	{"paper/fig9", 32, 12, 1},
+	{"paper/fig5", 48, 2, 1},
+	{"paper/degree-triangle", 128, 3, 3},
+	{"paper/colored-triangle", 64, 27, 1},
+	{"paper/simple-fd-chain-6", 32, 2, 1},
+	{"paper/four-cycle-key", 64, 2, 1},
+	{"paper/composite-key", 12, 2, 1},
+	{"fd/dag", 64, 2, 1},
+	{"fd/cycle", 64, 2, 1},
+}
+
+// coldBound prepares and binds q, solving whatever that solves.
+func coldBound(t *testing.T, q *query.Q) *engine.Bound {
+	t.Helper()
+	p, err := engine.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.Bind(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestColdPlanSolveCounts pins the LPs one cold Prepare → Bind → Plan solves
-// on the twelve FD / degree shapes of the benchmark's plan-cold workload
-// (seed 1). The planner solves the LLP first, stops the chain search at the
-// first chain whose bound reaches it, and solves the CLLP only where it can
-// win: with degree bounds (degree-triangle), or where the LLP beats every
+// on coldShapes. The planner solves the LLP first, stops the chain search at
+// the first chain whose bound reaches it, and solves the CLLP only where it
+// can win: with degree bounds (degree-triangle), or where the LLP beats every
 // chain and no good SM proof exists (fig9, which also searches every chain,
 // walks the cover polytope's optimal face — one problem given to Vertices —
 // and checks each proof candidate's output inequality). A full chain search,
 // LLP and CLLP on every shape solve 220.
 func TestColdPlanSolveCounts(t *testing.T) {
-	for _, tc := range []struct {
-		family string
-		size   int
-		solves int
-	}{
-		{"paper/fig1-quasi", 64, 8},
-		{"paper/m3-mod", 24, 2},
-		{"paper/fig4", 64, 15},
-		{"paper/fig9", 32, 12},
-		{"paper/fig5", 48, 2},
-		{"paper/degree-triangle", 128, 3},
-		{"paper/colored-triangle", 64, 27},
-		{"paper/simple-fd-chain-6", 32, 2},
-		{"paper/four-cycle-key", 64, 2},
-		{"paper/composite-key", 12, 2},
-		{"fd/dag", 64, 2},
-		{"fd/cycle", 64, 2},
-	} {
+	for _, tc := range coldShapes {
 		q := catalogQuery(t, tc.family, tc.size, 1)
 		var pl *engine.Plan
+		got := len(lp.CollectSolves(func() { pl = coldBound(t, q).Plan() }))
+		if got != tc.plan {
+			t.Errorf("%s@%d: cold plan (%s) solved %d LPs, want %d", tc.family, tc.size, pl.Algorithm, got, tc.plan)
+		}
+	}
+}
+
+// TestColdRunSolveCounts pins the LPs one cold Prepare → Bind → sequential
+// counting run solves on coldShapes: the LLP alone, except on
+// degree-triangle, which has degree bounds and so is admitted on its full
+// plan. The machine is chosen only when the generic-join attempt overruns,
+// which it does on none of these.
+func TestColdRunSolveCounts(t *testing.T) {
+	for _, tc := range coldShapes {
+		q := catalogQuery(t, tc.family, tc.size, 1)
+		var st *engine.Stats
 		got := len(lp.CollectSolves(func() {
-			p, err := engine.Prepare(q)
+			var err error
+			st, err = coldBound(t, q).RunInto(context.Background(), &engine.Options{Workers: 1}, &rel.CountSink{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := p.Bind(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pl = b.Plan()
 		}))
-		if got != tc.solves {
-			t.Errorf("%s@%d: cold plan (%s) solved %d LPs, want %d", tc.family, tc.size, pl.Algorithm, got, tc.solves)
+		if got != tc.run {
+			t.Errorf("%s@%d: cold run (plan %s, ran %s) solved %d LPs, want %d", tc.family, tc.size, st.Plan.Algorithm, st.Ran, got, tc.run)
 		}
 	}
 }
