@@ -88,7 +88,7 @@ func e1() (chainExp, genericExp float64) {
 		var cw, gw int
 		var cd, gd time.Duration
 		cd = timeIt(func() {
-			st, err := chainalg.RunBestInto(ctx, q, &rel.CountSink{})
+			st, err := chainalg.RunInto(ctx, q, nil, &rel.CountSink{})
 			must(err)
 			cw = st.TuplesVisited + st.Probes
 		})
@@ -172,7 +172,7 @@ func e4() {
 		a := engine.Analyze(q)
 		var out rel.CountSink
 		dur := timeIt(func() {
-			_, err := chainalg.RunBestInto(ctx, q, &out)
+			_, err := chainalg.RunInto(ctx, q, nil, &out)
 			must(err)
 		})
 		t.row(N, pow2(a.LogLLP), pow2(a.LogChain), pow2(a.LogCoatomic), out.N, dur)
@@ -192,11 +192,11 @@ func e5() float64 {
 		a := engine.Analyze(q)
 		var out rel.CountSink
 		smDur := timeIt(func() {
-			_, err := smalg.RunAutoInto(ctx, q, &out)
+			_, err := smalg.RunInto(ctx, q, nil, nil, &out)
 			must(err)
 		})
 		chDur := timeIt(func() {
-			_, err := chainalg.RunBestInto(ctx, q, &rel.CountSink{})
+			_, err := chainalg.RunInto(ctx, q, nil, &rel.CountSink{})
 			must(err)
 		})
 		N := float64(q.Rels[0].Len())
@@ -252,7 +252,7 @@ func e7() {
 	r1 := bounds.ChainBound(q, mc)
 	best := bounds.BestChainBound(q, 64)
 	var out rel.CountSink
-	_, err := chainalg.RunBestInto(ctx, q, &out)
+	_, err := chainalg.RunInto(ctx, q, nil, &out)
 	must(err)
 	t := newTable("E7 — Fig.5: R(x), S(y), z=f(x,y) (Example 5.10)",
 		"chain", "bound", "|Q|")
@@ -362,7 +362,7 @@ func e12() {
 		a := engine.Analyze(q)
 		var out rel.CountSink
 		dur := timeIt(func() {
-			_, err := chainalg.RunBestInto(ctx, q, &out)
+			_, err := chainalg.RunInto(ctx, q, nil, &out)
 			must(err)
 		})
 		t.row(k, 64, a.Distributive, pow2(a.LogLLP), pow2(a.LogChain), out.N, dur)

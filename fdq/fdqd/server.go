@@ -60,10 +60,6 @@ type Config struct {
 	// admission semaphore, budgets, and policy.
 	Tenants map[string][]fdq.GovernorOption
 
-	// SessionOptions applies to every tenant session (prepared-cache size,
-	// ...). Governors come from the tenant config.
-	SessionOptions []fdq.SessionOption
-
 	// IOTimeout bounds each frame write and each mid-handshake read
 	// (default 30s). IdleTimeout bounds how long a connection may sit
 	// between queries (default 5m).
@@ -178,9 +174,8 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) newTenant(name string, govOpts []fdq.GovernorOption) *tenantState {
 	opts := append(append([]fdq.GovernorOption(nil), govOpts...),
 		fdq.WithAdmissionObserver(s.metrics.observeAdmission))
-	sessOpts := append([]fdq.SessionOption{fdq.WithGovernor(fdq.NewGovernor(opts...))},
-		s.cfg.SessionOptions...)
-	return &tenantState{name: name, sess: fdq.NewSession(s.cfg.Catalog, sessOpts...)}
+	gov := fdq.NewGovernor(opts...)
+	return &tenantState{name: name, sess: fdq.NewSession(s.cfg.Catalog, fdq.WithGovernor(gov))}
 }
 
 // tenant resolves a hello's tenant name; unknown names fall back to the

@@ -4,11 +4,16 @@
 // relations Q_i over the variables of C_i by per-tuple minimum-cost
 // conditional search, exactly as in the paper's proof of Theorem 5.7.
 //
-// RunInto and RunBestInto are safe to call concurrently on frozen inputs.
-// R_j⁺, every step's Π_{R_j∧C_i}(R_j⁺) with its index and two hashed
-// lookups, and the steps' compiled expansions come from the instance's
-// prepared record (expand.Inputs), built once and shared read-only; the Q_i
-// are per-run; the best chain is a slot of the shape's plan record (Best). A
+// RunInto is the one entry point. It climbs the chain it is given, or, given
+// none, the best good chain at q's sizes (Best, a slot of the shape's plan
+// record). A chain's goodness depends on the lattice alone, not on the
+// sizes, so a chain chosen for one instance climbs every instance of the
+// shape: a split of it, say.
+//
+// RunInto is safe to call concurrently on frozen inputs. R_j⁺, every step's
+// Π_{R_j∧C_i}(R_j⁺) with its index and two hashed lookups, and the steps'
+// compiled expansions come from the instance's prepared record
+// (expand.Inputs), built once and shared read-only; the Q_i are per-run. A
 // step costs one O(1) hashed probe per covering relation per tuple of Q_{i-1}
 // and one per other covering relation per candidate — the index lookups the
 // proof of Theorem 5.7 charges — and each candidate fires only the FDs that
@@ -24,7 +29,7 @@
 // (R_j∧C_i) \ C_{i-1} ⊆ C_i, and so do the tuples built from them.
 // TestIntermediateStepsEmitNoDuplicates checks it on the whole catalog.
 //
-// Both are sink-based (see rel.Sink): step i+1 enumerates per tuple of Q_i,
+// It is sink-based (see rel.Sink): step i+1 enumerates per tuple of Q_i,
 // so the run buffers until the last step; Q_k is then sorted once, for the
 // Sink contract's order, and streamed, stopping when the sink does — except
 // into a bare *rel.CountSink, which takes its length unsorted. ctx is checked
@@ -62,12 +67,20 @@ type Stats struct {
 }
 
 // RunInto evaluates the query along the given chain, which must be good for
-// all inputs and have no isolated step (use Best to select one), emitting
-// into sink: the final chain relation Q_k is sorted and streamed, stopping
-// early when the sink does (a bare *rel.CountSink is handed its length
-// instead), and ctx cancellation is observed between chain steps and every
-// thousand tuples of Q_{i-1} within one.
+// all inputs and have no isolated step, emitting into sink: the final chain
+// relation Q_k is sorted and streamed, stopping early when the sink does (a
+// bare *rel.CountSink is handed its length instead), and ctx cancellation is
+// observed between chain steps and every thousand tuples of Q_{i-1} within
+// one. A nil chain is Best's at q's sizes, or ErrNoGoodChain when it has no
+// finite bound.
 func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*Stats, error) {
+	if c == nil {
+		cb := Best(q)
+		if !cb.Finite {
+			return nil, ErrNoGoodChain
+		}
+		c = cb.Chain
+	}
 	l := q.Lattice()
 	inputs := q.InputElems()
 	if !l.IsChain(c) {
@@ -212,31 +225,22 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 // observeStep, when set (by tests), sees every Q_i as the step leaves it.
 var observeStep func(qi *rel.Relation)
 
-// ErrNoGoodChain is RunBestInto's error when no good chain has a finite
-// bound: the chain algorithm does not apply to the instance, which is not a
-// bug.
+// ErrNoGoodChain is the error of RunInto with a nil chain, and of an engine
+// plan for an explicit chain request, when no good chain has a finite bound:
+// the chain algorithm does not apply to the instance, which is not a bug.
 var ErrNoGoodChain = errors.New("chainalg: no good chain with a finite bound")
 
 // bestChain is the shape's slot for the best good chain at given sizes.
 var bestChain = query.NewSlot[*bounds.ChainResult]()
 
 // Best returns bounds.BestChainBound(q, 64), searched once per (shape,
-// sizes): the chain the planner compares is the chain RunBestInto climbs. On
-// a lattice small enough to enumerate, the search stops at the first chain
-// that reaches the LLP optimum (smalg.LLP, the slot the planner fills first),
-// which is the chain the full search returns; a larger lattice has no
-// enumeration to cut, and never pays for an LLP here.
+// sizes): the chain the planner compares is the chain RunInto climbs when
+// given none. On a lattice small enough to enumerate, the search stops at the
+// first chain that reaches the LLP optimum (smalg.LLP, the slot the planner
+// fills first), which is the chain the full search returns; a larger lattice
+// has no enumeration to cut, and never pays for an LLP here.
 func Best(q *query.Q) *bounds.ChainResult { return bestChain.Get(q, searchBest) }
 
 func searchBest(q *query.Q) *bounds.ChainResult {
 	return bounds.BestChainBoundWithFloor(q, 64, func() *big.Rat { return smalg.LLP(q).LogBound })
-}
-
-// RunBestInto climbs the best good chain (Best) at q's sizes.
-func RunBestInto(ctx context.Context, q *query.Q, sink rel.Sink) (*Stats, error) {
-	cb := Best(q)
-	if !cb.Finite {
-		return nil, ErrNoGoodChain
-	}
-	return RunInto(ctx, q, cb.Chain, sink)
 }

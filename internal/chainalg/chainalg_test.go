@@ -15,7 +15,7 @@ import (
 func checkAgainstNaive(t *testing.T, q *query.Q, what string) *Stats {
 	t.Helper()
 	out := rel.NewCollect("Q", q.AllVars().Members()...)
-	st, err := RunBestInto(context.Background(), q, out)
+	st, err := RunInto(context.Background(), q, nil, out)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -46,11 +46,11 @@ func TestFig1SkewSubquadratic(t *testing.T) {
 	// Õ(N^{3/2}) work on the skew instance where generic join does Ω(N²).
 	small := paper.Fig1Skew(64)
 	big := paper.Fig1Skew(256)
-	stS, err := RunBestInto(context.Background(), small, &rel.CountSink{})
+	stS, err := RunInto(context.Background(), small, nil, &rel.CountSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stB, err := RunBestInto(context.Background(), big, &rel.CountSink{})
+	stB, err := RunInto(context.Background(), big, nil, &rel.CountSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestRejectsNonGoodChain(t *testing.T) {
 // with per-covering probe buffers and a sort per step).
 func TestRunBestAllocRegression(t *testing.T) {
 	q := paper.Fig1Skew(1024)
-	if _, err := RunBestInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan record + prepared record
+	if _, err := RunInto(context.Background(), q, nil, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan record + prepared record
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := RunBestInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil {
+		if _, err := RunInto(context.Background(), q, nil, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -167,7 +167,7 @@ func TestIntermediateStepsEmitNoDuplicates(t *testing.T) {
 			}
 		}
 		count := &rel.CountSink{}
-		if _, err := RunBestInto(context.Background(), q, count); err != nil {
+		if _, err := RunInto(context.Background(), q, nil, count); err != nil {
 			continue // no good chain with a finite bound
 		}
 		if steps == 0 {
@@ -176,7 +176,7 @@ func TestIntermediateStepsEmitNoDuplicates(t *testing.T) {
 		ran++
 		observeStep = nil
 		out := rel.NewCollect("Q", q.AllVars().Members()...)
-		if _, err := RunBestInto(context.Background(), q, out); err != nil {
+		if _, err := RunInto(context.Background(), q, nil, out); err != nil {
 			t.Fatal(err)
 		}
 		if count.N != out.R.Len() {

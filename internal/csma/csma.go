@@ -26,6 +26,11 @@
 // of T(A) ⋈ T(B) fires the FDs spanning both sides, and so no FD is left to
 // check at the end (expand.TestTablesAreConsistentOnTheirOwnVariables).
 //
+// RunInto is the one entry point. It runs the Plan it is given, or, given
+// none, the plan at q's sizes (PlanFor, a slot of the shape's plan record);
+// a plan solved for one instance runs on every instance of the shape (see
+// Plan).
+//
 // RunInto is safe to call concurrently on frozen inputs. The initial state,
 // the projections and degree-class partitions the plan takes of still-initial
 // tables, and the joins' compiled expansions come from the instance's
@@ -54,24 +59,14 @@ import (
 	"repro/internal/rel"
 )
 
-// Options tunes the execution.
-type Options struct {
-	Theta       float64 // budget slack in the exponent (default 1.0)
-	MaxRestarts int     // restart budget before falling back (default 8)
-}
-
-func (o *Options) withDefaults() Options {
-	out := Options{Theta: 1.0, MaxRestarts: 8}
-	if o != nil {
-		if o.Theta > 0 {
-			out.Theta = o.Theta
-		}
-		if o.MaxRestarts > 0 {
-			out.MaxRestarts = o.MaxRestarts
-		}
-	}
-	return out
-}
+// theta is the budget slack in the exponent: a degree bucket whose join would
+// exceed 2^{OPT+θ} restarts its branch (Lemma 5.36); maxRestarts bounds the
+// restarts along one branch, after which an overflowing bucket is joined
+// anyway.
+const (
+	theta       = 1.0
+	maxRestarts = 8
+)
 
 // Stats reports the execution behaviour.
 type Stats struct {
@@ -170,51 +165,59 @@ func buildPlan(l *lattice.Lattice, res *bounds.CLLPResult) ([]op, error) {
 	return nil, fmt.Errorf("csma: plan construction did not converge")
 }
 
-// cllpPlan is the memoized planning artifact of a query at given instance
-// sizes: the CLLP solution and the Theorem 5.34 plan built from it (or the
-// reason there is none), both functions of the query shape and the sizes
-// only.
-type cllpPlan struct {
-	res  *bounds.CLLPResult
-	plan []op
+// Plan is CSMA's planning artifact: the CLLP solution at given sizes and the
+// Theorem 5.34 CSM plan built from its dual (or the reason there is none).
+// Both are functions of the query shape and the sizes only. A run on any
+// instance of the shape outputs Q^D under the plan: the CLLP's sizes enter
+// only its right-hand side, so the plan's operations stay valid, and the
+// budget 2^{OPT+θ} decides only what the run costs (Thm 5.37). So a split of
+// an instance runs the whole instance's plan.
+type Plan struct {
+	CLLP *bounds.CLLPResult
+	ops  []op
 	err  error // why CSMA cannot run: CLLP unbounded, or no plan from its dual
 }
 
+// Err is why CSMA cannot run under the plan, or nil.
+func (p *Plan) Err() error { return p.err }
+
 // planSlot is the shape's slot for solvePlan at given sizes: whoever asks
-// first — the engine planner comparing bounds through CLLP, or RunInto —
+// first — the engine planner comparing bounds, or RunInto —
 // pays for the exact-rational LP solve, and every later plan or execution
 // at the same sizes reuses it. Failures are kept too. Restart branches
 // solve their own branch-specific CLLPs, which are never kept.
-var planSlot = query.NewSlot[*cllpPlan]()
+var planSlot = query.NewSlot[*Plan]()
 
 // solvePlan solves the CLLP at q's sizes and builds the CSM plan from it.
-func solvePlan(q *query.Q) *cllpPlan {
-	cp := &cllpPlan{res: bounds.CLLPFromQuery(q)}
-	if cp.res.LogBound == nil {
+func solvePlan(q *query.Q) *Plan {
+	cp := &Plan{CLLP: bounds.CLLPFromQuery(q)}
+	if cp.CLLP.LogBound == nil {
 		cp.err = fmt.Errorf("csma: CLLP is unbounded (query not computable from the given constraints)")
 	} else {
-		cp.plan, cp.err = buildPlan(cp.res.Lat, cp.res)
+		cp.ops, cp.err = buildPlan(cp.CLLP.Lat, cp.CLLP)
 	}
 	return cp
 }
 
-// CLLP returns the conditional LLP solution for q at its instance sizes
-// (LogBound nil when unbounded) from the record RunInto reads, so a planner
-// that consults the bound and then runs CSMA solves the LP once.
-func CLLP(q *query.Q) *bounds.CLLPResult { return planSlot.Get(q, solvePlan).res }
+// PlanFor returns q's Plan at its instance sizes (CLLP.LogBound nil when the
+// CLLP is unbounded), solved once per (shape, sizes): a planner that consults
+// the bound and then runs CSMA solves the LP once.
+func PlanFor(q *query.Q) *Plan { return planSlot.Get(q, solvePlan) }
 
-// RunInto evaluates the query with CSMA, streaming the result into sink.
-func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*Stats, error) {
-	opts := optsIn.withDefaults()
+// RunInto evaluates the query with CSMA under cp, streaming the result into
+// sink. A nil cp is PlanFor(q), the plan at q's own sizes.
+func RunInto(ctx context.Context, q *query.Q, cp *Plan, sink rel.Sink) (*Stats, error) {
+	if cp == nil {
+		cp = PlanFor(q)
+	}
 	l := q.Lattice()
 	e := expand.New(q)
 	st := &Stats{}
 
-	cp := planSlot.Get(q, solvePlan)
 	if cp.err != nil {
 		return st, cp.err
 	}
-	res, plan := cp.res, cp.plan
+	res, plan := cp.CLLP, cp.ops
 	st.OPT, _ = res.LogBound.Float64()
 	st.PlanLen = len(plan)
 
@@ -249,7 +252,7 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 	}
 
 	results := rel.New("Q", q.AllVars().Members()...)
-	budget := math.Exp2(st.OPT + opts.Theta)
+	budget := math.Exp2(st.OPT + theta)
 
 	var exec func(plan []op, idx int, state []*rel.Relation, restarts int) error
 	exec = func(plan []op, idx int, state []*rel.Relation, restarts int) error {
@@ -292,7 +295,7 @@ func RunInto(ctx context.Context, q *query.Q, optsIn *Options, sink rel.Sink) (*
 			for _, bk := range e.DegreeClasses(tb, zVars) {
 				st.Branches++
 				cost := float64(ta.Len()) * float64(bk.MaxDeg)
-				if cost > budget && restarts < opts.MaxRestarts {
+				if cost > budget && restarts < maxRestarts {
 					// Lemma 5.36: re-solve with observed constraints; the
 					// optimum drops, and we restart this branch.
 					st.Restarts++

@@ -89,17 +89,6 @@ func TestCompositeKey(t *testing.T) {
 	runAndCheck(t, paper.CompositeKey(4, 64), "composite key")
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := (&Options{}).withDefaults()
-	if o.Theta != 1.0 || o.MaxRestarts != 8 {
-		t.Fatalf("defaults wrong: %+v", o)
-	}
-	o2 := (&Options{Theta: 2.5, MaxRestarts: 3}).withDefaults()
-	if o2.Theta != 2.5 || o2.MaxRestarts != 3 {
-		t.Fatalf("overrides wrong: %+v", o2)
-	}
-}
-
 // Alloc regression: on the E2-shaped degree-bounded triangle a warm run —
 // CLLP plan memoized, the instance's prepared record (expanded inputs, their
 // projections and degree classes, the FD tables) built by the first run —

@@ -225,14 +225,6 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	if o.Algorithm == AlgSM {
-		// An SM proof is tight for specific instance sizes; partitions would
-		// have to re-search proofs at their own sizes and could fail where
-		// the full instance succeeds (or vice versa), making an explicit
-		// AlgSM request machine-dependent. Honor it sequentially; the
-		// planner-chosen parallel SM path keeps its per-part fallbacks.
-		workers = 1
-	}
 	parallel := workers > 1 && b.q.TotalSize() >= o.MinParallelRows
 	// A sequential auto run is admitted on the certificate alone; the
 	// machine is planned at its attempt's first overrun, if any.
@@ -312,26 +304,21 @@ func (t *tallySink) Push(row rel.Tuple) bool {
 }
 
 // runOneInto executes the planned algorithm sequentially on q — a whole
-// instance or one split of it — streaming into sink. A plan's chain is
-// climbed as it is (goodness does not depend on sizes); every other artifact
-// is read from the executor's slot at q's own sizes: for the whole instance
-// that is what the planner solved, and a split re-resolves at its sizes
-// (an SM proof is tight for specific sizes, and a split may have none).
+// instance or one split of it — streaming into sink, with the plan's own
+// artifacts: the chain, the SM proof with its LLP solution, the CSM plan,
+// each solved on the whole instance. A plan without its artifact runs the
+// executor's own slot at q's sizes.
 //
 // ext is generic join's wcoj.Stats.Extensions (0 for the other machines),
 // the work measure the partitioning tests sum.
 func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) (ext int, err error) {
 	switch plan.Algorithm {
 	case AlgChain:
-		if plan.Chain != nil {
-			_, err = chainalg.RunInto(ctx, q, plan.Chain, sink)
-		} else {
-			_, err = chainalg.RunBestInto(ctx, q, sink)
-		}
+		_, err = chainalg.RunInto(ctx, q, plan.Chain, sink)
 	case AlgSM:
-		_, err = smalg.RunAutoInto(ctx, q, sink)
+		_, err = smalg.RunInto(ctx, q, plan.LLP, plan.Proof, sink)
 	case AlgCSMA:
-		_, err = csma.RunInto(ctx, q, nil, sink)
+		_, err = csma.RunInto(ctx, q, plan.CSM, sink)
 	case AlgGenericJoin:
 		var st *wcoj.Stats
 		if st, err = wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), sink); st != nil {

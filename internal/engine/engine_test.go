@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/scenario"
+	"repro/internal/smalg"
 )
 
 func mustRun(t *testing.T, q *query.Q, opts *Options) (*rel.Relation, *Stats) {
@@ -212,17 +214,17 @@ func TestParallelEveryAlgorithm(t *testing.T) {
 }
 
 func TestExplicitAlgorithmFailsConsistently(t *testing.T) {
-	// Fig. 9 has no good SM proof, so an explicit AlgSM request must error —
-	// regardless of worker count (explicit SM runs sequentially; only
-	// planner-chosen plans may fall back per partition).
+	// Fig. 9 has no good SM proof, so an explicit AlgSM request must fail
+	// with smalg.ErrNoGoodProof regardless of worker count: the proof is
+	// searched once, on the whole instance, before anything splits.
 	q, _ := paper.Fig9Instance(64)
 	p, _ := Prepare(q)
 	b, _ := p.Bind(nil)
-	if _, _, err := b.Run(context.Background(), &Options{Algorithm: AlgSM, Workers: 1}); err == nil {
-		t.Fatal("sequential explicit sm must fail on Fig9")
+	if _, _, err := b.Run(context.Background(), &Options{Algorithm: AlgSM, Workers: 1}); !errors.Is(err, smalg.ErrNoGoodProof) {
+		t.Fatalf("sequential explicit sm on Fig9: %v, want ErrNoGoodProof", err)
 	}
-	if _, _, err := b.Run(context.Background(), &Options{Algorithm: AlgSM, Workers: 4, MinParallelRows: 1}); err == nil {
-		t.Fatal("parallel explicit sm must fail on Fig9 like the sequential path")
+	if _, _, err := b.Run(context.Background(), &Options{Algorithm: AlgSM, Workers: 4, MinParallelRows: 1}); !errors.Is(err, smalg.ErrNoGoodProof) {
+		t.Fatalf("parallel explicit sm on Fig9: %v, want ErrNoGoodProof like the sequential path", err)
 	}
 }
 

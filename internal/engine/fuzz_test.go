@@ -2,15 +2,18 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/chainalg"
 	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/scenario"
+	"repro/internal/smalg"
 )
 
 // FuzzPlannerConsistency drives the cost-based planner and both execution
@@ -121,6 +124,20 @@ func FuzzPlannerConsistency(f *testing.F) {
 		}
 		if !rel.Identical(par, seq) {
 			t.Fatalf("parallel output differs from sequential: %d vs %d rows", par.Len(), seq.Len())
+		}
+		// Explicit FD machines split too, every split running the artifact
+		// solved on the whole instance. Only the typed errors the oracle
+		// records as skips excuse a run.
+		for _, alg := range []Algorithm{AlgChain, AlgSM, AlgCSMA} {
+			out, _, err := b.Run(context.Background(), &Options{Algorithm: alg, Workers: 3, MinParallelRows: 1})
+			switch {
+			case alg == AlgChain && errors.Is(err, chainalg.ErrNoGoodChain),
+				alg == AlgSM && errors.Is(err, smalg.ErrNoGoodProof):
+			case err != nil:
+				t.Fatalf("explicit %s on 3 workers: %v", alg, err)
+			case !rel.Identical(out, want):
+				t.Fatalf("explicit %s on 3 workers: %d rows, want %d", alg, out.Len(), want.Len())
+			}
 		}
 	})
 }

@@ -48,7 +48,8 @@ type morselKey struct{ v, n int }
 // split and reuse each morsel's warm index caches and prepared record,
 // mirroring what sequential Runs get from the original instance. The memo
 // holds a single entry (the last configuration), so memory stays bounded at
-// one extra instance copy and what its FD plans derive from it.
+// one extra instance copy and its morsels' prepared records. Morsels make no
+// plan records: they run the whole instance's plan.
 func (b *Bound) morselParts(v int, vals []rel.Value, n int) []*query.Q {
 	key := morselKey{v, n}
 	b.mu.Lock()
@@ -285,8 +286,9 @@ func (f *frontier) complete(m int, run *rel.Relation) {
 //  2. Direct. With v == 0, a generic-join morsel that is the least
 //     not-yet-emitted morsel when it starts streams from the trie descent
 //     into sink itself: first row after the first successful descent, no
-//     copy. The FD machines may abandon an attempt and fall back, so their
-//     rows are not final until the morsel ends and they always buffer.
+//     copy. The FD machines emit only at their end, and a buffered run is
+//     adopted whole by the frontier (rel.Stream), so they always buffer:
+//     streaming them directly would save no copy.
 //  3. Block. With v == 0, every other morsel buffers its sorted run; the
 //     moment the frontier reaches a completed run it is handed over whole
 //     through rel.Stream (one append into a CollectSink). Completed higher
@@ -362,14 +364,14 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 				var err error
 				switch {
 				case counting:
-					var c *rel.CountSink
-					ext, err = runSplit(gctx, qm, plan, func() rel.Sink { c = &rel.CountSink{}; return c })
+					var c rel.CountSink
+					ext, err = runOneInto(gctx, qm, plan, &c)
 					if err == nil {
 						rows.Add(int64(c.N))
 					}
 				case generic && f.claim(m):
 					faultinject.Fire(faultinject.SiteStreamMerge)
-					ext, err = runSplit(gctx, qm, plan, func() rel.Sink { return f })
+					ext, err = runOneInto(gctx, qm, plan, f)
 					if err == nil {
 						f.complete(m, nil)
 					}

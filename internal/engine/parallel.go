@@ -72,52 +72,19 @@ func (s *partSink) Push(t rel.Tuple) bool {
 	return s.c.Push(t)
 }
 
-// runSplit executes the plan on one split instance through runOneInto,
-// pushing into the sink newSink returns. A planner plan whose executor fails
-// at the split's sizes (no good SM proof there, say) falls back to CSMA and
-// then to generic join, which always apply. Every attempt asks newSink for a
-// fresh sink, so a failed attempt's rows never mix with its fallback's: on
-// success the result is in the last sink handed out. Explicitly requested
-// algorithms never substitute — a split's failure propagates, matching the
-// sequential path's error behaviour. A cancelled ctx always propagates:
-// cancellation is never "fixed" by falling back to another algorithm.
-func runSplit(ctx context.Context, qp *query.Q, plan *Plan, newSink func() rel.Sink) (int, error) {
-	for {
-		ext, err := runOneInto(ctx, qp, plan, newSink())
-		if err == nil || plan.explicit {
-			return ext, err
-		}
-		switch plan.Algorithm {
-		case AlgChain, AlgSM:
-			plan = &Plan{Algorithm: AlgCSMA}
-		case AlgCSMA:
-			plan = &Plan{Algorithm: AlgGenericJoin}
-		default:
-			return ext, err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, cerr
-		}
-	}
-}
-
 // runBuffered executes one split into a private collector and returns its
 // sorted run, accounting the rows on the shared gauge: row by row when a
 // limit can trip mid-run (a tripped gauge stops this split's producer, the
 // group context stops the others), once afterwards when it cannot — which
-// keeps the collector bare for rel.Stream's adoption fast path. A fallback
-// re-run re-accounts its rows: acceptable slack for a coarse gauge, and
-// only on the rare fallback.
+// keeps the collector bare for rel.Stream's adoption fast path.
 func runBuffered(ctx context.Context, qp *query.Q, plan *Plan, gauge *memGauge) (*rel.Relation, int, error) {
 	vars := qp.AllVars().Members()
-	var c *rel.CollectSink
-	ext, err := runSplit(ctx, qp, plan, func() rel.Sink {
-		c = rel.NewCollect("Q", vars...)
-		if gauge.limit <= 0 {
-			return c
-		}
-		return &partSink{c: c, g: gauge, rowBytes: tupleBytes(1, len(vars))}
-	})
+	c := rel.NewCollect("Q", vars...)
+	var sink rel.Sink = c
+	if gauge.limit > 0 {
+		sink = &partSink{c: c, g: gauge, rowBytes: tupleBytes(1, len(vars))}
+	}
+	ext, err := runOneInto(ctx, qp, plan, sink)
 	if err != nil {
 		return nil, ext, err
 	}

@@ -4,63 +4,51 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/naive"
 	"repro/internal/paper"
 	"repro/internal/query"
 	"repro/internal/rel"
 )
 
-// --- parallel partition fallback paths ---
-
-func TestRunPartitionSMFallsBackToCSMA(t *testing.T) {
-	// Fig. 9 has no good SM proof at any size, so a planner-chosen (i.e.
-	// non-explicit) AlgSM plan reaching a partition must fall back — first
-	// CSMA, then Generic-Join — and still produce the exact answer.
-	q, _ := paper.Fig9Instance(16)
-	plan := &Plan{Algorithm: AlgSM} // planner-style: explicit == false
-	out, _, err := runBuffered(context.Background(), q, plan, &memGauge{})
-	if err != nil {
-		t.Fatalf("fallback did not rescue the partition: %v", err)
-	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
-		t.Fatal("fallback output disagrees with naive")
-	}
-}
+// --- splits run the parent's plan ---
 
 func TestRunPartitionPlannerChainOnEmptyPartition(t *testing.T) {
-	// A planner-supplied chain must survive a partition whose relations are
-	// empty (a split of a sparse instance can leave one).
-	q := paper.SimpleFDChain(4, 128)
-	p, err := Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Bind(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := b.Plan()
-	if plan.Algorithm != AlgChain {
-		t.Fatalf("precondition: expected chain plan, got %s", plan.Algorithm)
-	}
-	empty := make([]*rel.Relation, len(q.Rels))
-	for j, r := range q.Rels {
-		empty[j] = rel.New(r.Name, r.Attrs...)
-	}
-	out, _, err := runBuffered(context.Background(), q.WithFreshRels(empty), plan, &memGauge{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("empty partition produced %d rows", out.Len())
+	// A planner-supplied plan — the chain, the SM proof, the CSM plan, each
+	// solved on the whole instance — must survive a partition whose
+	// relations are empty (a split of a sparse instance can leave one).
+	fig4, _ := paper.Fig4Instance(125)
+	fig9, _ := paper.Fig9Instance(64)
+	for _, tc := range []struct {
+		alg Algorithm
+		q   *query.Q
+	}{
+		{AlgChain, paper.SimpleFDChain(4, 128)},
+		{AlgSM, fig4},
+		{AlgCSMA, fig9},
+	} {
+		t.Run(string(tc.alg), func(t *testing.T) {
+			plan := planOf(t, tc.q)
+			if plan.Algorithm != tc.alg {
+				t.Fatalf("precondition: expected %s plan, got %s", tc.alg, plan.Algorithm)
+			}
+			empty := make([]*rel.Relation, len(tc.q.Rels))
+			for j, r := range tc.q.Rels {
+				empty[j] = rel.New(r.Name, r.Attrs...)
+			}
+			out, _, err := runBuffered(context.Background(), tc.q.WithFreshRels(empty), plan, &memGauge{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("empty partition produced %d rows", out.Len())
+			}
+		})
 	}
 }
 
-func TestParallelPlannerSMFallbackMatchesSequential(t *testing.T) {
-	// Fig. 4: the planner picks SM on the full instance; partitions re-plan
-	// at their own sizes and may fail the proof search, exercising the
-	// per-partition fallback inside a real parallel Run. The merged result
-	// must stay byte-identical to the sequential one.
+func TestParallelPlannerSMMatchesSequential(t *testing.T) {
+	// Fig. 4: the planner picks SM on the full instance, and every partition
+	// runs that plan's proof and LLP solution at its own, smaller sizes. The
+	// merged result must stay byte-identical to the sequential one.
 	q, _ := paper.Fig4Instance(125)
 	if alg := planOf(t, q).Algorithm; alg != AlgSM {
 		t.Fatalf("precondition: expected SM plan, got %s", alg)

@@ -13,16 +13,23 @@ import (
 )
 
 // Plan is the planner's decision for one bound instance: which algorithm to
-// run, the log2 output/runtime bound it is predicted to respect, and the
-// planning artifacts the executor can reuse.
+// run, the log2 output/runtime bound it is predicted to respect, and every
+// artifact its machine runs. The artifacts are solved once, on the whole
+// instance, and run unchanged on every split of it: a chain's and an SM
+// proof's goodness and a CSM plan's validity do not depend on the sizes,
+// which decide only what a run costs (see DESIGN.md, "What runs inside a
+// split").
 type Plan struct {
 	Algorithm Algorithm
 	LogBound  float64 // predicted log2 bound (NaN for explicit requests)
 	Reason    string  // one-line planner rationale
 
-	Chain lattice.Chain // the good chain to climb (AlgChain only)
+	Chain lattice.Chain     // the good chain to climb (AlgChain)
+	LLP   *bounds.LLPResult // the LLP solution h* Proof is tight for (AlgSM)
+	Proof *smalg.Proof      // the good SM proof to run (AlgSM)
+	CSM   *csma.Plan        // the CLLP and its CSM plan (AlgCSMA)
 
-	explicit bool // caller forced the algorithm: no fallbacks
+	explicit bool // caller forced the algorithm: no generic-join attempt
 }
 
 // tinyInputRows is the total instance size at or below which a binary
@@ -36,21 +43,41 @@ var (
 	admitSlot = query.NewSlot[*Plan]()
 )
 
-// plan resolves the requested algorithm into a Plan. Explicit requests pass
-// through (so callers can still force any algorithm); AlgAuto consults the
-// bound analysis. A plan is kept in the shape's plan record, so re-running a
-// bound instance skips the LP solves; the artifacts it was decided from
-// (chain, LLP + proof, CLLP + CSM plan) sit in the same record, in the
-// executors' own slots, where every run at these sizes finds them.
+// plan resolves the requested algorithm into a Plan. AlgAuto consults the
+// bound analysis; a plan is kept in the shape's plan record, so re-running a
+// bound instance skips the LP solves, and the artifacts it was decided from
+// sit in the same record, in the executors' own slots. An explicit request
+// runs the executor's own artifact at the whole instance's sizes (the best
+// chain, the good SM proof, the CSM plan), or fails with the executor's
+// error when there is none: chainalg.ErrNoGoodChain, smalg.ErrNoGoodProof,
+// or why no CSM plan exists.
 func (b *Bound) plan(alg Algorithm) (*Plan, error) {
-	switch alg {
-	case AlgAuto:
+	if alg == AlgAuto {
 		return b.Plan(), nil
-	case AlgChain, AlgSM, AlgCSMA, AlgGenericJoin, AlgBinary:
-		return &Plan{Algorithm: alg, LogBound: math.NaN(), Reason: "explicitly requested", explicit: true}, nil
+	}
+	q := b.q
+	p := &Plan{Algorithm: alg, LogBound: math.NaN(), Reason: "explicitly requested", explicit: true}
+	switch alg {
+	case AlgChain:
+		cb := chainalg.Best(q)
+		if !cb.Finite {
+			return nil, chainalg.ErrNoGoodChain
+		}
+		p.Chain = cb.Chain
+	case AlgSM:
+		if p.Proof = smalg.GoodProof(q); p.Proof == nil {
+			return nil, smalg.ErrNoGoodProof
+		}
+		p.LLP = smalg.LLP(q)
+	case AlgCSMA:
+		if p.CSM = csma.PlanFor(q); p.CSM.Err() != nil {
+			return nil, p.CSM.Err()
+		}
+	case AlgGenericJoin, AlgBinary:
 	default:
 		return nil, fmt.Errorf("engine: unknown algorithm %q", alg)
 	}
+	return p, nil
 }
 
 // Plan exposes the cost-based decision for the bound instance without
@@ -125,7 +152,8 @@ func planFDAware(q *query.Q) *Plan {
 	best := &Plan{Algorithm: AlgGenericJoin, LogBound: math.Inf(1),
 		Reason: "no finite FD-aware bound: falling back to Generic-Join"}
 
-	logLLP, _ := smalg.LLP(q).LogBound.Float64()
+	llp := smalg.LLP(q)
+	logLLP, _ := llp.LogBound.Float64()
 
 	cb := chainalg.Best(q)
 	if cb.Finite {
@@ -140,9 +168,9 @@ func planFDAware(q *query.Q) *Plan {
 		// The LLP bound only buys an execution if a good SM proof realizes
 		// it; the proof search is the expensive part, so gate it on the
 		// bound actually improving on the chain.
-		if smalg.GoodProof(q) != nil {
+		if proof := smalg.GoodProof(q); proof != nil {
 			best = &Plan{
-				Algorithm: AlgSM, LogBound: logLLP,
+				Algorithm: AlgSM, LogBound: logLLP, LLP: llp, Proof: proof,
 				Reason: fmt.Sprintf("good SM proof tight for LLP bound 2^%.2f < chain bound", logLLP),
 			}
 		}
@@ -153,11 +181,11 @@ func planFDAware(q *query.Q) *Plan {
 	if len(q.DegreeBounds) == 0 && logLLP >= best.LogBound-eps {
 		return best
 	}
-	if cllp := csma.CLLP(q); cllp.LogBound != nil {
-		logCLLP, _ := cllp.LogBound.Float64()
+	if cp := csma.PlanFor(q); cp.CLLP.LogBound != nil {
+		logCLLP, _ := cp.CLLP.LogBound.Float64()
 		if logCLLP < best.LogBound-eps {
 			best = &Plan{
-				Algorithm: AlgCSMA, LogBound: logCLLP,
+				Algorithm: AlgCSMA, LogBound: logCLLP, CSM: cp,
 				Reason: fmt.Sprintf("CLLP bound 2^%.2f beats chain/SM candidates (degree bounds or no good proof)", logCLLP),
 			}
 		}
@@ -206,7 +234,7 @@ func Analyze(q *query.Q) *Analysis {
 		LogChain:      math.Inf(1),
 	}
 	a.LogLLP, _ = smalg.LLP(q).LogBound.Float64()
-	if cllp := csma.CLLP(q); cllp.LogBound != nil {
+	if cllp := csma.PlanFor(q).CLLP; cllp.LogBound != nil {
 		a.LogCLLP, _ = cllp.LogBound.Float64()
 	}
 	if cb := chainalg.Best(q); cb.Finite {

@@ -108,8 +108,9 @@ func TestConcurrentFirstRunsShareOneLattice(t *testing.T) {
 }
 
 // The planner consults the CLLP bound and CSMA executes from the CLLP's dual:
-// one solve must serve both, so after Plan() the CLLP is already in the
-// record slot csma.RunInto reads, shared by every instance of those sizes.
+// one solve must serve both, so after Plan() the CSM plan is already in the
+// record slot csma.PlanFor reads, shared by every instance of those sizes,
+// and it is the plan's own artifact.
 func TestPlannerSolvesTheCLLPForCSMA(t *testing.T) {
 	q, _ := paper.Fig9Instance(64)
 	b := bind(t, q)
@@ -117,31 +118,38 @@ func TestPlannerSolvesTheCLLPForCSMA(t *testing.T) {
 	if pl.Algorithm != AlgCSMA {
 		t.Fatalf("want csma, got %s (%s)", pl.Algorithm, pl.Reason)
 	}
-	if n := testing.AllocsPerRun(10, func() { csma.CLLP(b.Query()) }); n != 0 {
-		t.Fatalf("csma.CLLP after Plan() allocated %v times: the first CSMA run will solve the CLLP again", n)
+	if n := testing.AllocsPerRun(10, func() { csma.PlanFor(b.Query()) }); n != 0 {
+		t.Fatalf("csma.PlanFor after Plan() allocated %v times: the first CSMA run will solve the CLLP again", n)
 	}
-	memo := csma.CLLP(b.Query())
-	if got, _ := memo.LogBound.Float64(); got != pl.LogBound {
+	memo := csma.PlanFor(b.Query())
+	if pl.CSM != memo {
+		t.Fatal("the plan carries another CSM plan than the record's")
+	}
+	if got, _ := memo.CLLP.LogBound.Float64(); got != pl.LogBound {
 		t.Fatalf("recorded CLLP bound 2^%v, plan says 2^%v", got, pl.LogBound)
 	}
-	if again := csma.CLLP(q.WithFreshRels(q.Rels)); again != memo {
+	if again := csma.PlanFor(q.WithFreshRels(q.Rels)); again != memo {
 		t.Fatal("another instance of the same shape and sizes solved its own CLLP")
 	}
 }
 
-// An explicit SM request and smalg.RunAutoInto run from the planner's own
-// LLP solution and proof: after Plan() both sit in the slots SMA reads, and
-// no run solves or searches again.
+// An explicit SM request and smalg.RunInto with no proof run from the
+// planner's own LLP solution and proof: after Plan() both sit in the slots
+// SMA reads, and no run solves or searches again.
 func TestExplicitSMRunsThePlannersProof(t *testing.T) {
 	q, _ := paper.Fig4Instance(216)
 	b := bind(t, q)
-	if pl := b.Plan(); pl.Algorithm != AlgSM {
+	pl := b.Plan()
+	if pl.Algorithm != AlgSM {
 		t.Fatalf("want sm, got %s (%s)", pl.Algorithm, pl.Reason)
 	}
 	if n := testing.AllocsPerRun(10, func() { smalg.LLP(q); smalg.GoodProof(q) }); n != 0 {
 		t.Fatalf("reading the LLP and proof after Plan() allocated %v times: the planner did not leave them for SMA", n)
 	}
 	llp, proof := smalg.LLP(q), smalg.GoodProof(q)
+	if pl.LLP != llp || pl.Proof != proof {
+		t.Fatal("the plan carries another LLP solution or proof than the record's")
+	}
 	out, _, err := b.Run(context.Background(), &Options{Algorithm: AlgSM})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +157,7 @@ func TestExplicitSMRunsThePlannersProof(t *testing.T) {
 	if !rel.Equal(out, naive.Evaluate(q)) {
 		t.Fatal("explicit sm: wrong answer")
 	}
-	st, err := smalg.RunAutoInto(context.Background(), q, &rel.CountSink{})
+	st, err := smalg.RunInto(context.Background(), q, nil, nil, &rel.CountSink{})
 	if err != nil {
 		t.Fatal(err)
 	}

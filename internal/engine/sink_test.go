@@ -45,9 +45,6 @@ func TestRunIntoMatchesRunAcrossAlgorithms(t *testing.T) {
 			opts := sh.opts
 			opts.Workers = workers
 			opts.MinParallelRows = 1
-			if opts.Algorithm == AlgSM && workers > 1 {
-				continue // explicit SM is forced sequential
-			}
 			b := mustBind(t, sh.q)
 			want, st, err := b.Run(context.Background(), &opts)
 			if err != nil {
@@ -79,9 +76,6 @@ func TestRunIntoLimitIsPrefix(t *testing.T) {
 			opts := sh.opts
 			opts.Workers = workers
 			opts.MinParallelRows = 1
-			if opts.Algorithm == AlgSM && workers > 1 {
-				continue
-			}
 			b := mustBind(t, sh.q)
 			want, _, err := b.Run(context.Background(), &opts)
 			if err != nil {
@@ -183,13 +177,13 @@ func TestCancelledExecutorsReturnPromptly(t *testing.T) {
 	fig4, _ := paper.Fig4Instance(125)
 	var sink rel.CountSink
 
-	if _, err := chainalg.RunBestInto(ctx, paper.Fig1Skew(64), &sink); !errors.Is(err, context.Canceled) {
+	if _, err := chainalg.RunInto(ctx, paper.Fig1Skew(64), nil, &sink); !errors.Is(err, context.Canceled) {
 		t.Fatalf("chainalg: %v", err)
 	}
 	if _, err := csma.RunInto(ctx, paper.DegreeTriangle(64, 2), nil, &sink); !errors.Is(err, context.Canceled) {
 		t.Fatalf("csma: %v", err)
 	}
-	if _, err := smalg.RunAutoInto(ctx, fig4, &sink); !errors.Is(err, context.Canceled) {
+	if _, err := smalg.RunInto(ctx, fig4, nil, nil, &sink); !errors.Is(err, context.Canceled) {
 		t.Fatalf("smalg: %v", err)
 	}
 	if _, err := wcoj.BinaryPlanInto(ctx, paper.TriangleProduct(8), nil, &sink); !errors.Is(err, context.Canceled) {

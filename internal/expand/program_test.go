@@ -27,8 +27,8 @@ func runExecutors(t *testing.T, q *query.Q) int {
 	want := naive.Evaluate(q)
 	ran := 0
 	for name, run := range map[string]func(rel.Sink) error{
-		"chain": func(s rel.Sink) error { _, err := chainalg.RunBestInto(ctx, q, s); return err },
-		"sm":    func(s rel.Sink) error { _, err := smalg.RunAutoInto(ctx, q, s); return err },
+		"chain": func(s rel.Sink) error { _, err := chainalg.RunInto(ctx, q, nil, s); return err },
+		"sm":    func(s rel.Sink) error { _, err := smalg.RunInto(ctx, q, nil, nil, s); return err },
 		"csma":  func(s rel.Sink) error { _, err := csma.RunInto(ctx, q, nil, s); return err },
 	} {
 		out := rel.NewCollect("Q", q.AllVars().Members()...)
@@ -188,7 +188,7 @@ func TestTablesAreConsistentOnTheirOwnVariables(t *testing.T) {
 		fam string
 		run func(*query.Q) error
 	}{
-		{"paper/simple-fd-chain", func(q *query.Q) error { _, err := chainalg.RunBestInto(ctx, q, &rel.CountSink{}); return err }},
+		{"paper/simple-fd-chain", func(q *query.Q) error { _, err := chainalg.RunInto(ctx, q, nil, &rel.CountSink{}); return err }},
 		{"paper/four-cycle-key", func(q *query.Q) error { _, err := csma.RunInto(ctx, q, nil, &rel.CountSink{}); return err }},
 	} {
 		f := family(t, tc.fam)
@@ -227,8 +227,8 @@ func TestTablesAreConsistentOnTheirOwnVariables(t *testing.T) {
 // skip; Fig. 9 has no SM proof).
 func TestEachFDFiresOncePerTuple(t *testing.T) {
 	ctx := context.Background()
-	chain := func(q *query.Q) error { _, err := chainalg.RunBestInto(ctx, q, &rel.CountSink{}); return err }
-	sm := func(q *query.Q) error { _, err := smalg.RunAutoInto(ctx, q, &rel.CountSink{}); return err }
+	chain := func(q *query.Q) error { _, err := chainalg.RunInto(ctx, q, nil, &rel.CountSink{}); return err }
+	sm := func(q *query.Q) error { _, err := smalg.RunInto(ctx, q, nil, nil, &rel.CountSink{}); return err }
 	csm := func(q *query.Q) error { _, err := csma.RunInto(ctx, q, nil, &rel.CountSink{}); return err }
 	for i, tc := range []struct {
 		fam  string

@@ -104,6 +104,49 @@ func TestColdRunSolveCounts(t *testing.T) {
 	}
 }
 
+// TestSplitsRunTheParentsPlan: once the whole instance is planned, the
+// splits of a parallel run run its chain, SM proof or CSM plan as they are
+// and solve no LP at their own sizes, and the merged rows are the
+// sequential run's.
+func TestSplitsRunTheParentsPlan(t *testing.T) {
+	fig4, _ := paper.Fig4Instance(125)
+	for _, tc := range []struct {
+		name string
+		q    *query.Q
+		alg  engine.Algorithm
+	}{
+		{"fig4", fig4, engine.AlgSM},
+		{"fig1-skew", paper.Fig1Skew(512), engine.AlgChain},
+		{"degree-triangle", paper.DegreeTriangle(512, 2), engine.AlgCSMA},
+	} {
+		b := coldBound(t, tc.q)
+		if pl := b.Plan(); pl.Algorithm != tc.alg {
+			t.Fatalf("%s: planned %s, want %s", tc.name, pl.Algorithm, tc.alg)
+		}
+		seq, _, err := b.Run(context.Background(), &engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var par *rel.Relation
+		var st *engine.Stats
+		solves := lp.CollectSolves(func() {
+			par, st, err = b.Run(context.Background(), &engine.Options{Workers: 2, MinParallelRows: 1})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Workers != 2 || st.Plan.Algorithm != tc.alg {
+			t.Fatalf("%s: ran %s on %d workers, want %s on 2", tc.name, st.Plan.Algorithm, st.Workers, tc.alg)
+		}
+		if len(solves) != 0 {
+			t.Errorf("%s: the splits solved %d LPs", tc.name, len(solves))
+		}
+		if !rel.Identical(par, seq) {
+			t.Errorf("%s: parallel rows differ from sequential (%d vs %d)", tc.name, par.Len(), seq.Len())
+		}
+	}
+}
+
 // TestExplicitChainSolvesNoLLPOnLargeLattices: the chain search reads the
 // LLP floor only on a lattice of ≤ 64 elements, the only one whose maximal
 // chains it enumerates. An explicit chain run on motif/path-8@16 (FD-free,

@@ -122,8 +122,7 @@ var slots atomic.Int32
 func NewSlot[T any]() Slot[T] { return Slot[T]{id: int(slots.Add(1) - 1)} }
 
 // planRecordMax bounds the records a shape keeps: a long-lived shape serving
-// many differently-sized instances (or morsel splits) would otherwise
-// accumulate them forever. On overflow the store resets — entries are pure
+// many differently-sized instances would otherwise accumulate them forever. On overflow the store resets — entries are pure
 // memoizations and rebuild on demand.
 const planRecordMax = 256
 

@@ -601,21 +601,6 @@ rows:
 	return out
 }
 
-// Antijoin returns the rows of a that join with no row of b.
-func Antijoin(a, b *Relation) *Relation {
-	ca, cb := sharedCols(a, b)
-	ht := buildHash(b, cb, false)
-	out := New(a.Name, a.Attrs...)
-	out.data = make([]Value, 0, len(a.data))
-	for i := 0; i < a.n; i++ {
-		if !ht.contains(a, i, ca) {
-			out.appendRowOf(a, i)
-		}
-	}
-	ht.release()
-	return out
-}
-
 // Intersect returns rows present in both relations; the relations must be
 // over the same variable set.
 func Intersect(a, b *Relation) *Relation {

@@ -44,9 +44,9 @@ func TestFuzzAllAlgorithms(t *testing.T) {
 					trial, name, out.R.Len(), want.Len(), withFDs)
 			}
 		}
-		check("chain", func(s rel.Sink) error { _, err := chainalg.RunBestInto(ctx, q, s); return err })
+		check("chain", func(s rel.Sink) error { _, err := chainalg.RunInto(ctx, q, nil, s); return err })
 		check("csma", func(s rel.Sink) error { _, err := csma.RunInto(ctx, q, nil, s); return err })
-		check("sma", func(s rel.Sink) error { _, err := smalg.RunAutoInto(ctx, q, s); return err })
+		check("sma", func(s rel.Sink) error { _, err := smalg.RunInto(ctx, q, nil, nil, s); return err })
 		check("generic", func(s rel.Sink) error {
 			_, err := wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), s)
 			return err
@@ -87,7 +87,7 @@ func TestFuzzSimpleKeys(t *testing.T) {
 		}
 		want := naive.Evaluate(q)
 		out := rel.NewCollect("Q", q.AllVars().Members()...)
-		if _, err := chainalg.RunBestInto(context.Background(), q, out); err != nil {
+		if _, err := chainalg.RunInto(context.Background(), q, nil, out); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !rel.Equal(out.R, want) {

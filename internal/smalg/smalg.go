@@ -1,8 +1,17 @@
 // Package smalg implements the Sub-Modularity Algorithm (Algorithm 2,
-// Sec. 5.2) and the good-proof search it needs. RunInto and RunAutoInto are
-// safe to call concurrently on frozen inputs: the initial slot tables R_j⁺,
-// their Z-projections and the steps' compiled expansions come from the
-// instance's prepared record (expand.Inputs), built once and shared
+// Sec. 5.2) and the good-proof search it needs.
+//
+// RunInto is the one entry point. It runs the proof and LLP solution it is
+// given, or, given no proof, the good proof and LLP solution at q's sizes
+// (GoodProof and LLP, slots of the shape's plan record). A proof's goodness
+// depends on the lattice alone (Proof.IsGood), and the h*-derived heavy/light
+// thresholds decide only what a step costs (Thm 5.27), not which rows reach
+// T(1̂). So a proof found for one instance runs on every instance of the
+// shape: a split of it, say.
+//
+// RunInto is safe to call concurrently on frozen inputs: the initial slot
+// tables R_j⁺, their Z-projections and the steps' compiled expansions come
+// from the instance's prepared record (expand.Inputs), built once and shared
 // read-only; every table a proof step produces is per-run, and none is
 // mutated in place (rel.Semijoin, Join and Project return new relations).
 //
@@ -13,7 +22,7 @@
 // left to check once the T(1̂) tables are united
 // (expand.TestTablesAreConsistentOnTheirOwnVariables).
 //
-// Both are sink-based (see rel.Sink): the SM-join tables must materialize
+// It is sink-based (see rel.Sink): the SM-join tables must materialize
 // step by step, so the run buffers; the union of the T(1̂) tables is
 // semi-join reduced against every input in one pass, sorted if it is not
 // already, and streamed, stopping when the sink does. ctx cancellation is
@@ -44,10 +53,18 @@ type Stats struct {
 
 // RunInto executes the SM Algorithm (Algorithm 2) for the query using the
 // given good proof sequence and the optimal LLP solution h* that the proof
-// is tight for, streaming the result into sink. The result is exactly Q^D
-// (the final semi-join reduction filters the union of the T(1̂) tables
-// against every input; the FDs were applied as the tables were built).
+// is tight for, streaming the result into sink. A nil proof is GoodProof(q)
+// with LLP(q), whatever llp is, or ErrNoGoodProof when there is none. The
+// result is exactly Q^D (the final semi-join reduction filters the union of
+// the T(1̂) tables against every input; the FDs were applied as the tables
+// were built).
 func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proof, sink rel.Sink) (*Stats, error) {
+	if proof == nil {
+		if proof = GoodProof(q); proof == nil {
+			return nil, ErrNoGoodProof
+		}
+		llp = LLP(q)
+	}
 	l := llp.Lat
 	e := expand.New(q)
 	st := &Stats{Proof: proof}
@@ -153,7 +170,7 @@ const maxProofBases = 1 << 10
 // the LLP value — its optimal face wherever the co-atomic cover bound is the
 // LLP's, as on a normal lattice. (Every w with an output inequality is such
 // a cover of value ≥ LLP.) It searches afresh on every call; GoodProof is the
-// memoized search the planner and RunAutoInto share.
+// memoized search the planner and RunInto share.
 func FindProofAuto(q *query.Q, llp *bounds.LLPResult) *Proof {
 	if p := findProofFor(llp, llp.W); p != nil {
 		return p
@@ -196,21 +213,11 @@ func GoodProof(q *query.Q) *Proof {
 	return proofSlot.Get(q, func(q *query.Q) *Proof { return FindProofAuto(q, LLP(q)) })
 }
 
-// ErrNoGoodProof is RunAutoInto's error when no good SM proof exists: SMA
-// does not apply to the instance, which is not a bug.
+// ErrNoGoodProof is the error of RunInto with a nil proof, and of an engine
+// plan for an explicit SM request, when no good SM proof exists (e.g. Fig. 9
+// / Example 5.31): SMA does not apply to the instance, which is not a bug,
+// and CSMA is the right tool.
 var ErrNoGoodProof = errors.New("smalg: no good SM proof sequence found among optimal dual weights")
-
-// RunAutoInto executes SMA from LLP(q) and GoodProof(q), streaming into
-// sink: the planner's solve and search when it planned these sizes. It fails
-// when no good SM proof exists (e.g. Fig. 9 / Example 5.31), in which case
-// CSMA is the right tool.
-func RunAutoInto(ctx context.Context, q *query.Q, sink rel.Sink) (*Stats, error) {
-	proof := GoodProof(q)
-	if proof == nil {
-		return nil, ErrNoGoodProof
-	}
-	return RunInto(ctx, q, LLP(q), proof, sink)
-}
 
 // SMBound returns the bound certified by a proof: Σ_j w_j n_j where w_j are
 // the dual weights the proof realizes. With a good tight proof this equals

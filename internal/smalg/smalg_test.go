@@ -126,7 +126,7 @@ func TestFig7NonGoodSequenceDetected(t *testing.T) {
 func runAndCheck(t *testing.T, q *query.Q, what string) *Stats {
 	t.Helper()
 	out := rel.NewCollect("Q", q.AllVars().Members()...)
-	st, err := RunAutoInto(context.Background(), q, out)
+	st, err := RunInto(context.Background(), q, nil, nil, out)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -164,7 +164,7 @@ func TestRunSimpleFDChain(t *testing.T) {
 
 func TestRunFig9Fails(t *testing.T) {
 	q, _ := paper.Fig9Instance(4)
-	if _, err := RunAutoInto(context.Background(), q, &rel.CountSink{}); err == nil {
+	if _, err := RunInto(context.Background(), q, nil, nil, &rel.CountSink{}); err == nil {
 		t.Fatal("SMA must fail on Fig. 9 (no SM proof)")
 	}
 }
@@ -193,11 +193,11 @@ func TestCommonDenominator(t *testing.T) {
 // while the final reduction made one filtered copy per input).
 func TestRunAutoAllocRegression(t *testing.T) {
 	q, _ := paper.Fig4Instance(64)
-	if _, err := RunAutoInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan record + prepared record
+	if _, err := RunInto(context.Background(), q, nil, nil, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil { // warm plan record + prepared record
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := RunAutoInto(context.Background(), q, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil {
+		if _, err := RunInto(context.Background(), q, nil, nil, rel.NewCollect("Q", q.AllVars().Members()...)); err != nil {
 			t.Fatal(err)
 		}
 	})
