@@ -134,8 +134,8 @@ func WithMaxRows(n int) GovernorOption {
 }
 
 // WithMaxMemory caps a query's approximate result-memory accounting
-// (8 bytes per value across partition buffers and sink deliveries; see
-// engine.Options.MemLimitBytes). Tripping it fails the query with
+// (8 bytes per value, summed over partition buffers and sink deliveries;
+// see engine.Options.MemLimitBytes). Tripping it fails the query with
 // *MemoryExceededError (errors.Is ErrMemoryExceeded).
 func WithMaxMemory(bytes int64) GovernorOption {
 	return func(g *Governor) {

@@ -311,6 +311,55 @@ func TestGovernorMaxMemory(t *testing.T) {
 	}
 }
 
+// fig1SkewCatalog defines Example 5.8's skew instance of the paper's
+// running example: R = S = T = {(1,i), (i,1) : i ∈ [n/2]}.
+func fig1SkewCatalog(t *testing.T, n int) *fdq.Catalog {
+	t.Helper()
+	var rows [][]fdq.Value
+	for i := int64(1); i <= int64(n/2); i++ {
+		rows = append(rows, []fdq.Value{1, i})
+		if i != 1 {
+			rows = append(rows, []fdq.Value{i, 1})
+		}
+	}
+	cat := fdq.NewCatalog()
+	for _, name := range []string{"R", "S", "T"} {
+		if err := cat.Define(name, []string{"a", "b"}, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// fig1Query is Eq. (1) with Example 5.5's UDFs u = f(x,z) = x and
+// x = g(y,u) = u, run by the chain algorithm at three workers.
+func fig1Query() *fdq.Q {
+	return fdq.Query().Vars("x", "y", "z", "u").
+		Rel("R", "x", "y").Rel("S", "y", "z").Rel("T", "z", "u").
+		UDF("f", "x z", "u", func(a []fdq.Value) fdq.Value { return a[0] }).
+		UDF("g", "y u", "x", func(a []fdq.Value) fdq.Value { return a[1] }).
+		Alg("chain").Workers(3)
+}
+
+// TestGovernorMaxMemoryCoversBuffersPlusDeliveries: WithMaxMemory is one
+// budget over partition buffers plus deliveries. A parallel chain run
+// buffers every morsel and delivers every row, so a budget of 1.5× the
+// output's bytes — which either half alone would fit — refuses it.
+func TestGovernorMaxMemoryCoversBuffersPlusDeliveries(t *testing.T) {
+	ctx := context.Background()
+	cat := fig1SkewCatalog(t, 1024)
+	out, st := collectWithStats(t, cat.Session(), fig1Query())
+	if st.Workers != 3 || len(out) < 1024 {
+		t.Fatalf("ungoverned run: %d rows, stats %+v", len(out), st)
+	}
+	limit := int64(len(out)) * 4 * 8 * 3 / 2
+	sess := fdq.NewSession(cat, fdq.WithGovernor(fdq.NewGovernor(fdq.WithMaxMemory(limit))))
+	var me *fdq.MemoryExceededError
+	if _, err := sess.Collect(ctx, fig1Query()); !errors.As(err, &me) || me.Limit != limit || me.Used <= limit {
+		t.Fatalf("Collect under 1.5× the output's bytes: %v (%+v)", err, me)
+	}
+}
+
 // settleGoroutines waits for the goroutine count to drop back to base,
 // failing with a full stack dump if it doesn't.
 func settleGoroutines(t *testing.T, base int) {

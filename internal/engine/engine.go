@@ -60,11 +60,12 @@ type Options struct {
 	Workers         int       // ≤0: GOMAXPROCS; 1 forces sequential
 	MinParallelRows int       // ≤0: default 2048 total input rows
 	// MemLimitBytes, when > 0, aborts the run with a *MemLimitError once
-	// the approximate bytes of result data accounted — parallel partition
-	// buffers plus rows delivered to the sink — exceed the budget. The
-	// accounting is coarse (8 bytes per value, executor-internal buffers
-	// on the sequential buffering paths are not gauged); it is a resource
-	// governor's backstop, not an allocator.
+	// the approximate bytes of result data accounted on the run's one
+	// gauge — parallel partition buffers plus rows delivered to the sink,
+	// summed — exceed the budget. The accounting is coarse (8 bytes per
+	// value, executor-internal buffers on the sequential buffering paths
+	// are not gauged); it is a resource governor's backstop, not an
+	// allocator.
 	MemLimitBytes int64
 }
 
@@ -245,9 +246,11 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	// per morsel. A bare sink is gauged only after the fact, though, so
 	// when MemLimitBytes must be enforced mid-run it is wrapped like any
 	// other sink — the memory governor trades the fast paths for an
-	// enforceable budget.
+	// enforceable budget. The wrapper and the run's one memory gauge are
+	// one allocation; a run that neither wraps nor partitions needs no
+	// gauge.
+	var g *memGauge
 	runSink, outSize := sink, (func() int)(nil)
-	memTripped := func() bool { return false }
 	if c, ok := sink.(*rel.CollectSink); ok && o.MemLimitBytes <= 0 {
 		before := c.R.Len()
 		outSize = func() int { return c.R.Len() - before }
@@ -255,13 +258,16 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 		before := c.N
 		outSize = func() int { return c.N - before }
 	} else {
-		t := &tallySink{s: sink, limit: o.MemLimitBytes}
-		runSink = t
-		outSize = func() int { return t.n }
-		memTripped = func() bool { return t.tripped }
+		g = &memGauge{limit: o.MemLimitBytes}
+		g.out = gaugeSink{s: sink, g: g}
+		runSink = &g.out
+		outSize = func() int { return g.out.n }
 	}
 	if parallel {
-		err = b.runParallelInto(ctx, plan, workers, &o, st, runSink)
+		if g == nil {
+			g = &memGauge{}
+		}
+		err = b.runParallelInto(ctx, plan, workers, g, st, runSink)
 	} else if err = ctx.Err(); err == nil && attempts(plan) {
 		err = b.attemptInto(ctx, plan, st, runSink, outSize)
 	} else if err == nil {
@@ -272,35 +278,19 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	}
 	st.Duration = time.Since(start)
 	st.OutSize = outSize()
-	st.MemBytes += tupleBytes(st.OutSize, b.q.AllVars().Len())
-	if memTripped() {
-		return st, &MemLimitError{Limit: o.MemLimitBytes, Used: st.MemBytes}
+	delivered := tupleBytes(st.OutSize, b.q.AllVars().Len())
+	if g == nil {
+		st.MemBytes = delivered
+		return st, nil
+	}
+	if g.limit <= 0 {
+		g.add(delivered) // without a limit deliveries are charged in one sum
+	}
+	st.MemBytes = g.used.Load()
+	if g.trip.Load() {
+		return st, &MemLimitError{Limit: g.limit, Used: st.MemBytes}
 	}
 	return st, nil
-}
-
-// tallySink counts emitted rows so Stats.OutSize stays accurate without
-// asking the caller's sink anything, and doubles as the sequential-path
-// memory gauge: it accounts each delivered row's bytes and, when a limit
-// is set, stops the producer once the budget is exceeded (RunInto then
-// converts the trip into a *MemLimitError). The count includes the push on
-// which the sink stops the run (a LIMIT-k run reports OutSize k).
-type tallySink struct {
-	s       rel.Sink
-	n       int
-	bytes   int64
-	limit   int64 // 0 = account only
-	tripped bool
-}
-
-func (t *tallySink) Push(row rel.Tuple) bool {
-	t.n++
-	t.bytes += int64(len(row)) * 8
-	if t.limit > 0 && t.bytes > t.limit {
-		t.tripped = true
-		return false
-	}
-	return t.s.Push(row)
 }
 
 // runOneInto executes the planned algorithm sequentially on q — a whole

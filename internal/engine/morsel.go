@@ -298,10 +298,9 @@ func (f *frontier) complete(m int, run *rel.Relation) {
 //     (rel.MergeSortedInto) — still byte-identical, without early emission.
 //
 // Every generic-join morsel descends under wcoj.DefaultOrder, so its run is
-// born sorted. (The scheduler once re-derived the order mid-flight from
-// observed fanouts; the re-derived orders moved v to the bottom of the
-// descent, so every morsel rescanned the whole instance — see DESIGN.md.)
-func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []rel.Value, workers int, o *Options, st *Stats, sink rel.Sink) error {
+// born sorted and v stays at the top of the descent, where a morsel's
+// filter prunes the levels below it.
+func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []rel.Value, workers int, g *memGauge, st *Stats, sink rel.Sink) error {
 	// Grain is algorithm-aware: generic join's per-morsel marginal cost is
 	// proportional to the morsel's own work, so it affords fine morsels. The
 	// chain/SM/CSMA machines pay O(total-input) setup per split instance
@@ -326,7 +325,7 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 
 	gctx, gcancel := context.WithCancel(ctx)
 	defer gcancel()
-	gauge := &memGauge{limit: o.MemLimitBytes, onTrip: gcancel}
+	g.onTrip = gcancel // a trip in any partition or delivery stops the group
 
 	count, counting := sink.(*rel.CountSink)
 	// The frontier can stream only when v is the output's first column;
@@ -377,7 +376,7 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 					}
 				default:
 					var run *rel.Relation
-					run, ext, err = runBuffered(gctx, qm, plan, gauge)
+					run, ext, err = runBuffered(gctx, qm, plan, g)
 					if err == nil {
 						f.complete(m, run)
 					}
@@ -392,21 +391,20 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 		}(w)
 	}
 	wg.Wait()
-	st.MemBytes += gauge.used.Load()
 	st.Steals = int(queue.steals.Load())
 	st.extensions = int(exts.Load())
 
 	// Error selection: a real failure beats the context.Canceled artifacts
-	// its group-cancel induced in the siblings; then the memory gauge; then
-	// a sink stop (a consumer decision, not an error); then the caller's own
-	// cancellation.
+	// its group-cancel induced in the siblings; then a tripped gauge (RunInto
+	// turns it into the *MemLimitError); then a sink stop (a consumer
+	// decision, not an error); then the caller's own cancellation.
 	for _, err := range errs {
 		if err != nil && !errors.Is(err, context.Canceled) {
 			return err
 		}
 	}
-	if gauge.trip.Load() {
-		return &MemLimitError{Limit: o.MemLimitBytes, Used: gauge.used.Load()}
+	if g.trip.Load() {
+		return nil
 	}
 	stopped, runs := f.outcome()
 	if stopped {

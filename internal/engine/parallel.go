@@ -35,7 +35,7 @@ func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // (surfaced in Stats.Workers): beyond that, extra workers would own empty
 // splits and pay goroutine + merge overhead for nothing. One distinct value
 // (or an empty domain) degrades to the sequential path.
-func (b *Bound) runParallelInto(ctx context.Context, plan *Plan, workers int, o *Options, st *Stats, sink rel.Sink) error {
+func (b *Bound) runParallelInto(ctx context.Context, plan *Plan, workers int, g *memGauge, st *Stats, sink rel.Sink) error {
 	if err := ctx.Err(); err != nil {
 		return err // don't pay the partition split for a dead context
 	}
@@ -52,44 +52,28 @@ func (b *Bound) runParallelInto(ctx context.Context, plan *Plan, workers int, o 
 		_, err := runOneInto(ctx, b.q, plan, sink)
 		return err
 	}
-	return b.runMorselsInto(ctx, plan, v, vals, workers, o, st, sink)
-}
-
-// partSink wraps a partition's collect sink with the shared memory gauge:
-// every materialized row is accounted before it is stored, and a tripped
-// gauge stops this partition's producer (the group context stops the
-// others).
-type partSink struct {
-	c        *rel.CollectSink
-	g        *memGauge
-	rowBytes int64
-}
-
-func (s *partSink) Push(t rel.Tuple) bool {
-	if !s.g.add(s.rowBytes) {
-		return false
-	}
-	return s.c.Push(t)
+	return b.runMorselsInto(ctx, plan, v, vals, workers, g, st, sink)
 }
 
 // runBuffered executes one split into a private collector and returns its
-// sorted run, accounting the rows on the shared gauge: row by row when a
-// limit can trip mid-run (a tripped gauge stops this split's producer, the
-// group context stops the others), once afterwards when it cannot — which
-// keeps the collector bare for rel.Stream's adoption fast path.
-func runBuffered(ctx context.Context, qp *query.Q, plan *Plan, gauge *memGauge) (*rel.Relation, int, error) {
+// sorted run, charging the rows to the run's gauge: row by row through a
+// gaugeSink when a limit can trip mid-run (a tripped gauge stops this
+// split's producer, the group context stops the others), once afterwards
+// when it cannot — which keeps the collector bare for rel.Stream's adoption
+// fast path.
+func runBuffered(ctx context.Context, qp *query.Q, plan *Plan, g *memGauge) (*rel.Relation, int, error) {
 	vars := qp.AllVars().Members()
 	c := rel.NewCollect("Q", vars...)
 	var sink rel.Sink = c
-	if gauge.limit > 0 {
-		sink = &partSink{c: c, g: gauge, rowBytes: tupleBytes(1, len(vars))}
+	if g.limit > 0 {
+		sink = &gaugeSink{s: c, g: g}
 	}
 	ext, err := runOneInto(ctx, qp, plan, sink)
 	if err != nil {
 		return nil, ext, err
 	}
-	if gauge.limit <= 0 {
-		gauge.add(tupleBytes(c.R.Len(), len(vars)))
+	if g.limit <= 0 {
+		g.add(tupleBytes(c.R.Len(), len(vars)))
 	}
 	return c.R, ext, nil
 }

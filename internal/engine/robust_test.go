@@ -9,6 +9,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fd"
 	"repro/internal/naive"
+	"repro/internal/paper"
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/scenario"
@@ -129,8 +130,10 @@ func TestMemLimitSequential(t *testing.T) {
 	}
 }
 
-// TestMemLimitParallel: the shared partition gauge trips across workers
-// and cancels the group.
+// TestMemLimitParallel: on the morsel path a charge past the limit — a
+// partition's buffered row or a delivered one, on the run's one gauge —
+// cancels the whole group and fails the run with *MemLimitError, and the
+// Bound runs clean afterwards.
 func TestMemLimitParallel(t *testing.T) {
 	q := scenario.AGMProduct(24, 1)
 	b := bind(t, q)
@@ -146,6 +149,49 @@ func TestMemLimitParallel(t *testing.T) {
 	}
 	if !rel.Equal(out, want) {
 		t.Fatal("re-run output differs from reference")
+	}
+}
+
+// TestMemLimitCoversBuffersPlusDeliveries: one limit covers partition
+// buffers plus deliveries, summed. An explicit chain run on Fig1Skew(512)
+// at three workers buffers every morsel and then delivers every row, so
+// its gauge reaches twice the output's bytes: under any limit below that
+// the run fails, though buffers and deliveries would each fit alone, and
+// under an ample limit it succeeds with MemBytes the documented sum.
+func TestMemLimitCoversBuffersPlusDeliveries(t *testing.T) {
+	ctx := context.Background()
+	b := bind(t, paper.Fig1Skew(512))
+	want, _, err := b.Run(ctx, &Options{Algorithm: AlgChain, Workers: 1})
+	if err != nil || want.Len() < 512 {
+		t.Fatalf("sequential chain run: %d rows, %v", want.Len(), err)
+	}
+	outBytes := tupleBytes(want.Len(), 4)
+	opts := func(limit int64) *Options {
+		return &Options{Algorithm: AlgChain, Workers: 3, MinParallelRows: 1, MemLimitBytes: limit}
+	}
+	for _, tenths := range []int64{11, 15, 19} {
+		limit := outBytes * tenths / 10
+		for _, sink := range []rel.Sink{rel.NewCollect("Q", 0, 1, 2, 3), &rel.CountSink{}} {
+			st, err := b.RunInto(ctx, opts(limit), sink)
+			var me *MemLimitError
+			if !errors.As(err, &me) || me.Limit != limit || me.Used <= limit || st.MemBytes != me.Used {
+				t.Fatalf("%T under %d.%d× the output's bytes: %v, stats %+v", sink, tenths/10, tenths%10, err, st)
+			}
+		}
+	}
+	limit := 4 * outBytes
+	out, st, err := b.Run(ctx, opts(limit))
+	if err != nil {
+		t.Fatalf("ample limit: %v", err)
+	}
+	if st.Workers != 3 || st.Morsels < 3 {
+		t.Fatalf("parallelism not exercised: %+v", st)
+	}
+	if st.MemBytes > limit || st.MemBytes != 2*outBytes {
+		t.Fatalf("MemBytes %d, want buffers plus deliveries %d within the limit %d", st.MemBytes, 2*outBytes, limit)
+	}
+	if !rel.Identical(out, want) {
+		t.Fatal("governed parallel output differs from the sequential one")
 	}
 }
 

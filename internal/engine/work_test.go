@@ -68,7 +68,7 @@ func TestWarmWorkloadCountedWork(t *testing.T) {
 			var st, perRow *wcoj.Stats
 			st, err = wcoj.GenericJoinInto(ctx, b.Query(), wcoj.DefaultOrder(b.Query()), &rel.CountSink{})
 			if err == nil {
-				perRow, err = wcoj.GenericJoinInto(ctx, b.Query(), wcoj.DefaultOrder(b.Query()), &tallySink{s: &rel.CountSink{}})
+				perRow, err = wcoj.GenericJoinInto(ctx, b.Query(), wcoj.DefaultOrder(b.Query()), &gaugeSink{s: &rel.CountSink{}, g: &memGauge{}})
 			}
 			if err == nil && *perRow != *st {
 				err = fmt.Errorf("a per-row sink counted %+v, a run sink %+v", *perRow, *st)

@@ -8,7 +8,7 @@ import (
 // isPushCall reports whether call invokes a method named Push with exactly
 // one result of type bool — the rel.Sink shape. Matching on the method
 // shape rather than the concrete interface keeps the analyzers applicable
-// to every sink-like type (the engine's tally sinks, fdq's wrappers, test
+// to every sink-like type (the engine's gauge sink, fdq's wrappers, test
 // doubles) without import cycles into internal/rel.
 func isPushCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -109,12 +109,6 @@ func (r *Relation) IndexOn(keyVars ...int) *Index {
 	return ix
 }
 
-// Relation returns the indexed relation.
-func (ix *Index) Relation() *Relation { return ix.rel }
-
-// KeyVars returns the number of leading key variables the index was built on.
-func (ix *Index) KeyVars() int { return ix.nkey }
-
 // Len returns the number of indexed rows.
 func (ix *Index) Len() int { return ix.n }
 
@@ -184,16 +178,6 @@ func (ix *Index) Count(prefix ...Value) int {
 	return hi - lo
 }
 
-// Contains reports whether any row matches the full prefix. It costs a
-// single binary search.
-func (ix *Index) Contains(prefix ...Value) bool {
-	if len(prefix) > ix.arity {
-		panic(fmt.Sprintf("rel: prefix longer than index on %s", ix.rel.Name))
-	}
-	lo := ix.searchGE(prefix)
-	return lo < ix.n && ix.cmpPrefix(lo, prefix) == 0
-}
-
 // Row returns the row at sorted position pos, in the index's priority
 // order (aliased into the index's flat storage): element i is the value of
 // variable Attr(i).
@@ -207,10 +191,6 @@ func (ix *Index) Attr(i int) int { return ix.attrs[i] }
 
 // Attrs returns the variable ids in priority order (aliased).
 func (ix *Index) Attrs() []int { return ix.attrs }
-
-// ValueAt returns the value of the variable at priority position i in the
-// row at sorted position pos.
-func (ix *Index) ValueAt(pos, i int) Value { return ix.data[pos*ix.arity+i] }
 
 // DistinctNext iterates the distinct values of the column at priority
 // position len(prefix), among rows matching prefix, calling f with each

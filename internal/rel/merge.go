@@ -1,17 +1,12 @@
 package rel
 
-// mergeScanThreshold is the source count above which MergeSortedInto
-// switches from the linear per-row scan to the loser-tree tournament:
-// below it the scan's tight loop beats the tree's bookkeeping, above it
-// the O(log k) replay wins. Morsel-driven execution routinely merges
-// hundreds of runs, which is what the tournament is for.
-const mergeScanThreshold = 8
+import "slices"
 
 // loserTree is a tournament tree over k sorted cursors: leaf i is the
 // current row of source i, internal nodes hold the *loser* of the match
 // played there, and tree[0] holds the overall winner. Advancing the winner
 // replays exactly one leaf-to-root path — O(log k) comparisons per emitted
-// row instead of the linear scan's O(k).
+// row instead of a linear scan's O(k).
 //
 // Exhausted sources are represented by a sentinel "infinite" cursor that
 // loses every match, so the tree never shrinks or rebalances.
@@ -88,10 +83,33 @@ func (t *loserTree) advance() {
 	t.tree[0] = w
 }
 
-// mergeTournamentInto is the many-source body of MergeSortedInto: identical
-// contract (sorted duplicate-free sources, duplicates across sources
-// dropped, stops when the sink does), O(log k) per emitted row.
-func mergeTournamentInto(sink Sink, srcs []*Relation, k int) bool {
+// MergeSortedInto k-way merges already-sorted duplicate-free sources over
+// identical attribute orders (duplicates across sources dropped) into sink,
+// pushing each merged row as soon as it wins the merge and stopping the
+// merge the moment the sink stops. It reports whether the sink accepted
+// every row. This is the morsel path's barrier merge: per-partition outputs
+// are sorted and disjoint, so the pushed sequence is byte-identical to the
+// sequential execution's output, and a LIMIT-k consumer stops after k rows
+// without touching the rest of the partitions' rows. Every source count
+// runs the loser-tree tournament: O(log k) comparisons per emitted row.
+func MergeSortedInto(sink Sink, srcs []*Relation) bool {
+	if len(srcs) == 0 {
+		panic("rel: MergeSortedInto needs at least one source")
+	}
+	k := len(srcs[0].Attrs)
+	for _, s := range srcs {
+		if !slices.Equal(s.Attrs, srcs[0].Attrs) {
+			panic("rel: MergeSortedInto schema mismatch")
+		}
+	}
+	if k == 0 {
+		for _, s := range srcs {
+			if s.n > 0 {
+				return sink.Push(Tuple{})
+			}
+		}
+		return true
+	}
 	t := newLoserTree(srcs, k)
 	last := make(Tuple, k)
 	emitted := false

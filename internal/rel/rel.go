@@ -136,56 +136,6 @@ func (r *Relation) appendRun(prefix Tuple, last []Value) {
 	r.n += len(last)
 }
 
-// MergeSorted merges already-sorted relations over identical attribute
-// orders into one sorted, deduplicated relation: a k-way merge costing
-// O(total · k) comparisons instead of a fresh O(total · log total) sort.
-// Each source must be sorted and duplicate-free (as produced by SortDedup);
-// duplicates *across* sources are dropped. This is the merge path for
-// partitioned execution, whose per-partition outputs are sorted and
-// pairwise disjoint.
-func MergeSorted(name string, srcs []*Relation) *Relation {
-	if len(srcs) == 0 {
-		panic("rel: MergeSorted needs at least one source")
-	}
-	out := New(name, srcs[0].Attrs...)
-	k := len(out.Attrs)
-	total := 0
-	for _, s := range srcs {
-		if !slices.Equal(s.Attrs, srcs[0].Attrs) {
-			panic(fmt.Sprintf("rel: MergeSorted schema mismatch %v vs %v", s.Attrs, srcs[0].Attrs))
-		}
-		total += s.n
-	}
-	if k == 0 {
-		if total > 0 {
-			out.n = 1 // all zero-arity rows are equal
-		}
-		return out
-	}
-	out.data = make([]Value, 0, total*k)
-	pos := make([]int, len(srcs))
-	for {
-		best := -1
-		for s, sr := range srcs {
-			if pos[s] == sr.n {
-				continue
-			}
-			if best < 0 || cmpRowsAt2(sr.data, srcs[best].data, pos[s]*k, pos[best]*k, k) < 0 {
-				best = s
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		base := pos[best] * k
-		if out.n == 0 || cmpRowsAt2(out.data, srcs[best].data, len(out.data)-k, base, k) != 0 {
-			out.data = append(out.data, srcs[best].data[base:base+k]...)
-			out.n++
-		}
-		pos[best]++
-	}
-}
-
 // appendRowOf copies row i of src onto the end of r. Internal fast path for
 // operators building fresh outputs with the same arity.
 func (r *Relation) appendRowOf(src *Relation, i int) {

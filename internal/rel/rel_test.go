@@ -246,8 +246,8 @@ func TestIndexRangeCount(t *testing.T) {
 	if got := ix.Count(99); got != 0 {
 		t.Fatalf("Count(99) = %d, want 0", got)
 	}
-	if !ix.Contains(0, 0) || ix.Contains(0, 1) {
-		t.Fatal("Contains full-prefix wrong")
+	if ix.Count(0, 0) != 1 || ix.Count(0, 1) != 0 {
+		t.Fatal("Count on a full prefix wrong")
 	}
 }
 
@@ -300,8 +300,8 @@ func TestIndexSkipsForeignVars(t *testing.T) {
 	if ix.Attr(0) != 1 {
 		t.Fatalf("Attr(0) = %d, want 1", ix.Attr(0))
 	}
-	if ix.KeyVars() != 1 {
-		t.Fatalf("KeyVars = %d, want 1", ix.KeyVars())
+	if ix.Attr(1) != 0 || len(ix.Attrs()) != 2 {
+		t.Fatalf("Attrs = %v, want [1 0]", ix.Attrs())
 	}
 }
 
@@ -627,9 +627,6 @@ func TestIndexRowPriorityOrder(t *testing.T) {
 	if row[0] != 8 || row[1] != 7 {
 		t.Fatalf("Row not in priority order: %v", row)
 	}
-	if ix.ValueAt(0, 0) != 8 || ix.ValueAt(0, 1) != 7 {
-		t.Fatal("ValueAt not in priority order")
-	}
 }
 
 // Alloc regression: single-column Semijoin must stay O(1) allocations per
@@ -662,7 +659,7 @@ func TestIndexProbeAllocRegression(t *testing.T) {
 	ix := r.IndexOn(0)
 	prefix := []Value{13}
 	allocs := testing.AllocsPerRun(100, func() {
-		if ix.Count(prefix...) == 0 || !ix.Contains(prefix...) {
+		if lo, hi := ix.Range(prefix...); ix.Count(prefix...) == 0 || hi == lo {
 			t.Fatal("probe failed")
 		}
 	})

@@ -47,10 +47,10 @@ type Sink interface {
 // run to a sink that implements RunSink and pushes row by row otherwise.
 //
 // CountSink and CollectSink implement it, and nothing else may: a sink that
-// has to see each row — LimitSink, BlockSink, the engine's tally, budget and
-// morsel sinks — gets Push per row simply by not having the method, so
-// limits, row and memory budgets and first-row latency are decided at the
-// same row as without runs.
+// has to see each row — LimitSink, BlockSink, the engine's gauge and morsel
+// sinks, fdq's budget sink — gets Push per row simply by not having the
+// method, so limits, row and memory budgets and first-row latency are
+// decided at the same row as without runs.
 type RunSink interface {
 	Sink
 	PushRun(prefix Tuple, last []Value) bool
@@ -240,66 +240,4 @@ func Stream(r *Relation, sink Sink) bool {
 		}
 	}
 	return true
-}
-
-// MergeSortedInto is MergeSorted streaming into a sink: it k-way merges
-// already-sorted duplicate-free sources (duplicates across sources dropped)
-// and pushes each merged row as soon as it wins the merge, stopping the
-// merge the moment the sink stops. This is the parallel execution path's
-// streaming merge: per-partition outputs are sorted and disjoint, so the
-// pushed sequence is byte-identical to the sequential execution's output,
-// and a LIMIT-k consumer stops after k rows without touching the rest of
-// the partitions' rows. It reports whether the sink accepted every row.
-//
-// A handful of sources (an FD plan's one morsel per worker) use a linear
-// per-row scan; many sources (generic join's fine morsels) are merged by a
-// loser-tree tournament so the per-row cost is O(log k), not O(k).
-func MergeSortedInto(sink Sink, srcs []*Relation) bool {
-	if len(srcs) == 0 {
-		panic("rel: MergeSortedInto needs at least one source")
-	}
-	k := len(srcs[0].Attrs)
-	for _, s := range srcs {
-		if !slices.Equal(s.Attrs, srcs[0].Attrs) {
-			panic("rel: MergeSortedInto schema mismatch")
-		}
-	}
-	if k == 0 {
-		for _, s := range srcs {
-			if s.n > 0 {
-				return sink.Push(Tuple{})
-			}
-		}
-		return true
-	}
-	if len(srcs) > mergeScanThreshold {
-		return mergeTournamentInto(sink, srcs, k)
-	}
-	pos := make([]int, len(srcs))
-	last := make(Tuple, k)
-	emitted := false
-	for {
-		best := -1
-		for s, sr := range srcs {
-			if pos[s] == sr.n {
-				continue
-			}
-			if best < 0 || cmpRowsAt2(sr.data, srcs[best].data, pos[s]*k, pos[best]*k, k) < 0 {
-				best = s
-			}
-		}
-		if best < 0 {
-			return true
-		}
-		row := srcs[best].Row(pos[best])
-		pos[best]++
-		if emitted && cmpRowsAt2(last, row, 0, 0, k) == 0 {
-			continue
-		}
-		copy(last, row)
-		emitted = true
-		if !sink.Push(row) {
-			return false
-		}
-	}
 }

@@ -106,13 +106,6 @@ func (t *TrieIndex) Val(d int, node int32) Value { return t.levels[d].vals[node]
 // trie's storage and must not be written.
 func (t *TrieIndex) Vals(d int, lo, hi int32) []Value { return t.levels[d].vals[lo:hi:hi] }
 
-// Fanout returns the number of children of node at level d — the degree of
-// the node's value path restricted to distinct next-level values.
-func (t *TrieIndex) Fanout(d int, node int32) int {
-	lo, hi := t.Children(d, node)
-	return int(hi - lo)
-}
-
 // SeekGE returns the first node in [lo, hi) at level d whose value is >= v,
 // using galloping (exponential probe then binary search), so seeking from a
 // cursor that advances monotonically through the run costs O(1 + log gap)
