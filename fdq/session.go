@@ -258,7 +258,7 @@ func (s *Session) begin(ctx context.Context, q *Q) (*exec, error) {
 	// The certified output bound drives admission and is reported in
 	// RunStats even when ungoverned. Admission() is memoized per binding:
 	// the plan's own bound, solved without choosing the machine, which a
-	// sequential run plans only if its generic-join attempt overruns.
+	// run plans only if its generic-join attempt overruns.
 	logBound := b.Admission().LogBound
 	g := s.gov
 	if g == nil {

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/fd"
 	"repro/internal/naive"
 	"repro/internal/paper"
 	"repro/internal/query"
@@ -28,7 +31,7 @@ func (s rowSink) Push(t rel.Tuple) bool { return s.c.Push(t) }
 func tripPoint(t *testing.T, b *Bound) (int, *wcoj.Stats) {
 	t.Helper()
 	var c rel.CountSink
-	ws, err := wcoj.GenericJoinBudgetInto(context.Background(), b.q, wcoj.DefaultOrder(b.q), attemptBudget(b.q, b.Plan()), &c)
+	ws, err := wcoj.GenericJoinBudgetInto(context.Background(), b.q, wcoj.DefaultOrder(b.q), wcoj.NewBudget(attemptBudget(b.q, b.Plan())), &c)
 	if !errors.Is(err, wcoj.ErrWorkBudget) {
 		t.Fatalf("the attempt does not overrun: %v", err)
 	}
@@ -37,9 +40,11 @@ func tripPoint(t *testing.T, b *Bound) (int, *wcoj.Stats) {
 
 // TestAttemptOverrunResumesOnEverySink: on Example 5.8's skew instance the
 // attempt overruns (generic join is Ω(N²) there) and the chain algorithm
-// resumes. Every kind of sink a first run can be handed sees exactly the
-// naive answer, the rows the attempt delivered included once, and the
-// attempt spent at most its budget plus one descent step.
+// resumes, on one worker and on the morsel path. Every kind of sink a first
+// run can be handed sees exactly the naive answer, the rows the attempt
+// delivered included once. Alone, the attempt spent at most its budget plus
+// one descent step; on k workers sharing the budget, at most k·(one share
+// quantum + one step) more.
 func TestAttemptOverrunResumesOnEverySink(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{512, 2048} {
@@ -125,29 +130,42 @@ func TestAttemptOverrunResumesOnEverySink(t *testing.T) {
 				return bs, outcome{func() *rel.Relation { bs.Flush(); close(bs.C); <-done; return got }, want}
 			}},
 		} {
-			b := fresh()
-			sink, out := tc.sink()
-			opts := tc.opts
-			opts.Workers = 1
-			st, err := b.RunInto(ctx, &opts, sink)
-			if err != nil {
-				t.Fatalf("Fig1Skew(%d) %s: %v", n, tc.name, err)
-			}
-			if got := out.got(); !rel.Identical(got, out.want) {
-				t.Fatalf("Fig1Skew(%d) %s: %d rows differ from the reference's %d", n, tc.name, got.Len(), out.want.Len())
-			}
-			if tc.name == "limit-1" {
-				// The first row arrives before the trip: a stopped attempt, no verdict.
-				if st.Ran != AlgGenericJoin || b.won.Load() != nil {
-					t.Fatalf("Fig1Skew(%d) limit-1: ran %s, decided %v; want generic, undecided", n, st.Ran, b.won.Load())
+			for _, workers := range []int{1, 2} {
+				b := fresh()
+				sink, out := tc.sink()
+				opts := tc.opts
+				opts.Workers, opts.MinParallelRows = workers, 1
+				st, err := b.RunInto(ctx, &opts, sink)
+				if err != nil {
+					t.Fatalf("Fig1Skew(%d) %s on %d workers: %v", n, tc.name, workers, err)
 				}
-				continue
-			}
-			if st.Ran != AlgChain || b.won.Load() != b.Plan() {
-				t.Fatalf("Fig1Skew(%d) %s: ran %s, decided %v; want the chain algorithm after an overrun", n, tc.name, st.Ran, b.won.Load())
-			}
-			if st.extensions != ws.Extensions {
-				t.Fatalf("Fig1Skew(%d) %s: the attempt made %d extensions, its descent alone %d", n, tc.name, st.extensions, ws.Extensions)
+				if got := out.got(); !rel.Identical(got, out.want) {
+					t.Fatalf("Fig1Skew(%d) %s on %d workers: %d rows differ from the reference's %d", n, tc.name, workers, got.Len(), out.want.Len())
+				}
+				if st.Workers != workers {
+					t.Fatalf("Fig1Skew(%d) %s: ran on %d workers, want %d", n, tc.name, st.Workers, workers)
+				}
+				if workers > 1 {
+					// Where the morsels stand when the shared budget runs out
+					// varies, so a limit may or may not stop the run first.
+					if tc.name == "limit-1" || tc.name == "limit-past-trip" {
+						continue
+					}
+					if lag := workers * (wcoj.ShareQuantum + stepWork(q)); st.extensions+st.lookups > budget+lag {
+						t.Fatalf("Fig1Skew(%d) %s: the attempt on %d workers spent %d, budget %d + lag %d", n, tc.name, workers, st.extensions+st.lookups, budget, lag)
+					}
+				} else if tc.name == "limit-1" {
+					// The first row arrives before the trip: a stopped attempt, no verdict.
+					if st.Ran != AlgGenericJoin || b.won.Load() != nil {
+						t.Fatalf("Fig1Skew(%d) limit-1: ran %s, decided %v; want generic, undecided", n, st.Ran, b.won.Load())
+					}
+					continue
+				} else if st.extensions != ws.Extensions {
+					t.Fatalf("Fig1Skew(%d) %s: the attempt made %d extensions, its descent alone %d", n, tc.name, st.extensions, ws.Extensions)
+				}
+				if st.Ran != AlgChain || b.won.Load() != b.Plan() || !reflect.DeepEqual(st.Plan, *b.Plan()) {
+					t.Fatalf("Fig1Skew(%d) %s on %d workers: ran %s, decided %v; want the chain algorithm after an overrun", n, tc.name, workers, st.Ran, b.won.Load())
+				}
 			}
 		}
 	}
@@ -285,8 +303,8 @@ func TestAttemptFailuresDoNotFallBack(t *testing.T) {
 	}
 }
 
-// TestExplicitRequestsNeverAttempt: an explicitly requested FD machine, and a
-// planned one on the parallel path, runs as requested with no attempt.
+// TestExplicitRequestsNeverAttempt: an explicitly requested FD machine runs
+// as requested with no attempt, on one worker or on the morsel path.
 func TestExplicitRequestsNeverAttempt(t *testing.T) {
 	fig4, _ := paper.Fig4Instance(216)
 	for _, tc := range []struct {
@@ -296,7 +314,7 @@ func TestExplicitRequestsNeverAttempt(t *testing.T) {
 		{paper.Fig1Skew(512), Options{Algorithm: AlgChain, Workers: 1}},
 		{fig4, Options{Algorithm: AlgSM, Workers: 1}},
 		{fig4, Options{Algorithm: AlgCSMA, Workers: 1}},
-		{fig4, Options{Workers: 2, MinParallelRows: 1}},
+		{fig4, Options{Algorithm: AlgSM, Workers: 2, MinParallelRows: 1}},
 	} {
 		b := bind(t, tc.q)
 		out, st, err := b.Run(context.Background(), &tc.opts)
@@ -308,6 +326,95 @@ func TestExplicitRequestsNeverAttempt(t *testing.T) {
 		}
 		if st.extensions != 0 || st.Ran != st.Plan.Algorithm || b.won.Load() != nil {
 			t.Fatalf("%+v: %d generic-join extensions, ran %s for plan %s, decided %v", tc.opts, st.extensions, st.Ran, st.Plan.Algorithm, b.won.Load())
+		}
+	}
+}
+
+// TestParallelAutoRunAttempts: an auto run on the morsel path tries generic
+// join first, on more than one worker, and an attempt that fits decides for
+// the Bound; the run reports the admission record, whose machine (SM) is
+// never planned.
+func TestParallelAutoRunAttempts(t *testing.T) {
+	q, _ := paper.Fig4Instance(216)
+	b := bind(t, q)
+	out, st, err := b.Run(context.Background(), &Options{Workers: 2, MinParallelRows: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rel.Identical(out, naive.Evaluate(q)) {
+		t.Fatal("output differs from the reference")
+	}
+	if st.Workers < 2 || st.Morsels < 2 || st.Ran != AlgGenericJoin || st.Plan.Algorithm != AlgAuto || st.extensions == 0 {
+		t.Fatalf("the attempt ran %s for plan %s on %d workers, %d morsels, %d extensions; want generic join on the morsel path",
+			st.Ran, st.Plan.Algorithm, st.Workers, st.Morsels, st.extensions)
+	}
+	if won := b.won.Load(); won != attemptFit {
+		t.Fatalf("the attempt fit but decided %v", won)
+	}
+	if planned(b) {
+		t.Fatal("a fitting parallel attempt planned the machine")
+	}
+}
+
+// TestParallelUnfinishedAttemptDecidesNothing mirrors the sequential
+// attempt's rules on the morsel path: a first run that does not finish — a
+// LIMIT-1 sink, a cancel, a UDF panic, a memory trip — stores no verdict, a
+// failure fails the run with its own error, and a clean re-run decides and
+// answers the reference.
+func TestParallelUnfinishedAttemptDecidesNothing(t *testing.T) {
+	for _, mode := range []string{"limit-1", "cancel", "panic", "mem-limit"} {
+		q, _ := paper.Fig4Instance(216)
+		want := naive.Evaluate(q)
+		var calls atomic.Int64
+		at := int64(0)
+		trip := func() {}
+		for _, f := range q.FDs.FDs {
+			for v, fn := range f.Fns {
+				f.Fns[v] = func(args []fd.Value) fd.Value {
+					if calls.Add(1) == at {
+						trip()
+					}
+					return fn(args)
+				}
+			}
+		}
+		b := bind(t, q)
+		ctx, cancel := context.WithCancel(context.Background())
+		opts := Options{Workers: 2, MinParallelRows: 1}
+		c := rel.NewCollect("Q", q.AllVars().Members()...)
+		var sink rel.Sink = c
+		switch mode {
+		case "limit-1":
+			sink = rel.Limit(c, 1)
+		case "cancel":
+			at, trip = 100, cancel
+		case "panic":
+			at, trip = 100, func() { panic("boom: injected UDF failure") }
+		case "mem-limit":
+			opts.MemLimitBytes = 256
+		}
+		st, err := b.RunInto(ctx, &opts, sink)
+		cancel()
+		var pe *PanicError
+		var me *MemLimitError
+		switch {
+		case mode == "limit-1" && (err != nil || c.R.Len() != 1 || !slices.Equal(c.R.Row(0), want.Row(0))):
+			t.Fatalf("%s: %d rows, err %v", mode, c.R.Len(), err)
+		case mode == "cancel" && !errors.Is(err, context.Canceled):
+			t.Fatalf("%s: want context.Canceled, got %v", mode, err)
+		case mode == "panic" && !errors.As(err, &pe):
+			t.Fatalf("%s: want *PanicError, got %v", mode, err)
+		case mode == "mem-limit" && !errors.As(err, &me):
+			t.Fatalf("%s: want *MemLimitError, got %v", mode, err)
+		case st.Workers < 2 || st.Ran != AlgGenericJoin:
+			t.Fatalf("%s: the attempt ran %s on %d workers", mode, st.Ran, st.Workers)
+		case b.won.Load() != nil:
+			t.Fatalf("%s: an unfinished attempt decided %v", mode, b.won.Load())
+		}
+		at = 0
+		out, st, err := b.Run(context.Background(), &Options{Workers: 2, MinParallelRows: 1})
+		if err != nil || !rel.Identical(out, want) || st.Ran != AlgGenericJoin || b.won.Load() != attemptFit {
+			t.Fatalf("%s: clean re-run: ran %s, err %v, decided %v", mode, st.Ran, err, b.won.Load())
 		}
 	}
 }

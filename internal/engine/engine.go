@@ -56,9 +56,12 @@ const (
 // choose the algorithm, use one worker per CPU when the instance is large
 // enough, and fall back to sequential execution below MinParallelRows.
 type Options struct {
-	Algorithm       Algorithm // "" or AlgAuto: cost-based planner decides
-	Workers         int       // ≤0: GOMAXPROCS; 1 forces sequential
-	MinParallelRows int       // ≤0: default 2048 total input rows
+	Algorithm Algorithm // "" or AlgAuto: cost-based planner decides
+	// Workers sizes the morsel pool of a run over MinParallelRows input
+	// rows (≤0: GOMAXPROCS; 1 forces sequential). An auto run's
+	// generic-join attempt runs on the same pool as its machine would.
+	Workers         int
+	MinParallelRows int // ≤0: default 2048 total input rows
 	// MemLimitBytes, when > 0, aborts the run with a *MemLimitError once
 	// the approximate bytes of result data accounted on the run's one
 	// gauge — parallel partition buffers plus rows delivered to the sink,
@@ -73,11 +76,11 @@ type Options struct {
 // log2 bound, and the planner's reasoning), the degree of parallelism, and
 // the outcome.
 type Stats struct {
-	// Plan is the plan the run executed from. A sequential auto run whose
-	// machine was never chosen — its generic-join attempt fit, or a
-	// stopped sink ended it first — holds the admission record instead
-	// (Bound.Admission: Algorithm AlgAuto, the same LogBound); Bound.Plan
-	// reports the machine.
+	// Plan is the plan the run executed from. An auto run whose machine
+	// was never chosen — its generic-join attempt fit, or a stopped sink
+	// ended it first — holds the admission record instead
+	// (Bound.Admission: Algorithm AlgAuto, the same LogBound), on one
+	// worker or many; Bound.Plan reports the machine.
 	Plan         Plan
 	Ran          Algorithm // what produced the rows: Plan.Algorithm, or generic join where an attempt fit
 	Workers      int       // goroutines that executed partitions (1 = sequential; clamped to the partition variable's distinct-value count)
@@ -91,7 +94,7 @@ type Stats struct {
 	AdaptSwitches int   // always 0: mid-flight re-ordering was removed; kept until the benchmark stops reading it
 	WorkerMorsels []int // morsels each worker executed (nil off the morsel path)
 
-	extensions int // Σ wcoj.Stats.Extensions over the run's generic-join morsels; the work tests read it
+	extensions, lookups int // Σ wcoj.Stats over the run's generic-join descents (an attempt's included); the work tests read them
 }
 
 // Prepared is an analyzed query shape. It wraps the query whose lazily
@@ -133,7 +136,7 @@ type Bound struct {
 	morselsKey morselKey   // guarded by mu; single-entry morsel-partition memo
 	morsels    []*query.Q  // guarded by mu; the split instances, each with its own prepared record
 
-	won atomic.Pointer[Plan] // what an FD plan's sequential runs execute once its attempt decided (attemptInto)
+	won atomic.Pointer[Plan] // what an FD plan's runs execute once its attempt decided (attemptInto)
 }
 
 // Bind attaches an instance to the shape: rels must match the shape's
@@ -226,11 +229,13 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	parallel := workers > 1 && b.q.TotalSize() >= o.MinParallelRows
-	// A sequential auto run is admitted on the certificate alone; the
-	// machine is planned at its attempt's first overrun, if any.
+	if workers <= 1 || b.q.TotalSize() < o.MinParallelRows {
+		workers = 1
+	}
+	// An auto run is admitted on the certificate alone; the machine is
+	// planned at its attempt's first overrun, if any.
 	var plan *Plan
-	if o.Algorithm == AlgAuto && !parallel {
+	if o.Algorithm == AlgAuto {
 		plan = b.Admission()
 	} else if plan, err = b.plan(o.Algorithm); err != nil {
 		return nil, err
@@ -263,13 +268,13 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 		runSink = &g.out
 		outSize = func() int { return g.out.n }
 	}
-	if parallel {
-		if g == nil {
-			g = &memGauge{}
-		}
-		err = b.runParallelInto(ctx, plan, workers, g, st, runSink)
-	} else if err = ctx.Err(); err == nil && attempts(plan) {
-		err = b.attemptInto(ctx, plan, st, runSink, outSize)
+	if workers > 1 && g == nil {
+		g = &memGauge{} // the morsel path gauges its partition buffers
+	}
+	if err = ctx.Err(); err == nil && attempts(plan) {
+		err = b.attemptInto(ctx, plan, workers, g, st, runSink, outSize)
+	} else if err == nil && workers > 1 {
+		_, err = b.runParallelInto(ctx, plan, workers, g, st, runSink)
 	} else if err == nil {
 		_, err = runOneInto(ctx, b.q, plan, runSink)
 	}
@@ -299,9 +304,10 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 // each solved on the whole instance. A plan without its artifact runs the
 // executor's own slot at q's sizes.
 //
-// ext is generic join's wcoj.Stats.Extensions (0 for the other machines),
-// the work measure the partitioning tests sum.
-func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) (ext int, err error) {
+// ws is generic join's counters (zero for the other machines): the work
+// measure the partitioning tests sum, and whether the sink stopped an
+// attempt.
+func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) (ws wcoj.Stats, err error) {
 	switch plan.Algorithm {
 	case AlgChain:
 		_, err = chainalg.RunInto(ctx, q, plan.Chain, sink)
@@ -311,22 +317,22 @@ func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) (ext
 		_, err = csma.RunInto(ctx, q, plan.CSM, sink)
 	case AlgGenericJoin:
 		var st *wcoj.Stats
-		if st, err = wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), sink); st != nil {
-			ext = st.Extensions
+		if st, err = wcoj.GenericJoinBudgetInto(ctx, q, wcoj.DefaultOrder(q), plan.budget, sink); st != nil {
+			ws = *st
 		}
 	case AlgBinary:
 		_, err = wcoj.BinaryPlanInto(ctx, q, nil, sink)
 	default:
 		err = fmt.Errorf("engine: unknown algorithm %q", plan.Algorithm)
 	}
-	return ext, err
+	return ws, err
 }
 
 // attemptFactor is c in an attempt's budget of c·(N + 2^LogBound) counted work
 // (E15 in cmd/experiments); a variable so that FuzzPlannerConsistency can vary it.
 var attemptFactor = 8
 
-// attempts reports whether a sequential run of plan first tries generic join:
+// attempts reports whether a run of plan first tries generic join:
 // the planner chose an FD machine for its finite bound, or the run was
 // admitted on the LLP with the machine not chosen yet (Admission).
 func attempts(plan *Plan) bool {
@@ -346,26 +352,28 @@ func attemptBudget(q *query.Q, plan *Plan) int {
 var attemptFit = &Plan{Algorithm: AlgGenericJoin}
 
 // attemptInto runs an FD plan, or an admission record whose machine is not
-// chosen yet, sequentially, trying generic join first under attemptBudget; on
-// an overrun the planned machine (planned now, for an admission record)
-// resumes past the rows already delivered, a prefix of the same sorted
-// answer. The first run that finishes or overruns decides for every later run
-// of the (immutable) Bound, and a machine verdict is what later runs report
-// in st.Plan. DESIGN.md, "Run time: the generic-join attempt", has the
-// argument.
-func (b *Bound) attemptInto(ctx context.Context, plan *Plan, st *Stats, sink rel.Sink, delivered func() int) (err error) {
+// chosen yet, on workers (1: sequentially), trying generic join first: one
+// descent, or a morsel schedule of them, under one shared attemptBudget. On
+// an overrun the group is cancelled, and the planned machine (planned now,
+// for an admission record) runs on the same workers past the rows already
+// delivered, a prefix of the same sorted answer. The first run that finishes
+// or overruns decides for every later run of the (immutable) Bound, on any
+// number of workers, and a machine verdict is what later runs report in
+// st.Plan. A run that failed or whose sink stopped decides nothing.
+// DESIGN.md, "Run time: the generic-join attempt", has the argument.
+func (b *Bound) attemptInto(ctx context.Context, plan *Plan, workers int, g *memGauge, st *Stats, sink rel.Sink, delivered func() int) (err error) {
 	if won := b.won.Load(); won != nil {
 		if won != attemptFit {
 			st.Plan = *won
 		}
 		st.Ran = won.Algorithm
-		st.extensions, err = runOneInto(ctx, b.q, won, sink)
+		_, err = b.runParallelInto(ctx, won, workers, g, st, sink)
 		return err
 	}
-	ws, err := wcoj.GenericJoinBudgetInto(ctx, b.q, wcoj.DefaultOrder(b.q), attemptBudget(b.q, plan), sink)
-	st.extensions = ws.Extensions
+	try := &Plan{Algorithm: AlgGenericJoin, budget: wcoj.NewBudget(attemptBudget(b.q, plan))}
+	stopped, err := b.runParallelInto(ctx, try, workers, g, st, sink)
 	if !errors.Is(err, wcoj.ErrWorkBudget) {
-		if err == nil && !ws.Stopped {
+		if err == nil && !stopped {
 			b.won.Store(attemptFit)
 		}
 		st.Ran = AlgGenericJoin
@@ -379,7 +387,7 @@ func (b *Bound) attemptInto(ctx context.Context, plan *Plan, st *Stats, sink rel
 	if n := delivered(); n > 0 {
 		sink = &skipSink{s: sink, n: n}
 	}
-	_, err = runOneInto(ctx, b.q, plan, sink)
+	_, err = b.runParallelInto(ctx, plan, workers, g, st, sink)
 	return err
 }
 

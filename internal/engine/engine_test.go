@@ -205,7 +205,10 @@ func TestParallelEveryAlgorithm(t *testing.T) {
 	want := naive.Evaluate(q)
 	for _, alg := range []Algorithm{AlgChain, AlgSM, AlgCSMA, AlgGenericJoin, AlgBinary} {
 		seq, _ := mustRun(t, q, &Options{Algorithm: alg, Workers: 1})
-		par, _ := mustRun(t, q, &Options{Algorithm: alg, Workers: 3, MinParallelRows: 1})
+		par, st := mustRun(t, q, &Options{Algorithm: alg, Workers: 3, MinParallelRows: 1})
+		if st.Ran != alg || st.Workers != 3 {
+			t.Fatalf("%s parallel: ran %s on %d workers", alg, st.Ran, st.Workers)
+		}
 		identical(t, seq, par)
 		if !rel.Equal(par, want) {
 			t.Fatalf("%s parallel: wrong answer", alg)

@@ -23,9 +23,10 @@ import (
 // directly, since the tiny-input rule takes most plans of instances this
 // small — and sequential and parallel execution must both reproduce the
 // naive reference byte-for-byte, as must an FD plan resumed after its
-// generic-join attempt overran. The admission record's bound must be the
-// plan's, and a fresh shape's run admitted on it must plan its machine at
-// the overrun.
+// generic-join attempt overran, on one worker and on three (where the
+// overrun can land mid-stream on the morsel frontier, and the machine
+// resumes split). The admission record's bound must be the plan's, and a
+// fresh shape's run admitted on it must plan its machine at the overrun.
 func FuzzPlannerConsistency(f *testing.F) {
 	f.Add(int64(2016), 4, 3, 20, 4, true)
 	f.Add(int64(516), 3, 2, 12, 3, false)
@@ -84,9 +85,10 @@ func FuzzPlannerConsistency(f *testing.F) {
 		// An FD plan's generic-join attempt, past the tiny-input rule, at a
 		// budget factor of 0 overruns before its first row, at 1 mostly after
 		// some rows, at 2 mostly fits: the planned machine's resume must
-		// complete exactly the same answer. So must a fresh shape's run
-		// admitted on the LLP alone, whose machine is planned at the overrun
-		// and then reported in st.Plan.
+		// complete exactly the same answer, sequentially and on three
+		// workers. So must a fresh shape's run admitted on the LLP alone,
+		// whose machine is planned at the overrun and then reported in
+		// st.Plan.
 		defer func(c int) { attemptFactor = c }(attemptFactor)
 		attemptFactor = fold(int(seed), 3)
 		fresh := scenario.RandomQuery(rand.New(rand.NewSource(seed)), nVars, nRels, nRows, domain, withFDs)
@@ -97,25 +99,31 @@ func FuzzPlannerConsistency(f *testing.F) {
 			if !attempts(tc.plan) {
 				continue
 			}
-			p0, err := Prepare(tc.q)
-			if err != nil {
-				t.Fatalf("prepare: %v", err)
-			}
-			b0, err := p0.Bind(tc.q.Rels)
-			if err != nil {
-				t.Fatalf("bind: %v", err)
-			}
-			c := rel.NewCollect("Q", q.AllVars().Members()...)
-			st := &Stats{Plan: *tc.plan, Ran: tc.plan.Algorithm}
-			if err := b0.attemptInto(context.Background(), tc.plan, st, c, func() int { return c.R.Len() }); err != nil {
-				t.Fatalf("%s with an attempt at factor %d: %v", tc.plan.Algorithm, attemptFactor, err)
-			}
-			if !rel.Identical(c.R, want) {
-				t.Fatalf("%s, ran %s after an attempt at factor %d: %d rows, want %d", tc.plan.Algorithm, st.Ran, attemptFactor, c.R.Len(), want.Len())
-			}
-			if won := b0.won.Load(); tc.plan.Algorithm == AlgAuto && won != attemptFit &&
-				(won != b0.Plan() || !reflect.DeepEqual(st.Plan, *won) || st.Ran != won.Algorithm) {
-				t.Fatalf("admitted run overran at factor %d: reports %+v, ran %s; the planner %+v", attemptFactor, st.Plan, st.Ran, *b0.Plan())
+			for _, workers := range []int{1, 3} {
+				p0, err := Prepare(tc.q)
+				if err != nil {
+					t.Fatalf("prepare: %v", err)
+				}
+				b0, err := p0.Bind(tc.q.Rels)
+				if err != nil {
+					t.Fatalf("bind: %v", err)
+				}
+				c := rel.NewCollect("Q", q.AllVars().Members()...)
+				st := &Stats{Plan: *tc.plan, Ran: tc.plan.Algorithm}
+				if err := b0.attemptInto(context.Background(), tc.plan, workers, &memGauge{}, st, c, func() int { return c.R.Len() }); err != nil {
+					t.Fatalf("%s with an attempt at factor %d on %d workers: %v", tc.plan.Algorithm, attemptFactor, workers, err)
+				}
+				if !rel.Identical(c.R, want) {
+					t.Fatalf("%s, ran %s after an attempt at factor %d on %d workers: %d rows, want %d", tc.plan.Algorithm, st.Ran, attemptFactor, workers, c.R.Len(), want.Len())
+				}
+				won := b0.won.Load()
+				if won == nil || won == attemptFit && st.Ran != AlgGenericJoin {
+					t.Fatalf("a finished attempt at factor %d on %d workers decided %v, ran %s", attemptFactor, workers, won, st.Ran)
+				}
+				if tc.plan.Algorithm == AlgAuto && won != attemptFit &&
+					(won != b0.Plan() || !reflect.DeepEqual(st.Plan, *b0.Plan()) || st.Ran != won.Algorithm) {
+					t.Fatalf("admitted run overran at factor %d on %d workers: reports %+v, ran %s; the planner %+v", attemptFactor, workers, st.Plan, st.Ran, *b0.Plan())
+				}
 			}
 		}
 		par, _, err := b.Run(context.Background(), &Options{Workers: 3, MinParallelRows: 1})

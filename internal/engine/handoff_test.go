@@ -387,7 +387,9 @@ func TestFirstRowBeforeFirstMorselCompletes(t *testing.T) {
 // descent's first variable, so the morsels partition the sequential search
 // tree instead of each re-enumerating the levels above the split variable:
 // summed over the morsels, the descent extends about as many candidates as
-// the sequential run (Generic-Join's cost measure), not a multiple.
+// the sequential run (Generic-Join's cost measure), not a multiple. The same
+// holds for an auto run's attempt on FD instances it fits: on 2 and 4
+// workers its morsels' counted work is about the sequential attempt's.
 func TestGenericMorselsDoNotRepeatWork(t *testing.T) {
 	// A star whose hub h (variable 1) sits in all three relations, under
 	// a leaf a (variable 0) that reaches every hub; few hubs have b/c rows.
@@ -434,6 +436,34 @@ func TestGenericMorselsDoNotRepeatWork(t *testing.T) {
 		if float64(st.extensions) > 1.1*float64(seq.Extensions) {
 			t.Errorf("%s: %d morsels extended %d candidates, the sequential descent %d: morsels repeat work",
 				tc.name, st.Morsels, st.extensions, seq.Extensions)
+		}
+	}
+
+	fig4, _ := paper.Fig4Instance(216)
+	for _, tc := range []struct {
+		name string
+		q    *query.Q
+	}{
+		{"paper/fig4", fig4},
+		{"paper/four-cycle-key", family(t, "paper/four-cycle-key", 2048, 1)},
+		{"paper/degree-triangle", family(t, "paper/degree-triangle", 2048, 1)},
+	} {
+		var seq int
+		for _, workers := range []int{1, 2, 4} {
+			b := mustBind(t, tc.q)
+			st, err := b.RunInto(context.Background(), &Options{Workers: workers, MinParallelRows: 1}, &rel.CountSink{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Ran != AlgGenericJoin || st.Workers != workers || b.won.Load() != attemptFit {
+				t.Fatalf("%s: ran %s on %d workers, decided %v; want a fitting attempt on %d", tc.name, st.Ran, st.Workers, b.won.Load(), workers)
+			}
+			work := st.extensions + st.lookups
+			if workers == 1 {
+				seq = work
+			} else if float64(work) > 1.1*float64(seq) {
+				t.Errorf("%s: the attempt on %d workers did %d counted work, on one %d", tc.name, workers, work, seq)
+			}
 		}
 	}
 }

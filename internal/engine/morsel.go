@@ -10,6 +10,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/query"
 	"repro/internal/rel"
+	"repro/internal/wcoj"
 )
 
 // morselTargetPerWorker is the minimum morsels-per-worker the scheduler
@@ -299,8 +300,16 @@ func (f *frontier) complete(m int, run *rel.Relation) {
 //
 // Every generic-join morsel descends under wcoj.DefaultOrder, so its run is
 // born sorted and v stays at the top of the descent, where a morsel's
-// filter prunes the levels below it.
-func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []rel.Value, workers int, g *memGauge, st *Stats, sink rel.Sink) error {
+// filter prunes the levels below it. An attempt's morsels share its plan's
+// wcoj.Budget, so the first to see the group's work overrun it fails with
+// wcoj.ErrWorkBudget and cancels the rest; the rows the frontier delivered
+// until then are a prefix of the answer.
+//
+// stopped reports that the sink ended the run, or the memory gauge tripped,
+// before every morsel finished: the run decided nothing about the answer's
+// size, so an attempt stopped this way (even if a morsel also overran)
+// stores no verdict.
+func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []rel.Value, workers int, g *memGauge, st *Stats, sink rel.Sink) (stopped bool, err error) {
 	// Grain is algorithm-aware: generic join's per-morsel marginal cost is
 	// proportional to the morsel's own work, so it affords fine morsels. The
 	// chain/SM/CSMA machines pay O(total-input) setup per split instance
@@ -333,7 +342,7 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	f := &frontier{sink: sink, cancel: gcancel, ordered: v == 0,
 		done: make([]bool, nm), runs: make([]*rel.Relation, nm)}
 	errs := make([]error, workers)
-	var rows, exts atomic.Int64 // rows counted (counting only) and generic-join extensions, summed over morsels
+	var rows, exts, lookups atomic.Int64 // rows counted (counting only) and generic-join work, summed over morsels
 	queue := newMorselQueue(nm, workers)
 
 	var wg sync.WaitGroup
@@ -359,63 +368,64 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 					return
 				}
 				qm := parts[m]
-				var ext int
+				var ws wcoj.Stats
 				var err error
 				switch {
 				case counting:
 					var c rel.CountSink
-					ext, err = runOneInto(gctx, qm, plan, &c)
+					ws, err = runOneInto(gctx, qm, plan, &c)
 					if err == nil {
 						rows.Add(int64(c.N))
 					}
 				case generic && f.claim(m):
 					faultinject.Fire(faultinject.SiteStreamMerge)
-					ext, err = runOneInto(gctx, qm, plan, f)
+					ws, err = runOneInto(gctx, qm, plan, f)
 					if err == nil {
 						f.complete(m, nil)
 					}
 				default:
 					var run *rel.Relation
-					run, ext, err = runBuffered(gctx, qm, plan, g)
+					run, ws, err = runBuffered(gctx, qm, plan, g)
 					if err == nil {
 						f.complete(m, run)
 					}
 				}
+				exts.Add(int64(ws.Extensions))
+				lookups.Add(int64(ws.Lookups))
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				exts.Add(int64(ext))
 				st.WorkerMorsels[w]++
 			}
 		}(w)
 	}
 	wg.Wait()
 	st.Steals = int(queue.steals.Load())
-	st.extensions = int(exts.Load())
+	st.extensions += int(exts.Load())
+	st.lookups += int(lookups.Load())
 
 	// Error selection: a real failure beats the context.Canceled artifacts
-	// its group-cancel induced in the siblings; then a tripped gauge (RunInto
-	// turns it into the *MemLimitError); then a sink stop (a consumer
+	// its group-cancel induced in the siblings, and an overrun beats them
+	// unless the run was stopped anyway; then a stop — a tripped gauge
+	// (RunInto turns it into the *MemLimitError) or a sink stop (a consumer
 	// decision, not an error); then the caller's own cancellation.
+	stopped, runs := f.outcome()
+	stopped = stopped || g.trip.Load()
 	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return err
+		if err != nil && !errors.Is(err, context.Canceled) && !(stopped && errors.Is(err, wcoj.ErrWorkBudget)) {
+			return stopped, err
 		}
 	}
-	if g.trip.Load() {
-		return nil
-	}
-	stopped, runs := f.outcome()
 	if stopped {
-		return nil
+		return true, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return false, err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return false, err
 		}
 	}
 	switch {
@@ -423,7 +433,7 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 		count.N += int(rows.Load())
 	case !f.ordered:
 		faultinject.Fire(faultinject.SiteStreamMerge)
-		rel.MergeSortedInto(sink, runs)
+		stopped = !rel.MergeSortedInto(sink, runs)
 	}
-	return nil
+	return stopped, nil
 }

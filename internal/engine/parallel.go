@@ -33,24 +33,28 @@ func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 //
 // Worker count is clamped to the partition variable's distinct-value count
 // (surfaced in Stats.Workers): beyond that, extra workers would own empty
-// splits and pay goroutine + merge overhead for nothing. One distinct value
-// (or an empty domain) degrades to the sequential path.
-func (b *Bound) runParallelInto(ctx context.Context, plan *Plan, workers int, g *memGauge, st *Stats, sink rel.Sink) error {
-	if err := ctx.Err(); err != nil {
-		return err // don't pay the partition split for a dead context
-	}
-	v := choosePartitionVar(b.q, plan)
+// splits and pay goroutine + merge overhead for nothing. One worker, one
+// distinct value or an empty domain runs the plan sequentially on the whole
+// instance. stopped reports that the sink ended the run (or a memory trip
+// did) before it finished: a consumer decision, not an error.
+func (b *Bound) runParallelInto(ctx context.Context, plan *Plan, workers int, g *memGauge, st *Stats, sink rel.Sink) (stopped bool, err error) {
+	var v int
 	var vals []rel.Value
-	if v >= 0 {
-		vals = b.distinctVals(v)
-	}
-	if len(vals) < workers {
-		workers = len(vals)
+	if workers > 1 {
+		if err := ctx.Err(); err != nil {
+			return false, err // don't pay the partition split for a dead context
+		}
+		if v = choosePartitionVar(b.q, plan); v >= 0 {
+			vals = b.distinctVals(v)
+		}
+		workers = min(workers, len(vals))
 	}
 	if workers <= 1 {
-		st.Workers = 1
-		_, err := runOneInto(ctx, b.q, plan, sink)
-		return err
+		st.Workers, st.PartitionVar = 1, -1
+		ws, err := runOneInto(ctx, b.q, plan, sink)
+		st.extensions += ws.Extensions
+		st.lookups += ws.Lookups
+		return ws.Stopped, err
 	}
 	return b.runMorselsInto(ctx, plan, v, vals, workers, g, st, sink)
 }
@@ -61,21 +65,21 @@ func (b *Bound) runParallelInto(ctx context.Context, plan *Plan, workers int, g 
 // split's producer, the group context stops the others), once afterwards
 // when it cannot — which keeps the collector bare for rel.Stream's adoption
 // fast path.
-func runBuffered(ctx context.Context, qp *query.Q, plan *Plan, g *memGauge) (*rel.Relation, int, error) {
+func runBuffered(ctx context.Context, qp *query.Q, plan *Plan, g *memGauge) (*rel.Relation, wcoj.Stats, error) {
 	vars := qp.AllVars().Members()
 	c := rel.NewCollect("Q", vars...)
 	var sink rel.Sink = c
 	if g.limit > 0 {
 		sink = &gaugeSink{s: c, g: g}
 	}
-	ext, err := runOneInto(ctx, qp, plan, sink)
+	ws, err := runOneInto(ctx, qp, plan, sink)
 	if err != nil {
-		return nil, ext, err
+		return nil, ws, err
 	}
 	if g.limit <= 0 {
 		g.add(tupleBytes(c.R.Len(), len(vars)))
 	}
-	return c.R, ext, nil
+	return c.R, ws, nil
 }
 
 // choosePartitionVar picks the variable whose domain is split across the

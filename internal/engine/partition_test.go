@@ -46,19 +46,22 @@ func TestRunPartitionPlannerChainOnEmptyPartition(t *testing.T) {
 }
 
 func TestParallelPlannerSMMatchesSequential(t *testing.T) {
-	// Fig. 4: the planner picks SM on the full instance, and every partition
-	// runs that plan's proof and LLP solution at its own, smaller sizes. The
-	// merged result must stay byte-identical to the sequential one.
+	// Fig. 4: the planner picks SM on the full instance. An auto run's
+	// attempt fits, so it runs generic join; an SM run's partitions run that
+	// plan's proof and LLP solution at their own, smaller sizes. Both merged
+	// results must stay byte-identical to the sequential one.
 	q, _ := paper.Fig4Instance(125)
 	if alg := planOf(t, q).Algorithm; alg != AlgSM {
 		t.Fatalf("precondition: expected SM plan, got %s", alg)
 	}
 	seq, _ := mustRun(t, q, &Options{Workers: 1})
-	par, stPar := mustRun(t, q, &Options{Workers: 4, MinParallelRows: 1})
-	if stPar.Workers != 4 {
-		t.Fatalf("parallelism not exercised: %+v", stPar)
+	for _, tc := range []struct{ req, ran Algorithm }{{AlgAuto, AlgGenericJoin}, {AlgSM, AlgSM}} {
+		par, stPar := mustRun(t, q, &Options{Algorithm: tc.req, Workers: 4, MinParallelRows: 1})
+		if stPar.Workers != 4 || stPar.Ran != tc.ran {
+			t.Fatalf("%s: ran %s on %d workers, want %s on 4", tc.req, stPar.Ran, stPar.Workers, tc.ran)
+		}
+		identical(t, seq, par)
 	}
-	identical(t, seq, par)
 }
 
 func TestChoosePartitionVar(t *testing.T) {

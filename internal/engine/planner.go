@@ -10,6 +10,7 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/query"
 	"repro/internal/smalg"
+	"repro/internal/wcoj"
 )
 
 // Plan is the planner's decision for one bound instance: which algorithm to
@@ -29,7 +30,8 @@ type Plan struct {
 	Proof *smalg.Proof      // the good SM proof to run (AlgSM)
 	CSM   *csma.Plan        // the CLLP and its CSM plan (AlgCSMA)
 
-	explicit bool // caller forced the algorithm: no generic-join attempt
+	explicit bool         // caller forced the algorithm: no generic-join attempt
+	budget   *wcoj.Budget // an attempt's generic-join plan: the work budget its descents share
 }
 
 // tinyInputRows is the total instance size at or below which a binary
@@ -37,7 +39,7 @@ type Plan struct {
 const tinyInputRows = 64
 
 // planSlot is the shape's slot for the planner's decision at given sizes;
-// admitSlot is the slot for the record a sequential auto run is admitted on.
+// admitSlot is the slot for the record an auto run is admitted on.
 var (
 	planSlot  = query.NewSlot[*Plan]()
 	admitSlot = query.NewSlot[*Plan]()
@@ -84,12 +86,12 @@ func (b *Bound) plan(alg Algorithm) (*Plan, error) {
 // executing it.
 func (b *Bound) Plan() *Plan { return planSlot.Get(b.q, computePlan) }
 
-// Admission is the record a sequential auto run is admitted and started on:
-// its LogBound is Plan().LogBound, but on a degree-free FD shape it is only
-// the LLP optimum, with Algorithm AlgAuto (machine not chosen yet). The run
-// tries generic join under that bound and calls Plan() at its first overrun
-// (attemptInto). Tiny, FD-free and degree-bound shapes admit on Plan()
-// itself: their plans are cheap, or need the CLLP anyway.
+// Admission is the record every auto run is admitted and started on, on one
+// worker or many: its LogBound is Plan().LogBound, but on a degree-free FD
+// shape it is only the LLP optimum, with Algorithm AlgAuto (machine not
+// chosen yet). The run tries generic join under that bound and calls Plan()
+// at its first overrun (attemptInto). Tiny, FD-free and degree-bound shapes
+// admit on Plan() itself: their plans are cheap, or need the CLLP anyway.
 func (b *Bound) Admission() *Plan { return admitSlot.Get(b.q, computeAdmission) }
 
 func computeAdmission(q *query.Q) *Plan {

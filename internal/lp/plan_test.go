@@ -82,24 +82,26 @@ func TestColdPlanSolveCounts(t *testing.T) {
 	}
 }
 
-// TestColdRunSolveCounts pins the LPs one cold Prepare → Bind → sequential
-// counting run solves on coldShapes: the LLP alone, except on
-// degree-triangle, which has degree bounds and so is admitted on its full
-// plan. The machine is chosen only when the generic-join attempt overruns,
-// which it does on none of these.
+// TestColdRunSolveCounts pins the LPs one cold Prepare → Bind → counting
+// auto run solves on coldShapes, sequential and on the morsel path: the LLP
+// alone, except on degree-triangle, which has degree bounds and so is
+// admitted on its full plan. The machine is chosen only when the generic-join
+// attempt overruns, which it does on none of these.
 func TestColdRunSolveCounts(t *testing.T) {
-	for _, tc := range coldShapes {
-		q := catalogQuery(t, tc.family, tc.size, 1)
-		var st *engine.Stats
-		got := len(lp.CollectSolves(func() {
-			var err error
-			st, err = coldBound(t, q).RunInto(context.Background(), &engine.Options{Workers: 1}, &rel.CountSink{})
-			if err != nil {
-				t.Fatal(err)
+	for _, opts := range []engine.Options{{Workers: 1}, {Workers: 2, MinParallelRows: 1}} {
+		for _, tc := range coldShapes {
+			q := catalogQuery(t, tc.family, tc.size, 1)
+			var st *engine.Stats
+			got := len(lp.CollectSolves(func() {
+				var err error
+				st, err = coldBound(t, q).RunInto(context.Background(), &opts, &rel.CountSink{})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}))
+			if got != tc.run {
+				t.Errorf("%s@%d on %d workers: cold run (plan %s, ran %s) solved %d LPs, want %d", tc.family, tc.size, st.Workers, st.Plan.Algorithm, st.Ran, got, tc.run)
 			}
-		}))
-		if got != tc.run {
-			t.Errorf("%s@%d: cold run (plan %s, ran %s) solved %d LPs, want %d", tc.family, tc.size, st.Plan.Algorithm, st.Ran, got, tc.run)
 		}
 	}
 }
@@ -107,36 +109,40 @@ func TestColdRunSolveCounts(t *testing.T) {
 // TestSplitsRunTheParentsPlan: once the whole instance is planned, the
 // splits of a parallel run run its chain, SM proof or CSM plan as they are
 // and solve no LP at their own sizes, and the merged rows are the
-// sequential run's.
+// sequential run's. An auto run reaches the chain's splits through
+// Example 5.8's overrun; SM and CSMA splits, whose instances the attempt
+// fits, are explicit requests.
 func TestSplitsRunTheParentsPlan(t *testing.T) {
 	fig4, _ := paper.Fig4Instance(125)
 	for _, tc := range []struct {
 		name string
 		q    *query.Q
+		req  engine.Algorithm
 		alg  engine.Algorithm
 	}{
-		{"fig4", fig4, engine.AlgSM},
-		{"fig1-skew", paper.Fig1Skew(512), engine.AlgChain},
-		{"degree-triangle", paper.DegreeTriangle(512, 2), engine.AlgCSMA},
+		{"fig4", fig4, engine.AlgSM, engine.AlgSM},
+		{"fig1-skew", paper.Fig1Skew(512), engine.AlgAuto, engine.AlgChain},
+		{"degree-triangle", paper.DegreeTriangle(512, 2), engine.AlgCSMA, engine.AlgCSMA},
 	} {
 		b := coldBound(t, tc.q)
 		if pl := b.Plan(); pl.Algorithm != tc.alg {
 			t.Fatalf("%s: planned %s, want %s", tc.name, pl.Algorithm, tc.alg)
 		}
-		seq, _, err := b.Run(context.Background(), &engine.Options{Workers: 1})
+		// A Bound of its own, so that b's first run is the one that decides.
+		seq, _, err := coldBound(t, tc.q).Run(context.Background(), &engine.Options{Algorithm: tc.req, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var par *rel.Relation
 		var st *engine.Stats
 		solves := lp.CollectSolves(func() {
-			par, st, err = b.Run(context.Background(), &engine.Options{Workers: 2, MinParallelRows: 1})
+			par, st, err = b.Run(context.Background(), &engine.Options{Algorithm: tc.req, Workers: 2, MinParallelRows: 1})
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Workers != 2 || st.Plan.Algorithm != tc.alg {
-			t.Fatalf("%s: ran %s on %d workers, want %s on 2", tc.name, st.Plan.Algorithm, st.Workers, tc.alg)
+		if st.Workers != 2 || st.Plan.Algorithm != tc.alg || st.Ran != tc.alg {
+			t.Fatalf("%s: ran %s (plan %s) on %d workers, want %s on 2", tc.name, st.Ran, st.Plan.Algorithm, st.Workers, tc.alg)
 		}
 		if len(solves) != 0 {
 			t.Errorf("%s: the splits solved %d LPs", tc.name, len(solves))

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/expand"
 	"repro/internal/faultinject"
@@ -47,6 +48,32 @@ var errStop = errors.New("wcoj: sink stopped execution")
 
 // ErrWorkBudget reports that GenericJoinBudgetInto overran its budget.
 var ErrWorkBudget = errors.New("wcoj: work budget exceeded")
+
+// Budget is a limit on counted work (Stats.Extensions + Lookups) that every
+// descent run under it draws on together: a sequential run's one descent, or
+// the descents of all the morsels of a parallel one, concurrently. A descent
+// checks its own work against a local limit on every tick, one compare; only
+// when that passes does it add its work to the shared count and read what
+// the others have added, at most every ShareQuantum of its own work. So a
+// lone descent stops at most one descent step past the limit, and k
+// concurrent ones spend at most k·(ShareQuantum + one step) past it between
+// them. (A tick-based cadence would not bound this: on Example 5.8 one tick
+// can cover a whole child-run scan whose candidates all fail.)
+type Budget struct {
+	limit int
+	used  atomic.Int64 // work the descents have added so far
+}
+
+// NewBudget returns a budget of limit counted work units.
+func NewBudget(limit int) *Budget { return &Budget{limit: limit} }
+
+// Used reports the work the descents under b have added so far; once they
+// have all returned, their total.
+func (b *Budget) Used() int { return int(b.used.Load()) }
+
+// ShareQuantum is the most work a descent does under a Budget between two
+// additions to its shared count.
+const ShareQuantum = 4096
 
 // cancelCheckInterval is how many recursion steps pass between context
 // checks in the descent loops — frequent enough that cancellation is
@@ -102,12 +129,13 @@ func identityOrder(order []int) bool {
 // levels their derived values bind afterwards, is fixed by the shape and
 // the order: compile works it out once, the descent only follows it.
 func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink) (*Stats, error) {
-	return GenericJoinBudgetInto(ctx, q, order, math.MaxInt, sink)
+	return GenericJoinBudgetInto(ctx, q, order, nil, sink)
 }
 
-// GenericJoinBudgetInto is GenericJoinInto giving up with ErrWorkBudget once its
-// counted work exceeds budget, by at most what one descent step does.
-func GenericJoinBudgetInto(ctx context.Context, q *query.Q, order []int, budget int, sink rel.Sink) (*Stats, error) {
+// GenericJoinBudgetInto is GenericJoinInto giving up with ErrWorkBudget once the
+// counted work charged to budget exceeds its limit (see Budget for how late
+// that is seen); a nil budget never runs out.
+func GenericJoinBudgetInto(ctx context.Context, q *query.Q, order []int, budget *Budget, sink rel.Sink) (*Stats, error) {
 	if len(order) != q.K {
 		return nil, fmt.Errorf("wcoj: order must list all %d variables", q.K)
 	}
@@ -117,7 +145,11 @@ func GenericJoinBudgetInto(ctx context.Context, q *query.Q, order []int, budget 
 		buf = rel.NewCollect("Q", q.AllVars().Members()...)
 		out = buf
 	}
-	x := &descent{ctx: ctx, sink: out, vals: make([]Value, q.K), budget: budget}
+	x := &descent{ctx: ctx, sink: out, vals: make([]Value, q.K), budget: budget, limit: math.MaxInt}
+	if budget != nil {
+		x.limit = min(ShareQuantum, budget.limit-budget.Used())
+		defer x.charge()
+	}
 	if err := x.compile(q, order); err != nil {
 		return &x.st, err
 	}
@@ -172,7 +204,9 @@ type descent struct {
 	cells  []cell  // one per (relation, trie level), a relation's consecutive
 	run    []Value // survivors of a last-level intersection
 	ticks  int
-	budget int // counted work allowed, checked at every tick
+	budget *Budget // nil: unlimited
+	limit  int     // the work at which the descent next shares with budget (math.MaxInt: no budget)
+	shared int     // this descent's work already added to budget
 	st     Stats
 }
 
@@ -265,21 +299,48 @@ func (x *descent) children(p *part) (lo, hi int32) {
 	return p.trie.Children(p.lvl-1, x.cells[p.cell-1].node)
 }
 
-// tick counts n descent steps or emitted rows, checks the work budget (a
-// cancelled ctx wins over an overrun) and, on the first and whenever a
-// cancelCheckInterval boundary is crossed, polls ctx and fires the descent's
-// fault site (one atomic load when nothing is armed).
+// tick counts n descent steps or emitted rows, shares the work with the
+// budget once it passes the local limit, and, on the first tick and whenever
+// a cancelCheckInterval boundary is crossed, polls ctx and fires the
+// descent's fault site (one atomic load when nothing is armed).
 func (x *descent) tick(n int) error {
 	was := x.ticks
 	x.ticks += n
-	if x.st.Extensions+x.st.Lookups > x.budget && x.ctx.Err() == nil {
-		return ErrWorkBudget
+	if x.st.Extensions+x.st.Lookups > x.limit {
+		if err := x.share(); err != nil {
+			return err
+		}
 	}
 	if was != 0 && was/cancelCheckInterval == x.ticks/cancelCheckInterval {
 		return nil
 	}
 	faultinject.Fire(faultinject.SiteTrieDescent)
 	return x.ctx.Err()
+}
+
+// share charges the budget and reports ErrWorkBudget once the work of all
+// its descents is past the limit (a cancelled ctx wins over an overrun);
+// otherwise it sets the next share point, ShareQuantum on or at the limit
+// as this descent now sees it, whichever is nearer.
+func (x *descent) share() error {
+	total := x.charge()
+	if total > x.budget.limit {
+		if err := x.ctx.Err(); err != nil {
+			return err
+		}
+		return ErrWorkBudget
+	}
+	x.limit = x.shared + min(ShareQuantum, x.budget.limit-total)
+	return nil
+}
+
+// charge adds the work done since the last charge to the budget and returns
+// the budget's total.
+func (x *descent) charge() int {
+	work := x.st.Extensions + x.st.Lookups
+	total := int(x.budget.used.Add(int64(work - x.shared)))
+	x.shared = work
+	return total
 }
 
 // descend binds the variables of levels[d:] in every consistent way below

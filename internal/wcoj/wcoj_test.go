@@ -2,6 +2,8 @@ package wcoj
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/naive"
@@ -80,6 +82,51 @@ func TestGenericJoinSkewIsQuadratic(t *testing.T) {
 	if ratio < 3 {
 		t.Fatalf("expected quadratic work growth, got ratio %.2f (%d -> %d)",
 			ratio, stSmall.Extensions, stBig.Extensions)
+	}
+}
+
+// TestBudgetIsShared: descents under one Budget draw on it together. A lone
+// descent within the limit charges exactly its work; a later one starts
+// from what is left and stops one step in; concurrent ones sharing half of
+// one descent's work stop within ShareQuantum + one step each of the limit.
+func TestBudgetIsShared(t *testing.T) {
+	ctx := context.Background()
+	q := paper.Fig1Skew(512)
+	order := DefaultOrder(q)
+	full, err := GenericJoinInto(ctx, q, order, &rel.CountSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := full.Extensions + full.Lookups
+	step := q.Rels[0].Len() * len(q.Rels) // one child-run scan, a probe per other relation per candidate
+	b := NewBudget(work)
+	if _, err := GenericJoinBudgetInto(ctx, q, order, b, &rel.CountSink{}); err != nil || b.Used() != work {
+		t.Fatalf("a descent within its budget: %v, charged %d of its %d", err, b.Used(), work)
+	}
+	st, err := GenericJoinBudgetInto(ctx, q, order, b, &rel.CountSink{})
+	if !errors.Is(err, ErrWorkBudget) || st.Extensions+st.Lookups > step {
+		t.Fatalf("a descent on a spent budget: %v after %d work, one step is %d", err, st.Extensions+st.Lookups, step)
+	}
+
+	const k = 4
+	b = NewBudget(work / 2)
+	var wg sync.WaitGroup
+	errs := make([]error, k)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = GenericJoinBudgetInto(ctx, q, order, b, &rel.CountSink{})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if !errors.Is(err, ErrWorkBudget) {
+			t.Fatalf("a descent sharing a budget of half its work: %v", err)
+		}
+	}
+	if lag := k * (ShareQuantum + step); b.Used() > work/2+lag {
+		t.Fatalf("%d descents charged %d to a budget of %d; the lag bound is %d", k, b.Used(), work/2, lag)
 	}
 }
 
