@@ -49,7 +49,6 @@ func main() {
 	govSpec := flag.String("gov", "", "default tenant governor spec (key=value, comma-separated)")
 	var tenantSpecs stringList
 	flag.Var(&tenantSpecs, "tenant", "named tenant governor: \"name:spec\" (repeatable)")
-	quiet := flag.Bool("q", false, "suppress connection logging")
 	flag.Parse()
 
 	if *script == "" {
@@ -72,9 +71,6 @@ func main() {
 		RetryAfter:   *retryAfter,
 		FrameTimeout: *frameTimeout,
 		Tenants:      map[string][]fdq.GovernorOption{},
-	}
-	if !*quiet {
-		cfg.Logf = log.Printf
 	}
 	if cfg.DefaultGovernor, err = parseGovSpec(*govSpec); err != nil {
 		log.Fatalf("fdqd: -gov: %v", err)

@@ -89,9 +89,6 @@ type Config struct {
 	// (default 1s). Clients with a RetryPolicy treat it as a floor under
 	// their jittered backoff.
 	RetryAfter time.Duration
-
-	// Logf, when set, receives connection-level diagnostics.
-	Logf func(format string, args ...any)
 }
 
 // tenantState is one tenant's session; the governor (and its admission
@@ -195,12 +192,6 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 // and leak tests use to assert admission slots return to baseline.
 func (s *Server) TenantGovernor(name string) *fdq.Governor {
 	return s.tenant(name).sess.Governor()
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 // ListenAndServe listens on addr and serves until Shutdown.

@@ -129,12 +129,8 @@ type Bound struct {
 	prep *Prepared
 	q    *query.Q
 
-	mu         sync.Mutex  // guards the single-entry memos below
-	valsOK     bool        // guarded by mu; distinct-value memo for the partition variable
-	valsV      int         // guarded by mu
-	vals       []rel.Value // guarded by mu
-	morselsKey morselKey   // guarded by mu; single-entry morsel-partition memo
-	morsels    []*query.Q  // guarded by mu; the split instances, each with its own prepared record
+	mu    sync.Mutex
+	sched *splitMemo // guarded by mu; the last schedule's distinct values and split (schedule)
 
 	won atomic.Pointer[Plan] // what an FD plan's runs execute once its attempt decided (attemptInto)
 }
@@ -225,13 +221,7 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	defer recoverToError(&err)
 	o := opts.withDefaults()
 	start := time.Now()
-	workers := o.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers <= 1 || b.q.TotalSize() < o.MinParallelRows {
-		workers = 1
-	}
+	workers := o.workers(b.q)
 	// An auto run is admitted on the certificate alone; the machine is
 	// planned at its attempt's first overrun, if any.
 	var plan *Plan
@@ -274,8 +264,12 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	if err = ctx.Err(); err == nil && attempts(plan) {
 		err = b.attemptInto(ctx, plan, workers, g, st, runSink, outSize)
 	} else if err == nil && workers > 1 {
-		_, err = b.runParallelInto(ctx, plan, workers, g, st, runSink)
+		_, err = b.runPlanInto(ctx, plan, workers, g, st, runSink)
 	} else if err == nil {
+		// Not through runPlanInto: fdq.Rows' producer goroutine grows its
+		// stack on every query, and one more frame on this path costs one
+		// more copy (fdqbench wcoj-warm first_row_p50_ms +27 %, 10 of 10
+		// pairs; a bare 416-byte frame here does the same).
 		_, err = runOneInto(ctx, b.q, plan, runSink)
 	}
 	if err != nil {
@@ -367,11 +361,11 @@ func (b *Bound) attemptInto(ctx context.Context, plan *Plan, workers int, g *mem
 			st.Plan = *won
 		}
 		st.Ran = won.Algorithm
-		_, err = b.runParallelInto(ctx, won, workers, g, st, sink)
+		_, err = b.runPlanInto(ctx, won, workers, g, st, sink)
 		return err
 	}
 	try := &Plan{Algorithm: AlgGenericJoin, budget: wcoj.NewBudget(attemptBudget(b.q, plan))}
-	stopped, err := b.runParallelInto(ctx, try, workers, g, st, sink)
+	stopped, err := b.runPlanInto(ctx, try, workers, g, st, sink)
 	if !errors.Is(err, wcoj.ErrWorkBudget) {
 		if err == nil && !stopped {
 			b.won.Store(attemptFit)
@@ -387,7 +381,7 @@ func (b *Bound) attemptInto(ctx context.Context, plan *Plan, workers int, g *mem
 	if n := delivered(); n > 0 {
 		sink = &skipSink{s: sink, n: n}
 	}
-	_, err = b.runParallelInto(ctx, plan, workers, g, st, sink)
+	_, err = b.runPlanInto(ctx, plan, workers, g, st, sink)
 	return err
 }
 

@@ -23,46 +23,6 @@ const morselTargetPerWorker = 4
 // larger morsels amortize per-morsel overhead.
 const morselSize = 128
 
-// morselCount sizes the schedule: distinct values / morselSize morsels,
-// floored at morselTargetPerWorker per worker (so stealing has grain to
-// work with) and capped at one morsel per distinct value.
-func morselCount(distinct, workers int) int {
-	m := (distinct + morselSize - 1) / morselSize
-	if floor := morselTargetPerWorker * workers; m < floor {
-		m = floor
-	}
-	if m > distinct {
-		m = distinct
-	}
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
-
-// morselKey identifies a memoized morsel partitioning of the bound instance.
-type morselKey struct{ v, n int }
-
-// morselParts returns (building and caching on first use) the instance
-// range-partitioned on v into n morsel instances. Caching them on the Bound
-// — whose relations are immutable — lets repeated parallel Runs skip the
-// split and reuse each morsel's warm index caches and prepared record,
-// mirroring what sequential Runs get from the original instance. The memo
-// holds a single entry (the last configuration), so memory stays bounded at
-// one extra instance copy and its morsels' prepared records. Morsels make no
-// plan records: they run the whole instance's plan.
-func (b *Bound) morselParts(v int, vals []rel.Value, n int) []*query.Q {
-	key := morselKey{v, n}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.morsels != nil && b.morselsKey == key {
-		return b.morsels
-	}
-	p := morselRels(b.q, v, vals, n)
-	b.morselsKey, b.morsels = key, p
-	return p
-}
-
 // morselRels splits the instance into n morsel instances by contiguous
 // ranges of v's sorted distinct-value union: morsel m covers the values
 // vals[m·D/n : (m+1)·D/n), so the ranges are balanced in distinct values
@@ -265,15 +225,24 @@ func (f *frontier) complete(m int, run *rel.Relation) {
 	f.mu.Unlock()
 }
 
-// runMorselsInto is the morsel-driven scheduler (the parallel path): v's
-// sorted distinct-value union is range-partitioned into nm ≫ workers
-// morsels, a fixed pool pulls them from a work-stealing queue, and each
-// morsel's rows reach sink by whichever of four hand-offs the scheduler can
-// observe to be the cheapest sound one — never by an option.
+// runPlanInto executes plan on workers (1: sequentially) into sink, by the
+// schedule the Bound decided for it (schedule): sequentially on the whole
+// instance when there is none, else by the morsel-driven scheduler. The
+// morsels are pulled from a work-stealing queue by a fixed pool (the calling
+// goroutine and workers−1 new ones), and each morsel's rows reach sink by
+// whichever of four hand-offs the scheduler can observe to be the cheapest
+// sound one — never by an option.
 //
-// Ordering soundness, extending runParallelInto's disjointness argument:
-// morsel ranges are contiguous and ascending in v, so for any two morsels
-// m < m′, every v-value of m is strictly below every v-value of m′. Output
+// Soundness: every relation containing the partition variable v is filtered
+// to a contiguous range of v-values; relations without v are shared
+// read-only. Each output tuple binds exactly one v-value, so it is produced
+// in exactly one morsel: morsels are pairwise disjoint and their union is
+// the sequential output. FD guards containing v stay consistent: a guard
+// lookup that fails in a morsel can only fail for tuples that also fail the
+// guard's own membership constraint there, which no output tuple of the
+// morsel does. Every executor's per-morsel output is sorted and
+// deduplicated. Morsel ranges are ascending in v, so for any two morsels
+// m < m′ every v-value of m is strictly below every v-value of m′. Output
 // rows are sorted lexicographically on ascending variable ids; when v is
 // variable 0 — the output's first column — a row of morsel m therefore
 // sorts strictly before every row of morsel m′: the morsel runs are
@@ -281,7 +250,7 @@ func (f *frontier) complete(m int, run *rel.Relation) {
 // exactly the sequential output.
 //
 //  1. Count. A bare *rel.CountSink (RunInto leaves it bare when no memory
-//     limit needs enforcing) wants no rows: splits are disjoint for every
+//     limit needs enforcing) wants no rows: morsels are disjoint for every
 //     v, so each morsel of every algorithm counts into its own CountSink
 //     and the worker totals are summed. Nothing is buffered or merged.
 //  2. Direct. With v == 0, a generic-join morsel that is the least
@@ -306,29 +275,27 @@ func (f *frontier) complete(m int, run *rel.Relation) {
 // until then are a prefix of the answer.
 //
 // stopped reports that the sink ended the run, or the memory gauge tripped,
-// before every morsel finished: the run decided nothing about the answer's
-// size, so an attempt stopped this way (even if a morsel also overran)
-// stores no verdict.
-func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []rel.Value, workers int, g *memGauge, st *Stats, sink rel.Sink) (stopped bool, err error) {
-	// Grain is algorithm-aware: generic join's per-morsel marginal cost is
-	// proportional to the morsel's own work, so it affords fine morsels. The
-	// chain/SM/CSMA machines pay O(total-input) setup per split instance
-	// (closure expansion and projection indexes — including shared relations
-	// the split does not shrink; kept in the split's prepared record), so
-	// fine grain multiplies setup: their schedule is capped at one morsel
-	// per worker — one setup bill per worker — keeping value-range splits,
-	// stealing, and the streaming frontier.
+// before it finished: a consumer decision, not an error. The run decided
+// nothing about the answer's size, so an attempt stopped this way (even if
+// a morsel also overran) stores no verdict.
+func (b *Bound) runPlanInto(ctx context.Context, plan *Plan, workers int, g *memGauge, st *Stats, sink rel.Sink) (stopped bool, err error) {
+	if workers > 1 {
+		if err := ctx.Err(); err != nil {
+			return false, err // don't pay the partition split for a dead context
+		}
+	}
+	s := b.schedule(plan, workers)
+	if s.parts == nil {
+		st.Workers, st.PartitionVar = 1, -1
+		ws, err := runOneInto(ctx, b.q, plan, sink)
+		st.extensions += ws.Extensions
+		st.lookups += ws.Lookups
+		return ws.Stopped, err
+	}
+	workers, nm := s.workers, len(s.parts)
 	generic := plan.Algorithm == AlgGenericJoin
-	nm := morselCount(len(vals), workers)
-	if !generic && nm > workers {
-		nm = workers
-	}
-	if nm < workers {
-		workers = nm // defensive; the caller's clamp makes this rare
-	}
-	parts := b.morselParts(v, vals, nm)
 	st.Workers = workers
-	st.PartitionVar = v
+	st.PartitionVar = s.v
 	st.Morsels = nm
 	st.WorkerMorsels = make([]int, workers)
 
@@ -339,67 +306,70 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	count, counting := sink.(*rel.CountSink)
 	// The frontier can stream only when v is the output's first column;
 	// output attributes are ascending variable ids, so that is exactly v==0.
-	f := &frontier{sink: sink, cancel: gcancel, ordered: v == 0,
+	f := &frontier{sink: sink, cancel: gcancel, ordered: s.v == 0,
 		done: make([]bool, nm), runs: make([]*rel.Relation, nm)}
 	errs := make([]error, workers)
 	var rows, exts, lookups atomic.Int64 // rows counted (counting only) and generic-join work, summed over morsels
 	queue := newMorselQueue(nm, workers)
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if errs[w] != nil && !errors.Is(errs[w], context.Canceled) {
-					gcancel() // fail fast: release the siblings
-				}
-			}()
-			defer recoverToError(&errs[w])
-			faultinject.Fire(faultinject.SitePartitionWorker)
-			for {
-				m, _, ok := queue.next(w)
-				if !ok {
-					return
-				}
-				faultinject.Fire(faultinject.SiteMorselQueue)
-				if err := gctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				qm := parts[m]
-				var ws wcoj.Stats
-				var err error
-				switch {
-				case counting:
-					var c rel.CountSink
-					ws, err = runOneInto(gctx, qm, plan, &c)
-					if err == nil {
-						rows.Add(int64(c.N))
-					}
-				case generic && f.claim(m):
-					faultinject.Fire(faultinject.SiteStreamMerge)
-					ws, err = runOneInto(gctx, qm, plan, f)
-					if err == nil {
-						f.complete(m, nil)
-					}
-				default:
-					var run *rel.Relation
-					run, ws, err = runBuffered(gctx, qm, plan, g)
-					if err == nil {
-						f.complete(m, run)
-					}
-				}
-				exts.Add(int64(ws.Extensions))
-				lookups.Add(int64(ws.Lookups))
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				st.WorkerMorsels[w]++
+	work := func(w int) {
+		defer func() {
+			if errs[w] != nil && !errors.Is(errs[w], context.Canceled) {
+				gcancel() // fail fast: release the siblings
 			}
-		}(w)
+		}()
+		defer recoverToError(&errs[w])
+		faultinject.Fire(faultinject.SitePartitionWorker)
+		for {
+			m, _, ok := queue.next(w)
+			if !ok {
+				return
+			}
+			faultinject.Fire(faultinject.SiteMorselQueue)
+			if err := gctx.Err(); err != nil {
+				errs[w] = err
+				return
+			}
+			qm := s.parts[m]
+			var ws wcoj.Stats
+			var err error
+			switch {
+			case counting:
+				var c rel.CountSink
+				ws, err = runOneInto(gctx, qm, plan, &c)
+				if err == nil {
+					rows.Add(int64(c.N))
+				}
+			case generic && f.claim(m):
+				faultinject.Fire(faultinject.SiteStreamMerge)
+				ws, err = runOneInto(gctx, qm, plan, f)
+				if err == nil {
+					f.complete(m, nil)
+				}
+			default:
+				var run *rel.Relation
+				run, ws, err = runBuffered(gctx, qm, plan, g)
+				if err == nil {
+					f.complete(m, run)
+				}
+			}
+			exts.Add(int64(ws.Extensions))
+			lookups.Add(int64(ws.Lookups))
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			st.WorkerMorsels[w]++
+		}
 	}
+	// The caller is worker 0, which owns morsel 0, the frontier's first: it
+	// starts at once, not when the Go scheduler finds a P for a new goroutine.
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() { defer wg.Done(); work(w) }()
+	}
+	work(0)
 	wg.Wait()
 	st.Steals = int(queue.steals.Load())
 	st.extensions += int(exts.Load())

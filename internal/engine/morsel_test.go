@@ -254,3 +254,121 @@ func TestProfileSplitsMakespan(t *testing.T) {
 		t.Fatal("4-worker makespan cannot exceed the sequential total")
 	}
 }
+
+// TestProfileSplitsMatchesTheRun: ProfileSplits profiles exactly the morsels
+// the run before it executed — an auto run's attempt verdict included, so
+// generic join's morsels where the attempt fit and the machine's where it
+// overran — and shares the run's memoized schedule: the run after it builds
+// no index a warm run does not (none, but SM's per-run one per morsel).
+func TestProfileSplitsMatchesTheRun(t *testing.T) {
+	ctx := context.Background()
+	fig4, _ := paper.Fig4Instance(125)
+	degreeTriangle := family(t, "paper/degree-triangle", 2048, 1)
+	for _, tc := range []struct {
+		name     string
+		q        *query.Q
+		alg, ran Algorithm
+	}{
+		{"skew/zipf-hot", family(t, "skew/zipf-hot", 2048, 1), AlgAuto, AlgGenericJoin},
+		{"Fig1Skew(512)", paper.Fig1Skew(512), AlgAuto, AlgChain},
+		{"paper/four-cycle-key", family(t, "paper/four-cycle-key", 2048, 1), AlgAuto, AlgGenericJoin},
+		{"paper/degree-triangle", degreeTriangle, AlgAuto, AlgGenericJoin},
+		{"paper/fig4", fig4, AlgSM, AlgSM},
+		{"paper/degree-triangle", degreeTriangle, AlgCSMA, AlgCSMA},
+	} {
+		for _, workers := range []int{2, 4} {
+			b := mustBind(t, tc.q)
+			opts := &Options{Algorithm: tc.alg, Workers: workers, MinParallelRows: 1}
+			if _, err := b.RunInto(ctx, opts, &rel.CountSink{}); err != nil {
+				t.Fatal(err)
+			}
+			before := rel.IndexBuilds()
+			st, err := b.RunInto(ctx, opts, &rel.CountSink{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := rel.IndexBuilds() - before
+			if st.Ran != tc.ran || st.Morsels < 2 {
+				t.Fatalf("%s %s on %d workers: precondition: ran %s on %d morsels, want %s on a schedule", tc.name, tc.alg, workers, st.Ran, st.Morsels, tc.ran)
+			}
+			prof, err := b.ProfileSplits(ctx, opts, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prof.Durations) != st.Morsels {
+				t.Errorf("%s %s on %d workers: profiled %d splits, the run executed %d morsels", tc.name, tc.alg, workers, len(prof.Durations), st.Morsels)
+			}
+			before = rel.IndexBuilds()
+			if _, err := b.RunInto(ctx, opts, &rel.CountSink{}); err != nil {
+				t.Fatal(err)
+			}
+			if n := rel.IndexBuilds() - before; n != warm {
+				t.Errorf("%s %s on %d workers: the run after the profile built %d indexes, a warm run %d: the schedule is not shared", tc.name, tc.alg, workers, n, warm)
+			}
+		}
+	}
+}
+
+// TestPinnedSchedules pins (Workers, PartitionVar, Morsels) of the first and
+// second auto run on the benchmark's par-skew sources, and of an explicit
+// chain on Fig1Skew, at 2, 3 and 4 workers and the default MinParallelRows.
+// A change here changes what the parallel path runs.
+func TestPinnedSchedules(t *testing.T) {
+	fine := [3][3]int{{2, 0, 8}, {3, 0, 12}, {4, 0, 16}}
+	chain := [3][3]int{{2, 1, 2}, {3, 1, 3}, {4, 1, 4}}
+	for _, tc := range []struct {
+		name string
+		q    *query.Q
+		alg  Algorithm
+		want [3][3]int // at 2, 3 and 4 workers
+	}{
+		{"skew/zipf-hot@2048", family(t, "skew/zipf-hot", 2048, 1), AlgAuto, fine},
+		{"skew/near-product@1024", family(t, "skew/near-product", 1024, 1), AlgAuto, fine},
+		{"paper/triangle-product@40", family(t, "paper/triangle-product", 40, 1), AlgAuto, fine},
+		{"paper/fig1-skew@2048", family(t, "paper/fig1-skew", 2048, 1), AlgAuto, chain},
+		{"paper/four-cycle-key@2048", family(t, "paper/four-cycle-key", 2048, 1), AlgAuto, [3][3]int{{2, 0, 16}, {3, 0, 16}, {4, 0, 16}}},
+		{"paper/degree-triangle@2048", family(t, "paper/degree-triangle", 2048, 1), AlgAuto, fine},
+		{"Fig1Skew(2048) chain", paper.Fig1Skew(2048), AlgChain, chain},
+	} {
+		for i, workers := range []int{2, 3, 4} {
+			b := mustBind(t, tc.q)
+			for run := 0; run < 2; run++ {
+				st, err := b.RunInto(context.Background(), &Options{Algorithm: tc.alg, Workers: workers}, &rel.CountSink{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := [3]int{st.Workers, st.PartitionVar, st.Morsels}; got != tc.want[i] {
+					t.Errorf("%s on %d workers, run %d: (Workers, PartitionVar, Morsels) = %v, want %v", tc.name, workers, run, got, tc.want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSplitSharedAcrossPoolSizes: pool sizes that give the same morsel count
+// run the same memoized split instances, so a change of pool size re-sorts
+// nothing and builds no index a warm run does not (four-cycle-key@2048 is 16
+// morsels at 2, 3 and 4 workers).
+func TestSplitSharedAcrossPoolSizes(t *testing.T) {
+	ctx := context.Background()
+	b := mustBind(t, family(t, "paper/four-cycle-key", 2048, 1))
+	run := func(workers int) (*Stats, int64) {
+		before := rel.IndexBuilds()
+		st, err := b.RunInto(ctx, &Options{Workers: workers}, &rel.CountSink{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, rel.IndexBuilds() - before
+	}
+	run(2)
+	st, warm := run(2)
+	for _, workers := range []int{3, 4, 2} {
+		got, builds := run(workers)
+		if got.Morsels != st.Morsels || got.PartitionVar != st.PartitionVar {
+			t.Fatalf("precondition: %d workers ran %d morsels on v%d, 2 workers %d on v%d", workers, got.Morsels, got.PartitionVar, st.Morsels, st.PartitionVar)
+		}
+		if builds != warm {
+			t.Errorf("%d workers after 2: built %d indexes, a warm run %d: the split was rebuilt", workers, builds, warm)
+		}
+	}
+}

@@ -10,53 +10,102 @@ import (
 	"repro/internal/wcoj"
 )
 
-// defaultWorkers is the pool size when Options.Workers ≤ 0.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
+// workers is a run's pool size before the schedule's clamp: Workers, or
+// GOMAXPROCS when Workers ≤ 0, and 1 below MinParallelRows input rows.
+// RunInto and ProfileSplits both read it.
+func (o *Options) workers(q *query.Q) int {
+	w := o.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w <= 1 || q.TotalSize() < o.MinParallelRows {
+		return 1
+	}
+	return w
+}
 
-// runParallelInto executes the plan by splitting one variable's domain
-// across a worker pool and merging the per-split sorted outputs into sink:
-// the partition variable's sorted distinct-value union is range-partitioned
-// into morsels pulled by the pool with work stealing, merged by a streaming
-// frontier or a tournament (runMorselsInto).
+// morselSchedule is a parallel run's schedule: the partition variable v,
+// the pool size, and the split instances in ascending v-range order. A
+// schedule without parts is a sequential run.
+type morselSchedule struct {
+	v       int
+	workers int
+	parts   []*query.Q
+}
+
+// splitMemo is the Bound's memo of the last schedule's inputs: v's sorted
+// distinct-value union over the relations, and the last split of it into
+// len(parts) morsel instances.
+type splitMemo struct {
+	v     int
+	vals  []rel.Value
+	parts []*query.Q
+}
+
+// schedule decides how plan runs on workers: the one schedule every run of
+// plan on workers executes, the attempt's included, and ProfileSplits
+// profiles. Every decision is made here:
 //
-// Soundness: every relation containing the partition variable v is filtered
-// to a subset of v-values (a contiguous value range); relations without v
-// are shared read-only. Each output tuple binds exactly one v-value, so it
-// is produced in exactly one split — splits are pairwise disjoint and their
-// union is the sequential output. FD guards containing v stay consistent: a
-// guard lookup that fails in a split can only fail for tuples that also fail
-// the guard's own membership constraint there, which no output tuple of the
-// split does. Every executor's per-split output is sorted and deduplicated,
-// so merging the splits in sorted order delivers rows byte-identical to —
-// and in the same order as — the sequential execution; see runMorselsInto
-// for the frontier-streaming refinement of this argument.
+//   - v is choosePartitionVar's;
+//   - the pool is clamped to v's distinct-value count D (surfaced in
+//     Stats.Workers): beyond that, extra workers would own empty splits and
+//     pay goroutine and merge overhead for nothing. One worker, one distinct
+//     value or nothing to partition is a sequential run;
+//   - grain is algorithm-aware. Generic join's per-morsel marginal cost is
+//     proportional to the morsel's own work, so it affords fine morsels:
+//     D/morselSize of them, floored at morselTargetPerWorker per worker (so
+//     stealing has grain to work with) and capped at one per distinct value.
+//     The chain / SM / CSMA machines pay O(total-input) setup per split
+//     instance (closure expansion and projection indexes, including shared
+//     relations the split does not shrink; kept in the split's prepared
+//     record), so fine grain multiplies setup: they run one morsel per
+//     worker, one setup bill per worker, keeping value-range splits,
+//     stealing and the streaming frontier;
+//   - the split instances are morselRels'.
 //
-// Worker count is clamped to the partition variable's distinct-value count
-// (surfaced in Stats.Workers): beyond that, extra workers would own empty
-// splits and pay goroutine + merge overhead for nothing. One worker, one
-// distinct value or an empty domain runs the plan sequentially on the whole
-// instance. stopped reports that the sink ended the run (or a memory trip
-// did) before it finished: a consumer decision, not an error.
-func (b *Bound) runParallelInto(ctx context.Context, plan *Plan, workers int, g *memGauge, st *Stats, sink rel.Sink) (stopped bool, err error) {
-	var v int
-	var vals []rel.Value
-	if workers > 1 {
-		if err := ctx.Err(); err != nil {
-			return false, err // don't pay the partition split for a dead context
-		}
-		if v = choosePartitionVar(b.q, plan); v >= 0 {
-			vals = b.distinctVals(v)
-		}
-		workers = min(workers, len(vals))
-	}
+// Memoizing v's distinct values and the split on the Bound, whose relations
+// are immutable, lets repeated runs skip the sort and the split and reuse
+// each morsel's warm index caches and prepared record, as sequential runs
+// reuse the original instance's; the split is kept across pool sizes that
+// give the same morsel count. The memo holds a single entry, so memory
+// stays bounded at one extra instance copy and its morsels' prepared
+// records. Morsels make no plan records: they run the whole instance's plan.
+func (b *Bound) schedule(plan *Plan, workers int) morselSchedule {
 	if workers <= 1 {
-		st.Workers, st.PartitionVar = 1, -1
-		ws, err := runOneInto(ctx, b.q, plan, sink)
-		st.extensions += ws.Extensions
-		st.lookups += ws.Lookups
-		return ws.Stopped, err
+		return morselSchedule{}
 	}
-	return b.runMorselsInto(ctx, plan, v, vals, workers, g, st, sink)
+	v := choosePartitionVar(b.q, plan)
+	if v < 0 {
+		return morselSchedule{}
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	m := b.sched
+	if m == nil || m.v != v {
+		var vals []rel.Value
+		for _, r := range b.q.Rels {
+			if c := r.Col(v); c >= 0 {
+				for i := 0; i < r.Len(); i++ {
+					vals = append(vals, r.Row(i)[c])
+				}
+			}
+		}
+		slices.Sort(vals)
+		m = &splitMemo{v: v, vals: slices.Compact(vals)}
+		b.sched = m
+	}
+	d := len(m.vals)
+	if workers = min(workers, d); workers <= 1 {
+		return morselSchedule{}
+	}
+	n := workers
+	if plan.Algorithm == AlgGenericJoin {
+		n = min(max((d+morselSize-1)/morselSize, morselTargetPerWorker*workers), d)
+	}
+	if len(m.parts) != n {
+		m.parts = morselRels(b.q, v, m.vals, n)
+	}
+	return morselSchedule{v: v, workers: workers, parts: m.parts}
 }
 
 // runBuffered executes one split into a private collector and returns its
@@ -119,29 +168,4 @@ func choosePartitionVar(q *query.Q, plan *Plan) int {
 		}
 	}
 	return bestV
-}
-
-// distinctVals returns (memoized on the Bound) the sorted distinct union of
-// variable v's values across every relation containing v. Its length is the
-// worker-clamp ceiling, and the morsel scheduler range-partitions it.
-func (b *Bound) distinctVals(v int) []rel.Value {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.valsOK && b.valsV == v {
-		return b.vals
-	}
-	var vals []rel.Value
-	for _, r := range b.q.Rels {
-		c := r.Col(v)
-		if c < 0 {
-			continue
-		}
-		for i := 0; i < r.Len(); i++ {
-			vals = append(vals, r.Row(i)[c])
-		}
-	}
-	slices.Sort(vals)
-	vals = slices.Compact(vals)
-	b.valsOK, b.valsV, b.vals = true, v, vals
-	return vals
 }

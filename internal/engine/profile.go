@@ -17,42 +17,35 @@ type PartProfile struct {
 	Durations []time.Duration
 }
 
-// ProfileSplits measures each morsel of the bound instance's parallel
-// schedule sequentially, under opts' plan and worker count (clamped like a
-// real run). Each morsel runs the buffered hand-off: the code a pool worker
-// runs for a morsel that is neither counted nor streamed directly.
+// ProfileSplits measures each morsel of the schedule an auto run (or a run
+// of opts' explicit algorithm) executes on the bound instance, one morsel at
+// a time on the calling goroutine. It reads what a run reads: the worker
+// count (Options.workers), the plan — the Bound's verdict once an auto run's
+// attempt decided it (generic join, or the machine that overran), else
+// Plan() — and the memoized schedule, so it profiles the very split
+// instances the runs execute and the next run builds nothing it did not.
+// Each morsel runs the buffered hand-off: the code a pool worker runs for a
+// morsel that is neither counted nor streamed directly. A sequential run has
+// no morsels to profile: that is an error.
 //
 // The bool is ignored: it once selected a second scheduler's splits, and
 // the signature stays until the benchmark (bench/layers.go) stops calling
 // it.
 func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, _ bool) (*PartProfile, error) {
 	o := opts.withDefaults()
-	plan, err := b.plan(o.Algorithm)
-	if err != nil {
-		return nil, err
+	plan := b.won.Load()
+	if plan == nil || o.Algorithm != AlgAuto {
+		var err error
+		if plan, err = b.plan(o.Algorithm); err != nil {
+			return nil, err
+		}
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
+	s := b.schedule(plan, o.workers(b.q))
+	if s.parts == nil {
+		return nil, errors.New("engine: the run is sequential: no morsels to profile")
 	}
-	v := choosePartitionVar(b.q, plan)
-	if v < 0 {
-		return nil, errors.New("engine: no partition variable: nothing to profile")
-	}
-	vals := b.distinctVals(v)
-	if len(vals) < workers {
-		workers = len(vals)
-	}
-	if workers <= 1 {
-		return nil, errors.New("engine: instance degrades to sequential after the worker clamp")
-	}
-	nm := morselCount(len(vals), workers)
-	if plan.Algorithm != AlgGenericJoin && nm > workers {
-		nm = workers // mirror runMorselsInto's algorithm-aware grain cap
-	}
-	parts := b.morselParts(v, vals, nm)
-	prof := &PartProfile{Durations: make([]time.Duration, len(parts))}
-	for m, qm := range parts {
+	prof := &PartProfile{Durations: make([]time.Duration, len(s.parts))}
+	for m, qm := range s.parts {
 		start := time.Now()
 		if _, _, err := runBuffered(ctx, qm, plan, &memGauge{}); err != nil {
 			return nil, err
