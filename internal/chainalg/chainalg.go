@@ -32,8 +32,8 @@
 // It is sink-based (see rel.Sink): step i+1 enumerates per tuple of Q_i,
 // so the run buffers until the last step; Q_k is then sorted once, for the
 // Sink contract's order, and streamed, stopping when the sink does — except
-// into a bare *rel.CountSink, which takes its length unsorted. ctx is checked
-// at chain-step and candidate-batch boundaries.
+// into a bare *rel.CountSink, which takes its length unsorted. Its work is
+// charged to a work.Meter at every tuple of Q_{i-1} and every candidate.
 package chainalg
 
 import (
@@ -48,11 +48,8 @@ import (
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/smalg"
+	"repro/internal/work"
 )
-
-// cancelCheckInterval is how many candidate tuples pass between context
-// checks inside a chain step's enumeration loop.
-const cancelCheckInterval = 1024
 
 // Value aliases the relational value type.
 type Value = rel.Value
@@ -61,35 +58,39 @@ type Value = rel.Value
 // behaviour observable.
 type Stats struct {
 	Chain         lattice.Chain
-	TuplesVisited int   // candidate tuples enumerated from the min relation
-	Probes        int   // index probes for verification
-	Intermediate  []int // |Q_i| per chain step
+	TuplesVisited int        // candidate tuples enumerated from the min relation
+	Probes        int        // index probes for verification
+	Intermediate  []int      // |Q_i| per chain step
+	m             work.Meter // the run's, kept off its stack
 }
+
+// Work is the run's counted work, the units its work.Meter is charged in:
+// the index operations the proof of Theorem 5.7 charges.
+func (s *Stats) Work() int { return s.TuplesVisited + s.Probes }
 
 // RunInto evaluates the query along the given chain, which must be good for
 // all inputs and have no isolated step, emitting into sink: the final chain
 // relation Q_k is sorted and streamed, stopping early when the sink does (a
-// bare *rel.CountSink is handed its length instead), and ctx cancellation is
-// observed between chain steps and every thousand tuples of Q_{i-1} within
-// one. A nil chain is Best's at q's sizes, or ErrNoGoodChain when it has no
-// finite bound.
+// bare *rel.CountSink is handed its length instead). A nil chain is Best's
+// at q's sizes, or ErrNoGoodChain when it has no finite bound.
 func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*Stats, error) {
 	if c == nil {
 		cb := Best(q)
 		if !cb.Finite {
-			return nil, ErrNoGoodChain
+			return &Stats{}, ErrNoGoodChain
 		}
 		c = cb.Chain
 	}
+	st := &Stats{Chain: c}
 	l := q.Lattice()
 	inputs := q.InputElems()
 	if !l.IsChain(c) {
-		return nil, fmt.Errorf("chainalg: not a chain")
+		return st, fmt.Errorf("chainalg: not a chain")
 	}
 	if !l.GoodForAll(c, inputs) {
-		return nil, fmt.Errorf("chainalg: chain is not good for the inputs")
+		return st, fmt.Errorf("chainalg: chain is not good for the inputs")
 	}
-	st := &Stats{Chain: c}
+	st.m.Start(ctx, "")
 	e := expand.New(q)
 
 	// Line 1: every input expanded to its closure (built by the first run).
@@ -107,9 +108,6 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 
 	vals := make([]Value, q.K)
 	for i := 1; i < len(c); i++ {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
 		ciVars := l.Elems[c[i]]
 		prevVars := prev.VarSet() // C_{i-1}; none for Q_0, even if 0̂ holds constants
 
@@ -152,10 +150,8 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 		out := rel.New(fmt.Sprintf("Q%d", i), ciMembers...)
 		nt := make(rel.Tuple, len(ciMembers))
 		for ti := 0; ti < prev.Len(); ti++ {
-			if ti%cancelCheckInterval == cancelCheckInterval-1 {
-				if err := ctx.Err(); err != nil {
-					return st, err
-				}
+			if err := st.m.Check(ctx, st.Work()); err != nil {
+				return st, err
 			}
 			t := prev.Row(ti)
 			for k, v := range prev.Attrs {
@@ -177,6 +173,9 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 			// Enumerate candidates from the cheapest relation, expand each
 			// to C_i, and verify against the other covering relations.
 			for pos := bestLo; pos < bestHi; pos++ {
+				if err := st.m.Check(ctx, st.Work()); err != nil {
+					return st, err
+				}
 				st.TuplesVisited++
 				// The row is in index priority order: position k holds the
 				// value of variable Attrs()[k].
@@ -213,6 +212,7 @@ func RunInto(ctx context.Context, q *query.Q, c lattice.Chain, sink rel.Sink) (*
 		st.Intermediate = append(st.Intermediate, out.Len())
 		prev = out
 	}
+	st.m.Stop(st.Work())
 	if n, ok := sink.(*rel.CountSink); ok {
 		n.N += prev.Len() // duplicate-free as it stands: a count needs no order
 		return st, nil

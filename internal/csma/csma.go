@@ -41,8 +41,7 @@
 // It is sink-based (see rel.Sink): the branch union must materialize, and is
 // sorted and deduplicated once, before the final semi-join reduction — one
 // pass against every input — whose result is streamed, stopping when the sink
-// does; ctx cancellation is observed at every plan-operation and
-// degree-bucket branch boundary.
+// does. Its work is charged to a work.Meter before every plan operation.
 package csma
 
 import (
@@ -57,6 +56,7 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/query"
 	"repro/internal/rel"
+	"repro/internal/work"
 )
 
 // theta is the budget slack in the exponent: a degree bucket whose join would
@@ -76,7 +76,12 @@ type Stats struct {
 	Overflows  int     // joins that exceeded the budget after restart cap
 	JoinTuples int     // tuples materialized across CC/SM joins
 	PlanLen    int
+	m          work.Meter // the run's, kept off its stack
 }
+
+// Work is the run's counted work, the units its work.Meter is charged in:
+// JoinTuples.
+func (s *Stats) Work() int { return s.JoinTuples }
 
 // opKind discriminates plan operations.
 type opKind int
@@ -213,6 +218,7 @@ func RunInto(ctx context.Context, q *query.Q, cp *Plan, sink rel.Sink) (*Stats, 
 	l := q.Lattice()
 	e := expand.New(q)
 	st := &Stats{}
+	st.m.Start(ctx, "")
 
 	if cp.err != nil {
 		return st, cp.err
@@ -256,8 +262,8 @@ func RunInto(ctx context.Context, q *query.Q, cp *Plan, sink rel.Sink) (*Stats, 
 
 	var exec func(plan []op, idx int, state []*rel.Relation, restarts int) error
 	exec = func(plan []op, idx int, state []*rel.Relation, restarts int) error {
-		if err := ctx.Err(); err != nil {
-			return err // phase boundary: before every plan operation
+		if err := st.m.Check(ctx, st.Work()); err != nil {
+			return err
 		}
 		if idx == len(plan) {
 			top := state[l.Top]
@@ -333,6 +339,7 @@ func RunInto(ctx context.Context, q *query.Q, cp *Plan, sink rel.Sink) (*Stats, 
 	if err := exec(plan, 0, initState, 0); err != nil {
 		return st, err
 	}
+	st.m.Stop(st.Work())
 
 	// Exact answer: order the branch union, then semi-join reduce against
 	// every input in one pass. No FD is left to check: every T(1̂) row was

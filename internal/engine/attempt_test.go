@@ -9,12 +9,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/chainalg"
 	"repro/internal/fd"
 	"repro/internal/naive"
 	"repro/internal/paper"
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/wcoj"
+	"repro/internal/work"
 )
 
 // These tests pin the generic-join attempt a sequential planner-chosen FD run
@@ -31,8 +33,9 @@ func (s rowSink) Push(t rel.Tuple) bool { return s.c.Push(t) }
 func tripPoint(t *testing.T, b *Bound) (int, *wcoj.Stats) {
 	t.Helper()
 	var c rel.CountSink
-	ws, err := wcoj.GenericJoinBudgetInto(context.Background(), b.q, wcoj.DefaultOrder(b.q), wcoj.NewBudget(attemptBudget(b.q, b.Plan())), &c)
-	if !errors.Is(err, wcoj.ErrWorkBudget) {
+	ctx, _ := work.WithLimit(context.Background(), attemptBudget(b.q, b.Plan()))
+	ws, err := wcoj.GenericJoinInto(ctx, b.q, wcoj.DefaultOrder(b.q), &c)
+	if !errors.Is(err, work.ErrLimit) {
 		t.Fatalf("the attempt does not overrun: %v", err)
 	}
 	return c.N, ws
@@ -42,9 +45,9 @@ func tripPoint(t *testing.T, b *Bound) (int, *wcoj.Stats) {
 // attempt overruns (generic join is Ω(N²) there) and the chain algorithm
 // resumes, on one worker and on the morsel path. Every kind of sink a first
 // run can be handed sees exactly the naive answer, the rows the attempt
-// delivered included once. Alone, the attempt spent at most its budget plus
-// one descent step; on k workers sharing the budget, at most k·(one share
-// quantum + one step) more.
+// delivered included once. A run's work is the attempt's plus the chain's.
+// Alone, the attempt spent at most its budget plus one descent step; on k
+// workers sharing the budget, at most k·(one share quantum + one step) more.
 func TestAttemptOverrunResumesOnEverySink(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{512, 2048} {
@@ -65,12 +68,20 @@ func TestAttemptOverrunResumesOnEverySink(t *testing.T) {
 			t.Fatalf("Fig1Skew(%d) is planned to %s, want chain", n, alg)
 		}
 		delivered, ws := tripPoint(t, fresh())
-		budget, work := attemptBudget(q, fresh().Plan()), ws.Extensions+ws.Lookups
+		budget, spent := attemptBudget(q, fresh().Plan()), ws.Work()
 		if delivered == 0 || delivered >= want.Len() {
 			t.Fatalf("Fig1Skew(%d): the attempt delivers %d of %d rows before it overruns: the resume is not tested mid-stream", n, delivered, want.Len())
 		}
-		if work > budget+stepWork(q) {
-			t.Fatalf("Fig1Skew(%d): the attempt spent %d, budget %d + one descent step %d", n, work, budget, stepWork(q))
+		if spent <= budget || spent > budget+stepWork(q) {
+			t.Fatalf("Fig1Skew(%d): the attempt spent %d, budget %d + one descent step %d", n, spent, budget, stepWork(q))
+		}
+		// The chain the run resumes with, on the auto run's split.
+		chain := map[int]int{}
+		for _, workers := range []int{1, 2} {
+			chain[workers] = splitWork(t, fresh(), &Options{Algorithm: AlgChain, Workers: workers, MinParallelRows: 1})
+		}
+		if cw := chainWork(t, q); chain[1] != cw {
+			t.Fatalf("Fig1Skew(%d): the chain counted %d, its visited tuples and probes %d", n, chain[1], cw)
 		}
 
 		vars := q.AllVars().Members()
@@ -151,8 +162,9 @@ func TestAttemptOverrunResumesOnEverySink(t *testing.T) {
 					if tc.name == "limit-1" || tc.name == "limit-past-trip" {
 						continue
 					}
-					if lag := workers * (wcoj.ShareQuantum + stepWork(q)); st.extensions+st.lookups > budget+lag {
-						t.Fatalf("Fig1Skew(%d) %s: the attempt on %d workers spent %d, budget %d + lag %d", n, tc.name, workers, st.extensions+st.lookups, budget, lag)
+					attempt := st.work - chain[workers]
+					if lag := workers * (work.ShareQuantum + stepWork(q)); attempt <= budget || attempt > budget+lag {
+						t.Fatalf("Fig1Skew(%d) %s: the attempt on %d workers spent %d, budget %d + lag %d", n, tc.name, workers, attempt, budget, lag)
 					}
 				} else if tc.name == "limit-1" {
 					// The first row arrives before the trip: a stopped attempt, no verdict.
@@ -160,8 +172,8 @@ func TestAttemptOverrunResumesOnEverySink(t *testing.T) {
 						t.Fatalf("Fig1Skew(%d) limit-1: ran %s, decided %v; want generic, undecided", n, st.Ran, b.won.Load())
 					}
 					continue
-				} else if st.extensions != ws.Extensions {
-					t.Fatalf("Fig1Skew(%d) %s: the attempt made %d extensions, its descent alone %d", n, tc.name, st.extensions, ws.Extensions)
+				} else if st.work != spent+chain[1] {
+					t.Fatalf("Fig1Skew(%d) %s: the run counted %d work, its attempt's descent alone %d and the chain %d", n, tc.name, st.work, spent, chain[1])
 				}
 				if st.Ran != AlgChain || b.won.Load() != b.Plan() || !reflect.DeepEqual(st.Plan, *b.Plan()) {
 					t.Fatalf("Fig1Skew(%d) %s on %d workers: ran %s, decided %v; want the chain algorithm after an overrun", n, tc.name, workers, st.Ran, b.won.Load())
@@ -169,6 +181,17 @@ func TestAttemptOverrunResumesOnEverySink(t *testing.T) {
 			}
 		}
 	}
+}
+
+// chainWork is the chain algorithm's visited tuples plus probes on q, along
+// the planned chain.
+func chainWork(t *testing.T, q *query.Q) int {
+	t.Helper()
+	st, err := chainalg.RunInto(context.Background(), q, bind(t, q).Plan().Chain, &rel.CountSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.TuplesVisited + st.Probes
 }
 
 // stepWork bounds the counted work one step of generic join's descent does on
@@ -214,8 +237,10 @@ func TestAttemptVerdictIsKept(t *testing.T) {
 			if tc.plan != AlgAuto && !reflect.DeepEqual(st.Plan, *b.Plan()) {
 				t.Fatalf("%s run %d reports %+v, the planner %+v", tc.name, i, st.Plan, *b.Plan())
 			}
-			if i > 0 && tc.ran == AlgChain && st.extensions != 0 {
-				t.Fatalf("%s run %d: %d generic-join extensions after the verdict", tc.name, i, st.extensions)
+			if i > 0 && tc.ran == AlgChain {
+				if cw := chainWork(t, tc.q); st.work != cw {
+					t.Fatalf("%s run %d: %d work after the verdict, the chain algorithm's alone %d", tc.name, i, st.work, cw)
+				}
 			}
 		}
 		if was := planned(b); was != (tc.plan != AlgAuto) {
@@ -324,10 +349,33 @@ func TestExplicitRequestsNeverAttempt(t *testing.T) {
 		if !rel.Identical(out, naive.Evaluate(tc.q)) {
 			t.Fatalf("%+v: output differs from the reference", tc.opts)
 		}
-		if st.extensions != 0 || st.Ran != st.Plan.Algorithm || b.won.Load() != nil {
-			t.Fatalf("%+v: %d generic-join extensions, ran %s for plan %s, decided %v", tc.opts, st.extensions, st.Ran, st.Plan.Algorithm, b.won.Load())
+		if machine := splitWork(t, b, &tc.opts); st.work != machine || st.Ran != st.Plan.Algorithm || b.won.Load() != nil {
+			t.Fatalf("%+v: %d work, the machine's alone %d, ran %s for plan %s, decided %v", tc.opts, st.work, machine, st.Ran, st.Plan.Algorithm, b.won.Load())
 		}
 	}
+}
+
+// splitWork is the counted work of opts' explicit machine run on each split
+// of b's schedule for it (the whole instance when there is none), summed.
+func splitWork(t *testing.T, b *Bound, opts *Options) int {
+	t.Helper()
+	plan, err := b.plan(opts.Algorithm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := b.schedule(plan, opts.workers(b.q)).parts
+	if parts == nil {
+		parts = []*query.Q{b.q}
+	}
+	total := 0
+	for _, qm := range parts {
+		spent, _, err := runOneInto(context.Background(), qm, plan, &rel.CountSink{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += spent
+	}
+	return total
 }
 
 // TestParallelAutoRunAttempts: an auto run on the morsel path tries generic
@@ -344,9 +392,9 @@ func TestParallelAutoRunAttempts(t *testing.T) {
 	if !rel.Identical(out, naive.Evaluate(q)) {
 		t.Fatal("output differs from the reference")
 	}
-	if st.Workers < 2 || st.Morsels < 2 || st.Ran != AlgGenericJoin || st.Plan.Algorithm != AlgAuto || st.extensions == 0 {
-		t.Fatalf("the attempt ran %s for plan %s on %d workers, %d morsels, %d extensions; want generic join on the morsel path",
-			st.Ran, st.Plan.Algorithm, st.Workers, st.Morsels, st.extensions)
+	if st.Workers < 2 || st.Morsels < 2 || st.Ran != AlgGenericJoin || st.Plan.Algorithm != AlgAuto || st.work == 0 {
+		t.Fatalf("the attempt ran %s for plan %s on %d workers, %d morsels, %d work; want generic join on the morsel path",
+			st.Ran, st.Plan.Algorithm, st.Workers, st.Morsels, st.work)
 	}
 	if won := b.won.Load(); won != attemptFit {
 		t.Fatalf("the attempt fit but decided %v", won)

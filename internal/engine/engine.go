@@ -16,10 +16,10 @@
 // state. (A Sink belongs to one execution; don't share one across
 // concurrent Runs.)
 //
-// The planner (see planner.go) replaces the old try-SMA-then-CSMA "auto"
-// mode with a cost-based choice over the paper's bounds, and large
-// instances are executed in parallel by range-partitioning one variable's
-// domain into morsels pulled by a worker pool (see parallel.go, morsel.go).
+// The planner (see planner.go) makes a cost-based choice over the paper's
+// bounds, and large instances are executed in parallel by range-partitioning
+// one variable's domain into morsels pulled by a worker pool (see
+// parallel.go, morsel.go).
 package engine
 
 import (
@@ -37,6 +37,7 @@ import (
 	"repro/internal/rel"
 	"repro/internal/smalg"
 	"repro/internal/wcoj"
+	"repro/internal/work"
 )
 
 // Algorithm selects an execution strategy.
@@ -94,7 +95,7 @@ type Stats struct {
 	AdaptSwitches int   // always 0: mid-flight re-ordering was removed; kept until the benchmark stops reading it
 	WorkerMorsels []int // morsels each worker executed (nil off the morsel path)
 
-	extensions, lookups int // Σ wcoj.Stats over the run's generic-join descents (an attempt's included); the work tests read them
+	work int // counted work of everything the run executed, an attempt's descents and the machine: Σ of the executors' Stats.Work; the work tests read it
 }
 
 // Prepared is an analyzed query shape. It wraps the query whose lazily
@@ -232,18 +233,12 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	}
 	st = &Stats{Plan: *plan, Ran: plan.Algorithm, Workers: 1, PartitionVar: -1}
 
-	// Count emitted rows for Stats.OutSize. A CollectSink is counted by
-	// its own length rather than wrapped: wrapping would hide it from
-	// rel.Stream's block fast path and turn the zero-copy materialized
-	// wrappers (Run, and buffering executors generally) into full
-	// row-by-row output copies. A CountSink is read the same way, which
-	// lets the morsel scheduler see that nobody wants the rows and count
-	// per morsel. A bare sink is gauged only after the fact, though, so
-	// when MemLimitBytes must be enforced mid-run it is wrapped like any
-	// other sink — the memory governor trades the fast paths for an
-	// enforceable budget. The wrapper and the run's one memory gauge are
-	// one allocation; a run that neither wraps nor partitions needs no
-	// gauge.
+	// Count emitted rows for Stats.OutSize. A bare CollectSink or CountSink
+	// is read by its own length, not wrapped, so rel.Stream can adopt whole
+	// runs and the morsel scheduler can count per morsel; under a
+	// MemLimitBytes every sink is wrapped, since a bare one is gauged only
+	// after the fact. The wrapper and the run's one memory gauge are one
+	// allocation; a run that neither wraps nor partitions needs no gauge.
 	var g *memGauge
 	runSink, outSize := sink, (func() int)(nil)
 	if c, ok := sink.(*rel.CollectSink); ok && o.MemLimitBytes <= 0 {
@@ -270,7 +265,7 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 		// stack on every query, and one more frame on this path costs one
 		// more copy (fdqbench wcoj-warm first_row_p50_ms +27 %, 10 of 10
 		// pairs; a bare 416-byte frame here does the same).
-		_, err = runOneInto(ctx, b.q, plan, runSink)
+		st.work, _, err = runOneInto(ctx, b.q, plan, runSink)
 	}
 	if err != nil {
 		return st, err
@@ -296,30 +291,27 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 // instance or one split of it — streaming into sink, with the plan's own
 // artifacts: the chain, the SM proof with its LLP solution, the CSM plan,
 // each solved on the whole instance. A plan without its artifact runs the
-// executor's own slot at q's sizes.
-//
-// ws is generic join's counters (zero for the other machines): the work
-// measure the partitioning tests sum, and whether the sink stopped an
-// attempt.
-func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) (ws wcoj.Stats, err error) {
+// executor's own slot at q's sizes. It returns the executor's counted work
+// (its Stats.Work) and, for generic join, whether the sink stopped it.
+func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) (spent int, stopped bool, err error) {
 	switch plan.Algorithm {
 	case AlgChain:
-		_, err = chainalg.RunInto(ctx, q, plan.Chain, sink)
+		st, err := chainalg.RunInto(ctx, q, plan.Chain, sink)
+		return st.Work(), false, err
 	case AlgSM:
-		_, err = smalg.RunInto(ctx, q, plan.LLP, plan.Proof, sink)
+		st, err := smalg.RunInto(ctx, q, plan.LLP, plan.Proof, sink)
+		return st.Work(), false, err
 	case AlgCSMA:
-		_, err = csma.RunInto(ctx, q, plan.CSM, sink)
+		st, err := csma.RunInto(ctx, q, plan.CSM, sink)
+		return st.Work(), false, err
 	case AlgGenericJoin:
-		var st *wcoj.Stats
-		if st, err = wcoj.GenericJoinBudgetInto(ctx, q, wcoj.DefaultOrder(q), plan.budget, sink); st != nil {
-			ws = *st
-		}
+		st, err := wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), sink)
+		return st.Work(), st.Stopped, err
 	case AlgBinary:
-		_, err = wcoj.BinaryPlanInto(ctx, q, nil, sink)
-	default:
-		err = fmt.Errorf("engine: unknown algorithm %q", plan.Algorithm)
+		st, err := wcoj.BinaryPlanInto(ctx, q, nil, sink)
+		return st.Work(), false, err
 	}
-	return ws, err
+	return 0, false, fmt.Errorf("engine: unknown algorithm %q", plan.Algorithm)
 }
 
 // attemptFactor is c in an attempt's budget of c·(N + 2^LogBound) counted work
@@ -342,14 +334,16 @@ func attemptBudget(q *query.Q, plan *Plan) int {
 	return int(min(float64(attemptFactor)*(float64(q.TotalSize())+math.Exp2(plan.LogBound)), 1<<62))
 }
 
-// attemptFit is Bound.won once an attempt has finished: generic join wins.
+// attemptFit is the plan an attempt runs, and Bound.won once one has
+// finished: generic join wins.
 var attemptFit = &Plan{Algorithm: AlgGenericJoin}
 
 // attemptInto runs an FD plan, or an admission record whose machine is not
 // chosen yet, on workers (1: sequentially), trying generic join first: one
-// descent, or a morsel schedule of them, under one shared attemptBudget. On
-// an overrun the group is cancelled, and the planned machine (planned now,
-// for an admission record) runs on the same workers past the rows already
+// descent, or a morsel schedule of them, under one work.Limit of
+// attemptBudget, which ctx carries to every descent's meter. On an overrun
+// the group is cancelled, and the planned machine (planned now, for an
+// admission record) runs on the same workers past the rows already
 // delivered, a prefix of the same sorted answer. The first run that finishes
 // or overruns decides for every later run of the (immutable) Bound, on any
 // number of workers, and a machine verdict is what later runs report in
@@ -364,9 +358,9 @@ func (b *Bound) attemptInto(ctx context.Context, plan *Plan, workers int, g *mem
 		_, err = b.runPlanInto(ctx, won, workers, g, st, sink)
 		return err
 	}
-	try := &Plan{Algorithm: AlgGenericJoin, budget: wcoj.NewBudget(attemptBudget(b.q, plan))}
-	stopped, err := b.runPlanInto(ctx, try, workers, g, st, sink)
-	if !errors.Is(err, wcoj.ErrWorkBudget) {
+	actx, _ := work.WithLimit(ctx, attemptBudget(b.q, plan))
+	stopped, err := b.runPlanInto(actx, attemptFit, workers, g, st, sink)
+	if !errors.Is(err, work.ErrLimit) {
 		if err == nil && !stopped {
 			b.won.Store(attemptFit)
 		}

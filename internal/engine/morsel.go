@@ -10,7 +10,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/query"
 	"repro/internal/rel"
-	"repro/internal/wcoj"
+	"repro/internal/work"
 )
 
 // morselTargetPerWorker is the minimum morsels-per-worker the scheduler
@@ -233,46 +233,26 @@ func (f *frontier) complete(m int, run *rel.Relation) {
 // whichever of four hand-offs the scheduler can observe to be the cheapest
 // sound one — never by an option.
 //
-// Soundness: every relation containing the partition variable v is filtered
-// to a contiguous range of v-values; relations without v are shared
-// read-only. Each output tuple binds exactly one v-value, so it is produced
-// in exactly one morsel: morsels are pairwise disjoint and their union is
-// the sequential output. FD guards containing v stay consistent: a guard
-// lookup that fails in a morsel can only fail for tuples that also fail the
-// guard's own membership constraint there, which no output tuple of the
-// morsel does. Every executor's per-morsel output is sorted and
-// deduplicated. Morsel ranges are ascending in v, so for any two morsels
-// m < m′ every v-value of m is strictly below every v-value of m′. Output
-// rows are sorted lexicographically on ascending variable ids; when v is
-// variable 0 — the output's first column — a row of morsel m therefore
-// sorts strictly before every row of morsel m′: the morsel runs are
-// disjoint, totally ordered blocks whose concatenation in morsel order is
-// exactly the sequential output.
+// Soundness (DESIGN.md, "Morsel execution"): each output tuple binds one
+// v-value, so the morsels are disjoint and union to the sequential output,
+// each sorted and duplicate-free; their ranges ascend in v, so when v is
+// variable 0, the output's first column, their runs are ordered blocks of it.
 //
-//  1. Count. A bare *rel.CountSink (RunInto leaves it bare when no memory
-//     limit needs enforcing) wants no rows: morsels are disjoint for every
-//     v, so each morsel of every algorithm counts into its own CountSink
-//     and the worker totals are summed. Nothing is buffered or merged.
-//  2. Direct. With v == 0, a generic-join morsel that is the least
-//     not-yet-emitted morsel when it starts streams from the trie descent
-//     into sink itself: first row after the first successful descent, no
-//     copy. The FD machines emit only at their end, and a buffered run is
-//     adopted whole by the frontier (rel.Stream), so they always buffer:
-//     streaming them directly would save no copy.
-//  3. Block. With v == 0, every other morsel buffers its sorted run; the
-//     moment the frontier reaches a completed run it is handed over whole
-//     through rel.Stream (one append into a CollectSink). Completed higher
-//     morsels wait their turn, and a stopping sink cancels the rest.
-//  4. Merge. With v > 0 rows from different morsels interleave in output
-//     order, so the runs meet at a barrier and a tournament merge
-//     (rel.MergeSortedInto) — still byte-identical, without early emission.
+//  1. Count: into a bare *rel.CountSink (no memory limit to enforce) every
+//     morsel counts into its own CountSink and the totals are summed.
+//  2. Direct: with v == 0, a generic-join morsel that is the least
+//     not-yet-emitted one when it starts streams into sink from the descent.
+//  3. Block: with v == 0, every other morsel buffers its sorted run, handed
+//     over whole (rel.Stream) once the frontier reaches it.
+//  4. Merge: with v > 0 rows of different morsels interleave, so the runs
+//     meet at a barrier and a tournament merge (rel.MergeSortedInto).
 //
 // Every generic-join morsel descends under wcoj.DefaultOrder, so its run is
 // born sorted and v stays at the top of the descent, where a morsel's
-// filter prunes the levels below it. An attempt's morsels share its plan's
-// wcoj.Budget, so the first to see the group's work overrun it fails with
-// wcoj.ErrWorkBudget and cancels the rest; the rows the frontier delivered
-// until then are a prefix of the answer.
+// filter prunes the levels below it. An attempt's morsels share the
+// work.Limit its ctx carries, so the first to see the group's work overrun
+// it fails with work.ErrLimit and cancels the rest; the rows the frontier
+// delivered until then are a prefix of the answer.
 //
 // stopped reports that the sink ended the run, or the memory gauge tripped,
 // before it finished: a consumer decision, not an error. The run decided
@@ -287,10 +267,9 @@ func (b *Bound) runPlanInto(ctx context.Context, plan *Plan, workers int, g *mem
 	s := b.schedule(plan, workers)
 	if s.parts == nil {
 		st.Workers, st.PartitionVar = 1, -1
-		ws, err := runOneInto(ctx, b.q, plan, sink)
-		st.extensions += ws.Extensions
-		st.lookups += ws.Lookups
-		return ws.Stopped, err
+		spent, stopped, err := runOneInto(ctx, b.q, plan, sink)
+		st.work += spent
+		return stopped, err
 	}
 	workers, nm := s.workers, len(s.parts)
 	generic := plan.Algorithm == AlgGenericJoin
@@ -309,10 +288,10 @@ func (b *Bound) runPlanInto(ctx context.Context, plan *Plan, workers int, g *mem
 	f := &frontier{sink: sink, cancel: gcancel, ordered: s.v == 0,
 		done: make([]bool, nm), runs: make([]*rel.Relation, nm)}
 	errs := make([]error, workers)
-	var rows, exts, lookups atomic.Int64 // rows counted (counting only) and generic-join work, summed over morsels
+	var rows, spent atomic.Int64 // rows counted (counting only) and work, summed over morsels
 	queue := newMorselQueue(nm, workers)
 
-	work := func(w int) {
+	worker := func(w int) {
 		defer func() {
 			if errs[w] != nil && !errors.Is(errs[w], context.Canceled) {
 				gcancel() // fail fast: release the siblings
@@ -331,30 +310,29 @@ func (b *Bound) runPlanInto(ctx context.Context, plan *Plan, workers int, g *mem
 				return
 			}
 			qm := s.parts[m]
-			var ws wcoj.Stats
+			var n int
 			var err error
 			switch {
 			case counting:
 				var c rel.CountSink
-				ws, err = runOneInto(gctx, qm, plan, &c)
+				n, _, err = runOneInto(gctx, qm, plan, &c)
 				if err == nil {
 					rows.Add(int64(c.N))
 				}
 			case generic && f.claim(m):
 				faultinject.Fire(faultinject.SiteStreamMerge)
-				ws, err = runOneInto(gctx, qm, plan, f)
+				n, _, err = runOneInto(gctx, qm, plan, f)
 				if err == nil {
 					f.complete(m, nil)
 				}
 			default:
 				var run *rel.Relation
-				run, ws, err = runBuffered(gctx, qm, plan, g)
+				run, n, err = runBuffered(gctx, qm, plan, g)
 				if err == nil {
 					f.complete(m, run)
 				}
 			}
-			exts.Add(int64(ws.Extensions))
-			lookups.Add(int64(ws.Lookups))
+			spent.Add(int64(n))
 			if err != nil {
 				errs[w] = err
 				return
@@ -367,13 +345,12 @@ func (b *Bound) runPlanInto(ctx context.Context, plan *Plan, workers int, g *mem
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		go func() { defer wg.Done(); work(w) }()
+		go func() { defer wg.Done(); worker(w) }()
 	}
-	work(0)
+	worker(0)
 	wg.Wait()
 	st.Steals = int(queue.steals.Load())
-	st.extensions += int(exts.Load())
-	st.lookups += int(lookups.Load())
+	st.work += int(spent.Load())
 
 	// Error selection: a real failure beats the context.Canceled artifacts
 	// its group-cancel induced in the siblings, and an overrun beats them
@@ -383,7 +360,7 @@ func (b *Bound) runPlanInto(ctx context.Context, plan *Plan, workers int, g *mem
 	stopped, runs := f.outcome()
 	stopped = stopped || g.trip.Load()
 	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) && !(stopped && errors.Is(err, wcoj.ErrWorkBudget)) {
+		if err != nil && !errors.Is(err, context.Canceled) && !(stopped && errors.Is(err, work.ErrLimit)) {
 			return stopped, err
 		}
 	}

@@ -44,32 +44,20 @@ type splitMemo struct {
 
 // schedule decides how plan runs on workers: the one schedule every run of
 // plan on workers executes, the attempt's included, and ProfileSplits
-// profiles. Every decision is made here:
+// profiles (DESIGN.md, "Morsel execution", has the reasons):
 //
 //   - v is choosePartitionVar's;
-//   - the pool is clamped to v's distinct-value count D (surfaced in
-//     Stats.Workers): beyond that, extra workers would own empty splits and
-//     pay goroutine and merge overhead for nothing. One worker, one distinct
-//     value or nothing to partition is a sequential run;
-//   - grain is algorithm-aware. Generic join's per-morsel marginal cost is
-//     proportional to the morsel's own work, so it affords fine morsels:
-//     D/morselSize of them, floored at morselTargetPerWorker per worker (so
-//     stealing has grain to work with) and capped at one per distinct value.
-//     The chain / SM / CSMA machines pay O(total-input) setup per split
-//     instance (closure expansion and projection indexes, including shared
-//     relations the split does not shrink; kept in the split's prepared
-//     record), so fine grain multiplies setup: they run one morsel per
-//     worker, one setup bill per worker, keeping value-range splits,
-//     stealing and the streaming frontier;
+//   - the pool is clamped to v's distinct-value count D; one worker, one
+//     distinct value or nothing to partition is a sequential run;
+//   - generic join runs D/morselSize morsels, at least morselTargetPerWorker
+//     per worker and at most D; the FD machines, whose setup is paid per
+//     split instance, run one morsel per worker;
 //   - the split instances are morselRels'.
 //
-// Memoizing v's distinct values and the split on the Bound, whose relations
-// are immutable, lets repeated runs skip the sort and the split and reuse
-// each morsel's warm index caches and prepared record, as sequential runs
-// reuse the original instance's; the split is kept across pool sizes that
-// give the same morsel count. The memo holds a single entry, so memory
-// stays bounded at one extra instance copy and its morsels' prepared
-// records. Morsels make no plan records: they run the whole instance's plan.
+// v's distinct values and the last split are memoized on the Bound (one
+// entry; the split is kept across pool sizes giving the same morsel count),
+// so repeated runs skip the sort and the split and reuse each morsel's warm
+// index caches and prepared record. Morsels make no plan records.
 func (b *Bound) schedule(plan *Plan, workers int) morselSchedule {
 	if workers <= 1 {
 		return morselSchedule{}
@@ -109,26 +97,26 @@ func (b *Bound) schedule(plan *Plan, workers int) morselSchedule {
 }
 
 // runBuffered executes one split into a private collector and returns its
-// sorted run, charging the rows to the run's gauge: row by row through a
-// gaugeSink when a limit can trip mid-run (a tripped gauge stops this
-// split's producer, the group context stops the others), once afterwards
-// when it cannot — which keeps the collector bare for rel.Stream's adoption
-// fast path.
-func runBuffered(ctx context.Context, qp *query.Q, plan *Plan, g *memGauge) (*rel.Relation, wcoj.Stats, error) {
+// sorted run and the work it counted, charging the rows to the run's gauge:
+// row by row through a gaugeSink when a limit can trip mid-run (a tripped
+// gauge stops this split's producer, the group context stops the others),
+// once afterwards when it cannot — which keeps the collector bare for
+// rel.Stream's adoption fast path.
+func runBuffered(ctx context.Context, qp *query.Q, plan *Plan, g *memGauge) (*rel.Relation, int, error) {
 	vars := qp.AllVars().Members()
 	c := rel.NewCollect("Q", vars...)
 	var sink rel.Sink = c
 	if g.limit > 0 {
 		sink = &gaugeSink{s: c, g: g}
 	}
-	ws, err := runOneInto(ctx, qp, plan, sink)
+	spent, _, err := runOneInto(ctx, qp, plan, sink)
 	if err != nil {
-		return nil, ws, err
+		return nil, spent, err
 	}
 	if g.limit <= 0 {
 		g.add(tupleBytes(c.R.Len(), len(vars)))
 	}
-	return c.R, ws, nil
+	return c.R, spent, nil
 }
 
 // choosePartitionVar picks the variable whose domain is split across the

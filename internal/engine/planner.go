@@ -10,7 +10,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/query"
 	"repro/internal/smalg"
-	"repro/internal/wcoj"
 )
 
 // Plan is the planner's decision for one bound instance: which algorithm to
@@ -30,8 +29,7 @@ type Plan struct {
 	Proof *smalg.Proof      // the good SM proof to run (AlgSM)
 	CSM   *csma.Plan        // the CLLP and its CSM plan (AlgCSMA)
 
-	explicit bool         // caller forced the algorithm: no generic-join attempt
-	budget   *wcoj.Budget // an attempt's generic-join plan: the work budget its descents share
+	explicit bool // caller forced the algorithm: no generic-join attempt
 }
 
 // tinyInputRows is the total instance size at or below which a binary

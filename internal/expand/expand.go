@@ -29,10 +29,8 @@ import (
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/varset"
+	"repro/internal/work"
 )
-
-// cancelCheckInterval is how many rows an expansion does between ctx checks.
-const cancelCheckInterval = 1024
 
 // Value aliases the relational value type.
 type Value = rel.Value
@@ -53,8 +51,9 @@ type fdTable struct {
 type Expander struct {
 	q       *query.Q
 	in      *Inputs
-	argBuf  []Value // reusable UDF argument buffer, allocated by the first UDF step
-	settled []bool  // per-call scratch: FD already applied and checked
+	argBuf  []Value    // reusable UDF argument buffer, allocated by the first UDF step
+	settled []bool     // per-call scratch: FD already applied and checked
+	rows    work.Meter // ExpandRelation's, kept off its stack
 }
 
 // New builds an Expander over the query instance's prepared record.
@@ -142,7 +141,8 @@ func (e *Expander) ExpandTuple(vals []Value, have, target varset.Set) (varset.Se
 
 // ExpandRelation expands every tuple of r to the target variable set and
 // returns the result (dropping FD-inconsistent tuples), with attributes in
-// ascending variable order; ctx is consulted every cancelCheckInterval rows.
+// ascending variable order. Its rows go through a work.Meter of its own,
+// without a limit: a join's rows are its executor's work, charged there.
 //
 // Without known sets it runs the dynamic Extend, which assumes nothing about
 // r, and returns the rows sorted and deduplicated. Given the sets r's rows
@@ -162,11 +162,10 @@ func (e *Expander) ExpandRelation(ctx context.Context, r *rel.Relation, target v
 	if len(known) > 0 {
 		prog = e.Program(rVars, target, known...)
 	}
+	e.rows = work.Meter{}
 	for ri := 0; ri < r.Len(); ri++ {
-		if ri%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := e.rows.Check(ctx, ri); err != nil {
+			return nil, err
 		}
 		t := r.Row(ri)
 		for i, v := range r.Attrs {

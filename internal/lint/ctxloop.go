@@ -24,8 +24,8 @@ import (
 // The check is per loop NEST: a working loop whose subtree — or any
 // enclosing loop's subtree — contains a cancellation or stop check is
 // satisfied, matching the codebase idiom of one interval check per nest
-// (chainalg's candidate counter, wcoj's descent ticks). Only a nest with
-// no check anywhere is flagged, at its outermost working loop.
+// (a work.Meter Check, which takes ctx). Only a nest with no check
+// anywhere is flagged, at its outermost working loop.
 var Ctxloop = &Analyzer{
 	Name: "ctxloop",
 	Doc:  "inner loops of streaming executors (ctx + Sink parameters) must contain a cancellation or Push-stop check",

@@ -25,8 +25,8 @@
 // It is sink-based (see rel.Sink): the SM-join tables must materialize
 // step by step, so the run buffers; the union of the T(1̂) tables is
 // semi-join reduced against every input in one pass, sorted if it is not
-// already, and streamed, stopping when the sink does. ctx cancellation is
-// observed at every proof-step boundary.
+// already, and streamed, stopping when the sink does. The run charges its
+// Stats.Work to a work.Meter at every proof step and live slot.
 package smalg
 
 import (
@@ -41,15 +41,21 @@ import (
 	"repro/internal/lp"
 	"repro/internal/query"
 	"repro/internal/rel"
+	"repro/internal/work"
 )
 
 // Stats reports the work of an SMA execution.
 type Stats struct {
 	Proof      *Proof
-	JoinTuples int   // tuples materialized across all SM-joins
-	HeavySizes []int // |Heavy| per step
-	LiteSizes  []int // |T(X∨Y)| per step
+	JoinTuples int        // tuples materialized across all SM-joins
+	HeavySizes []int      // |Heavy| per step
+	LiteSizes  []int      // |T(X∨Y)| per step
+	m          work.Meter // the run's, kept off its stack
 }
+
+// Work is the run's counted work, the units its work.Meter is charged in:
+// JoinTuples.
+func (s *Stats) Work() int { return s.JoinTuples }
 
 // RunInto executes the SM Algorithm (Algorithm 2) for the query using the
 // given good proof sequence and the optimal LLP solution h* that the proof
@@ -61,13 +67,14 @@ type Stats struct {
 func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proof, sink rel.Sink) (*Stats, error) {
 	if proof == nil {
 		if proof = GoodProof(q); proof == nil {
-			return nil, ErrNoGoodProof
+			return &Stats{}, ErrNoGoodProof
 		}
 		llp = LLP(q)
 	}
 	l := llp.Lat
 	e := expand.New(q)
 	st := &Stats{Proof: proof}
+	st.m.Start(ctx, "")
 
 	hFloat := make([]float64, l.Size())
 	for i, h := range llp.H {
@@ -85,8 +92,8 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 
 	const eps = 1e-9
 	for _, s := range proof.Steps {
-		if err := ctx.Err(); err != nil {
-			return st, err // phase boundary: before every SM proof step
+		if err := st.m.Check(ctx, st.Work()); err != nil {
+			return st, err
 		}
 		tx, ty := tables[s.SlotX], tables[s.SlotY]
 		if tx == nil || ty == nil {
@@ -134,8 +141,8 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 	elems := proof.slotElems()
 	var out *rel.Relation
 	for _, slot := range proof.LiveSlots() {
-		if err := ctx.Err(); err != nil {
-			return st, err // Union is O(rows) per live slot
+		if err := st.m.Check(ctx, st.Work()); err != nil {
+			return st, err
 		}
 		if elems[slot] != l.Top || tables[slot] == nil {
 			continue
@@ -146,6 +153,7 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 			out = rel.Union(out, tables[slot])
 		}
 	}
+	st.m.Stop(st.Work())
 	if out == nil {
 		return st, nil
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/scenario"
+	"repro/internal/work"
 )
 
 // perRow hides a sink's PushRun: the descent has to push row by row, the way
@@ -198,20 +199,21 @@ func (c *cancelOnPush) Push(rel.Tuple) bool {
 }
 
 // TestCancelDuringRunEmission: rows that leave in runs count towards the
-// cancellation poll like rows pushed one by one. On the 31³ product the
-// descent makes 993 steps for 29 791 rows, so a poll that counted steps alone
-// would look four times in all.
+// cancellation poll like rows pushed one by one: each costs an extension. On
+// the 31³ product the descent makes 993 steps for 29 791 rows, so a poll
+// that counted steps alone would look once in all.
 func TestCancelDuringRunEmission(t *testing.T) {
 	q := family(t, "worst/agm-product", 1024)
 	order := DefaultOrder(q)
 
-	// A counter takes the rows in runs of 31 and still polls every 256 of them.
+	// A counter takes the rows in runs of 31 and still polls every
+	// work.Interval of them.
 	quiet := &polledCtx{Context: context.Background(), started: make(chan struct{})}
 	var n rel.CountSink
 	if _, err := GenericJoinInto(quiet, q, order, &n); err != nil || n.N != 31*31*31 {
 		t.Fatalf("uncancelled count: %d rows, %v", n.N, err)
 	}
-	if got, want := int(quiet.polls.Load()), n.N/cancelCheckInterval; got < want {
+	if got, want := int(quiet.polls.Load()), n.N/work.Interval; got < want {
 		t.Fatalf("%d rows in runs were polled %d times, want at least %d", n.N, got, want)
 	}
 
@@ -246,8 +248,8 @@ func TestCancelDuringRunEmission(t *testing.T) {
 	if _, err := GenericJoinInto(ctx, q, order, sink); !errors.Is(err, context.Canceled) {
 		t.Fatalf("run cancelled by its sink returned %v", err)
 	}
-	if sink.after > cancelCheckInterval {
-		t.Fatalf("%d rows arrived after the cancel, want at most %d", sink.after, cancelCheckInterval)
+	if sink.after > work.Interval {
+		t.Fatalf("%d rows arrived after the cancel, want at most %d", sink.after, work.Interval)
 	}
 }
 

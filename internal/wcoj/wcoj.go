@@ -9,9 +9,9 @@
 // improve its search strategy or its bound, which is exactly why they are
 // Ω(N²) on the Example 5.8 instance while the Chain Algorithm is Õ(N^{3/2}).
 //
-// Both entry points are safe to call concurrently on frozen inputs: all
-// working state is per-call, and input relations are only read (their index
-// caches are mutex-guarded).
+// GenericJoinInto and BinaryPlanInto are safe to call concurrently on frozen
+// inputs: all working state is per-call, and input relations are only read
+// (their index caches are mutex-guarded).
 //
 // Execution is sink-based (see rel.Sink): GenericJoinInto and
 // BinaryPlanInto emit rows into a sink in the final output order and stop
@@ -29,14 +29,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"sync/atomic"
 
 	"repro/internal/expand"
 	"repro/internal/faultinject"
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/varset"
+	"repro/internal/work"
 )
 
 // Value aliases the relational value type.
@@ -46,40 +45,6 @@ type Value = rel.Value
 // never escapes the package.
 var errStop = errors.New("wcoj: sink stopped execution")
 
-// ErrWorkBudget reports that GenericJoinBudgetInto overran its budget.
-var ErrWorkBudget = errors.New("wcoj: work budget exceeded")
-
-// Budget is a limit on counted work (Stats.Extensions + Lookups) that every
-// descent run under it draws on together: a sequential run's one descent, or
-// the descents of all the morsels of a parallel one, concurrently. A descent
-// checks its own work against a local limit on every tick, one compare; only
-// when that passes does it add its work to the shared count and read what
-// the others have added, at most every ShareQuantum of its own work. So a
-// lone descent stops at most one descent step past the limit, and k
-// concurrent ones spend at most k·(ShareQuantum + one step) past it between
-// them. (A tick-based cadence would not bound this: on Example 5.8 one tick
-// can cover a whole child-run scan whose candidates all fail.)
-type Budget struct {
-	limit int
-	used  atomic.Int64 // work the descents have added so far
-}
-
-// NewBudget returns a budget of limit counted work units.
-func NewBudget(limit int) *Budget { return &Budget{limit: limit} }
-
-// Used reports the work the descents under b have added so far; once they
-// have all returned, their total.
-func (b *Budget) Used() int { return int(b.used.Load()) }
-
-// ShareQuantum is the most work a descent does under a Budget between two
-// additions to its shared count.
-const ShareQuantum = 4096
-
-// cancelCheckInterval is how many recursion steps pass between context
-// checks in the descent loops — frequent enough that cancellation is
-// prompt, rare enough that ctx.Err()'s mutex never shows in profiles.
-const cancelCheckInterval = 256
-
 // Stats reports the work done by an execution, to make intermediate-size
 // blowups observable in experiments.
 type Stats struct {
@@ -87,6 +52,10 @@ type Stats struct {
 	Lookups    int  // membership probes
 	Stopped    bool // the sink stopped the descent before it finished
 }
+
+// Work is the run's counted work, the units its work.Meter is charged in:
+// Extensions + Lookups.
+func (s *Stats) Work() int { return s.Extensions + s.Lookups }
 
 // identityOrder reports whether order is 0, 1, 2, ... — the case in which
 // the descent below enumerates output rows in exactly the final output
@@ -115,29 +84,16 @@ func identityOrder(order []int) bool {
 // identity variable order rows stream natively during the trie descent —
 // the sink sees the first row after the first successful descent, and
 // stopping the sink abandons the rest of the search. Any other order
-// buffers, sorts, deduplicates, and then streams. ctx is checked every few
-// hundred descent steps and emitted rows; cancellation aborts with ctx's
-// error.
+// buffers, sorts, deduplicates, and then streams. The descent charges its
+// Stats.Work to a work.Meter on every step and every emitted run.
 //
-// Each relation is viewed as a level-ordered trie (rel.TrieIndex) whose
-// level order is the global order restricted to its attributes, so the
-// bound variables always form a trie path. The per-variable step is a
-// k-way intersection of the current nodes' child runs: the relation with
-// the smallest fanout seeds the candidates and the others are probed by
-// galloping search with monotone cursors (the seed enumerates ascending).
-// Which relations meet at which trie level, and which FDs fire and which
-// levels their derived values bind afterwards, is fixed by the shape and
-// the order: compile works it out once, the descent only follows it.
+// Each relation is a trie (rel.TrieIndex) in the global order restricted to
+// its attributes; a variable's step intersects the bound nodes' child runs,
+// seeded by the smallest and galloping through the others. What meets and
+// fires at each level is compiled once per run (compile).
 func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink) (*Stats, error) {
-	return GenericJoinBudgetInto(ctx, q, order, nil, sink)
-}
-
-// GenericJoinBudgetInto is GenericJoinInto giving up with ErrWorkBudget once the
-// counted work charged to budget exceeds its limit (see Budget for how late
-// that is seen); a nil budget never runs out.
-func GenericJoinBudgetInto(ctx context.Context, q *query.Q, order []int, budget *Budget, sink rel.Sink) (*Stats, error) {
 	if len(order) != q.K {
-		return nil, fmt.Errorf("wcoj: order must list all %d variables", q.K)
+		return &Stats{}, fmt.Errorf("wcoj: order must list all %d variables", q.K)
 	}
 	out := sink
 	var buf *rel.CollectSink
@@ -145,15 +101,12 @@ func GenericJoinBudgetInto(ctx context.Context, q *query.Q, order []int, budget 
 		buf = rel.NewCollect("Q", q.AllVars().Members()...)
 		out = buf
 	}
-	x := &descent{ctx: ctx, sink: out, vals: make([]Value, q.K), budget: budget, limit: math.MaxInt}
-	if budget != nil {
-		x.limit = min(ShareQuantum, budget.limit-budget.Used())
-		defer x.charge()
-	}
-	if err := x.compile(q, order); err != nil {
-		return &x.st, err
-	}
-	if err := x.descend(0); errors.Is(err, errStop) {
+	x := &descent{ctx: ctx, sink: out, vals: make([]Value, q.K)}
+	x.m.Start(ctx, faultinject.SiteTrieDescent)
+	x.compile(q, order)
+	err := x.descend(0)
+	x.m.Stop(x.st.Work())
+	if errors.Is(err, errStop) {
 		x.st.Stopped = true // a consumer decision, not an error
 	} else if err != nil {
 		return &x.st, err
@@ -203,10 +156,7 @@ type descent struct {
 	vals   []Value // by variable id: the row being built
 	cells  []cell  // one per (relation, trie level), a relation's consecutive
 	run    []Value // survivors of a last-level intersection
-	ticks  int
-	budget *Budget // nil: unlimited
-	limit  int     // the work at which the descent next shares with budget (math.MaxInt: no budget)
-	shared int     // this descent's work already added to budget
+	m      work.Meter
 	st     Stats
 }
 
@@ -215,13 +165,10 @@ type descent struct {
 // binding it is closed under derivation (which FDs fire depends on variable
 // sets only), so past the first level a tuple is FD-consistent on it and the
 // program run after the next binding takes it as known.
-func (x *descent) compile(q *query.Q, order []int) error {
+func (x *descent) compile(q *query.Q, order []int) {
 	tries := make([]*rel.TrieIndex, len(q.Rels))
 	base := make([]int, len(q.Rels)+1) // relation j's cells start at base[j]
 	for j, r := range q.Rels {
-		if err := x.ctx.Err(); err != nil {
-			return err // trie construction is O(data) per relation
-		}
 		prio := make([]int, 0, 8)
 		for _, v := range order {
 			if r.Col(v) >= 0 {
@@ -288,7 +235,6 @@ func (x *descent) compile(q *query.Q, order []int) error {
 		last.run = last.v == q.K-1 && len(last.parts) > 0 && last.prog == nil && len(last.seeks) == 0
 	}
 	x.runs, _ = x.sink.(rel.RunSink)
-	return nil
 }
 
 // children returns the child run of the node p's parent level is bound to.
@@ -299,54 +245,16 @@ func (x *descent) children(p *part) (lo, hi int32) {
 	return p.trie.Children(p.lvl-1, x.cells[p.cell-1].node)
 }
 
-// tick counts n descent steps or emitted rows, shares the work with the
-// budget once it passes the local limit, and, on the first tick and whenever
-// a cancelCheckInterval boundary is crossed, polls ctx and fires the
-// descent's fault site (one atomic load when nothing is armed).
-func (x *descent) tick(n int) error {
-	was := x.ticks
-	x.ticks += n
-	if x.st.Extensions+x.st.Lookups > x.limit {
-		if err := x.share(); err != nil {
-			return err
-		}
-	}
-	if was != 0 && was/cancelCheckInterval == x.ticks/cancelCheckInterval {
-		return nil
-	}
-	faultinject.Fire(faultinject.SiteTrieDescent)
-	return x.ctx.Err()
-}
-
-// share charges the budget and reports ErrWorkBudget once the work of all
-// its descents is past the limit (a cancelled ctx wins over an overrun);
-// otherwise it sets the next share point, ShareQuantum on or at the limit
-// as this descent now sees it, whichever is nearer.
-func (x *descent) share() error {
-	total := x.charge()
-	if total > x.budget.limit {
-		if err := x.ctx.Err(); err != nil {
-			return err
-		}
-		return ErrWorkBudget
-	}
-	x.limit = x.shared + min(ShareQuantum, x.budget.limit-total)
-	return nil
-}
-
-// charge adds the work done since the last charge to the budget and returns
-// the budget's total.
-func (x *descent) charge() int {
-	work := x.st.Extensions + x.st.Lookups
-	total := int(x.budget.used.Add(int64(work - x.shared)))
-	x.shared = work
-	return total
+// tick charges the descent's work to its meter, which fires the descent's
+// fault site and polls ctx on the first tick and every work.Interval units.
+func (x *descent) tick() error {
+	return x.m.Check(x.ctx, x.st.Work())
 }
 
 // descend binds the variables of levels[d:] in every consistent way below
 // the current path and emits the completed rows, in depth-first order.
 func (x *descent) descend(d int) error {
-	if err := x.tick(1); err != nil {
+	if err := x.tick(); err != nil {
 		return err
 	}
 	if d == len(x.levels) {
@@ -438,7 +346,7 @@ func (x *descent) emitRun(last []Value) error {
 	if len(last) == 0 {
 		return nil
 	}
-	if err := x.tick(len(last)); err != nil {
+	if err := x.tick(); err != nil {
 		return err
 	}
 	if !x.runs.PushRun(x.vals[:len(x.vals)-1], last) {
@@ -454,27 +362,31 @@ func (x *descent) emitRun(last []Value) error {
 // smallest relation and repeatedly join the smallest relation sharing a
 // variable with the accumulated set, so connected join graphs never
 // cross-product. Hash joins must materialize their intermediates, so what
-// the sink buys is at the edges: ctx is checked between joins (a cancelled
-// query stops before the next — potentially quadratic — intermediate is
-// built), and the final expand-and-filter pass streams the sorted result,
-// stopping early when the sink does.
+// the sink buys is at the edges: the intermediate rows (Stats.Extensions)
+// are charged to a work.Meter after every join (a cancelled query, or one
+// past ctx's work.Limit, stops before the next — potentially quadratic —
+// intermediate is built), and the final expand-and-filter pass streams the
+// sorted result, stopping early when the sink does.
 func BinaryPlanInto(ctx context.Context, q *query.Q, relOrder []int, sink rel.Sink) (*Stats, error) {
 	if len(relOrder) == 0 {
 		relOrder = greedyOrder(q)
 	}
 	st := &Stats{}
+	var m work.Meter
+	m.Start(ctx, "")
 	var acc *rel.Relation
 	for _, j := range relOrder {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
 		if acc == nil {
 			acc = q.Rels[j].Clone()
 		} else {
 			acc = rel.Join(acc, q.Rels[j])
 		}
 		st.Extensions += acc.Len()
+		if err := m.Check(ctx, st.Work()); err != nil {
+			return st, err
+		}
 	}
+	m.Stop(st.Work())
 	_, err := expand.New(q).ExpandRelationInto(ctx, acc, q.AllVars(), sink)
 	return st, err
 }

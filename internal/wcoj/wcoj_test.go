@@ -9,6 +9,7 @@ import (
 	"repro/internal/naive"
 	"repro/internal/paper"
 	"repro/internal/rel"
+	"repro/internal/work"
 )
 
 func TestGenericJoinTriangle(t *testing.T) {
@@ -85,48 +86,48 @@ func TestGenericJoinSkewIsQuadratic(t *testing.T) {
 	}
 }
 
-// TestBudgetIsShared: descents under one Budget draw on it together. A lone
-// descent within the limit charges exactly its work; a later one starts
+// TestBudgetIsShared: descents under one work.Limit draw on it together. A
+// lone descent within the limit charges exactly its work; a later one starts
 // from what is left and stops one step in; concurrent ones sharing half of
-// one descent's work stop within ShareQuantum + one step each of the limit.
+// one descent's work stop within work.ShareQuantum + one step each of the
+// limit.
 func TestBudgetIsShared(t *testing.T) {
-	ctx := context.Background()
 	q := paper.Fig1Skew(512)
 	order := DefaultOrder(q)
-	full, err := GenericJoinInto(ctx, q, order, &rel.CountSink{})
+	full, err := GenericJoinInto(context.Background(), q, order, &rel.CountSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := full.Extensions + full.Lookups
+	total := full.Work()
 	step := q.Rels[0].Len() * len(q.Rels) // one child-run scan, a probe per other relation per candidate
-	b := NewBudget(work)
-	if _, err := GenericJoinBudgetInto(ctx, q, order, b, &rel.CountSink{}); err != nil || b.Used() != work {
-		t.Fatalf("a descent within its budget: %v, charged %d of its %d", err, b.Used(), work)
+	ctx, l := work.WithLimit(context.Background(), total)
+	if _, err := GenericJoinInto(ctx, q, order, &rel.CountSink{}); err != nil || l.Spent() != total {
+		t.Fatalf("a descent within its limit: %v, charged %d of its %d", err, l.Spent(), total)
 	}
-	st, err := GenericJoinBudgetInto(ctx, q, order, b, &rel.CountSink{})
-	if !errors.Is(err, ErrWorkBudget) || st.Extensions+st.Lookups > step {
-		t.Fatalf("a descent on a spent budget: %v after %d work, one step is %d", err, st.Extensions+st.Lookups, step)
+	st, err := GenericJoinInto(ctx, q, order, &rel.CountSink{})
+	if !errors.Is(err, work.ErrLimit) || st.Work() > step {
+		t.Fatalf("a descent on a spent limit: %v after %d work, one step is %d", err, st.Work(), step)
 	}
 
 	const k = 4
-	b = NewBudget(work / 2)
+	ctx, l = work.WithLimit(context.Background(), total/2)
 	var wg sync.WaitGroup
 	errs := make([]error, k)
 	for i := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = GenericJoinBudgetInto(ctx, q, order, b, &rel.CountSink{})
+			_, errs[i] = GenericJoinInto(ctx, q, order, &rel.CountSink{})
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
-		if !errors.Is(err, ErrWorkBudget) {
-			t.Fatalf("a descent sharing a budget of half its work: %v", err)
+		if !errors.Is(err, work.ErrLimit) {
+			t.Fatalf("a descent sharing a limit of half its work: %v", err)
 		}
 	}
-	if lag := k * (ShareQuantum + step); b.Used() > work/2+lag {
-		t.Fatalf("%d descents charged %d to a budget of %d; the lag bound is %d", k, b.Used(), work/2, lag)
+	if lag := k * (work.ShareQuantum + step); l.Spent() > total/2+lag {
+		t.Fatalf("%d descents charged %d to a limit of %d; the lag bound is %d", k, l.Spent(), total/2, lag)
 	}
 }
 
