@@ -89,3 +89,80 @@ func TestCatalogBoundPremises(t *testing.T) {
 	}
 	t.Logf("%d FD / degree shapes, %d with a distributive lattice of ≤ 64 elements", len(qs), distributive)
 }
+
+// TestLLPRowGenerationMatchesAllPairs solves the LLP of every FD / degree
+// shape of the full-tier catalog with |L| ≤ 40 both ways, by row generation
+// and with every sub-modularity row, and requires the same optimum and the
+// same dual weights, which prove the bound: their output inequality holds and
+// Σ_j w_j·n_j = h*(1̂). The primal h* may differ where the LP is degenerate;
+// hDiffers lists the shapes where it does. Both vertices are optimal, and no
+// plan changes: the SM proof search finds no good proof on Fig. 9 from either.
+func TestLLPRowGenerationMatchesAllPairs(t *testing.T) {
+	const maxLattice = 40
+	hDiffers := []string{"paper/fig9@n=16,seed=0", "paper/fig9@n=64,seed=0"}
+	var differs []string
+	shapes := 0
+	for _, in := range scenario.Instances(scenario.TierFull) {
+		q := in.Build()
+		if len(q.FDs.FDs) == 0 && len(q.DegreeBounds) == 0 || q.Lattice().Size() > maxLattice {
+			continue
+		}
+		shapes++
+		got, want := bounds.LLP(q), bounds.AllPairsLLP(q)
+		if got.LogBound.Cmp(want.LogBound) != 0 {
+			t.Errorf("%s: row generation h*(1̂) = %v, all pairs %v", in.Name, got.LogBound, want.LogBound)
+		}
+		if !ratsEqual(got.W, want.W) {
+			t.Errorf("%s: row generation w = %v, all pairs %v", in.Name, got.W, want.W)
+		}
+		if !slices.Equal(got.Pairs, want.Pairs) {
+			t.Errorf("%s: row generation lists pairs %v, all pairs %v", in.Name, got.Pairs, want.Pairs)
+		}
+		if !bounds.OutputInequalityHolds(got.Lat, got.Inputs, got.W) {
+			t.Errorf("%s: w = %v proves no output inequality", in.Name, got.W)
+		}
+		sum := new(big.Rat)
+		for j, n := range q.LogSizes() {
+			sum.Add(sum, new(big.Rat).Mul(got.W[j], n))
+		}
+		if sum.Cmp(got.LogBound) != 0 {
+			t.Errorf("%s: Σ w_j·n_j = %v, h*(1̂) = %v", in.Name, sum, got.LogBound)
+		}
+		if !ratsEqual(got.H, want.H) {
+			differs = append(differs, in.Name)
+		}
+	}
+	if !slices.Equal(differs, hDiffers) {
+		t.Errorf("h* differs from the all-pairs vertex on %v, want exactly %v", differs, hDiffers)
+	}
+	t.Logf("%d FD / degree shapes, h* differs on %v", shapes, differs)
+}
+
+func ratsEqual(a, b []*big.Rat) bool {
+	return slices.EqualFunc(a, b, func(x, y *big.Rat) bool { return x.Cmp(y) == 0 })
+}
+
+// BenchmarkLLP solves the LLP of every FD / degree shape of the small-tier
+// catalog once per op, by row generation and with every row from the start.
+func BenchmarkLLP(b *testing.B) {
+	var qs []*query.Q
+	for _, in := range scenario.Instances(scenario.TierSmall) {
+		if q := in.Build(); len(q.FDs.FDs) > 0 || len(q.DegreeBounds) > 0 {
+			q.Lattice()
+			qs = append(qs, q)
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		solve func(*query.Q) *bounds.LLPResult
+	}{{"row-generation", bounds.LLP}, {"all-pairs", bounds.AllPairsLLP}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, q := range qs {
+					bc.solve(q)
+				}
+			}
+		})
+	}
+}

@@ -59,17 +59,17 @@ func CLLP(l *lattice.Lattice, P []DegreePair) *CLLPResult {
 		if !l.Lt(dp.X, dp.Y) {
 			panic(fmt.Sprintf("bounds: degree pair (%d,%d) not increasing", dp.X, dp.Y))
 		}
-		p.Add(lp.LE, dp.LogBound, lp.T(dp.Y, 1), lp.T(dp.X, -1))
+		p.Add(lp.LE, dp.LogBound, term(dp.Y, 1), term(dp.X, -1))
 	}
-	pairs := addSubmodularity(p, l)
+	rows := addSubmodularity(p, l)
 	var monoRows [][2]int
 	for x := 0; x < n; x++ {
 		for _, y := range l.UpperCovers(x) {
 			monoRows = append(monoRows, [2]int{x, y})
-			p.Add(lp.LE, zero, lp.T(x, 1), lp.T(y, -1))
+			p.Add(lp.LE, zero, term(x, 1), term(y, -1))
 		}
 	}
-	p.Add(lp.LE, zero, lp.T(l.Bottom, 1))
+	p.Add(lp.LE, zero, term(l.Bottom, 1))
 
 	sol, err := lp.Solve(p)
 	if err != nil {
@@ -92,12 +92,12 @@ func CLLP(l *lattice.Lattice, P []DegreePair) *CLLPResult {
 		res.C[i] = sol.Y[i]
 	}
 	off := len(P)
-	for i, pr := range pairs {
+	for i, r := range rows {
 		if sol.Y[off+i].Sign() != 0 {
-			res.S[pr] = sol.Y[off+i]
+			res.S[r.SubmodPair] = sol.Y[off+i]
 		}
 	}
-	off += len(pairs)
+	off += len(rows)
 	for i, mr := range monoRows {
 		if sol.Y[off+i].Sign() != 0 {
 			res.M[mr] = sol.Y[off+i]

@@ -28,9 +28,9 @@ type DualLLP struct {
 // (min, max) by element index.
 func SolveDualLLP(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *DualLLP {
 	n := l.Size()
-	pairs := incomparablePairs(l)
+	rows := submodRows(l)
 	nw := len(inputs)
-	p := lp.NewProblem(nw+len(pairs), false)
+	p := lp.NewProblem(nw+len(rows), false)
 	for j := range inputs {
 		p.SetObj(j, logSizes[j])
 	}
@@ -39,15 +39,15 @@ func SolveDualLLP(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *DualLL
 
 	// Row for 1̂: Σ_{X∨Y=1̂} s ≥ 1.
 	var topTerms []lp.Term
-	for i, pr := range pairs {
-		if l.Join(pr.X, pr.Y) == l.Top {
-			topTerms = append(topTerms, lp.T(nw+i, 1))
+	for i, r := range rows {
+		if r.join == l.Top {
+			topTerms = append(topTerms, term(nw+i, 1))
 		}
 	}
 	// 1̂ can itself be an input with positive weight.
 	for j, r := range inputs {
 		if r == l.Top {
-			topTerms = append(topTerms, lp.T(j, 1))
+			topTerms = append(topTerms, term(j, 1))
 		}
 	}
 	p.Add(lp.GE, one, topTerms...)
@@ -60,22 +60,22 @@ func SolveDualLLP(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *DualLL
 		var terms []lp.Term
 		for j, r := range inputs {
 			if r == z {
-				terms = append(terms, lp.T(j, 1))
+				terms = append(terms, term(j, 1))
 			}
 		}
-		for i, pr := range pairs {
+		for i, r := range rows {
 			c := 0
-			if l.Join(pr.X, pr.Y) == z {
+			if r.join == z {
 				c++
 			}
-			if l.Meet(pr.X, pr.Y) == z {
+			if r.meet == z {
 				c++
 			}
-			if pr.X == z || pr.Y == z {
+			if r.X == z || r.Y == z {
 				c--
 			}
 			if c != 0 {
-				terms = append(terms, lp.T(nw+i, int64(c)))
+				terms = append(terms, term(nw+i, int64(c)))
 			}
 		}
 		if len(terms) == 0 {
@@ -89,9 +89,9 @@ func SolveDualLLP(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *DualLL
 		panic("bounds: dual LLP must be solvable (LLP is bounded)")
 	}
 	out := &DualLLP{Objective: sol.Objective, W: sol.X[:nw], S: map[SubmodPair]*big.Rat{}}
-	for i, pr := range pairs {
+	for i, r := range rows {
 		if sol.X[nw+i].Sign() != 0 {
-			out.S[pr] = sol.X[nw+i]
+			out.S[r.SubmodPair] = sol.X[nw+i]
 		}
 	}
 	return out
