@@ -391,7 +391,6 @@ func e13() {
 	prow("Fig.9 N=64 (no SM proof)", mustQ(paper.Fig9Instance(64)))
 	prow("degree triangle d=2", paper.DegreeTriangle(512, 2))
 	prow("triangle product m=16 (no FDs)", paper.TriangleProduct(16))
-	prow("triangle product m=2 (tiny)", paper.TriangleProduct(2))
 	fmt.Println(t)
 }
 

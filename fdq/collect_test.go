@@ -76,9 +76,10 @@ func scenarioQuery(t *testing.T, family string, size int) *query.Q {
 // the caller's alone — the collector's, which an executor fills row by row or
 // hands over as a relation it built itself (rel.Stream adopts it), never one
 // the catalog, the instance's prepared record or a cache still reads. For one
-// instance per algorithm the planner can pick, and a one-relation query whose
-// answer is its input, scribbling over every returned value and appending to
-// rows changes nothing the warm session answers afterwards.
+// instance per algorithm the planner can pick, one forced to the binary plan
+// (which the planner never picks), and a one-relation query whose answer is
+// its input, scribbling over every returned value and appending to rows
+// changes nothing the warm session answers afterwards.
 func TestCollectRowsAreCallerOwned(t *testing.T) {
 	ctx := context.Background()
 	oneRel := query.New("x", "y")
@@ -87,15 +88,19 @@ func TestCollectRowsAreCallerOwned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		qq   *query.Q
+		alg  string // forced algorithm; "" plans it
 	}{
-		{"paper/fig1-quasi@256", scenarioQuery(t, "paper/fig1-quasi", 256)},
-		{"paper/colored-triangle@256", scenarioQuery(t, "paper/colored-triangle", 256)},
-		{"paper/degree-triangle@512", scenarioQuery(t, "paper/degree-triangle", 512)},
-		{"paper/triangle-product@8", scenarioQuery(t, "paper/triangle-product", 8)},
-		{"skew/zipf-triangle@16", scenarioQuery(t, "skew/zipf-triangle", 16)},
-		{"one relation", oneRel},
+		{"paper/fig1-quasi@256", scenarioQuery(t, "paper/fig1-quasi", 256), ""},
+		{"paper/colored-triangle@256", scenarioQuery(t, "paper/colored-triangle", 256), ""},
+		{"paper/degree-triangle@512", scenarioQuery(t, "paper/degree-triangle", 512), ""},
+		{"paper/triangle-product@8", scenarioQuery(t, "paper/triangle-product", 8), ""},
+		{"skew/zipf-triangle@16", scenarioQuery(t, "skew/zipf-triangle", 16), "binary"},
+		{"one relation", oneRel, ""},
 	} {
 		cat, q := fromInternal(t, tc.qq)
+		if tc.alg != "" {
+			q = q.Alg(tc.alg)
+		}
 		sess := cat.Session()
 		ex, err := sess.Explain(q)
 		if err != nil {
@@ -157,7 +162,7 @@ func TestCollectRowsAreCallerOwned(t *testing.T) {
 	}
 	for _, alg := range []string{"chain", "sm", "csma", "generic", "binary"} {
 		if !planned[alg] {
-			t.Errorf("no instance was planned to %s (got %v)", alg, planned)
+			t.Errorf("no instance was planned or forced to %s (got %v)", alg, planned)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/fdq"
 	"repro/internal/faultinject"
+	"repro/internal/paper"
 )
 
 // denseCatalog returns a catalog whose relation E holds the complete
@@ -155,6 +156,62 @@ func TestGovernorQueueSerializes(t *testing.T) {
 	}
 	if r.st == nil || r.st.QueueWait <= 0 {
 		t.Fatalf("queued run stats %+v: want QueueWait > 0", r.st)
+	}
+}
+
+// TestGovernorAdmitsATinyFDQueryOnItsLLPBound: a 48-row Fig. 9 instance
+// (64 rows out), whose AGM bound is infinite because its derived variables
+// come from FDs alone, is admitted on its GLVV bound 2^6 like any larger
+// instance: under PolicyReject it runs within a 2^20 budget, and under
+// PolicyQueue it holds 2^6 semaphore units while it runs, not the whole
+// capacity.
+func TestGovernorAdmitsATinyFDQueryOnItsLLPBound(t *testing.T) {
+	ctx := context.Background()
+	qq, _ := paper.Fig9Instance(16)
+	cat, q := fromInternal(t, qq)
+
+	sess := fdq.NewSession(cat, fdq.WithGovernor(fdq.NewGovernor(fdq.WithMaxLogBound(20))))
+	rows, err := sess.Query(ctx, q)
+	if err != nil {
+		t.Fatalf("a 2^6-certified query refused under a 2^20 budget: %v", err)
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if st := rows.Stats(); n != 64 || st == nil || st.LogBound != 6 {
+		t.Fatalf("%d rows, stats %+v; want 64 rows admitted on 2^6", n, st)
+	}
+	ex, err := sess.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Algorithm != "csma" || ex.LogBound != 6 {
+		t.Fatalf("Explain says %s on 2^%v, want csma on 2^6", ex.Algorithm, ex.LogBound)
+	}
+
+	// The hold is read the moment the query is admitted: 64 rows fit in the
+	// iterator's hand-off queue, so its producer may finish, and release,
+	// before the caller reads anything.
+	var gov *fdq.Governor
+	var held int64 = -1
+	gov = fdq.NewGovernor(fdq.WithMaxLogBound(20), fdq.WithPolicy(fdq.PolicyQueue),
+		fdq.WithAdmissionObserver(func(fdq.AdmissionEvent) { held = gov.InFlight() }))
+	qrows, err := fdq.NewSession(cat, fdq.WithGovernor(gov)).Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held != 64 {
+		t.Fatalf("an open query certified 2^6 holds %d semaphore units, want 64", held)
+	}
+	if err := qrows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := gov.InFlight(); got != 0 {
+		t.Fatalf("%d semaphore units still held after Close", got)
 	}
 }
 

@@ -111,8 +111,7 @@ type Prepared struct {
 // not built here: q.Lattice() is a mutex-guarded memo shared by every Bound
 // of the shape, so the first planner rule or executor that consults it
 // builds it once for all concurrent executions, and shapes the planner
-// routes without it (tiny inputs, FD-free queries) never pay for its 2^k
-// closed sets.
+// routes without it (FD-free queries) never pay for its 2^k closed sets.
 func Prepare(q *query.Q) (*Prepared, error) {
 	if err := q.CheckComputable(); err != nil {
 		return nil, err
@@ -308,7 +307,7 @@ func runOneInto(ctx context.Context, q *query.Q, plan *Plan, sink rel.Sink) (spe
 		st, err := wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), sink)
 		return st.Work(), st.Stopped, err
 	case AlgBinary:
-		st, err := wcoj.BinaryPlanInto(ctx, q, nil, sink)
+		st, err := wcoj.BinaryPlanInto(ctx, q, sink)
 		return st.Work(), false, err
 	}
 	return 0, false, fmt.Errorf("engine: unknown algorithm %q", plan.Algorithm)

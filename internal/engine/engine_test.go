@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -46,18 +47,28 @@ func planOf(t *testing.T, q *query.Q) *Plan {
 	return b.Plan()
 }
 
+// An auto run whose generic-join attempt fits reports the admission record
+// it was started on, with its reason, and generic join as what ran.
 func TestPrepareBindRun(t *testing.T) {
 	q := paper.Fig1QuasiProduct(16)
 	want := naive.Evaluate(q)
-	out, st := mustRun(t, q, nil)
+	b := bind(t, q)
+	out, st, err := b.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !rel.Equal(out, want) {
 		t.Fatalf("engine output wrong: got %d want %d tuples", out.Len(), want.Len())
 	}
 	if st.OutSize != want.Len() {
 		t.Fatalf("stats OutSize %d != %d", st.OutSize, want.Len())
 	}
-	if st.Plan.Algorithm == AlgAuto || st.Plan.Reason == "" {
-		t.Fatalf("plan not recorded: %+v", st.Plan)
+	adm := b.Admission()
+	if !reflect.DeepEqual(st.Plan, *adm) || adm.Algorithm != AlgAuto || adm.Reason == "" {
+		t.Fatalf("ran on %+v, want the admission record %+v with its reason", st.Plan, *adm)
+	}
+	if st.Ran != AlgGenericJoin {
+		t.Fatalf("ran %s, want generic join: the attempt fits", st.Ran)
 	}
 }
 
@@ -153,14 +164,6 @@ func TestPlannerPicksGeneric(t *testing.T) {
 	pl := planOf(t, q)
 	if pl.Algorithm != AlgGenericJoin {
 		t.Fatalf("want generic, got %s (%s)", pl.Algorithm, pl.Reason)
-	}
-}
-
-func TestPlannerPicksBinaryOnTinyInput(t *testing.T) {
-	q := paper.TriangleProduct(2)
-	pl := planOf(t, q)
-	if pl.Algorithm != AlgBinary {
-		t.Fatalf("want binary, got %s (%s)", pl.Algorithm, pl.Reason)
 	}
 }
 

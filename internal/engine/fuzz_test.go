@@ -20,8 +20,7 @@ import (
 // paths on random FD-consistent queries: the planner's choice must be
 // deterministic for a fixed shape+instance, the FD-aware decision planned
 // from the LLP floor must equal the full search's (referencePlan) — checked
-// directly, since the tiny-input rule takes most plans of instances this
-// small — and sequential and parallel execution must both reproduce the
+// directly, since FD-free instances are not planned by it — and sequential and parallel execution must both reproduce the
 // naive reference byte-for-byte, as must an FD plan resumed after its
 // generic-join attempt overran, on one worker and on three (where the
 // overrun can land mid-stream on the morsel frontier, and the machine
@@ -82,13 +81,12 @@ func FuzzPlannerConsistency(f *testing.F) {
 			t.Fatalf("planner chose %s (%s): %d rows, want %d",
 				st.Plan.Algorithm, st.Plan.Reason, seq.Len(), want.Len())
 		}
-		// An FD plan's generic-join attempt, past the tiny-input rule, at a
-		// budget factor of 0 overruns before its first row, at 1 mostly after
-		// some rows, at 2 mostly fits: the planned machine's resume must
-		// complete exactly the same answer, sequentially and on three
-		// workers. So must a fresh shape's run admitted on the LLP alone,
-		// whose machine is planned at the overrun and then reported in
-		// st.Plan.
+		// An FD plan's generic-join attempt at a budget factor of 0 overruns
+		// before its first row, at 1 mostly after some rows, at 2 mostly
+		// fits: the planned machine's resume must complete exactly the same
+		// answer, sequentially and on three workers. So must a fresh shape's
+		// run admitted on the LLP alone, whose machine is planned at the
+		// overrun and then reported in st.Plan.
 		defer func(c int) { attemptFactor = c }(attemptFactor)
 		attemptFactor = fold(int(seed), 3)
 		fresh := scenario.RandomQuery(rand.New(rand.NewSource(seed)), nVars, nRels, nRows, domain, withFDs)

@@ -32,10 +32,6 @@ type Plan struct {
 	explicit bool // caller forced the algorithm: no generic-join attempt
 }
 
-// tinyInputRows is the total instance size at or below which a binary
-// hash-join plan beats every asymptotically better algorithm on constants.
-const tinyInputRows = 64
-
 // planSlot is the shape's slot for the planner's decision at given sizes;
 // admitSlot is the slot for the record an auto run is admitted on.
 var (
@@ -88,12 +84,12 @@ func (b *Bound) Plan() *Plan { return planSlot.Get(b.q, computePlan) }
 // worker or many: its LogBound is Plan().LogBound, but on a degree-free FD
 // shape it is only the LLP optimum, with Algorithm AlgAuto (machine not
 // chosen yet). The run tries generic join under that bound and calls Plan()
-// at its first overrun (attemptInto). Tiny, FD-free and degree-bound shapes
-// admit on Plan() itself: their plans are cheap, or need the CLLP anyway.
+// at its first overrun (attemptInto). FD-free and degree-bound shapes admit
+// on Plan() itself: their plans are cheap, or need the CLLP anyway.
 func (b *Bound) Admission() *Plan { return admitSlot.Get(b.q, computeAdmission) }
 
 func computeAdmission(q *query.Q) *Plan {
-	if q.TotalSize() <= tinyInputRows || len(q.FDs.FDs) == 0 || len(q.DegreeBounds) > 0 {
+	if len(q.FDs.FDs) == 0 || len(q.DegreeBounds) > 0 {
 		return planSlot.Get(q, computePlan)
 	}
 	return admitFDAware(q)
@@ -112,23 +108,19 @@ func admitFDAware(q *query.Q) *Plan {
 
 // computePlan is the decision table (see DESIGN.md):
 //
-//  1. tiny input → binary hash-join plan (constants dominate);
-//  2. no FDs and no degree bounds → Generic-Join (AGM-worst-case-optimal,
+//  1. no FDs and no degree bounds → Generic-Join (AGM-worst-case-optimal,
 //     and the FD-aware machinery has nothing to use);
-//  3. otherwise compare the finite FD-aware bounds — best good chain
+//  2. otherwise compare the finite FD-aware bounds — best good chain
 //     (Thm 5.7), LLP when a good SM proof exists (Thm 5.27), CLLP
 //     (Thm 5.37) — and pick the algorithm with the smallest predicted
 //     bound, breaking ties toward the cheaper machine
 //     (chain ≺ SMA ≺ CSMA): planFDAware;
-//  4. no finite FD-aware bound → Generic-Join as the safety net.
+//  3. no finite FD-aware bound → Generic-Join as the safety net.
+//
+// No row reads the instance's size: a small FD instance is certified by its
+// FD-aware bound like a large one, as the FD-blind AGM bound is loose, and
+// infinite where a variable is derived by FDs alone.
 func computePlan(q *query.Q) *Plan {
-	if q.TotalSize() <= tinyInputRows {
-		return &Plan{
-			Algorithm: AlgBinary,
-			LogBound:  logOrInf(bounds.AGM(q)),
-			Reason:    fmt.Sprintf("tiny input (%d ≤ %d rows): binary join plan", q.TotalSize(), tinyInputRows),
-		}
-	}
 	if len(q.FDs.FDs) == 0 && len(q.DegreeBounds) == 0 {
 		return &Plan{
 			Algorithm: AlgGenericJoin,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/bounds"
+	"repro/internal/naive"
 	"repro/internal/paper"
 	"repro/internal/query"
 	"repro/internal/rel"
@@ -90,8 +91,8 @@ func TestPlanFromTheFloorMatchesFullSearch(t *testing.T) {
 }
 
 // The admission record's bound is the plan's, bit for bit, on every binding
-// of both catalog tiers, each admitted cold; a degree-free FD shape past the
-// tiny-input rule is admitted on the LLP alone, with no machine chosen.
+// of both catalog tiers, each admitted cold; a degree-free FD shape is
+// admitted on the LLP alone, with no machine chosen.
 func TestAdmissionIsThePlansBound(t *testing.T) {
 	llpOnly, n := 0, 0
 	for _, tier := range []scenario.Tier{scenario.TierSmall, scenario.TierFull} {
@@ -103,7 +104,7 @@ func TestAdmissionIsThePlansBound(t *testing.T) {
 				t.Errorf("%s: admitted on 2^%v, planned %s on 2^%v", in.Name, adm.LogBound, pl.Algorithm, pl.LogBound)
 			}
 			q := b.Query()
-			deferred := q.TotalSize() > tinyInputRows && len(q.FDs.FDs) > 0 && len(q.DegreeBounds) == 0
+			deferred := len(q.FDs.FDs) > 0 && len(q.DegreeBounds) == 0
 			switch {
 			case deferred && adm.Algorithm != AlgAuto:
 				t.Errorf("%s: a degree-free FD shape admitted on %s, want the LLP alone", in.Name, adm.Algorithm)
@@ -115,10 +116,39 @@ func TestAdmissionIsThePlansBound(t *testing.T) {
 			n++
 		}
 	}
-	if llpOnly < 35 {
-		t.Fatalf("%d of %d bindings admitted on the LLP alone, want at least 35", llpOnly, n)
+	if llpOnly < 43 {
+		t.Fatalf("%d of %d bindings admitted on the LLP alone, want at least 43", llpOnly, n)
 	}
 	t.Logf("%d of %d bindings admitted on the LLP alone", llpOnly, n)
+}
+
+// The smallest paper instances of the catalog are certified by their
+// FD-aware bound, whatever their size, and on these the bound is exact:
+// log2 of the output size, with no slack. Fig. 9 and Fig. 5 derive variables
+// from FDs alone, so their FD-blind AGM bound is infinite.
+func TestSmallFDInstancesAreTightlyCertified(t *testing.T) {
+	want := map[string]float64{
+		"paper/fig1-quasi@n=16,seed=0": 6,
+		"paper/fig9@n=16,seed=0":       6,
+		"paper/fig5@n=16,seed=0":       8,
+	}
+	for _, in := range scenario.Instances(scenario.TierFull) {
+		logOut, ok := want[in.Name]
+		if !ok {
+			continue
+		}
+		delete(want, in.Name)
+		q := in.Build()
+		if got := math.Log2(float64(naive.Evaluate(q).Len())); got != logOut {
+			t.Fatalf("%s: log2 |out| = %v, want %v", in.Name, got, logOut)
+		}
+		if pl := bind(t, q).Plan(); pl.LogBound != logOut {
+			t.Errorf("%s: planned %s on 2^%v, want the tight 2^%v", in.Name, pl.Algorithm, pl.LogBound, logOut)
+		}
+	}
+	for name := range want {
+		t.Errorf("%s: not in the full-tier catalog", name)
+	}
 }
 
 // wideFig9 is Fig. 9 with k more inputs Y_i(y_i) of 2^10 rows each: every

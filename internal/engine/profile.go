@@ -65,24 +65,23 @@ func (p *PartProfile) Total() time.Duration {
 }
 
 // Makespan models the wall clock of executing the profiled morsels on
-// `workers` workers. With stealing, morsels are taken in id order by
-// whichever worker frees up first — list scheduling, the steady-state
-// behaviour of the morsel pool's pop-own-front + steal-from-busiest queue.
-// Without stealing, morsel i is pinned to worker i%workers, so a hot
-// morsel's worker finishes last however idle the others are.
-func (p *PartProfile) Makespan(workers int, stealing bool) time.Duration {
+// `workers` workers: morsels are taken in id order by whichever worker frees
+// up first — list scheduling, the steady-state behaviour of the morsel
+// pool's pop-own-front + steal-from-busiest queue.
+//
+// The bool is ignored: it once selected a model of a static scheduler
+// without stealing, and the signature stays until the benchmark
+// (bench/layers.go) stops passing it.
+func (p *PartProfile) Makespan(workers int, _ bool) time.Duration {
 	if workers < 1 {
 		workers = 1
 	}
 	finish := make([]time.Duration, workers)
-	for i, d := range p.Durations {
-		w := i % workers
-		if stealing {
-			w = 0
-			for j := 1; j < workers; j++ {
-				if finish[j] < finish[w] {
-					w = j
-				}
+	for _, d := range p.Durations {
+		w := 0
+		for j := 1; j < workers; j++ {
+			if finish[j] < finish[w] {
+				w = j
 			}
 		}
 		finish[w] += d

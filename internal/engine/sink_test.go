@@ -186,7 +186,7 @@ func TestCancelledExecutorsReturnPromptly(t *testing.T) {
 	if _, err := smalg.RunInto(ctx, fig4, nil, nil, &sink); !errors.Is(err, context.Canceled) {
 		t.Fatalf("smalg: %v", err)
 	}
-	if _, err := wcoj.BinaryPlanInto(ctx, paper.TriangleProduct(8), nil, &sink); !errors.Is(err, context.Canceled) {
+	if _, err := wcoj.BinaryPlanInto(ctx, paper.TriangleProduct(8), &sink); !errors.Is(err, context.Canceled) {
 		t.Fatalf("binary: %v", err)
 	}
 	// The generic descent checks ctx every few hundred steps, so use an

@@ -51,7 +51,7 @@ func TestFuzzAllAlgorithms(t *testing.T) {
 			_, err := wcoj.GenericJoinInto(ctx, q, wcoj.DefaultOrder(q), s)
 			return err
 		})
-		check("binary", func(s rel.Sink) error { _, err := wcoj.BinaryPlanInto(ctx, q, nil, s); return err })
+		check("binary", func(s rel.Sink) error { _, err := wcoj.BinaryPlanInto(ctx, q, s); return err })
 
 		// The engine's cost-based plan and its parallel partitioned
 		// execution must agree with the oracle too.

@@ -356,26 +356,23 @@ func (x *descent) emitRun(last []Value) error {
 }
 
 // BinaryPlanInto evaluates the query with a left-deep hash-join plan in the
-// given relation order, expanding and FD-filtering at the end — the
+// greedy relation order, expanding and FD-filtering at the end — the
 // "traditional query plan" baseline of the introduction — and emits the
-// result into sink. A nil order means the greedy order: start from the
-// smallest relation and repeatedly join the smallest relation sharing a
-// variable with the accumulated set, so connected join graphs never
-// cross-product. Hash joins must materialize their intermediates, so what
-// the sink buys is at the edges: the intermediate rows (Stats.Extensions)
-// are charged to a work.Meter after every join (a cancelled query, or one
-// past ctx's work.Limit, stops before the next — potentially quadratic —
-// intermediate is built), and the final expand-and-filter pass streams the
-// sorted result, stopping early when the sink does.
-func BinaryPlanInto(ctx context.Context, q *query.Q, relOrder []int, sink rel.Sink) (*Stats, error) {
-	if len(relOrder) == 0 {
-		relOrder = greedyOrder(q)
-	}
+// result into sink. The greedy order starts from the smallest relation and
+// repeatedly joins the smallest relation sharing a variable with the
+// accumulated set, so connected join graphs never cross-product. Hash joins
+// must materialize their intermediates, so what the sink buys is at the
+// edges: the intermediate rows (Stats.Extensions) are charged to a
+// work.Meter after every join (a cancelled query, or one past ctx's
+// work.Limit, stops before the next — potentially quadratic — intermediate
+// is built), and the final expand-and-filter pass streams the sorted
+// result, stopping early when the sink does.
+func BinaryPlanInto(ctx context.Context, q *query.Q, sink rel.Sink) (*Stats, error) {
 	st := &Stats{}
 	var m work.Meter
 	m.Start(ctx, "")
 	var acc *rel.Relation
-	for _, j := range relOrder {
+	for _, j := range greedyOrder(q) {
 		if acc == nil {
 			acc = q.Rels[j].Clone()
 		} else {

@@ -191,7 +191,7 @@ func TestBinaryPlan(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		q := paper.TriangleRandom(5, 15, seed)
 		out := rel.NewCollect("Q", q.AllVars().Members()...)
-		_, err := BinaryPlanInto(context.Background(), q, nil, out)
+		_, err := BinaryPlanInto(context.Background(), q, out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestBinaryPlan(t *testing.T) {
 func TestBinaryPlanFig1(t *testing.T) {
 	q := paper.Fig1QuasiProduct(9)
 	out := rel.NewCollect("Q", q.AllVars().Members()...)
-	_, err := BinaryPlanInto(context.Background(), q, nil, out)
+	_, err := BinaryPlanInto(context.Background(), q, out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func executors(t *testing.T) []executor {
 		}, stepWork(zipf)},
 		// The 4×4×4 triangle's joins materialize 16, 64 and 64 rows.
 		{"binary", paper.TriangleProduct(4), func(ctx context.Context, q *query.Q) (int, error) {
-			st, err := wcoj.BinaryPlanInto(ctx, q, nil, &rel.CountSink{})
+			st, err := wcoj.BinaryPlanInto(ctx, q, &rel.CountSink{})
 			return st.Work(), err
 		}, 64},
 	}
