@@ -250,28 +250,42 @@ func TestBudgetsOnGenericJoinTripAtTheSameRow(t *testing.T) {
 }
 
 // TestCollectAllocations is the allocation ceiling of a warm Collect on
-// paper/triangle-product@32 (32³ rows of three values, 786 kB): the answer is
-// written once into storage that doubles and returned as views over it. With
-// a 1.25 × growth and a second flat copy it took 87 allocations and 5.4 MB.
+// paper/triangle-product: the answer is written once, into storage reserved
+// for the size the Bound delivered last, and returned as views over it. On
+// one worker at @32 (32³ rows of three values) that is 41 allocations and
+// 1.575 MB — 786 kB of rows, 786 kB of row headers; with storage that
+// doubled it took 51 and 2.36 MB, and with a 1.25 × growth and a second flat
+// copy 87 and 5.4 MB. On two workers at @40 (64,000 rows) the buffered
+// morsels' private runs come on top: 173-211 allocations and 4.1-6.6 MB
+// under -race -cpu 1,2,4, against 206 and 12.4 MB when the collector adopted
+// the first run it was handed and then regrew.
 func TestCollectAllocations(t *testing.T) {
 	ctx := context.Background()
-	cat, q := fromInternal(t, scenarioQuery(t, "paper/triangle-product", 32))
-	q.Workers(1)
-	sess := cat.Session()
-	run := func() {
-		if got, err := sess.Collect(ctx, q); err != nil || len(got) != 32*32*32 {
-			t.Fatalf("%d rows, %v", len(got), err)
+	for _, tc := range []struct {
+		size, workers int
+		allocs, mb    float64
+	}{
+		{32, 1, 50, 1.8},
+		{40, 2, 240, 7.5},
+	} {
+		cat, q := fromInternal(t, scenarioQuery(t, "paper/triangle-product", tc.size))
+		q.Workers(tc.workers)
+		sess := cat.Session()
+		run := func() {
+			if got, err := sess.Collect(ctx, q); err != nil || len(got) != tc.size*tc.size*tc.size {
+				t.Fatalf("%d rows, %v", len(got), err)
+			}
 		}
-	}
-	run() // plans, binds, builds the tries
-	if n := testing.AllocsPerRun(10, run); n > 70 {
-		t.Errorf("a warm Collect allocates %v times, want at most 70", n)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 3.2 {
-		t.Errorf("a warm Collect allocates %.2f MB, want at most 3.2", mb)
+		run() // plans, binds, builds the tries, records the answer's size
+		if n := testing.AllocsPerRun(10, run); n > tc.allocs {
+			t.Errorf("@%d on %d workers: a warm Collect allocates %v times, want at most %v", tc.size, tc.workers, n, tc.allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > tc.mb {
+			t.Errorf("@%d on %d workers: a warm Collect allocates %.2f MB, want at most %v", tc.size, tc.workers, mb, tc.mb)
+		}
 	}
 }

@@ -132,7 +132,8 @@ type Bound struct {
 	mu    sync.Mutex
 	sched *splitMemo // guarded by mu; the last schedule's distinct values and split (schedule)
 
-	won atomic.Pointer[Plan] // what an FD plan's runs execute once its attempt decided (attemptInto)
+	won    atomic.Pointer[Plan] // what an FD plan's runs execute once its attempt decided (attemptInto)
+	answer atomic.Int64         // rows of the last answer a run delivered in full (RunInto); a collector's reservation hint
 }
 
 // Bind attaches an instance to the shape: rels must match the shape's
@@ -238,15 +239,22 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	// MemLimitBytes every sink is wrapped, since a bare one is gauged only
 	// after the fact. The wrapper and the run's one memory gauge are one
 	// allocation; a run that neither wraps nor partitions needs no gauge.
+	// Nothing stops a bare sink early, so a run into one that succeeds
+	// delivered the whole answer: its size is recorded, and an empty bare
+	// collector expects the size recorded last and reserves it up front.
 	var g *memGauge
-	runSink, outSize := sink, (func() int)(nil)
+	runSink, outSize, record := sink, (func() int)(nil), true
 	if c, ok := sink.(*rel.CollectSink); ok && o.MemLimitBytes <= 0 {
 		before := c.R.Len()
+		if before == 0 {
+			c.Expect = int(b.answer.Load())
+		}
 		outSize = func() int { return c.R.Len() - before }
 	} else if c, ok := sink.(*rel.CountSink); ok && o.MemLimitBytes <= 0 {
 		before := c.N
 		outSize = func() int { return c.N - before }
 	} else {
+		record = false
 		g = &memGauge{limit: o.MemLimitBytes}
 		g.out = gaugeSink{s: sink, g: g}
 		runSink = &g.out
@@ -271,6 +279,9 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	}
 	st.Duration = time.Since(start)
 	st.OutSize = outSize()
+	if record {
+		b.answer.Store(int64(st.OutSize))
+	}
 	delivered := tupleBytes(st.OutSize, b.q.AllVars().Len())
 	if g == nil {
 		st.MemBytes = delivered

@@ -1,6 +1,9 @@
 package rel
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzMergeSorted checks the k-way merge, MergeSortedInto into a
 // CollectSink, against the trivial reference (concatenate everything,
@@ -69,6 +72,94 @@ func FuzzMergeSorted(f *testing.F) {
 					t.Fatalf("row %d differs: %v vs %v", i, ra, rb)
 				}
 			}
+		}
+	})
+}
+
+// FuzzCollectExpect checks CollectSink's reservation: whatever Expect says —
+// 0, below, exactly at or above the rows that arrive — and however the rows
+// arrive (Push, PushRun, Stream, in any mix), the collected relation is the
+// reference row for row. A Stream into an empty collector adopts the
+// streamed relation exactly when it holds at least the expected rows; any
+// other first write reserves the expected rows, after which the storage
+// grows only if more rows arrive than were expected.
+func FuzzCollectExpect(f *testing.F) {
+	f.Add(2, 0, []byte{0, 3, 6}, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(2, 4, []byte{2}, []byte{1, 2, 3, 4, 5, 6, 7, 8}) // one Stream of exactly the expected rows
+	f.Add(2, 5, []byte{2}, []byte{1, 2, 3, 4, 5, 6, 7, 8}) // one Stream of fewer
+	f.Add(3, 2, []byte{5, 1, 0}, []byte{0, 1, 2, 0, 1, 3, 0, 2, 2, 1, 0, 0})
+	f.Add(1, 9, []byte{1, 2, 0}, []byte{7, 1, 3, 3, 5})
+	f.Add(0, 1, []byte{2, 0}, []byte{1, 2})
+	f.Fuzz(func(t *testing.T, arity, expect int, plan, data []byte) {
+		arity = int(uint(arity) % 4)
+		attrs := make([]int, arity)
+		for i := range attrs {
+			attrs[i] = i
+		}
+		ref := New("ref", attrs...)
+		row := make(Tuple, arity)
+		nRows := len(data)
+		if arity > 0 {
+			nRows = len(data) / arity
+		}
+		for r := 0; r < nRows; r++ {
+			for c := 0; c < arity; c++ {
+				row[c] = Value(data[r*arity+c] % 8)
+			}
+			ref.AddTuple(row)
+		}
+		ref.SortDedup()
+		n := ref.Len()
+		expect = int(uint(expect) % uint(2*n+2)) // 0, below, at and above n
+
+		c := NewCollect("Q", attrs...)
+		c.Expect = expect
+		adopted := false
+		for i, step := 0, 0; i < n; step++ {
+			op := byte(0)
+			if len(plan) > 0 {
+				op = plan[step%len(plan)]
+			}
+			end := min(n, i+1+int(op/3)%8)
+			empty, wantAdopt := c.R.Len() == 0, false
+			switch op % 3 {
+			case 0:
+				for ; i < end; i++ {
+					c.Push(ref.Row(i))
+				}
+			case 1: // the rows from i on that share their prefix, as one run
+				if arity == 0 {
+					c.Push(ref.Row(i))
+					i++
+					continue
+				}
+				prefix := ref.Row(i)[:arity-1]
+				var last []Value
+				for ; i < end && slices.Equal(ref.Row(i)[:arity-1], prefix); i++ {
+					last = append(last, ref.Row(i)[arity-1])
+				}
+				c.PushRun(slices.Clone(prefix), last)
+			case 2:
+				part := New("part", attrs...)
+				for ; i < end; i++ {
+					part.AddTuple(ref.Row(i))
+				}
+				had, want := c.R.Len(), c.Expect
+				wantAdopt = empty && part.Len() >= want
+				Stream(part, c)
+				if got := c.R == part; got != wantAdopt {
+					t.Fatalf("Stream of %d rows into a collector of %d expecting %d: adopted %v", part.Len(), had, want, got)
+				}
+			}
+			if empty {
+				adopted = wantAdopt
+			}
+		}
+		if c.R.Len() != n || !slices.Equal(c.R.data, ref.data) {
+			t.Fatalf("collected %d rows, reference %d (Expect %d)", c.R.Len(), n, expect)
+		}
+		if arity > 0 && n > 0 && !adopted && expect >= n && c.R.Cap() != expect {
+			t.Fatalf("%d rows, Expect %d: storage for %d rows, want exactly the reservation", n, expect, c.R.Cap())
 		}
 	})
 }

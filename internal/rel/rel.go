@@ -77,6 +77,15 @@ func (r *Relation) Len() int { return r.n }
 // Arity returns the number of attributes.
 func (r *Relation) Arity() int { return len(r.Attrs) }
 
+// Cap returns how many rows the relation's storage holds before an append
+// must grow it.
+func (r *Relation) Cap() int {
+	if len(r.Attrs) == 0 {
+		return r.n
+	}
+	return cap(r.data) / len(r.Attrs)
+}
+
 // Grow pre-allocates capacity for n additional rows.
 func (r *Relation) Grow(n int) {
 	r.data = slices.Grow(r.data, n*len(r.Attrs))

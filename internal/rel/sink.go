@@ -60,8 +60,17 @@ type RunSink interface {
 // the legacy "return *Relation" contract expressed as a sink. The zero
 // value is unusable: construct with NewCollect so R carries the output
 // schema.
+//
+// Expect, when positive, is how many rows R is expected to hold in the end
+// (engine.Bound.RunInto sets it from the last answer the Bound delivered).
+// The collector reserves that much storage once, at its first write: the
+// first Push or PushRun, or the first Stream that brings fewer rows than
+// expected — a Stream that brings at least that many into an empty
+// collector is adopted whole instead. It is a hint, not a limit: rows past
+// it grow the storage as usual.
 type CollectSink struct {
-	R *Relation
+	R      *Relation
+	Expect int
 }
 
 // NewCollect returns a CollectSink over a fresh empty relation with the
@@ -73,14 +82,30 @@ func NewCollect(name string, attrs ...int) *CollectSink {
 // Push copies the row into the collected relation. It never stops the
 // producer.
 func (c *CollectSink) Push(t Tuple) bool {
+	if c.Expect > 0 {
+		c.reserve()
+	}
 	c.R.AddTuple(t)
 	return true
 }
 
 // PushRun writes the run's rows straight into the collected relation.
 func (c *CollectSink) PushRun(prefix Tuple, last []Value) bool {
+	if c.Expect > 0 {
+		c.reserve()
+	}
 	c.R.appendRun(prefix, last)
 	return true
+}
+
+// reserve makes room for the expected rows, once, in one allocation (a
+// race-instrumented slices.Grow makes two).
+func (c *CollectSink) reserve() {
+	r := c.R
+	if need := c.Expect * len(r.Attrs); need > cap(r.data) {
+		r.data = append(make([]Value, 0, need), r.data...)
+	}
+	c.Expect = 0
 }
 
 // LimitSink forwards at most N rows to the wrapped sink and then stops the
@@ -219,17 +244,21 @@ func (s *BlockSink) Flush() bool {
 // Fast path: when sink is a CollectSink with the same attribute order, r
 // moves as one block instead of row by row — the caller hands over
 // ownership of r. An empty collector adopts the relation wholesale (keeping
-// its own name), which makes materializing a buffering executor's output
-// (engine.Bound.Run, any NewCollect sink) zero-copy; a non-empty one appends
-// r's flat storage in a single copy, which is how the parallel scheduler
-// hands over each completed run.
+// its own name) when r holds at least the rows it expects, which makes
+// materializing a buffering executor's output (engine.Bound.Run, any
+// NewCollect sink) zero-copy; otherwise the collector reserves what it
+// expects and appends r's flat storage in a single copy, which is how the
+// parallel scheduler hands over each completed run.
 func Stream(r *Relation, sink Sink) bool {
 	if c, ok := sink.(*CollectSink); ok && c.R != nil && slices.Equal(c.R.Attrs, r.Attrs) {
-		if c.R.n == 0 {
+		if c.R.n == 0 && r.n >= c.Expect {
 			name := c.R.Name
-			c.R = r
+			c.R, c.Expect = r, 0
 			c.R.Name = name
 			return true
+		}
+		if c.Expect > 0 {
+			c.reserve()
 		}
 		c.R.appendRows(r.data, r.n)
 		return true
