@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/fdq"
+	"repro/fdq/fdqc"
 	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/rel"
@@ -352,6 +354,55 @@ func TestBuilderErrorsSurface(t *testing.T) {
 		if _, err := sess.Query(ctx, q); err == nil {
 			t.Fatalf("bad query %d did not error from Query", i)
 		}
+	}
+}
+
+// An FD that no relation guards and no function computes is refused at
+// resolve, whichever front-end declares it, with an error naming it — even
+// where its bound would be admitted: R(x) = {1} with S(x,y) holding three
+// y-values for x = 1 certifies 2^0 under x -> y, and has three answers.
+func TestFDWithoutGuardOrFunctionIsRefused(t *testing.T) {
+	cat := fdq.NewCatalog()
+	if err := cat.Define("R", []string{"x"}, [][]fdq.Value{{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Define("S", []string{"x", "y"}, [][]fdq.Value{{1, 2}, {1, 5}, {1, 7}}); err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	sess := fdq.NewSession(cat, fdq.WithGovernor(fdq.NewGovernor(fdq.WithMaxLogBound(0.5),
+		fdq.WithAdmissionObserver(func(fdq.AdmissionEvent) { events++ }))))
+	ctx := context.Background()
+	spec := &fdqc.QuerySpec{
+		Vars: []string{"x", "y"},
+		Rels: []fdqc.RelSpec{{Name: "R", Vars: []string{"x"}}, {Name: "S", Vars: []string{"x", "y"}}},
+		FDs:  []fdqc.FDSpec{{From: []string{"x"}, To: []string{"y"}}},
+	}
+	fromSpec, err := spec.Query()
+	if err == nil || !strings.Contains(err.Error(), "x -> y") {
+		t.Fatalf("spec.Query: %v", err)
+	}
+	if _, _, err := fdq.ParseScript("vars x y\nrel R(x)\nrel S(x, y)\nfd x -> y\nrow R 1\n"); err == nil ||
+		!strings.Contains(err.Error(), "x -> y") {
+		t.Fatalf("ParseScript: %v", err)
+	}
+	for name, q := range map[string]*fdq.Q{
+		"builder": fdq.Query().Vars("x", "y").Rel("R", "x").Rel("S", "x", "y").FD("", "x", "y"),
+		"spec":    fromSpec,
+	} {
+		errs := map[string]error{}
+		_, errs["Explain"] = sess.Explain(q)
+		_, errs["Collect"] = sess.Collect(ctx, q)
+		_, errs["Count"] = sess.Count(ctx, q)
+		_, errs["Query"] = sess.Query(ctx, q)
+		for call, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "x -> y") {
+				t.Errorf("%s: %s = %v, want an error naming x -> y", name, call, err)
+			}
+		}
+	}
+	if events != 0 {
+		t.Fatalf("%d admission events for queries refused at resolve", events)
 	}
 }
 

@@ -32,9 +32,9 @@ type RelSpec struct {
 	Vars []string `json:"vars"`
 }
 
-// FDSpec is one functional dependency. Guard names the enforcing relation
-// (guarded), Via names a server-side builtin UDF (unguarded computed), and
-// both empty declares a bare unguarded dependency.
+// FDSpec is one functional dependency. Exactly one of Guard, naming the
+// enforcing relation (guarded), and Via, naming a server-side builtin UDF
+// (computed), is set; a spec with neither or both is refused.
 type FDSpec struct {
 	Guard string   `json:"guard,omitempty"`
 	From  []string `json:"from"`
@@ -121,15 +121,9 @@ func FromQuery(qq *query.Q) (*QuerySpec, error) {
 			spec.FDs = append(spec.FDs, FDSpec{Guard: qq.Rels[f.Guard].Name, From: from, To: names(qq, f.To.Members())})
 			continue
 		}
-		// Unguarded: split computed targets by builtin name (one FDSpec per
-		// via), bare targets into one plain FDSpec — mirrors fdq.ParseScript.
+		// Computed: split the targets by builtin name, one FDSpec per via.
 		byVia := map[string][]string{}
-		var bare []string
 		for _, v := range f.To.Members() {
-			if f.Fns[v] == nil {
-				bare = append(bare, qq.Names[v])
-				continue
-			}
 			via := f.FnNames[v]
 			if via == "" {
 				return nil, fmt.Errorf("fdqc: FD onto %s computed by an unnamed function cannot cross the wire", qq.Names[v])
@@ -138,9 +132,6 @@ func FromQuery(qq *query.Q) (*QuerySpec, error) {
 		}
 		for _, via := range slices.Sorted(maps.Keys(byVia)) { // deterministic spec → stable shape signature
 			spec.FDs = append(spec.FDs, FDSpec{From: from, To: byVia[via], Via: via})
-		}
-		if len(bare) > 0 {
-			spec.FDs = append(spec.FDs, FDSpec{From: from, To: bare})
 		}
 	}
 	for _, d := range qq.DegreeBounds {

@@ -536,3 +536,31 @@ func TestBadQueryAcrossWire(t *testing.T) {
 		t.Fatalf("connection unusable after bad query: %d rows, %v", len(got), err)
 	}
 }
+
+// An FD spec with neither a guard nor a via builtin is a bad query: it is
+// refused at resolve, before the governor sees it, for rows and for a count.
+func TestFDWithoutGuardOrViaIsBadQuery(t *testing.T) {
+	srv, addr := startServer(t, fdqd.Config{Catalog: gridCatalog(t, 6)})
+	c, err := fdqc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	spec := &fdqc.QuerySpec{
+		Vars: []string{"x", "y", "z"},
+		Rels: []fdqc.RelSpec{{Name: "E", Vars: []string{"x", "y"}}},
+		FDs:  []fdqc.FDSpec{{From: []string{"x"}, To: []string{"z"}}},
+	}
+	ctx := context.Background()
+	_, _, collectErr := c.Collect(ctx, spec)
+	_, countErr := c.Count(ctx, spec)
+	for call, err := range map[string]error{"Collect": collectErr, "Count": countErr} {
+		var re *fdqc.RemoteError
+		if !errors.As(err, &re) || re.Code != fdqc.CodeBadQuery || !strings.Contains(re.Msg, "x -> z") {
+			t.Fatalf("%s: want a bad-query error naming x -> z, got %v", call, err)
+		}
+	}
+	if m := srv.Metrics(); m.Admitted.Load() != 0 || m.Rejected.Load() != 0 {
+		t.Fatalf("admission saw the refused spec: %d admitted, %d rejected", m.Admitted.Load(), m.Rejected.Load())
+	}
+}

@@ -37,7 +37,7 @@ type relSpec struct {
 }
 
 type fdSpec struct {
-	guard    string // "" = unguarded
+	guard    string // "" iff udf != nil
 	from, to []string
 	udfName  string // non-empty iff udf != nil
 	udf      func(args []Value) Value
@@ -103,13 +103,14 @@ func (q *Q) Rel(name string, vars ...string) *Q {
 	return q
 }
 
-// FD declares a functional dependency from → to (each a space- or
-// comma-separated variable list). A non-empty guard names a previously
-// added Rel whose instance enforces — and witnesses — the dependency; an
-// empty guard declares a bare unguarded dependency (a consistency
-// constraint the executors check but cannot use to derive values; see UDF
-// for computable unguarded dependencies).
+// FD declares a guarded functional dependency from → to (each a space- or
+// comma-separated variable list): guard names a Rel whose instance enforces
+// — and witnesses — the dependency. A dependency no relation guards is
+// declared with UDF, which computes its targets.
 func (q *Q) FD(guard, from, to string) *Q {
+	if guard == "" {
+		return q.fail("FD %s -> %s has no guard: name a relation holding its variables, or compute it with UDF", from, to)
+	}
 	f, t, ok := q.fdSides(from, to, "FD")
 	if !ok {
 		return q
@@ -307,10 +308,8 @@ func (q *Q) build(snap *snapshot) (*query.Q, error) {
 			for _, v := range to.Members() {
 				fns[v] = fd.UDF(f.udf)
 			}
-		} else if f.guard != "" {
-			if guard = q.relIndex(f.guard); guard < 0 {
-				return nil, fmt.Errorf("fdq: FD guard %q is not a query relation", f.guard)
-			}
+		} else if guard = q.relIndex(f.guard); guard < 0 {
+			return nil, fmt.Errorf("fdq: FD guard %q is not a query relation", f.guard)
 		}
 		qq.FDs.Add(from, to, guard, fns)
 	}

@@ -43,19 +43,11 @@ func ParseScript(src string) (*Catalog, *Q, error) {
 			b.FD(qq.Rels[f.Guard].Name, from, strings.Join(nameList(qq, f.To.Members()), " "))
 			continue
 		}
-		// Unguarded: one UDF spec per computable target (scripts name a
-		// builtin per fd directive, so a deterministic per-target name keeps
-		// signatures stable), bare FDs for targets without a function.
-		var bare []string
+		// Computed: one UDF spec per target (scripts name a builtin per fd
+		// directive, so a deterministic per-target name keeps signatures
+		// stable).
 		for _, v := range f.To.Members() {
-			if fn := f.Fns[v]; fn != nil {
-				b.UDF(fmt.Sprintf("script:fd%d:%s", i, qq.Names[v]), from, qq.Names[v], fn)
-			} else {
-				bare = append(bare, qq.Names[v])
-			}
-		}
-		if len(bare) > 0 {
-			b.FD("", from, strings.Join(bare, " "))
+			b.UDF(fmt.Sprintf("script:fd%d:%s", i, qq.Names[v]), from, qq.Names[v], f.Fns[v])
 		}
 	}
 	for _, d := range qq.DegreeBounds {

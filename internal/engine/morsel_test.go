@@ -170,7 +170,6 @@ func TestMorselLimitStreamsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := rel.NewCollect("Q", q.AllVars().Members()...)
-	inner.R.Grow(1) // defeat adoption
 	st, err := b.RunInto(context.Background(), &Options{Workers: 4, MinParallelRows: 1}, rel.Limit(inner, 3))
 	if err != nil {
 		t.Fatalf("limited morsel run failed: %v", err)

@@ -8,11 +8,14 @@ import (
 	"time"
 
 	"repro/internal/csma"
+	"repro/internal/fd"
 	"repro/internal/naive"
 	"repro/internal/paper"
+	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/scenario"
 	"repro/internal/smalg"
+	"repro/internal/varset"
 )
 
 // Prepare must not build the FD lattice: planner rule 1 (no FDs, no degree
@@ -161,5 +164,33 @@ func TestExplicitSMRunsThePlannersProof(t *testing.T) {
 	}
 	if st.Proof != proof || smalg.LLP(q) != llp || smalg.GoodProof(q) != proof {
 		t.Fatal("a run solved the LLP or searched the proof again")
+	}
+}
+
+// Prepare refuses an unguarded FD that carries no function for one of its
+// targets: no executor can compute that target, and the bound admission
+// certifies assumes a dependency nothing checks. A guarded FD and a fully
+// computed one both prepare.
+func TestPrepareRefusesAnUncomputedTarget(t *testing.T) {
+	first := func(a []fd.Value) fd.Value { return a[0] }
+	yz := varset.Of(1, 2)
+	for _, tc := range []struct {
+		name string
+		add  func(*fd.Set)
+		ok   bool
+	}{
+		{"guarded", func(s *fd.Set) { s.AddGuarded(varset.Single(0), yz, 1) }, true},
+		{"computed", func(s *fd.Set) { s.Add(varset.Single(0), yz, -1, map[int]fd.UDF{1: first, 2: first}) }, true},
+		{"one target uncomputed", func(s *fd.Set) { s.Add(varset.Single(0), yz, -1, map[int]fd.UDF{1: first}) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := query.New("x", "y", "z")
+			q.AddRel(rel.New("R", 0))
+			q.AddRel(rel.New("S", 0, 1, 2))
+			tc.add(q.FDs)
+			if _, err := Prepare(q); (err == nil) != tc.ok {
+				t.Fatalf("Prepare: %v", err)
+			}
+		})
 	}
 }

@@ -5,11 +5,12 @@
 //
 // There are two forms. Extend / ExpandTuple run the fixpoint dynamically and
 // assume nothing about the tuple: the reference (naive), the first build of
-// R_j⁺, generic join, and the oracle the other form is tested against. A
-// Program (program.go) is the same fixpoint compiled for tuples of one kind
-// — bound on a fixed set and already FD-consistent on stated subsets of it —
-// into a straight line that fires each remaining FD once: what the chain
-// algorithm, SMA and CSMA run per tuple on the tables they build themselves.
+// R_j⁺, the binary plan's final pass, and the oracle the other form is tested
+// against. A Program (program.go) is the same fixpoint compiled for tuples of
+// one kind — bound on a fixed set and already FD-consistent on stated subsets
+// of it — into a straight line that fires each remaining FD once: what
+// generic join runs per level, and the chain algorithm, SMA and CSMA per
+// tuple on the tables they build themselves.
 //
 // What is a function of the query instance alone — the per-FD lookup tables,
 // R_j⁺ per input, the projections Π_X(R_j⁺) and degree-class partitions the
@@ -42,7 +43,7 @@ type fdTable struct {
 	from    varset.Set
 	fromIdx []int          // From.Members()
 	toIdx   []int          // To.Members()
-	fns     []fd.UDF       // unguarded: UDFs aligned with toIdx (nil where absent)
+	fns     []fd.UDF       // unguarded: UDFs aligned with toIdx
 	guard   *rel.KeyLookup // guarded: the guard relation keyed on fromIdx
 	toCols  []int          // guarded: the guard's columns of toIdx
 }
@@ -103,10 +104,8 @@ func (e *Expander) Extend(vals []Value, have varset.Set) (varset.Set, bool) {
 				var got Value
 				if f.guard != nil {
 					got = row[f.toCols[k]]
-				} else if fn := f.fns[k]; fn != nil {
-					got = fn(args)
 				} else {
-					continue
+					got = f.fns[k](args)
 				}
 				if have.Contains(v) {
 					if vals[v] != got {

@@ -88,8 +88,8 @@ func compile(fds []fdTable, have varset.Set, known []varset.Set) *Program {
 				o := out{v: v}
 				if f.guard != nil {
 					o.col = f.toCols[k]
-				} else if o.fn = f.fns[k]; o.fn == nil {
-					continue
+				} else {
+					o.fn = f.fns[k]
 				}
 				if !have.Contains(v) {
 					o.derive = true
@@ -100,7 +100,7 @@ func compile(fds []fdTable, have varset.Set, known []varset.Set) *Program {
 				outs = append(outs, o)
 			}
 			inside := func(k varset.Set) bool { return k.ContainsAll(touched) }
-			if (f.guard == nil && len(outs) == 0) || slices.ContainsFunc(known, inside) {
+			if slices.ContainsFunc(known, inside) {
 				continue
 			}
 			p.steps = append(p.steps, step{fd: f, outs: outs})

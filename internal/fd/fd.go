@@ -25,9 +25,11 @@ type UDF func(args []Value) Value
 //
 // If Guard ≥ 0, the dependency is guarded by relation index Guard (both From
 // and To are among that relation's attributes and the instance satisfies the
-// dependency). If Guard < 0 the dependency is unguarded; if it is needed for
-// expansion, Fns must supply a UDF per variable of To (keyed by variable
-// index) so the algorithms can compute the dependent values.
+// dependency). If Guard < 0 the dependency is unguarded, and a query runs
+// only if Fns supplies a UDF per variable of To (keyed by variable index) so
+// the algorithms can compute the dependent values (query.CheckComputable).
+// A Set used as a bare closure operator — FromClosure, the lattice tests —
+// may hold unguarded FDs without functions.
 type FD struct {
 	From  varset.Set
 	To    varset.Set
@@ -154,7 +156,8 @@ func (s *Set) Format(names []string) string {
 
 // AttachUDFs decorates every unguarded FD with UDFs produced by the
 // provider, which receives the determining set and one dependent variable
-// and returns the function computing that variable (or nil to skip).
+// and returns the function computing that variable (nil leaves the target
+// without one, which query.CheckComputable refuses).
 func (s *Set) AttachUDFs(provider func(from varset.Set, to int) UDF) {
 	for i := range s.FDs {
 		f := &s.FDs[i]

@@ -25,8 +25,8 @@ import (
 //	row S 2 3
 //
 // Builtin UDFs: sum (Σ args), first (first arg), last, pair (args packed
-// base 2^20), zero. Each unguarded FD with k target variables applies the
-// UDF per target.
+// base 2^20), zero. Every fd directive has exactly one of 'via' and 'guard';
+// an unguarded FD with k target variables applies its UDF per target.
 func Parse(src string) (*Q, error) {
 	var q *Q
 	sc := bufio.NewScanner(strings.NewReader(src))
@@ -168,6 +168,9 @@ func parseFD(q *Q, s string) error {
 	}
 	if len(toNames) == 0 {
 		return fmt.Errorf("fd needs at least one target variable")
+	}
+	if (udf == nil) == (guard < 0) {
+		return fmt.Errorf("fd %s: needs exactly one of 'via udf' (computed) and 'guard R' (guarded)", s)
 	}
 	to := varset.Empty
 	fns := map[int]fd.UDF{}

@@ -284,10 +284,24 @@ func (q *Q) CoveredVars() varset.Set {
 	return s
 }
 
-// CheckComputable verifies that every variable is covered by an input
-// relation or derivable from covered variables by FD expansion — the
-// shape-level half of Validate, cheap enough to run per Prepare.
+// CheckComputable verifies that expansion can compute every variable: each
+// unguarded FD carries a UDF for every variable it determines (a guarded one
+// reads them off its guard), and every variable is covered by an input
+// relation or in the FD closure of the covered ones. With both holding,
+// q.FDs.Closure is exactly what expansion derives. It is the shape-level
+// half of Validate, cheap enough to run per Prepare.
 func (q *Q) CheckComputable() error {
+	for _, f := range q.FDs.FDs {
+		if f.Guarded() {
+			continue
+		}
+		for _, v := range f.To.Members() {
+			if f.Fns[v] == nil {
+				return fmt.Errorf("query: unguarded FD %s has no function for %s: guard it by a relation holding %s, or compute it with a UDF",
+					f.Format(q.Names), q.Names[v], f.From.Union(f.To).Format(q.Names))
+			}
+		}
+	}
 	cov := q.CoveredVars()
 	if q.FDs.Closure(cov) != q.AllVars() {
 		return fmt.Errorf("query: variables %v are neither covered nor derivable",
@@ -296,11 +310,9 @@ func (q *Q) CheckComputable() error {
 	return nil
 }
 
-// Validate checks structural well-formedness: every variable is covered by
-// an input or derivable by expansion from covered variables, guarded FDs
-// point at relations that contain their variables and whose instances
-// satisfy them, and unguarded FDs that could be needed for expansion carry
-// UDFs.
+// Validate checks well-formedness against the instance: CheckComputable's
+// shape rules, guarded FDs point at relations that contain their variables
+// and whose instances satisfy them, and degree bounds hold on their guards.
 func (q *Q) Validate() error {
 	if err := q.CheckComputable(); err != nil {
 		return err

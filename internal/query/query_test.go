@@ -179,7 +179,9 @@ func TestParseErrors(t *testing.T) {
 		"vars x\nfrob",                         // unknown directive
 		"vars x\nrel R(x)\nfd x ->",            // no target
 		"vars x\nrel R(x)\nfd x -> x via nope", // unknown UDF
-		"vars x y\nrel R(x,y)\ndegree R: x -> x y max q", // bad max
+		"vars x y\nrel S(x,y)\nfd x -> y",      // neither via nor guard
+		"vars x y\nrel S(x,y)\nfd x -> y via sum guard S", // both via and guard
+		"vars x y\nrel R(x,y)\ndegree R: x -> x y max q",  // bad max
 		"vars x\nvars y", // duplicate vars
 	}
 	for _, src := range bad {

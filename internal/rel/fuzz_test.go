@@ -57,7 +57,6 @@ func FuzzMergeSorted(f *testing.F) {
 		ref.SortDedup()
 
 		c := NewCollect("Q", attrs...)
-		c.R.Grow(1) // defeat adoption
 		if !MergeSortedInto(c, parts) {
 			t.Fatal("collect sink stopped the merge")
 		}

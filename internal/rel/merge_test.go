@@ -68,7 +68,6 @@ func concatSortDedup(srcs []*Relation) *Relation {
 func mergeCollect(t *testing.T, srcs []*Relation) *Relation {
 	t.Helper()
 	c := NewCollect("Q", srcs[0].Attrs...)
-	c.R.Grow(1) // defeat adoption
 	if !MergeSortedInto(c, srcs) {
 		t.Fatal("collect sink stopped the merge")
 	}
@@ -204,7 +203,6 @@ func TestMergeTournamentEarlyStop(t *testing.T) {
 		}
 		for _, n := range []int{1, 3, want.Len(), want.Len() + 5} {
 			inner := NewCollect("Q", srcs[0].Attrs...)
-			inner.R.Grow(1)
 			complete := MergeSortedInto(Limit(inner, n), srcs)
 			wantRows := min(n, want.Len())
 			if inner.R.Len() != wantRows {

@@ -249,7 +249,6 @@ func TestMergeSortedIntoMatchesMergeSorted(t *testing.T) {
 		t.Fatalf("reference has %d rows, want 5", want.Len())
 	}
 	sink := NewCollect("Q", 0, 1)
-	sink.R.Grow(1) // defeat adoption so the merge path itself is exercised
 	if !MergeSortedInto(sink, srcs) {
 		t.Fatal("collect sink stopped the merge")
 	}

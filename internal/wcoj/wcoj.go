@@ -214,7 +214,7 @@ func (x *descent) compile(q *query.Q, order []int) {
 		// v can fire or derive.
 		if x.e != nil && (len(x.levels) == 0 || len(lv.parts) > 0 && fdVars.Contains(v)) {
 			lv.prog = x.e.Program(bound, varset.Empty, known)
-			bound = derivableFrom(q, bound)
+			bound = q.FDs.Closure(bound)
 		}
 		// Every relation descends as far as its level order is bound: through
 		// what was derived just now, or earlier and only now follows a bound level.
@@ -419,8 +419,9 @@ func greedyOrder(q *query.Q) []int {
 
 // DefaultOrder returns the variable order generic join runs with absent an
 // explicit one: ascending variable id, except that a variable stored in no
-// relation is deferred until the variables ordered before it can actually
-// derive it (via a guarded FD lookup or a UDF, matching expand.Extend).
+// relation is deferred until it is in the FD closure of the variables
+// ordered before it (on a query that passes query.CheckComputable, the
+// closure is exactly what expansion derives).
 // The plain identity order would dead-end on queries whose derived
 // variables precede their determining sets — e.g. Fig. 9, where P, S, T
 // are derivable only after an input variable M, N, or O is bound.
@@ -429,7 +430,7 @@ func DefaultOrder(q *query.Q) []int {
 	order := make([]int, 0, q.K)
 	var have varset.Set
 	for len(order) < q.K {
-		reach := derivableFrom(q, have)
+		reach := q.FDs.Closure(have)
 		picked := -1
 		for v := 0; v < q.K; v++ {
 			if !have.Contains(v) && (covered.Contains(v) || reach.Contains(v)) {
@@ -452,29 +453,4 @@ func DefaultOrder(q *query.Q) []int {
 		have = have.Add(picked)
 	}
 	return order
-}
-
-// derivableFrom returns the fixpoint of variables expand.Extend can bind
-// starting from have: an FD applies when its From is available and it
-// either has a guard relation to look up or a UDF for the target variable.
-func derivableFrom(q *query.Q, have varset.Set) varset.Set {
-	cl := have
-	for changed := true; changed; {
-		changed = false
-		for _, f := range q.FDs.FDs {
-			if !cl.ContainsAll(f.From) || cl.ContainsAll(f.To) {
-				continue
-			}
-			for _, v := range f.To.Members() {
-				if cl.Contains(v) {
-					continue
-				}
-				if f.Guarded() || (f.Fns != nil && f.Fns[v] != nil) {
-					cl = cl.Add(v)
-					changed = true
-				}
-			}
-		}
-	}
-	return cl
 }
