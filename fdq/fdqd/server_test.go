@@ -564,3 +564,24 @@ func TestFDWithoutGuardOrViaIsBadQuery(t *testing.T) {
 		t.Fatalf("admission saw the refused spec: %d admitted, %d rejected", m.Admitted.Load(), m.Rejected.Load())
 	}
 }
+
+// An instance that violates a guarded FD is a bad query whose message, on
+// the client's side of the wire, names the FD in the spec's variables.
+func TestViolatedFDNamedOverTheWire(t *testing.T) {
+	_, addr := startServer(t, fdqd.Config{Catalog: gridCatalog(t, 6)})
+	c, err := fdqc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	spec := &fdqc.QuerySpec{
+		Vars: []string{"v0", "v1"},
+		Rels: []fdqc.RelSpec{{Name: "E", Vars: []string{"v0", "v1"}}},
+		FDs:  []fdqc.FDSpec{{Guard: "E", From: []string{"v0"}, To: []string{"v1"}}},
+	}
+	_, _, err = c.Collect(context.Background(), spec)
+	var re *fdqc.RemoteError
+	if !errors.As(err, &re) || re.Code != fdqc.CodeBadQuery || !strings.Contains(re.Msg, "relation E violates FD {v0}->{v1}") {
+		t.Fatalf("want a bad-query error naming {v0}->{v1}, got %v", err)
+	}
+}

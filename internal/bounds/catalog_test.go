@@ -50,7 +50,7 @@ func TestCatalogBoundPremises(t *testing.T) {
 
 		candidates := []lattice.Chain{l.GoodChainJoinIrreducibles(inputs), l.GoodChainMeetIrreducibles(inputs)}
 		if l.Size() <= 64 {
-			candidates = append(candidates, l.MaximalChains()...)
+			candidates = append(candidates, slices.Collect(l.EachMaximalChain)...)
 		}
 		for _, c := range candidates {
 			if !l.IsChain(c) || !l.GoodForAll(c, inputs) {

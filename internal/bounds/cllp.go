@@ -2,7 +2,6 @@ package bounds
 
 import (
 	"fmt"
-	"math"
 	"math/big"
 
 	"repro/internal/lattice"
@@ -29,12 +28,6 @@ type CLLPResult struct {
 	M        map[[2]int]*big.Rat // dual m_{X,Y} per monotonicity (cover) row
 	P        []DegreePair
 	Lat      *lattice.Lattice
-}
-
-// Bound returns 2^LogBound.
-func (r *CLLPResult) Bound() float64 {
-	f, _ := r.LogBound.Float64()
-	return math.Exp2(f)
 }
 
 // CLLP solves the conditional LLP:

@@ -25,7 +25,8 @@ type DualLLP struct {
 }
 
 // SolveDualLLP builds and solves the explicit dual. Pairs are ordered
-// (min, max) by element index.
+// (min, max) by element index. Only tests call it until the work
+// certificates of ROADMAP item 16 read its (w, s).
 func SolveDualLLP(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *DualLLP {
 	n := l.Size()
 	rows := submodRows(l)

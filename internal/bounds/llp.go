@@ -2,7 +2,6 @@ package bounds
 
 import (
 	"fmt"
-	"math"
 	"math/big"
 	"slices"
 
@@ -93,12 +92,6 @@ type LLPResult struct {
 	Pairs    []SubmodPair            // all incomparable pairs, fixed order
 	Lat      *lattice.Lattice
 	Inputs   []int // lattice element per relation
-}
-
-// Bound returns 2^LogBound as float64.
-func (r *LLPResult) Bound() float64 {
-	f, _ := r.LogBound.Float64()
-	return math.Exp2(f)
 }
 
 // LLP builds and solves the lattice linear program (Eq. 5):
@@ -212,7 +205,8 @@ func solveRelaxation(l *lattice.Lattice, inputs []int, logSizes []*big.Rat, rows
 
 // Monotonize applies Lovász's monotonization (Prop. B.1): given a feasible
 // non-negative L-submodular h it returns the polymatroid
-// h̄(X) = min_{Y ≥ X} h(Y), with h̄(1̂) = h(1̂) and h̄ ≤ h.
+// h̄(X) = min_{Y ≥ X} h(Y), with h̄(1̂) = h(1̂) and h̄ ≤ h. Only tests call
+// it until ROADMAP item 11 repairs a non-normal optimal vertex with it.
 func Monotonize(l *lattice.Lattice, h []*big.Rat) []*big.Rat {
 	out := make([]*big.Rat, len(h))
 	for x := range h {
@@ -229,26 +223,6 @@ func Monotonize(l *lattice.Lattice, h []*big.Rat) []*big.Rat {
 		out[x] = min
 	}
 	return out
-}
-
-// IsPolymatroid checks non-negativity, monotonicity, submodularity and
-// h(0̂) = 0 of a vector over the lattice.
-func IsPolymatroid(l *lattice.Lattice, h []*big.Rat) bool {
-	if h[l.Bottom].Sign() != 0 {
-		return false
-	}
-	n := l.Size()
-	for x := 0; x < n; x++ {
-		if h[x].Sign() < 0 {
-			return false
-		}
-		for y := 0; y < n; y++ {
-			if l.Leq(x, y) && h[x].Cmp(h[y]) > 0 {
-				return false
-			}
-		}
-	}
-	return !slices.ContainsFunc(submodRows(l), func(r submodRow) bool { return r.violated(h) })
 }
 
 // OutputInequalityHolds decides whether the output inequality (7) with

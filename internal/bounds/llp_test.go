@@ -104,3 +104,23 @@ func FuzzLLPRowGeneration(f *testing.F) {
 		}
 	})
 }
+
+// IsPolymatroid checks non-negativity, monotonicity, submodularity and
+// h(0̂) = 0 of a vector over the lattice.
+func IsPolymatroid(l *lattice.Lattice, h []*big.Rat) bool {
+	if h[l.Bottom].Sign() != 0 {
+		return false
+	}
+	n := l.Size()
+	for x := 0; x < n; x++ {
+		if h[x].Sign() < 0 {
+			return false
+		}
+		for y := 0; y < n; y++ {
+			if l.Leq(x, y) && h[x].Cmp(h[y]) > 0 {
+				return false
+			}
+		}
+	}
+	return !slices.ContainsFunc(submodRows(l), func(r submodRow) bool { return r.violated(h) })
+}

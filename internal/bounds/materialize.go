@@ -26,7 +26,9 @@ type Materialization struct {
 // — i.e. the coordinates that distinguish tuples agreeing on x.
 //
 // The result satisfies log2 |Π_{Λ(X)}(D)| = h(X) for every X ∈ L.
-// It returns an error if h is not an integral normal polymatroid.
+// It returns an error if h is not an integral normal polymatroid. Only
+// tests call it until the worst-case catalog family of ROADMAP item 11
+// builds its instances here.
 func MaterializeNormal(l *lattice.Lattice, h []*big.Rat) (*Materialization, error) {
 	g := CMI(l, h)
 	// Coordinate allocation: a_Z = −g(Z) bits for each Z ≠ 1̂.
@@ -93,6 +95,7 @@ func MaterializeNormal(l *lattice.Lattice, h []*big.Rat) (*Materialization, erro
 
 // EntropyOf returns log2 of the projection count of the materialization
 // onto the join-irreducibles below lattice element x — the realized h(x).
+// ROADMAP item 11 checks its instances with it.
 func (m *Materialization) EntropyOf(l *lattice.Lattice, x int) float64 {
 	var keep varset.Set
 	for i, e := range m.VarElems {

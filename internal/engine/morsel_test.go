@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/paper"
 	"repro/internal/query"
@@ -370,4 +371,13 @@ func TestSplitSharedAcrossPoolSizes(t *testing.T) {
 			t.Errorf("%d workers after 2: built %d indexes, a warm run %d: the split was rebuilt", workers, builds, warm)
 		}
 	}
+}
+
+// Total returns the sequential wall clock: the sum of all split durations.
+func (p *PartProfile) Total() time.Duration {
+	var sum time.Duration
+	for _, d := range p.Durations {
+		sum += d
+	}
+	return sum
 }

@@ -55,15 +55,6 @@ func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, _ bool) (*Part
 	return prof, nil
 }
 
-// Total returns the sequential wall clock: the sum of all split durations.
-func (p *PartProfile) Total() time.Duration {
-	var sum time.Duration
-	for _, d := range p.Durations {
-		sum += d
-	}
-	return sum
-}
-
 // Makespan models the wall clock of executing the profiled morsels on
 // `workers` workers: morsels are taken in id order by whichever worker frees
 // up first — list scheduling, the steady-state behaviour of the morsel

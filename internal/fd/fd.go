@@ -46,10 +46,6 @@ type FD struct {
 // Guarded reports whether the dependency is enforced by an input relation.
 func (f FD) Guarded() bool { return f.Guard >= 0 }
 
-// Simple reports whether the dependency is of the form u → v for single
-// variables u, v (Sec. 2: "simple fd").
-func (f FD) Simple() bool { return f.From.Len() == 1 && f.To.Len() == 1 }
-
 // Format renders the FD like "{x,z}->{u}".
 func (f FD) Format(names []string) string {
 	return f.From.Format(names) + "->" + f.To.Format(names)
@@ -103,43 +99,6 @@ func (s *Set) Closure(x varset.Set) varset.Set {
 		}
 	}
 	return cl
-}
-
-// Closed reports whether x equals its own closure.
-func (s *Set) Closed(x varset.Set) bool { return s.Closure(x) == x }
-
-// Implies reports whether the dependency from → to follows from the set
-// (Armstrong derivability: to ⊆ closure(from)).
-func (s *Set) Implies(from, to varset.Set) bool {
-	return s.Closure(from).ContainsAll(to)
-}
-
-// AllSimple reports whether every dependency in the set is simple.
-func (s *Set) AllSimple() bool {
-	for _, f := range s.FDs {
-		if !f.Simple() {
-			return false
-		}
-	}
-	return true
-}
-
-// Redundant reports whether variable x is redundant: there is a set Y not
-// containing x with Y ↔ x (Sec. 3.1). Equivalently, x ∈ closure(x⁺ \ {x}).
-func (s *Set) Redundant(x int) bool {
-	cl := s.Closure(varset.Single(x))
-	return s.Closure(cl.Remove(x)).Contains(x)
-}
-
-// RedundantVars returns the set of redundant variables.
-func (s *Set) RedundantVars() varset.Set {
-	var out varset.Set
-	for v := 0; v < s.K; v++ {
-		if s.Redundant(v) {
-			out = out.Add(v)
-		}
-	}
-	return out
 }
 
 // String renders the FD set.

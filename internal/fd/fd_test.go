@@ -154,3 +154,44 @@ func TestClosureMonotoneIdempotentExtensive(t *testing.T) {
 		return true
 	})
 }
+
+// Closed reports whether x equals its own closure.
+func (s *Set) Closed(x varset.Set) bool { return s.Closure(x) == x }
+
+// Implies reports whether the dependency from → to follows from the set
+// (Armstrong derivability: to ⊆ closure(from)).
+func (s *Set) Implies(from, to varset.Set) bool {
+	return s.Closure(from).ContainsAll(to)
+}
+
+// AllSimple reports whether every dependency in the set is simple.
+func (s *Set) AllSimple() bool {
+	for _, f := range s.FDs {
+		if !f.Simple() {
+			return false
+		}
+	}
+	return true
+}
+
+// Redundant reports whether variable x is redundant: there is a set Y not
+// containing x with Y ↔ x (Sec. 3.1). Equivalently, x ∈ closure(x⁺ \ {x}).
+func (s *Set) Redundant(x int) bool {
+	cl := s.Closure(varset.Single(x))
+	return s.Closure(cl.Remove(x)).Contains(x)
+}
+
+// RedundantVars returns the set of redundant variables.
+func (s *Set) RedundantVars() varset.Set {
+	var out varset.Set
+	for v := 0; v < s.K; v++ {
+		if s.Redundant(v) {
+			out = out.Add(v)
+		}
+	}
+	return out
+}
+
+// Simple reports whether the dependency is of the form u → v for single
+// variables u, v (Sec. 2: "simple fd").
+func (f FD) Simple() bool { return f.From.Len() == 1 && f.To.Len() == 1 }

@@ -1,7 +1,5 @@
 package lattice
 
-import "slices"
-
 // Chain is a strictly increasing sequence of lattice elements from Bottom to
 // Top: C_0 = 0̂ ≺ C_1 ≺ ... ≺ C_k = 1̂ (Sec. 5.1).
 type Chain []int
@@ -47,27 +45,11 @@ func (l *Lattice) GoodForAll(c Chain, rs []int) bool {
 	return true
 }
 
-// IsMaximalChain reports whether every step of the chain is a covering
-// relation. Maximal chains are good for every element (Prop. 5.2).
-func (l *Lattice) IsMaximalChain(c Chain) bool {
-	if !l.IsChain(c) {
-		return false
-	}
-	for i := 1; i < len(c); i++ {
-		if !slices.Contains(l.upperCovers[c[i-1]], c[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// MaximalChains enumerates all maximal chains from Bottom to Top. Intended
-// for the paper's small lattices; the count can be exponential in general.
-func (l *Lattice) MaximalChains() []Chain { return slices.Collect(l.EachMaximalChain) }
-
 // EachMaximalChain calls yield with every maximal chain from Bottom to Top,
-// in MaximalChains' order, until yield returns false: a search that can stop
-// early never builds the rest. Each chain yielded is a fresh slice.
+// depth first over each element's upper covers in ascending index order,
+// until yield returns false: a search that can stop early never builds the
+// rest, and their count can be exponential. Each chain yielded is a fresh
+// slice.
 func (l *Lattice) EachMaximalChain(yield func(Chain) bool) {
 	var cur Chain
 	var rec func(x int) bool
@@ -190,47 +172,4 @@ func (l *Lattice) GoodChainMeetIrreducibles(inputs []int) Chain {
 		out[len(desc)-1-i] = x
 	}
 	return out
-}
-
-// StepSets returns e(S) = {i : S ∧ C_i ≠ S ∧ C_{i-1}} for every lattice
-// element S (Lemma 5.13), used by the tightness condition of Theorem 5.14.
-func (l *Lattice) StepSets(c Chain) [][]int {
-	out := make([][]int, l.Size())
-	for s := range out {
-		out[s] = l.ChainEdge(c, s)
-	}
-	return out
-}
-
-// ChainTightCondition checks the sufficient condition of Theorem 5.14 on a
-// chain that is good for every lattice element: e(X ∨ Y) ⊆ e(X) ∪ e(Y) for
-// all X, Y. When it holds the chain bound is tight on the lattice.
-func (l *Lattice) ChainTightCondition(c Chain) bool {
-	// The chain must be good for every element.
-	for x := range l.Elems {
-		if !l.GoodFor(c, x) {
-			return false
-		}
-	}
-	e := l.StepSets(c)
-	n := l.Size()
-	toMask := func(steps []int) uint64 {
-		var m uint64
-		for _, s := range steps {
-			m |= 1 << uint(s)
-		}
-		return m
-	}
-	masks := make([]uint64, n)
-	for i := range masks {
-		masks[i] = toMask(e[i])
-	}
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			if masks[l.Join(x, y)]&^(masks[x]|masks[y]) != 0 {
-				return false
-			}
-		}
-	}
-	return true
 }

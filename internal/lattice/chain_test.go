@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fd"
@@ -9,7 +10,7 @@ import (
 
 func TestMaximalChainsBoolean(t *testing.T) {
 	l := Boolean(3)
-	chains := l.MaximalChains()
+	chains := slices.Collect(l.EachMaximalChain)
 	if len(chains) != 6 { // 3! linear orders
 		t.Fatalf("2^3 has 6 maximal chains, got %d", len(chains))
 	}
@@ -26,7 +27,7 @@ func TestMaximalChainsBoolean(t *testing.T) {
 func TestMaximalChainGoodForAll(t *testing.T) {
 	// Prop. 5.2: maximal chains are good for every element.
 	for _, l := range []*Lattice{Boolean(3), fig1Lattice(), m3Lattice(), n5Lattice()} {
-		for _, c := range l.MaximalChains() {
+		for _, c := range slices.Collect(l.EachMaximalChain) {
 			for x := 0; x < l.Size(); x++ {
 				if !l.GoodFor(c, x) {
 					t.Fatalf("maximal chain %v not good for element %v", c, l.Elems[x])
@@ -170,7 +171,7 @@ func TestChainTightConditionDistributive(t *testing.T) {
 	// Cor. 5.15: on a distributive lattice every maximal chain satisfies the
 	// tightness condition of Thm 5.14.
 	l := Boolean(3)
-	for _, c := range l.MaximalChains() {
+	for _, c := range slices.Collect(l.EachMaximalChain) {
 		if !l.ChainTightCondition(c) {
 			t.Fatalf("condition (15) must hold on Boolean algebra chain %v", c)
 		}
@@ -179,7 +180,7 @@ func TestChainTightConditionDistributive(t *testing.T) {
 	s := fd.NewSet(3)
 	s.AddGuarded(varset.Of(0), varset.Of(1), -1)
 	dl := New(3, s.Closure)
-	for _, c := range dl.MaximalChains() {
+	for _, c := range slices.Collect(dl.EachMaximalChain) {
 		if !dl.ChainTightCondition(c) {
 			t.Fatal("condition (15) must hold on simple-FD lattice")
 		}
@@ -207,4 +208,61 @@ func TestIsChainRejects(t *testing.T) {
 	if l.IsChain(Chain{l.Bottom, l.Index(varset.Of(0)), l.Index(varset.Of(1)), l.Top}) {
 		t.Fatal("incomparable steps are not a chain")
 	}
+}
+
+// IsMaximalChain reports whether every step of the chain is a covering
+// relation. Maximal chains are good for every element (Prop. 5.2).
+func (l *Lattice) IsMaximalChain(c Chain) bool {
+	if !l.IsChain(c) {
+		return false
+	}
+	for i := 1; i < len(c); i++ {
+		if !slices.Contains(l.upperCovers[c[i-1]], c[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// ChainTightCondition checks the sufficient condition of Theorem 5.14 on a
+// chain that is good for every lattice element: e(X ∨ Y) ⊆ e(X) ∪ e(Y) for
+// all X, Y. When it holds the chain bound is tight on the lattice.
+func (l *Lattice) ChainTightCondition(c Chain) bool {
+	// The chain must be good for every element.
+	for x := range l.Elems {
+		if !l.GoodFor(c, x) {
+			return false
+		}
+	}
+	e := l.StepSets(c)
+	n := l.Size()
+	toMask := func(steps []int) uint64 {
+		var m uint64
+		for _, s := range steps {
+			m |= 1 << uint(s)
+		}
+		return m
+	}
+	masks := make([]uint64, n)
+	for i := range masks {
+		masks[i] = toMask(e[i])
+	}
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			if masks[l.Join(x, y)]&^(masks[x]|masks[y]) != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// StepSets returns e(S) = {i : S ∧ C_i ≠ S ∧ C_{i-1}} for every lattice
+// element S (Lemma 5.13), used by the tightness condition of Theorem 5.14.
+func (l *Lattice) StepSets(c Chain) [][]int {
+	out := make([][]int, l.Size())
+	for s := range out {
+		out[s] = l.ChainEdge(c, s)
+	}
+	return out
 }

@@ -319,3 +319,53 @@ func TestInvalidEmbedding(t *testing.T) {
 		t.Fatal("constant map must not be a valid embedding")
 	}
 }
+
+// Embedding is a map f: L → L' preserving joins and mapping top to top
+// (Definition 3.5).
+type Embedding struct {
+	From, To *Lattice
+	Map      []int // element index in From → element index in To
+}
+
+// Valid checks the embedding conditions: f(1̂) = 1̂ and f(⋁X) = ⋁f(X). The
+// paper requires the join condition for every subset X of L; on a finite
+// lattice it follows from the condition on pairs plus the empty join,
+// f(0̂) = 0̂', and those are what is checked.
+func (e *Embedding) Valid() bool {
+	if len(e.Map) != e.From.Size() {
+		return false
+	}
+	if e.Map[e.From.Top] != e.To.Top {
+		return false
+	}
+	// Empty join: f(0̂) must equal the empty join in L', i.e. 0̂'.
+	if e.Map[e.From.Bottom] != e.To.Bottom {
+		return false
+	}
+	n := e.From.Size()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if e.Map[e.From.Join(i, j)] != e.To.Join(e.Map[i], e.Map[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// RightAdjoint returns the right adjoint r: L' → L of the embedding
+// (f(X) ≤ Y iff X ≤ r(Y)); it exists because f preserves joins.
+func (e *Embedding) RightAdjoint() []int {
+	r := make([]int, e.To.Size())
+	for y := range r {
+		// r(y) = join of all x with f(x) ≤ y.
+		rx := e.From.Bottom
+		for x := 0; x < e.From.Size(); x++ {
+			if e.To.Leq(e.Map[x], y) {
+				rx = e.From.Join(rx, x)
+			}
+		}
+		r[y] = rx
+	}
+	return r
+}

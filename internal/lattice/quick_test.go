@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fd"
@@ -110,7 +111,7 @@ func TestRandomLatticeMaximalChainsGood(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 15; trial++ {
 		l := randomFDLattice(rng, 3+rng.Intn(2), 1+rng.Intn(3))
-		chains := l.MaximalChains()
+		chains := slices.Collect(l.EachMaximalChain)
 		if len(chains) == 0 {
 			t.Fatal("every lattice has a maximal chain")
 		}

@@ -6,8 +6,6 @@
 package naive
 
 import (
-	"context"
-
 	"repro/internal/expand"
 	"repro/internal/query"
 	"repro/internal/rel"
@@ -50,18 +48,4 @@ func Evaluate(q *query.Q) *rel.Relation {
 	}
 	out.SortDedup()
 	return out
-}
-
-// EvaluateInto is Evaluate streaming into a sink (see rel.Sink). The
-// pairwise-join oracle must materialize before its output is sorted, so
-// streaming buffers and flushes; it exists so sink-based consumers can be
-// checked differentially against the exact same reference the legacy path
-// uses. ctx is observed only before the evaluation starts — the oracle is
-// for small instances and deliberately stays a verbatim reference.
-func EvaluateInto(ctx context.Context, q *query.Q, sink rel.Sink) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	rel.Stream(Evaluate(q), sink)
-	return nil
 }

@@ -328,7 +328,7 @@ func (q *Q) Validate() error {
 		if !g.VarSet().ContainsAll(f.From.Union(f.To)) {
 			return fmt.Errorf("query: FD %s not contained in guard %s", f.Format(q.Names), g.Name)
 		}
-		if err := checkFDHolds(g, f); err != nil {
+		if err := checkFDHolds(g, f, q.Names); err != nil {
 			return err
 		}
 	}
@@ -343,7 +343,8 @@ func (q *Q) Validate() error {
 		proj := g.Project(d.Y)
 		pix := proj.IndexOn(d.X.Members()...)
 		if got := pix.MaxDegree(d.X.Len()); got > d.MaxDegree {
-			return fmt.Errorf("query: degree bound %d violated by %s (max degree %d)", d.MaxDegree, g.Name, got)
+			return fmt.Errorf("query: degree bound %s->%s max %d violated by %s (max degree %d)",
+				d.X.Format(q.Names), d.Y.Format(q.Names), d.MaxDegree, g.Name, got)
 		}
 	}
 	return nil
@@ -352,8 +353,9 @@ func (q *Q) Validate() error {
 // checkFDHolds verifies From→To on the guard's instance by scanning an
 // index sorted with (From, To) as the leading priority: within a From-run
 // the To block must be constant, so adjacent rows suffice and the check
-// allocates nothing beyond the (cached) index itself.
-func checkFDHolds(g *rel.Relation, f fd.FD) error {
+// allocates nothing beyond the (cached) index itself. The error names the
+// FD in the query's variable names.
+func checkFDHolds(g *rel.Relation, f fd.FD, names []string) error {
 	to := f.To.Diff(f.From) // overlapping variables are trivially determined
 	nf, nt := f.From.Len(), to.Len()
 	prio := append(f.From.Members(), to.Members()...)
@@ -372,7 +374,7 @@ func checkFDHolds(g *rel.Relation, f fd.FD) error {
 		}
 		for c := nf; c < nf+nt; c++ {
 			if prev[c] != cur[c] {
-				return fmt.Errorf("query: relation %s violates FD %v->%v", g.Name, f.From, f.To)
+				return fmt.Errorf("query: relation %s violates FD %s", g.Name, f.Format(names))
 			}
 		}
 	}

@@ -93,6 +93,33 @@ func TestValidateDegreeBound(t *testing.T) {
 	}
 }
 
+// A violation names the FD or degree bound in the query's own variables.
+func TestValidateNamesTheViolation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		add  func(q *Q)
+		want string
+	}{
+		{"fd", func(q *Q) { q.FDs.AddGuarded(q.Vars("a"), q.Vars("b"), 0) },
+			"query: relation R violates FD {a}->{b}"},
+		{"composite-fd", func(q *Q) { q.FDs.AddGuarded(q.Vars("a", "c"), q.Vars("b"), 0) },
+			"query: relation R violates FD {a,c}->{b}"},
+		{"degree", func(q *Q) { q.AddDegreeBound(q.Vars("a"), q.Vars("a", "b"), 2, 0) },
+			"query: degree bound {a}->{a,b} max 2 violated by R (max degree 3)"},
+	} {
+		q := New("a", "b", "c")
+		r := rel.New("R", 0, 1, 2)
+		r.Add(1, 1, 0)
+		r.Add(1, 2, 0)
+		r.Add(1, 3, 0)
+		q.AddRel(r)
+		tc.add(q)
+		if err := q.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestLogSizes(t *testing.T) {
 	q := New("x")
 	r := rel.New("R", 0)

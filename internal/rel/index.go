@@ -192,36 +192,6 @@ func (ix *Index) Attr(i int) int { return ix.attrs[i] }
 // Attrs returns the variable ids in priority order (aliased).
 func (ix *Index) Attrs() []int { return ix.attrs }
 
-// DistinctNext iterates the distinct values of the column at priority
-// position len(prefix), among rows matching prefix, calling f with each
-// value and its degree (number of matching rows). Iteration stops if f
-// returns false.
-func (ix *Index) DistinctNext(prefix []Value, f func(v Value, degree int) bool) {
-	if len(prefix) >= ix.arity {
-		panic(fmt.Sprintf("rel: DistinctNext needs an unbound column on %s", ix.rel.Name))
-	}
-	lo, hi := ix.Range(prefix...)
-	col := len(prefix)
-	k := ix.arity
-	for pos := lo; pos < hi; {
-		v := ix.data[pos*k+col]
-		// Binary search for the end of this value's run in (pos, hi).
-		l, h := pos+1, hi
-		for l < h {
-			mid := int(uint(l+h) >> 1)
-			if ix.data[mid*k+col] <= v {
-				l = mid + 1
-			} else {
-				h = mid
-			}
-		}
-		if !f(v, l-pos) {
-			return
-		}
-		pos = l
-	}
-}
-
 // MaxDegree returns the maximum degree over distinct prefixes of the first
 // nkey columns: max_v |σ_{key=v}(R)|. With nkey = 0 it returns Len().
 func (ix *Index) MaxDegree(nkey int) int {

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -133,5 +134,35 @@ func TestTriePriorityOrder(t *testing.T) {
 	c1lo, c1hi := tr.Children(0, lo+1)
 	if c0hi-c0lo != 2 || c1hi-c1lo != 1 {
 		t.Fatalf("fanout wrong: %d, %d", c0hi-c0lo, c1hi-c1lo)
+	}
+}
+
+// DistinctNext iterates the distinct values of the column at priority
+// position len(prefix), among rows matching prefix, calling f with each
+// value and its degree (number of matching rows). Iteration stops if f
+// returns false.
+func (ix *Index) DistinctNext(prefix []Value, f func(v Value, degree int) bool) {
+	if len(prefix) >= ix.arity {
+		panic(fmt.Sprintf("rel: DistinctNext needs an unbound column on %s", ix.rel.Name))
+	}
+	lo, hi := ix.Range(prefix...)
+	col := len(prefix)
+	k := ix.arity
+	for pos := lo; pos < hi; {
+		v := ix.data[pos*k+col]
+		// Binary search for the end of this value's run in (pos, hi).
+		l, h := pos+1, hi
+		for l < h {
+			mid := int(uint(l+h) >> 1)
+			if ix.data[mid*k+col] <= v {
+				l = mid + 1
+			} else {
+				h = mid
+			}
+		}
+		if !f(v, l-pos) {
+			return
+		}
+		pos = l
 	}
 }

@@ -226,16 +226,3 @@ func GoodProof(q *query.Q) *Proof {
 // / Example 5.31): SMA does not apply to the instance, which is not a bug,
 // and CSMA is the right tool.
 var ErrNoGoodProof = errors.New("smalg: no good SM proof sequence found among optimal dual weights")
-
-// SMBound returns the bound certified by a proof: Σ_j w_j n_j where w_j are
-// the dual weights the proof realizes. With a good tight proof this equals
-// the LLP optimum.
-func SMBound(llp *bounds.LLPResult, logSizes []*big.Rat) *big.Rat {
-	sum := new(big.Rat)
-	t := new(big.Rat)
-	for j, w := range llp.W {
-		t.Mul(w, logSizes[j])
-		sum.Add(sum, t)
-	}
-	return sum
-}

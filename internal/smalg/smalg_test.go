@@ -205,3 +205,16 @@ func TestRunAutoAllocRegression(t *testing.T) {
 		t.Fatalf("SMA allocates %v times per warm run, want ≤ 260", allocs)
 	}
 }
+
+// SMBound returns the bound certified by a proof: Σ_j w_j n_j where w_j are
+// the dual weights the proof realizes. With a good tight proof this equals
+// the LLP optimum.
+func SMBound(llp *bounds.LLPResult, logSizes []*big.Rat) *big.Rat {
+	sum := new(big.Rat)
+	t := new(big.Rat)
+	for j, w := range llp.W {
+		t.Mul(w, logSizes[j])
+		sum.Add(sum, t)
+	}
+	return sum
+}
