@@ -466,3 +466,44 @@ func TestParallelUnfinishedAttemptDecidesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestAttemptOverrunAfterGroups: Fig. 9's generic-join order leaves the
+// identity order after D E F, so the attempt streams a (D, E, F) group at a
+// time and has delivered rows when it overruns; CSMA then resumes past them,
+// on one worker and on the morsel path, and the collector holds exactly the
+// naive answer. On three workers the caller's morsel is the one that
+// streams, and whether it flushes a group before the other two spend the
+// budget is the scheduler's call, so the run is repeated until it does.
+func TestAttemptOverrunAfterGroups(t *testing.T) {
+	defer func(c int) { attemptFactor = c }(attemptFactor)
+	attemptFactor = 1
+	q, _ := paper.Fig9Instance(64)
+	want := naive.Evaluate(q)
+	for _, workers := range []int{1, 3} {
+		atTrip := 0
+		for try := 0; try < 50 && atTrip == 0; try++ {
+			b := bind(t, q)
+			plan := b.Admission()
+			st := &Stats{Plan: *plan, Ran: plan.Algorithm, Workers: 1, PartitionVar: -1}
+			var g *memGauge
+			if workers > 1 {
+				g = &memGauge{}
+			}
+			c := rel.NewCollect("Q", q.AllVars().Members()...)
+			atTrip = -1
+			delivered := func() int { atTrip = c.R.Len(); return atTrip }
+			if err := b.attemptInto(context.Background(), plan, workers, g, st, c, delivered); err != nil {
+				t.Fatalf("%d workers: %v", workers, err)
+			}
+			if !rel.Identical(c.R, want) {
+				t.Fatalf("%d workers: %d rows differ from the reference's %d", workers, c.R.Len(), want.Len())
+			}
+			if st.Ran != AlgCSMA || atTrip < 0 || atTrip >= want.Len() {
+				t.Fatalf("%d workers: ran %s with %d rows delivered at the overrun; want CSMA after an overrun mid-stream", workers, st.Ran, atTrip)
+			}
+		}
+		if atTrip == 0 {
+			t.Fatalf("%d workers: no attempt in 50 delivered a row before it overran", workers)
+		}
+	}
+}

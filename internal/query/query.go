@@ -30,6 +30,11 @@ type DegreeBound struct {
 	Guard     int // index of the relation guarding the bound
 }
 
+// format renders the bound in the given variable names, as X->Y max N.
+func (d DegreeBound) format(names []string) string {
+	return fmt.Sprintf("%s->%s max %d", d.X.Format(names), d.Y.Format(names), d.MaxDegree)
+}
+
 // Q is a query with functional dependencies over variables 0..K-1, together
 // with its database instance (one rel.Relation per input).
 type Q struct {
@@ -334,17 +339,16 @@ func (q *Q) Validate() error {
 	}
 	for _, d := range q.DegreeBounds {
 		if d.Guard < 0 || d.Guard >= len(q.Rels) {
-			return fmt.Errorf("query: degree bound has invalid guard %d", d.Guard)
+			return fmt.Errorf("query: degree bound %s has invalid guard %d", d.format(q.Names), d.Guard)
 		}
 		g := q.Rels[d.Guard]
 		if !g.VarSet().ContainsAll(d.Y) {
-			return fmt.Errorf("query: degree bound Y ⊄ guard %s", g.Name)
+			return fmt.Errorf("query: degree bound %s not contained in guard %s", d.format(q.Names), g.Name)
 		}
 		proj := g.Project(d.Y)
 		pix := proj.IndexOn(d.X.Members()...)
 		if got := pix.MaxDegree(d.X.Len()); got > d.MaxDegree {
-			return fmt.Errorf("query: degree bound %s->%s max %d violated by %s (max degree %d)",
-				d.X.Format(q.Names), d.Y.Format(q.Names), d.MaxDegree, g.Name, got)
+			return fmt.Errorf("query: degree bound %s violated by %s (max degree %d)", d.format(q.Names), g.Name, got)
 		}
 	}
 	return nil

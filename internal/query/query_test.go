@@ -106,6 +106,10 @@ func TestValidateNamesTheViolation(t *testing.T) {
 			"query: relation R violates FD {a,c}->{b}"},
 		{"degree", func(q *Q) { q.AddDegreeBound(q.Vars("a"), q.Vars("a", "b"), 2, 0) },
 			"query: degree bound {a}->{a,b} max 2 violated by R (max degree 3)"},
+		{"degree-guard", func(q *Q) { q.AddDegreeBound(q.Vars("a"), q.Vars("a", "b"), 2, 3) },
+			"query: degree bound {a}->{a,b} max 2 has invalid guard 3"},
+		{"degree-outside-guard", func(q *Q) { q.AddDegreeBound(q.Vars("c"), q.Vars("b", "c"), 1, 1) },
+			"query: degree bound {c}->{b,c} max 1 not contained in guard S"},
 	} {
 		q := New("a", "b", "c")
 		r := rel.New("R", 0, 1, 2)
@@ -113,6 +117,9 @@ func TestValidateNamesTheViolation(t *testing.T) {
 		r.Add(1, 2, 0)
 		r.Add(1, 3, 0)
 		q.AddRel(r)
+		s := rel.New("S", 0, 2)
+		s.Add(1, 0)
+		q.AddRel(s)
 		tc.add(q)
 		if err := q.Validate(); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)

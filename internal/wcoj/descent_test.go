@@ -269,3 +269,71 @@ func TestCountRunAllocations(t *testing.T) {
 		t.Fatalf("a warm count on motif/clique4@1024 allocates %v times, want at most 18", n)
 	}
 }
+
+// TestPrefixCostsAPrefix pins what a limit costs under an order that leaves
+// the identity order after a prefix: Fig. 9's DefaultOrder is D E F M N
+// (P, S, T, O derived), so its rows leave a (D, E, F) group at a time, and a
+// LIMIT-k run stops within the k-th group instead of paying for the whole
+// descent.
+func TestPrefixCostsAPrefix(t *testing.T) {
+	q := family(t, "paper/fig9", 64)
+	order := DefaultOrder(q)
+	if want := []int{0, 1, 2, 6, 3, 4, 7, 5, 8}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("Fig. 9's order is %v, want %v", order, want)
+	}
+	for _, tc := range []struct {
+		limit int
+		want  Stats
+	}{
+		{1, Stats{Extensions: 5, Lookups: 4, Stopped: true}},
+		{7, Stats{Extensions: 23, Lookups: 16, Stopped: true}},
+		{1 << 20, Stats{Extensions: 1608, Lookups: 1096}},
+	} {
+		lim := rel.NewCollect("Q", q.AllVars().Members()...)
+		st, err := GenericJoinInto(context.Background(), q, order, rel.Limit(lim, tc.limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *st != tc.want {
+			t.Fatalf("Fig. 9 at limit %d: %+v, want %+v", tc.limit, *st, tc.want)
+		}
+	}
+}
+
+// blockTriangles is the triangle on b disjoint 3 × 3 products: under the
+// order x z y each x is a group of nine rows that leave the descent out of
+// order, whatever b is.
+func blockTriangles(b int) *query.Q {
+	q := query.New("x", "y", "z")
+	for _, attrs := range [][]int{{0, 1}, {1, 2}, {2, 0}} {
+		r := rel.New("R", attrs...)
+		for blk := range b {
+			for i := range 3 {
+				for j := range 3 {
+					r.Add(rel.Value(3*blk+i), rel.Value(3*blk+j))
+				}
+			}
+		}
+		q.AddRel(r)
+	}
+	return q
+}
+
+// TestGroupFlushAllocations: a group's flush reuses the group's storage, so
+// a warm count allocates the same on 8 groups as on 64.
+func TestGroupFlushAllocations(t *testing.T) {
+	allocs := func(b int) float64 {
+		q := blockTriangles(b)
+		run := func() {
+			var n rel.CountSink
+			if _, err := GenericJoinInto(context.Background(), q, []int{0, 2, 1}, &n); err != nil || n.N != 27*b {
+				t.Fatalf("%d blocks: %d rows, %v", b, n.N, err)
+			}
+		}
+		run() // builds the tries
+		return testing.AllocsPerRun(20, run)
+	}
+	if few, many := allocs(8), allocs(64); few != many {
+		t.Fatalf("a warm count allocates %v times on 8 groups and %v on 64", few, many)
+	}
+}

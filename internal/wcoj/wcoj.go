@@ -15,10 +15,14 @@
 //
 // Execution is sink-based (see rel.Sink): GenericJoinInto and
 // BinaryPlanInto emit rows into a sink in the final output order and stop
-// the moment the sink does. Generic join with the identity variable order —
-// the default for FD-light queries — streams natively during the trie
-// descent, so a LIMIT-1 consumer pays only for the first successful
-// descent; other orders (and the binary plan) buffer, sort, and flush. The
+// the moment the sink does. Generic join streams during the trie descent
+// one group at a time: the rows that share their values on the order's
+// identity prefix (order[:k] = 0, 1, …, k-1) come out of the descent
+// together, groups ascending, so only the group in hand is buffered and
+// sorted before it leaves, and a LIMIT-1 consumer pays for the first group.
+// Under the identity order — the default for FD-light queries — every group
+// is one row and nothing is buffered; only an order that does not start
+// with variable 0 (and the binary plan) buffers the whole answer. The
 // descent is compiled per run from the shape and the order (which relations
 // meet at which trie level, which FDs fire after a binding, which levels a
 // derived value binds), and hands its last level to a rel.RunSink — a bare
@@ -29,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/expand"
 	"repro/internal/faultinject"
@@ -57,35 +62,17 @@ type Stats struct {
 // Extensions + Lookups.
 func (s *Stats) Work() int { return s.Extensions + s.Lookups }
 
-// identityOrder reports whether order is 0, 1, 2, ... — the case in which
-// the descent below enumerates output rows in exactly the final output
-// order (ascending-variable attributes, lexicographically sorted).
-//
-// Why: at depth d the recursion either iterates variable d's candidates in
-// ascending trie order, or skips it because an FD already derived it — and
-// a derived variable's value is a function of the variables bound before
-// it, all of which have positions < d under the identity order. So the
-// first position at which two emitted rows differ is always an iterated
-// position, iterated ascending, and no complete assignment repeats: the
-// emission is sorted and duplicate-free by construction.
-func identityOrder(order []int) bool {
-	for i, v := range order {
-		if v != i {
-			return false
-		}
-	}
-	return true
-}
-
 // GenericJoinInto evaluates the query with the generic worst-case-optimal
 // join over the given global variable order, emitting result rows into sink
 // (see rel.Sink for the ordering contract). Variables contained in no
-// relation must be derivable via UDF FDs from earlier variables. Under the
-// identity variable order rows stream natively during the trie descent —
-// the sink sees the first row after the first successful descent, and
-// stopping the sink abandons the rest of the search. Any other order
-// buffers, sorts, deduplicates, and then streams. The descent charges its
-// Stats.Work to a work.Meter on every step and every emitted run.
+// relation must be derivable via UDF FDs from earlier variables. Rows stream
+// during the trie descent a group at a time (see descent.buffer): the sink
+// sees the first group once the descent below its prefix binding finishes,
+// and stopping the sink abandons the rest of the search. Under the identity
+// order every group is one row and rows reach the sink unbuffered; an order
+// that does not start with variable 0 buffers, sorts, deduplicates, and then
+// streams the whole answer. The descent charges its Stats.Work to a
+// work.Meter on every step and every emitted run.
 //
 // Each relation is a trie (rel.TrieIndex) in the global order restricted to
 // its attributes; a variable's step intersects the bound nodes' child runs,
@@ -95,15 +82,10 @@ func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink
 	if len(order) != q.K {
 		return &Stats{}, fmt.Errorf("wcoj: order must list all %d variables", q.K)
 	}
-	out := sink
-	var buf *rel.CollectSink
-	if !identityOrder(order) {
-		buf = rel.NewCollect("Q", q.AllVars().Members()...)
-		out = buf
-	}
-	x := &descent{ctx: ctx, sink: out, vals: make([]Value, q.K)}
+	x := &descent{ctx: ctx, sink: sink, vals: make([]Value, q.K)}
 	x.m.Start(ctx, faultinject.SiteTrieDescent)
 	x.compile(q, order)
+	buf := x.buffer(q, order)
 	err := x.descend(0)
 	x.m.Stop(x.st.Work())
 	if errors.Is(err, errStop) {
@@ -118,15 +100,102 @@ func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink
 	return &x.st, nil
 }
 
+// buffer puts what the order needs between the descent and the caller's
+// sink, and returns the buffer when it must hold the whole answer. The
+// compiled levels that bind a variable of the order's identity prefix
+// order[:k] = 0, 1, …, k-1 (k maximal) are the first g levels.
+//
+// Why the rows that share their prefix values leave the descent together,
+// and groups in ascending order: a prefix variable is either iterated by its
+// level in ascending trie order, or derived by an FD from variables bound
+// before it — all of which lie in the prefix too. So two rows from different
+// bindings of the first g levels first differ in the prefix, at an iterated
+// variable, where the earlier binding has the smaller value. Within one
+// binding the levels below run in an order of their own, so a group is
+// buffered and sorted before it leaves, and the group mark after level g-1
+// says when it is complete. Two leaves of the descent differ in the variable
+// of the level where they part, so no row is emitted twice. Two cases need no
+// mark: when g is all the levels — the identity order, or every variable
+// past the prefix is derived — each binding gives at most one row, and the
+// descent emits in the final order as it goes; when g is 0 (the order does
+// not start with variable 0) the whole answer is one group.
+func (x *descent) buffer(q *query.Q, order []int) *rel.CollectSink {
+	k := 0
+	for k < q.K && order[k] == k {
+		k++
+	}
+	g := 0
+	for g < len(x.levels) && x.levels[g].v < k {
+		g++
+	}
+	var buf *rel.CollectSink
+	switch {
+	case g == 0:
+		buf = rel.NewCollect("Q", q.AllVars().Members()...)
+		x.sink = buf
+	case g < len(x.levels):
+		x.grp = &group{out: x.sink, w: q.K}
+		x.sink = x.grp
+		x.levels = slices.Insert(x.levels, g, level{group: true})
+	}
+	x.runs, _ = x.sink.(rel.RunSink)
+	return buf
+}
+
+// group holds the rows of one binding of the identity prefix (see buffer)
+// until the levels below it finish, and then hands them to out. Its storage
+// is kept from one group to the next, so flushing allocates only when a
+// group outgrows every earlier one.
+type group struct {
+	out  rel.Sink // the caller's sink
+	rows []Value  // flat, w values a row, in descent order
+	perm []int32  // scratch: the rows' sorted order
+	w    int
+}
+
+// Push buffers the row; it never stops the descent.
+func (g *group) Push(t rel.Tuple) bool {
+	g.rows = append(g.rows, t...)
+	return true
+}
+
+// flush pushes the buffered rows into out in ascending order and empties
+// the group; it reports whether out took them all.
+func (g *group) flush() bool {
+	rows, w := g.rows, g.w
+	g.rows = rows[:0]
+	perm := g.perm[:0]
+	for i := range int32(len(rows) / w) {
+		perm = append(perm, i)
+	}
+	g.perm = perm
+	if len(perm) > 1 {
+		slices.SortFunc(perm, func(a, b int32) int {
+			return slices.Compare(rows[int(a)*w:int(a)*w+w], rows[int(b)*w:int(b)*w+w])
+		})
+	}
+	for _, i := range perm {
+		at := int(i) * w
+		if !g.out.Push(rows[at : at+w : at+w]) {
+			return false
+		}
+	}
+	return true
+}
+
 // level is one iterating (or, in no relation, deriving) depth of the
 // descent. A depth whose variable an FD bound earlier is not compiled at all:
 // membership of a derived value is what the seeks check, footnote-1 style.
+// A group mark binds nothing: descent.buffer puts it after the levels of the
+// identity prefix, and the rows found below one visit of it are one group,
+// flushed when the visit returns.
 type level struct {
 	v     int
 	parts []part          // the relations containing v, in relation order; none: v must be derived
 	prog  *expand.Program // the FDs binding v can fire; nil when there are none
 	seeks []part          // the trie levels of FD-derived variables that binding v reaches, in relation then level order
 	run   bool            // the deepest level, binding the last column, nothing fired after it
+	group bool            // the group mark
 	err   error           // v is neither stored nor derivable: reported if the descent gets here
 }
 
@@ -149,8 +218,9 @@ type cell struct{ node, end int32 }
 // bound above it, which the loops above leave alone until it returns.
 type descent struct {
 	ctx    context.Context
-	sink   rel.Sink
+	sink   rel.Sink         // where the descent emits: the caller's sink, or a buffer in front of it
 	runs   rel.RunSink      // sink, when it takes the last level as runs
+	grp    *group           // sink, when the descent emits a group at a time
 	e      *expand.Expander // nil on an FD-free query
 	levels []level
 	vals   []Value // by variable id: the row being built
@@ -180,7 +250,8 @@ func (x *descent) compile(q *query.Q, order []int) {
 	}
 	ncells := base[len(tries)]
 	x.cells = make([]cell, ncells)
-	x.levels = make([]level, 0, q.K)
+	// At most one level per variable, and room for a group mark.
+	x.levels = make([]level, 0, q.K+1)
 	parts := make([]part, 0, ncells) // every trie level is bound once: iterated or sought
 	depth := make([]int, len(tries)) // relation j's levels bound so far
 	var fdVars varset.Set            // the variables some FD mentions
@@ -234,7 +305,6 @@ func (x *descent) compile(q *query.Q, order []int) {
 		last := &x.levels[n-1]
 		last.run = last.v == q.K-1 && len(last.parts) > 0 && last.prog == nil && len(last.seeks) == 0
 	}
-	x.runs, _ = x.sink.(rel.RunSink)
 }
 
 // children returns the child run of the node p's parent level is bound to.
@@ -265,6 +335,9 @@ func (x *descent) descend(d int) error {
 	}
 	lv := &x.levels[d]
 	if len(lv.parts) == 0 {
+		if lv.group {
+			return x.flushBelow(d)
+		}
 		return x.below(lv, d) // in no relation: whatever the FDs derive from nothing
 	}
 	// The relation with the smallest fanout seeds the candidates; the others
@@ -339,6 +412,18 @@ func (x *descent) below(lv *level, d int) error {
 		x.cells[p.cell].node = pos
 	}
 	return x.descend(d + 1)
+}
+
+// flushBelow runs the levels below the group mark at depth d for the current
+// binding of the identity prefix, then hands the group's rows to the sink.
+func (x *descent) flushBelow(d int) error {
+	if err := x.descend(d + 1); err != nil {
+		return err // a failed run's group may be partial: it never leaves
+	}
+	if !x.grp.flush() {
+		return errStop
+	}
+	return nil
 }
 
 // emitRun hands the rows vals[:K-1] × last to the run sink.
