@@ -205,6 +205,34 @@ func TestStatsSayWhatRan(t *testing.T) {
 	}
 }
 
+// TestFirstRowAfterAChainVerdict: on Example 5.8's skew instance a count
+// decides for the chain algorithm, and an iterator closed after one row is
+// then answered by generic join's prefix attempt, which reaches that row in
+// a few descent steps instead of a whole chain run.
+func TestFirstRowAfterAChainVerdict(t *testing.T) {
+	ctx := context.Background()
+	qq := paper.Fig1Skew(2048)
+	cat, q := fromInternal(t, qq)
+	q.Workers(1)
+	sess := cat.Session()
+	if n, err := sess.Count(ctx, q); err != nil || n != naive.Evaluate(qq).Len() {
+		t.Fatalf("Count: %d, %v", n, err)
+	}
+	rows, err := sess.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rows.Stats().Algorithm; got != "generic" {
+		t.Fatalf("Rows.Stats().Algorithm says %q after one row, want %q", got, "generic")
+	}
+}
+
 // TestBudgetsOnGenericJoinTripAtTheSameRow: the governor's row budget and a
 // caller's Limit wrap the collector, so generic join pushes them row by row
 // and they stop where they always did: the budget fails the query after

@@ -2,6 +2,7 @@ package fdq
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/fd"
@@ -218,23 +219,71 @@ func splitVars(s string) []string {
 // deliberately excluded: they vary per run without changing the shape
 // analysis.
 func (q *Q) signature() string {
-	var b strings.Builder
-	b.WriteString("v=")
-	b.WriteString(strings.Join(q.vars, ","))
+	n := 2 + listLen(q.vars)
 	for _, r := range q.rels {
-		fmt.Fprintf(&b, ";r=%s(%s)", r.name, strings.Join(r.vars, ","))
+		n += len(";r=()") + len(r.name) + listLen(r.vars)
+	}
+	for _, f := range q.fds {
+		n += len(";udf=:>") + len(f.udfName) + len(f.guard) + listLen(f.from) + listLen(f.to)
+	}
+	for _, d := range q.degs {
+		n += len(";deg=:>:") + len(d.guard) + listLen(d.x) + listLen(d.y) + 20
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("v=")
+	writeList(&b, q.vars)
+	for _, r := range q.rels {
+		b.WriteString(";r=")
+		b.WriteString(r.name)
+		b.WriteByte('(')
+		writeList(&b, r.vars)
+		b.WriteByte(')')
 	}
 	for _, f := range q.fds {
 		if f.udf != nil {
-			fmt.Fprintf(&b, ";udf=%s:%s>%s", f.udfName, strings.Join(f.from, ","), strings.Join(f.to, ","))
+			b.WriteString(";udf=")
+			b.WriteString(f.udfName)
 		} else {
-			fmt.Fprintf(&b, ";fd=%s:%s>%s", f.guard, strings.Join(f.from, ","), strings.Join(f.to, ","))
+			b.WriteString(";fd=")
+			b.WriteString(f.guard)
 		}
+		b.WriteByte(':')
+		writeList(&b, f.from)
+		b.WriteByte('>')
+		writeList(&b, f.to)
 	}
 	for _, d := range q.degs {
-		fmt.Fprintf(&b, ";deg=%s:%s>%s:%d", d.guard, strings.Join(d.x, ","), strings.Join(d.y, ","), d.max)
+		b.WriteString(";deg=")
+		b.WriteString(d.guard)
+		b.WriteByte(':')
+		writeList(&b, d.x)
+		b.WriteByte('>')
+		writeList(&b, d.y)
+		b.WriteByte(':')
+		var num [20]byte
+		b.Write(strconv.AppendInt(num[:0], int64(d.max), 10))
 	}
 	return b.String()
+}
+
+// listLen is the length of names joined by commas.
+func listLen(names []string) int {
+	n := max(len(names)-1, 0)
+	for _, s := range names {
+		n += len(s)
+	}
+	return n
+}
+
+// writeList writes names joined by commas.
+func writeList(b *strings.Builder, names []string) {
+	for i, s := range names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(s)
+	}
 }
 
 // relIndex returns the position of the first atom whose relation name

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -506,4 +507,124 @@ func TestAttemptOverrunAfterGroups(t *testing.T) {
 			t.Fatalf("%d workers: no attempt in 50 delivered a row before it overran", workers)
 		}
 	}
+}
+
+// TestPrefixAttemptAfterAVerdict: once a count has decided for the chain
+// algorithm on Example 5.8's skew instance, a run into a sink that can stop
+// early tries one sequential descent under W/attemptFactor first, W the
+// chain's work on the count. Limit(1) and Limit(7) finish inside it, with
+// generic join's work to the first and seventh row; a per-row consumer
+// reads everything, so the descent overruns and the chain resumes past its
+// rows, for at most W/attemptFactor and one descent step more than the
+// chain alone. Bare counts and collects run the chain alone. A UDF panic or
+// a cancel inside the descent fails the run without a fallback, and the
+// verdict stands.
+func TestPrefixAttemptAfterAVerdict(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{512, 2048} {
+		for _, workers := range []int{1, 3} {
+			q := paper.Fig1Skew(n)
+			var calls, at atomic.Int64 // the morsels call the UDFs concurrently
+			trip := func() {}
+			for _, f := range q.FDs.FDs {
+				for v, fn := range f.Fns {
+					f.Fns[v] = func(args []fd.Value) fd.Value {
+						if calls.Add(1) == at.Load() {
+							trip()
+						}
+						return fn(args)
+					}
+				}
+			}
+			want := naive.Evaluate(q)
+			vars := q.AllVars().Members()
+			b := bind(t, q)
+			opts := &Options{Workers: workers, MinParallelRows: 1}
+			if _, err := b.RunInto(ctx, opts, &rel.CountSink{}); err != nil {
+				t.Fatal(err)
+			}
+			verdict, w := b.won.Load(), int(b.machine.Load())
+			if verdict == nil || verdict.Algorithm != AlgChain || w == 0 {
+				t.Fatalf("Fig1Skew(%d) on %d workers: the count decided %v with %d work", n, workers, verdict, w)
+			}
+			name := func(what string) string { return fmt.Sprintf("Fig1Skew(%d) %s on %d workers", n, what, workers) }
+			kept := func(what string) {
+				t.Helper()
+				if b.won.Load() != verdict || int(b.machine.Load()) != w {
+					t.Fatalf("%s: the verdict moved to %v with %d work, was chain with %d", name(what), b.won.Load(), b.machine.Load(), w)
+				}
+			}
+
+			for _, tc := range []struct{ k, work int }{{1, 6}, {7, 24}} {
+				c := rel.NewCollect("Q", vars...)
+				st, err := b.RunInto(ctx, opts, rel.Limit(c, tc.k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rel.Identical(c.R, prefixOf(want, tc.k)) || st.Ran != AlgGenericJoin || st.work != tc.work {
+					t.Fatalf("%s: %d rows, ran %s with %d work; want naive's first %d, generic join, %d work",
+						name(fmt.Sprintf("Limit(%d)", tc.k)), c.R.Len(), st.Ran, st.work, tc.k, tc.work)
+				}
+				if !reflect.DeepEqual(st.Plan, *verdict) {
+					t.Fatalf("%s reports plan %s, the verdict %s", name("limit"), st.Plan.Algorithm, verdict.Algorithm)
+				}
+				kept("limit")
+			}
+
+			c := rel.NewCollect("Q", vars...)
+			st, err := b.RunInto(ctx, opts, rowSink{c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := w / attemptFactor
+			if !rel.Identical(c.R, want) || st.Ran != AlgChain {
+				t.Fatalf("%s: %d rows, ran %s; want naive's %d, chain", name("per-row"), c.R.Len(), st.Ran, want.Len())
+			}
+			if st.work <= w+budget || st.work > w+budget+stepWork(q) {
+				t.Fatalf("%s: %d work; want over the chain's %d + the budget %d, by at most one step %d", name("per-row"), st.work, w, budget, stepWork(q))
+			}
+			kept("per-row")
+
+			for _, sink := range []rel.Sink{&rel.CountSink{}, rel.NewCollect("Q", vars...)} {
+				st, err := b.RunInto(ctx, opts, sink)
+				if err != nil || st.Ran != AlgChain || st.work != w {
+					t.Fatalf("%s: ran %s with %d work, %v; want the chain's %d alone", name(fmt.Sprintf("bare %T", sink)), st.Ran, st.work, err, w)
+				}
+			}
+			kept("bare")
+
+			for _, mode := range []string{"panic", "cancel"} {
+				cctx, cancel := context.WithCancel(ctx)
+				trip = cancel
+				if mode == "panic" {
+					trip = func() { panic("boom: injected UDF failure") }
+				}
+				calls.Store(0)
+				at.Store(1)
+				c := rel.NewCollect("Q", vars...)
+				st, err := b.RunInto(cctx, opts, rowSink{c})
+				cancel()
+				var pe *PanicError
+				switch {
+				case mode == "panic" && (!errors.As(err, &pe) || calls.Load() != 1):
+					t.Fatalf("%s: %v after %d UDF calls; want *PanicError after the first", name(mode), err, calls.Load())
+				case mode == "cancel" && (!errors.Is(err, context.Canceled) || st.work > budget):
+					t.Fatalf("%s: %v after %d work; want context.Canceled inside the budget %d", name(mode), err, st.work, budget)
+				case st.Ran != AlgGenericJoin:
+					t.Fatalf("%s: ran %s; the chain must not take over", name(mode), st.Ran)
+				}
+				at.Store(0)
+				kept(mode)
+			}
+		}
+	}
+}
+
+// prefixOf is r's first k rows.
+func prefixOf(r *rel.Relation, k int) *rel.Relation {
+	out := rel.New(r.Name, r.Attrs...)
+	for i := 0; i < k && i < r.Len(); i++ {
+		out.AddTuple(r.Row(i))
+	}
+	return out
 }

@@ -119,9 +119,6 @@ func Prepare(q *query.Q) (*Prepared, error) {
 	return &Prepared{q: q}, nil
 }
 
-// Query returns the underlying query shape (with its default binding).
-func (p *Prepared) Query() *query.Q { return p.q }
-
 // Bound is a prepared shape bound to one database instance, ready to Run.
 // A Bound is immutable apart from its internal caches; Run may be called
 // concurrently.
@@ -132,8 +129,9 @@ type Bound struct {
 	mu    sync.Mutex
 	sched *splitMemo // guarded by mu; the last schedule's distinct values and split (schedule)
 
-	won    atomic.Pointer[Plan] // what an FD plan's runs execute once its attempt decided (attemptInto)
-	answer atomic.Int64         // rows of the last answer a run delivered in full (RunInto); a collector's reservation hint
+	won     atomic.Pointer[Plan] // what an FD plan's runs execute once its attempt decided (attemptInto)
+	answer  atomic.Int64         // rows of the last answer a run delivered in full (RunInto); a collector's reservation hint
+	machine atomic.Int64         // counted work of the won machine's last complete run (attemptInto); a prefix attempt's budget is it over attemptFactor
 }
 
 // Bind attaches an instance to the shape: rels must match the shape's
@@ -358,15 +356,30 @@ var attemptFit = &Plan{Algorithm: AlgGenericJoin}
 // or overruns decides for every later run of the (immutable) Bound, on any
 // number of workers, and a machine verdict is what later runs report in
 // st.Plan. A run that failed or whose sink stopped decides nothing.
-// DESIGN.md, "Run time: the generic-join attempt", has the argument.
+//
+// A later run of a machine verdict into a sink that can stop early makes a
+// prefix attempt first: one sequential descent under the machine's last
+// complete work over attemptFactor (prefixBudget). If it finishes or its
+// sink stops, it was the run; on an overrun the machine resumes past its
+// rows as above, and the verdict stands either way. DESIGN.md, "Run time:
+// the generic-join attempt", has the argument.
 func (b *Bound) attemptInto(ctx context.Context, plan *Plan, workers int, g *memGauge, st *Stats, sink rel.Sink, delivered func() int) (err error) {
-	if won := b.won.Load(); won != nil {
-		if won != attemptFit {
-			st.Plan = *won
-		}
+	if won := b.won.Load(); won == attemptFit {
 		st.Ran = won.Algorithm
 		_, err = b.runPlanInto(ctx, won, workers, g, st, sink)
 		return err
+	} else if won != nil {
+		st.Plan = *won
+		if canStop(sink) {
+			st.Ran = AlgGenericJoin
+			actx, _ := work.WithLimit(ctx, b.prefixBudget())
+			spent, _, err := runOneInto(actx, b.q, attemptFit, sink)
+			st.work += spent
+			if !errors.Is(err, work.ErrLimit) {
+				return err
+			}
+		}
+		return b.resume(ctx, won, workers, g, st, sink, delivered)
 	}
 	actx, _ := work.WithLimit(ctx, attemptBudget(b.q, plan))
 	stopped, err := b.runPlanInto(actx, attemptFit, workers, g, st, sink)
@@ -379,14 +392,50 @@ func (b *Bound) attemptInto(ctx context.Context, plan *Plan, workers int, g *mem
 	}
 	if plan.Algorithm == AlgAuto {
 		plan = b.Plan()
-		st.Plan, st.Ran = *plan, plan.Algorithm
+		st.Plan = *plan
 	}
 	b.won.Store(plan)
+	return b.resume(ctx, plan, workers, g, st, sink, delivered)
+}
+
+// resume runs the won machine on workers past the rows an attempt already
+// delivered, and records the work of a run that completed as the next
+// prefix attempt's measure.
+func (b *Bound) resume(ctx context.Context, won *Plan, workers int, g *memGauge, st *Stats, sink rel.Sink, delivered func() int) error {
+	st.Ran = won.Algorithm
 	if n := delivered(); n > 0 {
 		sink = &skipSink{s: sink, n: n}
 	}
-	_, err = b.runPlanInto(ctx, plan, workers, g, st, sink)
+	before := st.work
+	stopped, err := b.runPlanInto(ctx, won, workers, g, st, sink)
+	if err == nil && !stopped {
+		b.machine.Store(int64(st.work - before))
+	}
 	return err
+}
+
+// prefixBudget is the won machine's last complete work over attemptFactor;
+// 0 at a factor of 0 (FuzzPlannerConsistency's) or before any complete run.
+func (b *Bound) prefixBudget() int {
+	if attemptFactor <= 0 {
+		return 0
+	}
+	return int(b.machine.Load()) / attemptFactor
+}
+
+// canStop reports whether sink, which RunInto may have wrapped in its
+// gauge, can end a run early: anything but a bare CountSink or
+// CollectSink. A run into those reads the whole answer, so a prefix attempt
+// would only add to its work.
+func canStop(sink rel.Sink) bool {
+	if s, ok := sink.(*gaugeSink); ok {
+		sink = s.s
+	}
+	switch sink.(type) {
+	case *rel.CountSink, *rel.CollectSink:
+		return false
+	}
+	return true
 }
 
 // skipSink drops the first n rows pushed and forwards the rest.

@@ -24,8 +24,11 @@ import (
 // naive reference byte-for-byte, as must an FD plan resumed after its
 // generic-join attempt overran, on one worker and on three (where the
 // overrun can land mid-stream on the morsel frontier, and the machine
-// resumes split). The admission record's bound must be the plan's, and a
-// fresh shape's run admitted on it must plan its machine at the overrun.
+// resumes split). Once a run has decided, a LIMIT-k run and a per-row run
+// on the same workers, which on a machine verdict try a prefix descent
+// first, must answer naive's rows and keep the verdict. The admission
+// record's bound must be the plan's, and a fresh shape's run admitted on it
+// must plan its machine at the overrun.
 func FuzzPlannerConsistency(f *testing.F) {
 	f.Add(int64(2016), 4, 3, 20, 4, true)
 	f.Add(int64(516), 3, 2, 12, 3, false)
@@ -89,6 +92,7 @@ func FuzzPlannerConsistency(f *testing.F) {
 		// overrun and then reported in st.Plan.
 		defer func(c int) { attemptFactor = c }(attemptFactor)
 		attemptFactor = fold(int(seed), 3)
+		k := 1 + fold(int(seed>>2), 8)
 		fresh := scenario.RandomQuery(rand.New(rand.NewSource(seed)), nVars, nRels, nRows, domain, withFDs)
 		for _, tc := range []struct {
 			q    *query.Q
@@ -121,6 +125,25 @@ func FuzzPlannerConsistency(f *testing.F) {
 				if tc.plan.Algorithm == AlgAuto && won != attemptFit &&
 					(won != b0.Plan() || !reflect.DeepEqual(st.Plan, *b0.Plan()) || st.Ran != won.Algorithm) {
 					t.Fatalf("admitted run overran at factor %d on %d workers: reports %+v, ran %s; the planner %+v", attemptFactor, workers, st.Plan, st.Ran, *b0.Plan())
+				}
+				// After the verdict, a LIMIT-k run and a per-row run, which on a
+				// machine verdict try a prefix descent first, answer naive's
+				// rows and keep the verdict.
+				for _, limit := range []bool{true, false} {
+					c := rel.NewCollect("Q", q.AllVars().Members()...)
+					var sink rel.Sink = rowSink{c}
+					want := want
+					if limit {
+						sink, want = rel.Limit(c, k), prefixOf(want, k)
+					}
+					st, err := b0.RunInto(context.Background(), &Options{Workers: workers, MinParallelRows: 1}, sink)
+					if err != nil {
+						t.Fatalf("limit %v after a %s verdict at factor %d on %d workers: %v", limit, won.Algorithm, attemptFactor, workers, err)
+					}
+					if !rel.Identical(c.R, want) || b0.won.Load() != won {
+						t.Fatalf("limit %v after a %s verdict at factor %d on %d workers: ran %s, %d rows, want %d; verdict now %v",
+							limit, won.Algorithm, attemptFactor, workers, st.Ran, c.R.Len(), want.Len(), b0.won.Load())
+					}
 				}
 			}
 		}

@@ -18,6 +18,9 @@ import (
 	"repro/internal/varset"
 )
 
+// Query returns the underlying query shape (with its default binding).
+func (p *Prepared) Query() *query.Q { return p.q }
+
 // Prepare must not build the FD lattice: planner rule 1 (no FDs, no degree
 // bounds) never reads it, and on an FD-free query it has 2^k elements. The
 // build is detected by the heap bytes it allocates: the 4096-element lattice

@@ -96,9 +96,6 @@ func (x Num) SetRat(z *big.Rat) *big.Rat {
 	return z.SetInt64(x.n)
 }
 
-// Rat returns x as a new *big.Rat.
-func (x Num) Rat() *big.Rat { return x.SetRat(new(big.Rat)) }
-
 // Sign returns −1, 0 or +1.
 func (x Num) Sign() int {
 	if x.r != nil {

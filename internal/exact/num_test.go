@@ -8,6 +8,9 @@ import (
 	"testing"
 )
 
+// Rat returns x as a new *big.Rat.
+func (x Num) Rat() *big.Rat { return x.SetRat(new(big.Rat)) }
+
 func br(s string) *big.Rat {
 	r, ok := new(big.Rat).SetString(s)
 	if !ok {
