@@ -218,8 +218,8 @@ func e6() float64 {
 		q, _ := paper.Fig9Instance(4)
 		llp := bounds.LLP(q)
 		p := smalg.FindProof(llp)
-		pAny := smalg.FindProofAuto(q, llp)
-		fmt.Printf("E6 — Fig.9: SM proof exists (paper: NO): direct=%v any-dual=%v\n\n", p != nil, pAny != nil)
+		pDual := smalg.FindProofAuto(q, llp)
+		fmt.Printf("E6 — Fig.9: SM proof exists (paper: NO): direct=%v explicit-dual=%v\n\n", p != nil, pDual != nil)
 	}
 	t := newTable("E6 — Fig.9 query via CSMA (Example 5.31 continued)",
 		"N per input", "OPT = N^{3/2}", "|Q|", "CSMA time", "branches", "restarts")

@@ -25,8 +25,8 @@ type DualLLP struct {
 }
 
 // SolveDualLLP builds and solves the explicit dual. Pairs are ordered
-// (min, max) by element index. Only tests call it until the work
-// certificates of ROADMAP item 16 read its (w, s).
+// (min, max) by element index. The SM proof search (smalg.FindProofAuto)
+// reads its w when the LLP solver's own dual weights have no good proof.
 func SolveDualLLP(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *DualLLP {
 	n := l.Size()
 	rows := submodRows(l)
@@ -38,7 +38,8 @@ func SolveDualLLP(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *DualLL
 	one := big.NewRat(1, 1)
 	zero := new(big.Rat)
 
-	// Row for 1̂: Σ_{X∨Y=1̂} s ≥ 1.
+	// Row for 1̂: Σ_{X∨Y=1̂} s ≥ 1, unless 1̂ = 0̂ (every variable is
+	// determined by ∅), where h(1̂) = h(0̂) = 0 needs no cover.
 	var topTerms []lp.Term
 	for i, r := range rows {
 		if r.join == l.Top {
@@ -51,7 +52,9 @@ func SolveDualLLP(l *lattice.Lattice, inputs []int, logSizes []*big.Rat) *DualLL
 			topTerms = append(topTerms, term(j, 1))
 		}
 	}
-	p.Add(lp.GE, one, topTerms...)
+	if l.Top != l.Bottom {
+		p.Add(lp.GE, one, topTerms...)
+	}
 
 	// One row per Z ∈ L \ {0̂, 1̂}.
 	for z := 0; z < n; z++ {

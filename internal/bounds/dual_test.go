@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/paper"
 	"repro/internal/query"
+	"repro/internal/rel"
+	"repro/internal/varset"
 )
 
 // The explicit dual (Eq. 8) must match the primal LLP optimum by strong
@@ -21,6 +23,14 @@ func TestDualLLPStrongDuality(t *testing.T) {
 	qs["fig4"] = q4
 	q9, _ := paper.Fig9Instance(16)
 	qs["fig9"] = q9
+	// ∅ → x: the lattice is one element, 1̂ = 0̂, and the bound is 2^0.
+	constant := query.New("x")
+	constant.FDs.Add(varset.Empty, varset.Single(0), -1, nil)
+	r := rel.New("R", 0)
+	r.Add(1)
+	r.Add(2)
+	constant.AddRel(r)
+	qs["constant"] = constant
 	for name, q := range qs {
 		llp := LLP(q)
 		dual := SolveDualLLP(llp.Lat, llp.Inputs, q.LogSizes())

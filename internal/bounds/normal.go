@@ -60,7 +60,7 @@ func IsNormalLattice(q *query.Q) *NormalityResult {
 		return &NormalityResult{Normal: true}
 	}
 	res := &NormalityResult{Normal: true}
-	err := lp.Vertices(h.CoverLP(q.LogSizes()), 0, func(w []*big.Rat) bool {
+	err := lp.Vertices(h.CoverLP(q.LogSizes()), func(w []*big.Rat) bool {
 		if !OutputInequalityHolds(l, inputs, w) {
 			res = &NormalityResult{Normal: false, WitnessCover: w}
 		}

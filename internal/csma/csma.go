@@ -49,6 +49,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/big"
 	"slices"
 
 	"repro/internal/bounds"
@@ -260,8 +261,10 @@ func RunInto(ctx context.Context, q *query.Q, cp *Plan, sink rel.Sink) (*Stats, 
 	results := rel.New("Q", q.AllVars().Members()...)
 	budget := math.Exp2(st.OPT + theta)
 
-	var exec func(plan []op, idx int, state []*rel.Relation, restarts int) error
-	exec = func(plan []op, idx int, state []*rel.Relation, restarts int) error {
+	// exec runs plan from op idx; opt is the optimum of the CLLP plan was
+	// built from, which a restart's re-solve must drop below.
+	var exec func(plan []op, idx int, state []*rel.Relation, opt *big.Rat, restarts int) error
+	exec = func(plan []op, idx int, state []*rel.Relation, opt *big.Rat, restarts int) error {
 		if err := st.m.Check(ctx, st.Work()); err != nil {
 			return err
 		}
@@ -288,7 +291,7 @@ func RunInto(ctx context.Context, q *query.Q, cp *Plan, sink rel.Sink) (*Stats, 
 				proj = rel.Intersect(prev, proj)
 			}
 			ns[o.x] = proj
-			return exec(plan, idx+1, ns, restarts)
+			return exec(plan, idx+1, ns, opt, restarts)
 
 		case opJoin:
 			ta, tb := state[o.x], state[o.y]
@@ -302,13 +305,15 @@ func RunInto(ctx context.Context, q *query.Q, cp *Plan, sink rel.Sink) (*Stats, 
 				st.Branches++
 				cost := float64(ta.Len()) * float64(bk.MaxDeg)
 				if cost > budget && restarts < maxRestarts {
-					// Lemma 5.36: re-solve with observed constraints; the
-					// optimum drops, and we restart this branch.
+					// Lemma 5.36: re-solve with observed constraints; where
+					// the optimum drops, restart this branch on the new plan.
 					st.Restarts++
-					if err := restartBranch(q, l, e, res.P, state, o, bk.Table, z,
-						func(p2 []op, s2 []*rel.Relation) error {
-							return exec(p2, 0, s2, restarts+1)
-						}); err == nil {
+					if plan2, opt2, err := restartBranch(l, res.P, state, o, bk.Table, z, opt); err == nil {
+						ns := cloneState(state)
+						ns[o.y] = bk.Table
+						if err := exec(plan2, 0, ns, opt2, restarts+1); err != nil {
+							return err
+						}
 						continue
 					}
 					// Restart failed to tighten; fall through and join.
@@ -328,7 +333,7 @@ func RunInto(ctx context.Context, q *query.Q, cp *Plan, sink rel.Sink) (*Stats, 
 				}
 				ns[o.out] = outTable
 				ns[o.y] = bk.Table
-				if err := exec(plan, idx+1, ns, restarts); err != nil {
+				if err := exec(plan, idx+1, ns, opt, restarts); err != nil {
 					return err
 				}
 			}
@@ -336,7 +341,7 @@ func RunInto(ctx context.Context, q *query.Q, cp *Plan, sink rel.Sink) (*Stats, 
 		}
 		return nil
 	}
-	if err := exec(plan, 0, initState, 0); err != nil {
+	if err := exec(plan, 0, initState, res.LogBound, 0); err != nil {
 		return st, err
 	}
 	st.m.Stop(st.Work())
@@ -355,13 +360,11 @@ func cloneState(state []*rel.Relation) []*rel.Relation {
 }
 
 // restartBranch re-solves the CLLP with the branch's observed cardinalities
-// and the offending degree bound added, rebuilds the plan, and re-executes
-// via cont. It returns an error when the optimum does not strictly drop
-// (no point restarting).
-func restartBranch(q *query.Q, l *lattice.Lattice, e *expand.Expander,
-	baseP []bounds.DegreePair, state []*rel.Relation, o op,
-	bucketTable *rel.Relation, z int,
-	cont func([]op, []*rel.Relation) error) error {
+// and the offending degree bound added, and returns the plan rebuilt from it
+// with its optimum. It returns an error when that optimum does not strictly
+// drop below opt, the running plan's (no point restarting).
+func restartBranch(l *lattice.Lattice, baseP []bounds.DegreePair, state []*rel.Relation, o op,
+	bucketTable *rel.Relation, z int, opt *big.Rat) ([]op, *big.Rat, error) {
 
 	P := append([]bounds.DegreePair{}, baseP...)
 	for elem, t := range state {
@@ -379,13 +382,14 @@ func restartBranch(q *query.Q, l *lattice.Lattice, e *expand.Expander,
 	}
 	res2 := bounds.CLLP(l, P)
 	if res2.LogBound == nil {
-		return fmt.Errorf("csma: restart CLLP unbounded")
+		return nil, nil, fmt.Errorf("csma: restart CLLP unbounded")
+	}
+	if res2.LogBound.Cmp(opt) >= 0 {
+		return nil, nil, fmt.Errorf("csma: restart CLLP optimum %s does not drop below %s", res2.LogBound.FloatString(3), opt.FloatString(3))
 	}
 	plan2, err := buildPlan(l, res2)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	ns := cloneState(state)
-	ns[o.y] = bucketTable
-	return cont(plan2, ns)
+	return plan2, res2.LogBound, nil
 }

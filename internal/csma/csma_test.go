@@ -137,3 +137,18 @@ func TestBuildPlanIsDeterministic(t *testing.T) {
 		t.Fatalf("CSMA planned only %d catalog families: the test lost its coverage", planned)
 	}
 }
+
+// TestFig1SkewRestartsOnce: on Example 5.8's skew instance the first heavy
+// bucket overflows the budget and its branch's re-solved CLLP does not drop
+// below the plan's optimum, so the restart is refused (Lemma 5.36 restarts
+// only on a strictly lower optimum) and the bucket is joined at once.
+func TestFig1SkewRestartsOnce(t *testing.T) {
+	var out rel.CountSink
+	st, err := RunInto(context.Background(), paper.Fig1Skew(256), nil, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Restarts != 1 || st.Overflows != 1 || out.N != 382 {
+		t.Fatalf("%d restarts, %d overflows, %d rows; want 1, 1 and 382", st.Restarts, st.Overflows, out.N)
+	}
+}

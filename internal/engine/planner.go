@@ -194,7 +194,7 @@ type Analysis struct {
 	BooleanAlg    bool
 	HasM3Top      bool // Prop. 4.10 necessary condition for non-normality
 	Normal        bool // Theorem 4.9 decision procedure
-	SMProofExists bool // a good SM proof for some optimal dual
+	SMProofExists bool // a good SM proof for the solver's or the explicit dual's weights (smalg.GoodProof)
 
 	LogAGM        float64 // AGM bound ignoring FDs (+Inf if infeasible)
 	LogAGMClosure float64 // AGM(Q⁺)

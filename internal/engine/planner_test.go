@@ -195,10 +195,10 @@ func wideFig9(k int) *query.Q {
 }
 
 // A shape with sixteen inputs whose solver dual has no good SM proof plans
-// within seconds: the proof search walks the few vertices of the cover
-// polytope's optimal face, not the C(32, 16) ≈ 6·10⁸ square systems of the
-// polytope's tight-row choices, and the planner falls back to CSMA as on
-// Fig. 9.
+// within seconds: the proof search solves one more LP, the explicit dual
+// LLP, for a second optimal dual on the optimal face, and enumerates none of
+// the C(32, 16) ≈ 6·10⁸ square systems of the cover polytope's tight-row
+// choices; the planner falls back to CSMA as on Fig. 9.
 func TestPlanWideFig9SearchesTheOptimalFace(t *testing.T) {
 	q := wideFig9(13)
 	if n, co, size := len(q.Rels), len(q.Lattice().Coatoms()), q.Lattice().Size(); n != 16 || co != 16 || size != 31 {

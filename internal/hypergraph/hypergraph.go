@@ -60,8 +60,8 @@ func (h *H) FractionalEdgeCover(logSizes []*big.Rat) *CoverResult {
 
 // CoverLP returns the weighted fractional edge cover LP: minimize
 // Σ_j w_j·logSize_j over the cover polytope {w ≥ 0 : Σ_{j: i ∈ e_j} w_j ≥ 1
-// for every node i}, whose vertices the normality test (Theorem 4.9) and the
-// SM proof search walk with lp.Vertices.
+// for every node i}, whose vertices the normality test (Theorem 4.9) walks
+// with lp.Vertices.
 func (h *H) CoverLP(logSizes []*big.Rat) *lp.Problem {
 	m := len(h.Edges)
 	p := lp.NewProblem(m, false)

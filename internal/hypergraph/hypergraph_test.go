@@ -77,7 +77,7 @@ func TestCoverPolytopeVertices(t *testing.T) {
 	// Paper Sec. 2: the triangle's edge cover polytope has exactly the 4
 	// vertices (1/2,1/2,1/2), (1,1,0), (1,0,1), (0,1,1).
 	var vs []string
-	err := lp.Vertices(triangle().CoverLP(unitLogSizes(3)), 0, func(w []*big.Rat) bool {
+	err := lp.Vertices(triangle().CoverLP(unitLogSizes(3)), func(w []*big.Rat) bool {
 		vs = append(vs, fmt.Sprint(w))
 		return true
 	})

@@ -17,7 +17,6 @@ import (
 // function's directory relative to the module root, a dot, and its name
 // (Recv.Name for a method).
 var testOnlyAllowed = map[string]string{
-	"internal/bounds.SolveDualLLP":              "the dual certificate of ROADMAP item 16; its only caller today is internal/lp's tests",
 	"internal/bounds.MaterializeNormal":         "the Lemma 4.5 worst-case instance of ROADMAP item 11",
 	"internal/bounds.Materialization.EntropyOf": "checks item 11's materialized instance",
 	"internal/bounds.Monotonize":                "repairs a non-normal optimal vertex for ROADMAP item 11",

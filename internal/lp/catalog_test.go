@@ -2,15 +2,19 @@ package lp_test
 
 import (
 	"math/big"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/bounds"
+	"repro/internal/lattice"
 	"repro/internal/lp"
 	"repro/internal/paper"
 	"repro/internal/query"
+	"repro/internal/rel"
 	"repro/internal/scenario"
 	"repro/internal/smalg"
+	"repro/internal/varset"
 )
 
 // maxCatalogLattice bounds the lattices whose LLP-sized programs the
@@ -21,8 +25,8 @@ const maxCatalogLattice = 40
 
 // boundLPs drives every bound layer that builds a linear program on q:
 // fractional edge cover (AGM, co-atomic, one per good chain), vertex
-// packing, the LLP, its explicit dual, the output-inequality LP of the SM
-// proof search, and the CLLP.
+// packing, the LLP, its explicit dual (the SM proof search's second
+// candidate), the output-inequality LP of the normality test, and the CLLP.
 func boundLPs(q *query.Q) {
 	bounds.AGM(q)
 	bounds.VertexPacking(q)
@@ -41,9 +45,9 @@ func boundLPs(q *query.Q) {
 	bounds.CLLPFromQuery(q)
 }
 
-// refFindProof is the SM proof search as it ran on the exhaustive
-// enumeration: the solver's dual weights, then every vertex of the co-atomic
-// cover polytope at the LLP value whose output inequality holds.
+// refFindProof is the exhaustive SM proof search: the solver's dual weights,
+// then every vertex of the co-atomic cover polytope at the LLP value whose
+// output inequality holds.
 func refFindProof(q *query.Q, llp *bounds.LLPResult) *smalg.Proof {
 	if p := smalg.FindProof(llp); p != nil {
 		return p
@@ -70,10 +74,11 @@ func refFindProof(q *query.Q, llp *bounds.LLPResult) *smalg.Proof {
 }
 
 // TestCoverSearchesMatchExhaustive: on every FD or degree shape of the
-// full-tier catalog and the paper's instances, the SM proof search and the
-// normality test, which walk cover-polytope vertices with lp.Vertices, decide
-// what the exhaustive enumeration decides — a good proof exists, the lattice
-// is normal — and the search finds the same proof.
+// full-tier catalog and the paper's instances, the SM proof search (the
+// solver's dual weights, then the explicit dual LLP's) and the normality
+// test (which walks the cover polytope's vertices with lp.Vertices) decide
+// what a search over every cover-polytope vertex decides — a good proof
+// exists, the lattice is normal — and the proof search finds the same proof.
 func TestCoverSearchesMatchExhaustive(t *testing.T) {
 	fig4, _ := paper.Fig4Instance(64)
 	fig9, _ := paper.Fig9Instance(16)
@@ -119,6 +124,100 @@ func TestCoverSearchesMatchExhaustive(t *testing.T) {
 		t.Fatalf("%d shapes searched past the solver's weights, %d of them found a proof: the comparison went untested", searched, proofs)
 	}
 	t.Logf("%d shapes, %d searched past the solver's weights, %d of them found a good proof", len(qs), searched, proofs)
+}
+
+// randomFDShape builds a query over k variables the way
+// bounds.FuzzLLPRowGeneration builds its lattices: random dependencies, then
+// inputs on random closed sets of 2-64 rows, a power of two so that
+// sizes tie and optimal duals are many, then one input on the closure
+// of each variable still uncovered. The rows are distinct and satisfy no
+// dependency: only the lattice and the sizes reach the LLP.
+func randomFDShape(rng *rand.Rand, k int) *query.Q {
+	names := make([]string, k)
+	for v := range names {
+		names[v] = string(rune('a' + v))
+	}
+	q := query.New(names...)
+	for range rng.Intn(2 * k) {
+		from, to := varset.Set(rng.Intn(1<<k)), varset.Single(rng.Intn(k))
+		if !from.ContainsAll(to) {
+			q.FDs.Add(from, to, -1, nil)
+		}
+	}
+	l := lattice.New(k, q.FDs.Closure)
+	addInput := func(vars varset.Set, rows int) {
+		r := rel.New("R", vars.Members()...)
+		for i := range rows {
+			t := make([]rel.Value, len(r.Attrs))
+			for c := range t {
+				t[c] = rel.Value(i)
+			}
+			r.Add(t...)
+		}
+		q.AddRel(r)
+	}
+	covered := varset.Empty
+	for range 1 + rng.Intn(k+1) {
+		if e := l.Elems[rng.Intn(l.Size())]; e != varset.Empty {
+			addInput(e, 2<<rng.Intn(6))
+			covered = covered.Union(e)
+		}
+	}
+	for v := range k {
+		if !covered.Contains(v) {
+			e := l.Elems[l.IndexOfClosure(varset.Single(v))]
+			addInput(e, v+2)
+			covered = covered.Union(e)
+		}
+	}
+	return q
+}
+
+// TestDualFallbackProofsAreSound: on seeded random FD shapes whose solver
+// weights have no good SM proof, every proof FindProofAuto finds in the
+// explicit dual LLP is good (Def. 5.26) and tight: its copies of the inputs,
+// divided by D, weigh Σ_j w_j·n_j = h*(1̂) exactly. It logs how often the
+// search agrees with the exhaustive one on whether a proof exists; the
+// explicit dual is one optimal dual, not all of them, so it may miss some.
+func TestDualFallbackProofsAreSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	shapes, found, agree, exists := 0, 0, 0, 0
+	for range 1500 {
+		q := randomFDShape(rng, 3+rng.Intn(4))
+		if q.Lattice().Size() > maxCatalogLattice {
+			continue
+		}
+		llp := bounds.LLP(q)
+		if smalg.FindProof(llp) != nil {
+			continue
+		}
+		shapes++
+		got, want := smalg.FindProofAuto(q, llp), refFindProof(q, llp)
+		if (got != nil) == (want != nil) {
+			agree++
+		}
+		if want != nil {
+			exists++
+		}
+		if got == nil {
+			continue
+		}
+		found++
+		if !got.IsGood(llp.Lat) {
+			t.Fatalf("%v: proof %v is not good", q.FDs.FDs, got)
+		}
+		weight, n := new(big.Rat), q.LogSizes()
+		for _, j := range got.InitRel {
+			weight.Add(weight, n[j])
+		}
+		if weight.Quo(weight, big.NewRat(int64(got.D), 1)); weight.Cmp(llp.LogBound) != 0 {
+			t.Fatalf("%v: proof %v weighs %v, h*(1̂) = %v", q.FDs.FDs, got, weight, llp.LogBound)
+		}
+	}
+	if found == 0 {
+		t.Fatalf("%d shapes searched past the solver's weights, none found a proof: soundness went untested", shapes)
+	}
+	t.Logf("%d shapes searched past the solver's weights: %d proofs found, %d exist; %d agree with the exhaustive search", shapes, found, exists, agree)
 }
 
 // TestCatalogLPsMatchReference diffs the kernel against the retained

@@ -83,9 +83,6 @@ type Term struct {
 // T is shorthand for building a Term with an integer coefficient.
 func T(v int, c int64) Term { return Term{Var: v, Coef: new(big.Rat).SetInt64(c)} }
 
-// TR is shorthand for building a Term with a rational coefficient.
-func TR(v int, c *big.Rat) Term { return Term{Var: v, Coef: new(big.Rat).Set(c)} }
-
 // Constraint is a single linear constraint Σ Terms[k].Coef·x_{Terms[k].Var}
 // Rel RHS. Variables not named have coefficient zero; repeated variables
 // accumulate.

@@ -9,6 +9,9 @@ import (
 func rat(a, b int64) *big.Rat { return big.NewRat(a, b) }
 func ri(v int64) *big.Rat     { return new(big.Rat).SetInt64(v) }
 
+// TR is T with a rational coefficient.
+func TR(v int, c *big.Rat) Term { return Term{Var: v, Coef: new(big.Rat).Set(c)} }
+
 func mustSolve(t *testing.T, p *Problem) *Solution {
 	t.Helper()
 	s, err := Solve(p)

@@ -38,7 +38,7 @@ var coldShapes = []struct {
 	{"paper/fig1-quasi", 64, 8, 1},
 	{"paper/m3-mod", 24, 2, 1},
 	{"paper/fig4", 64, 15, 1},
-	{"paper/fig9", 32, 12, 1},
+	{"paper/fig9", 32, 11, 1},
 	{"paper/fig5", 48, 2, 1},
 	{"paper/degree-triangle", 128, 3, 3},
 	{"paper/colored-triangle", 64, 27, 1},
@@ -67,10 +67,10 @@ func coldBound(t *testing.T, q *query.Q) *engine.Bound {
 // on coldShapes. The planner solves the LLP first, stops the chain search at
 // the first chain whose bound reaches it, and solves the CLLP only where it
 // can win: with degree bounds (degree-triangle), or where the LLP beats every
-// chain and no good SM proof exists (fig9, which also searches every chain,
-// walks the cover polytope's optimal face — one problem given to Vertices —
-// and checks each proof candidate's output inequality). A full chain search,
-// LLP and CLLP on every shape solve 220.
+// chain and no good SM proof exists (fig9, which also searches every chain
+// and, its solver weights having no good proof, solves the explicit dual LLP
+// for a second candidate). A full chain search, LLP and CLLP on every shape
+// solve 220.
 func TestColdPlanSolveCounts(t *testing.T) {
 	for _, tc := range coldShapes {
 		q := catalogQuery(t, tc.family, tc.size, 1)

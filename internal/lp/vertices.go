@@ -8,10 +8,6 @@ import (
 	"repro/internal/exact"
 )
 
-// ErrVertexLimit is Vertices' error when a walk needs more feasible bases
-// than its limit allows.
-var ErrVertexLimit = errors.New("lp: vertex walk stopped at its basis limit")
-
 // Vertices calls visit with each vertex of p's feasible region
 // {x ≥ 0 : p.Cons} (p.Obj is ignored), once per vertex, until visit returns
 // false. It returns nil once it has met every vertex or visit stopped it.
@@ -23,10 +19,9 @@ var ErrVertexLimit = errors.New("lp: vertex walk stopped at its basis limit")
 // and from any feasible basis the simplex method minimizing the sum of the
 // variables a vertex has at zero ends on that vertex, so the walk meets all
 // of them. It costs pivots in proportion to the feasible bases it meets, not
-// to the C(rows+vars, vars) square systems an exhaustive enumeration solves,
-// and maxBases > 0 caps those bases: a walk that needs more returns
-// ErrVertexLimit.
-func Vertices(p *Problem, maxBases int, visit func(x []*big.Rat) bool) error {
+// to the C(rows+vars, vars) square systems an exhaustive enumeration solves;
+// it has no cap, and the feasible bases can be exponential in the rows.
+func Vertices(p *Problem, visit func(x []*big.Rat) bool) error {
 	t, err := phase1(p)
 	if err != nil || t == nil {
 		return err
@@ -58,9 +53,6 @@ func Vertices(p *Problem, maxBases int, visit func(x []*big.Rat) bool) error {
 				left := t.basis[row]
 				t.pivot(row, col)
 				if k := t.basisKey(); !bases[k] {
-					if maxBases > 0 && len(bases) >= maxBases {
-						return ErrVertexLimit
-					}
 					bases[k] = true
 					if err := walk(); err != nil {
 						return err

@@ -209,7 +209,7 @@ func vertexKey(x []*big.Rat) string {
 func vertexKeys(t *testing.T, p *Problem) []string {
 	t.Helper()
 	var keys []string
-	if err := Vertices(p, 0, func(x []*big.Rat) bool {
+	if err := Vertices(p, func(x []*big.Rat) bool {
 		keys = append(keys, vertexKey(x))
 		return true
 	}); err != nil {
@@ -240,14 +240,10 @@ func TestVerticesTriangleCoverPolytope(t *testing.T) {
 	if got := vertexKeys(t, p); !slices.Equal(got, want) {
 		t.Fatalf("vertices %v, want %v", got, want)
 	}
-	// A visitor that stops at the first vertex sees one; a walk capped below
-	// the polytope's bases says so.
+	// A visitor that stops at the first vertex sees one.
 	seen := 0
-	if err := Vertices(p, 0, func([]*big.Rat) bool { seen++; return false }); err != nil || seen != 1 {
+	if err := Vertices(p, func([]*big.Rat) bool { seen++; return false }); err != nil || seen != 1 {
 		t.Fatalf("stopped walk: %d vertices, error %v", seen, err)
-	}
-	if err := Vertices(p, 1, func([]*big.Rat) bool { return true }); err != ErrVertexLimit {
-		t.Fatalf("walk capped at one basis: error %v, want ErrVertexLimit", err)
 	}
 }
 

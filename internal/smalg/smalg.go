@@ -34,11 +34,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 
 	"repro/internal/bounds"
 	"repro/internal/expand"
-	"repro/internal/lp"
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/work"
@@ -167,41 +165,19 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 	return st, nil
 }
 
-// maxProofBases caps the feasible bases FindProofAuto's walk may meet (the
-// catalog's faces have at most three vertices). Past it the search ends
-// without a proof and the planner falls back to the CLLP, as on Fig. 9.
-const maxProofBases = 1 << 10
-
 // FindProofAuto searches for a good SM proof for the given optimal LLP
-// solution: the solver's own dual weights first, then the vertices, whose
-// output inequality (7) holds, of the co-atomic cover polytope's slice at
-// the LLP value — its optimal face wherever the co-atomic cover bound is the
-// LLP's, as on a normal lattice. (Every w with an output inequality is such
-// a cover of value ≥ LLP.) It searches afresh on every call; GoodProof is the
-// memoized search the planner and RunInto share.
+// solution: the solver's own dual weights first, then the weights of the
+// explicit dual LLP's optimum, another optimal dual whose (w, s) is an
+// SM-provable output inequality by construction (Lemma 3.9). Thm 5.27 needs a
+// good proof for some optimal dual, and different optimal duals can differ in
+// whether one exists (paper/four-cycle-key has one only for the second). It
+// searches afresh on every call; GoodProof is the memoized search the planner
+// and RunInto share.
 func FindProofAuto(q *query.Q, llp *bounds.LLPResult) *Proof {
 	if p := findProofFor(llp, llp.W); p != nil {
 		return p
 	}
-	h, _ := bounds.CoatomicHypergraph(q)
-	if h.HasIsolatedVertex() {
-		return nil
-	}
-	face := h.CoverLP(q.LogSizes())
-	var terms []lp.Term
-	for j, n := range face.Obj {
-		terms = append(terms, lp.TR(j, n))
-	}
-	face.Add(lp.EQ, llp.LogBound, terms...)
-	var found *Proof
-	// A walk past the cap (lp.ErrVertexLimit) ends without a proof.
-	_ = lp.Vertices(face, maxProofBases, func(w []*big.Rat) bool {
-		if bounds.OutputInequalityHolds(llp.Lat, llp.Inputs, w) {
-			found = findProofFor(llp, w)
-		}
-		return found == nil
-	})
-	return found
+	return findProofFor(llp, bounds.SolveDualLLP(llp.Lat, llp.Inputs, q.LogSizes()).W)
 }
 
 // The shape's slots for the LLP solution and for its good proof, apart so
