@@ -308,7 +308,7 @@ func RunInto(ctx context.Context, q *query.Q, cp *Plan, sink rel.Sink) (*Stats, 
 					// Lemma 5.36: re-solve with observed constraints; where
 					// the optimum drops, restart this branch on the new plan.
 					st.Restarts++
-					if plan2, opt2, err := restartBranch(l, res.P, state, o, bk.Table, z, opt); err == nil {
+					if plan2, opt2, err := restartBranch(l, res.P, state, o, bk.MaxDeg, z, opt); err == nil {
 						ns := cloneState(state)
 						ns[o.y] = bk.Table
 						if err := exec(plan2, 0, ns, opt2, restarts+1); err != nil {
@@ -360,11 +360,12 @@ func cloneState(state []*rel.Relation) []*rel.Relation {
 }
 
 // restartBranch re-solves the CLLP with the branch's observed cardinalities
-// and the offending degree bound added, and returns the plan rebuilt from it
-// with its optimum. It returns an error when that optimum does not strictly
-// drop below opt, the running plan's (no point restarting).
+// and the offending degree bound added — the bucket's max degree over Z,
+// which its degree class already measured — and returns the plan rebuilt
+// from it with its optimum. It returns an error when that optimum does not
+// strictly drop below opt, the running plan's (no point restarting).
 func restartBranch(l *lattice.Lattice, baseP []bounds.DegreePair, state []*rel.Relation, o op,
-	bucketTable *rel.Relation, z int, opt *big.Rat) ([]op, *big.Rat, error) {
+	maxDeg, z int, opt *big.Rat) ([]op, *big.Rat, error) {
 
 	P := append([]bounds.DegreePair{}, baseP...)
 	for elem, t := range state {
@@ -373,12 +374,8 @@ func restartBranch(l *lattice.Lattice, baseP []bounds.DegreePair, state []*rel.R
 		}
 		P = append(P, bounds.DegreePair{X: l.Bottom, Y: elem, LogBound: query.LogRat(t.Len()), Guard: -1})
 	}
-	if z != o.y {
-		ix := bucketTable.IndexOn(l.Elems[z].Members()...)
-		md := ix.MaxDegree(l.Elems[z].Len())
-		if l.Lt(z, o.y) {
-			P = append(P, bounds.DegreePair{X: z, Y: o.y, LogBound: query.LogRat(md), Guard: -1})
-		}
+	if l.Lt(z, o.y) {
+		P = append(P, bounds.DegreePair{X: z, Y: o.y, LogBound: query.LogRat(maxDeg), Guard: -1})
 	}
 	res2 := bounds.CLLP(l, P)
 	if res2.LogBound == nil {

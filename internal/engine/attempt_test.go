@@ -620,6 +620,41 @@ func TestPrefixAttemptAfterAVerdict(t *testing.T) {
 	}
 }
 
+// TestPrefixAttemptBeforeTheMachineCompletes: a Bound whose runs all stop
+// early may hold a machine verdict without the machine's work W (on several
+// workers a sink stop cancels the other morsels before the machine
+// completes). Its prefix attempts then run under the first attempt's budget
+// over attemptFactor, so on Example 5.8's skew instance a Limit(1) after a
+// Limit(3000) costs generic join's first row, not the whole machine, on one
+// worker and on two.
+func TestPrefixAttemptBeforeTheMachineCompletes(t *testing.T) {
+	ctx := context.Background()
+	q := paper.Fig1Skew(2048)
+	want := naive.Evaluate(q)
+	vars := q.AllVars().Members()
+	for _, workers := range []int{1, 2} {
+		b := bind(t, q)
+		opts := &Options{Workers: workers, MinParallelRows: 1}
+		for i, k := range []int{3000, 1, 1} {
+			c := rel.NewCollect("Q", vars...)
+			st, err := b.RunInto(ctx, opts, rel.Limit(c, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rel.Identical(c.R, prefixOf(want, k)) {
+				t.Fatalf("%d workers, run %d: Limit(%d) gave %d rows, not naive's first %d", workers, i, k, c.R.Len(), k)
+			}
+			if verdict := b.won.Load(); verdict == nil || verdict.Algorithm != AlgChain {
+				t.Fatalf("%d workers, run %d: the verdict is %v, want chain", workers, i, verdict)
+			}
+			if k == 1 && (st.Ran != AlgGenericJoin || st.work != 6) {
+				t.Fatalf("%d workers, run %d: Limit(1) ran %s with %d work (W %d); want generic join's 6",
+					workers, i, st.Ran, st.work, b.machine.Load())
+			}
+		}
+	}
+}
+
 // prefixOf is r's first k rows.
 func prefixOf(r *rel.Relation, k int) *rel.Relation {
 	out := rel.New(r.Name, r.Attrs...)

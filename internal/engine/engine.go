@@ -131,7 +131,7 @@ type Bound struct {
 
 	won     atomic.Pointer[Plan] // what an FD plan's runs execute once its attempt decided (attemptInto)
 	answer  atomic.Int64         // rows of the last answer a run delivered in full (RunInto); a collector's reservation hint
-	machine atomic.Int64         // counted work of the won machine's last complete run (attemptInto); a prefix attempt's budget is it over attemptFactor
+	machine atomic.Int64         // counted work of the won machine's last complete run, 0 before one (attemptInto); prefixBudget reads it
 }
 
 // Bind attaches an instance to the shape: rels must match the shape's
@@ -359,10 +359,11 @@ var attemptFit = &Plan{Algorithm: AlgGenericJoin}
 //
 // A later run of a machine verdict into a sink that can stop early makes a
 // prefix attempt first: one sequential descent under the machine's last
-// complete work over attemptFactor (prefixBudget). If it finishes or its
-// sink stops, it was the run; on an overrun the machine resumes past its
-// rows as above, and the verdict stands either way. DESIGN.md, "Run time:
-// the generic-join attempt", has the argument.
+// complete work over attemptFactor, or N + 2^LogBound before one completes
+// (prefixBudget). If it finishes or its sink stops, it was the run; on an
+// overrun the machine resumes past its rows as above, and the verdict stands
+// either way. DESIGN.md, "Run time: the generic-join attempt", has the
+// argument.
 func (b *Bound) attemptInto(ctx context.Context, plan *Plan, workers int, g *memGauge, st *Stats, sink rel.Sink, delivered func() int) (err error) {
 	if won := b.won.Load(); won == attemptFit {
 		st.Ran = won.Algorithm
@@ -372,7 +373,7 @@ func (b *Bound) attemptInto(ctx context.Context, plan *Plan, workers int, g *mem
 		st.Plan = *won
 		if canStop(sink) {
 			st.Ran = AlgGenericJoin
-			actx, _ := work.WithLimit(ctx, b.prefixBudget())
+			actx, _ := work.WithLimit(ctx, b.prefixBudget(won))
 			spent, _, err := runOneInto(actx, b.q, attemptFit, sink)
 			st.work += spent
 			if !errors.Is(err, work.ErrLimit) {
@@ -414,13 +415,19 @@ func (b *Bound) resume(ctx context.Context, won *Plan, workers int, g *memGauge,
 	return err
 }
 
-// prefixBudget is the won machine's last complete work over attemptFactor;
-// 0 at a factor of 0 (FuzzPlannerConsistency's) or before any complete run.
-func (b *Bound) prefixBudget() int {
+// prefixBudget is the won machine's last complete work over attemptFactor,
+// or the first attempt's budget over attemptFactor (N + 2^LogBound) while no
+// run of the machine has completed: on several workers a Bound whose runs
+// all stop early never learns the machine's work. It is 0 at a factor of 0
+// (FuzzPlannerConsistency's).
+func (b *Bound) prefixBudget(won *Plan) int {
 	if attemptFactor <= 0 {
 		return 0
 	}
-	return int(b.machine.Load()) / attemptFactor
+	if w := b.machine.Load(); w > 0 {
+		return int(w) / attemptFactor
+	}
+	return attemptBudget(b.q, won) / attemptFactor
 }
 
 // canStop reports whether sink, which RunInto may have wrapped in its

@@ -162,7 +162,8 @@ func degreeClasses(t *rel.Relation, zVars varset.Set) []DegreeClass {
 	if zVars.IsEmpty() || t.Len() == 0 {
 		return []DegreeClass{{Table: t, MaxDeg: max(1, t.Len())}}
 	}
-	ix := t.IndexOn(zVars.Members()...)
+	// A row's degree is how many rows its Z-value's key lookup counts.
+	runs := t.LookupOn(zVars.Members()...)
 	zCols := make([]int, 0, zVars.Len())
 	for _, v := range zVars.Members() {
 		zCols = append(zCols, t.Col(v))
@@ -170,13 +171,10 @@ func degreeClasses(t *rel.Relation, zVars varset.Set) []DegreeClass {
 	nclass := bits.Len(uint(t.Len()))
 	byClass := make([]*rel.Relation, nclass)
 	maxDeg := make([]int, nclass)
-	probe := make([]rel.Value, len(zCols))
 	for ri := 0; ri < t.Len(); ri++ {
 		row := t.Row(ri)
-		for i, c := range zCols {
-			probe[i] = row[c]
-		}
-		deg := ix.Count(probe...)
+		lo, hi := runs.Run(row, zCols)
+		deg := hi - lo
 		cls := bits.Len(uint(deg)) - 1 // ⌊log2 deg⌋; deg ≥ 1 (row ri matches)
 		b := byClass[cls]
 		if b == nil {

@@ -98,7 +98,7 @@ func TestDegreeTriangleRespectsBounds(t *testing.T) {
 		}
 		r := q.Rels[0]
 		ix := r.IndexOn(0)
-		if got := ix.MaxDegree(1); got > d {
+		if got := ix.MaxDegree(1, r.Arity()); got > d {
 			t.Fatalf("out-degree %d exceeds bound %d", got, d)
 		}
 	}

@@ -345,42 +345,22 @@ func (q *Q) Validate() error {
 		if !g.VarSet().ContainsAll(d.Y) {
 			return fmt.Errorf("query: degree bound %s not contained in guard %s", d.format(q.Names), g.Name)
 		}
-		proj := g.Project(d.Y)
-		pix := proj.IndexOn(d.X.Members()...)
-		if got := pix.MaxDegree(d.X.Len()); got > d.MaxDegree {
+		ix := g.IndexOn(append(d.X.Members(), d.Y.Diff(d.X).Members()...)...)
+		if got := ix.MaxDegree(d.X.Len(), d.Y.Len()); got > d.MaxDegree {
 			return fmt.Errorf("query: degree bound %s violated by %s (max degree %d)", d.format(q.Names), g.Name, got)
 		}
 	}
 	return nil
 }
 
-// checkFDHolds verifies From→To on the guard's instance by scanning an
-// index sorted with (From, To) as the leading priority: within a From-run
-// the To block must be constant, so adjacent rows suffice and the check
-// allocates nothing beyond the (cached) index itself. The error names the
-// FD in the query's variable names.
+// checkFDHolds verifies From→To on the guard's instance: a guarded FD is
+// the degree bound From → From ∪ To of 1 (Sec. 5.3). The error names the FD
+// in the query's variable names.
 func checkFDHolds(g *rel.Relation, f fd.FD, names []string) error {
 	to := f.To.Diff(f.From) // overlapping variables are trivially determined
-	nf, nt := f.From.Len(), to.Len()
-	prio := append(f.From.Members(), to.Members()...)
-	ix := g.IndexOn(prio...)
-	for i := 1; i < ix.Len(); i++ {
-		prev, cur := ix.Row(i-1), ix.Row(i)
-		sameFrom := true
-		for c := 0; c < nf; c++ {
-			if prev[c] != cur[c] {
-				sameFrom = false
-				break
-			}
-		}
-		if !sameFrom {
-			continue
-		}
-		for c := nf; c < nf+nt; c++ {
-			if prev[c] != cur[c] {
-				return fmt.Errorf("query: relation %s violates FD %s", g.Name, f.Format(names))
-			}
-		}
+	ix := g.IndexOn(append(f.From.Members(), to.Members()...)...)
+	if ix.MaxDegree(f.From.Len(), f.From.Len()+to.Len()) > 1 {
+		return fmt.Errorf("query: relation %s violates FD %s", g.Name, f.Format(names))
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -90,6 +92,91 @@ func TestValidateDegreeBound(t *testing.T) {
 	q.DegreeBounds[0].MaxDegree = 3
 	if err := q.Validate(); err != nil {
 		t.Fatalf("degree 3 bound should pass: %v", err)
+	}
+}
+
+// TestValidateAgainstDistinctCount: on random guard relations, Validate's
+// verdict on a guarded FD and on a degree bound is a naive count's: the FD
+// holds iff no From-value has two distinct To-values, and X → Y max d holds
+// iff no X-value has more than d distinct Y-values.
+func TestValidateAgainstDistinctCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	// maxDistinct is the most distinct y-projections of R's rows that share
+	// one x-projection.
+	maxDistinct := func(r *rel.Relation, x, y varset.Set) int {
+		seen := map[string]map[string]bool{}
+		for _, row := range r.Rows() {
+			key, val := "", ""
+			for _, v := range x.Members() {
+				key += fmt.Sprint(",", row[r.Col(v)])
+			}
+			for _, v := range y.Members() {
+				val += fmt.Sprint(",", row[r.Col(v)])
+			}
+			if seen[key] == nil {
+				seen[key] = map[string]bool{}
+			}
+			seen[key][val] = true
+		}
+		best := 0
+		for _, vals := range seen {
+			best = max(best, len(vals))
+		}
+		return best
+	}
+	randSet := func() varset.Set {
+		var s varset.Set
+		for v := 0; v < 4; v++ {
+			if rng.Intn(2) == 0 {
+				s = s.Add(v)
+			}
+		}
+		return s
+	}
+	var verdicts [2][2]int // [FD, degree bound][holds, violated]
+	tally := func(kind int, err error) {
+		if err == nil {
+			verdicts[kind][0]++
+		} else {
+			verdicts[kind][1]++
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		r := rel.New("R", 3, 1, 0, 2) // a schema order that is not the variables'
+		for range rng.Intn(12) {
+			r.Add(rel.Value(rng.Intn(3)), rel.Value(rng.Intn(3)), rel.Value(rng.Intn(2)), rel.Value(rng.Intn(3)))
+		}
+		from, to := randSet(), randSet()
+		if to.IsEmpty() {
+			to = varset.Single(rng.Intn(4))
+		}
+		q := New("a", "b", "c", "d")
+		q.AddRel(r)
+		q.FDs.AddGuarded(from, to, 0)
+		err := q.Validate()
+		if holds := maxDistinct(r, from, to) <= 1; holds != (err == nil) {
+			t.Fatalf("trial %d: FD %s on %v: Validate says %v, the count says holds=%v", trial, q.FDs.FDs[0].Format(q.Names), r.Rows(), err, holds)
+		}
+		tally(0, err)
+
+		x, y := from, from.Union(to)
+		if x == y {
+			continue
+		}
+		d := 1 + rng.Intn(3)
+		q = New("a", "b", "c", "d")
+		q.AddRel(r)
+		q.AddDegreeBound(x, y, d, 0)
+		err = q.Validate()
+		if got := maxDistinct(r, x, y); (got <= d) != (err == nil) {
+			t.Fatalf("trial %d: degree bound %s on %v: Validate says %v, the count says %d", trial, q.DegreeBounds[0].format(q.Names), r.Rows(), err, got)
+		}
+		tally(1, err)
+	}
+	for kind, v := range verdicts {
+		if v[0] < 20 || v[1] < 20 {
+			t.Fatalf("kind %d: %d verdicts hold and %d are violated; want both outcomes exercised", kind, v[0], v[1])
+		}
 	}
 }
 

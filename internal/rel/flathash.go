@@ -187,7 +187,8 @@ func (ht *flatTable) contains(rp *Relation, ip int, pcols []int) bool {
 // and Find returns the first row carrying a key (an FD guard's row, a
 // semijoin's witness). Index.Lookup keys an Index's sorted rows on their
 // leading columns, where the rows carrying one key are consecutive, so Run
-// returns the interval Index.Range binary-searches for in O(1) expected.
+// returns their interval, and its length is the key's degree, in O(1)
+// expected.
 type KeyLookup struct {
 	ht   *flatTable
 	vars []int // the key variables, in the order the probe positions follow

@@ -15,15 +15,15 @@ var indexBuilds atomic.Int64
 func IndexBuilds() int64 { return indexBuilds.Load() }
 
 // Index is a sorted access path over a relation: rows ordered
-// lexicographically under a chosen variable priority. It emulates the trie
-// indexes of LFTJ/Generic-Join: prefix range lookup, degree counting, and
-// distinct-prefix iteration, each O(log N) plus output.
+// lexicographically under a chosen variable priority, so the rows sharing a
+// prefix are consecutive. Three views read it: Lookup hashes a key prefix to
+// its run of rows in O(1) expected, Trie lays the levels out for generic
+// join's descent, and MaxDegree answers every degree question in one pass.
 //
 // The index keeps its own flat copy of the rows with columns permuted into
-// priority order and rows sorted, so every probe is a direct stride walk
-// over contiguous memory — no permutation vector, no column indirection,
-// and no closure dispatch in the binary searches. An Index is therefore a
-// consistent snapshot: mutating the relation afterwards does not affect it.
+// priority order and rows sorted, so every scan is a direct stride walk over
+// contiguous memory. An Index is therefore a consistent snapshot: mutating
+// the relation afterwards does not affect it.
 type Index struct {
 	rel   *Relation
 	data  []Value // n rows × arity, columns in priority order, rows sorted
@@ -112,72 +112,6 @@ func (r *Relation) IndexOn(keyVars ...int) *Index {
 // Len returns the number of indexed rows.
 func (ix *Index) Len() int { return ix.n }
 
-// cmpPrefix compares the row at sorted position pos against a prefix of
-// values on the leading priority columns.
-func (ix *Index) cmpPrefix(pos int, prefix []Value) int {
-	base := pos * ix.arity
-	for i, v := range prefix {
-		tv := ix.data[base+i]
-		if tv != v {
-			if tv < v {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-// searchGE returns the first sorted position whose row compares >= prefix.
-func (ix *Index) searchGE(prefix []Value) int {
-	lo, hi := 0, ix.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ix.cmpPrefix(mid, prefix) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// searchGT returns the first sorted position whose row compares > prefix,
-// scanning only [from, n).
-func (ix *Index) searchGT(prefix []Value, from int) int {
-	lo, hi := from, ix.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ix.cmpPrefix(mid, prefix) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Range returns the half-open interval [lo, hi) of sorted positions whose
-// rows match the given prefix on the index's leading columns. Passing a
-// pre-built slice (ix.Range(p...)) does not allocate.
-func (ix *Index) Range(prefix ...Value) (lo, hi int) {
-	if len(prefix) > ix.arity {
-		panic(fmt.Sprintf("rel: prefix longer than index on %s", ix.rel.Name))
-	}
-	lo = ix.searchGE(prefix)
-	if lo == ix.n || ix.cmpPrefix(lo, prefix) != 0 {
-		return lo, lo
-	}
-	return lo, ix.searchGT(prefix, lo)
-}
-
-// Count returns the number of rows matching the prefix: the "degree" of the
-// prefix value in the relation (Eq. 18 of the paper).
-func (ix *Index) Count(prefix ...Value) int {
-	lo, hi := ix.Range(prefix...)
-	return hi - lo
-}
-
 // Row returns the row at sorted position pos, in the index's priority
 // order (aliased into the index's flat storage): element i is the value of
 // variable Attr(i).
@@ -192,22 +126,33 @@ func (ix *Index) Attr(i int) int { return ix.attrs[i] }
 // Attrs returns the variable ids in priority order (aliased).
 func (ix *Index) Attrs() []int { return ix.attrs }
 
-// MaxDegree returns the maximum degree over distinct prefixes of the first
-// nkey columns: max_v |σ_{key=v}(R)|. With nkey = 0 it returns Len().
-func (ix *Index) MaxDegree(nkey int) int {
-	if nkey == 0 {
-		return ix.n
+// MaxDegree returns the largest number of distinct nprefix-prefixes that
+// share one nkey-key: max_v |Π_{first nprefix}(σ_{key=v}(R))|, the degree of
+// Eq. 18 in one pass over the sorted rows. A guarded FD From → To holds iff
+// it is at most 1 on an index keyed (From, To∖From) with nprefix |From ∪
+// To|; nkey = 0 counts distinct prefixes, nprefix = arity a key's rows.
+func (ix *Index) MaxDegree(nkey, nprefix int) int {
+	if nkey < 0 || nkey > nprefix || nprefix > ix.arity {
+		panic(fmt.Sprintf("rel: MaxDegree(%d, %d) on an index of arity %d on %s", nkey, nprefix, ix.arity, ix.rel.Name))
 	}
-	max := 0
-	prefix := make([]Value, nkey)
-	for pos := 0; pos < ix.n; {
-		base := pos * ix.arity
-		copy(prefix, ix.data[base:base+nkey])
-		hi := ix.searchGT(prefix, pos)
-		if hi-pos > max {
-			max = hi - pos
+	best, deg := 0, 0
+	for pos := 0; pos < ix.n; pos++ {
+		row := ix.data[pos*ix.arity:]
+		c := 0 // the first prefix column where the row leaves its predecessor
+		if pos > 0 {
+			prev := ix.data[(pos-1)*ix.arity:]
+			for c < nprefix && row[c] == prev[c] {
+				c++
+			}
+			if c == nprefix {
+				continue // the same prefix again
+			}
 		}
-		pos = hi
+		if c < nkey {
+			deg = 0 // a new key
+		}
+		deg++
+		best = max(best, deg)
 	}
-	return max
+	return best
 }

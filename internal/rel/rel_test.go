@@ -231,23 +231,25 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// TestIndexRangeCount: a key's run of rows in the hashed lookup has the
+// key's row count as its length.
 func TestIndexRangeCount(t *testing.T) {
 	r := New("R", 0, 1)
 	for i := Value(0); i < 10; i++ {
 		r.Add(i%3, i)
 	}
 	ix := r.IndexOn(0)
-	if got := ix.Count(0); got != 4 {
-		t.Fatalf("Count(0) = %d, want 4", got)
+	if got := degree(ix, 0); got != 4 {
+		t.Fatalf("degree(0) = %d, want 4", got)
 	}
-	if got := ix.Count(1); got != 3 {
-		t.Fatalf("Count(1) = %d, want 3", got)
+	if got := degree(ix, 1); got != 3 {
+		t.Fatalf("degree(1) = %d, want 3", got)
 	}
-	if got := ix.Count(99); got != 0 {
-		t.Fatalf("Count(99) = %d, want 0", got)
+	if got := degree(ix, 99); got != 0 {
+		t.Fatalf("degree(99) = %d, want 0", got)
 	}
-	if ix.Count(0, 0) != 1 || ix.Count(0, 1) != 0 {
-		t.Fatal("Count on a full prefix wrong")
+	if degree(ix, 0, 0) != 1 || degree(ix, 0, 1) != 0 {
+		t.Fatal("degree on a full prefix wrong")
 	}
 }
 
@@ -285,11 +287,19 @@ func TestIndexMaxDegree(t *testing.T) {
 	r.Add(1, 3)
 	r.Add(2, 1)
 	ix := r.IndexOn(0)
-	if got := ix.MaxDegree(1); got != 3 {
-		t.Fatalf("MaxDegree = %d, want 3", got)
+	for _, tc := range []struct{ nkey, nprefix, want int }{
+		{1, 2, 3}, // rows per key
+		{0, 2, 4}, // rows
+		{0, 1, 2}, // distinct keys
+		{1, 1, 1}, // a key is one prefix of itself
+		{0, 0, 1}, // the empty prefix
+	} {
+		if got := ix.MaxDegree(tc.nkey, tc.nprefix); got != tc.want {
+			t.Fatalf("MaxDegree(%d, %d) = %d, want %d", tc.nkey, tc.nprefix, got, tc.want)
+		}
 	}
-	if got := ix.MaxDegree(0); got != 4 {
-		t.Fatalf("MaxDegree(0) = %d, want 4", got)
+	if got := New("E", 0).IndexOn(0).MaxDegree(0, 1); got != 0 {
+		t.Fatalf("MaxDegree on an empty relation = %d, want 0", got)
 	}
 }
 
@@ -335,7 +345,7 @@ func TestJoinAgainstNestedLoop(t *testing.T) {
 	}
 }
 
-// Property: Index Count matches linear scan on random data.
+// Property: a key's row count matches a linear scan on random data.
 func TestIndexCountAgainstScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	r := New("R", 0, 1, 2)
@@ -351,8 +361,8 @@ func TestIndexCountAgainstScan(t *testing.T) {
 					want++
 				}
 			}
-			if got := ix.Count(a, b); got != want {
-				t.Fatalf("Count(%d,%d) = %d, want %d", a, b, got, want)
+			if got := degree(ix, a, b); got != want {
+				t.Fatalf("degree(%d,%d) = %d, want %d", a, b, got, want)
 			}
 		}
 	}
@@ -585,8 +595,8 @@ func TestZeroArityRelation(t *testing.T) {
 		t.Fatalf("zero-arity dedup: len = %d, want 1", r.Len())
 	}
 	ix := r.IndexOn()
-	if lo, hi := ix.Range(); lo != 0 || hi != 1 {
-		t.Fatalf("Range() = [%d,%d)", lo, hi)
+	if lo, hi := ix.Lookup(0).Run(nil, nil); lo != 0 || hi != 1 {
+		t.Fatalf("Lookup(0).Run() = [%d,%d)", lo, hi)
 	}
 }
 
@@ -611,10 +621,10 @@ func TestIndexCacheReuseAndInvalidation(t *testing.T) {
 		t.Fatal("mutation must invalidate the cache")
 	}
 	// The old index stays a consistent snapshot of build time.
-	if ix1.Count(3) != 0 || ix1.Len() != 1 {
+	if degree(ix1, 3) != 0 || ix1.Len() != 1 {
 		t.Fatal("old index saw the mutation")
 	}
-	if ix2.Count(3) != 1 {
+	if degree(ix2, 3) != 1 {
 		t.Fatal("new index missing the new row")
 	}
 }
@@ -657,9 +667,10 @@ func TestIndexProbeAllocRegression(t *testing.T) {
 		r.Add(Value(i%97), Value(i))
 	}
 	ix := r.IndexOn(0)
-	prefix := []Value{13}
+	runs := ix.Lookup(1)
+	prefix, at := []Value{13}, []int{0}
 	allocs := testing.AllocsPerRun(100, func() {
-		if lo, hi := ix.Range(prefix...); ix.Count(prefix...) == 0 || hi == lo {
+		if lo, hi := runs.Run(prefix, at); ix.MaxDegree(1, 2) == 0 || hi == lo {
 			t.Fatal("probe failed")
 		}
 	})

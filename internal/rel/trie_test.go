@@ -145,7 +145,7 @@ func (ix *Index) DistinctNext(prefix []Value, f func(v Value, degree int) bool) 
 	if len(prefix) >= ix.arity {
 		panic(fmt.Sprintf("rel: DistinctNext needs an unbound column on %s", ix.rel.Name))
 	}
-	lo, hi := ix.Range(prefix...)
+	lo, hi := scanRange(ix, prefix...)
 	col := len(prefix)
 	k := ix.arity
 	for pos := lo; pos < hi; {

@@ -100,19 +100,21 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 		zVars := l.Elems[s.Meet]
 		threshold := hFloat[s.Y] - hFloat[s.Meet]
 
-		// Partition Π_Z(T(Y)) into Lite and Heavy by log-degree.
+		// Partition Π_Z(T(Y)) into Lite and Heavy by log-degree. A Z-value's
+		// degree is how many T(Y) rows its key lookup counts.
 		zProj := e.Project(ty, zVars)
 		var lite, heavy *rel.Relation
 		lite = rel.New("Lite", zProj.Attrs...)
 		heavy = rel.New("Heavy", zProj.Attrs...)
-		ix := ty.IndexOn(zVars.Members()...)
+		runs := ty.LookupOn(zProj.Attrs...)
+		at := make([]int, len(zProj.Attrs))
+		for i := range at {
+			at[i] = i
+		}
 		for ri := 0; ri < zProj.Len(); ri++ {
 			row := zProj.Row(ri)
-			deg := ix.Count(row...)
-			if deg == 0 {
-				continue
-			}
-			if math.Log2(float64(deg)) <= threshold+eps {
+			lo, hi := runs.Run(row, at)
+			if deg := hi - lo; math.Log2(float64(deg)) <= threshold+eps {
 				lite.AddTuple(row)
 			} else {
 				heavy.AddTuple(row)
@@ -128,9 +130,8 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 		}
 		st.LiteSizes = append(st.LiteSizes, tables[s.SlotJoin].Len())
 
-		// T(X∧Y) = Π_Z(T(X)) ∩ Π_Z(T(Y)) ∩ Heavy.
-		meetTable := rel.Semijoin(rel.Semijoin(e.Project(tx, zVars), zProj), heavy)
-		tables[s.SlotMeet] = meetTable
+		// T(X∧Y) = Π_Z(T(X)) ∩ Heavy; Heavy ⊆ Π_Z(T(Y)) already.
+		tables[s.SlotMeet] = rel.Semijoin(e.Project(tx, zVars), heavy)
 
 		tables[s.SlotX], tables[s.SlotY] = nil, nil
 	}

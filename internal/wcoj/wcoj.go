@@ -21,12 +21,13 @@
 // together, groups ascending, so only the group in hand is buffered and
 // sorted before it leaves, and a LIMIT-1 consumer pays for the first group.
 // Under the identity order — the default for FD-light queries — every group
-// is one row and nothing is buffered; only an order that does not start
-// with variable 0 (and the binary plan) buffers the whole answer. The
-// descent is compiled per run from the shape and the order (which relations
-// meet at which trie level, which FDs fire after a binding, which levels a
-// derived value binds), and hands its last level to a rel.RunSink — a bare
-// collector or counter — one run of rows per prefix instead of row by row.
+// is one row and nothing is buffered; under an order that does not start
+// with variable 0 the prefix is empty and the one group is the whole answer
+// (the binary plan materializes too). The descent is compiled per run from
+// the shape and the order (which relations meet at which trie level, which
+// FDs fire after a binding, which levels a derived value binds), and hands
+// its last level to a rel.RunSink — a bare collector or counter — one run of
+// rows per prefix instead of row by row.
 package wcoj
 
 import (
@@ -69,10 +70,10 @@ func (s *Stats) Work() int { return s.Extensions + s.Lookups }
 // during the trie descent a group at a time (see descent.buffer): the sink
 // sees the first group once the descent below its prefix binding finishes,
 // and stopping the sink abandons the rest of the search. Under the identity
-// order every group is one row and rows reach the sink unbuffered; an order
-// that does not start with variable 0 buffers, sorts, deduplicates, and then
-// streams the whole answer. The descent charges its Stats.Work to a
-// work.Meter on every step and every emitted run.
+// order every group is one row and rows reach the sink unbuffered; under an
+// order that does not start with variable 0 the one group is the whole
+// answer. The descent charges its Stats.Work to a work.Meter on every step
+// and every emitted run.
 //
 // Each relation is a trie (rel.TrieIndex) in the global order restricted to
 // its attributes; a variable's step intersects the bound nodes' child runs,
@@ -85,25 +86,19 @@ func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink
 	x := &descent{ctx: ctx, sink: sink, vals: make([]Value, q.K)}
 	x.m.Start(ctx, faultinject.SiteTrieDescent)
 	x.compile(q, order)
-	buf := x.buffer(q, order)
+	x.buffer(q, order)
 	err := x.descend(0)
 	x.m.Stop(x.st.Work())
 	if errors.Is(err, errStop) {
 		x.st.Stopped = true // a consumer decision, not an error
-	} else if err != nil {
-		return &x.st, err
+		err = nil
 	}
-	if buf != nil {
-		buf.R.SortDedup()
-		x.st.Stopped = !rel.Stream(buf.R, sink)
-	}
-	return &x.st, nil
+	return &x.st, err
 }
 
 // buffer puts what the order needs between the descent and the caller's
-// sink, and returns the buffer when it must hold the whole answer. The
-// compiled levels that bind a variable of the order's identity prefix
-// order[:k] = 0, 1, …, k-1 (k maximal) are the first g levels.
+// sink. The compiled levels that bind a variable of the order's identity
+// prefix order[:k] = 0, 1, …, k-1 (k maximal) are the first g levels.
 //
 // Why the rows that share their prefix values leave the descent together,
 // and groups in ascending order: a prefix variable is either iterated by its
@@ -114,12 +109,12 @@ func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink
 // binding the levels below run in an order of their own, so a group is
 // buffered and sorted before it leaves, and the group mark after level g-1
 // says when it is complete. Two leaves of the descent differ in the variable
-// of the level where they part, so no row is emitted twice. Two cases need no
-// mark: when g is all the levels — the identity order, or every variable
-// past the prefix is derived — each binding gives at most one row, and the
-// descent emits in the final order as it goes; when g is 0 (the order does
-// not start with variable 0) the whole answer is one group.
-func (x *descent) buffer(q *query.Q, order []int) *rel.CollectSink {
+// of the level where they part, so no row is emitted twice. When g is 0 (the
+// order does not start with variable 0) the mark heads the descent and the
+// whole answer is one group. When g is all the levels — the identity order,
+// or every variable past the prefix is derived — each binding gives at most
+// one row, and the descent emits in the final order as it goes, unmarked.
+func (x *descent) buffer(q *query.Q, order []int) {
 	k := 0
 	for k < q.K && order[k] == k {
 		k++
@@ -128,18 +123,12 @@ func (x *descent) buffer(q *query.Q, order []int) *rel.CollectSink {
 	for g < len(x.levels) && x.levels[g].v < k {
 		g++
 	}
-	var buf *rel.CollectSink
-	switch {
-	case g == 0:
-		buf = rel.NewCollect("Q", q.AllVars().Members()...)
-		x.sink = buf
-	case g < len(x.levels):
+	if g < len(x.levels) {
 		x.grp = &group{out: x.sink, w: q.K}
 		x.sink = x.grp
 		x.levels = slices.Insert(x.levels, g, level{group: true})
 	}
 	x.runs, _ = x.sink.(rel.RunSink)
-	return buf
 }
 
 // group holds the rows of one binding of the identity prefix (see buffer)
