@@ -485,8 +485,7 @@ func greedyVarOrder(q *query.Q) []int {
 		distinct[v] = math.MaxInt
 		for _, r := range q.Rels {
 			if r.Col(v) >= 0 {
-				lo, hi := r.IndexOn(v).Trie().Root()
-				distinct[v] = min(distinct[v], int(hi-lo))
+				distinct[v] = min(distinct[v], len(r.IndexOn(v).Trie().LevelVals(0)))
 				holders[v]++
 			}
 		}

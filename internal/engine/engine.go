@@ -263,14 +263,8 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 	}
 	if err = ctx.Err(); err == nil && attempts(plan) {
 		err = b.attemptInto(ctx, plan, workers, g, st, runSink, outSize)
-	} else if err == nil && workers > 1 {
-		_, err = b.runPlanInto(ctx, plan, workers, g, st, runSink)
 	} else if err == nil {
-		// Not through runPlanInto: fdq.Rows' producer goroutine grows its
-		// stack on every query, and one more frame on this path costs one
-		// more copy (fdqbench wcoj-warm first_row_p50_ms +27 %, 10 of 10
-		// pairs; a bare 416-byte frame here does the same).
-		st.work, _, err = runOneInto(ctx, b.q, plan, runSink)
+		_, err = b.runPlanInto(ctx, plan, workers, g, st, runSink)
 	}
 	if err != nil {
 		return st, err

@@ -9,10 +9,10 @@ package rel
 // relation's full index per probe.
 //
 // Nodes at each level are stored in the order induced by the sorted rows,
-// so the children of consecutive nodes are consecutive: level d keeps one
-// start array of length len(vals)+1 and node i's children in level d+1 are
-// [start[i], start[i+1]). Each child run is sorted and duplicate-free,
-// which is what makes galloping intersection (SeekGE) work.
+// so the children of consecutive nodes are consecutive: level d+1 keeps one
+// start array of length len(level d's vals)+1, and node i's children in
+// level d+1 are [start[i], start[i+1]). Each child run is sorted and
+// duplicate-free, which is what makes galloping intersection (SeekGE) work.
 //
 // A TrieIndex is immutable after construction and, like the Index it views,
 // a consistent snapshot of the relation at index build time.
@@ -24,7 +24,7 @@ type TrieIndex struct {
 // trieLevel is one level of the trie in flat form.
 type trieLevel struct {
 	vals  []Value // node values, grouped by parent, sorted within each group
-	start []int32 // len(vals)+1; children of node i: [start[i], start[i+1]) in the next level (nil at the deepest level)
+	start []int32 // one more than the parent level's nodes; children of parent node i: [start[i], start[i+1]) (nil at level 0)
 }
 
 // Trie returns the (lazily built, cached) trie view of the index. Safe for
@@ -64,10 +64,6 @@ func buildTrie(ix *Index) *TrieIndex {
 		}
 		if d > 0 {
 			lv.start = append(lv.start, int32(len(lv.vals)))
-			// Move the per-parent starts onto the previous level, where the
-			// child-range lookup happens.
-			t.levels[d-1].start = lv.start
-			lv.start = nil
 		}
 		nextRowLo = append(nextRowLo, int32(ix.n))
 		rowLo = nextRowLo
@@ -82,39 +78,25 @@ func (t *TrieIndex) Attr(d int) int { return t.ix.attrs[d] }
 // Levels returns the trie depth (the relation's arity).
 func (t *TrieIndex) Levels() int { return len(t.levels) }
 
-// Root returns the node range of level 0: every distinct value of the first
-// priority column.
-func (t *TrieIndex) Root() (lo, hi int32) {
-	if len(t.levels) == 0 {
-		return 0, 0
-	}
-	return 0, int32(len(t.levels[0].vals))
-}
+// LevelVals returns the values of every node at level d, one parent's
+// child run after another, so sorted and duplicate-free within a run. The
+// slice aliases the trie's storage and must not be written.
+func (t *TrieIndex) LevelVals(d int) []Value { return t.levels[d].vals }
 
-// Children returns the node range in level d+1 holding the children of node
-// at level d.
-func (t *TrieIndex) Children(d int, node int32) (lo, hi int32) {
-	s := t.levels[d].start
-	return s[node], s[node+1]
-}
+// LevelStart returns where level d's child runs start: the children of node
+// i at level d-1 are [s[i], s[i+1]) in LevelVals(d). It is nil at level 0.
+// The slice aliases the trie's storage and must not be written.
+func (t *TrieIndex) LevelStart(d int) []int32 { return t.levels[d].start }
 
-// Val returns the value of a node at level d.
-func (t *TrieIndex) Val(d int, node int32) Value { return t.levels[d].vals[node] }
-
-// Vals returns the values of nodes [lo, hi) at level d — a child run when
-// the range is one, so sorted and duplicate-free. The slice aliases the
-// trie's storage and must not be written.
-func (t *TrieIndex) Vals(d int, lo, hi int32) []Value { return t.levels[d].vals[lo:hi:hi] }
-
-// SeekGE returns the first node in [lo, hi) at level d whose value is >= v,
-// using galloping (exponential probe then binary search), so seeking from a
-// cursor that advances monotonically through the run costs O(1 + log gap)
-// instead of O(log run).
-func (t *TrieIndex) SeekGE(d int, lo32, hi32 int32, v Value) int32 {
-	vals := t.levels[d].vals
-	lo, hi := int(lo32), int(hi32)
+// SeekGE returns the first index at or after lo whose value is >= v, or
+// len(vals), on a sorted run such as a child run of LevelVals. It gallops
+// (exponential probe, then binary search), so seeking from a cursor that
+// advances monotonically through the run costs O(1 + log gap) instead of
+// O(log run).
+func SeekGE(vals []Value, lo int, v Value) int {
+	hi := len(vals)
 	if lo >= hi || vals[lo] >= v {
-		return lo32
+		return lo
 	}
 	// Gallop: find a window (lo, lo+step] with vals[lo+step] >= v.
 	step := 1
@@ -132,14 +114,5 @@ func (t *TrieIndex) SeekGE(d int, lo32, hi32 int32, v Value) int32 {
 			h = mid
 		}
 	}
-	return int32(l)
-}
-
-// Seek returns the node in [lo, hi) at level d holding exactly v, or -1.
-func (t *TrieIndex) Seek(d int, lo, hi int32, v Value) int32 {
-	p := t.SeekGE(d, lo, hi, v)
-	if p < hi && t.levels[d].vals[p] == v {
-		return p
-	}
-	return -1
+	return l
 }

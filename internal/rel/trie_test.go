@@ -28,38 +28,35 @@ func TestTrieAgainstDistinctNext(t *testing.T) {
 			want = append(want, v)
 			return true
 		})
-		lo, hi := tr.Root()
-		if int(hi-lo) != len(want) {
-			t.Fatalf("trial %d: root fanout %d, want %d", trial, hi-lo, len(want))
+		vals0, start1, vals1 := tr.LevelVals(0), tr.LevelStart(1), tr.LevelVals(1)
+		if len(vals0) != len(want) {
+			t.Fatalf("trial %d: root fanout %d, want %d", trial, len(vals0), len(want))
 		}
-		for p := lo; p < hi; p++ {
-			if tr.Val(0, p) != want[p-lo] {
-				t.Fatalf("trial %d: root val[%d] = %d, want %d", trial, p, tr.Val(0, p), want[p-lo])
+		for p := range vals0 {
+			if vals0[p] != want[p] {
+				t.Fatalf("trial %d: root val[%d] = %d, want %d", trial, p, vals0[p], want[p])
 			}
 			// Children of node p vs DistinctNext under the prefix.
 			var inner []Value
-			ix.DistinctNext([]Value{tr.Val(0, p)}, func(v Value, _ int) bool {
+			ix.DistinctNext([]Value{vals0[p]}, func(v Value, _ int) bool {
 				inner = append(inner, v)
 				return true
 			})
-			clo, chi := tr.Children(0, p)
+			clo, chi := start1[p], start1[p+1]
 			if int(chi-clo) != len(inner) {
 				t.Fatalf("trial %d: fanout %d, want %d", trial, chi-clo, len(inner))
 			}
-			if run := tr.Vals(1, clo, chi); !slices.Equal(run, inner) || cap(run) != len(run) {
-				t.Fatalf("trial %d: child run %v (cap %d), want %v", trial, run, cap(run), inner)
+			if run := vals1[clo:chi]; !slices.Equal(run, inner) {
+				t.Fatalf("trial %d: child run %v, want %v", trial, run, inner)
 			}
 			for c := clo; c < chi; c++ {
-				if tr.Val(1, c) != inner[c-clo] {
-					t.Fatalf("trial %d: child val mismatch", trial)
-				}
 				// Third level under (v0, v1).
 				var third []Value
-				ix.DistinctNext([]Value{tr.Val(0, p), tr.Val(1, c)}, func(v Value, _ int) bool {
+				ix.DistinctNext([]Value{vals0[p], vals1[c]}, func(v Value, _ int) bool {
 					third = append(third, v)
 					return true
 				})
-				glo, ghi := tr.Children(1, c)
+				glo, ghi := tr.LevelStart(2)[c], tr.LevelStart(2)[c+1]
 				if int(ghi-glo) != len(third) {
 					t.Fatalf("trial %d: grandchild fanout %d, want %d", trial, ghi-glo, len(third))
 				}
@@ -75,25 +72,18 @@ func TestTrieSeekGE(t *testing.T) {
 		r.Add(v)
 	}
 	tr := r.IndexOn(0).Trie()
-	lo, hi := tr.Root() // distinct: 2 3 5 8 13 21 34
-	if hi-lo != 7 {
-		t.Fatalf("root size %d, want 7", hi-lo)
+	vals := tr.LevelVals(0) // distinct: 2 3 5 8 13 21 34
+	if len(vals) != 7 {
+		t.Fatalf("root size %d, want 7", len(vals))
 	}
-	for start := lo; start <= hi; start++ {
+	for start := 0; start <= len(vals); start++ {
 		for v := Value(0); v < 40; v++ {
 			want := start
-			for want < hi && tr.Val(0, want) < v {
+			for want < len(vals) && vals[want] < v {
 				want++
 			}
-			if got := tr.SeekGE(0, start, hi, v); got != want {
+			if got := SeekGE(vals, start, v); got != want {
 				t.Fatalf("SeekGE(from=%d, v=%d) = %d, want %d", start, v, got, want)
-			}
-			wantExact := int32(-1)
-			if want < hi && tr.Val(0, want) == v {
-				wantExact = want
-			}
-			if got := tr.Seek(0, start, hi, v); got != wantExact {
-				t.Fatalf("Seek(from=%d, v=%d) = %d, want %d", start, v, got, wantExact)
 			}
 		}
 	}
@@ -106,13 +96,10 @@ func TestTrieZeroArityAndEmpty(t *testing.T) {
 	if tr.Levels() != 0 {
 		t.Fatalf("zero-arity trie has %d levels", tr.Levels())
 	}
-	if lo, hi := tr.Root(); lo != hi {
-		t.Fatal("zero-arity root must be empty")
-	}
 	e := New("E", 0, 1)
 	te := e.IndexOn(0).Trie()
-	if lo, hi := te.Root(); lo != hi {
-		t.Fatal("empty relation root must be empty")
+	if len(te.LevelVals(0)) != 0 || te.LevelStart(1) != nil {
+		t.Fatal("empty relation's levels must be empty")
 	}
 }
 
@@ -126,14 +113,11 @@ func TestTriePriorityOrder(t *testing.T) {
 	if tr.Attr(0) != 1 || tr.Attr(1) != 0 {
 		t.Fatalf("trie attrs (%d,%d), want (1,0)", tr.Attr(0), tr.Attr(1))
 	}
-	lo, hi := tr.Root()
-	if hi-lo != 2 || tr.Val(0, lo) != 1 || tr.Val(0, lo+1) != 2 {
+	if vals := tr.LevelVals(0); len(vals) != 2 || vals[0] != 1 || vals[1] != 2 {
 		t.Fatalf("level-0 values wrong")
 	}
-	c0lo, c0hi := tr.Children(0, lo)
-	c1lo, c1hi := tr.Children(0, lo+1)
-	if c0hi-c0lo != 2 || c1hi-c1lo != 1 {
-		t.Fatalf("fanout wrong: %d, %d", c0hi-c0lo, c1hi-c1lo)
+	if s := tr.LevelStart(1); s[1]-s[0] != 2 || s[2]-s[1] != 1 {
+		t.Fatalf("fanout wrong: %v", s)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/scenario"
+	"repro/internal/varset"
 	"repro/internal/work"
 )
 
@@ -24,9 +27,15 @@ func (p perRow) Push(t rel.Tuple) bool { return p.s.Push(t) }
 // family builds the catalog family's instance at the given size, seed 1.
 func family(t *testing.T, name string, size int) *query.Q {
 	t.Helper()
+	return build(t, name, scenario.Params{Size: size, Seed: 1})
+}
+
+// build builds the catalog family's instance at p.
+func build(t *testing.T, name string, p scenario.Params) *query.Q {
+	t.Helper()
 	for _, f := range scenario.Catalog() {
 		if f.Name == name {
-			return f.Build(scenario.Params{Size: size, Seed: 1})
+			return f.Build(p)
 		}
 	}
 	t.Fatalf("unknown scenario family %q", name)
@@ -111,6 +120,81 @@ func checkDescent(t *testing.T, label string, q *query.Q, order []int, want *rel
 	}
 }
 
+// TestCountedWorkPinned pins generic join's counted work into a count sink:
+// under DefaultOrder on the 18 fd-warm and wcoj-warm instances of the
+// benchmark (seed 1), and under one other order on the first small-tier
+// instance of every family. The work unit prices attempts and E15's
+// verdicts, so a change to the descent that moves it moves them too.
+func TestCountedWorkPinned(t *testing.T) {
+	for _, tc := range []struct {
+		family           string
+		p                scenario.Params
+		order            []int // nil: DefaultOrder
+		extends, lookups int
+	}{
+		// fd-warm
+		{"paper/fig1-skew", scenario.Params{Size: 2048, Seed: 1}, nil, 1052670, 2101245},
+		{"paper/fig1-quasi", scenario.Params{Size: 256, Seed: 1}, nil, 4368, 8448},
+		{"paper/m3-mod", scenario.Params{Size: 64, Seed: 1}, nil, 4160, 4096},
+		{"paper/fig4", scenario.Params{Size: 216, Seed: 1}, nil, 1548, 7164},
+		{"paper/colored-triangle", scenario.Params{Size: 1024, Seed: 1}, nil, 5376, 9472},
+		{"paper/fig9", scenario.Params{Size: 64, Seed: 1}, nil, 1608, 1096},
+		{"paper/degree-triangle", scenario.Params{Size: 2048, Seed: 1}, nil, 10752, 10752},
+		{"paper/simple-fd-chain", scenario.Params{Size: 64, Seed: 1}, nil, 6024, 1886},
+		{"paper/four-cycle-key", scenario.Params{Size: 2048, Seed: 1}, nil, 6144, 10240},
+		{"fd/dag", scenario.Params{Size: 1024, Seed: 1}, nil, 801, 4806},
+		// wcoj-warm
+		{"paper/triangle-product", scenario.Params{Size: 32, Seed: 1}, nil, 33824, 33824},
+		{"worst/agm-product", scenario.Params{Size: 1024, Seed: 1}, nil, 30783, 30783},
+		{"skew/zipf-triangle", scenario.Params{Size: 16384, Seed: 1}, nil, 60354, 60354},
+		{"skew/zipf-hot", scenario.Params{Size: 2048, Seed: 1}, nil, 37349, 37349},
+		{"skew/near-product", scenario.Params{Size: 1024, Seed: 1}, nil, 38212, 38212},
+		{"motif/clique4", scenario.Params{Size: 1024, Seed: 1}, nil, 44645, 56444},
+		{"motif/cycle4", scenario.Params{Size: 512, Seed: 1}, nil, 44848, 44848},
+		{"motif/path", scenario.Params{Size: 256, Seed: 1}, nil, 12097, 1733},
+		// small tier, one order past DefaultOrder a family
+		{"paper/triangle-product", scenario.Params{Size: 4, Seed: 0}, []int{2, 1, 0}, 84, 84},
+		{"paper/triangle-random", scenario.Params{Size: 48, Seed: 1}, []int{2, 1, 0}, 141, 141},
+		{"paper/fig1-skew", scenario.Params{Size: 64, Seed: 0}, []int{3, 2, 1, 0}, 1150, 2173},
+		{"paper/fig1-quasi", scenario.Params{Size: 16, Seed: 0}, []int{3, 2, 1, 0}, 84, 144},
+		{"paper/m3-mod", scenario.Params{Size: 24, Seed: 0}, []int{2, 1, 0}, 600, 576},
+		{"paper/fig4", scenario.Params{Size: 64, Seed: 0}, []int{5, 4, 2, 0, 1, 3}, 336, 1488},
+		{"paper/fig9", scenario.Params{Size: 16, Seed: 0}, []int{0, 7, 6, 5, 1, 2, 3, 8, 4}, 84, 276},
+		{"paper/fig5", scenario.Params{Size: 16, Seed: 0}, []int{1, 0, 2}, 272, 0},
+		{"paper/degree-triangle", scenario.Params{Size: 64, Seed: 0}, []int{2, 1, 0}, 336, 336},
+		{"paper/colored-triangle", scenario.Params{Size: 64, Seed: 0}, []int{2, 1, 0, 3, 4}, 336, 848},
+		{"paper/four-cycle-key", scenario.Params{Size: 32, Seed: 0}, []int{3, 2, 1, 0}, 128, 128},
+		{"paper/composite-key", scenario.Params{Size: 12, Seed: 0}, []int{2, 1, 0}, 311, 288},
+		{"paper/simple-fd-chain", scenario.Params{Size: 48, Seed: 0}, []int{2, 1, 0, 3, 4}, 2700, 192},
+		{"motif/path", scenario.Params{Size: 48, Seed: 1}, []int{3, 2, 1, 0}, 680, 166},
+		{"motif/star", scenario.Params{Size: 48, Seed: 1}, []int{3, 2, 1, 0}, 5483, 4925},
+		{"motif/clique4", scenario.Params{Size: 32, Seed: 1}, []int{3, 2, 1, 0}, 129, 233},
+		{"motif/cycle4", scenario.Params{Size: 48, Seed: 1}, []int{3, 2, 1, 0}, 566, 566},
+		{"skew/zipf-triangle", scenario.Params{Size: 48, Seed: 1}, []int{2, 1, 0}, 91, 91},
+		{"skew/zipf-star", scenario.Params{Size: 32, Seed: 1}, []int{3, 2, 1, 0}, 2576, 2270},
+		{"skew/zipf-hot", scenario.Params{Size: 48, Seed: 1}, []int{2, 1, 0}, 1254, 1254},
+		{"skew/near-product", scenario.Params{Size: 48, Seed: 1}, []int{2, 1, 0}, 321, 321},
+		{"fd/chain-guarded", scenario.Params{Size: 48, Seed: 1}, []int{2, 1, 0, 3, 4}, 76, 26},
+		{"fd/dag", scenario.Params{Size: 32, Seed: 1}, []int{3, 2, 1, 0}, 104, 78},
+		{"fd/cycle", scenario.Params{Size: 32, Seed: 1}, []int{2, 1, 0}, 23, 115},
+		{"fd/random-udf", scenario.Params{Size: 24, Seed: 1}, []int{3, 2, 1, 0}, 59, 105},
+		{"worst/agm-product", scenario.Params{Size: 32, Seed: 1}, []int{2, 1, 0}, 216, 216},
+	} {
+		q := build(t, tc.family, tc.p)
+		order := tc.order
+		if order == nil {
+			order = DefaultOrder(q)
+		}
+		st, err := GenericJoinInto(context.Background(), q, order, &rel.CountSink{})
+		if err != nil {
+			t.Fatalf("%s@%d order %v: %v", tc.family, tc.p.Size, order, err)
+		}
+		if st.Extensions != tc.extends || st.Lookups != tc.lookups {
+			t.Errorf("%s@%d order %v: %d extensions, %d lookups; want %d, %d", tc.family, tc.p.Size, order, st.Extensions, st.Lookups, tc.extends, tc.lookups)
+		}
+	}
+}
+
 // TestCompiledDescentMatchesNaive drives the compiled descent over the whole
 // small-tier catalog — FD-free motifs and skew families, and the FD-bearing
 // paper instances (Fig. 1, Fig. 5, Fig. 9, M3) and fd/dag, fd/cycle — under
@@ -135,35 +219,155 @@ func TestCompiledDescentMatchesNaive(t *testing.T) {
 	}
 }
 
+// fuzzArgs is one seed entry of FuzzGenericJoinOrder.
+type fuzzArgs struct {
+	seed                        int64
+	nVars, nRels, nRows, domain int
+	withFDs                     bool
+	stored                      int
+	orderSeed                   int64
+}
+
+// fuzzSeeds are FuzzGenericJoinOrder's seed entries. The last ones reach a
+// kind of level each, which TestFuzzSeedsReachEveryLevel checks.
+var fuzzSeeds = []fuzzArgs{
+	{2016, 4, 3, 20, 4, true, 0, 1},
+	{516, 3, 2, 12, 3, false, 0, 2},
+	{7, 5, 4, 30, 6, true, 0, 3},
+	{1, 3, 1, 0, 2, false, 0, 4},   // empty relations
+	{42, 4, 0, 8, 1, true, 0, 5},   // guarded keys on a path
+	{9, 1, 1, 9, 5, false, 0, 6},   // one variable: a last level of 1 part, under an empty prefix
+	{1, 3, 1, 24, 3, true, 2, 1},   // a derived-only level that binds
+	{1, 3, 1, 24, 3, true, 1, 1},   // a derived-only level that fails
+	{1, 4, 2, 24, 3, true, 0, 1},   // a group mark below a non-empty identity prefix; a limit stops mid-group
+	{28, 3, 3, 24, 3, true, 0, 28}, // a last level of 2 parts
+	{14, 8, 3, 31, 3, true, 0, 14}, // eight variables; a last level of 3 parts
+}
+
 // FuzzGenericJoinOrder is the same comparison on a random small shape (random
 // binary / ternary relations with an optional UDF FD, or a path with guarded
-// keys), random data and a random order.
+// keys), random data and a random order. With stored at 1 or 2 the UDF's
+// target is stored in no relation (storeNowhere), so an order that reaches it
+// before the FD fires compiles a level with no parts: at 1 it fails there, at
+// 2 the FD derives it from nothing.
 func FuzzGenericJoinOrder(f *testing.F) {
-	f.Add(int64(2016), 4, 3, 20, 4, true, int64(1))
-	f.Add(int64(516), 3, 2, 12, 3, false, int64(2))
-	f.Add(int64(7), 5, 4, 30, 6, true, int64(3))
-	f.Add(int64(1), 3, 1, 0, 2, false, int64(4)) // empty relations
-	f.Add(int64(42), 4, 0, 8, 1, true, int64(5)) // guarded keys on a path
-	f.Add(int64(9), 1, 1, 9, 5, false, int64(6)) // one variable: the run has an empty prefix
-	f.Fuzz(func(t *testing.T, seed int64, nVars, nRels, nRows, domain int, withFDs bool, orderSeed int64) {
-		fold := func(x, n int) int { return int(uint(x) % uint(n)) }
-		nVars = 1 + fold(nVars, 5) // 1..5
-		nRels = fold(nRels, 4)     // 0 selects the keyed path
-		nRows = fold(nRows, 32)
-		domain = 1 + fold(domain, 6)
-		rng := rand.New(rand.NewSource(seed))
-		var q *query.Q
-		if nRels == 0 && nVars >= 2 {
-			q = scenario.RandomSimpleKeyQuery(rng, nVars, 1+nRows)
-		} else {
-			q = scenario.RandomQuery(rng, nVars, max(nRels, 1), nRows, domain, withFDs)
-		}
+	for _, a := range fuzzSeeds {
+		f.Add(a.seed, a.nVars, a.nRels, a.nRows, a.domain, a.withFDs, a.stored, a.orderSeed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nVars, nRels, nRows, domain int, withFDs bool, stored int, orderSeed int64) {
+		q := fuzzShape(seed, nVars, nRels, nRows, domain, withFDs, stored)
 		if err := q.Validate(); err != nil {
 			t.Skip(err) // random keyed data may break its own key
 		}
 		order := rand.New(rand.NewSource(orderSeed)).Perm(q.K)
 		checkDescent(t, fmt.Sprintf("seed %d", seed), q, order, naive.Evaluate(q))
 	})
+}
+
+// fuzzShape folds FuzzGenericJoinOrder's arguments into range and builds
+// the query they select.
+func fuzzShape(seed int64, nVars, nRels, nRows, domain int, withFDs bool, stored int) *query.Q {
+	fold := func(x, n int) int { return int(uint(x) % uint(n)) }
+	nVars = 1 + fold(nVars, 8) // 1..8
+	nRels = fold(nRels, 4)     // 0 selects the keyed path
+	nRows = fold(nRows, 32)
+	domain = 1 + fold(domain, 6)
+	rng := rand.New(rand.NewSource(seed))
+	if nRels == 0 && nVars >= 2 {
+		return scenario.RandomSimpleKeyQuery(rng, nVars, 1+nRows)
+	}
+	q := scenario.RandomQuery(rng, nVars, max(nRels, 1), nRows, domain, withFDs)
+	if s := fold(stored, 3); s > 0 && len(q.FDs.FDs) > 0 {
+		q = storeNowhere(q, s == 2)
+	}
+	return q
+}
+
+// storeNowhere rebuilds q, whose one FD is a UDF, with the FD's target c
+// stored in no relation: every relation loses c's column, and one left with
+// none is dropped, so only the FD binds c. With constant set the FD derives c
+// from nothing instead of from its arguments.
+func storeNowhere(q *query.Q, constant bool) *query.Q {
+	f := q.FDs.FDs[0]
+	c := f.To.Min()
+	out := query.New(q.Names...)
+	for _, r := range q.Rels {
+		if keep := r.VarSet().Remove(c); !keep.IsEmpty() {
+			out.AddRel(r.Project(keep))
+		}
+	}
+	if constant {
+		out.FDs.AddUDF(varset.Empty, c, func([]Value) Value { return 1 })
+	} else {
+		out.FDs.AddUDF(f.From, c, f.Fns[c])
+	}
+	return out
+}
+
+// levelKinds runs a's query under a's order and names the kinds of level
+// the descent reached, as fuzzSeeds' comments name them.
+func levelKinds(a fuzzArgs) map[string]bool {
+	q := fuzzShape(a.seed, a.nVars, a.nRels, a.nRows, a.domain, a.withFDs, a.stored)
+	if q.Validate() != nil {
+		return nil
+	}
+	order := rand.New(rand.NewSource(a.orderSeed)).Perm(q.K)
+	col := rel.NewCollect("Q", q.AllVars().Members()...)
+	_, err := GenericJoinInto(context.Background(), q, order, col)
+	x := &descent{sink: &rel.CountSink{}}
+	x.compile(q, order)
+	x.buffer(q, order)
+	rows := col.R.Len()
+	kinds := map[string]bool{}
+	for i, lv := range x.levels {
+		switch {
+		case lv.group && i > 0 && rows > 0:
+			kinds["a group mark below a non-empty identity prefix"] = true
+		case !lv.group && len(lv.parts) == 0 && lv.err != nil && err != nil:
+			kinds["a derived-only level that fails"] = true
+		case !lv.group && len(lv.parts) == 0 && err == nil && rows > 0:
+			kinds["a derived-only level that binds"] = true
+		case lv.run && rows > 0:
+			kinds[fmt.Sprintf("a last level of %d part(s)", len(lv.parts))] = true
+		}
+	}
+	// A limit of 1 or 7 rows stops mid-group when the row past it has the
+	// same identity prefix.
+	k := 0
+	for k < q.K && order[k] == k {
+		k++
+	}
+	for _, n := range []int{1, 7} {
+		if x.grp != nil && n < rows && slices.Equal(col.R.Row(n - 1)[:k], col.R.Row(n)[:k]) {
+			kinds["a limit stops mid-group"] = true
+		}
+	}
+	return kinds
+}
+
+// TestFuzzSeedsReachEveryLevel: FuzzGenericJoinOrder's seed entries reach
+// every kind of level the descent compiles, so a short fuzz run starts from
+// all of them.
+func TestFuzzSeedsReachEveryLevel(t *testing.T) {
+	reached := map[string]bool{}
+	for _, a := range fuzzSeeds {
+		kinds := levelKinds(a)
+		t.Logf("%+v: %v", a, kinds)
+		maps.Copy(reached, kinds)
+	}
+	for _, kind := range []string{
+		"a derived-only level that binds",
+		"a derived-only level that fails",
+		"a group mark below a non-empty identity prefix",
+		"a last level of 1 part(s)",
+		"a last level of 2 part(s)",
+		"a last level of 3 part(s)",
+		"a limit stops mid-group",
+	} {
+		if !reached[kind] {
+			t.Errorf("no seed entry reaches %s", kind)
+		}
+	}
 }
 
 // polledCtx counts the descent's polls of its context and says when the

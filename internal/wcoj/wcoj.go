@@ -25,9 +25,11 @@
 // with variable 0 the prefix is empty and the one group is the whole answer
 // (the binary plan materializes too). The descent is compiled per run from
 // the shape and the order (which relations meet at which trie level, which
-// FDs fire after a binding, which levels a derived value binds), and hands
-// its last level to a rel.RunSink — a bare collector or counter — one run of
-// rows per prefix instead of row by row.
+// FDs fire after a binding, which levels a derived value binds), runs as one
+// loop over those levels, each keeping its own cursor, and hands its last
+// level to a rel.RunSink — a bare collector or counter — one run of rows per
+// prefix instead of row by row. Its work unit, a candidate or a probe, is
+// the same whichever way the loop reads the trie.
 package wcoj
 
 import (
@@ -87,7 +89,7 @@ func GenericJoinInto(ctx context.Context, q *query.Q, order []int, sink rel.Sink
 	x.m.Start(ctx, faultinject.SiteTrieDescent)
 	x.compile(q, order)
 	x.buffer(q, order)
-	err := x.descend(0)
+	err := x.join()
 	x.m.Stop(x.st.Work())
 	if errors.Is(err, errStop) {
 		x.st.Stopped = true // a consumer decision, not an error
@@ -149,8 +151,8 @@ func (g *group) Push(t rel.Tuple) bool {
 }
 
 // flush pushes the buffered rows into out in ascending order and empties
-// the group; it reports whether out took them all.
-func (g *group) flush() bool {
+// the group; it fails with errStop if out stops.
+func (g *group) flush() error {
 	rows, w := g.rows, g.w
 	g.rows = rows[:0]
 	perm := g.perm[:0]
@@ -166,10 +168,10 @@ func (g *group) flush() bool {
 	for _, i := range perm {
 		at := int(i) * w
 		if !g.out.Push(rows[at : at+w : at+w]) {
-			return false
+			return errStop
 		}
 	}
-	return true
+	return nil
 }
 
 // level is one iterating (or, in no relation, deriving) depth of the
@@ -177,25 +179,28 @@ func (g *group) flush() bool {
 // membership of a derived value is what the seeks check, footnote-1 style.
 // A group mark binds nothing: descent.buffer puts it after the levels of the
 // identity prefix, and the rows found below one visit of it are one group,
-// flushed when the visit returns.
+// flushed when the visit ends. seed, next and end are the level's cursor
+// while it iterates: the part whose child run gives the candidates, and the
+// next candidate and the run's end as offsets into that part's vals.
 type level struct {
-	v     int
-	parts []part          // the relations containing v, in relation order; none: v must be derived
-	prog  *expand.Program // the FDs binding v can fire; nil when there are none
-	seeks []part          // the trie levels of FD-derived variables that binding v reaches, in relation then level order
-	run   bool            // the deepest level, binding the last column, nothing fired after it
-	group bool            // the group mark
-	err   error           // v is neither stored nor derivable: reported if the descent gets here
+	v               int
+	parts           []part          // the relations containing v, in relation order; none: v must be derived
+	prog            *expand.Program // the FDs binding v can fire; nil when there are none
+	seeks           []part          // the trie levels of FD-derived variables that binding v reaches, in relation then level order
+	err             error           // v is neither stored nor derivable: reported if the descent gets here
+	seed, next, end int32
+	run             bool // the deepest level, binding the last column, nothing fired after it
+	group           bool // the group mark
 }
 
 // part is one trie level of one relation. A relation's level for order[d] is
 // the number of its attributes in order[:d], so it is bound at one depth only
 // and its cell doubles as the galloping cursor while that depth iterates.
 type part struct {
-	trie *rel.TrieIndex
-	lvl  int
-	cell int // into descent.cells; the parent level's is cell-1
-	v    int // the level's variable
+	vals  []Value // the trie level's node values
+	start []int32 // the parent level's child offsets; nil at the root
+	cell  int     // into descent.cells; the parent level's is cell-1
+	v     int     // the level's variable
 }
 
 // cell holds the node a relation's trie level is bound to, and the end of
@@ -204,7 +209,7 @@ type cell struct{ node, end int32 }
 
 // descent is one run of generic join: the compiled levels and the state they
 // index. vals needs no save and restore: a level only reads the variables
-// bound above it, which the loops above leave alone until it returns.
+// bound above it, which the levels above leave alone until it is done.
 type descent struct {
 	ctx    context.Context
 	sink   rel.Sink         // where the descent emits: the caller's sink, or a buffer in front of it
@@ -251,8 +256,8 @@ func (x *descent) compile(q *query.Q, order []int) {
 		x.e = expand.New(q)
 	}
 	bind := func(j int) { // relation j's next trie level joins the level being compiled
-		t := tries[j]
-		parts = append(parts, part{trie: t, lvl: depth[j], cell: base[j] + depth[j], v: t.Attr(depth[j])})
+		t, d := tries[j], depth[j]
+		parts = append(parts, part{vals: t.LevelVals(d), start: t.LevelStart(d), cell: base[j] + d, v: t.Attr(d)})
 		depth[j]++
 	}
 	var bound varset.Set
@@ -298,10 +303,11 @@ func (x *descent) compile(q *query.Q, order []int) {
 
 // children returns the child run of the node p's parent level is bound to.
 func (x *descent) children(p *part) (lo, hi int32) {
-	if p.lvl == 0 {
-		return p.trie.Root()
+	if p.start == nil {
+		return 0, int32(len(p.vals))
 	}
-	return p.trie.Children(p.lvl-1, x.cells[p.cell-1].node)
+	n := x.cells[p.cell-1].node
+	return p.start[n], p.start[n+1]
 }
 
 // tick charges the descent's work to its meter, which fires the descent's
@@ -310,113 +316,175 @@ func (x *descent) tick() error {
 	return x.m.Check(x.ctx, x.st.Work())
 }
 
-// descend binds the variables of levels[d:] in every consistent way below
-// the current path and emits the completed rows, in depth-first order.
-func (x *descent) descend(d int) error {
-	if err := x.tick(); err != nil {
-		return err
-	}
-	if d == len(x.levels) {
-		if !x.sink.Push(x.vals) {
+// join binds every level in every consistent way and emits the completed
+// rows, depth first, in one loop: d is the level in hand, going down a level
+// on a binding and back up when a level has no more. Entering a level, or
+// the row past the last, polls the meter.
+func (x *descent) join() error {
+	for d := 0; ; d++ {
+		if err := x.tick(); err != nil {
+			return err
+		}
+		ok, err := false, error(nil)
+		if d < len(x.levels) {
+			ok, err = x.open(&x.levels[d])
+		} else if !x.sink.Push(x.vals) {
 			return errStop
 		}
-		return nil
-	}
-	lv := &x.levels[d]
-	if len(lv.parts) == 0 {
-		if lv.group {
-			return x.flushBelow(d)
+		for ; err == nil && !ok; ok, err = x.resume(&x.levels[d]) {
+			if d--; d < 0 {
+				return nil
+			}
 		}
-		return x.below(lv, d) // in no relation: whatever the FDs derive from nothing
+		if err != nil {
+			return err
+		}
 	}
-	// The relation with the smallest fanout seeds the candidates; the others
-	// gallop after it from the start of their child runs.
-	seed := &lv.parts[0]
+}
+
+// open enters lv and binds its first value; it reports whether there is one
+// to descend below. On a level that relations store, the relation with the
+// smallest fanout seeds the candidates and the others gallop after it from
+// the start of their child runs.
+func (x *descent) open(lv *level) (bool, error) {
+	if lv.group {
+		return true, nil
+	}
+	if len(lv.parts) == 0 {
+		return x.bind(lv) // in no relation: whatever the FDs derive from nothing
+	}
+	seed := 0
 	for i := range lv.parts {
 		p := &lv.parts[i]
 		lo, hi := x.children(p)
 		x.cells[p.cell] = cell{lo, hi}
-		if s := x.cells[seed.cell]; hi-lo < s.end-s.node {
-			seed = p
+		if s := x.cells[lv.parts[seed].cell]; hi-lo < s.end-s.node {
+			seed = i
 		}
 	}
-	lo := x.cells[seed.cell].node
-	cands := seed.trie.Vals(seed.lvl, lo, x.cells[seed.cell].end)
-	asRun := lv.run && x.runs != nil
-	if asRun && len(lv.parts) == 1 {
-		x.st.Extensions += len(cands)
-		return x.emitRun(cands)
+	s := x.cells[lv.parts[seed].cell]
+	lv.seed, lv.next, lv.end = int32(seed), s.node, s.end
+	if lv.run && x.runs != nil {
+		return false, x.emitRun(lv)
 	}
-	run := x.run[:0]
-cand:
-	for i, val := range cands {
-		x.st.Extensions++
-		for j := range lv.parts {
-			p := &lv.parts[j]
-			if p == seed {
-				continue
-			}
-			c := &x.cells[p.cell]
-			x.st.Lookups++
-			c.node = p.trie.SeekGE(p.lvl, c.node, c.end, val)
-			if c.node == c.end || p.trie.Val(p.lvl, c.node) != val {
-				continue cand
-			}
-		}
-		if asRun {
-			run = append(run, val)
-			continue
-		}
-		x.cells[seed.cell].node = lo + int32(i)
-		x.vals[lv.v] = val
-		if err := x.below(lv, d); err != nil {
-			return err
-		}
-	}
-	if asRun {
-		x.run = run
-		return x.emitRun(run)
-	}
-	return nil
+	return x.resume(lv)
 }
 
-// below continues the descent once lv's variable is bound: FD propagation
-// and consistency (LFTJ footnote-1 behaviour), the trie levels the derived
-// values reach, then the levels below.
-func (x *descent) below(lv *level, d int) error {
+// resume binds lv's next value, and reports whether there is one. A group
+// mark is done once the levels below it are: its group leaves for the sink.
+func (x *descent) resume(lv *level) (bool, error) {
+	if lv.group {
+		return false, x.grp.flush()
+	}
+	for lv.next < lv.end && x.match(lv, false) { // a derived-only level has no next: it binds once
+		if ok, err := x.bind(lv); ok || err != nil {
+			return ok, err
+		}
+	}
+	return false, nil
+}
+
+// match moves lv's cursor to the next candidate every part holds, binds lv's
+// variable and the parts' nodes to it, and reports whether there was one.
+// With all set it runs through every candidate instead, and appends those
+// every part holds to x.run. Each candidate costs an extension, and each
+// probe of a part other than the seed a lookup. A probe whose cursor is
+// already at or past the candidate is one compare; only a cursor behind it
+// gallops.
+func (x *descent) match(lv *level, all bool) bool {
+	cands, i, run := lv.parts[lv.seed].vals[:lv.end], int(lv.next), x.run[:0]
+	if len(lv.parts) == 2 {
+		// The common case on triangles, paths and cycles: one cursor, kept
+		// in locals, and one lookup a candidate.
+		c := &x.cells[lv.parts[1-lv.seed].cell]
+		vals, pos := lv.parts[1-lv.seed].vals[:c.end], int(c.node)
+		for ; i < len(cands); i++ {
+			val := cands[i]
+			if pos < len(vals) && vals[pos] < val {
+				if pos++; pos < len(vals) && vals[pos] < val {
+					pos = rel.SeekGE(vals, pos+1, val)
+				}
+			}
+			if pos < len(vals) && vals[pos] == val {
+				if !all {
+					break
+				}
+				run = append(run, val)
+			}
+		}
+		c.node = int32(pos)
+		n := min(i+1, len(cands)) - int(lv.next)
+		x.st.Extensions += n
+		x.st.Lookups += n
+	} else {
+	cand:
+		for ; i < len(cands); i++ {
+			val := cands[i]
+			x.st.Extensions++
+			for j := range lv.parts {
+				if j == int(lv.seed) {
+					continue
+				}
+				c := &x.cells[lv.parts[j].cell]
+				x.st.Lookups++
+				vals, pos := lv.parts[j].vals[:c.end], int(c.node)
+				if pos < len(vals) && vals[pos] < val {
+					pos = rel.SeekGE(vals, pos+1, val)
+					c.node = int32(pos)
+				}
+				if pos == len(vals) || vals[pos] != val {
+					continue cand
+				}
+			}
+			if !all {
+				break
+			}
+			run = append(run, val)
+		}
+	}
+	x.run, lv.next = run, int32(min(i+1, len(cands)))
+	if i == len(cands) {
+		return false
+	}
+	x.cells[lv.parts[lv.seed].cell].node = int32(i)
+	x.vals[lv.v] = cands[i]
+	return true
+}
+
+// bind finishes binding lv's variable: FD propagation and consistency (LFTJ
+// footnote-1 behaviour), then the trie levels the derived values reach. It
+// reports whether the levels below are to be entered.
+func (x *descent) bind(lv *level) (bool, error) {
 	if lv.prog != nil && !x.e.Run(lv.prog, x.vals) {
-		return nil
+		return false, nil
 	}
 	if lv.err != nil {
-		return lv.err
+		return false, lv.err
 	}
 	for i := range lv.seeks {
 		p := &lv.seeks[i]
 		lo, hi := x.children(p)
 		x.st.Lookups++
-		pos := p.trie.Seek(p.lvl, lo, hi, x.vals[p.v])
-		if pos < 0 {
-			return nil // some relation rules the derived value out
+		vals, v := p.vals[:hi], x.vals[p.v]
+		pos := rel.SeekGE(vals, int(lo), v)
+		if pos == len(vals) || vals[pos] != v {
+			return false, nil // some relation rules the derived value out
 		}
-		x.cells[p.cell].node = pos
+		x.cells[p.cell].node = int32(pos)
 	}
-	return x.descend(d + 1)
+	return true, nil
 }
 
-// flushBelow runs the levels below the group mark at depth d for the current
-// binding of the identity prefix, then hands the group's rows to the sink.
-func (x *descent) flushBelow(d int) error {
-	if err := x.descend(d + 1); err != nil {
-		return err // a failed run's group may be partial: it never leaves
+// emitRun hands the rows vals[:K-1] × (the candidates of lv every part
+// holds) to the run sink: the seed's child run itself when lv has one part.
+func (x *descent) emitRun(lv *level) error {
+	last := lv.parts[lv.seed].vals[lv.next:lv.end]
+	if len(lv.parts) == 1 {
+		x.st.Extensions += len(last)
+	} else {
+		x.match(lv, true)
+		last = x.run
 	}
-	if !x.grp.flush() {
-		return errStop
-	}
-	return nil
-}
-
-// emitRun hands the rows vals[:K-1] × last to the run sink.
-func (x *descent) emitRun(last []Value) error {
 	if len(last) == 0 {
 		return nil
 	}
